@@ -9,12 +9,16 @@ Workloads (see ``workloads.py``): ``sim-ex1``, ``sim-linear2d``,
 generated inputs.
 
 ``--trace 0`` times the workload's calls, closed loop and back to back, for
-``--seconds`` seconds (at least two calls) with tracing off.  The result line
-carries the checked end-to-end metrics: ``call_s_min`` (best call),
-``steps_per_s`` (plant Euler steps per second in the best call), ``setup_s``
-(median over fresh interpreters that import etpf and build the configs) and
-``peak_rss_mb`` (this process plus its pool workers).  The report above it
-adds ``call_s_p50``, ``call_s_tail`` and ``fail_frac``.
+``--seconds`` seconds (at least two calls) with tracing off.  The speed of
+the CPU is sampled during every timed call and every set-up interpreter
+(``calibrate.py``), and each wall time is rescaled to a reference speed,
+which divides out the shared host's changing CPU speed.  The result line
+carries the checked end-to-end metrics: ``call_s_p50`` (median rescaled
+call), ``steps_per_s`` (median over calls of plant Euler steps per rescaled
+second), ``setup_s`` (median rescaled time of fresh interpreters that import
+etpf and build the configs) and ``peak_rss_mb`` (this process plus its pool
+workers).  The report above it adds the raw wall times, ``call_s_tail`` and
+``fail_frac``.
 
 ``--trace 1`` times untraced calls, then the same calls again with every
 public entry point of the package wrapped from outside (``tracer.py``), and
@@ -38,6 +42,7 @@ for _var in THREAD_VARS:  # before numpy is imported, here and in every child
     os.environ[_var] = THREADS
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
@@ -51,6 +56,7 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import calibrate  # noqa: E402
 import tracer as tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -59,7 +65,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 LAYERS = ("config", "channel", "predictor", "model", "trigger", "signals", "monitor", "engine")
 
-SETUP_REPEATS = 7
+SETUP_REPEATS = 9
 SELF_TIME_TOLERANCE = 0.10  # span self times must add up to the traced wall time
 TAIL_PERCENTILES = (99.9, 99, 95, 90, 75)
 
@@ -130,16 +136,19 @@ def tail(samples: list) -> dict:
     return {"omitted": f"{n} samples: fewer than 10 beyond any percentile", "samples": n}
 
 
-def setup_seconds(wl) -> list:
-    """Wall times of fresh interpreters importing etpf and building the configs."""
+def setup_seconds(wl) -> tuple[list, list]:
+    """Wall and rescaled times of fresh interpreters importing etpf and building the configs."""
     code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport etpf\n" + wl.setup_code()
-    times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = clock()
-        subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT, env=os.environ,
-                       stdout=subprocess.DEVNULL)
-        times.append(clock() - t0)
-    return times
+    walls, rescaled = [], []
+    with calibrate.pinned(calibrate.cpus()[0]):
+        for _ in range(SETUP_REPEATS):
+            with calibrate.Sampler() as speed:
+                t0 = clock()
+                subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT,
+                               env=os.environ, stdout=subprocess.DEVNULL)
+                walls.append(clock() - t0)
+            rescaled.append(walls[-1] / speed.slowness())
+    return walls, rescaled
 
 
 class Ledger:
@@ -171,17 +180,28 @@ class Ledger:
 
 
 def timed_calls(wl, ledger, seconds: float, min_calls: int, **kw) -> list:
-    """Call back to back until ``seconds`` have passed and ``min_calls`` were made."""
+    """Call back to back until ``seconds`` have passed and ``min_calls`` were made.
+
+    Calls without a process pool run pinned to one CPU.  A workload whose
+    runs sample the CPU speed themselves (the sweep) brings the result in
+    ``slowness``; other calls run under a ``calibrate.Sampler``.  The
+    slowness turns each result's wall time into its ``ref_s``.
+    """
     results = []
-    start = clock()
-    calls = 0
-    while calls < min_calls or clock() - start < seconds:
-        calls += 1
-        got = ledger.guarded("timed call", wl.call, clock, **kw)
-        if got is not None:
-            res = got[0]
-            ledger.check(not res.problems, "timed call: " + "; ".join(res.problems))
-            results.append(res)
+    with contextlib.ExitStack() as stack:
+        if kw.get("workers", wl.workers) == 1:
+            stack.enter_context(calibrate.pinned(calibrate.cpus()[0]))
+        start = clock()
+        calls = 0
+        while calls < min_calls or clock() - start < seconds:
+            calls += 1
+            with contextlib.nullcontext() if wl.own_sampler else calibrate.Sampler() as speed:
+                got = ledger.guarded("timed call", wl.call, clock, **kw)
+            if got is not None:
+                res = got[0]
+                res.ref_s = res.wall_s / (res.slowness if wl.own_sampler else speed.slowness())
+                ledger.check(not res.problems, "timed call: " + "; ".join(res.problems))
+                results.append(res)
     digests = {r.digest for r in results}
     ledger.check(len(digests) <= 1, f"{len(digests)} different outputs from identical inputs")
     return results
@@ -195,25 +215,30 @@ def end_to_end(wl, ledger, seconds: float) -> tuple[dict, dict]:
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     workers = wl.inputs().get("workers", 0)
     walls = [r.wall_s for r in results]
-    setups = setup_seconds(wl)
-    # The best call, not the median, is the checked statistic: on a shared
-    # 2-CPU host the speed of a CPU changes by up to 1.5x within seconds, which
-    # moved the median call of 20 s sim-linear2d runs by 24% (IQR over runs)
-    # and the best call by 7%; on sim-ex1 the figures were 11% and 2%.
+    rescaled = [r.ref_s for r in results]
+    setup_walls, setups = setup_seconds(wl)
+    # Rescaled times are checked, not wall times: over ten 20 s runs on a
+    # shared 2-CPU host, the median wall time of a call spread by 16-38%
+    # (IQR over median), the rescaled one by 1-9%; see calibrate.py.
     metrics = {
-        "call_s_min": (min(walls), "s"),
-        "steps_per_s": (max(r.steps / r.wall_s for r in results), "1/s"),
+        "call_s_p50": (statistics.median(rescaled), "s"),
+        "steps_per_s": (statistics.median(r.steps / r.ref_s for r in results), "1/s"),
         "setup_s": (statistics.median(setups), "s"),
         # pool workers are forked: each one's peak counts the pages it shares
         "peak_rss_mb": ((self_kb + workers * child_kb) / 1024.0, "MB"),
     }
     extra = {
-        "call_s_p50": {"value": statistics.median(walls), "unit": "s"},
-        "call_s_tail": tail(walls),
+        "call_s_tail": tail(rescaled),
+        "wall_call_s_p50": {"value": statistics.median(walls), "unit": "s"},
+        "wall_call_s_min": {"value": min(walls), "unit": "s"},
+        "wall_setup_s_p50": {"value": statistics.median(setup_walls), "unit": "s"},
         "fail_frac": {"value": ledger.failed / ledger.attempted, "unit": "ratio"},
         "calls": len(results),
-        "call_s": walls,
+        "call_s": rescaled,
+        "wall_call_s": walls,
+        "slowness": [r.wall_s / r.ref_s for r in results],
         "setup_s_samples": setups,
+        "wall_setup_s_samples": setup_walls,
         "steps_per_call": results[0].steps,
         "events_per_call": results[0].events,
         "children_cpu_s": [r.children_cpu_s for r in results] if workers else None,
@@ -250,8 +275,8 @@ def traced_pass(wl, ledger, seconds: float, etpf: dict) -> tuple[dict, dict]:
 
     steps = sum(r.steps for r in traced)
     reanchors = tr.calls("predictor.reanchor")
-    un_best = min(r.wall_s for r in untraced)
-    tr_best = min(r.wall_s for r in traced)
+    un_best = min(r.ref_s for r in untraced)
+    tr_best = min(r.ref_s for r in traced)
 
     def per_call(x):
         return x / n
@@ -287,7 +312,7 @@ def traced_pass(wl, ledger, seconds: float, etpf: dict) -> tuple[dict, dict]:
         "engine.run.self_s": (per_call(tr.self_s("engine.run")), "s"),
         "engine.steps": (per_call(steps), "count"),
         "engine.heatmap.parallel_eff": (
-            untraced[0].wall_s / (2.0 * parallel[0].wall_s) if parallel else 0.0, "ratio"),
+            untraced[0].ref_s / (2.0 * parallel[0].ref_s) if parallel else 0.0, "ratio"),
         "config.build.self_s": (per_call(tr.self_s("config.build")), "s"),
         "trace_overhead_frac": (tr_best / un_best - 1.0, "ratio"),
     }

@@ -28,10 +28,13 @@ import hashlib
 import json
 import multiprocessing
 import resource
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+import calibrate
 
 REFERENCE_PATH = Path(__file__).resolve().parent / "reference.json"
 
@@ -81,12 +84,16 @@ class CallResult:
     events: int = 0
     csv_bytes: int = 0
     children_cpu_s: float = 0.0
+    ref_s: float = 0.0  # wall_s rescaled to the reference CPU speed (calibrate.py)
+    slowness: float = 0.0  # median over a sweep's runs of calibrate.Sampler.slowness
 
 
 class SimWorkload:
     """``simulate`` on one preset, repeated on one seeded ``x0``."""
 
     min_calls = 2  # per run, so that two calls on identical inputs are compared
+    workers = 1
+    own_sampler = False  # timed under a calibrate.Sampler
     csv_files = 2
     csv_identical = 0  # CSVs of the reference probe byte-identical to the reference
 
@@ -181,6 +188,8 @@ class SweepWorkload:
     """One ``heatmap`` call on the 16 odd-index cells of ``heatmap-ex1``."""
 
     min_calls = 2
+    workers = SWEEP_WORKERS
+    own_sampler = True  # RunCounter samples the speed in the process of each run
     csv_files = csv_identical = 0  # heatmap writes no CSV
 
     def __init__(self, etpf: dict, seed: int, ref: dict, tol: dict):
@@ -206,7 +215,7 @@ class SweepWorkload:
                               workers=workers, config_factory=presets.example1)
 
     def call(self, clock, x0=None, workers=SWEEP_WORKERS):
-        counter = RunCounter(self.etpf["engine"])
+        counter = RunCounter(self.etpf["engine"], self.n_runs)
         cpu0 = children_cpu_s()
         t0 = clock()
         with counter:
@@ -229,6 +238,7 @@ class SweepWorkload:
             digest=hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest(),
             problems=problems,
             children_cpu_s=child_cpu,
+            slowness=counter.slowness,
         )
         return res, mat
 
@@ -251,21 +261,27 @@ class RunCounter:
     """Counts the runs and plant steps of ``engine.run``, pool workers included.
 
     The pool forks its workers, so they inherit the wrapper and the shared
-    counters.  It adds one locked increment per run: 160 per sweep.
+    counters.  Each run also goes under a ``calibrate.Sampler`` in the process
+    that does it, and the slowness of each of the first ``capacity`` runs is
+    kept.  The wrapper adds one locked increment per run: 160 per sweep.
     """
 
-    def __init__(self, engine):
+    def __init__(self, engine, capacity: int):
         self.engine = engine
         self._runs = multiprocessing.Value("q", 0)
         self._steps = multiprocessing.Value("q", 0)
+        self._slowness = multiprocessing.Array("d", capacity, lock=False)
 
     def __enter__(self):
         original = self.original = self.engine.run
-        runs, steps = self._runs, self._steps
+        runs, steps, slowness = self._runs, self._steps, self._slowness
 
         def counted_run(cfg):
-            tr = original(cfg)
+            with calibrate.Sampler() as speed:
+                tr = original(cfg)
             with runs.get_lock():
+                if runs.value < len(slowness):
+                    slowness[runs.value] = speed.slowness()
                 runs.value += 1
                 steps.value += int(tr.diagnostics["final_step"])
             return tr
@@ -283,6 +299,10 @@ class RunCounter:
     @property
     def steps(self) -> int:
         return self._steps.value
+
+    @property
+    def slowness(self) -> float:
+        return statistics.median(self._slowness[: min(self.runs, len(self._slowness))])
 
 
 WORKLOADS = ("sim-ex1", "sim-linear2d", "sweep-ex1")
