@@ -49,7 +49,6 @@ from .trigger import (
     min_dwell,
     min_dwell_numeric,
     threshold,
-    triggering_error,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +97,5 @@ __all__ = [
     "min_dwell",
     "min_dwell_numeric",
     "threshold",
-    "triggering_error",
     "__version__",
 ]

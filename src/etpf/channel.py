@@ -21,9 +21,7 @@ from .exceptions import ChannelModelError, ConfigurationError
 __all__ = [
     "ActuationDelay",
     "SensingSchedule",
-    "sigma",
     "verify_delay_bounds",
-    "latest_delivered_index",
     "DelayBoundsReport",
 ]
 
@@ -152,10 +150,6 @@ class ActuationDelay:
         return (self.sigma(t + h) - self.sigma(lo)) / (2.0 * h)
 
 
-def sigma(delay: ActuationDelay, t: float) -> float:
-    return delay.sigma(t)
-
-
 @dataclass
 class DelayBoundsReport:
     passed: bool
@@ -199,14 +193,13 @@ def verify_delay_bounds(delay: ActuationDelay, grid, rtol: float = 1e-6) -> Dela
 class SensingSchedule:
     """Periodic state transmissions with per-transmission delivery delay.
 
-    Delivery times are drawn eagerly at construction (seeded), so queries are
-    pure.  Out-of-order deliveries are re-sequenced: the delivered-index query
-    returns the freshest transmission among those already delivered.
+    Delivery times are drawn eagerly at construction (seeded), so the
+    schedule is a pure table.  Deliveries may arrive out of order; the
+    engine adopts the freshest transmission delivered so far.
     """
 
     transmit_times: np.ndarray
     delivery_times: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
         tx = np.asarray(self.transmit_times, dtype=float)
@@ -221,10 +214,6 @@ class SensingSchedule:
             raise ConfigurationError("delivery times must be finite and causal")
         object.__setattr__(self, "transmit_times", tx)
         object.__setattr__(self, "delivery_times", dv)
-        # Delivery order after a stable sort by delivery time.
-        order = np.argsort(dv, kind="stable")
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_sorted_deliveries", dv[order])
 
     @staticmethod
     def periodic(
@@ -253,20 +242,4 @@ class SensingSchedule:
             raise ConfigurationError("either d_psi or (mu_psi, sigma_psi) required")
         if np.any(dly < 0):
             raise ConfigurationError("negative sensing delay")
-        return SensingSchedule(tx, tx + dly, seed=seed)
-
-    @property
-    def first_delivery(self) -> float:
-        return float(self._sorted_deliveries[0])
-
-    def latest_delivered_index(self, t: float) -> Optional[int]:
-        """Largest (by transmit time) index delivered by time t; None if nothing yet."""
-        k = int(np.searchsorted(self._sorted_deliveries, t, side="right"))
-        if k == 0:
-            return None
-        candidates = self._order[:k]
-        return int(candidates[np.argmax(self.transmit_times[candidates])])
-
-
-def latest_delivered_index(sched: SensingSchedule, t: float) -> Optional[int]:
-    return sched.latest_delivered_index(t)
+        return SensingSchedule(tx, tx + dly)

@@ -74,10 +74,6 @@ def apply_overrides(data: dict, overrides) -> dict:
     return data
 
 
-def _get(section: dict, key: str, default=None):
-    return section.get(key, default) if section else default
-
-
 def _matrix(section: dict, key: str, what: str) -> np.ndarray:
     if key not in section:
         raise ConfigurationError(f"linear system section is missing field {key!r} ({what})")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,10 +20,10 @@ import numpy as np
 from .channel import ActuationDelay, SensingSchedule
 from .exceptions import ConfigurationError, PredictorError
 from .model import ISSCertificate, LinearSystem, SystemModel
-from .monitor import MonitorConfig, compute_L, compute_V
+from .monitor import MonitorConfig, compute_L, compute_V, compute_w
 from .predictor import make_predictor
 from .signals import TimedSignal
-from .trigger import EventLog, TriggerConfig, threshold
+from .trigger import EventLog, TriggerConfig, check_and_fire, threshold
 
 __all__ = ["SensingConfig", "SimConfig", "SimTrace", "run", "heatmap"]
 
@@ -324,7 +325,6 @@ def run(cfg: SimConfig) -> SimTrace:
     anchor_tau = 0.0
     w_max_after_t0 = 0.0
     diverged = False
-    n_final = N
 
     def state_at(tq: float) -> np.ndarray:
         m_f = tq / h
@@ -337,84 +337,66 @@ def run(cfg: SimConfig) -> SimTrace:
         lam = (tq - k * h) / h
         return (1.0 - lam) * X[k] + lam * X[k + 1] if lam > 0 else X[k].copy()
 
-    for step in range(N + 1):
-        t = float(times[step])
-        # deliveries due now: adopt the freshest transmitted state
-        if sched is None:
-            if step > 0:
-                predictor.reanchor(t, X[step], t)
-                anchor_tau = t
-            dv_flags[step] = 1.0
-        elif step in by_index:
-            dv_flags[step] = 1.0
-            best = max(by_index[step], key=lambda d: d[1])
-            if best[1] >= anchor_tau or p_last_event is None:
-                anchor_tau = best[1]
-                predictor.reanchor(anchor_tau, state_at(anchor_tau), t)
+    try:
+        for step in range(N + 1):
+            t = float(times[step])
+            # deliveries due now: adopt the freshest transmitted state
+            if sched is None:
+                if step > 0:
+                    predictor.reanchor(t, X[step], t)
+                dv_flags[step] = 1.0
+            elif step in by_index:
+                dv_flags[step] = 1.0
+                best = max(by_index[step], key=lambda d: d[1])
+                if best[1] >= anchor_tau:
+                    anchor_tau = best[1]
+                    predictor.reanchor(anchor_tau, state_at(anchor_tau), t)
 
-        p_now = np.asarray(predictor.p, dtype=float)
-        P[step] = p_now
+            p_now = np.asarray(predictor.p, dtype=float)
+            P[step] = p_now
 
-        if step >= t0_idx:
-            fired = False
-            if p_last_event is None:
-                fired = True
-                e_pre = 0.0
-            else:
-                e = p_last_event - p_now
-                e_n = float(np.linalg.norm(e))
+            if step >= t0_idx:
                 thr = threshold(cfg.trigger, p_now, cfg.cert)
                 TH[step] = thr
-                if e_n > 0.0 and e_n >= thr:
-                    fired = True
-                    e_pre = e_n
+                fired, e_n = check_and_fire(p_last_event, p_now, thr)
+                if fired:
+                    control = np.atleast_1d(np.asarray(model.K(p_now), dtype=float))
+                    log.record(t, control)
+                    event_p_norms.append(float(np.linalg.norm(p_now)))
+                    event_e_pre.append(e_n)
+                    u_hist.append(t, control)
+                    p_last_event = p_now.copy()
+                    ev_flags[step] = 1.0
                 else:
                     E[step] = e_n
-            if fired:
-                control = np.atleast_1d(np.asarray(model.K(p_now), dtype=float))
-                log.record(t, control)
-                event_p_norms.append(float(np.linalg.norm(p_now)))
-                event_e_pre.append(e_pre)
-                u_hist.append(t, control)
-                p_last_event = p_now.copy()
-                ev_flags[step] = 1.0
-                E[step] = 0.0
-                if math.isnan(TH[step]):
-                    TH[step] = threshold(cfg.trigger, p_now, cfg.cert)
-            # w-identity diagnostic: u(t) - K(p(t) + e(t)); p(t) + e(t) is
-            # p(t_k) exactly, so use the stored value (adding e back would
-            # lose low bits to cancellation at large |p|)
-            w = u_hist.sample(t) - np.atleast_1d(
-                np.asarray(model.K(p_last_event), dtype=float)
-            )
-            w_max_after_t0 = max(w_max_after_t0, float(np.linalg.norm(w)))
 
-        U[step] = u_hist.sample(t)
+            U[step] = u_hist.sample(t)
+            if p_last_event is not None:
+                # w-identity diagnostic: w vanishes once events have started
+                w = compute_w(U[step], p_last_event, model.K)
+                w_max_after_t0 = max(w_max_after_t0, float(np.linalg.norm(w)))
 
-        if step == N:
-            break
-        # plant Euler step with the delayed control; snap phi(t) onto the
-        # stamp grid so a 1-ulp offset cannot pick up a stale control value
-        s_phi = true_delay.phi(t)
-        k_phi = round(s_phi / h)
-        if abs(s_phi - k_phi * h) < 1e-9 * (1.0 + abs(s_phi)):
-            s_phi = k_phi * h
-        u_phi = u_hist.sample(s_phi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_next = X[step] + h * model.f(X[step], u_phi)
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > cfg.divergence_threshold:
-            diverged = True
-            n_final = step
-            X[step + 1 :] = X[step]
-            break
-        X[step + 1] = x_next
-        try:
+            if step == N:
+                break
+            # plant Euler step with the delayed control; snap phi(t) onto the
+            # stamp grid so a 1-ulp offset cannot pick up a stale control value
+            s_phi = true_delay.phi(t)
+            k_phi = round(s_phi / h)
+            if abs(s_phi - k_phi * h) < 1e-9 * (1.0 + abs(s_phi)):
+                s_phi = k_phi * h
+            u_phi = u_hist.sample(s_phi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_next = X[step] + h * model.f(X[step], u_phi)
+            if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > cfg.divergence_threshold:
+                raise PredictorError("plant state crossed the divergence threshold")
+            X[step + 1] = x_next
             predictor.advance(t)
-        except PredictorError:
-            diverged = True
-            n_final = step
-            X[step + 1 :] = X[step]
-            break
+    except PredictorError:
+        # the one divergence exit, for the plant bound and for a failed
+        # re-anchor or advance: keep the trace up to this step and hold the
+        # last state
+        diverged = True
+        X[step + 1 :] = X[step]
 
     trace = SimTrace(
         times=times,
@@ -435,7 +417,7 @@ def run(cfg: SimConfig) -> SimTrace:
         pre_p=pre_p,
         diagnostics={
             "diverged": diverged,
-            "final_step": n_final,
+            "final_step": step,
             "w_max_after_t0": w_max_after_t0,
             "event_p_norms": event_p_norms,
             "event_e_pre": event_e_pre,
@@ -455,16 +437,11 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, u_hist, sigma_fn, delay) ->
 
     # disturbance history: nonzero only before t0
     w_hist = TimedSignal(mode="linear")
-    for s, p in zip(trace.pre_times, trace.pre_p):
-        w = u_hist.sample(float(s)) - np.atleast_1d(np.asarray(model.K(p), dtype=float))
-        w_hist.append(float(s), w)
     k0 = int(round(t0 / trace.h))
-    for step in range(0, k0):
-        s = float(trace.times[step])
-        w = u_hist.sample(s) - np.atleast_1d(
-            np.asarray(model.K(trace.p[step]), dtype=float)
-        )
-        w_hist.append(s, w)
+    w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
+    w_p = np.concatenate([trace.pre_p, trace.p[:k0]])
+    for s, p in zip(w_times, w_p):
+        w_hist.append(float(s), compute_w(u_hist.sample(float(s)), p, model.K))
     zeros = np.zeros(model.input_dim)
     if len(w_hist) == 0 or w_hist.last_time < t0:
         w_hist.append(t0, zeros)
@@ -497,6 +474,12 @@ def heatmap(
 
     The same initial-condition draws are reused in every cell for paired
     comparison.  Diverged runs contribute the saturation value 1e9.
+
+    With ``workers > 1`` the cells run in a process pool, which needs what is
+    sent to the workers to pickle: ``config_factory`` when one is given, else
+    ``base_cfg``.  A config holding a closure, such as the ``phi`` of
+    ``ActuationDelay.example1()``, does not; the sweep then runs serially in
+    this process.  An error raised in a worker propagates.
     """
     if n_ic < 1:
         raise ConfigurationError("n_ic must be at least 1")
@@ -512,28 +495,30 @@ def heatmap(
              for j, dp in enumerate(d_psi_grid)]
     result = np.empty((len(delta_tau_grid), len(d_psi_grid)))
 
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    cell_cfg = base_cfg if config_factory is None else None
+    if workers > 1 and _picklable((cell_cfg, config_factory)):
+        from concurrent.futures import ProcessPoolExecutor
 
-            factory = config_factory
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futs = {
-                    pool.submit(_heatmap_cell, base_cfg if factory is None else None,
-                                factory, dt, dp, ics): (i, j)
-                    for i, j, dt, dp in cells
-                }
-                for fut, (i, j) in futs.items():
-                    result[i, j] = fut.result()
-            return result
-        except Exception:
-            pass  # unpicklable config: fall back to the serial path
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futs = {
+                pool.submit(_heatmap_cell, cell_cfg, config_factory, dt, dp, ics): (i, j)
+                for i, j, dt, dp in cells
+            }
+            for fut, (i, j) in futs.items():
+                result[i, j] = fut.result()
+        return result
 
     for i, j, dt, dp in cells:
-        result[i, j] = _heatmap_cell(
-            base_cfg if config_factory is None else None, config_factory, dt, dp, ics
-        )
+        result[i, j] = _heatmap_cell(cell_cfg, config_factory, dt, dp, ics)
     return result
+
+
+def _picklable(obj) -> bool:
+    try:
+        pickle.dumps(obj)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
 
 
 def _heatmap_cell(base_cfg, config_factory, delta_tau, d_psi, ics) -> float:

@@ -29,8 +29,6 @@ __all__ = [
     "spectral_norm",
 ]
 
-_EIG_TOL = 1e-12
-
 
 def spectral_norm(M) -> float:
     """Spectral norm via the symmetric eigensolve of the Gram matrix."""

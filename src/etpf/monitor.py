@@ -46,10 +46,15 @@ class MonitorConfig:
             raise ConfigurationError("stride must be at least 1")
 
 
-def compute_w(u_history: TimedSignal, p, e, K, t: float) -> np.ndarray:
-    """w(t) = u(t) - K(p(t) + e(t)); identically 0 once events have started."""
-    u = u_history.sample(t)
-    return u - np.atleast_1d(np.asarray(K(np.atleast_1d(p) + np.atleast_1d(e)), dtype=float))
+def compute_w(u, p_held, K) -> np.ndarray:
+    """w(t) = u(t) - K(p(t) + e(t)), given u = u(t) and p_held = p(t) + e(t).
+
+    ``p_held`` is p(t_k), the prediction held since the last event, and p(t)
+    before the first event (e = 0 there).  Callers pass p(t_k) as stored
+    rather than p(t) + e(t): adding e back would lose low bits to
+    cancellation at large |p|, and w would not vanish exactly after t0.
+    """
+    return u - np.atleast_1d(np.asarray(K(p_held), dtype=float))
 
 
 def compute_L(

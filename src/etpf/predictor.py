@@ -5,13 +5,15 @@ Four strategies are provided:
 * ``closed-loop``: re-integrate ``pdot = sigmadot * f(p, u)`` from the most
   recent delivered state every time a prediction is needed.  Most robust; a
   fresh delivery wipes out all accumulated mismatch.
-* ``semi-closed-loop``: evaluate the prediction integral by trapezoidal
-  quadrature over the stored (p, u) history, anchored at the delivered state.
+* ``semi-closed-loop``: accumulate the prediction integral by trapezoidal
+  quadrature over the stored integrand history, anchored at the delivered
+  state.
 * ``open-loop``: advance ``pdot = sigmadot * f(p, u)`` one step at a time,
   never re-anchoring.  Cheap but drifts for unstable plants.
 * ``linear-closed-form``: matrix-exponential solution for linear plants.
 
-The standalone functions re-run their full window per call (the reference
+The standalone functions ``predict_closed_loop``, ``predict_open_loop_step``
+and ``predict_linear`` re-run their full window per call (the reference
 semantics); the ``*Predictor`` classes keep incremental state for the
 simulation engine and produce the same Euler iterates because the integration
 nodes are aligned to multiples of the engine step.
@@ -32,7 +34,6 @@ from .signals import TimedSignal
 
 __all__ = [
     "predict_closed_loop",
-    "predict_semi_closed",
     "predict_open_loop_step",
     "predict_linear",
     "ClosedLoopPredictor",
@@ -83,70 +84,22 @@ def predict_closed_loop(
     model: SystemModel,
     h: float,
     sigma_dot: Optional[Callable[[float], float]] = None,
-    scheme: str = "euler",
 ) -> np.ndarray:
-    """Re-integration of the prediction flow from phi(anchor_time) to t.
+    """Re-integration of the prediction flow from phi(anchor_time) to t by explicit Euler.
 
     ``sigma_dot`` may supply a cached lookup; by default it is the centered
     finite difference of the numerically inverted sigma with spacing h.
-    ``scheme`` selects explicit Euler (the reference integrator) or the
-    explicit midpoint rule.
     """
-    if scheme not in ("euler", "midpoint"):
-        raise PredictorError(f"unknown integration scheme {scheme!r}")
     if sigma_dot is None:
         sigma_dot = lambda s: delay.sigma_dot(s, h)
     s0 = delay.phi(float(anchor_time))
     p = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
     nodes = _window_nodes(s0, float(t), h)
     for left, right in zip(nodes[:-1], nodes[1:]):
-        dt = right - left
-        if scheme == "euler":
-            p = p + dt * sigma_dot(left) * model.f(p, _u_at(u_history, left))
-        else:
-            mid = left + 0.5 * dt
-            half = p + 0.5 * dt * sigma_dot(left) * model.f(p, _u_at(u_history, left))
-            p = p + dt * sigma_dot(mid) * model.f(half, _u_at(u_history, mid))
+        p = p + (right - left) * sigma_dot(left) * model.f(p, _u_at(u_history, left))
         if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > _DIVERGENCE_CAP:
             raise PredictorError("prediction diverged")
     return p
-
-
-def predict_semi_closed(
-    t: float,
-    anchor_time: float,
-    anchor_state,
-    u_history: TimedSignal,
-    p_history: TimedSignal,
-    delay: ActuationDelay,
-    model: SystemModel,
-    h: float,
-    sigma_dot: Optional[Callable[[float], float]] = None,
-) -> np.ndarray:
-    """Trapezoidal evaluation of the prediction integral over stored history.
-
-    The stored p-history must cover the window up to (at least) t - h; the
-    final uncovered sliver is closed with a rectangle on the last stored
-    integrand value.
-    """
-    if sigma_dot is None:
-        sigma_dot = lambda s: delay.sigma_dot(s, h)
-    s0 = delay.phi(float(anchor_time))
-    anchor = np.atleast_1d(np.asarray(anchor_state, dtype=float))
-    covered = min(float(t), p_history.last_time)
-    if covered < s0:
-        raise PredictorError("p-history does not reach the prediction window")
-    nodes = _window_nodes(s0, covered, h)
-    integral = np.zeros_like(anchor)
-    g_prev = None
-    for s in nodes:
-        g = sigma_dot(s) * model.f(p_history.sample(s), _u_at(u_history, s))
-        if g_prev is not None:
-            integral = integral + 0.5 * (s - s_prev) * (g_prev + g)
-        g_prev, s_prev = g, s
-    if covered < t:
-        integral = integral + (t - covered) * g_prev
-    return anchor + integral
 
 
 def predict_open_loop_step(

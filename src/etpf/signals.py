@@ -39,10 +39,6 @@ class TimedSignal:
         return list(self._times)
 
     @property
-    def values(self) -> list[np.ndarray]:
-        return list(self._values)
-
-    @property
     def first_time(self) -> float:
         if not self._times:
             raise CoverageError("signal is empty")
@@ -83,36 +79,8 @@ class TimedSignal:
         lam = (t - t0) / (t1 - t0)
         return (1.0 - lam) * self._values[idx] + lam * self._values[idx + 1]
 
-    def weighted_sup(self, t: float, horizon_end: float, b: float) -> float:
-        """Max of ``exp(b*(tau - t)) * |value(tau)|`` for tau in [t, horizon_end].
-
-        The max runs over the stored stamps restricted to the window plus both
-        window endpoints.  Empty windows yield 0.
-        """
-        if horizon_end < t:
-            raise ValueError("window end precedes window start")
-        if not self._times:
-            return 0.0
-        lo = max(t, self._times[0])
-        if lo > horizon_end:
-            return 0.0
-        taus = [lo]
-        i = bisect_right(self._times, lo)
-        while i < len(self._times) and self._times[i] <= horizon_end:
-            taus.append(self._times[i])
-            i += 1
-        if self.mode == "constant" or horizon_end <= self._times[-1]:
-            if taus[-1] != horizon_end:
-                taus.append(horizon_end)
-        best = 0.0
-        for tau in taus:
-            val = float(np.exp(b * (tau - t)) * np.linalg.norm(self.sample(tau)))
-            if val > best:
-                best = val
-        return best
-
-    def integrate(self, a: float, b: float, transform=None) -> np.ndarray:
-        """Integral of ``transform(value(.))`` over [a, b] on the stored grid.
+    def integrate(self, a: float, b: float) -> np.ndarray:
+        """Integral of the signal over [a, b] on the stored grid.
 
         Piecewise-constant signals are integrated exactly (one rectangle per
         segment); linear signals use the composite trapezoidal rule on the
@@ -124,10 +92,8 @@ class TimedSignal:
             raise CoverageError("integration window not covered by the signal")
         if self.mode == "linear" and b > self._times[-1]:
             raise CoverageError("integration window not covered by the signal")
-        if transform is None:
-            transform = lambda v: v
         if a == b:
-            return np.zeros_like(np.atleast_1d(transform(self._values[0])))
+            return np.zeros_like(self._values[0])
 
         # Breakpoints: a, interior stamps, b.
         nodes = [a]
@@ -141,21 +107,8 @@ class TimedSignal:
         for left, right in zip(nodes[:-1], nodes[1:]):
             dt = right - left
             if self.mode == "constant":
-                seg = dt * np.atleast_1d(transform(self.sample(left)))
+                seg = dt * self.sample(left)
             else:
-                fl = np.atleast_1d(transform(self.sample(left)))
-                fr = np.atleast_1d(transform(self.sample(right)))
-                seg = 0.5 * dt * (fl + fr)
+                seg = 0.5 * dt * (self.sample(left) + self.sample(right))
             total = seg if total is None else total + seg
         return total
-
-    def prune(self, before: float) -> None:
-        """Drop samples strictly older than ``before``.
-
-        The newest sample at or before the cutoff is kept so that constant-mode
-        lookups inside the remaining window stay valid.
-        """
-        idx = bisect_right(self._times, before) - 1
-        if idx > 0:
-            del self._times[:idx]
-            del self._values[:idx]

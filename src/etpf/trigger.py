@@ -21,7 +21,6 @@ from .model import ISSCertificate, LinearSystem
 __all__ = [
     "TriggerConfig",
     "EventLog",
-    "triggering_error",
     "threshold",
     "check_and_fire",
     "min_dwell",
@@ -95,13 +94,6 @@ class EventLog:
         return float(np.min(np.diff(self.event_times)))
 
 
-def triggering_error(p_at_last_event, p_now) -> np.ndarray:
-    """e = p(t_k) - p(t)."""
-    return np.atleast_1d(np.asarray(p_at_last_event, dtype=float)) - np.atleast_1d(
-        np.asarray(p_now, dtype=float)
-    )
-
-
 def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
     """Trigger threshold as a function of the current prediction."""
     p_norm = float(np.linalg.norm(np.atleast_1d(p)))
@@ -116,28 +108,19 @@ def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> f
     return cert.rho_inv(cfg.theta * cert.gamma(p_norm)) / (2.0 * cfg.L_K)
 
 
-def check_and_fire(
-    cfg: TriggerConfig,
-    e,
-    p,
-    t: float,
-    log: EventLog,
-    cert: Optional[ISSCertificate] = None,
-    control=None,
-) -> bool:
-    """Fire iff ``|e| >= threshold(p)`` at this grid point.
+def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
+    """The trigger rule at one grid point: ``(fire, |e|)``, e = p(t_k) - p(t).
 
-    At the equilibrium (p = 0 the threshold is 0) an event fires only if
-    e != 0, so a system at rest does not chatter.  On fire the event is
-    appended; the caller resets e by recording p(t_k) = p(t).
+    The first check, before any event (``p_at_last_event`` is None), fires
+    with |e| = 0.  After that the rule fires iff ``|e| > 0`` and
+    ``|e| >= thr``: at the equilibrium (p = 0 so the threshold is 0) an
+    event fires only if e != 0, so a system at rest does not chatter.  On
+    fire the caller resets e by recording p(t_k) = p(t).
     """
-    e_norm = float(np.linalg.norm(np.atleast_1d(e)))
-    if e_norm == 0.0:
-        return False
-    if e_norm < threshold(cfg, p, cert):
-        return False
-    log.record(t, control if control is not None else np.zeros(1))
-    return True
+    if p_at_last_event is None:
+        return True, 0.0
+    e_norm = float(np.linalg.norm(np.subtract(p_at_last_event, p_now)))
+    return e_norm > 0.0 and e_norm >= thr, e_norm
 
 
 def _check_dwell_args(a: float, c: float, R: float) -> None:

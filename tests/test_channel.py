@@ -68,24 +68,6 @@ class TestVerifyDelayBounds:
 
 
 class TestSensingSchedule:
-    def test_delivery_enumeration(self):
-        sched = SensingSchedule.periodic(2.0, 10.0, d_psi=1.0)
-        # deliveries at 1, 3, 5, ...
-        assert sched.latest_delivered_index(3.5) == 1
-        assert sched.latest_delivered_index(0.5) is None
-        assert sched.latest_delivered_index(3.0) == 1  # boundary is inclusive
-
-    def test_index_nondecreasing(self):
-        sched = SensingSchedule.periodic(
-            1.0, 20.0, mu_psi=0.1, sigma_psi=0.5, seed=11
-        )
-        idx = [sched.latest_delivered_index(t) for t in np.linspace(0, 25, 500)]
-        prev = -1
-        for i in idx:
-            if i is not None:
-                assert i >= prev
-                prev = i
-
     def test_seed_reproducibility(self):
         a = SensingSchedule.periodic(1.0, 20.0, mu_psi=0.1, sigma_psi=0.02, seed=7)
         b = SensingSchedule.periodic(1.0, 20.0, mu_psi=0.1, sigma_psi=0.02, seed=7)
@@ -96,15 +78,6 @@ class TestSensingSchedule:
             0.5, 50.0, mu_psi=0.0, sigma_psi=1.0, seed=0
         )
         assert np.all(sched.delivery_times >= sched.transmit_times)
-
-    def test_out_of_order_resequencing(self):
-        # transmission 1 delivered after transmission 2: the freshest delivered
-        # transmit time wins
-        sched = SensingSchedule(
-            transmit_times=[0.0, 1.0, 2.0], delivery_times=[0.5, 3.0, 2.5]
-        )
-        assert sched.latest_delivered_index(2.6) == 2
-        assert sched.latest_delivered_index(3.5) == 2  # index 1 is stale by then
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -52,6 +52,23 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_divergence_at_reanchor_exit_code(self, tmp_path):
+        # out-of-order Gaussian sensing: the prediction diverges while
+        # re-anchoring on a delivery, not in the plant step or an advance
+        out = tmp_path / "e2"
+        code = main([
+            "simulate", "--preset", "example2",
+            "--override", "sensing.delta_tau=0.3",
+            "--override", "sensing.mu_psi=0.8",
+            "--override", "sensing.sigma_psi=0.5",
+            "--override", "sensing.seed=8",
+            "--override", "sim.T=6", "--out", str(out),
+        ])
+        assert code == 2
+        header, rows = read_csv(out / "trace.csv")
+        assert len(rows) == 601
+        assert "diverged: True" in (out / "summary.txt").read_text()
+
     def test_malformed_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("sim:\n  T: [1, 2\n")

@@ -1,14 +1,25 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from etpf import presets, run
-from etpf.channel import ActuationDelay
+from etpf.channel import ActuationDelay, SensingSchedule
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError
 from etpf.trigger import TriggerConfig
+
+_MAIN_PID = os.getpid()
+
+
+def _example1_failing_in_workers():
+    # fails only in a pool worker, so a serial rerun of the sweep would
+    # succeed and hide the worker's error
+    if os.getpid() != _MAIN_PID:
+        raise ConfigurationError("config factory failed in a worker")
+    return presets.example1()
 
 
 class TestRunBasics:
@@ -78,6 +89,36 @@ class TestRunBasics:
         np.testing.assert_array_equal(a.p, b.p)
         assert a.events.event_times == b.events.event_times
 
+    def test_stale_deliveries_discarded(self, monkeypatch):
+        # Gaussian sensing delays reorder deliveries; a delivery is stale
+        # when a fresher transmission reached the controller no later.  The
+        # engine must discard stale samples, so a schedule without them
+        # gives the same run.
+        base = presets.example1()
+        cfg = dataclasses.replace(
+            base, ctrl_delay=ActuationDelay.constant(0.8), T=10.0, monitor=None,
+            sensing=dataclasses.replace(
+                base.sensing, delta_tau=0.3, d_psi=None, mu_psi=0.8,
+                sigma_psi=0.5, seed=0,
+            ),
+        )
+        full = cfg.sensing.schedule(cfg.T)
+        a = run(cfg)
+        stale = {
+            ell for ell, tau, _dv, grid_t in a.deliveries
+            if any(tau2 > tau and grid2 <= grid_t for _, tau2, _, grid2 in a.deliveries)
+        }
+        assert len(full.transmit_times) == 34
+        assert len(stale) == 10
+        keep = [ell for ell in range(len(full.transmit_times)) if ell not in stale]
+        fresh = SensingSchedule(full.transmit_times[keep], full.delivery_times[keep])
+        monkeypatch.setattr(SensingConfig, "schedule", lambda self, horizon: fresh)
+        b = run(cfg)
+        assert not a.diverged and not b.diverged
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.p, b.p)
+        assert a.events.event_times == b.events.event_times
+
     def test_deliveries_snapped_to_grid(self):
         tr = run(dataclasses.replace(presets.example2(), T=5.0))
         for _ell, tau, dv, grid_t in tr.deliveries:
@@ -112,6 +153,23 @@ class TestHeatmap:
         a = heatmap(presets.example1(), [2.0], [1.0], n_ic=2, seed=7, workers=1)
         b = heatmap(presets.example1(), [2.0], [1.0], n_ic=2, seed=7, workers=1)
         np.testing.assert_array_equal(a, b)
+
+    def test_parallel_matches_serial(self):
+        args = ([2.0], [0.5, 1.0])
+        serial = heatmap(presets.example1(), *args, n_ic=2, seed=3, workers=1,
+                         config_factory=presets.example1)
+        pooled = heatmap(presets.example1(), *args, n_ic=2, seed=3, workers=2,
+                         config_factory=presets.example1)
+        # the example1 delay map is a closure: this config cannot be
+        # pickled, so the sweep runs serially
+        unpicklable = heatmap(presets.example1(), *args, n_ic=2, seed=3, workers=2)
+        np.testing.assert_array_equal(pooled, serial)
+        np.testing.assert_array_equal(unpicklable, serial)
+
+    def test_worker_error_propagates(self):
+        with pytest.raises(ConfigurationError, match="in a worker"):
+            heatmap(presets.example1(), [2.0], [1.0], n_ic=1, seed=1, workers=2,
+                    config_factory=_example1_failing_in_workers)
 
     def test_bad_n_ic(self):
         with pytest.raises(ConfigurationError):

@@ -29,12 +29,12 @@ class TestComputeW:
     def test_zero_when_control_matches(self):
         u = const_signal([2.0])
         K = lambda x: np.array([2.0])
-        np.testing.assert_allclose(compute_w(u, [1.0], [0.0], K, 0.0), [0.0])
+        np.testing.assert_allclose(compute_w(u.sample(0.0), [1.0], K), [0.0])
 
     def test_prehistory_definition(self):
         u = const_signal([3.0])
         K = lambda x: np.array([0.0])
-        np.testing.assert_allclose(compute_w(u, [1.0], [0.0], K, -0.5), [3.0])
+        np.testing.assert_allclose(compute_w(u.sample(-0.5), [1.0], K), [3.0])
 
 
 class TestComputeL:

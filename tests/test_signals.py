@@ -66,29 +66,6 @@ class TestAppend:
             TimedSignal(mode="cubic")
 
 
-class TestWeightedSup:
-    def test_zero_signal(self):
-        sig = make("constant", [(0.0, 0.0), (1.0, 0.0)])
-        assert sig.weighted_sup(0.0, 1.0, 10.0) == 0.0
-
-    def test_unweighted_constant(self):
-        sig = make("constant", [(0.0, 3.0)])
-        assert sig.weighted_sup(0.0, 1.0, 0.0) == pytest.approx(3.0)
-
-    def test_exponential_endpoint(self):
-        c, b, M0 = 2.0, 10.0, 0.7
-        sig = make("constant", [(0.0, c)])
-        assert sig.weighted_sup(0.0, M0, b) == pytest.approx(c * np.exp(b * M0))
-
-    def test_b_zero_is_plain_max(self):
-        sig = make("constant", [(0.0, 1.0), (0.5, -4.0), (0.9, 2.0)])
-        assert sig.weighted_sup(0.0, 1.0, 0.0) == pytest.approx(4.0)
-
-    def test_empty_window(self):
-        sig = make("constant", [(5.0, 1.0)])
-        assert sig.weighted_sup(0.0, 1.0, 1.0) == 0.0
-
-
 class TestIntegrate:
     def test_constant_rectangle(self):
         sig = make("constant", [(0.0, 3.0)])
@@ -108,21 +85,7 @@ class TestIntegrate:
         split = sig.integrate(0.1, 1.0)[0] + sig.integrate(1.0, 1.9)[0]
         assert whole == pytest.approx(split, rel=1e-12, abs=1e-12)
 
-    def test_transform(self):
-        sig = make("constant", [(0.0, -3.0)])
-        assert sig.integrate(0.0, 2.0, transform=np.abs)[0] == pytest.approx(6.0)
-
     def test_coverage_failure(self):
         sig = make("constant", [(1.0, 1.0)])
         with pytest.raises(CoverageError):
             sig.integrate(0.0, 2.0)
-
-
-class TestPrune:
-    def test_prune_keeps_covering_sample(self):
-        sig = make("constant", [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-        sig.prune(1.5)
-        # the stamp at 1.0 must survive so lookups in [1.5, 2.0) still work
-        assert sig.sample(1.5) == pytest.approx(2.0)
-        assert sig.first_time == 1.0
-        assert len(sig) == 2

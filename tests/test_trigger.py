@@ -13,19 +13,19 @@ from etpf.trigger import (
     min_dwell,
     min_dwell_numeric,
     threshold,
-    triggering_error,
 )
 
 
 class TestTriggeringError:
     def test_zero_after_event(self):
         p = np.array([1.0, 2.0])
-        np.testing.assert_allclose(triggering_error(p, p), [0.0, 0.0])
+        assert check_and_fire(p, p, 0.0) == (False, 0.0)
 
     def test_subtraction(self):
-        np.testing.assert_allclose(
-            triggering_error([1.0, 1.0], [1.0, 0.0]), [0.0, 1.0]
-        )
+        _, e_norm = check_and_fire([1.0, 1.0], [1.0, 0.0], 2.0)
+        assert e_norm == pytest.approx(1.0)
+        _, e_norm = check_and_fire([4.0, 0.0], [1.0, 4.0], 10.0)
+        assert e_norm == pytest.approx(5.0)
 
 
 class TestThreshold:
@@ -76,23 +76,26 @@ class TestThreshold:
 class TestCheckAndFire:
     def test_below_threshold_no_fire(self):
         cfg = TriggerConfig.fixed_ratio(0.5)
-        log = EventLog()
-        assert not check_and_fire(cfg, [0.1], [1.0], 0.0, log)
-        assert log.count == 0
+        fired, e_norm = check_and_fire([1.1], [1.0], threshold(cfg, [1.0]))
+        assert not fired
+        assert e_norm == pytest.approx(0.1)
 
     def test_crossing_fires_and_resets(self):
         cfg = TriggerConfig.fixed_ratio(0.5)
-        log = EventLog()
-        assert check_and_fire(cfg, [0.6], [1.0], 1.0, log, control=[2.0])
-        assert log.count == 1
-        assert log.event_times == [1.0]
+        thr = threshold(cfg, [1.0])
+        # the first check, before any event, always fires
+        assert check_and_fire(None, [1.0], thr) == (True, 0.0)
+        fired, e_norm = check_and_fire([1.6], [1.0], thr)
+        assert fired
+        assert e_norm == pytest.approx(0.6)
+        # |e| exactly at the threshold fires too
+        assert check_and_fire([1.5], [1.0], thr)[0]
         # caller resets: e = 0 afterwards, which never re-fires
-        assert not check_and_fire(cfg, [0.0], [1.0], 1.1, log)
+        assert check_and_fire([1.0], [1.0], thr) == (False, 0.0)
 
     def test_equilibrium_rest(self):
         cfg = TriggerConfig.fixed_ratio(0.5)
-        log = EventLog()
-        assert not check_and_fire(cfg, [0.0], [0.0], 0.0, log)
+        assert check_and_fire([0.0], [0.0], threshold(cfg, [0.0])) == (False, 0.0)
 
     def test_event_log_ordering(self):
         log = EventLog()
