@@ -39,6 +39,8 @@ class ActuationDelay:
     M1: float
     m2: float
     name: str = "custom"
+    # grid tables per (h, m_lo, N); plain arrays only, see grid_tables
+    _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M0 <= 0 or self.M1 <= 0 or self.m2 <= 0:
@@ -136,8 +138,10 @@ class ActuationDelay:
             )
         if flo == 0.0:
             return lo
-        s = brentq(lambda v: self.phi(v) - t, lo, hi, xtol=1e-14, rtol=1e-15)
-        if abs(self.phi(s) - t) > 1e-12 * (1.0 + abs(t)):
+        # brentq's wrapper is a reference cycle: let it hold phi, not self
+        phi = self.phi
+        s = brentq(lambda v: phi(v) - t, lo, hi, xtol=1e-14, rtol=1e-15)
+        if abs(phi(s) - t) > 1e-12 * (1.0 + abs(t)):
             raise ChannelModelError(f"sigma({t}) did not converge")
         return float(s)
 
@@ -148,6 +152,31 @@ class ActuationDelay:
             # one-sided at the left boundary of sigma's domain
             return (self.sigma(t + h) - self.sigma(t)) / h
         return (self.sigma(t + h) - self.sigma(lo)) / (2.0 * h)
+
+    def grid_tables(self, h: float, m_lo: int, N: int):
+        """``(sig, sdot, phi_k, sig_phi0)`` on the grid of step h, built once per key.
+
+        ``sig`` and ``sdot`` hold sigma and its centered difference (one-sided
+        next to phi(0)) at the nodes m h, m in [m_lo - 1, N + 1], NaN where
+        undefined.  ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma
+        node, snapped onto a grid node it lies within 1e-9 of, so a 1-ulp
+        offset cannot pick up a stale control value.  ``sig_phi0`` is
+        sigma(phi(0)), where the pre-history starts.  The arrays stay on this
+        instance, so runs that share it share the tables.
+        """
+        key = (h, m_lo, N)
+        if key not in self._grid:
+            phi0 = self.phi(0.0)
+            ms = np.arange(m_lo - 1, N + 2)
+            sig = np.array([self.sigma(m * h) if m * h >= phi0 else math.nan for m in ms])
+            sdot = np.full(len(ms), math.nan)
+            centered = (sig[2:] - sig[:-2]) / (2.0 * h)
+            sdot[1:-1] = np.where(np.isfinite(centered), centered, (sig[2:] - sig[1:-1]) / h)
+            phi_k = np.array([self.phi(k * h) for k in range(int(sig[-1] / h) + 2)])
+            node = np.round(phi_k / h) * h
+            snap = np.abs(phi_k - node) < 1e-9 * (1.0 + np.abs(phi_k))
+            self._grid[key] = (sig, sdot, np.where(snap, node, phi_k), self.sigma(phi0))
+        return self._grid[key]
 
 
 @dataclass

@@ -188,40 +188,34 @@ class SimTrace:
         return "\n".join(lines)
 
 
-def _build_sigma_tables(delay: ActuationDelay, h: float, m_lo: int, m_hi: int):
-    """sigma and centered-difference sigmadot at grid nodes m*h, m in [m_lo, m_hi]."""
-    ms = np.arange(m_lo - 1, m_hi + 2)
-    sig = np.empty(len(ms))
+def _grid_lookups(delay: ActuationDelay, h: float, m_lo: int, N: int):
+    """Per-run lookups into the delay's grid tables (``ActuationDelay.grid_tables``).
+
+    Returns sigma and sigmadot lookups, which solve off-grid queries
+    directly, and the snapped ``phi(k h)`` by node index k.
+    """
+    sig, sdot, phi_k, sig_phi0 = delay.grid_tables(h, m_lo, N)
     phi0 = delay.phi(0.0)
-    for i, m in enumerate(ms):
-        s = m * h
-        sig[i] = delay.sigma(s) if s >= phi0 else math.nan
-    sdot = np.full(len(ms), math.nan)
-    for i in range(1, len(ms) - 1):
-        if math.isfinite(sig[i - 1]) and math.isfinite(sig[i + 1]):
-            sdot[i] = (sig[i + 1] - sig[i - 1]) / (2.0 * h)
-        elif math.isfinite(sig[i]) and math.isfinite(sig[i + 1]):
-            sdot[i] = (sig[i + 1] - sig[i]) / h
 
     def sigma_fn(s: float) -> float:
         m = s / h
         mr = round(m)
-        if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= m_hi + 1:
+        if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= N + 1:
             v = sig[int(mr) - (m_lo - 1)]
             if math.isfinite(v):
                 return float(v)
-        return delay.sigma(s)
+        return sig_phi0 if s == phi0 else delay.sigma(s)
 
     def sigma_dot_fn(s: float) -> float:
         m = s / h
         mr = round(m)
-        if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= m_hi + 1:
+        if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= N + 1:
             v = sdot[int(mr) - (m_lo - 1)]
             if math.isfinite(v):
                 return float(v)
         return delay.sigma_dot(s, h)
 
-    return sigma_fn, sigma_dot_fn
+    return sigma_fn, sigma_dot_fn, phi_k.tolist()
 
 
 def run(cfg: SimConfig) -> SimTrace:
@@ -239,11 +233,11 @@ def run(cfg: SimConfig) -> SimTrace:
         raise ConfigurationError("the channel must have positive delay at t = 0")
 
     m_lo = int(math.ceil(phi0 / h - 1e-9))
-    sigma_fn, sigma_dot_fn = _build_sigma_tables(ctrl_delay, h, m_lo, N)
+    sigma_fn, sigma_dot_fn, phi_ctrl = _grid_lookups(ctrl_delay, h, m_lo, N)
     if true_delay is ctrl_delay:
-        true_sigma_fn = sigma_fn
+        true_sigma_fn, phi_true = sigma_fn, phi_ctrl
     else:
-        true_sigma_fn, _ = _build_sigma_tables(true_delay, h, m_lo, N)
+        true_sigma_fn, _, phi_true = _grid_lookups(true_delay, h, m_lo, N)
 
     # -- control history with its pre-history ----------------------------
     u_hist = TimedSignal(mode="constant")
@@ -278,33 +272,16 @@ def run(cfg: SimConfig) -> SimTrace:
         # u = 0 until the first state arrives
         u_hist.append(0.0, np.zeros(m))
 
-    # -- predictor initialization and back-extension ----------------------
+    # -- predictor and the pre-history grid [phi(0), 0) -------------------
     predictor = make_predictor(
         cfg.predictor_method, model, ctrl_delay, u_hist, h,
-        sigma_dot_fn, sigma_fn, linear=cfg.linear,
+        sigma_dot_fn, sigma_fn, phi_ctrl, linear=cfg.linear,
     )
     pre = [mm * h for mm in range(m_lo, 0)]
     if not pre or pre[0] > phi0 + 1e-12 * (1.0 + abs(phi0)):
         pre = [phi0] + pre
     pre_times = np.array(pre)
-    pre_p = np.empty((len(pre_times), n))
-    predictor.reanchor(0.0, cfg.x0, float(pre_times[0]))
-    pre_p[0] = predictor.p
-    for i in range(1, len(pre_times)):
-        # first segment may be a partial step off the grid
-        dt = pre_times[i] - pre_times[i - 1]
-        if abs(dt - h) < 1e-12:
-            predictor.advance(pre_times[i - 1])
-        else:
-            predictor.reanchor(0.0, cfg.x0, float(pre_times[i]))
-        pre_p[i] = predictor.p
-    # land on t = 0
-    if len(pre_times):
-        dt = 0.0 - pre_times[-1]
-        if abs(dt - h) < 1e-12:
-            predictor.advance(float(pre_times[-1]))
-        else:
-            predictor.reanchor(0.0, cfg.x0, 0.0)
+    pre_p = np.full((len(pre_times), n), np.nan)
 
     # -- allocate the trace ----------------------------------------------
     X = np.empty((N + 1, n))
@@ -337,7 +314,25 @@ def run(cfg: SimConfig) -> SimTrace:
         lam = (tq - k * h) / h
         return (1.0 - lam) * X[k] + lam * X[k + 1] if lam > 0 else X[k].copy()
 
+    step = 0
     try:
+        predictor.reanchor(0.0, cfg.x0, float(pre_times[0]))
+        pre_p[0] = predictor.p
+        for i in range(1, len(pre_times)):
+            # first segment may be a partial step off the grid
+            dt = pre_times[i] - pre_times[i - 1]
+            if abs(dt - h) < 1e-12:
+                predictor.advance(pre_times[i - 1])
+            else:
+                predictor.reanchor(0.0, cfg.x0, float(pre_times[i]))
+            pre_p[i] = predictor.p
+        # land on t = 0
+        dt = 0.0 - pre_times[-1]
+        if abs(dt - h) < 1e-12:
+            predictor.advance(float(pre_times[-1]))
+        else:
+            predictor.reanchor(0.0, cfg.x0, 0.0)
+
         for step in range(N + 1):
             t = float(times[step])
             # deliveries due now: adopt the freshest transmitted state
@@ -378,23 +373,17 @@ def run(cfg: SimConfig) -> SimTrace:
 
             if step == N:
                 break
-            # plant Euler step with the delayed control; snap phi(t) onto the
-            # stamp grid so a 1-ulp offset cannot pick up a stale control value
-            s_phi = true_delay.phi(t)
-            k_phi = round(s_phi / h)
-            if abs(s_phi - k_phi * h) < 1e-9 * (1.0 + abs(s_phi)):
-                s_phi = k_phi * h
-            u_phi = u_hist.sample(s_phi)
+            # plant Euler step with the delayed control u(phi(t))
             with np.errstate(over="ignore", invalid="ignore"):
-                x_next = X[step] + h * model.f(X[step], u_phi)
-            if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > cfg.divergence_threshold:
+                x_next = X[step] + h * model.f(X[step], u_hist.sample(phi_true[step]))
+            if not np.linalg.norm(x_next) <= cfg.divergence_threshold:  # NaN too
                 raise PredictorError("plant state crossed the divergence threshold")
             X[step + 1] = x_next
             predictor.advance(t)
     except PredictorError:
         # the one divergence exit, for the plant bound and for a failed
-        # re-anchor or advance: keep the trace up to this step and hold the
-        # last state
+        # re-anchor or advance, pre-history included: keep the trace up to
+        # this step and hold the last state
         diverged = True
         X[step + 1 :] = X[step]
 

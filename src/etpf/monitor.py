@@ -134,6 +134,8 @@ class DecayReport:
     n_points: int
 
     def __str__(self) -> str:
+        if self.n_points == 0:
+            return "V-decay: not evaluated (no finite V after t0)"
         if self.at_equilibrium:
             return "V-decay: at equilibrium (V == 0 throughout)"
         lines = [f"V-decay: max positive increment {self.max_positive_increment:.3e}"]
@@ -156,13 +158,17 @@ def decay_report(
 
     Reports the worst positive finite-difference increment of V after t0 and,
     when mu is given (linear runs), compares the least-squares slope of log V
-    against -mu*(1 - slope_slack).
+    against -mu*(1 - slope_slack).  With no finite V after t0, as on a
+    diverged run whose monitor was skipped, nothing is evaluated: the report
+    has ``n_points == 0`` and is not at equilibrium.
     """
     times = np.asarray(times, dtype=float)
     V = np.asarray(V, dtype=float)
     mask = (times >= t0) & np.isfinite(V)
     ts, vs = times[mask], V[mask]
-    if len(vs) == 0 or np.all(vs == 0.0):
+    if len(vs) == 0:
+        return DecayReport(False, math.nan, None, mu, None, 0)
+    if np.all(vs == 0.0):
         return DecayReport(True, 0.0, None, mu, None, int(len(vs)))
     max_inc = float(np.max(np.diff(vs))) if len(vs) > 1 else 0.0
     pos = vs > 0

@@ -97,7 +97,7 @@ def predict_closed_loop(
     nodes = _window_nodes(s0, float(t), h)
     for left, right in zip(nodes[:-1], nodes[1:]):
         p = p + (right - left) * sigma_dot(left) * model.f(p, _u_at(u_history, left))
-        if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > _DIVERGENCE_CAP:
+        if not np.abs(p).max() <= _DIVERGENCE_CAP:  # NaN too
             raise PredictorError("prediction diverged")
     return p
 
@@ -117,7 +117,7 @@ def predict_open_loop_step(
     p_next = np.atleast_1d(np.asarray(p, dtype=float)) + h * sigma_dot(s) * model.f(
         np.atleast_1d(p), _u_at(u_history, s)
     )
-    if not np.all(np.isfinite(p_next)) or np.max(np.abs(p_next)) > _DIVERGENCE_CAP:
+    if not np.abs(p_next).max() <= _DIVERGENCE_CAP:  # NaN too
         raise PredictorError("open-loop prediction diverged")
     return p_next
 
@@ -175,41 +175,34 @@ class ClosedLoopPredictor:
     This is what makes the closed-loop method robust for unstable plants:
     prediction mismatch does not compound with the window length, unlike a
     re-integration on time-warped nodes.  The value at sigma(t) is closed
-    with a partial Euler step.
+    with a partial Euler step.  ``phi_k[k]`` is phi(k h) from the channel's
+    grid tables (``ActuationDelay.grid_tables``), read by node index.
     """
 
-    def __init__(self, model, delay, u_history, h, sigma_fn):
+    def __init__(self, model, delay, u_history, h, sigma_fn, phi_k):
         self.model = model
         self.delay = delay
         self.u_history = u_history
         self.h = h
         self.sigma_fn = sigma_fn
+        self.phi_k = phi_k
         self.p: Optional[np.ndarray] = None
         self.anchor_time: Optional[float] = None
         self._xhat: Optional[np.ndarray] = None  # replay state at node _k * h
         self._k: Optional[int] = None
 
-    def _u_phi(self, s: float) -> np.ndarray:
-        # snap phi(s) onto the stamp grid so a 1-ulp offset cannot pick up
-        # a stale control value
-        sp = self.delay.phi(s)
-        k = round(sp / self.h)
-        if abs(sp - k * self.h) < 1e-9 * (1.0 + abs(sp)):
-            sp = k * self.h
-        return _u_at(self.u_history, sp)
-
     def _extend(self, sig_target: float) -> None:
         h = self.h
         while (self._k + 1) * h <= sig_target + 1e-12 * (1.0 + abs(sig_target)):
-            s = self._k * h
-            self._xhat = self._xhat + h * self.model.f(self._xhat, self._u_phi(s))
+            u = _u_at(self.u_history, self.phi_k[self._k])
+            self._xhat = self._xhat + h * self.model.f(self._xhat, u)
             self._k += 1
-            if not np.all(np.isfinite(self._xhat)) or np.max(np.abs(self._xhat)) > _DIVERGENCE_CAP:
+            if not np.abs(self._xhat).max() <= _DIVERGENCE_CAP:  # NaN too
                 raise PredictorError("prediction diverged")
         frac = sig_target - self._k * h
         if frac > 1e-12:
             self.p = self._xhat + frac * self.model.f(
-                self._xhat, self._u_phi(self._k * h)
+                self._xhat, _u_at(self.u_history, self.phi_k[self._k])
             )
         else:
             self.p = self._xhat.copy()
@@ -226,7 +219,8 @@ class ClosedLoopPredictor:
         else:
             # off-grid anchor: partial step onto the next node
             k = math.ceil(anchor_time / h - 1e-9)
-            x = x + (k * h - anchor_time) * self.model.f(x, self._u_phi(anchor_time))
+            u = _u_at(self.u_history, self.delay.phi(anchor_time))
+            x = x + (k * h - anchor_time) * self.model.f(x, u)
             self._k = int(k)
         self._xhat = x
         self._extend(self.sigma_fn(float(t_now)))
@@ -320,7 +314,7 @@ class SemiClosedPredictor:
         # store the corrected integrand value
         self.g_history.append(s_next, self._g(s_next, self.p))
         self._t = s_next
-        if not np.all(np.isfinite(self.p)) or np.max(np.abs(self.p)) > _DIVERGENCE_CAP:
+        if not np.abs(self.p).max() <= _DIVERGENCE_CAP:  # NaN too
             raise PredictorError("prediction diverged")
 
     def advance(self, t: float) -> None:
@@ -378,13 +372,14 @@ class LinearPredictor:
     def advance(self, t: float) -> None:
         E, Phi = self._step_mats(self.sigma_fn(t + self.h) - self.sigma_fn(t))
         self.p = E @ self.p + Phi @ (self.sys.B @ np.atleast_1d(_u_at(self.u_history, t)))
-        if not np.all(np.isfinite(self.p)) or np.max(np.abs(self.p)) > _DIVERGENCE_CAP:
+        if not np.abs(self.p).max() <= _DIVERGENCE_CAP:  # NaN too
             raise PredictorError("prediction diverged")
 
 
-def make_predictor(method, model, delay, u_history, h, sigma_dot, sigma_fn, linear=None):
+def make_predictor(method, model, delay, u_history, h, sigma_dot, sigma_fn, phi_k=None,
+                   linear=None):
     if method == "closed-loop":
-        return ClosedLoopPredictor(model, delay, u_history, h, sigma_fn)
+        return ClosedLoopPredictor(model, delay, u_history, h, sigma_fn, phi_k)
     if method == "open-loop":
         return OpenLoopPredictor(model, delay, u_history, h, sigma_dot)
     if method == "semi-closed-loop":

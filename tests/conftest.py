@@ -1,11 +1,13 @@
 """Shared fixtures: expensive preset runs are executed once per session."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from etpf import presets, run
+from etpf.engine import heatmap
 
 
 def prediction_error(trace, delay):
@@ -57,3 +59,15 @@ def all_preset_traces(ex1_trace, linear_trace, ex2_trace, ex2_body_trace):
 def ex1_trace_fine():
     cfg = dataclasses.replace(presets.example1(), h=1e-3, monitor=None)
     return run(cfg)
+
+
+@pytest.fixture(scope="session")
+def heatmap_result():
+    spec = presets.heatmap_ex1()
+    start = time.monotonic()
+    mat = heatmap(
+        spec.base_factory(), spec.delta_tau_grid, spec.d_psi_grid,
+        spec.n_ic, spec.seed, config_factory=spec.base_factory,
+    )
+    elapsed = time.monotonic() - start
+    return spec, mat, elapsed

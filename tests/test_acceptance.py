@@ -9,24 +9,11 @@ import numpy as np
 import pytest
 
 from etpf import presets, run
-from etpf.engine import heatmap
 from etpf.monitor import decay_report
 from etpf.tradeoff import NU_MAX, aggregate_J, delta_of_nu, mu_of_nu, optimize_nu
 from etpf.trigger import TriggerConfig, min_dwell, min_dwell_numeric
 
 from conftest import prediction_error
-
-
-@pytest.fixture(scope="session")
-def heatmap_result():
-    spec = presets.heatmap_ex1()
-    start = time.monotonic()
-    mat = heatmap(
-        spec.base_factory(), spec.delta_tau_grid, spec.d_psi_grid,
-        spec.n_ic, spec.seed, config_factory=spec.base_factory,
-    )
-    elapsed = time.monotonic() - start
-    return spec, mat, elapsed
 
 
 class TestC1Example1Stabilization:

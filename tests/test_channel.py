@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,45 @@ class TestSigma:
             ActuationDelay.constant(0.0)
         with pytest.raises(ConfigurationError):
             ActuationDelay.sinusoidal(0.2, 0.5)  # needs a < D
+
+
+def snapped_phi(delay, s, h):
+    """phi(s), snapped onto a grid node within 1e-9 (the rule the tables use)."""
+    sp = delay.phi(s)
+    k = round(sp / h)
+    return k * h if abs(sp - k * h) < 1e-9 * (1.0 + abs(sp)) else sp
+
+
+class TestGridTables:
+    DELAYS = [
+        pytest.param(ActuationDelay.example1, id="example1"),
+        pytest.param(lambda: ActuationDelay.sinusoidal(0.5, 0.2), id="sinusoidal"),
+        pytest.param(lambda: ActuationDelay.from_table([0.0, 3.0, 6.0], [0.4, 0.9, 0.6]),
+                     id="from_table"),
+    ]
+
+    @pytest.mark.parametrize("make", DELAYS)
+    def test_nodes_bit_equal(self, make):
+        d, h, N = make(), 1e-2, 600
+        phi0 = d.phi(0.0)
+        m_lo = math.ceil(phi0 / h - 1e-9)
+        sig, sdot, phi_k, sig_phi0 = d.grid_tables(h, m_lo, N)
+        want = [d.sigma(m * h) if m * h >= phi0 else math.nan for m in range(m_lo - 1, N + 2)]
+        np.testing.assert_array_equal(sig, want)
+        # sigmadot against the scalar loop it replaces: centered, one-sided
+        # next to phi(0)
+        want_sdot = [math.nan] * len(sig)
+        for i in range(1, len(sig) - 1):
+            if math.isfinite(sig[i - 1]) and math.isfinite(sig[i + 1]):
+                want_sdot[i] = (sig[i + 1] - sig[i - 1]) / (2.0 * h)
+            elif math.isfinite(sig[i]) and math.isfinite(sig[i + 1]):
+                want_sdot[i] = (sig[i + 1] - sig[i]) / h
+        np.testing.assert_array_equal(sdot, want_sdot)
+        assert len(phi_k) * h > sig[-1]
+        np.testing.assert_array_equal(phi_k, [snapped_phi(d, k * h, h) for k in range(len(phi_k))])
+        assert sig_phi0 == d.sigma(phi0)
+        # built once per (h, m_lo, N)
+        assert d.grid_tables(h, m_lo, N)[0] is sig
 
 
 class TestFromTable:

@@ -52,6 +52,24 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_diverged_summary_claims_no_equilibrium(self, tmp_path):
+        out = tmp_path / "e2"
+        assert main(["simulate", "--preset", "example2", "--out", str(out)]) == 2
+        summary = (out / "summary.txt").read_text()
+        assert "diverged: True" in summary
+        assert "equilibrium" not in summary
+        assert "V-decay: not evaluated (no finite V after t0)" in summary
+
+    def test_divergence_in_prehistory_exit_code(self, tmp_path):
+        # the prediction over [phi(0), 0] blows up before the step loop
+        out = tmp_path / "e2"
+        code = main([
+            "simulate", "--preset", "example2",
+            "--override", "sim.x0=[10000.0, 10000.0]", "--out", str(out),
+        ])
+        assert code == 2
+        assert "diverged: True" in (out / "summary.txt").read_text()
+
     def test_divergence_at_reanchor_exit_code(self, tmp_path):
         # out-of-order Gaussian sensing: the prediction diverges while
         # re-anchoring on a delivery, not in the plant step or an advance

@@ -70,6 +70,30 @@ class TestRunBasics:
         assert last < len(tr.times) - 1
         assert np.all(np.isfinite(tr.x))
 
+    def test_divergence_in_prehistory(self):
+        # the prediction over [phi(0), 0] blows up before the step loop; the
+        # run still ends through the divergence exit with a partial trace
+        cfg = dataclasses.replace(presets.example2(), x0=np.array([1e4, 1e4]))
+        tr = run(cfg)
+        assert tr.diverged
+        assert tr.diagnostics["final_step"] == 0
+        assert np.isnan(tr.pre_p[-1]).all()
+        np.testing.assert_array_equal(tr.x, np.tile(cfg.x0, (len(tr.times), 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_plant_state_diverges(self, bad):
+        # the linear predictor uses (A, B), so only the plant sees the bad f;
+        # f(0, 0) = 0 as SystemModel requires
+        sys = presets.linear2d_system()
+        model = dataclasses.replace(
+            sys.to_model(), f=lambda x, u: np.array([bad if x.any() else 0.0, 0.0])
+        )
+        cfg = dataclasses.replace(presets.linear2d(), model=model, T=1.0, monitor=None)
+        tr = run(cfg)
+        assert tr.diverged
+        assert tr.diagnostics["final_step"] == 0
+        assert np.all(np.isfinite(tr.x))
+
     def test_config_validation(self):
         cfg = presets.linear2d()
         with pytest.raises(ConfigurationError):
@@ -126,6 +150,37 @@ class TestRunBasics:
             assert grid_t == pytest.approx(k * tr.h, abs=1e-12)
             assert grid_t >= dv - 1e-12
             assert grid_t - dv <= tr.h + 1e-12
+
+
+class TestChannelTables:
+    @staticmethod
+    def count_sigma(monkeypatch):
+        calls = []
+        sigma = ActuationDelay.sigma
+        monkeypatch.setattr(
+            ActuationDelay, "sigma", lambda self, t: calls.append(t) or sigma(self, t)
+        )
+        return calls
+
+    def test_second_run_builds_no_tables(self, monkeypatch):
+        cfg = dataclasses.replace(presets.example1(), T=5.0)
+        first = run(cfg)
+        calls = self.count_sigma(monkeypatch)
+        second = run(cfg)
+        assert calls == []
+        for col in ("x", "u", "p", "e_norm", "threshold", "V", "L"):
+            np.testing.assert_array_equal(getattr(first, col), getattr(second, col))
+        assert first.events.event_times == second.events.event_times
+
+    def test_heatmap_cell_shares_one_table_build(self, monkeypatch):
+        calls = self.count_sigma(monkeypatch)
+        base = dataclasses.replace(presets.example1(), T=5.0)
+        heatmap(base, [2.0], [1.0], n_ic=1, seed=0, workers=1)
+        one_run = len(calls)
+        calls.clear()
+        base = dataclasses.replace(presets.example1(), T=5.0)
+        heatmap(base, [2.0], [1.0], n_ic=4, seed=0, workers=1)
+        assert one_run > 0 and len(calls) == one_run
 
 
 class TestMonitorAttachment:

@@ -125,6 +125,13 @@ class TestDecayReport:
         assert rep.at_equilibrium
         assert "equilibrium" in str(rep)
 
+    def test_no_finite_v_not_evaluated(self):
+        # a diverged run skips the monitor, so V is NaN throughout
+        rep = decay_report([0.0, 1.0, 2.0], [np.nan] * 3, 0.0)
+        assert not rep.at_equilibrium
+        assert rep.n_points == 0
+        assert str(rep) == "V-decay: not evaluated (no finite V after t0)"
+
     def test_exponential_slope(self):
         ts = np.linspace(0.0, 10.0, 101)
         V = np.exp(-0.5 * ts)

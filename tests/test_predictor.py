@@ -139,8 +139,9 @@ class TestIncrementalClosedLoop:
     def test_anchor_monotonicity_enforced(self):
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
+        phi_k = delay.grid_tables(1e-2, -50, 200)[2]
         pred = ClosedLoopPredictor(model, delay, const_u(0.0), 1e-2,
-                                   sigma_fn=delay.sigma)
+                                   sigma_fn=delay.sigma, phi_k=phi_k)
         pred.reanchor(1.0, [0.0], 1.0)
         with pytest.raises(PredictorError):
             pred.reanchor(0.5, [0.0], 1.0)
@@ -154,6 +155,49 @@ class TestIncrementalClosedLoop:
         with pytest.raises(PredictorError):
             make_predictor("linear-closed-form", model, delay, const_u(0.0),
                            1e-2, None, delay.sigma, linear=None)
+
+
+class TestDivergenceCheck:
+    """One comparison per check catches NaN, inf and values above the cap."""
+
+    @staticmethod
+    def rate_model(rate):
+        # xdot = rate while u is nonzero; f(0, 0) = 0 as SystemModel requires
+        return SystemModel(
+            state_dim=1, f=lambda x, u: np.where(np.atleast_1d(u) != 0.0, rate, 0.0),
+            K=lambda x: np.zeros(1), L_f=0.0, L_K=0.0,
+        )
+
+    RATES = [
+        pytest.param(math.nan, id="nan"),
+        pytest.param(math.inf, id="inf"),
+        pytest.param(1e15, id="above-cap"),  # h * rate = 1e13 > 1e12
+    ]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_incremental_closed_loop(self, rate):
+        delay = ActuationDelay.constant(0.5)
+        phi_k = delay.grid_tables(1e-2, -50, 200)[2]
+        pred = ClosedLoopPredictor(self.rate_model(rate), delay, const_u(1.0), 1e-2,
+                                   sigma_fn=delay.sigma, phi_k=phi_k)
+        with pytest.raises(PredictorError):
+            pred.reanchor(1.0, [0.0], 1.0)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_reference_functions(self, rate):
+        delay = ActuationDelay.constant(0.5)
+        model = self.rate_model(rate)
+        with pytest.raises(PredictorError):
+            predict_closed_loop(1.0, 1.0, [0.0], const_u(1.0), delay, model, 1e-2)
+        with pytest.raises(PredictorError):
+            predict_open_loop_step([0.0], 0.0, const_u(1.0), delay, model, 1e-2)
+
+    def test_finite_below_cap_passes(self):
+        delay = ActuationDelay.constant(0.5)
+        # 50 steps of 0.01 at rate 1e12 end at 5e11, under the cap
+        p = predict_closed_loop(1.0, 1.0, [0.0], const_u(1.0), delay,
+                                self.rate_model(1e12), 1e-2)
+        assert p[0] == pytest.approx(5e11, rel=1e-6)
 
 
 class TestSemiClosed:
