@@ -191,10 +191,10 @@ class SimTrace:
 def _grid_lookups(delay: ActuationDelay, h: float, m_lo: int, N: int):
     """Per-run lookups into the delay's grid tables (``ActuationDelay.grid_tables``).
 
-    Returns sigma and sigmadot lookups, which solve off-grid queries
-    directly, and the snapped ``phi(k h)`` by node index k.
+    Returns sigma and sigmadot lookups, which solve off-grid queries other
+    than phi(0) directly, and the snapped ``phi(k h)`` by node index k.
     """
-    sig, sdot, phi_k, sig_phi0 = delay.grid_tables(h, m_lo, N)
+    sig, sdot, phi_k, sig_phi0, sdot_phi0 = delay.grid_tables(h, m_lo, N)
     phi0 = delay.phi(0.0)
 
     def sigma_fn(s: float) -> float:
@@ -213,7 +213,7 @@ def _grid_lookups(delay: ActuationDelay, h: float, m_lo: int, N: int):
             v = sdot[int(mr) - (m_lo - 1)]
             if math.isfinite(v):
                 return float(v)
-        return delay.sigma_dot(s, h)
+        return sdot_phi0 if s == phi0 else delay.sigma_dot(s, h)
 
     return sigma_fn, sigma_dot_fn, phi_k.tolist()
 
@@ -462,7 +462,8 @@ def heatmap(
     """Average |x(T)| per (delta_tau, d_psi) cell over seeded initial states.
 
     The same initial-condition draws are reused in every cell for paired
-    comparison.  Diverged runs contribute the saturation value 1e9.
+    comparison.  Diverged runs contribute the saturation value 1e9; every
+    other error, such as an unknown predictor method, propagates.
 
     With ``workers > 1`` the cells run in a process pool, which needs what is
     sent to the workers to pickle: ``config_factory`` when one is given, else
@@ -520,10 +521,6 @@ def _heatmap_cell(base_cfg, config_factory, delta_tau, d_psi, ics) -> float:
     total = 0.0
     for x0 in ics:
         cfg = dataclasses.replace(base_cfg, sensing=sensing, x0=x0, monitor=None)
-        try:
-            tr = run(cfg)
-            val = min(tr.final_state_norm, 1e9) if not tr.diverged else 1e9
-        except PredictorError:
-            val = 1e9
-        total += val
+        tr = run(cfg)
+        total += min(tr.final_state_norm, 1e9) if not tr.diverged else 1e9
     return total / len(ics)

@@ -324,10 +324,11 @@ class SemiClosedPredictor:
 class LinearPredictor:
     """Exact exponential stepping of the linear prediction.
 
-    p(s + h) = exp(A dsig) p(s) + (integral 0..dsig exp(A r) dr) B u(s) with
-    dsig = sigma(s + h) - sigma(s), which solves the prediction ODE exactly
-    for piecewise-constant u.  Matrix exponentials are cached per distinct
-    dsig (constant-delay channels need just one).
+    p(b) = exp(A dsig) p(a) + (integral 0..dsig exp(A r) dr) B u(a) with
+    dsig = sigma(b) - sigma(a) solves the prediction ODE exactly wherever u
+    is constant on [a, b).  ``advance`` takes one such step per engine step;
+    a re-anchor takes one per control segment of its window.  Matrix
+    exponentials are cached per distinct dsig.
     """
 
     def __init__(self, sys: LinearSystem, delay, u_history, h, sigma_fn):
@@ -355,10 +356,13 @@ class LinearPredictor:
         return mats
 
     def _integrate(self, p, s_from: float, s_to: float) -> np.ndarray:
-        nodes = _window_nodes(s_from, s_to, self.h)
-        for left, right in zip(nodes[:-1], nodes[1:]):
-            E, Phi = self._step_mats(self.sigma_fn(right) - self.sigma_fn(left))
-            p = E @ p + Phi @ (self.sys.B @ np.atleast_1d(_u_at(self.u_history, left)))
+        # u is constant between consecutive stamps, so one exact step per
+        # control segment is the composition of the per-node steps
+        nodes = self.u_history.breakpoints(s_from, s_to)
+        sig = [self.sigma_fn(s) for s in nodes]
+        for i in range(len(nodes) - 1):
+            E, Phi = self._step_mats(sig[i + 1] - sig[i])
+            p = E @ p + Phi @ (self.sys.B @ np.atleast_1d(_u_at(self.u_history, nodes[i])))
         return p
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:

@@ -79,6 +79,20 @@ class TimedSignal:
         lam = (t - t0) / (t1 - t0)
         return (1.0 - lam) * self._values[idx] + lam * self._values[idx + 1]
 
+    def breakpoints(self, a: float, b: float) -> list[float]:
+        """``a``, then the stamps strictly inside ``(a, b)``, then ``b``.
+
+        The signal is smooth (constant or linear) between consecutive
+        breakpoints.
+        """
+        nodes = [a]
+        i = bisect_right(self._times, a)
+        while i < len(self._times) and self._times[i] < b:
+            nodes.append(self._times[i])
+            i += 1
+        nodes.append(b)
+        return nodes
+
     def integrate(self, a: float, b: float) -> np.ndarray:
         """Integral of the signal over [a, b] on the stored grid.
 
@@ -95,15 +109,8 @@ class TimedSignal:
         if a == b:
             return np.zeros_like(self._values[0])
 
-        # Breakpoints: a, interior stamps, b.
-        nodes = [a]
-        i = bisect_right(self._times, a)
-        while i < len(self._times) and self._times[i] < b:
-            nodes.append(self._times[i])
-            i += 1
-        nodes.append(b)
-
         total = None
+        nodes = self.breakpoints(a, b)
         for left, right in zip(nodes[:-1], nodes[1:]):
             dt = right - left
             if self.mode == "constant":

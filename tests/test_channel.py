@@ -60,7 +60,7 @@ class TestGridTables:
         d, h, N = make(), 1e-2, 600
         phi0 = d.phi(0.0)
         m_lo = math.ceil(phi0 / h - 1e-9)
-        sig, sdot, phi_k, sig_phi0 = d.grid_tables(h, m_lo, N)
+        sig, sdot, phi_k, sig_phi0, sdot_phi0 = d.grid_tables(h, m_lo, N)
         want = [d.sigma(m * h) if m * h >= phi0 else math.nan for m in range(m_lo - 1, N + 2)]
         np.testing.assert_array_equal(sig, want)
         # sigmadot against the scalar loop it replaces: centered, one-sided
@@ -75,6 +75,7 @@ class TestGridTables:
         assert len(phi_k) * h > sig[-1]
         np.testing.assert_array_equal(phi_k, [snapped_phi(d, k * h, h) for k in range(len(phi_k))])
         assert sig_phi0 == d.sigma(phi0)
+        assert sdot_phi0 == d.sigma_dot(phi0, h)
         # built once per (h, m_lo, N)
         assert d.grid_tables(h, m_lo, N)[0] is sig
 

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from etpf import presets, run
 from etpf.channel import ActuationDelay, SensingSchedule
 from etpf.engine import SensingConfig, SimConfig, heatmap
-from etpf.exceptions import ConfigurationError
+from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.trigger import TriggerConfig
 
 _MAIN_PID = os.getpid()
@@ -163,14 +163,18 @@ class TestChannelTables:
         return calls
 
     def test_second_run_builds_no_tables(self, monkeypatch):
-        cfg = dataclasses.replace(presets.example1(), T=5.0)
-        first = run(cfg)
+        # every nonlinear method, including the semi-closed-loop start at the
+        # off-grid phi(0), reads sigma and sigmadot from the cached tables
         calls = self.count_sigma(monkeypatch)
-        second = run(cfg)
-        assert calls == []
-        for col in ("x", "u", "p", "e_norm", "threshold", "V", "L"):
-            np.testing.assert_array_equal(getattr(first, col), getattr(second, col))
-        assert first.events.event_times == second.events.event_times
+        for method in ("closed-loop", "semi-closed-loop", "open-loop"):
+            cfg = dataclasses.replace(presets.example1(), T=5.0, predictor_method=method)
+            first = run(cfg)
+            calls.clear()
+            second = run(cfg)
+            assert calls == [], method
+            for col in ("x", "u", "p", "e_norm", "threshold", "V", "L"):
+                np.testing.assert_array_equal(getattr(first, col), getattr(second, col))
+            assert first.events.event_times == second.events.event_times
 
     def test_heatmap_cell_shares_one_table_build(self, monkeypatch):
         calls = self.count_sigma(monkeypatch)
@@ -225,6 +229,12 @@ class TestHeatmap:
         with pytest.raises(ConfigurationError, match="in a worker"):
             heatmap(presets.example1(), [2.0], [1.0], n_ic=1, seed=1, workers=2,
                     config_factory=_example1_failing_in_workers)
+
+    def test_configuration_error_raises(self):
+        # only divergence saturates a cell; an unknown method is not divergence
+        base = dataclasses.replace(presets.example1(), T=2.0, predictor_method="magic")
+        with pytest.raises(PredictorError, match="unknown predictor method"):
+            heatmap(base, [2.0], [1.0], n_ic=1, seed=1, workers=1)
 
     def test_bad_n_ic(self):
         with pytest.raises(ConfigurationError):

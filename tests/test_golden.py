@@ -25,8 +25,8 @@ GOLDEN_CSV = {
         "40b9f3201b5ce803ea84a8a64a63faca5eea8b13cb0e60712008226324b56767",
     ),
     "linear2d": (
-        "b407d5b4cd9dfebf3a4b3d931e78fa77250d75ed4ea155c0d7d2330e8d447d2e",
-        "09efea2edab6524e6b472319290670cf04395caf2bc79703b2086a03080eb8cc",
+        "2f5a5d4ed6baabc8dd98ed6dcd5182b9eff02eaf896a3afda8bbd99513550b38",
+        "187e58e8d6b94a52aca7de03f7febf59b33e1ba8d7bdabeb67bcf0ec45ace94f",
     ),
 }
 GOLDEN_HEATMAP = "b01b4b88e31930da40762ae71c8ff5eb1450212b33189cbd0343be76b076b61a"

@@ -1,14 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from etpf.channel import ActuationDelay
+from etpf.engine import _grid_lookups
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
 from etpf.predictor import (
     ClosedLoopPredictor,
+    LinearPredictor,
+    _window_nodes,
     predict_closed_loop,
     predict_linear,
     predict_open_loop_step,
@@ -92,6 +98,103 @@ class TestLinearClosedForm:
         p_lin = predict_linear(2.0, 1.0, [1.0, -1.0], u, delay, sys, 1e-3)
         p_cl = predict_closed_loop(2.0, 1.0, [1.0, -1.0], u, delay, model, 1e-3)
         np.testing.assert_allclose(p_lin, p_cl, atol=1e-3)
+
+
+H = 1e-3
+DELAYS = {
+    "constant": lambda: ActuationDelay.constant(0.5),
+    "sinusoidal": lambda: ActuationDelay.sinusoidal(0.5, 0.2),
+    "from_table": lambda: ActuationDelay.from_table([0.0, 1.0, 2.0], [0.4, 0.6, 0.5]),
+}
+
+
+@functools.cache
+def linear_predictor_parts(kind):
+    """A delay and the engine's cached sigma lookup on the grid of step H."""
+    delay = DELAYS[kind]()
+    m_lo = math.ceil(delay.phi(0.0) / H - 1e-9)
+    sigma_fn = _grid_lookups(delay, H, m_lo, 2000)[0]
+    return delay, sigma_fn
+
+
+def segment_predictor(kind, stamps):
+    """LinearPredictor over u with a value before the window and at each stamp."""
+    delay, sigma_fn = linear_predictor_parts(kind)
+    # oscillating and unstable open loop, so exp(A r) is not a polynomial
+    sys = LinearSystem(A=[[0.2, 1.0], [-1.0, 0.1]], B=[[0.0], [1.0]],
+                       K_gain=[[-1.0, -2.0]], Q=np.eye(2))
+    u = TimedSignal(mode="constant")
+    u.append(-1.0, [0.4])
+    for j, t in enumerate(stamps):
+        u.append(t, [math.cos(3.0 * j) - 0.2])
+    return LinearPredictor(sys, delay, u, H, sigma_fn)
+
+
+def per_node_reference(pred, p, s_from, s_to):
+    """The re-anchor as one exact step per grid node of the window."""
+    nodes = _window_nodes(s_from, s_to, pred.h)
+    for left, right in zip(nodes[:-1], nodes[1:]):
+        E, Phi = pred._step_mats(pred.sigma_fn(right) - pred.sigma_fn(left))
+        p = E @ p + Phi @ (pred.sys.B @ np.atleast_1d(pred.u_history.sample(left)))
+    return p
+
+
+class TestLinearSegmentReanchor:
+    """One exact step per control segment equals the per-node composition."""
+
+    S_TO = 1100 * H
+    ANCHORS = {"on-grid": 600 * H, "off-grid": 600 * H + 0.000437}
+
+    @staticmethod
+    def stamp_sets(s_from, s_to):
+        # interior stamps lie on grid nodes, as event times do
+        return {
+            "none": [],
+            "one": [800 * H],
+            "several": [650 * H, 700 * H, 701 * H, 950 * H, 1099 * H],
+            "at-ends": [s_from, 900 * H, s_to],
+        }
+
+    @pytest.mark.parametrize("stamps", ["none", "one", "several", "at-ends"])
+    @pytest.mark.parametrize("anchor", ["on-grid", "off-grid"])
+    @pytest.mark.parametrize("kind", sorted(DELAYS))
+    def test_matches_per_node_steps(self, kind, anchor, stamps):
+        s_from, s_to = self.ANCHORS[anchor], self.S_TO
+        pred = segment_predictor(kind, self.stamp_sets(s_from, s_to)[stamps])
+        p0 = np.array([1.0, -0.5])
+        got = pred._integrate(p0, s_from, s_to)
+        want = per_node_reference(pred, p0, s_from, s_to)
+        assert np.abs(want).max() < 10.0  # O(1) states
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(DELAYS)),
+        start=st.integers(200, 1000),
+        offset=st.floats(0.0, 0.999),
+        length=st.integers(1, 500),
+        interior=st.sets(st.integers(1, 499), max_size=8),
+    )
+    def test_random_windows(self, kind, start, offset, length, interior):
+        s_from = (start + offset) * H
+        s_to = (start + length) * H
+        stamps = [(start + k) * H for k in sorted(interior) if k < length]
+        pred = segment_predictor(kind, stamps)
+        p0 = np.array([0.3, 1.0])
+        np.testing.assert_allclose(pred._integrate(p0, s_from, s_to),
+                                   per_node_reference(pred, p0, s_from, s_to),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_one_step_per_segment(self):
+        # a 500-node window with 3 interior stamps is 4 control segments
+        pred = segment_predictor("constant", [700 * H, 800 * H, 950 * H])
+        calls = []
+        step_mats = pred._step_mats
+        pred._step_mats = lambda dsig: calls.append(dsig) or step_mats(dsig)
+        pred.reanchor(1.1, [1.0, 0.0], 1.1)
+        assert len(_window_nodes(pred.delay.phi(1.1), 1.1, H)) - 1 == 500
+        assert len(calls) == 4
+        np.testing.assert_allclose(sum(calls), 0.5, rtol=1e-12)
 
 
 class TestOpenLoop:
