@@ -154,16 +154,19 @@ class ActuationDelay:
         return (self.sigma(t + h) - self.sigma(lo)) / (2.0 * h)
 
     def grid_tables(self, h: float, m_lo: int, N: int):
-        """``(sig, sdot, phi_k, sig_phi0, sdot_phi0)`` on the grid of step h, built once per key.
+        """``(sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0)`` on the grid of step h, built once per key.
 
         ``sig`` and ``sdot`` hold sigma and its centered difference (one-sided
         next to phi(0)) at the nodes m h, m in [m_lo - 1, N + 1], NaN where
         undefined.  ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma
         node, snapped onto a grid node it lies within 1e-9 of, so a 1-ulp
-        offset cannot pick up a stale control value.  ``sig_phi0`` and
-        ``sdot_phi0`` are sigma(phi(0)) and ``sigma_dot(phi(0), h)``, where the
-        pre-history starts.  The arrays stay on this instance, so runs that
-        share it share the tables.
+        offset cannot pick up a stale control value.  ``j_k[k]`` is the index
+        of the last node of ``0, h, ..., N h`` at or before ``phi_k[k]``, -1 in
+        the pre-history: a control that only changes at nodes takes its value
+        at phi(k h) from node ``j_k[k]``.  ``sig_phi0`` and ``sdot_phi0`` are
+        sigma(phi(0)) and ``sigma_dot(phi(0), h)``, where the pre-history
+        starts.  The arrays stay on this instance, so runs that share it share
+        the tables.
         """
         key = (h, m_lo, N)
         if key not in self._grid:
@@ -176,10 +179,12 @@ class ActuationDelay:
             phi_k = np.array([self.phi(k * h) for k in range(int(sig[-1] / h) + 2)])
             node = np.round(phi_k / h) * h
             snap = np.abs(phi_k - node) < 1e-9 * (1.0 + np.abs(phi_k))
+            phi_k = np.where(snap, node, phi_k)
+            j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
             sig_phi0 = self.sigma(phi0)
             # sigma_dot(phi0, h) is one-sided: the same expression, one solve fewer
             sdot_phi0 = (self.sigma(phi0 + h) - sig_phi0) / h
-            self._grid[key] = (sig, sdot, np.where(snap, node, phi_k), sig_phi0, sdot_phi0)
+            self._grid[key] = (sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0)
         return self._grid[key]
 
 

@@ -21,7 +21,7 @@ from .channel import ActuationDelay, SensingSchedule
 from .exceptions import ConfigurationError, PredictorError
 from .model import ISSCertificate, LinearSystem, SystemModel
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
-from .predictor import make_predictor
+from .predictor import NodeGrid, make_predictor
 from .signals import TimedSignal
 from .trigger import EventLog, TriggerConfig, check_and_fire, threshold
 
@@ -188,34 +188,31 @@ class SimTrace:
         return "\n".join(lines)
 
 
-def _grid_lookups(delay: ActuationDelay, h: float, m_lo: int, N: int):
-    """Per-run lookups into the delay's grid tables (``ActuationDelay.grid_tables``).
+def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre) -> NodeGrid:
+    """The delay's grid tables (``ActuationDelay.grid_tables``) for one run over ``U``.
 
-    Returns sigma and sigmadot lookups, which solve off-grid queries other
-    than phi(0) directly, and the snapped ``phi(k h)`` by node index k.
+    The float lookups ``sigma`` and ``sigma_dot`` read a node's table entry
+    and solve off-grid queries other than phi(0) directly.
     """
-    sig, sdot, phi_k, sig_phi0, sdot_phi0 = delay.grid_tables(h, m_lo, N)
+    sig, sdot, _phi_k, j_k, sig_phi0, sdot_phi0 = delay.grid_tables(h, m_lo, N)
     phi0 = delay.phi(0.0)
 
-    def sigma_fn(s: float) -> float:
-        m = s / h
-        mr = round(m)
-        if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= N + 1:
-            v = sig[int(mr) - (m_lo - 1)]
-            if math.isfinite(v):
-                return float(v)
-        return sig_phi0 if s == phi0 else delay.sigma(s)
+    def lookup(table, at_phi0, solve):
+        def fn(s: float) -> float:
+            m = s / h
+            mr = round(m)
+            if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= N + 1:
+                v = table[int(mr) - (m_lo - 1)]
+                if math.isfinite(v):
+                    return float(v)
+            return at_phi0 if s == phi0 else solve(s)
 
-    def sigma_dot_fn(s: float) -> float:
-        m = s / h
-        mr = round(m)
-        if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= N + 1:
-            v = sdot[int(mr) - (m_lo - 1)]
-            if math.isfinite(v):
-                return float(v)
-        return sdot_phi0 if s == phi0 else delay.sigma_dot(s, h)
+        return fn
 
-    return sigma_fn, sigma_dot_fn, phi_k.tolist()
+    sigma_fn = lookup(sig, sig_phi0, delay.sigma)
+    sigma_dot_fn = lookup(sdot, sdot_phi0, lambda s: delay.sigma_dot(s, h))
+    return NodeGrid(h=h, lo=m_lo - 1, sig=sig, sdot=sdot, rows=j_k.tolist(), U=U,
+                    u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn)
 
 
 def run(cfg: SimConfig) -> SimTrace:
@@ -231,13 +228,7 @@ def run(cfg: SimConfig) -> SimTrace:
     phi0 = ctrl_delay.phi(0.0)
     if phi0 >= 0:
         raise ConfigurationError("the channel must have positive delay at t = 0")
-
     m_lo = int(math.ceil(phi0 / h - 1e-9))
-    sigma_fn, sigma_dot_fn, phi_ctrl = _grid_lookups(ctrl_delay, h, m_lo, N)
-    if true_delay is ctrl_delay:
-        true_sigma_fn, phi_true = sigma_fn, phi_ctrl
-    else:
-        true_sigma_fn, _, phi_true = _grid_lookups(true_delay, h, m_lo, N)
 
     # -- control history with its pre-history ----------------------------
     u_hist = TimedSignal(mode="constant")
@@ -251,14 +242,12 @@ def run(cfg: SimConfig) -> SimTrace:
         t0_idx = 0
         t0 = 0.0
     else:
-        snap_max = 0.0
         for ell, (tau, dv) in enumerate(
             zip(sched.transmit_times, sched.delivery_times)
         ):
             idx = int(math.ceil(dv / h - 1e-9))
             if idx > N:
                 continue
-            snap_max = max(snap_max, idx * h - dv)
             deliveries.append((ell, float(tau), float(dv), idx))
         if not deliveries:
             raise ConfigurationError("no sensing delivery inside the horizon")
@@ -268,24 +257,37 @@ def run(cfg: SimConfig) -> SimTrace:
     for d in deliveries:
         by_index.setdefault(d[3], []).append(d)
 
+    # -- control rows: U[k] is the control in force at node k h -----------
+    U = np.zeros((N + 1, m))
     if t0_idx > 0:
         # u = 0 until the first state arrives
         u_hist.append(0.0, np.zeros(m))
+    else:
+        # the pre-history control holds until the event at t = 0
+        U[0] = u_pre
+
+    grid = _node_grid(ctrl_delay, h, m_lo, N, U, u_pre)
+    if true_delay is ctrl_delay:
+        true_grid = grid
+    elif true_delay.phi(0.0) < phi0:
+        raise ConfigurationError(
+            "the plant's delay at t = 0 exceeds the controller's: u is undefined there"
+        )
+    else:
+        true_grid = _node_grid(true_delay, h, m_lo, N, U, u_pre)
+    rows_true = true_grid.rows
 
     # -- predictor and the pre-history grid [phi(0), 0) -------------------
-    predictor = make_predictor(
-        cfg.predictor_method, model, ctrl_delay, u_hist, h,
-        sigma_dot_fn, sigma_fn, phi_ctrl, linear=cfg.linear,
-    )
-    pre = [mm * h for mm in range(m_lo, 0)]
-    if not pre or pre[0] > phi0 + 1e-12 * (1.0 + abs(phi0)):
-        pre = [phi0] + pre
-    pre_times = np.array(pre)
+    predictor = make_predictor(cfg.predictor_method, model, ctrl_delay, u_hist, grid,
+                               linear=cfg.linear)
+    pre_nodes = list(range(m_lo, 0))
+    # phi(0) off the grid: a partial first segment up to node m_lo
+    lead = not pre_nodes or pre_nodes[0] * h > phi0 + 1e-12 * (1.0 + abs(phi0))
+    pre_times = np.array([phi0] * lead + [mm * h for mm in pre_nodes])
     pre_p = np.full((len(pre_times), n), np.nan)
 
     # -- allocate the trace ----------------------------------------------
     X = np.empty((N + 1, n))
-    U = np.zeros((N + 1, m))
     P = np.full((N + 1, n), np.nan)
     E = np.zeros(N + 1)
     TH = np.full(N + 1, np.nan)
@@ -315,77 +317,79 @@ def run(cfg: SimConfig) -> SimTrace:
         return (1.0 - lam) * X[k] + lam * X[k + 1] if lam > 0 else X[k].copy()
 
     step = 0
+    done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     try:
         predictor.reanchor(0.0, cfg.x0, float(pre_times[0]))
         pre_p[0] = predictor.p
-        for i in range(1, len(pre_times)):
-            # first segment may be a partial step off the grid
-            dt = pre_times[i] - pre_times[i - 1]
-            if abs(dt - h) < 1e-12:
-                predictor.advance(pre_times[i - 1])
-            else:
-                predictor.reanchor(0.0, cfg.x0, float(pre_times[i]))
+        if lead and pre_nodes:
+            predictor.reanchor(0.0, cfg.x0, float(pre_times[1]))
+            pre_p[1] = predictor.p
+        for i, mm in enumerate(pre_nodes[:-1], start=int(lead) + 1):
+            predictor.advance(mm)
             pre_p[i] = predictor.p
         # land on t = 0
-        dt = 0.0 - pre_times[-1]
-        if abs(dt - h) < 1e-12:
-            predictor.advance(float(pre_times[-1]))
+        if pre_nodes:
+            predictor.advance(-1)
         else:
             predictor.reanchor(0.0, cfg.x0, 0.0)
 
-        for step in range(N + 1):
-            t = float(times[step])
-            # deliveries due now: adopt the freshest transmitted state
-            if sched is None:
-                if step > 0:
-                    predictor.reanchor(t, X[step], t)
-                dv_flags[step] = 1.0
-            elif step in by_index:
-                dv_flags[step] = 1.0
-                best = max(by_index[step], key=lambda d: d[1])
-                if best[1] >= anchor_tau:
-                    anchor_tau = best[1]
-                    predictor.reanchor(anchor_tau, state_at(anchor_tau), t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(N + 1):
+                t = step * h
+                # deliveries due now: adopt the freshest transmitted state
+                if sched is None:
+                    if step > 0:
+                        predictor.reanchor(t, X[step], t)
+                    dv_flags[step] = 1.0
+                elif step in by_index:
+                    dv_flags[step] = 1.0
+                    best = max(by_index[step], key=lambda d: d[1])
+                    if best[1] >= anchor_tau:
+                        anchor_tau = best[1]
+                        predictor.reanchor(anchor_tau, state_at(anchor_tau), t)
 
-            p_now = np.asarray(predictor.p, dtype=float)
-            P[step] = p_now
+                p_now = predictor.p
+                P[step] = p_now
 
-            if step >= t0_idx:
-                thr = threshold(cfg.trigger, p_now, cfg.cert)
-                TH[step] = thr
-                fired, e_n = check_and_fire(p_last_event, p_now, thr)
-                if fired:
-                    control = np.atleast_1d(np.asarray(model.K(p_now), dtype=float))
-                    log.record(t, control)
-                    event_p_norms.append(float(np.linalg.norm(p_now)))
-                    event_e_pre.append(e_n)
-                    u_hist.append(t, control)
-                    p_last_event = p_now.copy()
-                    ev_flags[step] = 1.0
-                else:
-                    E[step] = e_n
+                if step >= t0_idx:
+                    thr = threshold(cfg.trigger, p_now, cfg.cert)
+                    TH[step] = thr
+                    fired, e_n = check_and_fire(p_last_event, p_now, thr)
+                    if fired:
+                        control = np.atleast_1d(np.asarray(model.K(p_now), dtype=float))
+                        log.record(t, control)
+                        event_p_norms.append(math.sqrt(p_now.dot(p_now)))
+                        event_e_pre.append(e_n)
+                        u_hist.append(t, control)
+                        U[step] = control
+                        p_last_event = p_now.copy()
+                        ev_flags[step] = 1.0
+                    else:
+                        E[step] = e_n
+                done = step + 1
 
-            U[step] = u_hist.sample(t)
-            if p_last_event is not None:
-                # w-identity diagnostic: w vanishes once events have started
-                w = compute_w(U[step], p_last_event, model.K)
-                w_max_after_t0 = max(w_max_after_t0, float(np.linalg.norm(w)))
+                if p_last_event is not None:
+                    # w-identity diagnostic: w vanishes once events have started
+                    w = compute_w(U[step], p_last_event, model.K)
+                    w_max_after_t0 = max(w_max_after_t0, math.sqrt(w.dot(w)))
 
-            if step == N:
-                break
-            # plant Euler step with the delayed control u(phi(t))
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_next = X[step] + h * model.f(X[step], u_hist.sample(phi_true[step]))
-            if not np.linalg.norm(x_next) <= cfg.divergence_threshold:  # NaN too
-                raise PredictorError("plant state crossed the divergence threshold")
-            X[step + 1] = x_next
-            predictor.advance(t)
+                if step == N:
+                    break
+                # plant Euler step with the delayed control u(phi(t))
+                j = rows_true[step]
+                x_next = X[step] + h * model.f(X[step], U[j] if j >= 0 else u_pre)
+                if not math.sqrt(x_next.dot(x_next)) <= cfg.divergence_threshold:  # NaN too
+                    raise PredictorError("plant state crossed the divergence threshold")
+                X[step + 1] = x_next
+                U[step + 1] = U[step]
+                predictor.advance(step)
     except PredictorError:
         # the one divergence exit, for the plant bound and for a failed
         # re-anchor or advance, pre-history included: keep the trace up to
         # this step and hold the last state
         diverged = True
         X[step + 1 :] = X[step]
+        U[done:] = 0.0
 
     trace = SimTrace(
         times=times,
@@ -414,7 +418,7 @@ def run(cfg: SimConfig) -> SimTrace:
     )
 
     if cfg.monitor is not None and cfg.cert is not None and not diverged:
-        _attach_monitor(trace, cfg, u_hist, true_sigma_fn, true_delay)
+        _attach_monitor(trace, cfg, u_hist, true_grid.sigma, true_delay)
     return trace
 
 

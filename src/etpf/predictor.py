@@ -22,6 +22,7 @@ nodes are aligned to multiples of the engine step.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,12 +42,25 @@ __all__ = [
     "SemiClosedPredictor",
     "LinearPredictor",
     "make_predictor",
+    "NodeGrid",
     "PREDICTOR_METHODS",
 ]
 
 PREDICTOR_METHODS = ("closed-loop", "semi-closed-loop", "open-loop", "linear-closed-form")
 
 _DIVERGENCE_CAP = 1e12
+
+
+def _capped(x: np.ndarray) -> bool:
+    """max |x_i| <= the divergence cap; False for NaN and inf.
+
+    Checked on Python floats: for the short state vectors here this is a
+    fraction of the cost of ``np.abs(x).max()``, with the same outcome.
+    """
+    for v in x.tolist():
+        if not abs(v) <= _DIVERGENCE_CAP:
+            return False
+    return True
 
 
 def _window_nodes(s0: float, t: float, h: float) -> list[float]:
@@ -97,7 +111,7 @@ def predict_closed_loop(
     nodes = _window_nodes(s0, float(t), h)
     for left, right in zip(nodes[:-1], nodes[1:]):
         p = p + (right - left) * sigma_dot(left) * model.f(p, _u_at(u_history, left))
-        if not np.abs(p).max() <= _DIVERGENCE_CAP:  # NaN too
+        if not _capped(p):
             raise PredictorError("prediction diverged")
     return p
 
@@ -114,10 +128,13 @@ def predict_open_loop_step(
     """One explicit-Euler step of the open-loop prediction flow."""
     if sigma_dot is None:
         sigma_dot = lambda v: delay.sigma_dot(v, h)
-    p_next = np.atleast_1d(np.asarray(p, dtype=float)) + h * sigma_dot(s) * model.f(
-        np.atleast_1d(p), _u_at(u_history, s)
-    )
-    if not np.abs(p_next).max() <= _DIVERGENCE_CAP:  # NaN too
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    return _open_loop_step(p, h * sigma_dot(s), model.f(p, _u_at(u_history, s)))
+
+
+def _open_loop_step(p, h_sdot, fx) -> np.ndarray:
+    p_next = p + h_sdot * fx
+    if not _capped(p_next):
         raise PredictorError("open-loop prediction diverged")
     return p_next
 
@@ -161,8 +178,38 @@ def predict_linear(
 # Incremental predictors for the simulation engine.
 #
 # All four share the interface: reanchor(anchor_time, anchor_state, t_now),
-# advance(t) stepping from t to t + h, and the current value in .p.
+# advance(k) stepping the target time from node k h to (k + 1) h, and the
+# current value in .p.  advance reads sigma and u at grid nodes from a
+# NodeGrid; reanchor takes float times and may start off the grid.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class NodeGrid:
+    """The channel and the control of one run on the grid of step ``h``.
+
+    ``sig[k - lo]`` and ``sdot[k - lo]`` are sigma and its difference
+    quotient at node k h (``ActuationDelay.grid_tables``).  ``U[j]`` is the
+    control in force at node j h for j >= 0: the engine writes a row at an
+    event and otherwise copies the row before it when a step ends, so a read
+    of the next row before its event sees the held value.  ``u_pre`` is the
+    control on [phi(0), 0).  ``rows[k]`` is the row holding u(phi(k h)), -1
+    for ``u_pre``.  ``sigma`` and ``sigma_dot`` answer float queries, off
+    the grid too.
+    """
+
+    h: float
+    lo: int
+    sig: np.ndarray
+    sdot: np.ndarray
+    rows: list
+    U: np.ndarray
+    u_pre: np.ndarray
+    sigma: Callable[[float], float]
+    sigma_dot: Callable[[float], float]
+
+    def u_row(self, j: int) -> np.ndarray:
+        return self.U[j] if j >= 0 else self.u_pre
 
 
 class ClosedLoopPredictor:
@@ -175,37 +222,48 @@ class ClosedLoopPredictor:
     This is what makes the closed-loop method robust for unstable plants:
     prediction mismatch does not compound with the window length, unlike a
     re-integration on time-warped nodes.  The value at sigma(t) is closed
-    with a partial Euler step.  ``phi_k[k]`` is phi(k h) from the channel's
-    grid tables (``ActuationDelay.grid_tables``), read by node index.
+    with a partial Euler step, whose ``f(xhat_k, u)`` the next replay step
+    from node k reuses.
     """
 
-    def __init__(self, model, delay, u_history, h, sigma_fn, phi_k):
+    def __init__(self, model, delay, u_history, grid: NodeGrid):
         self.model = model
         self.delay = delay
         self.u_history = u_history
-        self.h = h
-        self.sigma_fn = sigma_fn
-        self.phi_k = phi_k
+        self.grid = grid
+        self.h = grid.h
         self.p: Optional[np.ndarray] = None
         self.anchor_time: Optional[float] = None
         self._xhat: Optional[np.ndarray] = None  # replay state at node _k * h
         self._k: Optional[int] = None
+        self._f_k: Optional[np.ndarray] = None  # f(xhat_k, u(phi(k h))), if kept
 
-    def _extend(self, sig_target: float) -> None:
-        h = self.h
-        while (self._k + 1) * h <= sig_target + 1e-12 * (1.0 + abs(sig_target)):
-            u = _u_at(self.u_history, self.phi_k[self._k])
-            self._xhat = self._xhat + h * self.model.f(self._xhat, u)
-            self._k += 1
-            if not np.abs(self._xhat).max() <= _DIVERGENCE_CAP:  # NaN too
+    def _extend(self, sig_target: float, final_rows: int) -> None:
+        """Replay up to ``sig_target``; rows of U below ``final_rows`` are final."""
+        h, f = self.h, self.model.f
+        U, rows, u_pre = self.grid.U, self.grid.rows, self.grid.u_pre
+        k, xhat, f_k = self._k, self._xhat, self._f_k
+        while (k + 1) * h <= sig_target + 1e-12 * (1.0 + abs(sig_target)):
+            if f_k is None:
+                j = rows[k]
+                f_k = f(xhat, U[j] if j >= 0 else u_pre)
+            xhat = xhat + h * f_k
+            f_k = None
+            k += 1
+            if not _capped(xhat):
                 raise PredictorError("prediction diverged")
-        frac = sig_target - self._k * h
+        frac = sig_target - k * h
         if frac > 1e-12:
-            self.p = self._xhat + frac * self.model.f(
-                self._xhat, _u_at(self.u_history, self.phi_k[self._k])
-            )
+            fx = f_k
+            if fx is None:
+                j = rows[k]
+                fx = f(xhat, U[j] if j >= 0 else u_pre)
+                # keep it unless an event may still overwrite row j
+                f_k = fx if j < final_rows else None
+            self.p = xhat + frac * fx
         else:
-            self.p = self._xhat.copy()
+            self.p = xhat.copy()
+        self._k, self._xhat, self._f_k = k, xhat, f_k
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
         if self.anchor_time is not None and anchor_time < self.anchor_time:
@@ -223,22 +281,24 @@ class ClosedLoopPredictor:
             x = x + (k * h - anchor_time) * self.model.f(x, u)
             self._k = int(k)
         self._xhat = x
-        self._extend(self.sigma_fn(float(t_now)))
+        self._f_k = None
+        self._extend(self.grid.sigma(float(t_now)), 0)
 
-    def advance(self, t: float) -> None:
-        """Move the prediction target from sigma(t) to sigma(t + h)."""
-        self._extend(self.sigma_fn(t + self.h))
+    def advance(self, k: int) -> None:
+        """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
+        g = self.grid
+        self._extend(float(g.sig[k + 1 - g.lo]), k + 1)
 
 
 class OpenLoopPredictor:
     """sigma-form flow, one Euler step per engine step, never re-anchored."""
 
-    def __init__(self, model, delay, u_history, h, sigma_dot):
+    def __init__(self, model, delay, u_history, grid: NodeGrid):
         self.model = model
         self.delay = delay
         self.u_history = u_history
-        self.h = h
-        self.sigma_dot = sigma_dot
+        self.grid = grid
+        self.h = grid.h
         self.p: Optional[np.ndarray] = None
         self.anchor_time: Optional[float] = None
 
@@ -248,14 +308,13 @@ class OpenLoopPredictor:
         self.anchor_time = float(anchor_time)
         self.p = predict_closed_loop(
             t_now, anchor_time, anchor_state, self.u_history,
-            self.delay, self.model, self.h, self.sigma_dot,
+            self.delay, self.model, self.h, self.grid.sigma_dot,
         )
 
-    def advance(self, t: float) -> None:
-        self.p = predict_open_loop_step(
-            self.p, t, self.u_history, self.delay, self.model, self.h,
-            self.sigma_dot,
-        )
+    def advance(self, k: int) -> None:
+        g = self.grid
+        self.p = _open_loop_step(self.p, self.h * float(g.sdot[k - g.lo]),
+                                 self.model.f(self.p, g.u_row(k)))
 
 
 class SemiClosedPredictor:
@@ -266,12 +325,12 @@ class SemiClosedPredictor:
     quadrature stays trapezoidal.
     """
 
-    def __init__(self, model, delay, u_history, h, sigma_dot):
+    def __init__(self, model, delay, u_history, grid: NodeGrid):
         self.model = model
         self.delay = delay
         self.u_history = u_history
-        self.h = h
-        self.sigma_dot = sigma_dot
+        self.grid = grid
+        self.h = grid.h
         self.g_history = TimedSignal(mode="linear")
         self.p: Optional[np.ndarray] = None
         self.anchor_time: Optional[float] = None
@@ -279,23 +338,23 @@ class SemiClosedPredictor:
         self._t: Optional[float] = None
         self._integral: Optional[np.ndarray] = None
 
-    def _g(self, s: float, p) -> np.ndarray:
-        return self.sigma_dot(s) * self.model.f(np.atleast_1d(p), _u_at(self.u_history, s))
-
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
         self.anchor_time = float(anchor_time)
         self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
         s0 = self.delay.phi(self.anchor_time)
+        sigma_dot = self.grid.sigma_dot
         if len(self.g_history) == 0:
             # first anchoring: start the history at the window edge
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
-            self.g_history.append(s0, self._g(s0, self.p))
+            self.g_history.append(
+                s0, sigma_dot(s0) * self.model.f(self.p, _u_at(self.u_history, s0))
+            )
             self._t = s0
             if t_now > s0:
                 # catch up to t_now on aligned nodes
                 for s in _window_nodes(s0, t_now, self.h)[1:]:
-                    self._step_to(s)
+                    self._step_to(s, sigma_dot(s), _u_at(self.u_history, s))
             return
         if s0 < self.g_history.first_time - 1e-12:
             raise PredictorError("g-history does not reach the new anchor window")
@@ -303,22 +362,24 @@ class SemiClosedPredictor:
         self.p = self._anchor_state + self._integral
         self._t = t_now
 
-    def _step_to(self, s_next: float) -> None:
+    def _step_to(self, s_next: float, sdot: float, u) -> None:
+        """Close the segment to ``s_next``, where sigmadot is ``sdot`` and u is ``u``."""
         dt = s_next - self._t
         # _t may drift one ulp past the last stored stamp after a reanchor
         g_left = self.g_history.sample(min(self._t, self.g_history.last_time))
         p_pred = self.p + dt * g_left  # Euler predictor
-        g_right = self._g(s_next, p_pred)
+        g_right = sdot * self.model.f(p_pred, u)
         self._integral = self._integral + 0.5 * dt * (g_left + g_right)
         self.p = self._anchor_state + self._integral
         # store the corrected integrand value
-        self.g_history.append(s_next, self._g(s_next, self.p))
+        self.g_history.append(s_next, sdot * self.model.f(self.p, u))
         self._t = s_next
-        if not np.abs(self.p).max() <= _DIVERGENCE_CAP:  # NaN too
+        if not _capped(self.p):
             raise PredictorError("prediction diverged")
 
-    def advance(self, t: float) -> None:
-        self._step_to(t + self.h)
+    def advance(self, k: int) -> None:
+        g = self.grid
+        self._step_to(k * self.h + self.h, float(g.sdot[k + 1 - g.lo]), g.u_row(k + 1))
 
 
 class LinearPredictor:
@@ -331,12 +392,12 @@ class LinearPredictor:
     exponentials are cached per distinct dsig.
     """
 
-    def __init__(self, sys: LinearSystem, delay, u_history, h, sigma_fn):
+    def __init__(self, sys: LinearSystem, delay, u_history, grid: NodeGrid):
         self.sys = sys
         self.delay = delay
         self.u_history = u_history
-        self.h = h
-        self.sigma_fn = sigma_fn  # cached sigma lookup
+        self.grid = grid
+        self.h = grid.h
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self.p: Optional[np.ndarray] = None
         self.anchor_time: Optional[float] = None
@@ -359,7 +420,7 @@ class LinearPredictor:
         # u is constant between consecutive stamps, so one exact step per
         # control segment is the composition of the per-node steps
         nodes = self.u_history.breakpoints(s_from, s_to)
-        sig = [self.sigma_fn(s) for s in nodes]
+        sig = [self.grid.sigma(s) for s in nodes]
         for i in range(len(nodes) - 1):
             E, Phi = self._step_mats(sig[i + 1] - sig[i])
             p = E @ p + Phi @ (self.sys.B @ np.atleast_1d(_u_at(self.u_history, nodes[i])))
@@ -373,23 +434,23 @@ class LinearPredictor:
             p = self._integrate(p, s0, t_now)
         self.p = p
 
-    def advance(self, t: float) -> None:
-        E, Phi = self._step_mats(self.sigma_fn(t + self.h) - self.sigma_fn(t))
-        self.p = E @ self.p + Phi @ (self.sys.B @ np.atleast_1d(_u_at(self.u_history, t)))
-        if not np.abs(self.p).max() <= _DIVERGENCE_CAP:  # NaN too
+    def advance(self, k: int) -> None:
+        g = self.grid
+        E, Phi = self._step_mats(float(g.sig[k + 1 - g.lo] - g.sig[k - g.lo]))
+        self.p = E @ self.p + Phi @ (self.sys.B @ g.u_row(k))
+        if not _capped(self.p):
             raise PredictorError("prediction diverged")
 
 
-def make_predictor(method, model, delay, u_history, h, sigma_dot, sigma_fn, phi_k=None,
-                   linear=None):
+def make_predictor(method, model, delay, u_history, grid: NodeGrid, linear=None):
     if method == "closed-loop":
-        return ClosedLoopPredictor(model, delay, u_history, h, sigma_fn, phi_k)
+        return ClosedLoopPredictor(model, delay, u_history, grid)
     if method == "open-loop":
-        return OpenLoopPredictor(model, delay, u_history, h, sigma_dot)
+        return OpenLoopPredictor(model, delay, u_history, grid)
     if method == "semi-closed-loop":
-        return SemiClosedPredictor(model, delay, u_history, h, sigma_dot)
+        return SemiClosedPredictor(model, delay, u_history, grid)
     if method == "linear-closed-form":
         if linear is None:
             raise PredictorError("linear-closed-form needs a LinearSystem")
-        return LinearPredictor(linear, delay, u_history, h, sigma_fn)
+        return LinearPredictor(linear, delay, u_history, grid)
     raise PredictorError(f"unknown predictor method {method!r}")

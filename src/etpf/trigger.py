@@ -94,9 +94,16 @@ class EventLog:
         return float(np.min(np.diff(self.event_times)))
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a real vector, as sqrt(v . v): numpy's own ``norm`` body
+    for real 1-D input, without its dispatch."""
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(v.dot(v))
+
+
 def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
     """Trigger threshold as a function of the current prediction."""
-    p_norm = float(np.linalg.norm(np.atleast_1d(p)))
+    p_norm = _norm(p)
     if cfg.mode == "fixed-ratio":
         return cfg.rho_bar * p_norm
     if cfg.mode == "linear":
@@ -119,7 +126,7 @@ def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
     """
     if p_at_last_event is None:
         return True, 0.0
-    e_norm = float(np.linalg.norm(np.subtract(p_at_last_event, p_now)))
+    e_norm = _norm(np.subtract(p_at_last_event, p_now))
     return e_norm > 0.0 and e_norm >= thr, e_norm
 
 

@@ -1,10 +1,12 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from etpf.channel import ActuationDelay, SensingSchedule, verify_delay_bounds
 from etpf.exceptions import ConfigurationError
+from etpf.signals import TimedSignal
 
 
 class TestSigma:
@@ -60,7 +62,7 @@ class TestGridTables:
         d, h, N = make(), 1e-2, 600
         phi0 = d.phi(0.0)
         m_lo = math.ceil(phi0 / h - 1e-9)
-        sig, sdot, phi_k, sig_phi0, sdot_phi0 = d.grid_tables(h, m_lo, N)
+        sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0 = d.grid_tables(h, m_lo, N)
         want = [d.sigma(m * h) if m * h >= phi0 else math.nan for m in range(m_lo - 1, N + 2)]
         np.testing.assert_array_equal(sig, want)
         # sigmadot against the scalar loop it replaces: centered, one-sided
@@ -74,10 +76,77 @@ class TestGridTables:
         np.testing.assert_array_equal(sdot, want_sdot)
         assert len(phi_k) * h > sig[-1]
         np.testing.assert_array_equal(phi_k, [snapped_phi(d, k * h, h) for k in range(len(phi_k))])
+        # the row table: last node of 0, h, ..., N h at or before phi_k, -1 before 0
+        nodes = [k * h for k in range(N + 1)]
+        np.testing.assert_array_equal(j_k, [bisect_right(nodes, v) - 1 for v in phi_k])
+        assert j_k.dtype.kind == "i"
         assert sig_phi0 == d.sigma(phi0)
         assert sdot_phi0 == d.sigma_dot(phi0, h)
         # built once per (h, m_lo, N)
         assert d.grid_tables(h, m_lo, N)[0] is sig
+
+
+class TestRowTable:
+    """A read of row ``j_k[k]`` is ``TimedSignal.sample`` at ``phi_k[k]``.
+
+    The rows follow the engine's protocol: row k is written by an event at
+    k h, and otherwise starts as a copy of row k - 1 when step k - 1 ends, so
+    reads of row k + 1 before its event see the held control.
+    """
+
+    DELAYS = [
+        pytest.param(ActuationDelay.example1, 1e-2, id="example1"),
+        pytest.param(lambda: ActuationDelay.sinusoidal(0.5, 0.2), 1e-2, id="sinusoidal"),
+        pytest.param(lambda: ActuationDelay.from_table([0.0, 3.0, 6.0], [0.4, 0.9, 0.6]),
+                     1e-2, id="from_table"),
+        # every phi(k h) lands exactly on a node
+        pytest.param(lambda: ActuationDelay.constant(0.5), 1e-3, id="constant-on-nodes"),
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make, h", DELAYS)
+    def test_row_read_equals_sample(self, make, h, seed):
+        d, N = make(), 600
+        phi0 = d.phi(0.0)
+        m_lo = math.ceil(phi0 / h - 1e-9)
+        _sig, _sdot, phi_k, j_k, _, _ = d.grid_tables(h, m_lo, N)
+        assert d.grid_tables(h, m_lo, N)[3] is j_k  # cached with the other tables
+        rng = np.random.default_rng(seed)
+        events = set(rng.choice(N + 1, size=int(rng.integers(1, 120)), replace=False).tolist())
+        if seed % 2:
+            events.add(0)  # t0 = 0: the pre-history control holds until then
+        else:
+            events.discard(0)  # t0 > 0: u = 0 from t = 0 until the first event
+        u_pre = np.array([0.3])
+        u_hist = TimedSignal(mode="constant")
+        u_hist.append(phi0, u_pre)
+        U = np.zeros((N + 1, 1))
+        if 0 in events:
+            U[0] = u_pre
+        else:
+            u_hist.append(0.0, np.zeros(1))
+        by_row = {}
+        for i, j in enumerate(j_k.tolist()):
+            by_row.setdefault(j, []).append(i)
+
+        def check(row):
+            for i in by_row.get(row, []):
+                got = U[row] if row >= 0 else u_pre
+                want = u_hist.sample(phi_k[i])
+                assert got.tobytes() == want.tobytes(), (i, row, phi_k[i])
+
+        check(-1)
+        check(0)  # row 0 before its event
+        for k in range(N + 1):
+            if k in events:
+                u = rng.standard_normal(1)
+                u_hist.append(k * h, u)
+                U[k] = u
+            check(k)
+            if k < N:
+                U[k + 1] = U[k]
+                check(k + 1)  # row k + 1 before its event
+        assert sum(len(by_row.get(j, [])) for j in range(-1, N + 1)) == len(phi_k)
 
 
 class TestFromTable:

@@ -80,6 +80,30 @@ class TestRunBasics:
         assert np.isnan(tr.pre_p[-1]).all()
         np.testing.assert_array_equal(tr.x, np.tile(cfg.x0, (len(tr.times), 1)))
 
+    def test_divergence_leaves_unreached_control_rows_zero(self):
+        # a re-anchor that diverges at step s stops the run before the
+        # trigger of step s: the control rows from s on stay 0, as does every
+        # row when the pre-history diverges, whatever the pre-history control
+        ex2 = presets.example2()
+        sensing = dataclasses.replace(ex2.sensing, delta_tau=0.3, d_psi=None, mu_psi=0.8,
+                                      sigma_psi=0.5, seed=8)
+        tr = run(dataclasses.replace(ex2, T=6.0, sensing=sensing))
+        s = tr.diagnostics["final_step"]
+        assert tr.diverged and np.isnan(tr.p[s]).all()
+        assert np.any(tr.u[:s] != 0.0) and np.all(tr.u[s:] == 0.0)
+        tr = run(dataclasses.replace(ex2, x0=np.array([1e4, 1e4]), u_prehistory=0.7,
+                                     sensing=SensingConfig(mode="perfect")))
+        assert tr.diverged and tr.diagnostics["final_step"] == 0
+        assert np.all(tr.u == 0.0)
+
+    def test_plant_delay_beyond_controller_delay_rejected(self):
+        # the plant would read u before the controller's pre-history starts
+        cfg = dataclasses.replace(presets.example1(), T=2.0,
+                                  delay=ActuationDelay.constant(0.9),
+                                  ctrl_delay=ActuationDelay.constant(0.5))
+        with pytest.raises(ConfigurationError):
+            run(cfg)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_plant_state_diverges(self, bad):
         # the linear predictor uses (A, B), so only the plant sees the bad f;

@@ -1,15 +1,24 @@
 """Golden outputs: the C10 byte-identity promise checked across commits.
 
 The digests are the sha256 of ``trace.csv`` and ``events.csv`` of each
-simulation preset at its full horizon, and of the raw ``float64`` bytes of
-the ``heatmap-ex1`` matrix.  A change that moves any of these bytes must
+simulation preset at its full horizon, of six short variants that reach the
+code paths the presets do not (the semi-closed-loop and open-loop
+predictors, perfect sensing with a nonzero pre-history control, a
+mismatched controller delay with out-of-order deliveries, and a time-varying
+delay under the linear predictor), and of the raw ``float64`` bytes of the
+``heatmap-ex1`` matrix.  A change that moves any of these bytes must
 say which bytes changed and why, and re-record the digest here.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+
+from etpf import presets, run
+from etpf.channel import ActuationDelay
+from etpf.engine import SensingConfig
 
 GOLDEN_CSV = {
     "example1": (
@@ -29,6 +38,32 @@ GOLDEN_CSV = {
         "187e58e8d6b94a52aca7de03f7febf59b33e1ba8d7bdabeb67bcf0ec45ace94f",
     ),
 }
+GOLDEN_VARIANT_CSV = {
+    "example1-semi-closed": (
+        "6d620dce7b25f7eaad80bab0387adbe04c077b75273762169eb5abd5eacdc5e5",
+        "bf190e802fcf1b8f51b21406fa0523be04b56d39e0c92bb7d356ae96512a2408",
+    ),
+    "example1-open-loop": (
+        "af1177b2de210a2eef9cebd985c22df672bbb51fe80a5be577b8a3812e7cfbce",
+        "b1ee16caac0803f05d92e2094f068ca1a4e74d10cacd4dc3bb10bb470722bec0",
+    ),
+    "example1-perfect-prehistory": (
+        "8ca584bae6e1fc396a36b08518c6f6433e582e35eca2aa0046fe2ecac212adb1",
+        "12431b317a7d90866501c08556781888987e736793971ba44325c1f528202623",
+    ),
+    "example1-semi-closed-perfect-prehistory": (
+        "3c3b4bbe26b13d5082d3680d863908529da2c41cee6ae255fda0eaf6b6980fed",
+        "d23469356d1c9c1aafffb8822f5ca22c9c13561fe6d78d6607bb53d4163982d4",
+    ),
+    "example1-mismatch-gaussian": (
+        "dbc6dc7cac476a0f00a9bd98fd95d75b660767235d614722f6e52173b67589d8",
+        "81231367a1a3248c507815b92ae93305ecc1f01c29617a01de78a980c7b6923f",
+    ),
+    "linear2d-sinusoidal": (
+        "9d106ed7f19869252e2cd5dab7b731327f367ffa8894d91a4e4450cf33f21cfc",
+        "6c724e8ef469e26f73bda626ca5e7e86cc61dccaf06fab32cbd483da94f055e9",
+    ),
+}
 GOLDEN_HEATMAP = "b01b4b88e31930da40762ae71c8ff5eb1450212b33189cbd0343be76b076b61a"
 
 
@@ -43,6 +78,39 @@ def test_preset_csvs(name, all_preset_traces, tmp_path):
     tr.write_trace_csv(trace)
     tr.write_events_csv(events)
     assert (sha256(trace.read_bytes()), sha256(events.read_bytes())) == GOLDEN_CSV[name]
+
+
+def variant_config(name):
+    ex1 = presets.example1()
+    if name == "example1-semi-closed":
+        return dataclasses.replace(ex1, T=5.0, predictor_method="semi-closed-loop")
+    if name == "example1-open-loop":
+        return dataclasses.replace(ex1, T=5.0, predictor_method="open-loop")
+    if name == "example1-perfect-prehistory":
+        # t0 = 0, so the pre-history control is in force up to the first event
+        return dataclasses.replace(ex1, T=3.0, sensing=SensingConfig(mode="perfect"),
+                                   u_prehistory=0.3)
+    if name == "example1-semi-closed-perfect-prehistory":
+        # the semi-closed-loop step onto t = 0 reads u(0) before the event there
+        return dataclasses.replace(ex1, T=4.0, sensing=SensingConfig(mode="perfect"),
+                                   u_prehistory=-0.4, predictor_method="semi-closed-loop")
+    if name == "example1-mismatch-gaussian":
+        # transmissions 6 and 7 arrive after 8: stale deliveries are discarded
+        sensing = SensingConfig(mode="periodic", mu_psi=1.0, sigma_psi=1.5, seed=0)
+        return dataclasses.replace(ex1, T=10.0, ctrl_delay=ActuationDelay.constant(0.8),
+                                   sensing=sensing)
+    assert name == "linear2d-sinusoidal"
+    return dataclasses.replace(presets.linear2d(), T=2.0,
+                               delay=ActuationDelay.sinusoidal(0.5, 0.2))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VARIANT_CSV))
+def test_variant_csvs(name, tmp_path):
+    tr = run(variant_config(name))
+    trace, events = tmp_path / "trace.csv", tmp_path / "events.csv"
+    tr.write_trace_csv(trace)
+    tr.write_events_csv(events)
+    assert (sha256(trace.read_bytes()), sha256(events.read_bytes())) == GOLDEN_VARIANT_CSV[name]
 
 
 def test_heatmap_matrix(heatmap_result):

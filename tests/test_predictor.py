@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from etpf import presets, run
 from etpf.channel import ActuationDelay
-from etpf.engine import _grid_lookups
+from etpf.engine import _node_grid
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
 from etpf.predictor import (
@@ -45,6 +47,13 @@ def const_u(value, start=-10.0):
     sig = TimedSignal(mode="constant")
     sig.append(start, [value])
     return sig
+
+
+def const_grid(delay, value, h=1e-2, N=200):
+    """The engine's NodeGrid for ``delay`` with the control ``value`` at every node."""
+    m_lo = math.ceil(delay.phi(0.0) / h - 1e-9)
+    return _node_grid(delay, h, m_lo, N, np.full((N + 1, 1), float(value)),
+                      np.full(1, float(value)))
 
 
 class TestClosedLoopReference:
@@ -110,16 +119,14 @@ DELAYS = {
 
 @functools.cache
 def linear_predictor_parts(kind):
-    """A delay and the engine's cached sigma lookup on the grid of step H."""
+    """A delay and the engine's grid of step H (the re-anchor reads its sigma lookup)."""
     delay = DELAYS[kind]()
-    m_lo = math.ceil(delay.phi(0.0) / H - 1e-9)
-    sigma_fn = _grid_lookups(delay, H, m_lo, 2000)[0]
-    return delay, sigma_fn
+    return delay, const_grid(delay, 0.0, h=H, N=2000)
 
 
 def segment_predictor(kind, stamps):
     """LinearPredictor over u with a value before the window and at each stamp."""
-    delay, sigma_fn = linear_predictor_parts(kind)
+    delay, grid = linear_predictor_parts(kind)
     # oscillating and unstable open loop, so exp(A r) is not a polynomial
     sys = LinearSystem(A=[[0.2, 1.0], [-1.0, 0.1]], B=[[0.0], [1.0]],
                        K_gain=[[-1.0, -2.0]], Q=np.eye(2))
@@ -127,14 +134,14 @@ def segment_predictor(kind, stamps):
     u.append(-1.0, [0.4])
     for j, t in enumerate(stamps):
         u.append(t, [math.cos(3.0 * j) - 0.2])
-    return LinearPredictor(sys, delay, u, H, sigma_fn)
+    return LinearPredictor(sys, delay, u, grid)
 
 
 def per_node_reference(pred, p, s_from, s_to):
     """The re-anchor as one exact step per grid node of the window."""
     nodes = _window_nodes(s_from, s_to, pred.h)
     for left, right in zip(nodes[:-1], nodes[1:]):
-        E, Phi = pred._step_mats(pred.sigma_fn(right) - pred.sigma_fn(left))
+        E, Phi = pred._step_mats(pred.grid.sigma(right) - pred.grid.sigma(left))
         p = E @ p + Phi @ (pred.sys.B @ np.atleast_1d(pred.u_history.sample(left)))
     return p
 
@@ -234,17 +241,27 @@ class TestIncrementalClosedLoop:
     def test_exact_on_stabilized_run(self, ex1_trace):
         # the replayed prediction reproduces the plant at the warped time to
         # float precision on the benchmark run
-        from etpf.presets import example1
-
-        err = prediction_error(ex1_trace, example1().delay)
+        err = prediction_error(ex1_trace, presets.example1().delay)
         assert err <= 1e-9
+
+    @pytest.mark.parametrize("D", [0.5 - 5e-11, 0.5 + 5e-11],
+                             ids=["phi-just-above-nodes", "phi-just-below-nodes"])
+    def test_delay_within_the_snap_of_the_grid(self, D):
+        # phi(k h) lies within the 1e-9 snap of a node.  Just above it, the
+        # snapped phi(0) precedes the first control stamp and must read the
+        # pre-history control.  Just below it, the partial step to sigma(i h)
+        # reads row i before the event at i h, so its f must not be reused
+        # once that event may have changed the row.  The prediction then
+        # differs from the plant only over that 5e-11 s, by up to 5e-11 |df|.
+        delay = ActuationDelay.constant(D)
+        tr = run(dataclasses.replace(presets.example1(), T=6.0, delay=delay, monitor=None))
+        assert not tr.diverged
+        assert prediction_error(tr, delay) <= 1e-8
 
     def test_anchor_monotonicity_enforced(self):
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
-        phi_k = delay.grid_tables(1e-2, -50, 200)[2]
-        pred = ClosedLoopPredictor(model, delay, const_u(0.0), 1e-2,
-                                   sigma_fn=delay.sigma, phi_k=phi_k)
+        pred = ClosedLoopPredictor(model, delay, const_u(0.0), const_grid(delay, 0.0))
         pred.reanchor(1.0, [0.0], 1.0)
         with pytest.raises(PredictorError):
             pred.reanchor(0.5, [0.0], 1.0)
@@ -253,11 +270,10 @@ class TestIncrementalClosedLoop:
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
         with pytest.raises(PredictorError):
-            make_predictor("magic", model, delay, const_u(0.0), 1e-2,
-                           None, delay.sigma)
+            make_predictor("magic", model, delay, const_u(0.0), const_grid(delay, 0.0))
         with pytest.raises(PredictorError):
             make_predictor("linear-closed-form", model, delay, const_u(0.0),
-                           1e-2, None, delay.sigma, linear=None)
+                           const_grid(delay, 0.0), linear=None)
 
 
 class TestDivergenceCheck:
@@ -280,9 +296,8 @@ class TestDivergenceCheck:
     @pytest.mark.parametrize("rate", RATES)
     def test_incremental_closed_loop(self, rate):
         delay = ActuationDelay.constant(0.5)
-        phi_k = delay.grid_tables(1e-2, -50, 200)[2]
-        pred = ClosedLoopPredictor(self.rate_model(rate), delay, const_u(1.0), 1e-2,
-                                   sigma_fn=delay.sigma, phi_k=phi_k)
+        pred = ClosedLoopPredictor(self.rate_model(rate), delay, const_u(1.0),
+                                   const_grid(delay, 1.0))
         with pytest.raises(PredictorError):
             pred.reanchor(1.0, [0.0], 1.0)
 
@@ -313,10 +328,6 @@ class TestSemiClosed:
     def test_tracks_linear_run(self, method, tol):
         # engine-level check: the method stays within its documented
         # tolerance on a stable linear run
-        import dataclasses
-
-        from etpf import presets, run
-
         cfg = dataclasses.replace(
             presets.linear2d(), predictor_method=method, T=5.0, monitor=None,
         )

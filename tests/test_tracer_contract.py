@@ -37,3 +37,7 @@ def test_install_and_remove():
     # the engine looks the trigger threshold up by name once per step from t0
     assert tracer.calls("engine.run") == 1
     assert tracer.calls("trigger.threshold") == 101
+    # the closed-loop replay reuses the f of its partial step when the next
+    # step starts from the same node with a final control row; without that
+    # reuse this run makes 862 calls
+    assert tracer.calls("model.f") == 663
