@@ -30,11 +30,12 @@ __all__ = [
 class ActuationDelay:
     """Known actuation delay map with its bound data.
 
-    ``M0`` bounds the delay ``t - phi(t)``; ``m2 <= dphi/dt <= M1``.  The
-    reciprocals m0, m1, M2 bound the inverse map sigma.
+    ``M0`` bounds the delay ``t - phi(t)``; ``m2 <= dphi/dt <= M1``, so
+    ``M2 = 1 / m2`` bounds the slope of sigma.  ``phi`` takes a float or an
+    ndarray, with the same bits per element: tables and monitor use arrays.
     """
 
-    phi: Callable[[float], float]
+    phi: Callable
     M0: float
     M1: float
     m2: float
@@ -47,14 +48,6 @@ class ActuationDelay:
             raise ConfigurationError("delay bounds must be positive")
         if self.m2 > self.M1:
             raise ConfigurationError("m2 must not exceed M1")
-
-    @property
-    def m0(self) -> float:
-        return 1.0 / self.M0
-
-    @property
-    def m1(self) -> float:
-        return 1.0 / self.M1
 
     @property
     def M2(self) -> float:
@@ -73,8 +66,10 @@ class ActuationDelay:
     def example1() -> "ActuationDelay":
         """Bump-shaped delay peaking at t = 5: delay = ((t-5)^2+2)/(2(t-5)^2+2)."""
 
-        def phi(t: float) -> float:
-            s2 = (t - 5.0) ** 2
+        def phi(t):
+            # libm pow, as Python's float ** is: numpy's ** 2 squares, which
+            # rounds differently on some inputs
+            s2 = np.float_power(t - 5.0, 2.0)
             return t - (s2 + 2.0) / (2.0 * s2 + 2.0)
 
         wig = 3.0 * math.sqrt(3.0) / 16.0
@@ -87,7 +82,7 @@ class ActuationDelay:
         if not 0 <= a < min(D, 1.0):
             raise ConfigurationError("need 0 <= a < min(D, 1) for a valid channel")
         return ActuationDelay(
-            phi=lambda t: t - D - a * math.sin(t),
+            phi=lambda t: t - D - a * np.sin(t),
             M0=D + a,
             M1=1.0 + a,
             m2=1.0 - a,
@@ -111,7 +106,7 @@ class ActuationDelay:
         if m2 <= 0:
             raise ConfigurationError("delay table implies non-increasing phi")
         return ActuationDelay(
-            phi=lambda s: s - float(np.interp(s, t, d)),
+            phi=lambda s: s - np.interp(s, t, d),
             M0=float(d.max()),
             M1=M1,
             m2=m2,
@@ -120,30 +115,37 @@ class ActuationDelay:
 
     # -- inverse map ------------------------------------------------------
 
-    def sigma(self, t: float) -> float:
-        """Solve ``phi(s) = t`` by bracketed root finding.
+    def sigma(self, t):
+        """Solve ``phi(s) = t`` by bracketed root finding, for a float or a 1-d array.
 
         The bracket ``[t, t + 2 M0]`` is guaranteed by the delay bounds; a
         violated bracket means the channel does not satisfy its declared
-        bounds.
+        bounds.  A float is solved by scipy's ``brentq``, an array in one
+        pass of ``_brentq_array``, the same iteration element by element, so
+        both give the same bits.
         """
-        t = float(t)
-        lo, hi = t, t + 2.0 * self.M0
-        flo = self.phi(lo) - t
-        fhi = self.phi(hi) - t
-        if flo > 0 or fhi < 0:
-            raise ChannelModelError(
-                f"bracket [{lo}, {hi}] does not contain sigma({t}); "
-                "declared delay bounds are violated"
-            )
-        if flo == 0.0:
-            return lo
-        # brentq's wrapper is a reference cycle: let it hold phi, not self
         phi = self.phi
-        s = brentq(lambda v: phi(v) - t, lo, hi, xtol=1e-14, rtol=1e-15)
-        if abs(phi(s) - t) > 1e-12 * (1.0 + abs(t)):
-            raise ChannelModelError(f"sigma({t}) did not converge")
-        return float(s)
+        t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+        lo, hi = t, t + 2.0 * self.M0
+        flo, fhi = phi(lo) - t, phi(hi) - t
+        bad = np.flatnonzero((flo > 0) | (fhi < 0))
+        if len(bad):
+            i = bad[0]
+            raise ChannelModelError(
+                f"bracket [{np.ravel(lo)[i]}, {np.ravel(hi)[i]}] does not contain "
+                f"sigma({np.ravel(t)[i]}); declared delay bounds are violated"
+            )
+        if np.ndim(t):
+            s = _brentq_array(lambda v, tv: phi(v) - tv, t, lo, hi, flo, fhi)
+        elif flo == 0.0:
+            return lo
+        else:
+            # brentq's wrapper is a reference cycle: let it hold phi, not self
+            s = float(brentq(lambda v: phi(v) - t, lo, hi, xtol=1e-14, rtol=1e-15))
+        bad = np.flatnonzero(np.abs(phi(s) - t) > 1e-12 * (1.0 + np.abs(t)))
+        if len(bad):
+            raise ChannelModelError(f"sigma({np.ravel(t)[bad[0]]}) did not converge")
+        return s
 
     def sigma_dot(self, t: float, h: float) -> float:
         """Centered finite difference of sigma with spacing ``h``."""
@@ -171,21 +173,81 @@ class ActuationDelay:
         key = (h, m_lo, N)
         if key not in self._grid:
             phi0 = self.phi(0.0)
-            ms = np.arange(m_lo - 1, N + 2)
-            sig = np.array([self.sigma(m * h) if m * h >= phi0 else math.nan for m in ms])
-            sdot = np.full(len(ms), math.nan)
+            nodes = np.arange(m_lo - 1, N + 2) * h
+            valid = nodes >= phi0
+            # one solve for every node, phi(0) and phi(0) + h
+            solved = self.sigma(np.concatenate([nodes[valid], [phi0, phi0 + h]]))
+            sig = np.full(len(nodes), math.nan)
+            sig[valid] = solved[:-2]
+            sdot = np.full(len(nodes), math.nan)
             centered = (sig[2:] - sig[:-2]) / (2.0 * h)
             sdot[1:-1] = np.where(np.isfinite(centered), centered, (sig[2:] - sig[1:-1]) / h)
-            phi_k = np.array([self.phi(k * h) for k in range(int(sig[-1] / h) + 2)])
+            phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
             node = np.round(phi_k / h) * h
             snap = np.abs(phi_k - node) < 1e-9 * (1.0 + np.abs(phi_k))
             phi_k = np.where(snap, node, phi_k)
             j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
-            sig_phi0 = self.sigma(phi0)
-            # sigma_dot(phi0, h) is one-sided: the same expression, one solve fewer
-            sdot_phi0 = (self.sigma(phi0 + h) - sig_phi0) / h
+            sig_phi0 = float(solved[-2])
+            # sigma_dot(phi0, h) is one-sided: the same expression
+            sdot_phi0 = (float(solved[-1]) - sig_phi0) / h
             self._grid[key] = (sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0)
         return self._grid[key]
+
+
+def _brentq_array(f, t, lo, hi, flo, fhi, xtol=1e-14, rtol=1e-15, maxiter=100, chunk=2048):
+    """scipy's ``brentq`` (Brent 1973) element by element: a root of ``f(., t_i)`` per element.
+
+    ``f(x, t)`` works on arrays; ``[lo, hi]`` brackets each root and ``flo``,
+    ``fhi`` are ``f`` there.  Each element takes the float operations of
+    scipy's C loop (secant, inverse quadratic and bisection steps, tolerance
+    tests) and leaves the active set once converged, so it ends on the double
+    ``brentq`` returns.  ``chunk`` elements at a time bound the temporaries.
+    """
+    out = np.where(flo == 0, lo, hi)
+    for c in range(0, len(t), chunk):
+        act = c + np.flatnonzero((flo[c : c + chunk] != 0) & (fhi[c : c + chunk] != 0))
+        tc = t[act]
+        # rows: the previous iterate, the current one and the contrapoint
+        x = np.stack([lo[act], hi[act], np.zeros(len(act))])
+        fx = np.stack([flo[act], fhi[act], np.zeros(len(act))])
+        steps = np.zeros((2, len(act)))  # the step before last and the last step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(maxiter):
+                if not len(act):
+                    break
+                m = (fx[0] != 0) & (fx[1] != 0) & (np.signbit(fx[0]) != np.signbit(fx[1]))
+                x[2, m], fx[2, m] = x[0, m], fx[0, m]
+                steps[:, m] = x[1, m] - x[0, m]
+                # the smaller |f| becomes the current iterate
+                m = np.abs(fx[2]) < np.abs(fx[1])
+                x[:, m], fx[:, m] = x[1:, m][[0, 1, 0]], fx[1:, m][[0, 1, 0]]
+                delta = (xtol + rtol * np.abs(x[1])) / 2
+                sbis = (x[2] - x[1]) / 2
+                conv = (fx[1] == 0) | (np.abs(sbis) < delta)
+                if conv.any():
+                    out[act[conv]] = x[1, conv]
+                    keep = ~conv
+                    act, tc, delta, sbis = act[keep], tc[keep], delta[keep], sbis[keep]
+                    x, fx, steps = x[:, keep], fx[:, keep], steps[:, keep]
+                (xpre, xcur, xblk), (fpre, fcur, fblk) = x, fx
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = np.where(
+                    xpre == xblk,
+                    -fcur * (xcur - xpre) / (fcur - fpre),
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+                )
+                spre = np.abs(steps[0])
+                good = ((spre > delta) & (np.abs(fcur) < np.abs(fpre))
+                        & (2 * np.abs(stry) < np.minimum(spre, 3 * np.abs(sbis) - delta)))
+                steps = np.where(good, np.stack([steps[1], stry]), sbis)
+                step = np.where(np.abs(steps[1]) > delta, steps[1], np.where(sbis > 0, delta, -delta))
+                x[0], fx[0] = xcur, fcur
+                x[1] = xcur + step
+                fx[1] = f(x[1], tc)
+        if len(act):
+            raise ChannelModelError(f"sigma({tc[0]}) did not converge in {maxiter} iterations")
+    return out
 
 
 @dataclass
@@ -210,7 +272,7 @@ def verify_delay_bounds(delay: ActuationDelay, grid, rtol: float = 1e-6) -> Dela
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigurationError("grid must be increasing with at least 2 points")
-    phi_vals = np.array([delay.phi(float(t)) for t in grid])
+    phi_vals = delay.phi(grid)
     delays = grid - phi_vals
     phidot = np.gradient(phi_vals, grid)
     tol = rtol * (1.0 + delay.M0 + delay.M1)

@@ -136,43 +136,23 @@ class SimTrace:
             + [f"p_{i+1}" for i in range(n)]
             + ["e_norm", "threshold", "V", "L", "event_flag", "delivery_flag"]
         )
-        cols = np.column_stack(
-            [
-                self.times,
-                self.x,
-                self.u,
-                self.p,
-                self.e_norm,
-                self.threshold,
-                self.V,
-                self.L,
-                self.event_flags,
-                self.delivery_flags,
-            ]
-        )
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in cols:
-                fh.write(",".join(_FMT % v for v in row) + "\n")
+        cols = np.column_stack([self.times, self.x, self.u, self.p, self.e_norm, self.threshold,
+                                self.V, self.L, self.event_flags, self.delivery_flags])
+        _write_csv(path, header, cols)
 
     def write_events_csv(self, path) -> None:
-        header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset"]
         m = self.u.shape[1]
-        header += [f"u_{j+1}" for j in range(m)]
-        pn = self.diagnostics.get("event_p_norms", [])
-        en = self.diagnostics.get("event_e_pre", [])
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            prev_t = None
-            for k, (t_k, u_k) in enumerate(
-                zip(self.events.event_times, self.events.event_controls)
-            ):
-                dwell = t_k - prev_t if prev_t is not None else float("nan")
-                prev_t = t_k
-                vals = [k, t_k, dwell, pn[k] if k < len(pn) else float("nan"),
-                        en[k] if k < len(en) else float("nan")]
-                vals += list(np.atleast_1d(u_k))
-                fh.write(",".join(_FMT % v for v in vals) + "\n")
+        header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset"] + [f"u_{j+1}" for j in range(m)]
+        t_k = np.array(self.events.event_times, dtype=float)
+        cols = np.full((len(t_k), 5 + m), math.nan)
+        cols[:, 0] = np.arange(len(t_k))
+        cols[:, 1] = t_k
+        cols[:, 2] = np.diff(t_k, prepend=math.nan)
+        for c, key in ((3, "event_p_norms"), (4, "event_e_pre")):
+            vals = self.diagnostics.get(key, [])[: len(t_k)]
+            cols[: len(vals), c] = vals
+        cols[:, 5:] = np.reshape(self.events.event_controls, (len(t_k), m))
+        _write_csv(path, header, cols)
 
     def summary(self) -> str:
         lines = [
@@ -186,6 +166,15 @@ class SimTrace:
         if rep is not None:
             lines.append(str(rep))
         return "\n".join(lines)
+
+
+def _write_csv(path, header: list, cols: np.ndarray) -> None:
+    """The header, then the rows of ``cols`` in %.17g, one %-format per block of 512 rows."""
+    row = ",".join([_FMT] * cols.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in np.split(cols, range(512, len(cols), 512)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre) -> NodeGrid:
@@ -225,7 +214,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     true_delay = cfg.delay
     ctrl_delay = cfg.controller_delay
-    phi0 = ctrl_delay.phi(0.0)
+    phi0 = float(ctrl_delay.phi(0.0))
     if phi0 >= 0:
         raise ConfigurationError("the channel must have positive delay at t = 0")
     m_lo = int(math.ceil(phi0 / h - 1e-9))

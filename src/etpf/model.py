@@ -100,18 +100,6 @@ class ISSCertificate:
     integrable_flag: bool = True
     rho_quad_coeff: Optional[float] = None
 
-    def validate_scalar_maps(self, grid=None) -> None:
-        """Check the class-K properties on a log-spaced grid."""
-        if grid is None:
-            grid = np.logspace(-6, 3, 40)
-        for name in ("alpha1", "alpha2", "gamma", "rho"):
-            fn = getattr(self, name)
-            if abs(fn(0.0)) > 1e-12:
-                raise ConfigurationError(f"{name}(0) must be 0")
-            vals = [fn(float(r)) for r in grid]
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ConfigurationError(f"{name} must be strictly increasing")
-
 
 @dataclass(frozen=True)
 class LinearSystem:

@@ -82,14 +82,14 @@ def compute_L(
             spacing = sigma_t - t
         n_nodes = max(2, int(math.ceil((sigma_t - t) / spacing)) + 1)
     taus = np.linspace(t, sigma_t, n_nodes)
-    vals = []
-    for tau in taus:
-        w = w_history.sample(phi(float(tau)))
-        vals.append((float(tau), float(np.linalg.norm(w))))
+    w = w_history.sample_array(phi(taus))
+    # |w| per row; equal to np.linalg.norm for a single input
+    w_norm = np.sqrt(np.sum(w * w, axis=1))
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    weight = np.array([math.exp(v) for v in (cfg.b * (taus - t)).tolist()])
     if cfg.form == "sup":
-        return max(math.exp(cfg.b * (tau - t)) * w for tau, w in vals)
-    integrand = np.array([math.exp(cfg.b * (tau - t)) * w * w for tau, w in vals])
-    return float(np.trapezoid(integrand, taus))
+        return max((weight * w_norm).tolist())
+    return float(np.trapezoid(weight * w_norm * w_norm, taus))
 
 
 def compute_V(

@@ -12,11 +12,10 @@ Four strategies are provided:
   never re-anchoring.  Cheap but drifts for unstable plants.
 * ``linear-closed-form``: matrix-exponential solution for linear plants.
 
-The standalone functions ``predict_closed_loop``, ``predict_open_loop_step``
-and ``predict_linear`` re-run their full window per call (the reference
-semantics); the ``*Predictor`` classes keep incremental state for the
-simulation engine and produce the same Euler iterates because the integration
-nodes are aligned to multiples of the engine step.
+The standalone function ``predict_closed_loop`` re-runs its full window per
+call (the reference semantics); the ``*Predictor`` classes keep incremental
+state for the simulation engine and produce the same Euler iterates because
+the integration nodes are aligned to multiples of the engine step.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .signals import TimedSignal
 
 __all__ = [
     "predict_closed_loop",
-    "predict_open_loop_step",
-    "predict_linear",
     "ClosedLoopPredictor",
     "OpenLoopPredictor",
     "SemiClosedPredictor",
@@ -116,62 +113,11 @@ def predict_closed_loop(
     return p
 
 
-def predict_open_loop_step(
-    p,
-    s: float,
-    u_history: TimedSignal,
-    delay: ActuationDelay,
-    model: SystemModel,
-    h: float,
-    sigma_dot: Optional[Callable[[float], float]] = None,
-) -> np.ndarray:
-    """One explicit-Euler step of the open-loop prediction flow."""
-    if sigma_dot is None:
-        sigma_dot = lambda v: delay.sigma_dot(v, h)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return _open_loop_step(p, h * sigma_dot(s), model.f(p, _u_at(u_history, s)))
-
-
 def _open_loop_step(p, h_sdot, fx) -> np.ndarray:
     p_next = p + h_sdot * fx
     if not _capped(p_next):
         raise PredictorError("open-loop prediction diverged")
     return p_next
-
-
-def predict_linear(
-    t: float,
-    anchor_time: float,
-    anchor_state,
-    u_history: TimedSignal,
-    delay: ActuationDelay,
-    sys: LinearSystem,
-    h: float,
-) -> np.ndarray:
-    """Matrix-exponential prediction for linear plants.
-
-    p(t) = exp(A (sigma(t) - tau)) x(tau)
-           + integral phi(tau)..t of sigmadot(s) exp(A (sigma(t) - sigma(s))) B u(s) ds
-
-    evaluated by trapezoidal quadrature on the u grid (nodes aligned to
-    multiples of h plus the window endpoints).
-    """
-    A, B = sys.A, sys.B
-    tau = float(anchor_time)
-    x_tau = np.asarray(anchor_state, dtype=float)
-    s0 = delay.phi(tau)
-    sig_t = delay.sigma(float(t))
-    nodes = _window_nodes(s0, float(t), h)
-    sig_nodes = [tau] + [delay.sigma(s) for s in nodes[1:]]
-    p = expm(A * (sig_t - tau)) @ x_tau
-    g_prev = None
-    for s, sig_s in zip(nodes, sig_nodes):
-        sdot = delay.sigma_dot(s, h)
-        g = sdot * (expm(A * (sig_t - sig_s)) @ (B @ np.atleast_1d(_u_at(u_history, s))))
-        if g_prev is not None:
-            p = p + 0.5 * (s - s_prev) * (g_prev + g)
-        g_prev, s_prev = g, s
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +158,20 @@ class NodeGrid:
         return self.U[j] if j >= 0 else self.u_pre
 
 
-class ClosedLoopPredictor:
+class _Predictor:
+    """The state every predictor keeps: its inputs and the current ``p``."""
+
+    def __init__(self, model, delay, u_history, grid: NodeGrid):
+        self.model = model
+        self.delay = delay
+        self.u_history = u_history
+        self.grid = grid
+        self.h = grid.h
+        self.p: Optional[np.ndarray] = None
+        self.anchor_time: Optional[float] = None
+
+
+class ClosedLoopPredictor(_Predictor):
     """Incremental closed-loop prediction by replaying the plant scheme.
 
     The prediction ODE is integrated in the untransformed (plant) time
@@ -227,13 +186,7 @@ class ClosedLoopPredictor:
     """
 
     def __init__(self, model, delay, u_history, grid: NodeGrid):
-        self.model = model
-        self.delay = delay
-        self.u_history = u_history
-        self.grid = grid
-        self.h = grid.h
-        self.p: Optional[np.ndarray] = None
-        self.anchor_time: Optional[float] = None
+        super().__init__(model, delay, u_history, grid)
         self._xhat: Optional[np.ndarray] = None  # replay state at node _k * h
         self._k: Optional[int] = None
         self._f_k: Optional[np.ndarray] = None  # f(xhat_k, u(phi(k h))), if kept
@@ -290,17 +243,8 @@ class ClosedLoopPredictor:
         self._extend(float(g.sig[k + 1 - g.lo]), k + 1)
 
 
-class OpenLoopPredictor:
+class OpenLoopPredictor(_Predictor):
     """sigma-form flow, one Euler step per engine step, never re-anchored."""
-
-    def __init__(self, model, delay, u_history, grid: NodeGrid):
-        self.model = model
-        self.delay = delay
-        self.u_history = u_history
-        self.grid = grid
-        self.h = grid.h
-        self.p: Optional[np.ndarray] = None
-        self.anchor_time: Optional[float] = None
 
     def reanchor(self, anchor_time, anchor_state, t_now):
         if self.anchor_time is not None:
@@ -317,7 +261,7 @@ class OpenLoopPredictor:
                                  self.model.f(self.p, g.u_row(k)))
 
 
-class SemiClosedPredictor:
+class SemiClosedPredictor(_Predictor):
     """Prediction integral accumulated by trapezoid over the stored history.
 
     Keeps a history of the integrand g(s) = sigmadot(s) f(p(s), u(s)); each
@@ -326,14 +270,8 @@ class SemiClosedPredictor:
     """
 
     def __init__(self, model, delay, u_history, grid: NodeGrid):
-        self.model = model
-        self.delay = delay
-        self.u_history = u_history
-        self.grid = grid
-        self.h = grid.h
+        super().__init__(model, delay, u_history, grid)
         self.g_history = TimedSignal(mode="linear")
-        self.p: Optional[np.ndarray] = None
-        self.anchor_time: Optional[float] = None
         self._anchor_state: Optional[np.ndarray] = None
         self._t: Optional[float] = None
         self._integral: Optional[np.ndarray] = None
@@ -382,7 +320,7 @@ class SemiClosedPredictor:
         self._step_to(k * self.h + self.h, float(g.sdot[k + 1 - g.lo]), g.u_row(k + 1))
 
 
-class LinearPredictor:
+class LinearPredictor(_Predictor):
     """Exact exponential stepping of the linear prediction.
 
     p(b) = exp(A dsig) p(a) + (integral 0..dsig exp(A r) dr) B u(a) with
@@ -393,14 +331,9 @@ class LinearPredictor:
     """
 
     def __init__(self, sys: LinearSystem, delay, u_history, grid: NodeGrid):
+        super().__init__(sys, delay, u_history, grid)
         self.sys = sys
-        self.delay = delay
-        self.u_history = u_history
-        self.grid = grid
-        self.h = grid.h
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self.p: Optional[np.ndarray] = None
-        self.anchor_time: Optional[float] = None
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
         key = round(dsig, 14)

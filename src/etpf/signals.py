@@ -30,6 +30,7 @@ class TimedSignal:
         self.mode = mode
         self._times: list[float] = []
         self._values: list[np.ndarray] = []
+        self._stacked = (np.empty(0), np.empty(0))  # arrays of the stamps and values
 
     def __len__(self) -> int:
         return len(self._times)
@@ -78,6 +79,31 @@ class TimedSignal:
         t0, t1 = self._times[idx], self._times[idx + 1]
         lam = (t - t0) / (t1 - t0)
         return (1.0 - lam) * self._values[idx] + lam * self._values[idx + 1]
+
+    def sample_array(self, ts) -> np.ndarray:
+        """``sample`` of a linear signal at every point of ``ts``, one row each.
+
+        Same bits per row, and the same CoverageError outside the stamps.
+        """
+        if self.mode != "linear":
+            raise ValueError("sample_array needs a linear signal")
+        if not self._times:
+            raise CoverageError("signal is empty")
+        if len(self._stacked[0]) != len(self._times):
+            self._stacked = (np.array(self._times), np.array(self._values))
+        times, values = self._stacked
+        ts = np.asarray(ts, dtype=float)
+        if ts.min() < times[0]:
+            raise CoverageError(f"query at t={ts.min()} before first stamp {times[0]}")
+        if ts.max() > times[-1]:
+            raise CoverageError(f"query at t={ts.max()} past last stamp {times[-1]}")
+        idx = np.searchsorted(times, ts, "right") - 1
+        out = values[idx]
+        mid = idx < len(times) - 1
+        i = idx[mid]
+        lam = ((ts[mid] - times[i]) / (times[i + 1] - times[i]))[:, None]
+        out[mid] = (1.0 - lam) * values[i] + lam * values[i + 1]
+        return out
 
     def breakpoints(self, a: float, b: float) -> list[float]:
         """``a``, then the stamps strictly inside ``(a, b)``, then ``b``.

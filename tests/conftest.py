@@ -16,7 +16,7 @@ def prediction_error(trace, delay):
     Restricted to times whose prediction target sigma(t) lies inside the
     recorded trajectory.
     """
-    sig = np.array([delay.sigma(float(t)) for t in trace.times])
+    sig = delay.sigma(trace.times)
     mask = (trace.times >= trace.t0) & (sig <= trace.times[-1])
     s = sig[mask]
     xi = np.column_stack(

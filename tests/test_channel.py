@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from etpf.channel import ActuationDelay, SensingSchedule, verify_delay_bounds
-from etpf.exceptions import ConfigurationError
+from etpf.exceptions import ChannelModelError, ConfigurationError
 from etpf.signals import TimedSignal
 
 
@@ -40,6 +40,91 @@ class TestSigma:
             ActuationDelay.constant(0.0)
         with pytest.raises(ConfigurationError):
             ActuationDelay.sinusoidal(0.2, 0.5)  # needs a < D
+
+
+TABLE_T, TABLE_D = [0.0, 1.0, 2.0], [0.4, 0.6, 0.5]
+
+# each shape with its phi as the scalar math expression it had before phi took arrays
+SHAPES = [
+    pytest.param(ActuationDelay.example1,
+                 lambda t: t - ((t - 5.0) ** 2 + 2.0) / (2.0 * (t - 5.0) ** 2 + 2.0),
+                 id="example1"),
+    pytest.param(lambda: ActuationDelay.constant(0.5), lambda t: t - 0.5, id="constant"),
+    pytest.param(lambda: ActuationDelay.sinusoidal(0.5, 0.2),
+                 lambda t: t - 0.5 - 0.2 * math.sin(t), id="sinusoidal"),
+    pytest.param(lambda: ActuationDelay.from_table(TABLE_T, TABLE_D),
+                 lambda s: s - float(np.interp(s, TABLE_T, TABLE_D)), id="table"),
+]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayPaths:
+    """phi and sigma of an array hold the bits of their scalar forms, element by element.
+
+    A CPU whose np.sin or np.float_power rounds differently from libm fails
+    here by name, not only through a golden digest.
+    """
+
+    @pytest.mark.parametrize("make, old_phi", SHAPES)
+    def test_phi_array_equals_scalar_expression(self, make, old_phi):
+        rng = np.random.default_rng(11)
+        # the run range, the example1 bump up close, and past the table's end
+        ts = np.concatenate([rng.uniform(-2.0, 30.0, 200_000), rng.uniform(3.0, 7.0, 200_000)])
+        got = make().phi(ts)
+        assert bits(got) == bits([old_phi(t) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("make, old_phi", SHAPES)
+    def test_sigma_array_equals_scalar_on_nodes(self, make, old_phi):
+        d = make()
+        for h, N in ((1e-2, 2500), (1e-3, 3000)):
+            nodes = np.arange(math.ceil(d.phi(0.0) / h - 1e-9), N + 2) * h
+            assert bits(d.sigma(nodes)) == bits([d.sigma(t) for t in nodes.tolist()])
+
+    @pytest.mark.parametrize("make, old_phi", SHAPES)
+    def test_sigma_array_equals_scalar_random(self, make, old_phi):
+        d = make()
+        # from phi(0) on, past the table's last time 2.0 as well
+        ts = np.random.default_rng(12).uniform(d.phi(0.0), 30.0, 100_000)
+        assert bits(d.sigma(ts)) == bits([d.sigma(t) for t in ts.tolist()])
+
+    def test_sigma_of_empty_and_exact_bracket_ends(self):
+        assert ActuationDelay.constant(0.5).sigma(np.empty(0)).shape == (0,)
+        # the root sits exactly on the bracket's right end t + 2 M0 for these t,
+        # so no element takes a Brent step
+        edge = ActuationDelay(phi=lambda t: t - 2.0, M0=1.0, M1=1.0, m2=1.0)
+        ts = [0.0, 1.0, 4.0]
+        assert bits(edge.sigma(np.array(ts))) == bits([edge.sigma(t) for t in ts])
+        assert edge.sigma(np.array(ts)).tolist() == [2.0, 3.0, 6.0]
+
+    def test_bad_bracket_raises_where_scalar_raises(self):
+        bad = ActuationDelay(phi=lambda t: t - 2.0, M0=1.0, M1=1.0, m2=1.0)
+        ts = np.linspace(0, 10, 101)
+        raised = []
+        for t in ts:
+            try:
+                bad.sigma(float(t))
+            except ChannelModelError:
+                raised.append(True)
+                with pytest.raises(ChannelModelError, match="bracket"):
+                    bad.sigma(np.array([t]))
+            else:
+                raised.append(False)
+                assert bits(bad.sigma(np.array([t]))) == bits([bad.sigma(float(t))])
+        assert any(raised) and not all(raised)
+        with pytest.raises(ChannelModelError, match="bracket"):
+            bad.sigma(ts)
+        way_off = ActuationDelay(phi=lambda t: t - 3.0, M0=1.0, M1=1.0, m2=1.0)
+        with pytest.raises(ChannelModelError, match="bracket"):
+            way_off.sigma(np.array([0.0, 1.0]))
+
+    def test_verify_delay_bounds_matches_pointwise_phi(self):
+        d, grid = ActuationDelay.example1(), np.linspace(0, 25, 2501)
+        rep = verify_delay_bounds(d, grid)
+        phi_vals = np.array([d.phi(float(t)) for t in grid])
+        assert rep.min_delay == float(np.min(grid - phi_vals))
 
 
 def snapped_phi(delay, s, h):

@@ -16,6 +16,15 @@ from etpf.model import (
 from etpf.presets import example1_model, linear2d_system
 
 
+def assert_class_k(cert, grid=np.logspace(-6, 3, 40)):
+    """alpha1, alpha2, gamma and rho vanish at 0 and increase strictly on ``grid``."""
+    for name in ("alpha1", "alpha2", "gamma", "rho"):
+        fn = getattr(cert, name)
+        assert abs(fn(0.0)) <= 1e-12, f"{name}(0) must be 0"
+        vals = [fn(float(r)) for r in grid]
+        assert all(b > a for a, b in zip(vals, vals[1:])), f"{name} must be strictly increasing"
+
+
 class TestEvalF:
     def test_example1_vector_field(self):
         model = example1_model()
@@ -101,7 +110,7 @@ class TestLinearCertificate:
         cert = linear_certificate(linear2d_system())
         assert cert.gamma(0.0) == 0.0
         assert cert.rho(0.0) == 0.0
-        cert.validate_scalar_maps()
+        assert_class_k(cert)
 
     def test_inverse_roundtrip(self):
         cert = linear_certificate(linear2d_system())

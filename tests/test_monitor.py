@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from etpf.exceptions import ConfigurationError, MonitorError
+from etpf.channel import ActuationDelay
+from etpf.exceptions import ConfigurationError, CoverageError, MonitorError
 from etpf.model import ISSCertificate, linear_certificate
 from etpf.monitor import (
     MonitorConfig,
@@ -63,6 +64,82 @@ class TestComputeL:
         cfg = MonitorConfig()
         with pytest.raises(MonitorError):
             compute_L(cfg, const_signal([0.0]), 1.0, 0.5, lambda t: t)
+
+
+def compute_L_loop(cfg, w_history, t, sigma_t, phi, n_nodes=None):
+    """compute_L as it was before the window became arrays: one tau at a time."""
+    if sigma_t == t:
+        return 0.0
+    if n_nodes is None:
+        stamps = w_history.times
+        if len(stamps) >= 2:
+            spacing = min(b - a for a, b in zip(stamps[:-1], stamps[1:]))
+        else:
+            spacing = sigma_t - t
+        n_nodes = max(2, int(math.ceil((sigma_t - t) / spacing)) + 1)
+    taus = np.linspace(t, sigma_t, n_nodes)
+    vals = []
+    for tau in taus:
+        w = w_history.sample(phi(float(tau)))
+        vals.append((float(tau), float(np.linalg.norm(w))))
+    if cfg.form == "sup":
+        return max(math.exp(cfg.b * (tau - t)) * w for tau, w in vals)
+    integrand = np.array([math.exp(cfg.b * (tau - t)) * w * w for tau, w in vals])
+    return float(np.trapezoid(integrand, taus))
+
+
+class TestComputeLArrays:
+    """The array window gives the bits of the per-tau loop it replaced."""
+
+    DELAYS = [
+        pytest.param(ActuationDelay.example1, id="example1"),
+        pytest.param(lambda: ActuationDelay.sinusoidal(0.5, 0.2), id="sinusoidal"),
+        pytest.param(lambda: ActuationDelay.constant(0.5), id="constant"),
+    ]
+
+    @staticmethod
+    def random_history(rng, start, end, h):
+        """A linear single-input w history on the grid of step h, random values."""
+        w = TimedSignal(mode="linear")
+        for k in range(int(math.floor(start / h)), int(math.ceil(end / h)) + 1):
+            w.append(k * h, rng.standard_normal(1) * rng.choice([1e-6, 1.0, 1e3]))
+        return w
+
+    @pytest.mark.parametrize("form", ["sup", "integral"])
+    @pytest.mark.parametrize("make", DELAYS)
+    def test_bit_equal_to_loop(self, make, form):
+        d = make()
+        cfg = MonitorConfig(b=float(np.random.default_rng(0).uniform(0.5, 20.0)), form=form)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            h = float(rng.choice([1e-2, 2e-3, 0.013]))
+            w = self.random_history(rng, d.phi(0.0), 12.0, h)
+            for t in rng.uniform(0.0, 10.0, 8):
+                sig_t = d.sigma(float(t))
+                for n_nodes in (None, 2, max(2, int(round((sig_t - t) / h)) + 1), 777):
+                    got = compute_L(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
+                    want = compute_L_loop(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
+                    assert type(got) is float
+                    assert got.hex() == want.hex(), (seed, t, n_nodes)
+
+    @pytest.mark.parametrize("form", ["sup", "integral"])
+    def test_window_reaching_the_last_stamp(self, form):
+        # phi(sigma(t)) = t exactly for dyadic t and D = 0.5: the window's
+        # last point is the history's last stamp
+        d, cfg = ActuationDelay.constant(0.5), MonitorConfig(b=3.0, form=form)
+        rng = np.random.default_rng(5)
+        for t in (0.5, 2.25, 4.0):
+            w = self.random_history(rng, -0.5, t, 0.125)
+            assert w.last_time == t
+            for n_nodes in (None, 2, 51):
+                got = compute_L(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
+                want = compute_L_loop(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
+                assert got.hex() == want.hex()
+            # one step further reaches past the history on both paths
+            with pytest.raises(CoverageError):
+                compute_L_loop(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
+            with pytest.raises(CoverageError):
+                compute_L(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
 
 
 class TestComputeV:

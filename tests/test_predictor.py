@@ -18,14 +18,13 @@ from etpf.predictor import (
     LinearPredictor,
     _window_nodes,
     predict_closed_loop,
-    predict_linear,
-    predict_open_loop_step,
     make_predictor,
 )
 from etpf.presets import linear2d_system
 from etpf.signals import TimedSignal
 
 from conftest import prediction_error
+from reference_predictors import predict_linear, predict_open_loop_step
 
 
 def zero_model(n=1):
