@@ -18,6 +18,10 @@ from scipy.optimize import brentq
 
 from .exceptions import ChannelModelError, ConfigurationError
 
+# brentq tolerances of sigma; the scalar and the array solve share them, so
+# both end on the same double
+_XTOL, _RTOL = 1e-14, 1e-15
+
 __all__ = [
     "ActuationDelay",
     "SensingSchedule",
@@ -136,12 +140,12 @@ class ActuationDelay:
                 f"sigma({np.ravel(t)[i]}); declared delay bounds are violated"
             )
         if np.ndim(t):
-            s = _brentq_array(lambda v, tv: phi(v) - tv, t, lo, hi, flo, fhi)
+            s = _brentq_array(phi, t, lo, hi, flo, fhi)
         elif flo == 0.0:
             return lo
         else:
             # brentq's wrapper is a reference cycle: let it hold phi, not self
-            s = float(brentq(lambda v: phi(v) - t, lo, hi, xtol=1e-14, rtol=1e-15))
+            s = float(brentq(lambda v: phi(v) - t, lo, hi, xtol=_XTOL, rtol=_RTOL))
         bad = np.flatnonzero(np.abs(phi(s) - t) > 1e-12 * (1.0 + np.abs(t)))
         if len(bad):
             raise ChannelModelError(f"sigma({np.ravel(t)[bad[0]]}) did not converge")
@@ -194,15 +198,19 @@ class ActuationDelay:
         return self._grid[key]
 
 
-def _brentq_array(f, t, lo, hi, flo, fhi, xtol=1e-14, rtol=1e-15, maxiter=100, chunk=2048):
-    """scipy's ``brentq`` (Brent 1973) element by element: a root of ``f(., t_i)`` per element.
+def _brentq_array(phi, t, lo, hi, flo, fhi):
+    """scipy's ``brentq`` (Brent 1973) element by element: ``phi(s_i) = t_i`` per element.
 
-    ``f(x, t)`` works on arrays; ``[lo, hi]`` brackets each root and ``flo``,
-    ``fhi`` are ``f`` there.  Each element takes the float operations of
-    scipy's C loop (secant, inverse quadratic and bisection steps, tolerance
+    ``[lo, hi]`` brackets each root and ``flo``, ``fhi`` are ``phi - t``
+    there.  Each element takes the float operations of scipy's C loop
+    (``brentq.c``: secant, inverse quadratic and bisection steps, tolerance
     tests) and leaves the active set once converged, so it ends on the double
-    ``brentq`` returns.  ``chunk`` elements at a time bound the temporaries.
+    ``brentq`` returns.  That holds while the compiled loop does not fuse
+    multiply-adds (checked on x86-64, scipy 1.17.1); TestArrayPaths in
+    tests/test_channel.py compares the two on every host it runs on.  2,048
+    elements at a time bound the temporaries.
     """
+    maxiter, chunk = 100, 2048
     out = np.where(flo == 0, lo, hi)
     for c in range(0, len(t), chunk):
         act = c + np.flatnonzero((flo[c : c + chunk] != 0) & (fhi[c : c + chunk] != 0))
@@ -221,7 +229,7 @@ def _brentq_array(f, t, lo, hi, flo, fhi, xtol=1e-14, rtol=1e-15, maxiter=100, c
                 # the smaller |f| becomes the current iterate
                 m = np.abs(fx[2]) < np.abs(fx[1])
                 x[:, m], fx[:, m] = x[1:, m][[0, 1, 0]], fx[1:, m][[0, 1, 0]]
-                delta = (xtol + rtol * np.abs(x[1])) / 2
+                delta = (_XTOL + _RTOL * np.abs(x[1])) / 2
                 sbis = (x[2] - x[1]) / 2
                 conv = (fx[1] == 0) | (np.abs(sbis) < delta)
                 if conv.any():
@@ -244,7 +252,7 @@ def _brentq_array(f, t, lo, hi, flo, fhi, xtol=1e-14, rtol=1e-15, maxiter=100, c
                 step = np.where(np.abs(steps[1]) > delta, steps[1], np.where(sbis > 0, delta, -delta))
                 x[0], fx[0] = xcur, fcur
                 x[1] = xcur + step
-                fx[1] = f(x[1], tc)
+                fx[1] = phi(x[1]) - tc
         if len(act):
             raise ChannelModelError(f"sigma({tc[0]}) did not converge in {maxiter} iterations")
     return out

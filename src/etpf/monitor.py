@@ -83,8 +83,12 @@ def compute_L(
         n_nodes = max(2, int(math.ceil((sigma_t - t) / spacing)) + 1)
     taus = np.linspace(t, sigma_t, n_nodes)
     w = w_history.sample_array(phi(taus))
-    # |w| per row; equal to np.linalg.norm for a single input
-    w_norm = np.sqrt(np.sum(w * w, axis=1))
+    # |w| per row.  np.linalg.norm of a row is a BLAS dot, which may fuse
+    # its multiply-adds; only a single input gives its bits as an array
+    if w.shape[1] == 1:
+        w_norm = np.sqrt(w[:, 0] * w[:, 0])
+    else:
+        w_norm = np.array([float(np.linalg.norm(r)) for r in w])
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     weight = np.array([math.exp(v) for v in (cfg.b * (taus - t)).tolist()])
     if cfg.form == "sup":

@@ -98,22 +98,23 @@ class TestComputeLArrays:
     ]
 
     @staticmethod
-    def random_history(rng, start, end, h):
-        """A linear single-input w history on the grid of step h, random values."""
+    def random_history(rng, start, end, h, n_inputs=1):
+        """A linear w history on the grid of step h, random values."""
         w = TimedSignal(mode="linear")
         for k in range(int(math.floor(start / h)), int(math.ceil(end / h)) + 1):
-            w.append(k * h, rng.standard_normal(1) * rng.choice([1e-6, 1.0, 1e3]))
+            w.append(k * h, rng.standard_normal(n_inputs) * rng.choice([1e-6, 1.0, 1e3], n_inputs))
         return w
 
+    @pytest.mark.parametrize("n_inputs", [1, 2, 3])
     @pytest.mark.parametrize("form", ["sup", "integral"])
     @pytest.mark.parametrize("make", DELAYS)
-    def test_bit_equal_to_loop(self, make, form):
+    def test_bit_equal_to_loop(self, make, form, n_inputs):
         d = make()
         cfg = MonitorConfig(b=float(np.random.default_rng(0).uniform(0.5, 20.0)), form=form)
         for seed in range(6):
             rng = np.random.default_rng(seed)
             h = float(rng.choice([1e-2, 2e-3, 0.013]))
-            w = self.random_history(rng, d.phi(0.0), 12.0, h)
+            w = self.random_history(rng, d.phi(0.0), 12.0, h, n_inputs)
             for t in rng.uniform(0.0, 10.0, 8):
                 sig_t = d.sigma(float(t))
                 for n_nodes in (None, 2, max(2, int(round((sig_t - t) / h)) + 1), 777):
