@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import ChannelModelError, ConfigurationError
 
@@ -129,26 +128,29 @@ class ActuationDelay:
         both give the same bits.
         """
         phi = self.phi
-        t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+        array = np.ndim(t) > 0
+        t = np.asarray(t, dtype=float) if array else float(t)
         lo, hi = t, t + 2.0 * self.M0
         flo, fhi = phi(lo) - t, phi(hi) - t
-        bad = np.flatnonzero((flo > 0) | (fhi < 0))
-        if len(bad):
-            i = bad[0]
+        # a float is checked by plain comparisons, far cheaper than numpy's on a scalar
+        outside = (flo > 0) | (fhi < 0)
+        if outside.any() if array else outside:
+            i = np.argmax(outside)
             raise ChannelModelError(
                 f"bracket [{np.ravel(lo)[i]}, {np.ravel(hi)[i]}] does not contain "
                 f"sigma({np.ravel(t)[i]}); declared delay bounds are violated"
             )
-        if np.ndim(t):
+        if array:
             s = _brentq_array(phi, t, lo, hi, flo, fhi)
         elif flo == 0.0:
             return lo
         else:
+            from scipy.optimize import brentq
             # brentq's wrapper is a reference cycle: let it hold phi, not self
             s = float(brentq(lambda v: phi(v) - t, lo, hi, xtol=_XTOL, rtol=_RTOL))
-        bad = np.flatnonzero(np.abs(phi(s) - t) > 1e-12 * (1.0 + np.abs(t)))
-        if len(bad):
-            raise ChannelModelError(f"sigma({np.ravel(t)[bad[0]]}) did not converge")
+        off = abs(phi(s) - t) > 1e-12 * (1.0 + abs(t))
+        if off.any() if array else off:
+            raise ChannelModelError(f"sigma({np.ravel(t)[np.argmax(off)]}) did not converge")
         return s
 
     def sigma_dot(self, t: float, h: float) -> float:

@@ -12,7 +12,6 @@ import dataclasses
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .channel import ActuationDelay
 from .engine import SensingConfig, SimConfig
@@ -28,6 +27,7 @@ _SECTIONS = ("system", "delay", "sensing", "trigger", "predictor", "monitor", "s
 
 
 def load_config(path) -> dict:
+    import yaml
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -54,6 +54,7 @@ def apply_overrides(data: dict, overrides) -> dict:
         keys = path.strip().split(".")
         if len(keys) < 2 or not all(keys):
             raise ConfigurationError(f"override key {path!r} must be section.key")
+        import yaml
         try:
             value = yaml.safe_load(raw)
         except yaml.YAMLError as exc:

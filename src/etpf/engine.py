@@ -353,14 +353,13 @@ def run(cfg: SimConfig) -> SimTrace:
                         U[step] = control
                         p_last_event = p_now.copy()
                         ev_flags[step] = 1.0
+                        # w-identity diagnostic: w vanishes once events have
+                        # started; U and p_last_event change only at events
+                        w = compute_w(U[step], p_last_event, model.K)
+                        w_max_after_t0 = max(w_max_after_t0, math.sqrt(w.dot(w)))
                     else:
                         E[step] = e_n
                 done = step + 1
-
-                if p_last_event is not None:
-                    # w-identity diagnostic: w vanishes once events have started
-                    w = compute_w(U[step], p_last_event, model.K)
-                    w_max_after_t0 = max(w_max_after_t0, math.sqrt(w.dot(w)))
 
                 if step == N:
                     break

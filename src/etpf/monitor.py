@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exceptions import ConfigurationError, MonitorError
 from .model import ISSCertificate
@@ -124,6 +123,7 @@ def compute_V(
         return s_val + (2.0 / cfg.b) * cert.rho_quad_coeff * (2.0 * L) ** 2 / 2.0
     if not cert.integrable_flag:
         raise MonitorError("rho(r)/r is not integrable near 0")
+    from scipy.integrate import quad
     val, _err = quad(lambda r: cert.rho(r) / r, 0.0, 2.0 * L, limit=200)
     return s_val + (2.0 / cfg.b) * val
 

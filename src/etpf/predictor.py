@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channel import ActuationDelay
 from .exceptions import CoverageError, PredictorError
@@ -318,6 +317,12 @@ class SemiClosedPredictor(_Predictor):
     def advance(self, k: int) -> None:
         g = self.grid
         self._step_to(k * self.h + self.h, float(g.sdot[k + 1 - g.lo]), g.u_row(k + 1))
+
+
+def expm(M: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential, imported on first call (perfbench's tracer wraps this name)."""
+    from scipy import linalg
+    return linalg.expm(M)
 
 
 class LinearPredictor(_Predictor):

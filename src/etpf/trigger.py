@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import ConfigurationError, DomainError
 from .model import ISSCertificate, LinearSystem
@@ -161,6 +160,7 @@ def min_dwell_numeric(a: float, c: float, R: float, rtol: float = 1e-10) -> floa
 
     reached.terminal = True
     reached.direction = 1.0
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rdot, (0.0, t_cap), [0.0], events=reached,
                     rtol=rtol, atol=1e-14, dense_output=False)
     if not sol.t_events[0].size:

@@ -41,3 +41,18 @@ def test_install_and_remove():
     # step starts from the same node with a final control row; without that
     # reuse this run makes 862 calls
     assert tracer.calls("model.f") == 663
+
+
+def test_lazy_expm_is_traced():
+    # LinearPredictor looks the module-level expm up at call time, so the
+    # tracer's wrapper sees every matrix exponential
+    tracing = load_tracer()
+    mods = {name: importlib.import_module(f"etpf.{name}") for name in LAYERS}
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer, mods)
+    try:
+        mods["engine"].run(dataclasses.replace(presets.linear2d(), T=0.5, monitor=None))
+    finally:
+        patches.remove()
+    assert patches.all_removed()
+    assert tracer.calls("predictor.expm") > 0
