@@ -165,9 +165,10 @@ class ActuationDelay:
         """``(sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0)`` on the grid of step h, built once per key.
 
         ``sig`` and ``sdot`` hold sigma and its centered difference (one-sided
-        next to phi(0)) at the nodes m h, m in [m_lo - 1, N + 1], NaN where
-        undefined.  ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma
-        node, snapped onto a grid node it lies within 1e-9 of, so a 1-ulp
+        at m_lo) at the nodes m h, m in [m_lo - 1, N + 1], NaN at m_lo - 1,
+        below the pre-history.  The pre-history starts at node m_lo, which
+        lies below phi(0) when phi(0) is within the 1e-9 h snap above it.
+        ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma node, snapped onto a grid node it lies within 1e-9 of, so a 1-ulp
         offset cannot pick up a stale control value.  ``j_k[k]`` is the index
         of the last node of ``0, h, ..., N h`` at or before ``phi_k[k]``, -1 in
         the pre-history: a control that only changes at nodes takes its value
@@ -179,15 +180,13 @@ class ActuationDelay:
         key = (h, m_lo, N)
         if key not in self._grid:
             phi0 = self.phi(0.0)
-            nodes = np.arange(m_lo - 1, N + 2) * h
-            valid = nodes >= phi0
-            # one solve for every node, phi(0) and phi(0) + h
-            solved = self.sigma(np.concatenate([nodes[valid], [phi0, phi0 + h]]))
-            sig = np.full(len(nodes), math.nan)
-            sig[valid] = solved[:-2]
-            sdot = np.full(len(nodes), math.nan)
-            centered = (sig[2:] - sig[:-2]) / (2.0 * h)
-            sdot[1:-1] = np.where(np.isfinite(centered), centered, (sig[2:] - sig[1:-1]) / h)
+            # one solve for every node from m_lo on, phi(0) and phi(0) + h
+            nodes = np.arange(m_lo, N + 2) * h
+            solved = self.sigma(np.concatenate([nodes, [phi0, phi0 + h]]))
+            sig = np.concatenate([[math.nan], solved[:-2]])
+            sdot = np.full(len(sig), math.nan)
+            sdot[1:-1] = (sig[2:] - sig[:-2]) / (2.0 * h)
+            sdot[1] = (sig[2] - sig[1]) / h
             phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
             node = np.round(phi_k / h) * h
             snap = np.abs(phi_k - node) < 1e-9 * (1.0 + np.abs(phi_k))

@@ -177,8 +177,10 @@ def _write_csv(path, header: list, cols: np.ndarray) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre) -> NodeGrid:
-    """The delay's grid tables (``ActuationDelay.grid_tables``) for one run over ``U``.
+def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,
+               events: list) -> NodeGrid:
+    """The delay's grid tables (``ActuationDelay.grid_tables``) for one run over ``U``,
+    ``u_pre`` and the event times ``events``.
 
     The float lookups ``sigma`` and ``sigma_dot`` read a node's table entry
     and solve off-grid queries other than phi(0) directly.
@@ -201,7 +203,7 @@ def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre) -> 
     sigma_fn = lookup(sig, sig_phi0, delay.sigma)
     sigma_dot_fn = lookup(sdot, sdot_phi0, lambda s: delay.sigma_dot(s, h))
     return NodeGrid(h=h, lo=m_lo - 1, sig=sig, sdot=sdot, rows=j_k.tolist(), U=U,
-                    u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn)
+                    u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn, events=events)
 
 
 def run(cfg: SimConfig) -> SimTrace:
@@ -218,11 +220,6 @@ def run(cfg: SimConfig) -> SimTrace:
     if phi0 >= 0:
         raise ConfigurationError("the channel must have positive delay at t = 0")
     m_lo = int(math.ceil(phi0 / h - 1e-9))
-
-    # -- control history with its pre-history ----------------------------
-    u_hist = TimedSignal(mode="constant")
-    u_pre = np.full(m, float(cfg.u_prehistory))
-    u_hist.append(phi0, u_pre)
 
     # -- sensing schedule -------------------------------------------------
     sched = cfg.sensing.schedule(cfg.T)
@@ -246,16 +243,15 @@ def run(cfg: SimConfig) -> SimTrace:
     for d in deliveries:
         by_index.setdefault(d[3], []).append(d)
 
-    # -- control rows: U[k] is the control in force at node k h -----------
-    U = np.zeros((N + 1, m))
-    if t0_idx > 0:
-        # u = 0 until the first state arrives
-        u_hist.append(0.0, np.zeros(m))
-    else:
-        # the pre-history control holds until the event at t = 0
-        U[0] = u_pre
+    # -- control history: U[k] is the control in force at node k h and
+    # u_pre the one before t = 0; the rows change only at the log's events
+    U = np.zeros((N + 1, m))  # u = 0 from t = 0 until the first state arrives
+    u_pre = np.full(m, float(cfg.u_prehistory))
+    if t0_idx == 0:
+        U[0] = u_pre  # the pre-history control holds until the event at t = 0
+    log = EventLog()
 
-    grid = _node_grid(ctrl_delay, h, m_lo, N, U, u_pre)
+    grid = _node_grid(ctrl_delay, h, m_lo, N, U, u_pre, log.event_times)
     if true_delay is ctrl_delay:
         true_grid = grid
     elif true_delay.phi(0.0) < phi0:
@@ -263,12 +259,11 @@ def run(cfg: SimConfig) -> SimTrace:
             "the plant's delay at t = 0 exceeds the controller's: u is undefined there"
         )
     else:
-        true_grid = _node_grid(true_delay, h, m_lo, N, U, u_pre)
+        true_grid = _node_grid(true_delay, h, m_lo, N, U, u_pre, log.event_times)
     rows_true = true_grid.rows
 
     # -- predictor and the pre-history grid [phi(0), 0) -------------------
-    predictor = make_predictor(cfg.predictor_method, model, ctrl_delay, u_hist, grid,
-                               linear=cfg.linear)
+    predictor = make_predictor(cfg.predictor_method, model, ctrl_delay, grid, linear=cfg.linear)
     pre_nodes = list(range(m_lo, 0))
     # phi(0) off the grid: a partial first segment up to node m_lo
     lead = not pre_nodes or pre_nodes[0] * h > phi0 + 1e-12 * (1.0 + abs(phi0))
@@ -286,7 +281,6 @@ def run(cfg: SimConfig) -> SimTrace:
     dv_flags = np.zeros(N + 1)
 
     X[0] = cfg.x0
-    log = EventLog()
     event_p_norms: list[float] = []
     event_e_pre: list[float] = []
     p_last_event: Optional[np.ndarray] = None
@@ -349,7 +343,6 @@ def run(cfg: SimConfig) -> SimTrace:
                         log.record(t, control)
                         event_p_norms.append(math.sqrt(p_now.dot(p_now)))
                         event_e_pre.append(e_n)
-                        u_hist.append(t, control)
                         U[step] = control
                         p_last_event = p_now.copy()
                         ev_flags[step] = 1.0
@@ -406,33 +399,33 @@ def run(cfg: SimConfig) -> SimTrace:
     )
 
     if cfg.monitor is not None and cfg.cert is not None and not diverged:
-        _attach_monitor(trace, cfg, u_hist, true_grid.sigma, true_delay)
+        _attach_monitor(trace, cfg, true_grid, true_delay)
     return trace
 
 
-def _attach_monitor(trace: SimTrace, cfg: SimConfig, u_hist, sigma_fn, delay) -> None:
+def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> None:
     """Fill the V and L columns at the configured stride."""
     mon = cfg.monitor
     model = cfg.model
     t0 = trace.t0
 
     # disturbance history: nonzero only before t0
-    w_hist = TimedSignal(mode="linear")
+    w_hist = TimedSignal()
     k0 = int(round(t0 / trace.h))
     w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
     w_p = np.concatenate([trace.pre_p, trace.p[:k0]])
     for s, p in zip(w_times, w_p):
-        w_hist.append(float(s), compute_w(u_hist.sample(float(s)), p, model.K))
+        w_hist.append(float(s), compute_w(grid.u_at(float(s)), p, model.K))
     zeros = np.zeros(model.input_dim)
     if len(w_hist) == 0 or w_hist.last_time < t0:
         w_hist.append(t0, zeros)
     end = float(trace.times[-1]) + 1.0
     w_hist.append(end, zeros)
 
-    sigma_t0 = sigma_fn(t0)
+    sigma_t0 = grid.sigma(t0)
     for step in range(0, len(trace.times), mon.stride):
         t = float(trace.times[step])
-        sig_t = sigma_fn(t)
+        sig_t = grid.sigma(t)
         if t >= sigma_t0:
             L = 0.0
         else:
@@ -454,8 +447,9 @@ def heatmap(
     """Average |x(T)| per (delta_tau, d_psi) cell over seeded initial states.
 
     The same initial-condition draws are reused in every cell for paired
-    comparison.  Diverged runs contribute the saturation value 1e9; every
-    other error, such as an unknown predictor method, propagates.
+    comparison.  Diverged runs contribute the saturation value, the config's
+    ``divergence_threshold``, which also caps |x(T)|; every other error, such
+    as an unknown predictor method, propagates.
 
     With ``workers > 1`` the cells run in a process pool, which needs what is
     sent to the workers to pickle: ``config_factory`` when one is given, else
@@ -514,5 +508,6 @@ def _heatmap_cell(base_cfg, config_factory, delta_tau, d_psi, ics) -> float:
     for x0 in ics:
         cfg = dataclasses.replace(base_cfg, sensing=sensing, x0=x0, monitor=None)
         tr = run(cfg)
-        total += min(tr.final_state_norm, 1e9) if not tr.diverged else 1e9
+        cap = cfg.divergence_threshold
+        total += min(tr.final_state_norm, cap) if not tr.diverged else cap
     return total / len(ics)

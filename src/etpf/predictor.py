@@ -12,27 +12,24 @@ Four strategies are provided:
   never re-anchoring.  Cheap but drifts for unstable plants.
 * ``linear-closed-form``: matrix-exponential solution for linear plants.
 
-The standalone function ``predict_closed_loop`` re-runs its full window per
-call (the reference semantics); the ``*Predictor`` classes keep incremental
-state for the simulation engine and produce the same Euler iterates because
-the integration nodes are aligned to multiples of the engine step.
+The ``*Predictor`` classes keep incremental state for the simulation engine
+and read sigma and the control from its ``NodeGrid``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import ActuationDelay
-from .exceptions import CoverageError, PredictorError
-from .model import LinearSystem, SystemModel
+from .exceptions import PredictorError
+from .model import LinearSystem
 from .signals import TimedSignal
 
 __all__ = [
-    "predict_closed_loop",
     "ClosedLoopPredictor",
     "OpenLoopPredictor",
     "SemiClosedPredictor",
@@ -57,59 +54,6 @@ def _capped(x: np.ndarray) -> bool:
         if not abs(v) <= _DIVERGENCE_CAP:
             return False
     return True
-
-
-def _window_nodes(s0: float, t: float, h: float) -> list[float]:
-    """Integration nodes: s0, then multiples of h, ending exactly at t."""
-    if t < s0:
-        raise PredictorError(f"prediction target {t} precedes window start {s0}")
-    nodes = [s0]
-    m = math.ceil(s0 / h - 1e-9)
-    s = m * h
-    if s <= s0 + 1e-12 * (1.0 + abs(s0)):
-        m += 1
-        s = m * h
-    while s < t - 1e-12 * (1.0 + abs(t)):
-        nodes.append(s)
-        m += 1
-        s = m * h
-    if t > nodes[-1] + 1e-12 * (1.0 + abs(t)):
-        nodes.append(t)
-    return nodes
-
-
-def _u_at(u_history: TimedSignal, s: float) -> np.ndarray:
-    try:
-        return u_history.sample(s)
-    except CoverageError as exc:
-        raise PredictorError(f"u-history does not cover s={s}") from exc
-
-
-def predict_closed_loop(
-    t: float,
-    anchor_time: float,
-    anchor_state,
-    u_history: TimedSignal,
-    delay: ActuationDelay,
-    model: SystemModel,
-    h: float,
-    sigma_dot: Optional[Callable[[float], float]] = None,
-) -> np.ndarray:
-    """Re-integration of the prediction flow from phi(anchor_time) to t by explicit Euler.
-
-    ``sigma_dot`` may supply a cached lookup; by default it is the centered
-    finite difference of the numerically inverted sigma with spacing h.
-    """
-    if sigma_dot is None:
-        sigma_dot = lambda s: delay.sigma_dot(s, h)
-    s0 = delay.phi(float(anchor_time))
-    p = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
-    nodes = _window_nodes(s0, float(t), h)
-    for left, right in zip(nodes[:-1], nodes[1:]):
-        p = p + (right - left) * sigma_dot(left) * model.f(p, _u_at(u_history, left))
-        if not _capped(p):
-            raise PredictorError("prediction diverged")
-    return p
 
 
 def _open_loop_step(p, h_sdot, fx) -> np.ndarray:
@@ -138,9 +82,10 @@ class NodeGrid:
     control in force at node j h for j >= 0: the engine writes a row at an
     event and otherwise copies the row before it when a step ends, so a read
     of the next row before its event sees the held value.  ``u_pre`` is the
-    control on [phi(0), 0).  ``rows[k]`` is the row holding u(phi(k h)), -1
-    for ``u_pre``.  ``sigma`` and ``sigma_dot`` answer float queries, off
-    the grid too.
+    control before t = 0.  ``rows[k]`` is the row holding u(phi(k h)), -1
+    for ``u_pre``.  ``events`` is the run's list of event times, shared with
+    its ``EventLog``; with the rows it is the whole control history.
+    ``sigma`` and ``sigma_dot`` answer float queries, off the grid too.
     """
 
     h: float
@@ -152,18 +97,42 @@ class NodeGrid:
     u_pre: np.ndarray
     sigma: Callable[[float], float]
     sigma_dot: Callable[[float], float]
+    events: list
 
     def u_row(self, j: int) -> np.ndarray:
         return self.U[j] if j >= 0 else self.u_pre
+
+    def u_at(self, s: float) -> np.ndarray:
+        """u(s): ``u_pre`` for s < 0, else the row of the last node k with k h <= s."""
+        if s < 0.0:
+            return self.u_pre
+        h, N = self.h, len(self.U) - 1
+        k = min(int(s / h), N)
+        # int(s / h) may land one node off either way
+        if k * h > s:
+            k -= 1
+        elif k < N and (k + 1) * h <= s:
+            k += 1
+        return self.U[k]
+
+    def u_breaks(self, a: float, b: float) -> list:
+        """``a``, then 0 and the event times strictly inside ``(a, b)``, then ``b``.
+
+        u is constant between consecutive breaks.
+        """
+        ev = self.events
+        inner = ev[bisect_right(ev, a):bisect_left(ev, b)]
+        if a < 0.0 < b and inner[:1] != [0.0]:
+            inner.insert(0, 0.0)
+        return [a, *inner, b]
 
 
 class _Predictor:
     """The state every predictor keeps: its inputs and the current ``p``."""
 
-    def __init__(self, model, delay, u_history, grid: NodeGrid):
+    def __init__(self, model, delay, grid: NodeGrid):
         self.model = model
         self.delay = delay
-        self.u_history = u_history
         self.grid = grid
         self.h = grid.h
         self.p: Optional[np.ndarray] = None
@@ -184,8 +153,8 @@ class ClosedLoopPredictor(_Predictor):
     from node k reuses.
     """
 
-    def __init__(self, model, delay, u_history, grid: NodeGrid):
-        super().__init__(model, delay, u_history, grid)
+    def __init__(self, model, delay, grid: NodeGrid):
+        super().__init__(model, delay, grid)
         self._xhat: Optional[np.ndarray] = None  # replay state at node _k * h
         self._k: Optional[int] = None
         self._f_k: Optional[np.ndarray] = None  # f(xhat_k, u(phi(k h))), if kept
@@ -229,7 +198,7 @@ class ClosedLoopPredictor(_Predictor):
         else:
             # off-grid anchor: partial step onto the next node
             k = math.ceil(anchor_time / h - 1e-9)
-            u = _u_at(self.u_history, self.delay.phi(anchor_time))
+            u = self.grid.u_at(self.delay.phi(anchor_time))
             x = x + (k * h - anchor_time) * self.model.f(x, u)
             self._k = int(k)
         self._xhat = x
@@ -243,16 +212,18 @@ class ClosedLoopPredictor(_Predictor):
 
 
 class OpenLoopPredictor(_Predictor):
-    """sigma-form flow, one Euler step per engine step, never re-anchored."""
+    """sigma-form flow, one Euler step per engine step, never re-anchored.
+
+    The first anchor starts the flow at its window start phi(anchor_time)
+    with p = the anchor state; the engine makes it at the start of the
+    pre-history, where the window is empty.
+    """
 
     def reanchor(self, anchor_time, anchor_state, t_now):
         if self.anchor_time is not None:
             return  # later deliveries are deliberately ignored
         self.anchor_time = float(anchor_time)
-        self.p = predict_closed_loop(
-            t_now, anchor_time, anchor_state, self.u_history,
-            self.delay, self.model, self.h, self.grid.sigma_dot,
-        )
+        self.p = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
 
     def advance(self, k: int) -> None:
         g = self.grid
@@ -265,12 +236,13 @@ class SemiClosedPredictor(_Predictor):
 
     Keeps a history of the integrand g(s) = sigmadot(s) f(p(s), u(s)); each
     step closes the new segment with a Heun-style predictor/corrector so the
-    quadrature stays trapezoidal.
+    quadrature stays trapezoidal.  As in the open-loop flow, the first anchor
+    starts the history at phi(anchor_time) with p = the anchor state.
     """
 
-    def __init__(self, model, delay, u_history, grid: NodeGrid):
-        super().__init__(model, delay, u_history, grid)
-        self.g_history = TimedSignal(mode="linear")
+    def __init__(self, model, delay, grid: NodeGrid):
+        super().__init__(model, delay, grid)
+        self.g_history = TimedSignal()
         self._anchor_state: Optional[np.ndarray] = None
         self._t: Optional[float] = None
         self._integral: Optional[np.ndarray] = None
@@ -279,19 +251,12 @@ class SemiClosedPredictor(_Predictor):
         self.anchor_time = float(anchor_time)
         self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
         s0 = self.delay.phi(self.anchor_time)
-        sigma_dot = self.grid.sigma_dot
         if len(self.g_history) == 0:
-            # first anchoring: start the history at the window edge
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
-            self.g_history.append(
-                s0, sigma_dot(s0) * self.model.f(self.p, _u_at(self.u_history, s0))
-            )
+            g0 = self.grid.sigma_dot(s0) * self.model.f(self.p, self.grid.u_at(s0))
+            self.g_history.append(s0, g0)
             self._t = s0
-            if t_now > s0:
-                # catch up to t_now on aligned nodes
-                for s in _window_nodes(s0, t_now, self.h)[1:]:
-                    self._step_to(s, sigma_dot(s), _u_at(self.u_history, s))
             return
         if s0 < self.g_history.first_time - 1e-12:
             raise PredictorError("g-history does not reach the new anchor window")
@@ -335,8 +300,8 @@ class LinearPredictor(_Predictor):
     exponentials are cached per distinct dsig.
     """
 
-    def __init__(self, sys: LinearSystem, delay, u_history, grid: NodeGrid):
-        super().__init__(sys, delay, u_history, grid)
+    def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
+        super().__init__(sys, delay, grid)
         self.sys = sys
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -355,13 +320,14 @@ class LinearPredictor(_Predictor):
         return mats
 
     def _integrate(self, p, s_from: float, s_to: float) -> np.ndarray:
-        # u is constant between consecutive stamps, so one exact step per
+        # u is constant between consecutive breaks, so one exact step per
         # control segment is the composition of the per-node steps
-        nodes = self.u_history.breakpoints(s_from, s_to)
-        sig = [self.grid.sigma(s) for s in nodes]
+        g = self.grid
+        nodes = g.u_breaks(s_from, s_to)
+        sig = [g.sigma(s) for s in nodes]
         for i in range(len(nodes) - 1):
             E, Phi = self._step_mats(sig[i + 1] - sig[i])
-            p = E @ p + Phi @ (self.sys.B @ np.atleast_1d(_u_at(self.u_history, nodes[i])))
+            p = E @ p + Phi @ (self.sys.B @ g.u_at(nodes[i]))
         return p
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
@@ -380,15 +346,15 @@ class LinearPredictor(_Predictor):
             raise PredictorError("prediction diverged")
 
 
-def make_predictor(method, model, delay, u_history, grid: NodeGrid, linear=None):
+def make_predictor(method, model, delay, grid: NodeGrid, linear=None):
     if method == "closed-loop":
-        return ClosedLoopPredictor(model, delay, u_history, grid)
+        return ClosedLoopPredictor(model, delay, grid)
     if method == "open-loop":
-        return OpenLoopPredictor(model, delay, u_history, grid)
+        return OpenLoopPredictor(model, delay, grid)
     if method == "semi-closed-loop":
-        return SemiClosedPredictor(model, delay, u_history, grid)
+        return SemiClosedPredictor(model, delay, grid)
     if method == "linear-closed-form":
         if linear is None:
             raise PredictorError("linear-closed-form needs a LinearSystem")
-        return LinearPredictor(linear, delay, u_history, grid)
+        return LinearPredictor(linear, delay, grid)
     raise PredictorError(f"unknown predictor method {method!r}")

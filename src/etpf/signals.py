@@ -1,13 +1,9 @@
-"""Append-only timestamped signal buffers.
+"""Append-only timestamped signal buffers, piecewise-linear between stamps.
 
-These back the control history u, the prediction history p, and the
-disturbance history w.  Two interpolation modes are supported:
-
-* ``"constant"``: piecewise-constant with right-closed jumps, i.e. the value
-  stored at ``t_k`` applies on ``[t_k, t_{k+1})``.  Queries past the last
-  stamp hold the final value (a control stays active until replaced).
-* ``"linear"``: piecewise-linear between stamps; queries outside the stored
-  range are rejected.
+These back the semi-closed-loop integrand history and the monitor's
+disturbance history w.  Queries outside the stored range are rejected.  The
+control history u is not one of them: it lives in the engine's control rows
+and event times (``NodeGrid``).
 """
 
 from __future__ import annotations
@@ -24,10 +20,7 @@ __all__ = ["TimedSignal"]
 class TimedSignal:
     """Strictly increasing time stamps with vector values."""
 
-    def __init__(self, mode: str = "constant"):
-        if mode not in ("constant", "linear"):
-            raise ValueError(f"unknown interpolation mode {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self._times: list[float] = []
         self._values: list[np.ndarray] = []
         self._stacked = (np.empty(0), np.empty(0))  # arrays of the stamps and values
@@ -61,16 +54,12 @@ class TimedSignal:
         self._values.append(np.atleast_1d(np.asarray(value, dtype=float)).copy())
 
     def sample(self, t: float) -> np.ndarray:
-        """Interpolated value at ``t`` according to the declared mode."""
+        """Linearly interpolated value at ``t``."""
         if not self._times:
             raise CoverageError("signal is empty")
         t = float(t)
         if t < self._times[0]:
             raise CoverageError(f"query at t={t} before first stamp {self._times[0]}")
-        if self.mode == "constant":
-            # Right-closed jump: at exactly t_k the new value applies.
-            idx = bisect_right(self._times, t) - 1
-            return self._values[idx]
         if t > self._times[-1]:
             raise CoverageError(f"query at t={t} past last stamp {self._times[-1]}")
         idx = bisect_right(self._times, t) - 1
@@ -81,12 +70,10 @@ class TimedSignal:
         return (1.0 - lam) * self._values[idx] + lam * self._values[idx + 1]
 
     def sample_array(self, ts) -> np.ndarray:
-        """``sample`` of a linear signal at every point of ``ts``, one row each.
+        """``sample`` at every point of ``ts``, one row each.
 
         Same bits per row, and the same CoverageError outside the stamps.
         """
-        if self.mode != "linear":
-            raise ValueError("sample_array needs a linear signal")
         if not self._times:
             raise CoverageError("signal is empty")
         if len(self._stacked[0]) != len(self._times):
@@ -108,8 +95,7 @@ class TimedSignal:
     def breakpoints(self, a: float, b: float) -> list[float]:
         """``a``, then the stamps strictly inside ``(a, b)``, then ``b``.
 
-        The signal is smooth (constant or linear) between consecutive
-        breakpoints.
+        The signal is linear between consecutive breakpoints.
         """
         nodes = [a]
         i = bisect_right(self._times, a)
@@ -122,15 +108,12 @@ class TimedSignal:
     def integrate(self, a: float, b: float) -> np.ndarray:
         """Integral of the signal over [a, b] on the stored grid.
 
-        Piecewise-constant signals are integrated exactly (one rectangle per
-        segment); linear signals use the composite trapezoidal rule on the
-        stored stamps plus the interpolated endpoints.
+        The composite trapezoidal rule on the stored stamps plus the
+        interpolated endpoints, exact for the piecewise-linear signal.
         """
         if a > b:
             raise ValueError("integration bounds out of order")
-        if not self._times or a < self._times[0]:
-            raise CoverageError("integration window not covered by the signal")
-        if self.mode == "linear" and b > self._times[-1]:
+        if not self._times or a < self._times[0] or b > self._times[-1]:
             raise CoverageError("integration window not covered by the signal")
         if a == b:
             return np.zeros_like(self._values[0])
@@ -138,10 +121,6 @@ class TimedSignal:
         total = None
         nodes = self.breakpoints(a, b)
         for left, right in zip(nodes[:-1], nodes[1:]):
-            dt = right - left
-            if self.mode == "constant":
-                seg = dt * self.sample(left)
-            else:
-                seg = 0.5 * dt * (self.sample(left) + self.sample(right))
+            seg = 0.5 * (right - left) * (self.sample(left) + self.sample(right))
             total = seg if total is None else total + seg
         return total

@@ -1,12 +1,12 @@
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from etpf.channel import ActuationDelay, SensingSchedule, verify_delay_bounds
+from etpf.engine import _node_grid
 from etpf.exceptions import ChannelModelError, ConfigurationError
-from etpf.signals import TimedSignal
 
 
 class TestSigma:
@@ -171,12 +171,40 @@ class TestGridTables:
         assert d.grid_tables(h, m_lo, N)[0] is sig
 
 
+class Hold:
+    """The control history as a right-closed hold over stamps, by bisect.
+
+    The value stored at ``t_i`` applies on ``[t_i, t_{i+1})`` and past the
+    last stamp; there is none before the first.  This is the reference that
+    the control rows, ``NodeGrid.u_at`` and ``NodeGrid.u_breaks`` must match.
+    """
+
+    def __init__(self):
+        self.times, self.values = [], []
+
+    def append(self, t, value):
+        assert not self.times or t > self.times[-1]
+        self.times.append(float(t))
+        self.values.append(np.asarray(value, dtype=float))
+
+    def sample(self, s):
+        i = bisect_right(self.times, s) - 1
+        assert i >= 0, f"no control before {self.times[0]}"
+        return self.values[i]
+
+    def breakpoints(self, a, b):
+        i, j = bisect_right(self.times, a), bisect_left(self.times, b)
+        return [a, *self.times[i:j], b]
+
+
 class TestRowTable:
-    """A read of row ``j_k[k]`` is ``TimedSignal.sample`` at ``phi_k[k]``.
+    """A read of row ``j_k[k]`` is the hold of the control history at ``phi_k[k]``.
 
     The rows follow the engine's protocol: row k is written by an event at
     k h, and otherwise starts as a copy of row k - 1 when step k - 1 ends, so
-    reads of row k + 1 before its event see the held control.
+    reads of row k + 1 before its event see the held control.  ``u_at`` and
+    ``u_breaks`` of the run's ``NodeGrid``, which read the rows and the event
+    times, match the hold and its stamps as well.
     """
 
     DELAYS = [
@@ -188,14 +216,12 @@ class TestRowTable:
         pytest.param(lambda: ActuationDelay.constant(0.5), 1e-3, id="constant-on-nodes"),
     ]
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("make, h", DELAYS)
-    def test_row_read_equals_sample(self, make, h, seed):
-        d, N = make(), 600
+    @staticmethod
+    def protocol(d, h, N, seed, on_step):
+        """Run the engine's row protocol with random events, calling
+        ``on_step(k, grid, hold)`` before and after the event at each node k."""
         phi0 = d.phi(0.0)
         m_lo = math.ceil(phi0 / h - 1e-9)
-        _sig, _sdot, phi_k, j_k, _, _ = d.grid_tables(h, m_lo, N)
-        assert d.grid_tables(h, m_lo, N)[3] is j_k  # cached with the other tables
         rng = np.random.default_rng(seed)
         events = set(rng.choice(N + 1, size=int(rng.integers(1, 120)), replace=False).tolist())
         if seed % 2:
@@ -203,35 +229,88 @@ class TestRowTable:
         else:
             events.discard(0)  # t0 > 0: u = 0 from t = 0 until the first event
         u_pre = np.array([0.3])
-        u_hist = TimedSignal(mode="constant")
-        u_hist.append(phi0, u_pre)
+        hold = Hold()
+        hold.append(phi0, u_pre)
         U = np.zeros((N + 1, 1))
+        event_times = []
+        grid = _node_grid(d, h, m_lo, N, U, u_pre, event_times)
         if 0 in events:
             U[0] = u_pre
         else:
-            u_hist.append(0.0, np.zeros(1))
+            hold.append(0.0, np.zeros(1))
+        for k in range(N + 1):
+            on_step(k, grid, hold)
+            if k in events:
+                u = rng.standard_normal(1)
+                hold.append(k * h, u)
+                event_times.append(k * h)
+                U[k] = u
+                on_step(k, grid, hold)
+            if k < N:
+                U[k + 1] = U[k]
+        return grid, hold, rng
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make, h", DELAYS)
+    def test_row_read_equals_sample(self, make, h, seed):
+        d, N = make(), 600
+        m_lo = math.ceil(d.phi(0.0) / h - 1e-9)
+        _sig, _sdot, phi_k, j_k, _, _ = d.grid_tables(h, m_lo, N)
+        assert d.grid_tables(h, m_lo, N)[3] is j_k  # cached with the other tables
         by_row = {}
         for i, j in enumerate(j_k.tolist()):
             by_row.setdefault(j, []).append(i)
 
-        def check(row):
+        def check(row, grid, hold):
             for i in by_row.get(row, []):
-                got = U[row] if row >= 0 else u_pre
-                want = u_hist.sample(phi_k[i])
+                got = grid.u_row(row)
+                want = hold.sample(phi_k[i])
                 assert got.tobytes() == want.tobytes(), (i, row, phi_k[i])
 
-        check(-1)
-        check(0)  # row 0 before its event
-        for k in range(N + 1):
-            if k in events:
-                u = rng.standard_normal(1)
-                u_hist.append(k * h, u)
-                U[k] = u
-            check(k)
-            if k < N:
-                U[k + 1] = U[k]
-                check(k + 1)  # row k + 1 before its event
+        def on_step(k, grid, hold):
+            if k == 0:
+                check(-1, grid, hold)
+            check(k, grid, hold)
+            if k < len(grid.U) - 1:
+                grid.U[k + 1] = grid.U[k]
+                check(k + 1, grid, hold)  # row k + 1 before its event
+
+        self.protocol(d, h, N, seed, on_step)
         assert sum(len(by_row.get(j, [])) for j in range(-1, N + 1)) == len(phi_k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make, h", DELAYS)
+    def test_u_at_and_u_breaks_equal_the_hold(self, make, h, seed):
+        d, N = make(), 600
+        phi0 = d.phi(0.0)
+
+        def queries(s):
+            return [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
+
+        def on_step(k, grid, hold):
+            # up to the current node, before and after its event
+            for s in queries(k * h):
+                if phi0 <= s <= k * h:
+                    assert grid.u_at(s).tobytes() == hold.sample(s).tobytes(), (k, s)
+
+        grid, hold, rng = self.protocol(d, h, N, seed, on_step)
+        T = N * h
+        pre = [m * h for m in range(math.ceil(phi0 / h), 0)]
+        points = [s for x in [phi0, *pre, *hold.times, T] for s in queries(x)]
+        points += rng.uniform(phi0, T, 500).tolist()
+        points = [s for s in points if s >= phi0]
+        for s in points + [T + 1.0]:
+            assert grid.u_at(s).tobytes() == hold.sample(s).tobytes(), s
+        # below phi(0) the control is the pre-history's, where the hold has none
+        for s in (math.nextafter(phi0, -math.inf), phi0 - h, phi0 - 1.0):
+            assert grid.u_at(s) is grid.u_pre
+        # random windows, with ends on stamps and nodes too
+        ends = rng.uniform(phi0, T, (300, 2)).tolist()
+        ends += [[rng.choice(hold.times[1:]), rng.uniform(phi0, T)] for _ in range(100)]
+        ends += [[phi0, T], [phi0, 0.0], [0.0, T], [phi0, phi0]]
+        for a, b in ends:
+            a, b = min(a, b), max(a, b)
+            assert grid.u_breaks(a, b) == hold.breakpoints(a, b), (a, b)
 
 
 class TestFromTable:

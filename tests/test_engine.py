@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -10,6 +11,8 @@ from etpf.channel import ActuationDelay, SensingSchedule
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.trigger import TriggerConfig
+
+from conftest import prediction_error
 
 _MAIN_PID = os.getpid()
 
@@ -209,6 +212,41 @@ class TestChannelTables:
         base = dataclasses.replace(presets.example1(), T=5.0)
         heatmap(base, [2.0], [1.0], n_ic=4, seed=0, workers=1)
         assert one_run > 0 and len(calls) == one_run
+
+
+class TestPhi0JustAboveNode:
+    """phi(0) within the 1e-9 h snap above a node: the pre-history starts at
+    that node, below phi(0).  The grid tables, the predictors and the monitor
+    all read sigma and u there."""
+
+    CASES = [
+        pytest.param(0.3, 0.1, id="D0.3-h0.1"),
+        pytest.param(0.7, 0.01, id="D0.7-h0.01"),
+        pytest.param(0.35, 0.01, id="D0.35-h0.01"),
+    ]
+    METHODS = [
+        pytest.param("example1", "closed-loop", True, id="closed-loop-monitored"),
+        pytest.param("example1", "semi-closed-loop", True, id="semi-closed-loop-monitored"),
+        pytest.param("example1", "open-loop", False, id="open-loop"),
+        pytest.param("linear2d", "linear-closed-form", False, id="linear-closed-form"),
+    ]
+
+    @pytest.mark.parametrize("preset, method, monitored", METHODS)
+    @pytest.mark.parametrize("D, h", CASES)
+    def test_runs_without_divergence(self, preset, method, monitored, D, h):
+        delay = ActuationDelay.constant(D)
+        phi0 = delay.phi(0.0)
+        assert math.ceil(phi0 / h - 1e-9) * h < phi0  # the case under test
+        base = getattr(presets, preset)()
+        cfg = dataclasses.replace(base, delay=delay, h=h, T=3.0, predictor_method=method,
+                                  monitor=base.monitor if monitored else None)
+        tr = run(cfg)
+        assert not tr.diverged
+        assert tr.events.count > 0
+        if monitored:
+            assert np.isfinite(tr.V[:: cfg.monitor.stride]).all()
+        if method in ("closed-loop", "open-loop"):
+            assert prediction_error(tr, delay) <= 1e-9
 
 
 class TestMonitorAttachment:

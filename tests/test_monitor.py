@@ -18,11 +18,10 @@ from etpf.presets import linear2d_system
 from etpf.signals import TimedSignal
 
 
-def const_signal(value, start=-10.0, mode="constant"):
-    sig = TimedSignal(mode=mode)
+def const_signal(value, start=-10.0):
+    sig = TimedSignal()
     sig.append(start, value)
-    if mode == "linear":
-        sig.append(100.0, value)
+    sig.append(100.0, value)
     return sig
 
 
@@ -40,7 +39,7 @@ class TestComputeW:
 
 class TestComputeL:
     def test_zero_disturbance(self):
-        w = const_signal([0.0], mode="linear")
+        w = const_signal([0.0])
         phi = lambda t: t - 0.5
         for form in ("sup", "integral"):
             cfg = MonitorConfig(b=10.0, form=form)
@@ -48,14 +47,14 @@ class TestComputeL:
 
     def test_sup_endpoint(self):
         c, b, M0 = 2.0, 3.0, 0.7
-        w = const_signal([c], mode="linear")
+        w = const_signal([c])
         cfg = MonitorConfig(b=b, form="sup")
         got = compute_L(cfg, w, 0.0, M0, lambda t: t - 0.5, n_nodes=701)
         assert got == pytest.approx(c * math.exp(b * M0), rel=1e-9)
 
     def test_integral_flat(self):
         c = 2.0
-        w = const_signal([c], mode="linear")
+        w = const_signal([c])
         cfg = MonitorConfig(b=1e-12, form="integral")
         got = compute_L(cfg, w, 0.0, 0.5, lambda t: t - 0.5, n_nodes=501)
         assert got == pytest.approx(c * c * 0.5, rel=1e-6)
@@ -100,7 +99,7 @@ class TestComputeLArrays:
     @staticmethod
     def random_history(rng, start, end, h, n_inputs=1):
         """A linear w history on the grid of step h, random values."""
-        w = TimedSignal(mode="linear")
+        w = TimedSignal()
         for k in range(int(math.floor(start / h)), int(math.ceil(end / h)) + 1):
             w.append(k * h, rng.standard_normal(n_inputs) * rng.choice([1e-6, 1.0, 1e3], n_inputs))
         return w

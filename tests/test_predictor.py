@@ -13,18 +13,11 @@ from etpf.channel import ActuationDelay
 from etpf.engine import _node_grid
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
-from etpf.predictor import (
-    ClosedLoopPredictor,
-    LinearPredictor,
-    _window_nodes,
-    predict_closed_loop,
-    make_predictor,
-)
+from etpf.predictor import ClosedLoopPredictor, LinearPredictor, make_predictor
 from etpf.presets import linear2d_system
-from etpf.signals import TimedSignal
 
 from conftest import prediction_error
-from reference_predictors import predict_linear, predict_open_loop_step
+from reference_predictors import predict_linear, predict_open_loop_step, window_nodes
 
 
 def zero_model(n=1):
@@ -42,39 +35,42 @@ def integrator_model():
     )
 
 
-def const_u(value, start=-10.0):
-    sig = TimedSignal(mode="constant")
-    sig.append(start, [value])
-    return sig
+def control_grid(delay, u0, h=1e-2, N=400, events=()):
+    """The engine's NodeGrid for ``delay`` over a scalar control history.
 
-
-def const_grid(delay, value, h=1e-2, N=200):
-    """The engine's NodeGrid for ``delay`` with the control ``value`` at every node."""
+    u is ``u0`` before the first event, and ``value`` from each event
+    ``(k, value)`` at node k h on, as the engine's rows and event times hold it.
+    """
     m_lo = math.ceil(delay.phi(0.0) / h - 1e-9)
-    return _node_grid(delay, h, m_lo, N, np.full((N + 1, 1), float(value)),
-                      np.full(1, float(value)))
+    U = np.full((N + 1, 1), float(u0))
+    for k, value in events:
+        U[k:] = value
+    return _node_grid(delay, h, m_lo, N, U, np.full(1, float(u0)),
+                      [k * h for k, _ in events])
+
+
+def closed_loop(model, grid, delay, anchor_time, anchor_state, t):
+    """ClosedLoopPredictor's prediction of x(sigma(t)) from one anchor."""
+    pred = ClosedLoopPredictor(model, delay, grid)
+    pred.reanchor(anchor_time, anchor_state, t)
+    return pred.p
 
 
 class TestClosedLoopReference:
+    """The engine's closed-loop predictor against hand integrals."""
+
     def test_zero_dynamics_constant(self):
         delay = ActuationDelay.constant(0.5)
-        p = predict_closed_loop(3.0, 1.0, [2.5], const_u(1.0), delay,
-                                zero_model(), 1e-2)
+        p = closed_loop(zero_model(), control_grid(delay, 1.0), delay, 1.0, [2.5], 3.0)
         assert p[0] == pytest.approx(2.5)
 
     def test_scalar_integrator_hand_integral(self):
         # xdot = u with constant u = c: p(t) = x(tau) + c (t - phi(tau))
         delay = ActuationDelay.constant(0.5)
         c, tau, t = 2.0, 1.0, 2.3
-        p = predict_closed_loop(t, tau, [1.0], const_u(c), delay,
-                                integrator_model(), 1e-3)
+        grid = control_grid(delay, c, h=1e-3, N=3000)
+        p = closed_loop(integrator_model(), grid, delay, tau, [1.0], t)
         assert p[0] == pytest.approx(1.0 + c * (t - (tau - 0.5)), rel=1e-9)
-
-    def test_coverage_failure(self):
-        delay = ActuationDelay.constant(0.5)
-        with pytest.raises(PredictorError):
-            predict_closed_loop(2.0, 1.0, [1.0], const_u(1.0, start=1.0),
-                                delay, integrator_model(), 1e-2)
 
 
 class TestLinearClosedForm:
@@ -83,7 +79,7 @@ class TestLinearClosedForm:
         delay = ActuationDelay.constant(0.5)
         x_tau = np.array([1.0, -2.0])
         t, tau = 2.0, 1.0
-        p = predict_linear(t, tau, x_tau, const_u(0.0), delay, sys, 1e-3)
+        p = predict_linear(t, tau, x_tau, control_grid(delay, 0.0), delay, sys, 1e-3)
         expected = expm(sys.A * (delay.sigma(t) - tau)) @ x_tau
         np.testing.assert_allclose(p, expected, atol=1e-9)
 
@@ -92,19 +88,16 @@ class TestLinearClosedForm:
         A0 = LinearSystem(A=[[0.0]], B=[[1.0]], K_gain=[[-1.0]], Q=[[1.0]])
         delay = ActuationDelay.constant(0.5)
         c, tau, t = 3.0, 1.0, 1.5
-        p = predict_linear(t, tau, [1.0], const_u(c), delay, A0, 1e-3)
+        p = predict_linear(t, tau, [1.0], control_grid(delay, c), delay, A0, 1e-3)
         assert p[0] == pytest.approx(1.0 + c * (t - delay.phi(tau)), rel=1e-6)
 
     def test_agreement_with_closed_loop(self):
         sys = linear2d_system()
         model = sys.to_model()
         delay = ActuationDelay.constant(0.5)
-        u = TimedSignal(mode="constant")
-        u.append(-1.0, [0.3])
-        u.append(0.7, [-1.1])
-        u.append(1.4, [0.6])
-        p_lin = predict_linear(2.0, 1.0, [1.0, -1.0], u, delay, sys, 1e-3)
-        p_cl = predict_closed_loop(2.0, 1.0, [1.0, -1.0], u, delay, model, 1e-3)
+        grid = control_grid(delay, 0.3, h=1e-3, N=3000, events=[(700, -1.1), (1400, 0.6)])
+        p_lin = predict_linear(2.0, 1.0, [1.0, -1.0], grid, delay, sys, 1e-3)
+        p_cl = closed_loop(model, grid, delay, 1.0, [1.0, -1.0], 2.0)
         np.testing.assert_allclose(p_lin, p_cl, atol=1e-3)
 
 
@@ -117,31 +110,31 @@ DELAYS = {
 
 
 @functools.cache
-def linear_predictor_parts(kind):
-    """A delay and the engine's grid of step H (the re-anchor reads its sigma lookup)."""
-    delay = DELAYS[kind]()
-    return delay, const_grid(delay, 0.0, h=H, N=2000)
+def linear_predictor_delay(kind):
+    """One delay per kind, so its grid tables of step H are built once."""
+    return DELAYS[kind]()
 
 
 def segment_predictor(kind, stamps):
-    """LinearPredictor over u with a value before the window and at each stamp."""
-    delay, grid = linear_predictor_parts(kind)
+    """LinearPredictor over u with a value before the window and an event at each stamp.
+
+    ``stamps`` are node indices: events fire at grid nodes.
+    """
+    delay = linear_predictor_delay(kind)
+    grid = control_grid(delay, 0.4, h=H, N=2000,
+                        events=[(k, math.cos(3.0 * j) - 0.2) for j, k in enumerate(stamps)])
     # oscillating and unstable open loop, so exp(A r) is not a polynomial
     sys = LinearSystem(A=[[0.2, 1.0], [-1.0, 0.1]], B=[[0.0], [1.0]],
                        K_gain=[[-1.0, -2.0]], Q=np.eye(2))
-    u = TimedSignal(mode="constant")
-    u.append(-1.0, [0.4])
-    for j, t in enumerate(stamps):
-        u.append(t, [math.cos(3.0 * j) - 0.2])
-    return LinearPredictor(sys, delay, u, grid)
+    return LinearPredictor(sys, delay, grid)
 
 
 def per_node_reference(pred, p, s_from, s_to):
     """The re-anchor as one exact step per grid node of the window."""
-    nodes = _window_nodes(s_from, s_to, pred.h)
+    nodes = window_nodes(s_from, s_to, pred.h)
     for left, right in zip(nodes[:-1], nodes[1:]):
         E, Phi = pred._step_mats(pred.grid.sigma(right) - pred.grid.sigma(left))
-        p = E @ p + Phi @ (pred.sys.B @ np.atleast_1d(pred.u_history.sample(left)))
+        p = E @ p + Phi @ (pred.sys.B @ pred.grid.u_at(left))
     return p
 
 
@@ -151,22 +144,21 @@ class TestLinearSegmentReanchor:
     S_TO = 1100 * H
     ANCHORS = {"on-grid": 600 * H, "off-grid": 600 * H + 0.000437}
 
-    @staticmethod
-    def stamp_sets(s_from, s_to):
-        # interior stamps lie on grid nodes, as event times do
-        return {
-            "none": [],
-            "one": [800 * H],
-            "several": [650 * H, 700 * H, 701 * H, 950 * H, 1099 * H],
-            "at-ends": [s_from, 900 * H, s_to],
-        }
+    # node indices of the events; "at-ends" puts them on the nodes of the
+    # window ends, which for the off-grid anchor is the node just before it
+    STAMPS = {
+        "none": [],
+        "one": [800],
+        "several": [650, 700, 701, 950, 1099],
+        "at-ends": [600, 900, 1100],
+    }
 
-    @pytest.mark.parametrize("stamps", ["none", "one", "several", "at-ends"])
+    @pytest.mark.parametrize("stamps", sorted(STAMPS))
     @pytest.mark.parametrize("anchor", ["on-grid", "off-grid"])
     @pytest.mark.parametrize("kind", sorted(DELAYS))
     def test_matches_per_node_steps(self, kind, anchor, stamps):
         s_from, s_to = self.ANCHORS[anchor], self.S_TO
-        pred = segment_predictor(kind, self.stamp_sets(s_from, s_to)[stamps])
+        pred = segment_predictor(kind, self.STAMPS[stamps])
         p0 = np.array([1.0, -0.5])
         got = pred._integrate(p0, s_from, s_to)
         want = per_node_reference(pred, p0, s_from, s_to)
@@ -184,7 +176,7 @@ class TestLinearSegmentReanchor:
     def test_random_windows(self, kind, start, offset, length, interior):
         s_from = (start + offset) * H
         s_to = (start + length) * H
-        stamps = [(start + k) * H for k in sorted(interior) if k < length]
+        stamps = [start + k for k in sorted(interior) if k < length]
         pred = segment_predictor(kind, stamps)
         p0 = np.array([0.3, 1.0])
         np.testing.assert_allclose(pred._integrate(p0, s_from, s_to),
@@ -193,12 +185,12 @@ class TestLinearSegmentReanchor:
 
     def test_one_step_per_segment(self):
         # a 500-node window with 3 interior stamps is 4 control segments
-        pred = segment_predictor("constant", [700 * H, 800 * H, 950 * H])
+        pred = segment_predictor("constant", [700, 800, 950])
         calls = []
         step_mats = pred._step_mats
         pred._step_mats = lambda dsig: calls.append(dsig) or step_mats(dsig)
         pred.reanchor(1.1, [1.0, 0.0], 1.1)
-        assert len(_window_nodes(pred.delay.phi(1.1), 1.1, H)) - 1 == 500
+        assert len(window_nodes(pred.delay.phi(1.1), 1.1, H)) - 1 == 500
         assert len(calls) == 4
         np.testing.assert_allclose(sum(calls), 0.5, rtol=1e-12)
 
@@ -206,7 +198,7 @@ class TestLinearSegmentReanchor:
 class TestOpenLoop:
     def test_zero_dynamics_step(self):
         delay = ActuationDelay.constant(0.5)
-        p = predict_open_loop_step([4.0], 1.0, const_u(1.0), delay,
+        p = predict_open_loop_step([4.0], 1.0, control_grid(delay, 1.0), delay,
                                    zero_model(), 1e-2)
         assert p[0] == pytest.approx(4.0)
 
@@ -220,9 +212,10 @@ class TestOpenLoop:
         delay = ActuationDelay.constant(0.5)
         h = 1e-3
         p = np.array([math.exp(-0.5)])  # x(sigma(0)) for x0 = 1
+        grid = control_grid(delay, 0.0)
         t = 0.0
         while t < 2.0 - 1e-12:
-            p = predict_open_loop_step(p, t, const_u(0.0), delay, model, h)
+            p = predict_open_loop_step(p, t, grid, delay, model, h)
             t += h
         assert p[0] == pytest.approx(math.exp(-(2.0 + 0.5)), abs=5e-4)
 
@@ -233,7 +226,7 @@ class TestOpenLoop:
         )
         delay = ActuationDelay.constant(0.5)
         with pytest.raises(PredictorError):
-            predict_open_loop_step([1.0], 0.0, const_u(0.0), delay, model, 1.0)
+            predict_open_loop_step([1.0], 0.0, control_grid(delay, 0.0), delay, model, 1.0)
 
 
 class TestIncrementalClosedLoop:
@@ -260,7 +253,7 @@ class TestIncrementalClosedLoop:
     def test_anchor_monotonicity_enforced(self):
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
-        pred = ClosedLoopPredictor(model, delay, const_u(0.0), const_grid(delay, 0.0))
+        pred = ClosedLoopPredictor(model, delay, control_grid(delay, 0.0))
         pred.reanchor(1.0, [0.0], 1.0)
         with pytest.raises(PredictorError):
             pred.reanchor(0.5, [0.0], 1.0)
@@ -269,10 +262,10 @@ class TestIncrementalClosedLoop:
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
         with pytest.raises(PredictorError):
-            make_predictor("magic", model, delay, const_u(0.0), const_grid(delay, 0.0))
+            make_predictor("magic", model, delay, control_grid(delay, 0.0))
         with pytest.raises(PredictorError):
-            make_predictor("linear-closed-form", model, delay, const_u(0.0),
-                           const_grid(delay, 0.0), linear=None)
+            make_predictor("linear-closed-form", model, delay, control_grid(delay, 0.0),
+                           linear=None)
 
 
 class TestDivergenceCheck:
@@ -295,25 +288,22 @@ class TestDivergenceCheck:
     @pytest.mark.parametrize("rate", RATES)
     def test_incremental_closed_loop(self, rate):
         delay = ActuationDelay.constant(0.5)
-        pred = ClosedLoopPredictor(self.rate_model(rate), delay, const_u(1.0),
-                                   const_grid(delay, 1.0))
+        pred = ClosedLoopPredictor(self.rate_model(rate), delay, control_grid(delay, 1.0))
         with pytest.raises(PredictorError):
             pred.reanchor(1.0, [0.0], 1.0)
 
     @pytest.mark.parametrize("rate", RATES)
     def test_reference_functions(self, rate):
         delay = ActuationDelay.constant(0.5)
-        model = self.rate_model(rate)
         with pytest.raises(PredictorError):
-            predict_closed_loop(1.0, 1.0, [0.0], const_u(1.0), delay, model, 1e-2)
-        with pytest.raises(PredictorError):
-            predict_open_loop_step([0.0], 0.0, const_u(1.0), delay, model, 1e-2)
+            predict_open_loop_step([0.0], 0.0, control_grid(delay, 1.0), delay,
+                                   self.rate_model(rate), 1e-2)
 
     def test_finite_below_cap_passes(self):
         delay = ActuationDelay.constant(0.5)
         # 50 steps of 0.01 at rate 1e12 end at 5e11, under the cap
-        p = predict_closed_loop(1.0, 1.0, [0.0], const_u(1.0), delay,
-                                self.rate_model(1e12), 1e-2)
+        p = closed_loop(self.rate_model(1e12), control_grid(delay, 1.0), delay,
+                        1.0, [0.0], 1.0)
         assert p[0] == pytest.approx(5e11, rel=1e-6)
 
 
