@@ -20,12 +20,14 @@ from .exceptions import ChannelModelError, ConfigurationError
 # brentq tolerances of sigma; the scalar and the array solve share them, so
 # both end on the same double
 _XTOL, _RTOL = 1e-14, 1e-15
+SNAP = 1e-9  # in steps: the band of node_of
 
 __all__ = [
     "ActuationDelay",
     "SensingSchedule",
     "verify_delay_bounds",
     "DelayBoundsReport",
+    "node_of",
 ]
 
 
@@ -162,41 +164,49 @@ class ActuationDelay:
         return (self.sigma(t + h) - self.sigma(lo)) / (2.0 * h)
 
     def grid_tables(self, h: float, m_lo: int, N: int):
-        """``(sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0)`` on the grid of step h, built once per key.
+        """``(sig, sdot, phi_k, j_k)`` on the grid of step h, built once per key.
 
         ``sig`` and ``sdot`` hold sigma and its centered difference (one-sided
-        at m_lo) at the nodes m h, m in [m_lo - 1, N + 1], NaN at m_lo - 1,
-        below the pre-history.  The pre-history starts at node m_lo, which
-        lies below phi(0) when phi(0) is within the 1e-9 h snap above it.
-        ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma node, snapped onto a grid node it lies within 1e-9 of, so a 1-ulp
-        offset cannot pick up a stale control value.  ``j_k[k]`` is the index
-        of the last node of ``0, h, ..., N h`` at or before ``phi_k[k]``, -1 in
-        the pre-history: a control that only changes at nodes takes its value
-        at phi(k h) from node ``j_k[k]``.  ``sig_phi0`` and ``sdot_phi0`` are
-        sigma(phi(0)) and ``sigma_dot(phi(0), h)``, where the pre-history
-        starts.  The arrays stay on this instance, so runs that share it share
-        the tables.
+        at m_lo) at the nodes m h, m in [m_lo, N + 1]; ``sdot`` has none at
+        N + 1.  Slot 0, node m_lo - 1, holds sigma(phi(0)) and the one-sided
+        difference there instead: the pre-history starts at phi(0), which lies
+        in (node m_lo - 1, node m_lo] unless ``node_of`` snaps it onto node
+        m_lo.  ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma
+        node, snapped by ``node_of``'s rule, so a 1-ulp offset cannot pick up
+        a stale control value.  ``j_k[k]`` is the index of the last node of
+        ``0, h, ..., N h`` at or before ``phi_k[k]``, -1 in the pre-history:
+        a control that only changes at nodes takes its value at phi(k h)
+        from node ``j_k[k]``.  The arrays stay on this instance, so runs that
+        share it share the tables.
         """
         key = (h, m_lo, N)
         if key not in self._grid:
             phi0 = self.phi(0.0)
-            # one solve for every node from m_lo on, phi(0) and phi(0) + h
-            nodes = np.arange(m_lo, N + 2) * h
-            solved = self.sigma(np.concatenate([nodes, [phi0, phi0 + h]]))
-            sig = np.concatenate([[math.nan], solved[:-2]])
+            # one solve for phi(0), every node from m_lo on and phi(0) + h
+            solved = self.sigma(np.concatenate([[phi0], np.arange(m_lo, N + 2) * h, [phi0 + h]]))
+            sig = solved[:-1]
             sdot = np.full(len(sig), math.nan)
-            sdot[1:-1] = (sig[2:] - sig[:-2]) / (2.0 * h)
-            sdot[1] = (sig[2] - sig[1]) / h
-            phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
-            node = np.round(phi_k / h) * h
-            snap = np.abs(phi_k - node) < 1e-9 * (1.0 + np.abs(phi_k))
-            phi_k = np.where(snap, node, phi_k)
-            j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
-            sig_phi0 = float(solved[-2])
             # sigma_dot(phi0, h) is one-sided: the same expression
-            sdot_phi0 = (float(solved[-1]) - sig_phi0) / h
-            self._grid[key] = (sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0)
+            sdot[0] = (solved[-1] - sig[0]) / h
+            sdot[1] = (sig[2] - sig[1]) / h
+            sdot[2:-1] = (sig[3:] - sig[1:-2]) / (2.0 * h)
+            phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
+            node = np.round(phi_k / h)
+            phi_k = np.where(np.abs(phi_k / h - node) < SNAP, node * h, phi_k)
+            j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
+            self._grid[key] = (sig, sdot, phi_k, j_k)
         return self._grid[key]
+
+
+def node_of(t: float, h: float) -> tuple[int, bool]:
+    """``(k, on)`` for a float time t on the grid of step h: ``on`` when t lies within
+    ``SNAP`` steps of its nearest node k, which then stands for t, else k is the
+    first node above t.  Every float time placed on the grid goes through here."""
+    m = t / h
+    k = round(m)
+    if abs(m - k) < SNAP:
+        return k, True
+    return math.ceil(m), False
 
 
 def _brentq_array(phi, t, lo, hi, flo, fhi):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -190,9 +189,7 @@ def _cmd_verify(args) -> int:
     sys_lin = lin.linear
     a = sys_lin.L_f * sys_lin.K_norm
     c = sys_lin.L_f * (1.0 + sys_lin.K_norm)
-    R = sys_lin.lam_min_Q * math.sqrt(lin.trigger.theta) / (
-        4.0 * sys_lin.PB_norm * sys_lin.K_norm
-    )
+    R = lin.trigger.rho_bar
     delta = min_dwell(a, c, R)
     check("linear dwell bound", trl.events.min_dwell_observed >= delta,
           f"observed {trl.events.min_dwell_observed:.3g} >= {delta:.3g}")

@@ -155,7 +155,9 @@ def _build_trigger(cfg: SimConfig, section: dict) -> SimConfig:
     mode = section.get("mode", cfg.trigger.mode)
     theta = float(section.get("theta", cfg.trigger.theta))
     if mode == "fixed-ratio":
-        rho_bar = float(section.get("rho_bar", cfg.trigger.rho_bar or 0.5))
+        # a ratio carried over from a fixed-ratio trigger only, not a derived one
+        base = cfg.trigger.rho_bar if cfg.trigger.mode == "fixed-ratio" else 0.5
+        rho_bar = float(section.get("rho_bar", base))
         trig = TriggerConfig.fixed_ratio(rho_bar, theta=theta)
     elif mode == "linear":
         if cfg.linear is None:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ActuationDelay, SensingSchedule
+from .channel import ActuationDelay, SensingSchedule, node_of
 from .exceptions import ConfigurationError, PredictorError
 from .model import ISSCertificate, LinearSystem, SystemModel
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
@@ -182,26 +182,24 @@ def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,
     """The delay's grid tables (``ActuationDelay.grid_tables``) for one run over ``U``,
     ``u_pre`` and the event times ``events``.
 
-    The float lookups ``sigma`` and ``sigma_dot`` read a node's table entry
-    and solve off-grid queries other than phi(0) directly.
+    The float lookups ``sigma`` and ``sigma_dot`` read the table entry of a
+    time that ``node_of`` places on a node from m_lo on, or of phi(0) (slot
+    0), and solve any other query directly.
     """
-    sig, sdot, _phi_k, j_k, sig_phi0, sdot_phi0 = delay.grid_tables(h, m_lo, N)
+    sig, sdot, _phi_k, j_k = delay.grid_tables(h, m_lo, N)
     phi0 = delay.phi(0.0)
 
-    def lookup(table, at_phi0, solve):
+    def lookup(table, last, solve):
         def fn(s: float) -> float:
-            m = s / h
-            mr = round(m)
-            if abs(m - mr) < 1e-9 and m_lo - 1 <= mr <= N + 1:
-                v = table[int(mr) - (m_lo - 1)]
-                if math.isfinite(v):
-                    return float(v)
-            return at_phi0 if s == phi0 else solve(s)
+            k, on = node_of(s, h)
+            if on and m_lo <= k <= last:
+                return float(table[k - (m_lo - 1)])
+            return float(table[0]) if s == phi0 else solve(s)
 
         return fn
 
-    sigma_fn = lookup(sig, sig_phi0, delay.sigma)
-    sigma_dot_fn = lookup(sdot, sdot_phi0, lambda s: delay.sigma_dot(s, h))
+    sigma_fn = lookup(sig, N + 1, delay.sigma)
+    sigma_dot_fn = lookup(sdot, N, lambda s: delay.sigma_dot(s, h))
     return NodeGrid(h=h, lo=m_lo - 1, sig=sig, sdot=sdot, rows=j_k.tolist(), U=U,
                     u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn, events=events)
 
@@ -217,9 +215,10 @@ def run(cfg: SimConfig) -> SimTrace:
     true_delay = cfg.delay
     ctrl_delay = cfg.controller_delay
     phi0 = float(ctrl_delay.phi(0.0))
-    if phi0 >= 0:
+    m_lo, on = node_of(phi0, h)
+    first = m_lo - (not on)  # the pre-history's first advance, from phi(0)
+    if first >= 0:
         raise ConfigurationError("the channel must have positive delay at t = 0")
-    m_lo = int(math.ceil(phi0 / h - 1e-9))
 
     # -- sensing schedule -------------------------------------------------
     sched = cfg.sensing.schedule(cfg.T)
@@ -231,7 +230,7 @@ def run(cfg: SimConfig) -> SimTrace:
         for ell, (tau, dv) in enumerate(
             zip(sched.transmit_times, sched.delivery_times)
         ):
-            idx = int(math.ceil(dv / h - 1e-9))
+            idx = node_of(dv, h)[0]
             if idx > N:
                 continue
             deliveries.append((ell, float(tau), float(dv), idx))
@@ -264,10 +263,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     # -- predictor and the pre-history grid [phi(0), 0) -------------------
     predictor = make_predictor(cfg.predictor_method, model, ctrl_delay, grid, linear=cfg.linear)
-    pre_nodes = list(range(m_lo, 0))
-    # phi(0) off the grid: a partial first segment up to node m_lo
-    lead = not pre_nodes or pre_nodes[0] * h > phi0 + 1e-12 * (1.0 + abs(phi0))
-    pre_times = np.array([phi0] * lead + [mm * h for mm in pre_nodes])
+    pre_times = np.array([phi0] + [k * h for k in range(first + 1, 0)])
     pre_p = np.full((len(pre_times), n), np.nan)
 
     # -- allocate the trace ----------------------------------------------
@@ -289,32 +285,22 @@ def run(cfg: SimConfig) -> SimTrace:
     diverged = False
 
     def state_at(tq: float) -> np.ndarray:
-        m_f = tq / h
-        k_r = round(m_f)
-        if abs(m_f - k_r) < 1e-9 * (1.0 + abs(m_f)):
-            # snap to the grid so a 1-ulp overshoot cannot reach X rows
-            # the loop has not written yet
-            return X[min(int(k_r), N)].copy()
-        k = min(int(m_f), N - 1)
-        lam = (tq - k * h) / h
-        return (1.0 - lam) * X[k] + lam * X[k + 1] if lam > 0 else X[k].copy()
+        # snapped to the grid, so a 1-ulp overshoot cannot reach X rows the
+        # loop has not written yet
+        k, on = node_of(tq, h)
+        if on:
+            return X[k].copy()
+        lam = (tq - (k - 1) * h) / h
+        return (1.0 - lam) * X[k - 1] + lam * X[k]
 
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     try:
-        predictor.reanchor(0.0, cfg.x0, float(pre_times[0]))
-        pre_p[0] = predictor.p
-        if lead and pre_nodes:
-            predictor.reanchor(0.0, cfg.x0, float(pre_times[1]))
-            pre_p[1] = predictor.p
-        for i, mm in enumerate(pre_nodes[:-1], start=int(lead) + 1):
-            predictor.advance(mm)
+        # the pre-history: p at each of pre_times, then one advance onto t = 0
+        predictor.reanchor(0.0, cfg.x0, phi0)
+        for i, k in enumerate(range(first, 0)):
             pre_p[i] = predictor.p
-        # land on t = 0
-        if pre_nodes:
-            predictor.advance(-1)
-        else:
-            predictor.reanchor(0.0, cfg.x0, 0.0)
+            predictor.advance(k)
 
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(N + 1):
@@ -411,7 +397,7 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> N
 
     # disturbance history: nonzero only before t0
     w_hist = TimedSignal()
-    k0 = int(round(t0 / trace.h))
+    k0 = node_of(t0, trace.h)[0]
     w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
     w_p = np.concatenate([trace.pre_p, trace.p[:k0]])
     for s, p in zip(w_times, w_p):

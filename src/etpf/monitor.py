@@ -62,9 +62,9 @@ def compute_L(
     t: float,
     sigma_t: float,
     phi,
-    n_nodes: Optional[int] = None,
+    n_nodes: int,
 ) -> float:
-    """Window functional over tau in [t, sigma(t)] of the delayed disturbance.
+    """Window functional over ``n_nodes`` equally spaced tau in [t, sigma(t)].
 
     sup form:      max  exp(b (tau - t)) |w(phi(tau))|
     integral form: trapz exp(b (tau - t)) w(phi(tau))^2
@@ -73,13 +73,6 @@ def compute_L(
         raise MonitorError("sigma(t) precedes t")
     if sigma_t == t:
         return 0.0
-    if n_nodes is None:
-        stamps = w_history.times
-        if len(stamps) >= 2:
-            spacing = min(b - a for a, b in zip(stamps[:-1], stamps[1:]))
-        else:
-            spacing = sigma_t - t
-        n_nodes = max(2, int(math.ceil((sigma_t - t) / spacing)) + 1)
     taus = np.linspace(t, sigma_t, n_nodes)
     w = w_history.sample_array(phi(taus))
     # |w| per row.  np.linalg.norm of a row is a BLAS dot, which may fuse

@@ -18,13 +18,13 @@ and read sigma and the control from its ``NodeGrid``.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .channel import node_of
 from .exceptions import PredictorError
 from .model import LinearSystem
 from .signals import TimedSignal
@@ -78,14 +78,15 @@ class NodeGrid:
     """The channel and the control of one run on the grid of step ``h``.
 
     ``sig[k - lo]`` and ``sdot[k - lo]`` are sigma and its difference
-    quotient at node k h (``ActuationDelay.grid_tables``).  ``U[j]`` is the
-    control in force at node j h for j >= 0: the engine writes a row at an
-    event and otherwise copies the row before it when a step ends, so a read
-    of the next row before its event sees the held value.  ``u_pre`` is the
-    control before t = 0.  ``rows[k]`` is the row holding u(phi(k h)), -1
-    for ``u_pre``.  ``events`` is the run's list of event times, shared with
-    its ``EventLog``; with the rows it is the whole control history.
-    ``sigma`` and ``sigma_dot`` answer float queries, off the grid too.
+    quotient at node k h for k > lo, and at phi(0) for k = lo (slot 0 of
+    ``ActuationDelay.grid_tables``).  ``U[j]`` is the control in force at
+    node j h for j >= 0: the engine writes a row at an event and otherwise
+    copies the row before it when a step ends, so a read of the next row
+    before its event sees the held value.  ``u_pre`` is the control before
+    t = 0.  ``rows[k]`` is the row holding u(phi(k h)), -1 for ``u_pre``.
+    ``events`` is the run's list of event times, shared with its
+    ``EventLog``; with the rows it is the whole control history.  ``sigma``
+    and ``sigma_dot`` answer float queries, off the grid too.
     """
 
     h: float
@@ -164,7 +165,9 @@ class ClosedLoopPredictor(_Predictor):
         h, f = self.h, self.model.f
         U, rows, u_pre = self.grid.U, self.grid.rows, self.grid.u_pre
         k, xhat, f_k = self._k, self._xhat, self._f_k
-        while (k + 1) * h <= sig_target + 1e-12 * (1.0 + abs(sig_target)):
+        # replay to the target's node, or to the node below it and a partial step
+        kt, on = node_of(sig_target, h)
+        while k < kt - (not on):
             if f_k is None:
                 j = rows[k]
                 f_k = f(xhat, U[j] if j >= 0 else u_pre)
@@ -173,15 +176,14 @@ class ClosedLoopPredictor(_Predictor):
             k += 1
             if not _capped(xhat):
                 raise PredictorError("prediction diverged")
-        frac = sig_target - k * h
-        if frac > 1e-12:
+        if not on and k < kt:
             fx = f_k
             if fx is None:
                 j = rows[k]
                 fx = f(xhat, U[j] if j >= 0 else u_pre)
                 # keep it unless an event may still overwrite row j
                 f_k = fx if j < final_rows else None
-            self.p = xhat + frac * fx
+            self.p = xhat + (sig_target - k * h) * fx
         else:
             self.p = xhat.copy()
         self._k, self._xhat, self._f_k = k, xhat, f_k
@@ -191,16 +193,12 @@ class ClosedLoopPredictor(_Predictor):
             raise PredictorError("anchor time must be nondecreasing")
         self.anchor_time = float(anchor_time)
         x = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
-        h = self.h
-        k = round(anchor_time / h)
-        if abs(anchor_time - k * h) < 1e-9 * (1.0 + abs(anchor_time)):
-            self._k = int(k)
-        else:
+        k, on = node_of(anchor_time, self.h)
+        if not on:
             # off-grid anchor: partial step onto the next node
-            k = math.ceil(anchor_time / h - 1e-9)
             u = self.grid.u_at(self.delay.phi(anchor_time))
-            x = x + (k * h - anchor_time) * self.model.f(x, u)
-            self._k = int(k)
+            x = x + (k * self.h - anchor_time) * self.model.f(x, u)
+        self._k = k
         self._xhat = x
         self._f_k = None
         self._extend(self.grid.sigma(float(t_now)), 0)
@@ -208,15 +206,16 @@ class ClosedLoopPredictor(_Predictor):
     def advance(self, k: int) -> None:
         """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
         g = self.grid
-        self._extend(float(g.sig[k + 1 - g.lo]), k + 1)
+        # rows below 0 hold u_pre, final throughout the pre-history
+        self._extend(float(g.sig[k + 1 - g.lo]), max(k + 1, 0))
 
 
 class OpenLoopPredictor(_Predictor):
     """sigma-form flow, one Euler step per engine step, never re-anchored.
 
     The first anchor starts the flow at its window start phi(anchor_time)
-    with p = the anchor state; the engine makes it at the start of the
-    pre-history, where the window is empty.
+    with p = the anchor state; the engine makes it at t = 0, so the flow
+    starts at phi(0), where the window is empty.
     """
 
     def reanchor(self, anchor_time, anchor_state, t_now):
@@ -226,8 +225,10 @@ class OpenLoopPredictor(_Predictor):
         self.p = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
 
     def advance(self, k: int) -> None:
-        g = self.grid
-        self.p = _open_loop_step(self.p, self.h * float(g.sdot[k - g.lo]),
+        g, h = self.grid, self.h
+        # slot 0 is phi(0) off the grid: the first step is the partial one to node k + 1
+        dt = h if k > g.lo else (k + 1) * h - self.delay.phi(0.0)
+        self.p = _open_loop_step(self.p, dt * float(g.sdot[k - g.lo]),
                                  self.model.f(self.p, g.u_row(k)))
 
 

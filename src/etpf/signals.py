@@ -29,10 +29,6 @@ class TimedSignal:
         return len(self._times)
 
     @property
-    def times(self) -> list[float]:
-        return list(self._times)
-
-    @property
     def first_time(self) -> float:
         if not self._times:
             raise CoverageError("signal is empty")

@@ -33,8 +33,9 @@ class TriggerConfig:
 
     * ``nonlinear``: threshold ``rho_inv(theta * gamma(|p|)) / (2 L_K)``,
       needs a certificate and the Lipschitz constant of K.
-    * ``linear``: threshold ``lam_min(Q) sqrt(theta) / (4 |PB| |K|) * |p|``;
-      the coefficient is precomputed from the linear system.
+    * ``linear``: threshold ``rho_bar * |p|`` with the ratio
+      ``rho_bar = lam_min(Q) sqrt(theta) / (4 |PB| |K|)`` derived from the
+      linear system by ``TriggerConfig.linear``.
     * ``fixed-ratio``: threshold ``rho_bar * |p|`` (for presets that fix
       the ratio directly instead of deriving it from a certificate).
     """
@@ -43,15 +44,14 @@ class TriggerConfig:
     theta: float
     rho_bar: Optional[float] = None
     L_K: Optional[float] = None
-    linear_coeff: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in ("nonlinear", "linear", "fixed-ratio"):
             raise ConfigurationError(f"unknown trigger mode {self.mode!r}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigurationError("theta must lie in (0, 1)")
-        if self.mode == "fixed-ratio" and (self.rho_bar is None or self.rho_bar <= 0):
-            raise ConfigurationError("fixed-ratio mode needs rho_bar > 0")
+        if self.mode != "nonlinear" and (self.rho_bar is None or self.rho_bar <= 0):
+            raise ConfigurationError(f"{self.mode} mode needs rho_bar > 0")
         if self.mode == "nonlinear" and (self.L_K is None or self.L_K <= 0):
             raise ConfigurationError("nonlinear mode needs L_K > 0")
 
@@ -61,8 +61,8 @@ class TriggerConfig:
 
     @staticmethod
     def linear(sys: LinearSystem, theta: float) -> "TriggerConfig":
-        coeff = sys.lam_min_Q * math.sqrt(theta) / (4.0 * sys.PB_norm * sys.K_norm)
-        return TriggerConfig(mode="linear", theta=theta, linear_coeff=coeff)
+        rho_bar = sys.lam_min_Q * math.sqrt(theta) / (4.0 * sys.PB_norm * sys.K_norm)
+        return TriggerConfig(mode="linear", theta=theta, rho_bar=rho_bar)
 
     @staticmethod
     def fixed_ratio(rho_bar: float, theta: float = 0.5) -> "TriggerConfig":
@@ -103,12 +103,8 @@ def _norm(v) -> float:
 def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
     """Trigger threshold as a function of the current prediction."""
     p_norm = _norm(p)
-    if cfg.mode == "fixed-ratio":
+    if cfg.mode != "nonlinear":
         return cfg.rho_bar * p_norm
-    if cfg.mode == "linear":
-        if cfg.linear_coeff is None:
-            raise ConfigurationError("linear trigger missing its coefficient")
-        return cfg.linear_coeff * p_norm
     if cert is None:
         raise ConfigurationError("nonlinear trigger needs an ISS certificate")
     return cert.rho_inv(cfg.theta * cert.gamma(p_norm)) / (2.0 * cfg.L_K)

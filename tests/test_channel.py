@@ -4,7 +4,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from etpf.channel import ActuationDelay, SensingSchedule, verify_delay_bounds
+from etpf.channel import ActuationDelay, SensingSchedule, node_of, verify_delay_bounds
 from etpf.engine import _node_grid
 from etpf.exceptions import ChannelModelError, ConfigurationError
 
@@ -80,7 +80,7 @@ class TestArrayPaths:
     def test_sigma_array_equals_scalar_on_nodes(self, make, old_phi):
         d = make()
         for h, N in ((1e-2, 2500), (1e-3, 3000)):
-            nodes = np.arange(math.ceil(d.phi(0.0) / h - 1e-9), N + 2) * h
+            nodes = np.arange(node_of(d.phi(0.0), h)[0], N + 2) * h
             assert bits(d.sigma(nodes)) == bits([d.sigma(t) for t in nodes.tolist()])
 
     @pytest.mark.parametrize("make, old_phi", SHAPES)
@@ -127,11 +127,42 @@ class TestArrayPaths:
         assert rep.min_delay == float(np.min(grid - phi_vals))
 
 
+class TestNodeOf:
+    """``node_of(t, h)``: the nearest node and True within 1e-9 steps of it, else
+    the first node above t and False."""
+
+    H = 1e-2
+    NODES = [-51, -1, 0, 1, 250, 2500]
+
+    @pytest.mark.parametrize("k", NODES)
+    def test_at_and_one_ulp_around_a_node(self, k):
+        t = k * self.H
+        for s in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)):
+            assert node_of(s, self.H) == (k, True), s
+
+    @pytest.mark.parametrize("k", NODES)
+    def test_within_and_past_the_snap(self, k):
+        h = self.H
+        assert node_of((k + 0.5e-9) * h, h) == (k, True)
+        assert node_of((k - 0.5e-9) * h, h) == (k, True)
+        assert node_of((k + 2e-9) * h, h) == (k + 1, False)
+        assert node_of((k - 2e-9) * h, h) == (k, False)
+
+    def test_negative_times_and_other_steps(self):
+        assert node_of(-0.507, self.H) == (-50, False)
+        assert node_of(-0.5e-11, self.H) == (0, True)
+        assert node_of(-2e-11, self.H) == (0, False)
+        # 0.3 / 0.1 is 2.9999999999999996 in floats
+        assert node_of(0.3, 0.1) == (3, True)
+        assert node_of(-0.3, 0.1) == (-3, True)
+        assert all(type(v) is int for v in (node_of(0.3, 0.1)[0], node_of(0.25, 0.1)[0]))
+
+
 def snapped_phi(delay, s, h):
-    """phi(s), snapped onto a grid node within 1e-9 (the rule the tables use)."""
+    """phi(s), snapped onto the grid node ``node_of`` places it on (the rule the tables use)."""
     sp = delay.phi(s)
-    k = round(sp / h)
-    return k * h if abs(sp - k * h) < 1e-9 * (1.0 + abs(sp)) else sp
+    k, on = node_of(sp, h)
+    return k * h if on else sp
 
 
 class TestGridTables:
@@ -146,27 +177,23 @@ class TestGridTables:
     def test_nodes_bit_equal(self, make):
         d, h, N = make(), 1e-2, 600
         phi0 = d.phi(0.0)
-        m_lo = math.ceil(phi0 / h - 1e-9)
-        sig, sdot, phi_k, j_k, sig_phi0, sdot_phi0 = d.grid_tables(h, m_lo, N)
-        want = [d.sigma(m * h) if m * h >= phi0 else math.nan for m in range(m_lo - 1, N + 2)]
+        m_lo = node_of(phi0, h)[0]
+        sig, sdot, phi_k, j_k = d.grid_tables(h, m_lo, N)
+        # slot 0 is phi(0), the others the nodes from m_lo on
+        want = [d.sigma(phi0)] + [d.sigma(m * h) for m in range(m_lo, N + 2)]
         np.testing.assert_array_equal(sig, want)
         # sigmadot against the scalar loop it replaces: centered, one-sided
-        # next to phi(0)
-        want_sdot = [math.nan] * len(sig)
-        for i in range(1, len(sig) - 1):
-            if math.isfinite(sig[i - 1]) and math.isfinite(sig[i + 1]):
-                want_sdot[i] = (sig[i + 1] - sig[i - 1]) / (2.0 * h)
-            elif math.isfinite(sig[i]) and math.isfinite(sig[i + 1]):
-                want_sdot[i] = (sig[i + 1] - sig[i]) / h
-        np.testing.assert_array_equal(sdot, want_sdot)
+        # at phi(0) and at node m_lo, none at node N + 1
+        want_sdot = [d.sigma_dot(phi0, h), (sig[2] - sig[1]) / h]
+        for i in range(2, len(sig) - 1):
+            want_sdot.append((sig[i + 1] - sig[i - 1]) / (2.0 * h))
+        np.testing.assert_array_equal(sdot, want_sdot + [math.nan])
         assert len(phi_k) * h > sig[-1]
         np.testing.assert_array_equal(phi_k, [snapped_phi(d, k * h, h) for k in range(len(phi_k))])
         # the row table: last node of 0, h, ..., N h at or before phi_k, -1 before 0
         nodes = [k * h for k in range(N + 1)]
         np.testing.assert_array_equal(j_k, [bisect_right(nodes, v) - 1 for v in phi_k])
         assert j_k.dtype.kind == "i"
-        assert sig_phi0 == d.sigma(phi0)
-        assert sdot_phi0 == d.sigma_dot(phi0, h)
         # built once per (h, m_lo, N)
         assert d.grid_tables(h, m_lo, N)[0] is sig
 
@@ -221,7 +248,7 @@ class TestRowTable:
         """Run the engine's row protocol with random events, calling
         ``on_step(k, grid, hold)`` before and after the event at each node k."""
         phi0 = d.phi(0.0)
-        m_lo = math.ceil(phi0 / h - 1e-9)
+        m_lo = node_of(phi0, h)[0]
         rng = np.random.default_rng(seed)
         events = set(rng.choice(N + 1, size=int(rng.integers(1, 120)), replace=False).tolist())
         if seed % 2:
@@ -254,8 +281,8 @@ class TestRowTable:
     @pytest.mark.parametrize("make, h", DELAYS)
     def test_row_read_equals_sample(self, make, h, seed):
         d, N = make(), 600
-        m_lo = math.ceil(d.phi(0.0) / h - 1e-9)
-        _sig, _sdot, phi_k, j_k, _, _ = d.grid_tables(h, m_lo, N)
+        m_lo = node_of(d.phi(0.0), h)[0]
+        _sig, _sdot, phi_k, j_k = d.grid_tables(h, m_lo, N)
         assert d.grid_tables(h, m_lo, N)[3] is j_k  # cached with the other tables
         by_row = {}
         for i, j in enumerate(j_k.tolist()):

@@ -135,6 +135,14 @@ class TestHeatmap:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+class TestVerify:
+    def test_all_checks_pass(self, capsys):
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert sum(line.startswith("[ok] ") for line in out.splitlines()) == 6
+        assert "FAIL" not in out
+
+
 class TestTradeoff:
     def test_tables(self, tmp_path):
         out = tmp_path / "to"

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from etpf import presets, run
-from etpf.channel import ActuationDelay, SensingSchedule
+from etpf.channel import ActuationDelay, SensingSchedule, node_of
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.trigger import TriggerConfig
@@ -83,6 +82,18 @@ class TestRunBasics:
         assert np.isnan(tr.pre_p[-1]).all()
         np.testing.assert_array_equal(tr.x, np.tile(cfg.x0, (len(tr.times), 1)))
 
+    @pytest.mark.parametrize("method", ["open-loop", "semi-closed-loop"])
+    def test_prehistory_covers_the_first_partial_segment(self, method):
+        # example1's phi(0) = -0.519 lies off the grid: the pre-history flow
+        # covers [phi(0), -0.51] before its first node, as the closed-loop
+        # replay does, instead of holding x0 there
+        base = dataclasses.replace(presets.example1(), T=2.0, monitor=None)
+        closed = run(base)
+        tr = run(dataclasses.replace(base, predictor_method=method))
+        assert tr.pre_times[0] == base.delay.phi(0.0) and tr.pre_times[1] == -51 * base.h
+        assert np.all(tr.pre_p[1] != base.x0)
+        np.testing.assert_allclose(tr.pre_p[1], closed.pre_p[1], rtol=0.0, atol=1e-3)
+
     def test_divergence_leaves_unreached_control_rows_zero(self):
         # a re-anchor that diverges at step s stops the run before the
         # trigger of step s: the control rows from s on stay 0, as does every
@@ -106,6 +117,18 @@ class TestRunBasics:
                                   ctrl_delay=ActuationDelay.constant(0.5))
         with pytest.raises(ConfigurationError):
             run(cfg)
+
+    def test_delay_not_positive_on_the_grid_rejected(self):
+        # node_of places phi(0) = 0 and phi(0) = -5e-12 (5e-10 steps at
+        # h = 0.01) on node 0, which leaves no pre-history step
+        base = dataclasses.replace(presets.example1(), T=2.0, monitor=None)
+        for delay in (ActuationDelay(phi=lambda t: t, M0=1.0, M1=1.0, m2=1.0),
+                      ActuationDelay.constant(5e-12)):
+            with pytest.raises(ConfigurationError):
+                run(dataclasses.replace(base, delay=delay))
+        # 2e-11 s is 2e-9 steps: one partial pre-history step onto t = 0
+        tr = run(dataclasses.replace(base, delay=ActuationDelay.constant(2e-11)))
+        assert not tr.diverged and tr.pre_times.tolist() == [-2e-11]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_plant_state_diverges(self, bad):
@@ -215,9 +238,9 @@ class TestChannelTables:
 
 
 class TestPhi0JustAboveNode:
-    """phi(0) within the 1e-9 h snap above a node: the pre-history starts at
-    that node, below phi(0).  The grid tables, the predictors and the monitor
-    all read sigma and u there."""
+    """phi(0) within the snap above a node: ``node_of`` places it on that node,
+    so the pre-history takes no partial first step.  The grid tables, the
+    predictors and the monitor all read sigma and u there."""
 
     CASES = [
         pytest.param(0.3, 0.1, id="D0.3-h0.1"),
@@ -236,7 +259,8 @@ class TestPhi0JustAboveNode:
     def test_runs_without_divergence(self, preset, method, monitored, D, h):
         delay = ActuationDelay.constant(D)
         phi0 = delay.phi(0.0)
-        assert math.ceil(phi0 / h - 1e-9) * h < phi0  # the case under test
+        k, on = node_of(phi0, h)
+        assert on and k * h < phi0  # the case under test
         base = getattr(presets, preset)()
         cfg = dataclasses.replace(base, delay=delay, h=h, T=3.0, predictor_method=method,
                                   monitor=base.monitor if monitored else None)

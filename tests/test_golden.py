@@ -40,20 +40,20 @@ GOLDEN_CSV = {
 }
 GOLDEN_VARIANT_CSV = {
     "example1-semi-closed": (
-        "6d620dce7b25f7eaad80bab0387adbe04c077b75273762169eb5abd5eacdc5e5",
-        "bf190e802fcf1b8f51b21406fa0523be04b56d39e0c92bb7d356ae96512a2408",
+        "2ca309242b14ef6b9af1e72a18a0efec17f88a3194509caa56566801b4d07bff",
+        "a5619123e3ead1f5169a5b6787f71630af10a13ba32ec00fb42261f340e3a40c",
     ),
     "example1-open-loop": (
-        "af1177b2de210a2eef9cebd985c22df672bbb51fe80a5be577b8a3812e7cfbce",
-        "b1ee16caac0803f05d92e2094f068ca1a4e74d10cacd4dc3bb10bb470722bec0",
+        "c1377acf26d78b3b0cf7703a8c45040564bee0be3b964061efcdf0b61c2c4047",
+        "9b99dad919a40d0448b3cdf524dbf59360e06399de8898cebe177a864a929081",
     ),
     "example1-perfect-prehistory": (
         "8ca584bae6e1fc396a36b08518c6f6433e582e35eca2aa0046fe2ecac212adb1",
         "12431b317a7d90866501c08556781888987e736793971ba44325c1f528202623",
     ),
     "example1-semi-closed-perfect-prehistory": (
-        "3c3b4bbe26b13d5082d3680d863908529da2c41cee6ae255fda0eaf6b6980fed",
-        "d23469356d1c9c1aafffb8822f5ca22c9c13561fe6d78d6607bb53d4163982d4",
+        "4d80d2248f36b69cdfd3f0a228bcf58d078ad2f2ae10fbe85c01d8eafdb6c323",
+        "69374c676f6fbd327cc7b0a1daced2bb324938c2d00f3a0a366f9863ff35503e",
     ),
     "example1-mismatch-gaussian": (
         "dbc6dc7cac476a0f00a9bd98fd95d75b660767235d614722f6e52173b67589d8",

@@ -43,7 +43,7 @@ class TestComputeL:
         phi = lambda t: t - 0.5
         for form in ("sup", "integral"):
             cfg = MonitorConfig(b=10.0, form=form)
-            assert compute_L(cfg, w, 0.0, 0.5, phi) == 0.0
+            assert compute_L(cfg, w, 0.0, 0.5, phi, n_nodes=51) == 0.0
 
     def test_sup_endpoint(self):
         c, b, M0 = 2.0, 3.0, 0.7
@@ -62,20 +62,13 @@ class TestComputeL:
     def test_bad_window(self):
         cfg = MonitorConfig()
         with pytest.raises(MonitorError):
-            compute_L(cfg, const_signal([0.0]), 1.0, 0.5, lambda t: t)
+            compute_L(cfg, const_signal([0.0]), 1.0, 0.5, lambda t: t, n_nodes=2)
 
 
-def compute_L_loop(cfg, w_history, t, sigma_t, phi, n_nodes=None):
+def compute_L_loop(cfg, w_history, t, sigma_t, phi, n_nodes):
     """compute_L as it was before the window became arrays: one tau at a time."""
     if sigma_t == t:
         return 0.0
-    if n_nodes is None:
-        stamps = w_history.times
-        if len(stamps) >= 2:
-            spacing = min(b - a for a, b in zip(stamps[:-1], stamps[1:]))
-        else:
-            spacing = sigma_t - t
-        n_nodes = max(2, int(math.ceil((sigma_t - t) / spacing)) + 1)
     taus = np.linspace(t, sigma_t, n_nodes)
     vals = []
     for tau in taus:
@@ -116,7 +109,7 @@ class TestComputeLArrays:
             w = self.random_history(rng, d.phi(0.0), 12.0, h, n_inputs)
             for t in rng.uniform(0.0, 10.0, 8):
                 sig_t = d.sigma(float(t))
-                for n_nodes in (None, 2, max(2, int(round((sig_t - t) / h)) + 1), 777):
+                for n_nodes in (2, max(2, int(round((sig_t - t) / h)) + 1), 777):
                     got = compute_L(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
                     want = compute_L_loop(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
                     assert type(got) is float
@@ -131,7 +124,7 @@ class TestComputeLArrays:
         for t in (0.5, 2.25, 4.0):
             w = self.random_history(rng, -0.5, t, 0.125)
             assert w.last_time == t
-            for n_nodes in (None, 2, 51):
+            for n_nodes in (2, 51):
                 got = compute_L(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
                 want = compute_L_loop(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
                 assert got.hex() == want.hex()

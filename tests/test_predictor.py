@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from etpf import presets, run
-from etpf.channel import ActuationDelay
+from etpf.channel import ActuationDelay, node_of
 from etpf.engine import _node_grid
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
@@ -41,7 +41,7 @@ def control_grid(delay, u0, h=1e-2, N=400, events=()):
     u is ``u0`` before the first event, and ``value`` from each event
     ``(k, value)`` at node k h on, as the engine's rows and event times hold it.
     """
-    m_lo = math.ceil(delay.phi(0.0) / h - 1e-9)
+    m_lo = node_of(delay.phi(0.0), h)[0]
     U = np.full((N + 1, 1), float(u0))
     for k, value in events:
         U[k:] = value
@@ -236,15 +236,18 @@ class TestIncrementalClosedLoop:
         err = prediction_error(ex1_trace, presets.example1().delay)
         assert err <= 1e-9
 
-    @pytest.mark.parametrize("D", [0.5 - 5e-11, 0.5 + 5e-11],
-                             ids=["phi-just-above-nodes", "phi-just-below-nodes"])
+    @pytest.mark.parametrize("D", [0.5 - 5e-13, 0.5 + 5e-13, 0.5 - 5e-11, 0.5 + 5e-11],
+                             ids=["phi-just-above-nodes", "phi-just-below-nodes",
+                                  "phi-above-nodes-past-the-snap", "phi-below-nodes-past-the-snap"])
     def test_delay_within_the_snap_of_the_grid(self, D):
-        # phi(k h) lies within the 1e-9 snap of a node.  Just above it, the
-        # snapped phi(0) precedes the first control stamp and must read the
-        # pre-history control.  Just below it, the partial step to sigma(i h)
-        # reads row i before the event at i h, so its f must not be reused
-        # once that event may have changed the row.  The prediction then
-        # differs from the plant only over that 5e-11 s, by up to 5e-11 |df|.
+        # At h = 0.01, 5e-13 s is 5e-11 steps, within node_of's snap: phi(0),
+        # every phi(k h) and every sigma(k h) are taken as the nodes next to
+        # them, by the row table and the replay alike.  5e-11 s is 5e-9 steps,
+        # past the snap: the pre-history starts off the grid, each row read
+        # is the node at or below phi(k h), and the replay closes each target
+        # with a 5e-11 s partial step, whose f is kept only when its row is
+        # final.  Either way the prediction differs from the plant by at most
+        # 5e-11 |df|.
         delay = ActuationDelay.constant(D)
         tr = run(dataclasses.replace(presets.example1(), T=6.0, delay=delay, monitor=None))
         assert not tr.diverged

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from etpf import presets, run
-from etpf.channel import ActuationDelay
+from etpf.channel import ActuationDelay, node_of
 from etpf.engine import SensingConfig
 
 from conftest import prediction_error
@@ -51,7 +51,7 @@ def sensings(draw):
 
 
 def on_grid(t):
-    return abs(t / H - round(t / H)) < 1e-9
+    return node_of(t, H)[1]
 
 
 @settings(max_examples=60, deadline=None)

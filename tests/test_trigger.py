@@ -38,7 +38,7 @@ class TestThreshold:
         theta = 0.5
         cfg = TriggerConfig.linear(sys, theta=theta)
         expected = sys.lam_min_Q * math.sqrt(theta) / (4.0 * sys.PB_norm * sys.K_norm)
-        assert cfg.linear_coeff == pytest.approx(expected)
+        assert cfg.rho_bar == pytest.approx(expected)
         assert threshold(cfg, [1.0, 0.0]) == pytest.approx(expected)
 
     def test_nonlinear_example1_coefficient(self):
@@ -71,6 +71,9 @@ class TestThreshold:
             TriggerConfig.fixed_ratio(-1.0)
         with pytest.raises(ConfigurationError):
             TriggerConfig(mode="sometimes", theta=0.5)
+        # a linear trigger without its ratio fails when it is built
+        with pytest.raises(ConfigurationError):
+            TriggerConfig(mode="linear", theta=0.5)
 
 
 class TestCheckAndFire:
