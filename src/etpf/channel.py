@@ -28,6 +28,7 @@ __all__ = [
     "verify_delay_bounds",
     "DelayBoundsReport",
     "node_of",
+    "nodes_of",
 ]
 
 
@@ -191,8 +192,8 @@ class ActuationDelay:
             sdot[1] = (sig[2] - sig[1]) / h
             sdot[2:-1] = (sig[3:] - sig[1:-2]) / (2.0 * h)
             phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
-            node = np.round(phi_k / h)
-            phi_k = np.where(np.abs(phi_k / h - node) < SNAP, node * h, phi_k)
+            node, on = nodes_of(phi_k, h)
+            phi_k = np.where(on, node * h, phi_k)
             j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
             self._grid[key] = (sig, sdot, phi_k, j_k)
         return self._grid[key]
@@ -207,6 +208,14 @@ def node_of(t: float, h: float) -> tuple[int, bool]:
     if abs(m - k) < SNAP:
         return k, True
     return math.ceil(m), False
+
+
+def nodes_of(t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``node_of`` element by element over an array of times: int array k, bool array on."""
+    m = t / h
+    k = np.round(m)  # half to even, as Python's round
+    on = np.abs(m - k) < SNAP
+    return np.where(on, k, np.ceil(m)).astype(int), on
 
 
 def _brentq_array(phi, t, lo, hi, flo, fhi):

@@ -295,6 +295,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
+    x, f, advance, bound = X[0], model.f, predictor.advance, cfg.divergence_threshold
     try:
         # the pre-history: p at each of pre_times, then one advance onto t = 0
         predictor.reanchor(0.0, cfg.x0, phi0)
@@ -308,7 +309,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 # deliveries due now: adopt the freshest transmitted state
                 if sched is None:
                     if step > 0:
-                        predictor.reanchor(t, X[step], t)
+                        predictor.reanchor(t, x, t)
                     dv_flags[step] = 1.0
                 elif step in by_index:
                     dv_flags[step] = 1.0
@@ -344,12 +345,12 @@ def run(cfg: SimConfig) -> SimTrace:
                     break
                 # plant Euler step with the delayed control u(phi(t))
                 j = rows_true[step]
-                x_next = X[step] + h * model.f(X[step], U[j] if j >= 0 else u_pre)
-                if not math.sqrt(x_next.dot(x_next)) <= cfg.divergence_threshold:  # NaN too
+                x = x + h * f(x, U[j] if j >= 0 else u_pre)
+                if not math.sqrt(x.dot(x)) <= bound:  # NaN too
                     raise PredictorError("plant state crossed the divergence threshold")
-                X[step + 1] = x_next
+                X[step + 1] = x
                 U[step + 1] = U[step]
-                predictor.advance(step)
+                advance(step)
     except PredictorError:
         # the one divergence exit, for the plant bound and for a failed
         # re-anchor or advance, pre-history included: keep the trace up to
@@ -451,7 +452,10 @@ def heatmap(
     ics = rng.standard_normal((n_ic, base_cfg.model.state_dim))
 
     if workers is None:
-        workers = int(os.environ.get("ETPF_THREADS", "0")) or (os.cpu_count() or 1)
+        raw = os.environ.get("ETPF_THREADS", "0")
+        if not raw.strip().isdecimal():
+            raise ConfigurationError(f"ETPF_THREADS must be a nonnegative integer, not {raw!r}")
+        workers = int(raw) or os.cpu_count() or 1
 
     cells = [(i, j, dt, dp) for i, dt in enumerate(delta_tau_grid)
              for j, dp in enumerate(d_psi_grid)]

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import node_of
+from .channel import node_of, nodes_of
 from .exceptions import PredictorError
 from .model import LinearSystem
 from .signals import TimedSignal
@@ -152,21 +152,26 @@ class ClosedLoopPredictor(_Predictor):
     re-integration on time-warped nodes.  The value at sigma(t) is closed
     with a partial Euler step, whose ``f(xhat_k, u)`` the next replay step
     from node k reuses.
+
+    Full replay steps read only final control rows, so the chain of replayed
+    states is a function of its start node and state alone: a re-anchor on a
+    node whose stored state has the anchor state's bits replays nothing.
     """
 
     def __init__(self, model, delay, grid: NodeGrid):
         super().__init__(model, delay, grid)
-        self._xhat: Optional[np.ndarray] = None  # replay state at node _k * h
-        self._k: Optional[int] = None
-        self._f_k: Optional[np.ndarray] = None  # f(xhat_k, u(phi(k h))), if kept
+        # the replayed states at nodes _c0, _c0 + 1, ...: the last one is the head
+        self._chain, self._c0 = [], 0
+        self._f_k: Optional[np.ndarray] = None  # f(head, u(phi(k h))), if kept
+        kt, on = nodes_of(grid.sig, self.h)  # per table slot: advance's target, its node_of
+        self._targets = list(zip(grid.sig.tolist(), kt.tolist(), on.tolist()))
 
-    def _extend(self, sig_target: float, final_rows: int) -> None:
-        """Replay up to ``sig_target``; rows of U below ``final_rows`` are final."""
-        h, f = self.h, self.model.f
+    def _extend(self, sig_target: float, kt: int, on: bool, final_rows: int) -> None:
+        """Replay up to ``sig_target`` at node_of (kt, on); U rows below ``final_rows`` are final."""
+        h, f, chain = self.h, self.model.f, self._chain
         U, rows, u_pre = self.grid.U, self.grid.rows, self.grid.u_pre
-        k, xhat, f_k = self._k, self._xhat, self._f_k
+        k, xhat, f_k = self._c0 + len(chain) - 1, chain[-1], self._f_k
         # replay to the target's node, or to the node below it and a partial step
-        kt, on = node_of(sig_target, h)
         while k < kt - (not on):
             if f_k is None:
                 j = rows[k]
@@ -175,7 +180,9 @@ class ClosedLoopPredictor(_Predictor):
             f_k = None
             k += 1
             if not _capped(xhat):
+                self._f_k = None  # the head may have moved
                 raise PredictorError("prediction diverged")
+            chain.append(xhat)
         if not on and k < kt:
             fx = f_k
             if fx is None:
@@ -186,28 +193,33 @@ class ClosedLoopPredictor(_Predictor):
             self.p = xhat + (sig_target - k * h) * fx
         else:
             self.p = xhat.copy()
-        self._k, self._xhat, self._f_k = k, xhat, f_k
+        self._f_k = f_k
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
         if self.anchor_time is not None and anchor_time < self.anchor_time:
             raise PredictorError("anchor time must be nondecreasing")
         self.anchor_time = float(anchor_time)
-        x = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
+        x = np.array(anchor_state, dtype=float, ndmin=1)
+        sig = self.grid.sigma(float(t_now))
+        kt, on_t = node_of(sig, self.h)
         k, on = node_of(anchor_time, self.h)
-        if not on:
-            # off-grid anchor: partial step onto the next node
-            u = self.grid.u_at(self.delay.phi(anchor_time))
-            x = x + (k * self.h - anchor_time) * self.model.f(x, u)
-        self._k = k
-        self._xhat = x
-        self._f_k = None
-        self._extend(self.grid.sigma(float(t_now)), 0)
+        chain, c, head = self._chain, k - self._c0, self._c0 + len(self._chain) - 1
+        # a hit: node k is on the chain, with x's bits, and the head is not past the target
+        if on and 0 <= c and k <= head <= kt - (not on_t) and x.tobytes() == chain[c].tobytes():
+            del chain[:c]  # anchors never move back
+        else:
+            if not on:
+                # off-grid anchor: partial step onto the next node
+                u = self.grid.u_at(self.delay.phi(anchor_time))
+                x = x + (k * self.h - anchor_time) * self.model.f(x, u)
+            self._chain, self._f_k = [x], None
+        self._c0 = k
+        self._extend(sig, kt, on_t, 0)
 
     def advance(self, k: int) -> None:
         """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
-        g = self.grid
         # rows below 0 hold u_pre, final throughout the pre-history
-        self._extend(float(g.sig[k + 1 - g.lo]), max(k + 1, 0))
+        self._extend(*self._targets[k + 1 - self.grid.lo], max(k + 1, 0))
 
 
 class OpenLoopPredictor(_Predictor):
@@ -305,6 +317,10 @@ class LinearPredictor(_Predictor):
         super().__init__(sys, delay, grid)
         self.sys = sys
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._sig = grid.sig.tolist()
+        # advance's Phi @ (B @ u) and its inputs: step matrices (held, so no new tuple
+        # reuses their id), event count and pre-history side
+        self._held: tuple = (None, None, None)
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
         key = round(dsig, 14)
@@ -340,9 +356,11 @@ class LinearPredictor(_Predictor):
         self.p = p
 
     def advance(self, k: int) -> None:
-        g = self.grid
-        E, Phi = self._step_mats(float(g.sig[k + 1 - g.lo] - g.sig[k - g.lo]))
-        self.p = E @ self.p + Phi @ (self.sys.B @ g.u_row(k))
+        g, sig, i = self.grid, self._sig, k - self.grid.lo
+        mats = self._step_mats(sig[i + 1] - sig[i])
+        if self._held[1] != (key := (len(g.events), k < 0)) or self._held[0] is not mats:
+            self._held = (mats, key, mats[1] @ (self.sys.B @ g.u_row(k)))
+        self.p = mats[0] @ self.p + self._held[2]
         if not _capped(self.p):
             raise PredictorError("prediction diverged")
 

@@ -37,11 +37,14 @@ __all__ = [
 
 
 def _ex1_f(x, u):
-    return np.array([x[0] + x[1], math.tanh(x[0]) + x[1] + float(u[0])])
+    # Python floats: the same IEEE operations as numpy scalars, without their overhead
+    x0, x1 = x.tolist()
+    return np.array([x0 + x1, math.tanh(x0) + x1 + float(u[0])])
 
 
 def _ex1_K(x):
-    return np.array([-6.0 * x[0] - 5.0 * x[1] - math.tanh(x[0])])
+    x0, x1 = x.tolist()
+    return np.array([-6.0 * x0 - 5.0 * x1 - math.tanh(x0)])
 
 
 def example1_model() -> SystemModel:

@@ -93,16 +93,11 @@ class EventLog:
         return float(np.min(np.diff(self.event_times)))
 
 
-def _norm(v) -> float:
-    """Euclidean norm of a real vector, as sqrt(v . v): numpy's own ``norm`` body
-    for real 1-D input, without its dispatch."""
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(v.dot(v))
-
-
 def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
     """Trigger threshold as a function of the current prediction."""
-    p_norm = _norm(p)
+    # sqrt(p . p): numpy's own norm body for a real vector, without its dispatch
+    p = np.asarray(p, dtype=float)
+    p_norm = math.sqrt(p.dot(p))
     if cfg.mode != "nonlinear":
         return cfg.rho_bar * p_norm
     if cert is None:
@@ -121,7 +116,8 @@ def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
     """
     if p_at_last_event is None:
         return True, 0.0
-    e_norm = _norm(np.subtract(p_at_last_event, p_now))
+    e = np.subtract(p_at_last_event, p_now)  # an ndarray for lists too
+    e_norm = math.sqrt(e.dot(e))
     return e_norm > 0.0 and e_norm >= thr, e_norm
 
 

@@ -4,7 +4,8 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from etpf.channel import ActuationDelay, SensingSchedule, node_of, verify_delay_bounds
+from etpf.channel import (ActuationDelay, SensingSchedule, node_of, nodes_of,
+                          verify_delay_bounds)
 from etpf.engine import _node_grid
 from etpf.exceptions import ChannelModelError, ConfigurationError
 
@@ -156,6 +157,14 @@ class TestNodeOf:
         assert node_of(0.3, 0.1) == (3, True)
         assert node_of(-0.3, 0.1) == (-3, True)
         assert all(type(v) is int for v in (node_of(0.3, 0.1)[0], node_of(0.25, 0.1)[0]))
+
+    def test_array_form_matches_elementwise(self):
+        h = self.H
+        ts = [k * h + d for k in self.NODES for d in (0.0, 0.5e-9 * h, -0.5e-9 * h, 2e-9 * h,
+                                                       -2e-9 * h, 0.5 * h, -0.5 * h, 0.37 * h)]
+        ts += [math.nextafter(k * h, math.inf) for k in self.NODES] + [-0.507, 0.3, -0.3]
+        k, on = nodes_of(np.array(ts), h)
+        assert list(zip(k.tolist(), on.tolist())) == [node_of(t, h) for t in ts]
 
 
 def snapped_phi(delay, s, h):

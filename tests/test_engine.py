@@ -322,6 +322,21 @@ class TestHeatmap:
         with pytest.raises(PredictorError, match="unknown predictor method"):
             heatmap(base, [2.0], [1.0], n_ic=1, seed=1, workers=1)
 
+    @pytest.mark.parametrize("value", ["two", "-1", "1.5", ""])
+    def test_bad_thread_count_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("ETPF_THREADS", value)
+        with pytest.raises(ConfigurationError, match="ETPF_THREADS"):
+            heatmap(presets.example1(), [2.0], [1.0], n_ic=1, seed=1)
+
+    def test_thread_count_env_caps_workers(self, monkeypatch):
+        # one worker: the picklable sweep runs in this process, with no pool
+        import concurrent.futures
+        monkeypatch.setenv("ETPF_THREADS", " 1 ")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        mat = heatmap(presets.example1(), [2.0], [1.0], n_ic=1, seed=7,
+                      config_factory=presets.example1)
+        assert mat.shape == (1, 1)
+
     def test_bad_n_ic(self):
         with pytest.raises(ConfigurationError):
             heatmap(presets.example1(), [2.0], [1.0], n_ic=0, seed=1)

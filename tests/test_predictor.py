@@ -271,6 +271,112 @@ class TestIncrementalClosedLoop:
                            linear=None)
 
 
+class TestReplayMemo:
+    """A re-anchor onto a node of the replay chain with the chain's own state."""
+
+    H = 1e-2
+
+    @staticmethod
+    def counting_model(calls):
+        def f(x, u):
+            calls.append(1)
+            return presets._ex1_f(x, u)
+
+        return SystemModel(state_dim=2, f=f, K=presets._ex1_K, L_f=1.0, L_K=1.0)
+
+    def setup_predictor(self, calls):
+        # as in the engine: a re-anchor, then advances that keep the partial
+        # step's f once its control row is final
+        delay = ActuationDelay.example1()
+        grid = control_grid(delay, 0.5, h=self.H, N=600, events=[(50, -1.0), (120, 0.3)])
+        pred = ClosedLoopPredictor(self.counting_model(calls), delay, grid)
+        pred.reanchor(1.0, [1.0, 0.5], 2.0)
+        for k in range(200, 230):
+            pred.advance(k)
+        return pred, delay, grid
+
+    def test_hit_replays_nothing(self):
+        calls = []
+        pred, delay, grid = self.setup_predictor(calls)
+        node = 130
+        state = pred._chain[node - pred._c0].copy()
+        p, head, head_node = pred.p.copy(), pred._chain[-1], pred._c0 + len(pred._chain) - 1
+        calls.clear()
+        pred.reanchor(node * self.H, state, 2.3)
+        assert calls == []
+        assert pred.p.tobytes() == p.tobytes()
+        assert pred._chain[-1] is head and pred._c0 + len(pred._chain) - 1 == head_node
+        # only the nodes from the anchor on are kept
+        assert pred._c0 == node
+        # the same bits as a replay from scratch
+        fresh = ClosedLoopPredictor(self.counting_model([]), delay, grid)
+        fresh.reanchor(node * self.H, state, 2.3)
+        assert fresh.p.tobytes() == p.tobytes()
+
+    def test_one_ulp_off_replays(self):
+        calls = []
+        pred, delay, grid = self.setup_predictor(calls)
+        node = 130
+        state = pred._chain[node - pred._c0].copy()
+        hit = pred.p.copy()
+        state[0] = np.nextafter(state[0], math.inf)
+        calls.clear()
+        pred.reanchor(node * self.H, state, 2.3)
+        assert calls  # replayed
+        assert pred.p.tobytes() != hit.tobytes()
+        fresh = ClosedLoopPredictor(self.counting_model([]), delay, grid)
+        fresh.reanchor(node * self.H, state, 2.3)
+        assert fresh.p.tobytes() == pred.p.tobytes()
+
+
+    def test_target_below_the_head_replays(self):
+        # a target before the chain's head cannot be read off the chain
+        calls = []
+        pred, delay, grid = self.setup_predictor(calls)
+        node = 130
+        state = pred._chain[node - pred._c0].copy()
+        pred.reanchor(node * self.H, state, 2.0)
+        fresh = ClosedLoopPredictor(self.counting_model([]), delay, grid)
+        fresh.reanchor(node * self.H, state, 2.0)
+        assert fresh.p.tobytes() == pred.p.tobytes()
+
+    def test_signed_zero_is_not_a_hit(self):
+        # -0.0 == 0.0, but under xdot = x the replay from -0.0 keeps the sign
+        model = SystemModel(state_dim=1, f=lambda x, u: x.copy(), K=lambda x: np.zeros(1),
+                            L_f=1.0, L_K=0.0)
+        delay = ActuationDelay.constant(0.5)
+        pred = ClosedLoopPredictor(model, delay, control_grid(delay, 0.0))
+        pred.reanchor(1.0, [0.0], 1.0)
+        pred.reanchor(1.2, [-0.0], 1.5)
+        assert math.copysign(1.0, pred.p[0]) == -1.0
+
+
+class TestHeldLinearTerm:
+    def test_advance_matches_the_full_step(self, monkeypatch):
+        # u_prehistory = 0.3 before t = 0, then U rows 0 until the first event
+        # at t0 = d_psi > 0: the held Phi @ (B @ u) must change at t = 0 and at
+        # every event
+        cfg = dataclasses.replace(
+            presets.linear2d(), T=1.5, u_prehistory=0.3, monitor=None,
+            sensing=dataclasses.replace(presets.linear2d().sensing, d_psi=0.2),
+        )
+        original = LinearPredictor.advance
+        seen = []
+
+        def checked(self, k):
+            g = self.grid
+            E, Phi = self._step_mats(float(g.sig[k + 1 - g.lo] - g.sig[k - g.lo]))
+            expected = E @ self.p + Phi @ (self.sys.B @ g.u_row(k))
+            original(self, k)
+            assert self.p.tobytes() == expected.tobytes(), k
+            seen.append((k < 0, len(g.events)))
+
+        monkeypatch.setattr(LinearPredictor, "advance", checked)
+        tr = run(cfg)
+        assert tr.t0 > 0 and tr.events.count > 2
+        assert (True, 0) in seen and (False, 0) in seen and (False, 2) in seen
+
+
 class TestDivergenceCheck:
     """One comparison per check catches NaN, inf and values above the cap."""
 

@@ -1,9 +1,10 @@
 """Invariants of the engine over random small configurations of ``example1``.
 
 The example1 model and trigger run under a random actuation delay (constant,
-sinusoidal or a piecewise-linear table) and a random periodic sensing channel
-(a period on or off the grid of step h, a constant or a seeded Gaussian
-sensing delay, which reorders deliveries).
+sinusoidal or a piecewise-linear table) and a random sensing channel: perfect
+sensing, which re-anchors the prediction at every step, or a periodic one (a
+period on or off the grid of step h, a constant or a seeded Gaussian sensing
+delay, which reorders deliveries).
 """
 
 import dataclasses
@@ -37,6 +38,8 @@ def delays(draw):
 
 @st.composite
 def sensings(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return SensingConfig(mode="perfect")
     delta_tau = draw(st.integers(10, 80)) * H
     if draw(st.booleans()):
         # off the grid: only the first transmission, at t = 0, is on a node
@@ -60,10 +63,26 @@ def test_run_invariants(delay, sensing):
     cfg = dataclasses.replace(presets.example1(), T=T, delay=delay, sensing=sensing,
                               monitor=None)
     tr = run(cfg)
+    event(f"sensing: {sensing.mode}")
     assert not tr.diverged
 
     # w vanishes once events have started
     assert tr.diagnostics["w_max_after_t0"] <= 1e-9
+
+    # C7: the threshold holds off events from t0 on, up to the prediction's
+    # jump over the step (the trigger is checked at nodes only); e resets at events
+    live = (tr.times >= tr.t0) & (tr.event_flags == 0)
+    jump = np.r_[0.0, np.linalg.norm(np.diff(tr.p, axis=0), axis=1)]
+    assert np.all(tr.e_norm[live] <= tr.threshold[live] + jump[live] + 1e-12)
+    assert np.all(tr.e_norm[tr.event_flags == 1] == 0.0)
+
+    # the channel tables invert phi: phi(sigma(k h)) = k h at every table node
+    # (slot 0 holds sigma(phi(0)))
+    m_lo = node_of(delay.phi(0.0), H)[0]
+    N = int(round(T / H))
+    nodes = np.r_[delay.phi(0.0), np.arange(m_lo, N + 2) * H]
+    sig = delay.grid_tables(H, m_lo, N)[0]
+    assert np.all(np.abs(delay.phi(sig) - nodes) <= 1e-12 * (1.0 + np.abs(nodes)))
 
     # event times are strictly increasing grid nodes
     ev = np.array(tr.events.event_times)

@@ -39,9 +39,10 @@ def test_install_and_remove():
     assert tracer.calls("trigger.threshold") == 101
     # the closed-loop replay reuses the f of its partial step when the next
     # step starts from the same node with a final control row, the
-    # pre-history control included; without that reuse this run makes 862
-    # calls
-    assert tracer.calls("model.f") == 613
+    # pre-history control included (without that reuse: 862 calls), and a
+    # re-anchor onto a node whose replayed state has the anchor state's bits
+    # replays nothing (without that: 613 calls)
+    assert tracer.calls("model.f") == 458
 
 
 def test_lazy_expm_is_traced():
