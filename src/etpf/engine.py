@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import pickle
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,11 +20,11 @@ import numpy as np
 
 from .channel import ActuationDelay, SensingSchedule, node_of
 from .exceptions import ConfigurationError, PredictorError
-from .model import ISSCertificate, LinearSystem, SystemModel
+from .model import ISSCertificate, LinearSystem, SystemModel, lift
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
-from .predictor import NodeGrid, make_predictor
+from .predictor import LIFT, NodeGrid, make_predictor
 from .signals import TimedSignal
-from .trigger import EventLog, TriggerConfig, check_and_fire, threshold
+from .trigger import EventLog, TriggerConfig, check_and_fire, first_crossing, threshold
 
 __all__ = ["SensingConfig", "SimConfig", "SimTrace", "run", "heatmap"]
 
@@ -296,6 +297,39 @@ def run(cfg: SimConfig) -> SimTrace:
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     x, f, advance, bound = X[0], model.f, predictor.advance, cfg.divergence_threshold
+
+    # a linear plant, the closed-form predictor and the threshold rho_bar |p|: once
+    # events have started, the steps between breakpoints run as blocks
+    lifted = blk = None
+    if (cfg.predictor_method == "linear-closed-form" and model._linear is cfg.linear
+            and cfg.trigger.mode != "nonlinear" and sched is not None):
+        dv_steps, hB = sorted(by_index) + [N], h * cfg.linear.B
+        Gx = lift(np.eye(n) + h * cfg.linear.A, LIFT)  # x_i = M^i x + S_i h B u
+
+        def lifted(s: int, x) -> int:
+            """Commit the rows after s up to a breakpoint (README, "Block stepping of linear
+            runs") or a trigger crossing; return the row handed back, with x, p and U set."""
+            Pr = predictor.block(s, N - s)
+            if len(Pr) < 2:  # one row: the loop's own step
+                return s
+            ev, j = log.event_times, rows_true[s]
+            i = bisect_right(ev, j * h)
+            limit = 0 if j < 0 else min(round(ev[i] / h), s + 1) if i < len(ev) else s + 1
+            end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
+            L = min(len(Pr), end - s)
+            u = hB @ (U[j] if j >= 0 else u_pre)
+            Xr = (Gx[: L * n] @ np.concatenate((x, u))).reshape(L, n)
+            ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
+            L = L if ok.all() else int(ok.argmin())
+            if L < 2:
+                return s
+            c, e_n, thr = first_crossing(p_last_event, Pr[: L - 1], cfg.trigger.rho_bar)
+            r = s + 1 + c
+            X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], U[s]
+            P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]
+            predictor.p = Pr[c]
+            return r
+
     try:
         # the pre-history: p at each of pre_times, then one advance onto t = 0
         predictor.reanchor(0.0, cfg.x0, phi0)
@@ -304,7 +338,7 @@ def run(cfg: SimConfig) -> SimTrace:
             predictor.advance(k)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(N + 1):
+            while True:
                 t = step * h
                 # deliveries due now: adopt the freshest transmitted state
                 if sched is None:
@@ -331,7 +365,7 @@ def run(cfg: SimConfig) -> SimTrace:
                         event_p_norms.append(math.sqrt(p_now.dot(p_now)))
                         event_e_pre.append(e_n)
                         U[step] = control
-                        p_last_event = p_now.copy()
+                        p_last_event, blk = p_now.copy(), lifted
                         ev_flags[step] = 1.0
                         # w-identity diagnostic: w vanishes once events have
                         # started; U and p_last_event change only at events
@@ -343,6 +377,9 @@ def run(cfg: SimConfig) -> SimTrace:
 
                 if step == N:
                     break
+                if blk is not None and (r := blk(step, x)) > step:
+                    step, x = r, X[r]
+                    continue
                 # plant Euler step with the delayed control u(phi(t))
                 j = rows_true[step]
                 x = x + h * f(x, U[j] if j >= 0 else u_pre)
@@ -351,6 +388,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 X[step + 1] = x
                 U[step + 1] = U[step]
                 advance(step)
+                step += 1
     except PredictorError:
         # the one divergence exit, for the plant bound and for a failed
         # re-anchor or advance, pre-history included: keep the trace up to

@@ -21,6 +21,7 @@ __all__ = [
     "SystemModel",
     "ISSCertificate",
     "LinearSystem",
+    "lift",
     "eval_f",
     "solve_lyapunov",
     "linear_certificate",
@@ -52,6 +53,9 @@ class SystemModel:
     L_f: float
     L_K: float
     input_dim: int = 1
+    # the LinearSystem whose to_model() built this model, so f is the system's own
+    # even once a wrapper that times it (perfbench's tracer) replaces it
+    _linear = None
 
     def __post_init__(self):
         if self.state_dim < 1 or self.input_dim < 1:
@@ -169,16 +173,30 @@ class LinearSystem:
         # Default Lipschitz bound for the trade-off constants.
         return math.sqrt(2.0) * (spectral_norm(self.A) + spectral_norm(self.B))
 
+    def f(self, x, u) -> np.ndarray:
+        return self.A @ x + self.B @ np.atleast_1d(u)
+
+    def K(self, x) -> np.ndarray:
+        return self.K_gain @ x
+
     def to_model(self) -> SystemModel:
-        A, B, K = self.A, self.B, self.K_gain
-        return SystemModel(
-            state_dim=self.n,
-            input_dim=self.m,
-            f=lambda x, u: A @ x + B @ np.atleast_1d(u),
-            K=lambda x: K @ x,
-            L_f=self.L_f,
-            L_K=self.K_norm,
-        )
+        model = SystemModel(state_dim=self.n, input_dim=self.m, f=self.f, K=self.K,
+                            L_f=self.L_f, L_K=self.K_norm)
+        object.__setattr__(model, "_linear", self)
+        return model
+
+
+def lift(M: np.ndarray, L: int) -> np.ndarray:
+    """``[M^i | S_i]`` for i = 1..L stacked as (L n, 2 n), S_i = sum_{r<i} M^r: row block
+    i of ``lift(M, L) @ [y; c]`` is the i-th iterate of ``y -> M y + c``."""
+    n = len(M)
+    G = np.empty((L, n, 2 * n))
+    Mi, S = np.eye(n), np.zeros((n, n))
+    for i in range(L):
+        S = S + Mi
+        Mi = Mi @ M
+        G[i, :, :n], G[i, :, n:] = Mi, S
+    return G.reshape(L * n, 2 * n)
 
 
 def solve_lyapunov(A_cl, Q) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import node_of, nodes_of
 from .exceptions import PredictorError
-from .model import LinearSystem
+from .model import LinearSystem, lift
 from .signals import TimedSignal
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 PREDICTOR_METHODS = ("closed-loop", "semi-closed-loop", "open-loop", "linear-closed-form")
 
 _DIVERGENCE_CAP = 1e12
+LIFT = 128  # rows of the power tables, the longest block of LinearPredictor.block
 
 
 def _capped(x: np.ndarray) -> bool:
@@ -310,7 +311,8 @@ class LinearPredictor(_Predictor):
     dsig = sigma(b) - sigma(a) solves the prediction ODE exactly wherever u
     is constant on [a, b).  ``advance`` takes one such step per engine step;
     a re-anchor takes one per control segment of its window.  Matrix
-    exponentials are cached per distinct dsig.
+    exponentials are cached per distinct dsig.  ``block`` takes a run of
+    advances with one step matrix and one control at once.
     """
 
     def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
@@ -318,9 +320,8 @@ class LinearPredictor(_Predictor):
         self.sys = sys
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._sig = grid.sig.tolist()
-        # advance's Phi @ (B @ u) and its inputs: step matrices (held, so no new tuple
-        # reuses their id), event count and pre-history side
-        self._held: tuple = (None, None, None)
+        self._runs: Optional[np.ndarray] = None
+        self._lifts: dict[float, np.ndarray] = {}  # lift(E, LIFT) per advance key
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
         key = round(dsig, 14)
@@ -357,12 +358,34 @@ class LinearPredictor(_Predictor):
 
     def advance(self, k: int) -> None:
         g, sig, i = self.grid, self._sig, k - self.grid.lo
-        mats = self._step_mats(sig[i + 1] - sig[i])
-        if self._held[1] != (key := (len(g.events), k < 0)) or self._held[0] is not mats:
-            self._held = (mats, key, mats[1] @ (self.sys.B @ g.u_row(k)))
-        self.p = mats[0] @ self.p + self._held[2]
+        E, Phi = self._step_mats(sig[i + 1] - sig[i])
+        self.p = E @ self.p + Phi @ (self.sys.B @ g.u_row(k))
         if not _capped(self.p):
             raise PredictorError("prediction diverged")
+
+    def block(self, k: int, L: int) -> np.ndarray:
+        """``advance(k)``, ..., ``advance(k + L - 1)`` with row k's control, as rows of p;
+        ``self.p`` stays.  Fewer rows where the advance key changes, past ``LIFT``
+        and from the first row past the divergence cap; none instead of one."""
+        g, i, n = self.grid, k - self.grid.lo, len(self.p)
+        if self._runs is None:  # slots where the advance key changes, then the table's end
+            d = np.diff(g.sig)
+            u = np.unique(d)  # keys are nondecreasing in dsig: group by the values that raise them
+            keys = [round(v, 14) for v in u.tolist()]
+            grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
+            self._runs = np.append(np.flatnonzero(grp[1:] != grp[:-1]) + 1, len(d))
+        L = min(L, LIFT, self._runs[np.searchsorted(self._runs, i, "right")] - i)
+        if L < 2:  # one row is advance's own step
+            return np.empty((0, n))
+        E, Phi = self._step_mats(dsig := self._sig[i + 1] - self._sig[i])
+        if (G := self._lifts.get(key := round(dsig, 14))) is None:
+            G = lift(E, LIFT)
+            if len(self._lifts) < 256:
+                self._lifts[key] = G
+        c = Phi @ (self.sys.B @ g.U[k])
+        rows = (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
+        ok = (np.abs(rows) <= _DIVERGENCE_CAP).all(axis=1)
+        return rows if ok.all() else rows[: ok.argmin()]
 
 
 def make_predictor(method, model, delay, grid: NodeGrid, linear=None):

@@ -12,7 +12,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .exceptions import CoverageError
+from .exceptions import CoverageError, DomainError
 
 __all__ = ["TimedSignal"]
 
@@ -43,7 +43,7 @@ class TimedSignal:
     def append(self, t: float, value) -> None:
         t = float(t)
         if self._times and t <= self._times[-1]:
-            raise ValueError(
+            raise DomainError(
                 f"time stamps must be strictly increasing: {t} after {self._times[-1]}"
             )
         self._times.append(t)
@@ -108,7 +108,7 @@ class TimedSignal:
         interpolated endpoints, exact for the piecewise-linear signal.
         """
         if a > b:
-            raise ValueError("integration bounds out of order")
+            raise DomainError("integration bounds out of order")
         if not self._times or a < self._times[0] or b > self._times[-1]:
             raise CoverageError("integration window not covered by the signal")
         if a == b:

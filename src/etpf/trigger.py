@@ -22,6 +22,7 @@ __all__ = [
     "EventLog",
     "threshold",
     "check_and_fire",
+    "first_crossing",
     "min_dwell",
     "min_dwell_numeric",
 ]
@@ -78,7 +79,7 @@ class EventLog:
 
     def record(self, t: float, control) -> None:
         if self.event_times and t <= self.event_times[-1]:
-            raise ValueError("event times must be strictly increasing")
+            raise DomainError("event times must be strictly increasing")
         self.event_times.append(float(t))
         self.event_controls.append(np.atleast_1d(np.asarray(control, dtype=float)))
 
@@ -119,6 +120,16 @@ def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
     e = np.subtract(p_at_last_event, p_now)  # an ndarray for lists too
     e_norm = math.sqrt(e.dot(e))
     return e_norm > 0.0 and e_norm >= thr, e_norm
+
+
+def first_crossing(p_at_last_event, P: np.ndarray, rho_bar: float):
+    """``check_and_fire`` down the rows of ``P`` with the threshold ``rho_bar |p|``: the
+    first row that fires (``len(P)`` if none), and |e| and the threshold of every row."""
+    e = p_at_last_event - P
+    e_norm = np.sqrt((e * e).sum(axis=1))
+    thr = rho_bar * np.sqrt((P * P).sum(axis=1))
+    fire = np.flatnonzero((e_norm > 0.0) & (e_norm >= thr))
+    return int(fire[0]) if len(fire) else len(P), e_norm, thr
 
 
 def _check_dwell_args(a: float, c: float, R: float) -> None:

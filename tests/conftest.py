@@ -25,6 +25,13 @@ def prediction_error(trace, delay):
     return float(np.max(np.linalg.norm(trace.p[mask] - xi, axis=1)))
 
 
+def per_step(cfg):
+    """``cfg`` with its plant f wrapped in a lambda: a model that ``LinearSystem.to_model``
+    did not build keeps a linear run on the engine's per-step path, the block path's oracle."""
+    f = cfg.model.f
+    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, f=lambda x, u: f(x, u)))
+
+
 @pytest.fixture(scope="session")
 def ex1_trace():
     return run(presets.example1())

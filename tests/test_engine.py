@@ -11,7 +11,7 @@ from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.trigger import TriggerConfig
 
-from conftest import prediction_error
+from conftest import per_step, prediction_error
 
 _MAIN_PID = os.getpid()
 
@@ -143,6 +143,20 @@ class TestRunBasics:
         assert tr.diverged
         assert tr.diagnostics["final_step"] == 0
         assert np.all(np.isfinite(tr.x))
+
+    @pytest.mark.parametrize("bound", [1.5, 1.6])
+    def test_block_path_diverges_where_the_per_step_path_does(self, bound):
+        # |x| of linear2d peaks at 1.80 at t = 0.5 s: a lower plant bound is
+        # crossed inside a block, whose rows stop before it; the loop then
+        # takes that step and leaves through the one divergence exit
+        cfg = dataclasses.replace(presets.linear2d(), T=3.0, monitor=None,
+                                  divergence_threshold=bound)
+        oracle, tr = run(per_step(cfg)), run(cfg)
+        assert tr.diverged and oracle.diverged
+        assert tr.diagnostics["final_step"] == oracle.diagnostics["final_step"]
+        assert tr.events.event_times == oracle.events.event_times
+        np.testing.assert_allclose(tr.x, oracle.x, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(tr.u == 0.0, oracle.u == 0.0)
 
     def test_config_validation(self):
         cfg = presets.linear2d()

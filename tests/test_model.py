@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from etpf.model import (
     ISSCertificate,
     LinearSystem,
     eval_f,
+    lift,
     linear_certificate,
     solve_lyapunov,
     spectral_norm,
@@ -58,6 +61,54 @@ class TestEvalF:
                 state_dim=1, f=lambda x, u: np.array([1.0 + x[0]]),
                 K=lambda x: np.array([0.0]), L_f=1.0, L_K=1.0,
             )
+
+
+class TestLinearModel:
+    def test_model_pickles(self):
+        model = linear2d_system().to_model()
+        back = pickle.loads(pickle.dumps(model))
+        x, u = np.array([0.3, -1.2]), np.array([0.7])
+        assert back.f(x, u).tobytes() == model.f(x, u).tobytes()
+        assert back.K(x).tobytes() == model.K(x).tobytes()
+        assert (back.state_dim, back.input_dim, back.L_f, back.L_K) == (
+            model.state_dim, model.input_dim, model.L_f, model.L_K)
+        # the unpickled model is still the unpickled system's own
+        assert back._linear is back.f.__self__
+
+    def test_methods_give_the_lambdas_bits(self):
+        sys = linear2d_system()
+        A, B, K = sys.A, sys.B, sys.K_gain
+        old_f, old_K = (lambda x, u: A @ x + B @ np.atleast_1d(u)), (lambda x: K @ x)
+        model = sys.to_model()
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 8)
+            u = rng.standard_normal(1)
+            for uu in (u, float(u[0])):
+                assert model.f(x, uu).tobytes() == old_f(x, uu).tobytes()
+            assert model.K(x).tobytes() == old_K(x).tobytes()
+
+    def test_linear_marker(self):
+        sys = linear2d_system()
+        model = sys.to_model()
+        assert model._linear is sys
+        # a model built any other way, a replaced f included, is not the system's
+        wrapped = dataclasses.replace(model, f=lambda x, u: sys.f(x, u))
+        assert wrapped._linear is None
+        assert example1_model()._linear is None
+
+
+class TestLift:
+    def test_rows_are_iterates(self):
+        rng = np.random.default_rng(0)
+        M = np.eye(2) + 1e-3 * rng.standard_normal((2, 2))
+        G = lift(M, 50)
+        np.testing.assert_array_equal(G[:2], np.hstack([M, np.eye(2)]))
+        y, c = rng.standard_normal(2), rng.standard_normal(2)
+        rows = (G @ np.concatenate([y, c])).reshape(50, 2)
+        for i in range(50):
+            y = M @ y + c
+            np.testing.assert_allclose(rows[i], y, rtol=1e-13, atol=0)
 
 
 class TestSolveLyapunov:

@@ -13,10 +13,10 @@ from etpf.channel import ActuationDelay, node_of
 from etpf.engine import _node_grid
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
-from etpf.predictor import ClosedLoopPredictor, LinearPredictor, make_predictor
+from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, make_predictor
 from etpf.presets import linear2d_system
 
-from conftest import prediction_error
+from conftest import per_step, prediction_error
 from reference_predictors import predict_linear, predict_open_loop_step, window_nodes
 
 
@@ -354,12 +354,14 @@ class TestReplayMemo:
 class TestHeldLinearTerm:
     def test_advance_matches_the_full_step(self, monkeypatch):
         # u_prehistory = 0.3 before t = 0, then U rows 0 until the first event
-        # at t0 = d_psi > 0: the held Phi @ (B @ u) must change at t = 0 and at
-        # every event
-        cfg = dataclasses.replace(
+        # at t0 = d_psi > 0: advance's Phi @ (B @ u) must change at t = 0 and
+        # at every event
+        # once events start, a linear2d run steps in blocks (LinearPredictor.block)
+        # and no longer calls advance; per_step keeps every step in advance
+        cfg = per_step(dataclasses.replace(
             presets.linear2d(), T=1.5, u_prehistory=0.3, monitor=None,
             sensing=dataclasses.replace(presets.linear2d().sensing, d_psi=0.2),
-        )
+        ))
         original = LinearPredictor.advance
         seen = []
 
@@ -375,6 +377,40 @@ class TestHeldLinearTerm:
         tr = run(cfg)
         assert tr.t0 > 0 and tr.events.count > 2
         assert (True, 0) in seen and (False, 0) in seen and (False, 2) in seen
+
+
+class TestLinearBlock:
+    """``LinearPredictor.block`` against the advances it stands for."""
+
+    def predictor(self, delay, p):
+        grid = control_grid(delay, 0.4, h=1e-3, N=3000)
+        pred = LinearPredictor(linear2d_system(), delay, grid)
+        pred.reanchor(0.0, np.zeros(2), 1.0)
+        pred.p = np.array(p)
+        return pred
+
+    def test_rows_match_the_advances(self):
+        pred = self.predictor(ActuationDelay.constant(0.5), [1.0, -0.5])
+        rows = pred.block(1000, 10 * LIFT)
+        assert len(rows) == LIFT  # the power table bounds the block
+        for i, row in enumerate(rows):
+            pred.advance(1000 + i)
+            np.testing.assert_allclose(row, pred.p, rtol=1e-13, atol=1e-15)
+
+    def test_no_rows_when_the_advance_key_changes_every_slot(self):
+        # a block of one row would be advance's own step
+        pred = self.predictor(ActuationDelay.sinusoidal(0.5, 0.2), [1.0, -0.5])
+        assert len(pred.block(1000, 50)) == 0
+        assert len(self.predictor(ActuationDelay.constant(0.5), [1.0, -0.5]).block(1000, 1)) == 0
+
+    def test_rows_stop_before_the_divergence_cap(self):
+        # p_1 grows by p_2 h = 1e8 per step and passes the 1e12 cap at the sixth
+        pred = self.predictor(ActuationDelay.constant(0.5), [1e12 - 5.5e8, 1e11])
+        assert len(pred.block(1000, 50)) == 5
+        for k in range(1000, 1005):
+            pred.advance(k)
+        with pytest.raises(PredictorError):
+            pred.advance(1005)
 
 
 class TestDivergenceCheck:

@@ -1,10 +1,14 @@
-"""Invariants of the engine over random small configurations of ``example1``.
+"""Invariants of the engine over random small configurations.
 
 The example1 model and trigger run under a random actuation delay (constant,
 sinusoidal or a piecewise-linear table) and a random sensing channel: perfect
 sensing, which re-anchors the prediction at every step, or a periodic one (a
 period on or off the grid of step h, a constant or a seeded Gaussian sensing
 delay, which reorders deliveries).
+
+``linear2d`` runs, which step between breakpoints in blocks, are checked
+against the same configuration stepped one node at a time: a plant ``f``
+that is not the linear system's own keeps the engine on its per-step path.
 """
 
 import dataclasses
@@ -17,7 +21,7 @@ from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
 from etpf.engine import SensingConfig
 
-from conftest import prediction_error
+from conftest import per_step, prediction_error
 
 H = presets.example1().h
 T = 3.0
@@ -101,3 +105,50 @@ def test_run_invariants(delay, sensing):
     for name in ("x", "u", "p", "e_norm", "threshold", "event_flags", "delivery_flags"):
         np.testing.assert_array_equal(getattr(again, name), getattr(tr, name))
     assert again.events.event_times == tr.events.event_times
+
+
+@st.composite
+def linear_runs(draw, delay, T=T, mismatch=True):
+    h = presets.linear2d().h
+    x0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+    delta_tau = draw(st.integers(10, 80)) * h
+    if draw(st.booleans()):
+        sensing = SensingConfig(mode="periodic", delta_tau=delta_tau,
+                                d_psi=draw(st.floats(0.0, 1.0)))
+    else:
+        sensing = SensingConfig(mode="periodic", delta_tau=delta_tau,
+                                mu_psi=draw(st.floats(0.0, 1.0)),
+                                sigma_psi=draw(st.floats(0.05, 1.0)),
+                                seed=draw(st.integers(0, 2**16)))
+    cfg = dataclasses.replace(presets.linear2d(), T=T, x0=x0, delay=draw(delay),
+                              sensing=sensing, monitor=None)
+    if mismatch and draw(st.integers(0, 3)) == 0:
+        # the controller assumes a longer constant delay than the plant's
+        D = -cfg.delay.phi(0.0) * draw(st.floats(1.0, 1.5))
+        cfg = dataclasses.replace(cfg, ctrl_delay=ActuationDelay.constant(D))
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=linear_runs(st.floats(0.05, 1.0).map(ActuationDelay.constant)))
+def test_linear_blocks_match_per_step(cfg):
+    tr, oracle = run(cfg), run(per_step(cfg))
+    assert tr.diverged == oracle.diverged
+    assert tr.events.event_times == oracle.events.event_times
+    np.testing.assert_array_equal(tr.delivery_flags, oracle.delivery_flags)
+    # relative to the trajectory's size, down to the smallest normal double:
+    # below it (x0 near 1e-313, say) rounding is absolute, not relative
+    scale = 1e-12 * np.max(np.abs(oracle.x)) + np.finfo(float).tiny
+    assert np.max(np.abs(tr.x - oracle.x)) <= scale
+    np.testing.assert_array_equal(np.isnan(tr.p), np.isnan(oracle.p))
+    assert np.nanmax(np.abs(tr.p - oracle.p), initial=0.0) <= scale
+
+
+@settings(max_examples=8, deadline=None)
+@given(cfg=linear_runs(st.tuples(st.floats(0.3, 0.9), st.floats(0.05, 0.9)).map(
+    lambda da: ActuationDelay.sinusoidal(da[0], da[1] * da[0])), T=1.0, mismatch=False))
+def test_linear_sinusoidal_forms_no_block(cfg):
+    # the advance key changes at every node, so every step is the per-step one
+    tr, oracle = run(cfg), run(per_step(cfg))
+    for name in ("x", "u", "p", "e_norm", "threshold", "event_flags", "delivery_flags"):
+        np.testing.assert_array_equal(getattr(tr, name), getattr(oracle, name))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etpf.exceptions import CoverageError
+from etpf.exceptions import CoverageError, DomainError
 from etpf.signals import TimedSignal
 
 
@@ -44,10 +44,17 @@ class TestSample:
 class TestAppend:
     def test_non_increasing_stamp_rejected(self):
         sig = make([(0.0, 1.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             sig.append(0.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             sig.append(-1.0, 2.0)
+        # still a ValueError for callers that catch that
+        assert issubclass(DomainError, ValueError)
+
+    def test_integration_bounds_out_of_order_rejected(self):
+        sig = make([(0.0, 1.0), (1.0, 2.0)])
+        with pytest.raises(DomainError):
+            sig.integrate(0.8, 0.2)
 
 
 class TestIntegrate:

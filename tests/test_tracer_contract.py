@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 from etpf import presets
+from etpf.channel import node_of
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LAYERS = ("config", "channel", "predictor", "model", "trigger", "signals", "monitor", "engine")
@@ -53,8 +54,16 @@ def test_lazy_expm_is_traced():
     tracer = tracing.Tracer()
     patches = tracing.install(tracer, mods)
     try:
-        mods["engine"].run(dataclasses.replace(presets.linear2d(), T=0.5, monitor=None))
+        cfg = dataclasses.replace(presets.linear2d(), T=0.5, monitor=None)
+        tr = mods["engine"].run(cfg)
     finally:
         patches.remove()
     assert patches.all_removed()
     assert tracer.calls("predictor.expm") > 0
+    # the block path ran, the tracer's wrapper around f notwithstanding: after the
+    # pre-history's one advance per node of [phi(0), 0), blocks of steps
+    # (LinearPredictor.block) stand in for nearly every advance
+    steps = tr.diagnostics["final_step"]
+    pre = -node_of(cfg.delay.phi(0.0), cfg.h)[0]
+    assert steps == 500 and pre == 500
+    assert tracer.calls("predictor.advance") - pre < steps / 10

@@ -10,6 +10,7 @@ from etpf.trigger import (
     EventLog,
     TriggerConfig,
     check_and_fire,
+    first_crossing,
     min_dwell,
     min_dwell_numeric,
     threshold,
@@ -103,11 +104,31 @@ class TestCheckAndFire:
     def test_event_log_ordering(self):
         log = EventLog()
         log.record(1.0, [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             log.record(1.0, [0.0])
         assert log.min_dwell_observed == math.inf
         log.record(1.5, [0.0])
         assert log.min_dwell_observed == pytest.approx(0.5)
+
+
+class TestFirstCrossing:
+    def test_rows_follow_check_and_fire(self):
+        rng = np.random.default_rng(1)
+        rho = 0.2
+        for _ in range(50):
+            p_ev = rng.standard_normal(2)
+            P = p_ev + 0.3 * rng.standard_normal((40, 2)) * np.linspace(0, 1, 40)[:, None]
+            P[0] = p_ev  # e = 0 never fires
+            first, e_n, thr = first_crossing(p_ev, P, rho)
+            fired = [check_and_fire(p_ev, p, rho * np.linalg.norm(p))[0] for p in P]
+            assert first == (fired.index(True) if True in fired else len(P))
+            np.testing.assert_allclose(e_n, np.linalg.norm(p_ev - P, axis=1), rtol=1e-15)
+            np.testing.assert_allclose(thr, rho * np.linalg.norm(P, axis=1), rtol=1e-15)
+
+    def test_no_rows_and_rest(self):
+        assert first_crossing(np.zeros(2), np.zeros((0, 2)), 0.5)[0] == 0
+        # at rest (p = 0, e = 0) nothing fires
+        assert first_crossing(np.zeros(2), np.zeros((3, 2)), 0.5)[0] == 3
 
 
 class TestMinDwell:
