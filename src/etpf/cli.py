@@ -17,6 +17,7 @@ import numpy as np
 
 from . import presets as presets_mod
 from .config import apply_overrides, build_sim_config, load_config
+from .csvout import render, write_csv
 from .engine import SimConfig, heatmap, run
 from .exceptions import ConfigurationError, ETPFError
 from .monitor import decay_report
@@ -24,8 +25,6 @@ from .tradeoff import sweep, optimize_nu
 from .trigger import min_dwell, min_dwell_numeric
 
 __all__ = ["main"]
-
-_FMT = "%.17g"
 
 _TRACE_GP = """\
 # gnuplot script: state, control, and Lyapunov panels of one run
@@ -131,11 +130,8 @@ def _cmd_heatmap(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     mat = heatmap(base, dt_grid, dp_grid, n_ic, seed, config_factory=factory)
-    with open(os.path.join(args.out, "heatmap.csv"), "w") as fh:
-        fh.write("delta_tau,d_psi,avg_xT\n")
-        for i, dt in enumerate(dt_grid):
-            for j, dp in enumerate(dp_grid):
-                fh.write(",".join(_FMT % v for v in (dt, dp, mat[i, j])) + "\n")
+    cells = [(dt, dp, mat[i, j]) for i, dt in enumerate(dt_grid) for j, dp in enumerate(dp_grid)]
+    write_csv(os.path.join(args.out, "heatmap.csv"), ["delta_tau", "d_psi", "avg_xT"], cells)
     _write(os.path.join(args.out, "plot.gp"), _HEATMAP_GP)
     print(f"wrote {len(dt_grid) * len(dp_grid)} cells to {args.out}/heatmap.csv")
     return 0
@@ -149,14 +145,10 @@ def _cmd_tradeoff(args) -> int:
     nu_rows, lam_rows = sweep(consts, spec.nu_grid, spec.lambda_grid)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "tradeoff_nu.csv"), "w") as fh:
-        fh.write("nu,delta,mu\n")
-        for row in nu_rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
-    with open(os.path.join(args.out, "tradeoff_lambda.csv"), "w") as fh:
-        fh.write("lambda,nu_star,flag\n")
-        for lam, nu, flag in lam_rows:
-            fh.write(f"{_FMT % lam},{_FMT % nu},{flag}\n")
+    write_csv(os.path.join(args.out, "tradeoff_nu.csv"), ["nu", "delta", "mu"], nu_rows)
+    numbers = render([row[:2] for row in lam_rows]).decode().splitlines()
+    _write(os.path.join(args.out, "tradeoff_lambda.csv"), "lambda,nu_star,flag\n"
+           + "".join(f"{line},{flag}\n" for line, (_, _, flag) in zip(numbers, lam_rows)))
     _write(os.path.join(args.out, "plot.gp"), _TRADEOFF_GP)
     print(f"wrote trade-off tables to {args.out}")
     return 0

@@ -28,8 +28,6 @@ from .trigger import EventLog, TriggerConfig, check_and_fire, first_crossing, th
 
 __all__ = ["SensingConfig", "SimConfig", "SimTrace", "run", "heatmap"]
 
-_FMT = "%.17g"
-
 
 @dataclass(frozen=True)
 class SensingConfig:
@@ -128,6 +126,7 @@ class SimTrace:
         return float(np.linalg.norm(self.x[-1]))
 
     def write_trace_csv(self, path) -> None:
+        from .csvout import write_csv  # loaded at the first write, like scipy: a faster `import etpf`
         n = self.x.shape[1]
         m = self.u.shape[1]
         header = (
@@ -139,9 +138,10 @@ class SimTrace:
         )
         cols = np.column_stack([self.times, self.x, self.u, self.p, self.e_norm, self.threshold,
                                 self.V, self.L, self.event_flags, self.delivery_flags])
-        _write_csv(path, header, cols)
+        write_csv(path, header, cols)
 
     def write_events_csv(self, path) -> None:
+        from .csvout import write_csv
         m = self.u.shape[1]
         header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset"] + [f"u_{j+1}" for j in range(m)]
         t_k = np.array(self.events.event_times, dtype=float)
@@ -153,7 +153,7 @@ class SimTrace:
             vals = self.diagnostics.get(key, [])[: len(t_k)]
             cols[: len(vals), c] = vals
         cols[:, 5:] = np.reshape(self.events.event_controls, (len(t_k), m))
-        _write_csv(path, header, cols)
+        write_csv(path, header, cols)
 
     def summary(self) -> str:
         lines = [
@@ -167,15 +167,6 @@ class SimTrace:
         if rep is not None:
             lines.append(str(rep))
         return "\n".join(lines)
-
-
-def _write_csv(path, header: list, cols: np.ndarray) -> None:
-    """The header, then the rows of ``cols`` in %.17g, one %-format per block of 512 rows."""
-    row = ",".join([_FMT] * cols.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in np.split(cols, range(512, len(cols), 512)):
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,

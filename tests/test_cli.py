@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from etpf import presets
 from etpf.cli import main
 from etpf.model import linear_certificate
 from etpf.monitor import MonitorConfig, compute_V
 from etpf.presets import linear2d_system
+from etpf.tradeoff import sweep
+
+
+def pct_lines(rows) -> bytes:
+    """Each row's fields, numbers as ``'%.17g' %`` gives them."""
+    fmt = lambda v: v if isinstance(v, str) else "%.17g" % v
+    return "".join(",".join(map(fmt, row)) + "\n" for row in rows).encode()
 
 
 def read_csv(path):
@@ -133,6 +141,37 @@ class TestHeatmap:
             assert main(["heatmap", "--config", str(cfgfile), "--out", str(out)]) == 0
             outs.append(out / "heatmap.csv")
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestCsvBytes:
+    """The bytes of the CLI's tables against ``'%.17g' %`` of the same values."""
+
+    def test_heatmap(self, tmp_path):
+        cfgfile = tmp_path / "hm.yaml"
+        cfgfile.write_text(
+            "preset: example1\n"
+            "heatmap:\n"
+            "  delta_tau_grid: [2.0, 0.1]\n"
+            "  d_psi_grid: [1.0]\n"
+            "  n_ic: 1\n"
+            "  seed: 5\n"
+        )
+        out = tmp_path / "hm"
+        assert main(["heatmap", "--config", str(cfgfile), "--out", str(out)]) == 0
+        got = (out / "heatmap.csv").read_bytes()
+        _, rows = read_csv(out / "heatmap.csv")
+        avg = [float(r[2]) for r in rows]  # '%.17g' round-trips, so only its own text survives
+        expected = b"delta_tau,d_psi,avg_xT\n" + pct_lines([(2.0, 1.0, avg[0]), (0.1, 1.0, avg[1])])
+        assert got == expected
+
+    def test_tradeoff(self, tmp_path):
+        out = tmp_path / "to"
+        assert main(["tradeoff", "--out", str(out)]) == 0
+        spec = presets.get_preset("tradeoff")
+        nu_rows, lam_rows = sweep(spec.constants(), spec.nu_grid, spec.lambda_grid)
+        assert (out / "tradeoff_nu.csv").read_bytes() == b"nu,delta,mu\n" + pct_lines(nu_rows)
+        assert (out / "tradeoff_lambda.csv").read_bytes() == (
+            b"lambda,nu_star,flag\n" + pct_lines(lam_rows))
 
 
 class TestVerify:
