@@ -21,7 +21,7 @@ from .csvout import render, write_csv
 from .engine import SimConfig, heatmap, run
 from .exceptions import ConfigurationError, ETPFError
 from .monitor import decay_report
-from .tradeoff import sweep, optimize_nu
+from .tradeoff import TradeoffConstants, mu_of_theta, optimize_nu, sweep
 from .trigger import min_dwell, min_dwell_numeric
 
 __all__ = ["main"]
@@ -91,9 +91,7 @@ def _cmd_simulate(args) -> int:
 
     mu = None
     if cfg.linear is not None:
-        mu = (2.0 - cfg.trigger.theta) * cfg.linear.lam_min_Q / (
-            4.0 * cfg.linear.lam_max_P
-        )
+        mu = mu_of_theta(cfg.trigger.theta, cfg.linear.lam_min_Q, cfg.linear.lam_max_P)
     rep = decay_report(trace.times, trace.V, trace.t0, mu=mu)
     trace.diagnostics["decay_report"] = rep
 
@@ -106,23 +104,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
+    hm, factory = {}, None
     if args.config:
         data = apply_overrides(load_config(args.config), args.override)
         hm = data.pop("heatmap", {}) or {}
         base = build_sim_config(data)
-        dt_grid = hm.get("delta_tau_grid") or list(np.linspace(0.5, 6.0, 8))
-        dp_grid = hm.get("d_psi_grid") or list(np.linspace(0.0, 4.0, 8))
-        n_ic = int(hm.get("n_ic", 10))
-        seed = int(hm.get("seed", 42))
-        factory = None
+        spec = presets_mod.heatmap_ex1()  # the cells of a config without a heatmap section
     else:
         spec = presets_mod.get_preset(args.preset or "heatmap-ex1")
         if not isinstance(spec, presets_mod.HeatmapSpec):
             raise ConfigurationError(f"{args.preset!r} is not a heatmap preset")
         base = spec.base_factory()
-        dt_grid, dp_grid = list(spec.delta_tau_grid), list(spec.d_psi_grid)
-        n_ic, seed = spec.n_ic, spec.seed
         factory = spec.base_factory
+    dt_grid = hm.get("delta_tau_grid") or list(spec.delta_tau_grid)
+    dp_grid = hm.get("d_psi_grid") or list(spec.d_psi_grid)
+    n_ic = int(hm.get("n_ic", spec.n_ic))
+    seed = int(hm.get("seed", spec.seed))
     if args.n_ic is not None:
         n_ic = args.n_ic
     if args.seed is not None:
@@ -178,9 +175,8 @@ def _cmd_verify(args) -> int:
     lin = presets_mod.get_preset("linear2d")
     lin = dataclasses.replace(lin, T=5.0)
     trl = run(lin)
-    sys_lin = lin.linear
-    a = sys_lin.L_f * sys_lin.K_norm
-    c = sys_lin.L_f * (1.0 + sys_lin.K_norm)
+    lin_consts = TradeoffConstants.from_linear_system(lin.linear)
+    a, c = lin_consts.a, lin_consts.c
     R = lin.trigger.rho_bar
     delta = min_dwell(a, c, R)
     check("linear dwell bound", trl.events.min_dwell_observed >= delta,

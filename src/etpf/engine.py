@@ -128,11 +128,10 @@ class SimTrace:
     def write_trace_csv(self, path) -> None:
         from .csvout import write_csv  # loaded at the first write, like scipy: a faster `import etpf`
         n = self.x.shape[1]
-        m = self.u.shape[1]
         header = (
             ["t"]
             + [f"x_{i+1}" for i in range(n)]
-            + [f"u_{j+1}" for j in range(m)]
+            + ["u_1"]
             + [f"p_{i+1}" for i in range(n)]
             + ["e_norm", "threshold", "V", "L", "event_flag", "delivery_flag"]
         )
@@ -142,17 +141,16 @@ class SimTrace:
 
     def write_events_csv(self, path) -> None:
         from .csvout import write_csv
-        m = self.u.shape[1]
-        header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset"] + [f"u_{j+1}" for j in range(m)]
+        header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset", "u_1"]
         t_k = np.array(self.events.event_times, dtype=float)
-        cols = np.full((len(t_k), 5 + m), math.nan)
+        cols = np.full((len(t_k), 6), math.nan)
         cols[:, 0] = np.arange(len(t_k))
         cols[:, 1] = t_k
         cols[:, 2] = np.diff(t_k, prepend=math.nan)
         for c, key in ((3, "event_p_norms"), (4, "event_e_pre")):
             vals = self.diagnostics.get(key, [])[: len(t_k)]
             cols[: len(vals), c] = vals
-        cols[:, 5:] = np.reshape(self.events.event_controls, (len(t_k), m))
+        cols[:, 5] = self.events.event_controls
         write_csv(path, header, cols)
 
     def summary(self) -> str:
@@ -202,7 +200,7 @@ def run(cfg: SimConfig) -> SimTrace:
     h = cfg.h
     N = int(round(cfg.T / h))
     times = np.arange(N + 1) * h
-    n, m = model.state_dim, model.input_dim
+    n = model.state_dim
 
     true_delay = cfg.delay
     ctrl_delay = cfg.controller_delay
@@ -236,8 +234,8 @@ def run(cfg: SimConfig) -> SimTrace:
 
     # -- control history: U[k] is the control in force at node k h and
     # u_pre the one before t = 0; the rows change only at the log's events
-    U = np.zeros((N + 1, m))  # u = 0 from t = 0 until the first state arrives
-    u_pre = np.full(m, float(cfg.u_prehistory))
+    U = np.zeros(N + 1)  # u = 0 from t = 0 until the first state arrives
+    u_pre = float(cfg.u_prehistory)
     if t0_idx == 0:
         U[0] = u_pre  # the pre-history control holds until the event at t = 0
     log = EventLog()
@@ -294,7 +292,7 @@ def run(cfg: SimConfig) -> SimTrace:
     lifted = blk = None
     if (cfg.predictor_method == "linear-closed-form" and model._linear is cfg.linear
             and cfg.trigger.mode != "nonlinear" and sched is not None):
-        dv_steps, hB = sorted(by_index) + [N], h * cfg.linear.B
+        dv_steps, hb = sorted(by_index) + [N], h * cfg.linear.B[:, 0]
         Gx = lift(np.eye(n) + h * cfg.linear.A, LIFT)  # x_i = M^i x + S_i h B u
 
         def lifted(s: int, x) -> int:
@@ -308,7 +306,7 @@ def run(cfg: SimConfig) -> SimTrace:
             limit = 0 if j < 0 else min(round(ev[i] / h), s + 1) if i < len(ev) else s + 1
             end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
             L = min(len(Pr), end - s)
-            u = hB @ (U[j] if j >= 0 else u_pre)
+            u = hb * (U[j] if j >= 0 else u_pre)
             Xr = (Gx[: L * n] @ np.concatenate((x, u))).reshape(L, n)
             ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
             L = L if ok.all() else int(ok.argmin())
@@ -351,7 +349,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     TH[step] = thr
                     fired, e_n = check_and_fire(p_last_event, p_now, thr)
                     if fired:
-                        control = np.atleast_1d(np.asarray(model.K(p_now), dtype=float))
+                        control = model.K(p_now)
                         log.record(t, control)
                         event_p_norms.append(math.sqrt(p_now.dot(p_now)))
                         event_e_pre.append(e_n)
@@ -361,7 +359,7 @@ def run(cfg: SimConfig) -> SimTrace:
                         # w-identity diagnostic: w vanishes once events have
                         # started; U and p_last_event change only at events
                         w = compute_w(U[step], p_last_event, model.K)
-                        w_max_after_t0 = max(w_max_after_t0, math.sqrt(w.dot(w)))
+                        w_max_after_t0 = max(w_max_after_t0, abs(w))
                     else:
                         E[step] = e_n
                 done = step + 1
@@ -432,11 +430,10 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> N
     w_p = np.concatenate([trace.pre_p, trace.p[:k0]])
     for s, p in zip(w_times, w_p):
         w_hist.append(float(s), compute_w(grid.u_at(float(s)), p, model.K))
-    zeros = np.zeros(model.input_dim)
     if len(w_hist) == 0 or w_hist.last_time < t0:
-        w_hist.append(t0, zeros)
+        w_hist.append(t0, 0.0)
     end = float(trace.times[-1]) + 1.0
-    w_hist.append(end, zeros)
+    w_hist.append(end, 0.0)
 
     sigma_t0 = grid.sigma(t0)
     for step in range(0, len(trace.times), mon.stride):

@@ -42,47 +42,40 @@ def spectral_norm(M) -> float:
 class SystemModel:
     """Single-input plant ``xdot = f(x, u)`` with feedback law ``K``.
 
-    ``L_f`` is a Lipschitz bound of ``f`` on the operating region (supplied
-    by the user for nonlinear plants); ``L_K`` is the global Lipschitz
-    constant of ``K``.
+    ``u`` is a float: ``f`` takes one and ``K`` returns one.  ``L_f`` is a
+    Lipschitz bound of ``f`` on the operating region (supplied by the user
+    for nonlinear plants); ``L_K`` is the global Lipschitz constant of ``K``.
     """
 
     state_dim: int
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    K: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, float], np.ndarray]
+    K: Callable[[np.ndarray], float]
     L_f: float
     L_K: float
-    input_dim: int = 1
     # the LinearSystem whose to_model() built this model, so f is the system's own
     # even once a wrapper that times it (perfbench's tracer) replaces it
     _linear = None
 
     def __post_init__(self):
-        if self.state_dim < 1 or self.input_dim < 1:
-            raise ConfigurationError("dimensions must be positive")
+        if self.state_dim < 1:
+            raise ConfigurationError("state_dim must be positive")
         if self.L_f < 0 or self.L_K < 0:
             raise ConfigurationError("Lipschitz bounds must be nonnegative")
         x0 = np.zeros(self.state_dim)
-        u0 = np.zeros(self.input_dim)
-        if np.linalg.norm(np.asarray(self.f(x0, u0), dtype=float)) > 1e-12:
+        if np.linalg.norm(np.asarray(self.f(x0, 0.0), dtype=float)) > 1e-12:
             raise ConfigurationError("f(0, 0) must vanish (equilibrium at the origin)")
-        if np.linalg.norm(np.atleast_1d(np.asarray(self.K(x0), dtype=float))) > 1e-12:
+        if abs(float(self.K(x0))) > 1e-12:
             raise ConfigurationError("K(0) must vanish")
 
 
-def eval_f(model: SystemModel, x, u) -> np.ndarray:
-    """Evaluate the plant vector field with dimension checks."""
+def eval_f(model: SystemModel, x, u: float) -> np.ndarray:
+    """Evaluate the plant vector field with a dimension check on the state."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     if x.shape != (model.state_dim,):
         raise ConfigurationError(
             f"state has shape {x.shape}, expected ({model.state_dim},)"
         )
-    if u.shape != (model.input_dim,):
-        raise ConfigurationError(
-            f"input has shape {u.shape}, expected ({model.input_dim},)"
-        )
-    return np.atleast_1d(np.asarray(model.f(x, u), dtype=float))
+    return np.atleast_1d(np.asarray(model.f(x, float(u)), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -107,10 +100,10 @@ class ISSCertificate:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Linear plant ``xdot = A x + B u`` with gain ``K_gain`` and certificate P.
+    """Linear single-input plant ``xdot = A x + B u`` with gain ``K_gain`` and certificate P.
 
-    ``P`` solves ``(A + B K)^T P + P (A + B K) = -Q`` and is derived at
-    construction.
+    ``B`` is one column and ``K_gain`` one row.  ``P`` solves
+    ``(A + B K)^T P + P (A + B K) = -Q`` and is derived at construction.
     """
 
     A: np.ndarray
@@ -122,8 +115,10 @@ class LinearSystem:
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         n = A.shape[0]
-        B = np.asarray(self.B, dtype=float).reshape(n, -1)
-        K = np.asarray(self.K_gain, dtype=float).reshape(-1, n)
+        if np.size(self.B) != n or np.size(self.K_gain) != n:
+            raise ConfigurationError(f"a single-input plant needs B of {n} x 1 and K of 1 x {n}")
+        B = np.asarray(self.B, dtype=float).reshape(n, 1)
+        K = np.asarray(self.K_gain, dtype=float).reshape(1, n)
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -139,10 +134,6 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
 
     @property
     def A_cl(self) -> np.ndarray:
@@ -173,15 +164,14 @@ class LinearSystem:
         # Default Lipschitz bound for the trade-off constants.
         return math.sqrt(2.0) * (spectral_norm(self.A) + spectral_norm(self.B))
 
-    def f(self, x, u) -> np.ndarray:
-        return self.A @ x + self.B @ np.atleast_1d(u)
+    def f(self, x, u: float) -> np.ndarray:
+        return self.A @ x + self.B[:, 0] * u
 
-    def K(self, x) -> np.ndarray:
-        return self.K_gain @ x
+    def K(self, x) -> float:
+        return (self.K_gain @ x)[0]
 
     def to_model(self) -> SystemModel:
-        model = SystemModel(state_dim=self.n, input_dim=self.m, f=self.f, K=self.K,
-                            L_f=self.L_f, L_K=self.K_norm)
+        model = SystemModel(state_dim=self.n, f=self.f, K=self.K, L_f=self.L_f, L_K=self.K_norm)
         object.__setattr__(model, "_linear", self)
         return model
 
@@ -287,10 +277,11 @@ def verify_certificate(
 
     Verifies ``alpha1(|x|) <= S(x) <= alpha2(|x|)`` and
     ``grad_S(x) . f(x, K(x)+w) <= -gamma(|x|) + rho(|w|)`` on the given
-    samples.  Report-only: never raises on violations.
+    samples, whose disturbances ``w`` are floats.  Report-only: never
+    raises on violations.
     """
     states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_states]
-    dists = [np.atleast_1d(np.asarray(w, dtype=float)) for w in sample_disturbances]
+    dists = [float(w) for w in sample_disturbances]
     warnings = []
     if not states or not dists:
         warnings.append("empty sample set: vacuous pass")
@@ -303,12 +294,9 @@ def verify_certificate(
         s = cert.S(x)
         max_bound = max(max_bound, cert.alpha1(r) - s, s - cert.alpha2(r))
         for w in dists:
-            g = eval_f(model, x, np.atleast_1d(model.K(x)) + w)
+            g = eval_f(model, x, model.K(x) + w)
             lie = float(np.asarray(cert.grad_S(x)) @ g)
-            max_decay = max(
-                max_decay,
-                lie + cert.gamma(r) - cert.rho(float(np.linalg.norm(w))),
-            )
+            max_decay = max(max_decay, lie + cert.gamma(r) - cert.rho(abs(w)))
             count += 1
     passed = max(max_bound, max_decay) <= tol
     return CertificateReport(passed, max_bound, max_decay, count, warnings)

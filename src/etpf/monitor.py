@@ -45,7 +45,7 @@ class MonitorConfig:
             raise ConfigurationError("stride must be at least 1")
 
 
-def compute_w(u, p_held, K) -> np.ndarray:
+def compute_w(u: float, p_held, K) -> float:
     """w(t) = u(t) - K(p(t) + e(t)), given u = u(t) and p_held = p(t) + e(t).
 
     ``p_held`` is p(t_k), the prediction held since the last event, and p(t)
@@ -53,7 +53,7 @@ def compute_w(u, p_held, K) -> np.ndarray:
     rather than p(t) + e(t): adding e back would lose low bits to
     cancellation at large |p|, and w would not vanish exactly after t0.
     """
-    return u - np.atleast_1d(np.asarray(K(p_held), dtype=float))
+    return u - K(p_held)
 
 
 def compute_L(
@@ -74,13 +74,8 @@ def compute_L(
     if sigma_t == t:
         return 0.0
     taus = np.linspace(t, sigma_t, n_nodes)
-    w = w_history.sample_array(phi(taus))
-    # |w| per row.  np.linalg.norm of a row is a BLAS dot, which may fuse
-    # its multiply-adds; only a single input gives its bits as an array
-    if w.shape[1] == 1:
-        w_norm = np.sqrt(w[:, 0] * w[:, 0])
-    else:
-        w_norm = np.array([float(np.linalg.norm(r)) for r in w])
+    w = w_history.sample_array(phi(taus))[:, 0]
+    w_norm = np.sqrt(w * w)  # not abs(w): where w * w underflows the two differ
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     weight = np.array([math.exp(v) for v in (cfg.b * (taus - t)).tolist()])
     if cfg.form == "sup":

@@ -80,14 +80,14 @@ class NodeGrid:
 
     ``sig[k - lo]`` and ``sdot[k - lo]`` are sigma and its difference
     quotient at node k h for k > lo, and at phi(0) for k = lo (slot 0 of
-    ``ActuationDelay.grid_tables``).  ``U[j]`` is the control in force at
-    node j h for j >= 0: the engine writes a row at an event and otherwise
-    copies the row before it when a step ends, so a read of the next row
-    before its event sees the held value.  ``u_pre`` is the control before
-    t = 0.  ``rows[k]`` is the row holding u(phi(k h)), -1 for ``u_pre``.
-    ``events`` is the run's list of event times, shared with its
-    ``EventLog``; with the rows it is the whole control history.  ``sigma``
-    and ``sigma_dot`` answer float queries, off the grid too.
+    ``ActuationDelay.grid_tables``).  ``U[j]`` is the control, a float, in
+    force at node j h for j >= 0: the engine writes a row at an event and
+    otherwise copies the row before it when a step ends, so a read of the
+    next row before its event sees the held value.  ``u_pre`` is the
+    control before t = 0.  ``rows[k]`` is the row holding u(phi(k h)), -1
+    for ``u_pre``.  ``events`` is the run's list of event times, shared
+    with its ``EventLog``; with the rows it is the whole control history.
+    ``sigma`` and ``sigma_dot`` answer float queries, off the grid too.
     """
 
     h: float
@@ -96,15 +96,15 @@ class NodeGrid:
     sdot: np.ndarray
     rows: list
     U: np.ndarray
-    u_pre: np.ndarray
+    u_pre: float
     sigma: Callable[[float], float]
     sigma_dot: Callable[[float], float]
     events: list
 
-    def u_row(self, j: int) -> np.ndarray:
+    def u_row(self, j: int) -> float:
         return self.U[j] if j >= 0 else self.u_pre
 
-    def u_at(self, s: float) -> np.ndarray:
+    def u_at(self, s: float) -> float:
         """u(s): ``u_pre`` for s < 0, else the row of the last node k with k h <= s."""
         if s < 0.0:
             return self.u_pre
@@ -345,7 +345,7 @@ class LinearPredictor(_Predictor):
         sig = [g.sigma(s) for s in nodes]
         for i in range(len(nodes) - 1):
             E, Phi = self._step_mats(sig[i + 1] - sig[i])
-            p = E @ p + Phi @ (self.sys.B @ g.u_at(nodes[i]))
+            p = E @ p + Phi @ (self.sys.B[:, 0] * g.u_at(nodes[i]))
         return p
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
@@ -359,7 +359,7 @@ class LinearPredictor(_Predictor):
     def advance(self, k: int) -> None:
         g, sig, i = self.grid, self._sig, k - self.grid.lo
         E, Phi = self._step_mats(sig[i + 1] - sig[i])
-        self.p = E @ self.p + Phi @ (self.sys.B @ g.u_row(k))
+        self.p = E @ self.p + Phi @ (self.sys.B[:, 0] * g.u_row(k))
         if not _capped(self.p):
             raise PredictorError("prediction diverged")
 
@@ -382,7 +382,7 @@ class LinearPredictor(_Predictor):
             G = lift(E, LIFT)
             if len(self._lifts) < 256:
                 self._lifts[key] = G
-        c = Phi @ (self.sys.B @ g.U[k])
+        c = Phi @ (self.sys.B[:, 0] * g.U[k])
         rows = (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
         ok = (np.abs(rows) <= _DIVERGENCE_CAP).all(axis=1)
         return rows if ok.all() else rows[: ok.argmin()]

@@ -39,12 +39,12 @@ __all__ = [
 def _ex1_f(x, u):
     # Python floats: the same IEEE operations as numpy scalars, without their overhead
     x0, x1 = x.tolist()
-    return np.array([x0 + x1, math.tanh(x0) + x1 + float(u[0])])
+    return np.array([x0 + x1, math.tanh(x0) + x1 + u])
 
 
 def _ex1_K(x):
     x0, x1 = x.tolist()
-    return np.array([-6.0 * x0 - 5.0 * x1 - math.tanh(x0)])
+    return -6.0 * x0 - 5.0 * x1 - math.tanh(x0)
 
 
 def example1_model() -> SystemModel:
@@ -87,11 +87,11 @@ def example1() -> SimConfig:
 
 
 def _ex2_f(x, u):
-    return np.array([x[0] + x[1], x[0] ** 3 + x[1] + float(u[0])])
+    return np.array([x[0] + x[1], x[0] ** 3 + x[1] + u])
 
 
 def _ex2_K(x):
-    return np.array([-6.0 * x[0] - 5.0 * x[1] - x[0] ** 3])
+    return -6.0 * x[0] - 5.0 * x[1] - x[0] ** 3
 
 
 def example2_model() -> SystemModel:

@@ -15,11 +15,13 @@ import numpy as np
 
 from .exceptions import DomainError
 from .model import LinearSystem, solve_lyapunov, spectral_norm
+from .trigger import min_dwell
 
 __all__ = [
     "TradeoffConstants",
     "NuStar",
     "delta_of_nu",
+    "mu_of_theta",
     "mu_of_nu",
     "aggregate_J",
     "optimize_nu",
@@ -67,19 +69,22 @@ class TradeoffConstants:
 
 
 def delta_of_nu(consts: TradeoffConstants, nu: float) -> float:
-    """Dwell bound delta(nu) = ln((c + R a)/(c + R c))/(a - c), R = nu/(|P1 B||K|)."""
+    """Dwell bound delta(nu): ``min_dwell(a, c, R)`` with R = nu/(|P1 B||K|)."""
     if nu <= 0:
         raise DomainError("nu must be positive")
-    a, c = consts.a, consts.c
-    R = nu / (consts.PB1 * consts.K_norm)
-    return math.log((c + R * a) / (c + R * c)) / (a - c)
+    return min_dwell(consts.a, consts.c, nu / (consts.PB1 * consts.K_norm))
+
+
+def mu_of_theta(theta: float, lam_min_Q: float, lam_max_P: float) -> float:
+    """Guaranteed exponential rate mu = (2 - theta) lam_min(Q) / (4 lam_max(P))."""
+    return (2.0 - theta) * lam_min_Q / (4.0 * lam_max_P)
 
 
 def mu_of_nu(consts: TradeoffConstants, nu: float) -> float:
-    """Exponential rate mu(nu) = (2 - nu^2)/(4 lam_max(P1))."""
+    """Exponential rate mu(nu) = (2 - nu^2)/(4 lam_max(P1)), ``mu_of_theta`` with Q = I."""
     if not 0.0 < nu < NU_MAX:
         raise DomainError("nu must lie in (0, sqrt(2)) for a positive rate")
-    return (2.0 - nu * nu) / (4.0 * consts.lam_max_P1)
+    return mu_of_theta(nu * nu, 1.0, consts.lam_max_P1)
 
 
 def aggregate_J(consts: TradeoffConstants, lam: float, nu: float) -> float:

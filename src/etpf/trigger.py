@@ -81,7 +81,7 @@ class EventLog:
         if self.event_times and t <= self.event_times[-1]:
             raise DomainError("event times must be strictly increasing")
         self.event_times.append(float(t))
-        self.event_controls.append(np.atleast_1d(np.asarray(control, dtype=float)))
+        self.event_controls.append(float(control))
 
     @property
     def count(self) -> int:

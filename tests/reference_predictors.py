@@ -82,7 +82,7 @@ def predict_linear(
     g_prev = None
     for s, sig_s in zip(nodes, sig_nodes):
         sdot = delay.sigma_dot(s, h)
-        g = sdot * (expm(A * (sig_t - sig_s)) @ (B @ grid.u_at(s)))
+        g = sdot * (expm(A * (sig_t - sig_s)) @ (B[:, 0] * grid.u_at(s)))
         if g_prev is not None:
             p = p + 0.5 * (s - s_prev) * (g_prev + g)
         g_prev, s_prev = g, s

@@ -125,6 +125,20 @@ class TestHeatmap:
         assert len(rows) == 1
         assert float(rows[0][2]) <= 0.5
 
+    def test_config_without_heatmap_section_sweeps_the_presets_cells(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_heatmap(base, dt_grid, dp_grid, n_ic, seed, config_factory=None):
+            seen.append((list(dt_grid), list(dp_grid), n_ic, seed))
+            return np.zeros((len(dt_grid), len(dp_grid)))
+
+        monkeypatch.setattr("etpf.cli.heatmap", fake_heatmap)
+        cfgfile = tmp_path / "hm.yaml"
+        cfgfile.write_text("preset: example1\n")
+        assert main(["heatmap", "--config", str(cfgfile), "--out", str(tmp_path / "c")]) == 0
+        assert main(["heatmap", "--preset", "heatmap-ex1", "--out", str(tmp_path / "p")]) == 0
+        assert len(seen) == 2 and seen[0] == seen[1]
+
     def test_determinism(self, tmp_path):
         cfgfile = tmp_path / "hm.yaml"
         cfgfile.write_text(

@@ -81,6 +81,16 @@ class TestBuildSimConfig:
         assert cfg.delay.M0 == pytest.approx(0.3)
         assert cfg.trigger.mode == "linear"
 
+    @pytest.mark.parametrize("B, K", [
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], [[-1.0, -2.0]], id="two-columns-of-B"),
+        pytest.param([[0.0], [1.0]], [[-1.0, -2.0], [0.0, -1.0]], id="two-rows-of-K"),
+        pytest.param([[0.0, 1.0, 2.0]], [[-1.0, -2.0]], id="three-entries-of-B"),
+    ])
+    def test_multi_input_linear_system_rejected(self, B, K):
+        with pytest.raises(ConfigurationError, match="single-input"):
+            build_sim_config({"system": {"kind": "linear", "A": [[0.0, 1.0], [0.0, 0.0]],
+                                         "B": B, "K": K}})
+
     def test_delay_mismatch_fields(self):
         cfg = build_sim_config(
             {

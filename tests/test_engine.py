@@ -33,8 +33,7 @@ class TestRunBasics:
         np.testing.assert_array_equal(tr.x, np.zeros_like(tr.x))
         # at most the initializing event at t0, with zero control
         assert tr.events.count <= 1
-        for u in tr.events.event_controls:
-            np.testing.assert_array_equal(u, np.zeros(1))
+        assert all(u == 0.0 for u in tr.events.event_controls)
 
     def test_near_continuous_limit_matches_undelayed_loop(self):
         # tiny delay, perfect sensing, trigger firing every step: the loop

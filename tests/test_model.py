@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from etpf import presets
 from etpf.exceptions import ConfigurationError, NumericalError
 from etpf.model import (
     ISSCertificate,
@@ -17,6 +18,12 @@ from etpf.model import (
     verify_certificate,
 )
 from etpf.presets import example1_model, linear2d_system
+
+MULTI_INPUT = [
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], [[-1.0, -2.0]], id="two-columns-of-B"),
+    pytest.param([[0.0], [1.0]], [[-1.0, -2.0], [0.0, -1.0]], id="two-rows-of-K"),
+    pytest.param([[0.0, 1.0, 2.0]], [[-1.0, -2.0]], id="three-entries-of-B"),
+]
 
 
 def assert_class_k(cert, grid=np.logspace(-6, 3, 40)):
@@ -31,27 +38,25 @@ def assert_class_k(cert, grid=np.logspace(-6, 3, 40)):
 class TestEvalF:
     def test_example1_vector_field(self):
         model = example1_model()
-        out = eval_f(model, (1.0, 1.0), (0.0,))
+        out = eval_f(model, (1.0, 1.0), 0.0)
         np.testing.assert_allclose(out, [2.0, math.tanh(1.0) + 1.0], atol=1e-12)
 
     def test_equilibrium(self):
         model = example1_model()
-        np.testing.assert_allclose(eval_f(model, (0.0, 0.0), (0.0,)), [0.0, 0.0])
+        np.testing.assert_allclose(eval_f(model, (0.0, 0.0), 0.0), [0.0, 0.0])
 
     def test_linear_hand_evaluation(self):
         sys = LinearSystem(
             A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
             K_gain=[[-1.0, -2.0]], Q=np.eye(2),
         )
-        out = eval_f(sys.to_model(), (1.0, 0.0), (2.0,))
+        out = eval_f(sys.to_model(), (1.0, 0.0), 2.0)
         np.testing.assert_allclose(out, [0.0, 2.0])
 
     def test_dimension_mismatch(self):
         model = example1_model()
         with pytest.raises(ConfigurationError):
-            eval_f(model, (1.0, 1.0, 1.0), (0.0,))
-        with pytest.raises(ConfigurationError):
-            eval_f(model, (1.0, 1.0), (0.0, 0.0))
+            eval_f(model, (1.0, 1.0, 1.0), 0.0)
 
     def test_nonvanishing_equilibrium_rejected(self):
         from etpf.model import SystemModel
@@ -59,7 +64,7 @@ class TestEvalF:
         with pytest.raises(ConfigurationError):
             SystemModel(
                 state_dim=1, f=lambda x, u: np.array([1.0 + x[0]]),
-                K=lambda x: np.array([0.0]), L_f=1.0, L_K=1.0,
+                K=lambda x: 0.0, L_f=1.0, L_K=1.0,
             )
 
 
@@ -67,11 +72,11 @@ class TestLinearModel:
     def test_model_pickles(self):
         model = linear2d_system().to_model()
         back = pickle.loads(pickle.dumps(model))
-        x, u = np.array([0.3, -1.2]), np.array([0.7])
+        x, u = np.array([0.3, -1.2]), 0.7
         assert back.f(x, u).tobytes() == model.f(x, u).tobytes()
-        assert back.K(x).tobytes() == model.K(x).tobytes()
-        assert (back.state_dim, back.input_dim, back.L_f, back.L_K) == (
-            model.state_dim, model.input_dim, model.L_f, model.L_K)
+        assert back.K(x).hex() == model.K(x).hex()
+        assert (back.state_dim, back.L_f, back.L_K) == (
+            model.state_dim, model.L_f, model.L_K)
         # the unpickled model is still the unpickled system's own
         assert back._linear is back.f.__self__
 
@@ -84,9 +89,14 @@ class TestLinearModel:
         for _ in range(200):
             x = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 8)
             u = rng.standard_normal(1)
-            for uu in (u, float(u[0])):
-                assert model.f(x, uu).tobytes() == old_f(x, uu).tobytes()
-            assert model.K(x).tobytes() == old_K(x).tobytes()
+            # the scalar-input methods against the one-column matrix forms
+            assert model.f(x, float(u[0])).tobytes() == old_f(x, u).tobytes()
+            assert model.K(x).hex() == old_K(x)[0].hex()
+
+    @pytest.mark.parametrize("B, K", MULTI_INPUT)
+    def test_multi_input_rejected(self, B, K):
+        with pytest.raises(ConfigurationError, match="single-input"):
+            LinearSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=B, K_gain=K, Q=np.eye(2))
 
     def test_linear_marker(self):
         sys = linear2d_system()
@@ -96,6 +106,17 @@ class TestLinearModel:
         wrapped = dataclasses.replace(model, f=lambda x, u: sys.f(x, u))
         assert wrapped._linear is None
         assert example1_model()._linear is None
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2-body", "linear2d"])
+def test_preset_control_is_a_float(name):
+    model = presets.get_preset(name).model
+    x = np.array([0.3, -1.2])
+    u = model.K(x)
+    assert isinstance(u, float)
+    for uu in (u, 0.7):
+        fx = model.f(x, uu)
+        assert fx.shape == (2,) and fx.dtype == np.float64
 
 
 class TestLift:
@@ -193,7 +214,7 @@ class TestVerifyCertificate:
         model = sys.to_model()
         rng = np.random.default_rng(2)
         rep = verify_certificate(
-            model, cert, rng.standard_normal((100, 2)), rng.standard_normal((10, 1))
+            model, cert, rng.standard_normal((100, 2)), rng.standard_normal(10)
         )
         assert rep.passed
 
@@ -208,7 +229,7 @@ class TestVerifyCertificate:
         rng = np.random.default_rng(3)
         rep = verify_certificate(
             sys.to_model(), bad, rng.standard_normal((50, 2)),
-            rng.standard_normal((5, 1)),
+            rng.standard_normal(5),
         )
         assert not rep.passed
         assert rep.max_decay_violation > 0

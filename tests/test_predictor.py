@@ -22,7 +22,7 @@ from reference_predictors import predict_linear, predict_open_loop_step, window_
 
 def zero_model(n=1):
     return SystemModel(
-        state_dim=n, f=lambda x, u: np.zeros(n), K=lambda x: np.zeros(1),
+        state_dim=n, f=lambda x, u: np.zeros(n), K=lambda x: 0.0,
         L_f=0.0, L_K=0.0,
     )
 
@@ -30,8 +30,8 @@ def zero_model(n=1):
 def integrator_model():
     # scalar xdot = u
     return SystemModel(
-        state_dim=1, f=lambda x, u: np.atleast_1d(u).astype(float),
-        K=lambda x: np.zeros(1), L_f=1.0, L_K=0.0,
+        state_dim=1, f=lambda x, u: np.array([u]),
+        K=lambda x: 0.0, L_f=1.0, L_K=0.0,
     )
 
 
@@ -42,11 +42,10 @@ def control_grid(delay, u0, h=1e-2, N=400, events=()):
     ``(k, value)`` at node k h on, as the engine's rows and event times hold it.
     """
     m_lo = node_of(delay.phi(0.0), h)[0]
-    U = np.full((N + 1, 1), float(u0))
+    U = np.full(N + 1, float(u0))
     for k, value in events:
         U[k:] = value
-    return _node_grid(delay, h, m_lo, N, U, np.full(1, float(u0)),
-                      [k * h for k, _ in events])
+    return _node_grid(delay, h, m_lo, N, U, float(u0), [k * h for k, _ in events])
 
 
 def closed_loop(model, grid, delay, anchor_time, anchor_state, t):
@@ -134,7 +133,7 @@ def per_node_reference(pred, p, s_from, s_to):
     nodes = window_nodes(s_from, s_to, pred.h)
     for left, right in zip(nodes[:-1], nodes[1:]):
         E, Phi = pred._step_mats(pred.grid.sigma(right) - pred.grid.sigma(left))
-        p = E @ p + Phi @ (pred.sys.B @ pred.grid.u_at(left))
+        p = E @ p + Phi @ (pred.sys.B[:, 0] * pred.grid.u_at(left))
     return p
 
 
@@ -206,7 +205,7 @@ class TestOpenLoop:
         # xdot = -x, u unused; p solves pdot = sigmadot f(p) and should track
         # x(sigma(t)) = x0 e^{-(t + D)} within O(h)
         model = SystemModel(
-            state_dim=1, f=lambda x, u: -x, K=lambda x: np.zeros(1),
+            state_dim=1, f=lambda x, u: -x, K=lambda x: 0.0,
             L_f=1.0, L_K=0.0,
         )
         delay = ActuationDelay.constant(0.5)
@@ -221,7 +220,7 @@ class TestOpenLoop:
 
     def test_divergence_flagged(self):
         model = SystemModel(
-            state_dim=1, f=lambda x, u: 1e13 * x, K=lambda x: np.zeros(1),
+            state_dim=1, f=lambda x, u: 1e13 * x, K=lambda x: 0.0,
             L_f=1.0, L_K=0.0,
         )
         delay = ActuationDelay.constant(0.5)
@@ -342,7 +341,7 @@ class TestReplayMemo:
 
     def test_signed_zero_is_not_a_hit(self):
         # -0.0 == 0.0, but under xdot = x the replay from -0.0 keeps the sign
-        model = SystemModel(state_dim=1, f=lambda x, u: x.copy(), K=lambda x: np.zeros(1),
+        model = SystemModel(state_dim=1, f=lambda x, u: x.copy(), K=lambda x: 0.0,
                             L_f=1.0, L_K=0.0)
         delay = ActuationDelay.constant(0.5)
         pred = ClosedLoopPredictor(model, delay, control_grid(delay, 0.0))
@@ -368,7 +367,7 @@ class TestHeldLinearTerm:
         def checked(self, k):
             g = self.grid
             E, Phi = self._step_mats(float(g.sig[k + 1 - g.lo] - g.sig[k - g.lo]))
-            expected = E @ self.p + Phi @ (self.sys.B @ g.u_row(k))
+            expected = E @ self.p + Phi @ (self.sys.B[:, 0] * g.u_row(k))
             original(self, k)
             assert self.p.tobytes() == expected.tobytes(), k
             seen.append((k < 0, len(g.events)))
@@ -420,8 +419,8 @@ class TestDivergenceCheck:
     def rate_model(rate):
         # xdot = rate while u is nonzero; f(0, 0) = 0 as SystemModel requires
         return SystemModel(
-            state_dim=1, f=lambda x, u: np.where(np.atleast_1d(u) != 0.0, rate, 0.0),
-            K=lambda x: np.zeros(1), L_f=0.0, L_K=0.0,
+            state_dim=1, f=lambda x, u: np.array([rate if u != 0.0 else 0.0]),
+            K=lambda x: 0.0, L_f=0.0, L_K=0.0,
         )
 
     RATES = [

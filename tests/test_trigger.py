@@ -103,11 +103,11 @@ class TestCheckAndFire:
 
     def test_event_log_ordering(self):
         log = EventLog()
-        log.record(1.0, [0.0])
+        log.record(1.0, 0.0)
         with pytest.raises(DomainError):
-            log.record(1.0, [0.0])
+            log.record(1.0, 0.0)
         assert log.min_dwell_observed == math.inf
-        log.record(1.5, [0.0])
+        log.record(1.5, 0.0)
         assert log.min_dwell_observed == pytest.approx(0.5)
 
 
