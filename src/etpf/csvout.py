@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = ["render", "write_csv"]
 
-_ROWS = 256  # rows rendered at a time, which bounds the buffers and the peak memory
+_ROWS = 1024  # rows rendered at a time, which bounds the buffers and the peak memory
 _W = 32  # bytes per element: separator, sign, padding, slots 0-20 with a point after one, "e-dd"
 
 

@@ -418,34 +418,29 @@ def run(cfg: SimConfig) -> SimTrace:
 
 
 def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> None:
-    """Fill the V and L columns at the configured stride."""
-    mon = cfg.monitor
-    model = cfg.model
-    t0 = trace.t0
+    """Fill V and L at the stride: one ``compute_L`` per window node count, one ``compute_V``."""
+    mon, t0, h = cfg.monitor, trace.t0, trace.h
 
     # disturbance history: nonzero only before t0
     w_hist = TimedSignal()
-    k0 = node_of(t0, trace.h)[0]
+    k0 = node_of(t0, h)[0]
     w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
     w_p = np.concatenate([trace.pre_p, trace.p[:k0]])
     for s, p in zip(w_times, w_p):
-        w_hist.append(float(s), compute_w(grid.u_at(float(s)), p, model.K))
-    if len(w_hist) == 0 or w_hist.last_time < t0:
+        w_hist.append(float(s), compute_w(grid.u_at(float(s)), p, cfg.model.K))
+    if w_hist.last_time < t0:  # pre_times holds phi(0) at least
         w_hist.append(t0, 0.0)
-    end = float(trace.times[-1]) + 1.0
-    w_hist.append(end, 0.0)
+    w_hist.append(float(trace.times[-1]) + 1.0, 0.0)
 
-    sigma_t0 = grid.sigma(t0)
-    for step in range(0, len(trace.times), mon.stride):
-        t = float(trace.times[step])
-        sig_t = grid.sigma(t)
-        if t >= sigma_t0:
-            L = 0.0
-        else:
-            L = compute_L(mon, w_hist, t, sig_t, delay.phi,
-                          n_nodes=max(2, int(round((sig_t - t) / trace.h)) + 1))
-        trace.L[step] = L
-        trace.V[step] = compute_V(mon, trace.x[step], L, cfg.cert)
+    # L is 0 from sigma(t0) on
+    steps = np.arange(0, len(trace.times), mon.stride)
+    t, sig = trace.times[steps], grid.sig[steps - grid.lo]
+    n_nodes = np.maximum(2, np.rint((sig - t) / h).astype(int) + 1)
+    live, L = t < grid.sig[k0 - grid.lo], np.zeros(len(steps))
+    for n in sorted(set(n_nodes[live].tolist())):  # not np.unique, which imports numpy.ma
+        m = live & (n_nodes == n)
+        L[m] = compute_L(mon, w_hist, t[m], sig[m], delay.phi, n_nodes=n)
+    trace.L[steps], trace.V[steps] = L, compute_V(mon, trace.x[steps], L, cfg.cert)
 
 
 def heatmap(

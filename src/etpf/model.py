@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,6 +171,13 @@ class LinearSystem:
     def K(self, x) -> float:
         return (self.K_gain @ x)[0]
 
+    def S(self, x):
+        """x^T P x, for one state or each row of an array of states, with the same bits."""
+        return np.vecdot(x @ self.P, x)
+
+    def grad_S(self, x) -> np.ndarray:
+        return 2.0 * (self.P @ np.asarray(x))
+
     def to_model(self) -> SystemModel:
         model = SystemModel(state_dim=self.n, f=self.f, K=self.K, L_f=self.L_f, L_K=self.K_norm)
         object.__setattr__(model, "_linear", self)
@@ -215,39 +223,35 @@ def solve_lyapunov(A_cl, Q) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def _quad(coeff: float, r: float) -> float:
+    return coeff * r * r
+
+
+def _quad_inv(coeff: float, y: float) -> float:
+    return math.sqrt(max(y, 0.0) / coeff)
+
+
 def _quad_pair(coeff: float):
-    """(r -> coeff*r^2, inverse) with a guarded inverse for coeff > 0."""
-
-    def fwd(r: float) -> float:
-        return coeff * r * r
-
-    def inv(y: float) -> float:
-        return math.sqrt(max(y, 0.0) / coeff)
-
-    return fwd, inv
+    """(r -> coeff*r^2, inverse) with a guarded inverse for coeff > 0; picklable."""
+    return partial(_quad, coeff), partial(_quad_inv, coeff)
 
 
 def linear_certificate(sys: LinearSystem) -> ISSCertificate:
-    """Quadratic ISS certificate from the Lyapunov solve.
+    """Quadratic ISS certificate from the Lyapunov solve; it pickles with ``sys``.
 
-    S(x) = x^T P x, alpha_i from the extreme eigenvalues of P,
-    gamma(r) = lam_min(Q)/2 r^2, rho(r) = 2|PB|^2/lam_min(Q) r^2.
+    S(x) = x^T P x (``LinearSystem.S``), alpha_i from the extreme eigenvalues
+    of P, gamma(r) = lam_min(Q)/2 r^2, rho(r) = 2|PB|^2/lam_min(Q) r^2.
     """
-    P = sys.P
-    lam_min_p = sys.lam_min_P
-    lam_max_p = sys.lam_max_P
     lam_min_q = sys.lam_min_Q
     pb = sys.PB_norm
     gamma, gamma_inv = _quad_pair(0.5 * lam_min_q)
     c_rho = 2.0 * pb * pb / lam_min_q
     rho, rho_inv = _quad_pair(c_rho)
-    alpha1, _ = _quad_pair(lam_min_p)
-    alpha2, _ = _quad_pair(lam_max_p)
     return ISSCertificate(
-        S=lambda x: float(np.asarray(x) @ P @ np.asarray(x)),
-        grad_S=lambda x: 2.0 * (P @ np.asarray(x)),
-        alpha1=alpha1,
-        alpha2=alpha2,
+        S=sys.S,
+        grad_S=sys.grad_S,
+        alpha1=_quad_pair(sys.lam_min_P)[0],
+        alpha2=_quad_pair(sys.lam_max_P)[0],
         gamma=gamma,
         rho=rho,
         gamma_inv=gamma_inv,
@@ -291,7 +295,7 @@ def verify_certificate(
     count = 0
     for x in states:
         r = float(np.linalg.norm(x))
-        s = cert.S(x)
+        s = float(cert.S(x))
         max_bound = max(max_bound, cert.alpha1(r) - s, s - cert.alpha2(r))
         for w in dists:
             g = eval_f(model, x, model.K(x) + w)

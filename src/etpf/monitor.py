@@ -56,40 +56,37 @@ def compute_w(u: float, p_held, K) -> float:
     return u - K(p_held)
 
 
-def compute_L(
-    cfg: MonitorConfig,
-    w_history: TimedSignal,
-    t: float,
-    sigma_t: float,
-    phi,
-    n_nodes: int,
-) -> float:
+def compute_L(cfg: MonitorConfig, w_history: TimedSignal, t, sigma_t, phi, n_nodes: int):
     """Window functional over ``n_nodes`` equally spaced tau in [t, sigma(t)].
 
     sup form:      max  exp(b (tau - t)) |w(phi(tau))|
     integral form: trapz exp(b (tau - t)) w(phi(tau))^2
+
+    A float for float ``t`` and ``sigma_t``; for arrays, one value per window,
+    with the bits of the per-window call.
     """
-    if sigma_t < t:
+    t1, sig1 = np.atleast_1d(t).astype(float), np.atleast_1d(sigma_t).astype(float)
+    if (sig1 < t1).any():
         raise MonitorError("sigma(t) precedes t")
-    if sigma_t == t:
-        return 0.0
-    taus = np.linspace(t, sigma_t, n_nodes)
-    w = w_history.sample_array(phi(taus))[:, 0]
-    w_norm = np.sqrt(w * w)  # not abs(w): where w * w underflows the two differ
-    # math.exp, not np.exp: the two differ in the last bit on some inputs
-    weight = np.array([math.exp(v) for v in (cfg.b * (taus - t)).tolist()])
-    if cfg.form == "sup":
-        return max((weight * w_norm).tolist())
-    return float(np.trapezoid(weight * w_norm * w_norm, taus))
+    L, live = np.zeros(len(t1)), np.flatnonzero(sig1 != t1)
+    for i in range(0, len(live), rows := max(1, 2048 // n_nodes)):  # bounds the temporaries
+        r = live[i : i + rows]
+        # C order: a sum over the rows of an F-ordered array adds in another order
+        taus = np.ascontiguousarray(np.linspace(t1[r], sig1[r], n_nodes, axis=1))
+        w = w_history.sample_array(phi(taus.ravel()))[:, 0].reshape(taus.shape)
+        w_norm = np.sqrt(w * w)  # not abs(w): where w * w underflows the two differ
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        arg = (cfg.b * (taus - t1[r, None])).ravel().tolist()
+        weight = np.fromiter(map(math.exp, arg), float, len(arg)).reshape(taus.shape)
+        if cfg.form == "sup":
+            L[r] = (weight * w_norm).max(axis=1)
+        else:
+            L[r] = np.trapezoid(weight * w_norm * w_norm, taus, axis=1)
+    return float(L[0]) if np.ndim(t) == np.ndim(sigma_t) == 0 else L
 
 
-def compute_V(
-    cfg: MonitorConfig,
-    x,
-    L: float,
-    cert: ISSCertificate,
-) -> float:
-    """Lyapunov-Krasovskii value at one time stamp.
+def compute_V(cfg: MonitorConfig, x, L, cert: ISSCertificate):
+    """Lyapunov-Krasovskii value at one time stamp, or at each row of ``x`` for an array ``L``.
 
     sup form:      S(x) + (2/b) * integral 0..2L of rho(r)/r dr
                    (closed form when rho is quadratic)
@@ -97,23 +94,25 @@ def compute_V(
                    (c_rho = 2|PB|^2/lam_min(Q), so the L coefficient is
                    4|PB|^2/lam_min(Q))
     """
-    if L < 0:
+    L = np.asarray(L, dtype=float)
+    if (L < 0).any():
         raise MonitorError("L must be nonnegative")
-    s_val = float(cert.S(np.atleast_1d(x)))
+    s_val, c = cert.S(np.atleast_1d(np.asarray(x, dtype=float))), cert.rho_quad_coeff
     if cfg.form == "integral":
-        if cert.rho_quad_coeff is None:
+        if c is None:
             raise ConfigurationError("integral form needs a quadratic-rho certificate")
-        return s_val + 2.0 * cert.rho_quad_coeff * L
-    if L == 0.0:
-        return s_val
-    if cert.rho_quad_coeff is not None:
-        # integral 0..2L of c*r dr = c*(2L)^2/2
-        return s_val + (2.0 / cfg.b) * cert.rho_quad_coeff * (2.0 * L) ** 2 / 2.0
-    if not cert.integrable_flag:
+        V = s_val + 2.0 * c * L
+    elif c is not None:
+        # integral 0..2L of c*r dr = c*(2L)^2/2; float_power is libm's pow, as float ** is
+        V = np.where(L == 0.0, s_val, s_val + (2.0 / cfg.b) * c * np.float_power(2.0 * L, 2) / 2.0)
+    elif L.any() and not cert.integrable_flag:
         raise MonitorError("rho(r)/r is not integrable near 0")
-    from scipy.integrate import quad
-    val, _err = quad(lambda r: cert.rho(r) / r, 0.0, 2.0 * L, limit=200)
-    return s_val + (2.0 / cfg.b) * val
+    else:
+        from scipy.integrate import quad
+        q = [quad(lambda r: cert.rho(r) / r, 0.0, 2.0 * v, limit=200)[0] if v else 0.0
+             for v in L.ravel().tolist()]
+        V = np.where(L == 0.0, s_val, s_val + (2.0 / cfg.b) * np.reshape(q, L.shape))
+    return float(V) if V.ndim == 0 else V
 
 
 @dataclass

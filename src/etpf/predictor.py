@@ -18,6 +18,7 @@ and read sigma and the control from its ``NodeGrid``.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -311,41 +312,52 @@ class LinearPredictor(_Predictor):
     dsig = sigma(b) - sigma(a) solves the prediction ODE exactly wherever u
     is constant on [a, b).  ``advance`` takes one such step per engine step;
     a re-anchor takes one per control segment of its window.  Matrix
-    exponentials are cached per distinct dsig.  ``block`` takes a run of
-    advances with one step matrix and one control at once.
+    exponentials are cached per distinct dsig, and each step reads
+    ``(E, Phi B u)`` from a memo per bits of (dsig, u).  ``block`` takes a
+    run of advances with one step matrix and one control at once.
     """
 
     def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
         super().__init__(sys, delay, grid)
         self.sys = sys
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # see _affine
         self._sig = grid.sig.tolist()
-        self._runs: Optional[np.ndarray] = None
+        self._runs: Optional[list] = None
         self._lifts: dict[float, np.ndarray] = {}  # lift(E, LIFT) per advance key
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
-        key = round(dsig, 14)
-        mats = self._cache.get(key)
-        if mats is None:
+        if (mats := self._cache.get(key := round(dsig, 14))) is None:
             n = self.sys.n
             M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = self.sys.A * dsig
-            M[:n, n:] = np.eye(n) * dsig
+            M[:n, :n], M[:n, n:] = self.sys.A * dsig, np.eye(n) * dsig
             E = expm(M)
             mats = (E[:n, :n], E[:n, n:])
             if len(self._cache) < 4096:
                 self._cache[key] = mats
         return mats
 
+    def _affine(self, dsig: float, u: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(E, Phi @ (B u))`` of the step over dsig: p -> E p + c.  Memoized per bits
+        of dsig and u (zeros of either sign in c give E p + c zeros of either sign)
+        where ``_step_mats`` caches E, so every entry holds the E of its advance key."""
+        if (mats := self._memo.get(bits := struct.pack("dd", dsig, u))) is None:
+            E, Phi = self._step_mats(dsig)
+            mats = (E, Phi @ (self.sys.B[:, 0] * u))
+            if round(dsig, 14) in self._cache:
+                self._memo[bits] = mats
+        return mats
+
     def _integrate(self, p, s_from: float, s_to: float) -> np.ndarray:
         # u is constant between consecutive breaks, so one exact step per
         # control segment is the composition of the per-node steps
-        g = self.grid
-        nodes = g.u_breaks(s_from, s_to)
-        sig = [g.sigma(s) for s in nodes]
-        for i in range(len(nodes) - 1):
-            E, Phi = self._step_mats(sig[i + 1] - sig[i])
-            p = E @ p + Phi @ (self.sys.B[:, 0] * g.u_at(nodes[i]))
+        g, (a, *inner, b) = self.grid, self.grid.u_breaks(s_from, s_to)
+        ks = [round(s / self.h) for s in inner]  # 0 and event times lie on nodes
+        sig = [g.sigma(a), *[self._sig[k - g.lo] for k in ks], g.sigma(b)]
+        u = [g.u_at(a), *[g.U[k] for k in ks]]
+        for i in range(len(u)):
+            E, c = self._affine(sig[i + 1] - sig[i], u[i])
+            p = E @ p + c
         return p
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
@@ -358,8 +370,8 @@ class LinearPredictor(_Predictor):
 
     def advance(self, k: int) -> None:
         g, sig, i = self.grid, self._sig, k - self.grid.lo
-        E, Phi = self._step_mats(sig[i + 1] - sig[i])
-        self.p = E @ self.p + Phi @ (self.sys.B[:, 0] * g.u_row(k))
+        E, c = self._affine(sig[i + 1] - sig[i], g.u_row(k))
+        self.p = E @ self.p + c
         if not _capped(self.p):
             raise PredictorError("prediction diverged")
 
@@ -373,19 +385,19 @@ class LinearPredictor(_Predictor):
             u = np.unique(d)  # keys are nondecreasing in dsig: group by the values that raise them
             keys = [round(v, 14) for v in u.tolist()]
             grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
-            self._runs = np.append(np.flatnonzero(grp[1:] != grp[:-1]) + 1, len(d))
-        L = min(L, LIFT, self._runs[np.searchsorted(self._runs, i, "right")] - i)
+            self._runs = np.append(np.flatnonzero(grp[1:] != grp[:-1]) + 1, len(d)).tolist()
+        L = min(L, LIFT, self._runs[bisect_right(self._runs, i)] - i)
         if L < 2:  # one row is advance's own step
             return np.empty((0, n))
-        E, Phi = self._step_mats(dsig := self._sig[i + 1] - self._sig[i])
+        E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], g.U[k])
         if (G := self._lifts.get(key := round(dsig, 14))) is None:
             G = lift(E, LIFT)
             if len(self._lifts) < 256:
                 self._lifts[key] = G
-        c = Phi @ (self.sys.B[:, 0] * g.U[k])
         rows = (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
-        ok = (np.abs(rows) <= _DIVERGENCE_CAP).all(axis=1)
-        return rows if ok.all() else rows[: ok.argmin()]
+        if np.abs(rows).max() <= _DIVERGENCE_CAP:  # false for NaN too
+            return rows
+        return rows[: (np.abs(rows) <= _DIVERGENCE_CAP).all(axis=1).argmin()]
 
 
 def make_predictor(method, model, delay, grid: NodeGrid, linear=None):

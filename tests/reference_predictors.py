@@ -5,9 +5,14 @@ the open-loop and matrix-exponential predictors: each call re-runs its full
 window from the control history, read through ``NodeGrid.u_at``.  The engine
 uses the incremental ``*Predictor`` classes of ``etpf.predictor``; the tests
 check those forms against hand integrals.
+
+``affine_unmemoized`` and ``integrate_per_segment`` are ``LinearPredictor``'s
+exact steps without the segment memo: ``Phi @ (B u)`` formed at every step,
+and sigma and u read at every control break by the float lookups.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,4 +91,26 @@ def predict_linear(
         if g_prev is not None:
             p = p + 0.5 * (s - s_prev) * (g_prev + g)
         g_prev, s_prev = g, s
+    return p
+
+
+def affine_unmemoized(pred, dsig: float, u: float):
+    """``LinearPredictor._affine`` without its memo: the step's ``(E, Phi @ (B u))``."""
+    E, Phi = pred._step_mats(dsig)
+    return E, Phi @ (pred.sys.B[:, 0] * u)
+
+
+def integrate_per_segment(pred, p, s_from: float, s_to: float) -> np.ndarray:
+    """``LinearPredictor._integrate`` without the memo: one step per control segment,
+    with sigma and u at each break from ``NodeGrid.sigma`` and ``NodeGrid.u_at``."""
+    g = pred.grid
+    ev = g.events
+    inner = ev[bisect_right(ev, s_from):bisect_left(ev, s_to)]
+    if s_from < 0.0 < s_to and inner[:1] != [0.0]:
+        inner.insert(0, 0.0)
+    nodes = [s_from, *inner, s_to]
+    sig = [g.sigma(s) for s in nodes]
+    for i in range(len(nodes) - 1):
+        E, c = affine_unmemoized(pred, sig[i + 1] - sig[i], g.u_at(nodes[i]))
+        p = E @ p + c
     return p

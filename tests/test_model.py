@@ -207,6 +207,34 @@ class TestLinearCertificate:
             assert lie <= -cert.gamma(r) + cert.rho(np.linalg.norm(w)) + 1e-9
 
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: linear_certificate(linear2d_system()), id="linear_certificate"),
+        pytest.param(lambda: presets.linear2d().cert, id="linear2d"),
+        pytest.param(lambda: presets.example1().cert, id="example1"),
+    ])
+    def test_certificate_pickles(self, make):
+        cert = make()
+        back = pickle.loads(pickle.dumps(cert))
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-8, 8, (200, 1))
+        assert back.S(X).tobytes() == cert.S(X).tobytes()
+        for x in X[:20]:
+            assert float(back.S(x)).hex() == float(cert.S(x)).hex()
+            assert back.grad_S(x).tobytes() == cert.grad_S(x).tobytes()
+        for name in ("alpha1", "alpha2", "gamma", "rho", "gamma_inv", "rho_inv"):
+            assert getattr(back, name)(2.5).hex() == getattr(cert, name)(2.5).hex(), name
+        assert back.rho_quad_coeff.hex() == cert.rho_quad_coeff.hex()
+
+    def test_S_rows_are_the_per_row_values(self):
+        # rows in, one value per row, with the bits of the one-state call
+        sys = linear2d_system()
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-8, 8, (500, 2))
+        want = [float(x @ sys.P @ x).hex() for x in X]
+        assert [float(v).hex() for v in sys.S(X)] == want
+        assert [float(sys.S(x)).hex() for x in X] == want
+
+
 class TestVerifyCertificate:
     def test_self_consistency(self):
         sys = linear2d_system()

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
+from etpf import presets
 from etpf.channel import ActuationDelay
 from etpf.exceptions import ConfigurationError, CoverageError, MonitorError
 from etpf.model import ISSCertificate, linear_certificate
@@ -129,6 +133,78 @@ class TestComputeLArrays:
                 compute_L_loop(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
             with pytest.raises(CoverageError):
                 compute_L(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
+
+
+def compute_V_point(cfg, x, L, cert):
+    """compute_V as it was before it took arrays: one state and one L, quadratic rho."""
+    s_val = float(cert.S(np.atleast_1d(x)))
+    if cfg.form == "integral":
+        return s_val + 2.0 * cert.rho_quad_coeff * L
+    if L == 0.0:
+        return s_val
+    return s_val + (2.0 / cfg.b) * cert.rho_quad_coeff * (2.0 * L) ** 2 / 2.0
+
+
+class TestArrayMonitor:
+    """One ``compute_L`` over many windows and one ``compute_V`` over many rows give the
+    bits of the per-point calls, on whatever BLAS and libm this host has."""
+
+    DELAYS = {
+        "constant": lambda: ActuationDelay.constant(0.5),
+        "sinusoidal": lambda: ActuationDelay.sinusoidal(0.5, 0.2),
+        "table": lambda: ActuationDelay.from_table([0.0, 4.0, 8.0, 12.0], [0.5, 0.7, 0.4, 0.6]),
+        "example1": ActuationDelay.example1,
+    }
+    CERTS = {
+        "linear2d": lambda: presets.linear2d().cert,
+        "example1": lambda: presets.example1().cert,
+    }
+    STATES = hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)),
+                        elements=st.floats(-1e8, 1e8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=STATES, form=st.sampled_from(["sup", "integral"]),
+           cert=st.sampled_from(sorted(CERTS)), b=st.floats(0.5, 20.0), data=st.data())
+    def test_V_and_S_rows_are_the_per_point_values(self, X, form, cert, b, data):
+        cert, cfg = self.CERTS[cert](), MonitorConfig(b=b, form=form)
+        L = data.draw(hnp.arrays(np.float64, len(X), elements=st.floats(0.0, 1e8)))
+        hexes = lambda vals: [float(v).hex() for v in vals]  # noqa: E731
+        assert hexes(cert.S(X)) == hexes(cert.S(x) for x in X)
+        want = hexes(compute_V_point(cfg, x, v, cert) for x, v in zip(X, L.tolist()))
+        assert hexes(compute_V(cfg, X, L, cert)) == want
+        per_point = [compute_V(cfg, x, v, cert) for x, v in zip(X, L.tolist())]
+        assert all(type(v) is float for v in per_point)
+        assert hexes(per_point) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(DELAYS)), form=st.sampled_from(["sup", "integral"]),
+           seed=st.integers(0, 2**32 - 1),
+           ts=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
+           n_nodes=st.integers(2, 700), zero_width=st.booleans())
+    def test_L_windows_are_the_per_window_values(self, kind, form, seed, ts, n_nodes, zero_width):
+        d, rng = self.DELAYS[kind](), np.random.default_rng(seed)
+        cfg = MonitorConfig(b=float(rng.uniform(0.5, 20.0)), form=form)
+        w = TestComputeLArrays.random_history(rng, d.phi(0.0), 12.0, float(rng.choice([1e-2, 2e-3])))
+        t = np.array(ts)
+        sig = d.sigma(t)
+        if zero_width:  # a window of no width is 0
+            sig[::2] = t[::2]
+        got = compute_L(cfg, w, t, sig, d.phi, n_nodes)
+        want = [compute_L_loop(cfg, w, a, s, d.phi, n_nodes) for a, s in zip(t.tolist(), sig.tolist())]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        per_window = [compute_L(cfg, w, a, s, d.phi, n_nodes) for a, s in zip(t.tolist(), sig.tolist())]
+        assert [v.hex() for v in per_window] == [v.hex() for v in want]
+
+    def test_rows_past_the_chunk(self):
+        # 2,048 window nodes at a time: 30 windows of 700 nodes take 15 chunks
+        d, rng = ActuationDelay.constant(0.5), np.random.default_rng(8)
+        w = TestComputeLArrays.random_history(rng, -0.5, 12.0, 1e-2)
+        t = np.linspace(0.0, 9.0, 30)
+        for form in ("sup", "integral"):
+            cfg = MonitorConfig(b=10.0, form=form)
+            got = compute_L(cfg, w, t, t + 0.5, d.phi, 700)
+            want = [compute_L_loop(cfg, w, a, a + 0.5, d.phi, 700) for a in t.tolist()]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 class TestComputeV:

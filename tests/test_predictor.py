@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from etpf import engine as etpf_engine
+from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
 from etpf.engine import _node_grid
@@ -17,7 +20,13 @@ from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, make_pred
 from etpf.presets import linear2d_system
 
 from conftest import per_step, prediction_error
-from reference_predictors import predict_linear, predict_open_loop_step, window_nodes
+from reference_predictors import (
+    affine_unmemoized,
+    integrate_per_segment,
+    predict_linear,
+    predict_open_loop_step,
+    window_nodes,
+)
 
 
 def zero_model(n=1):
@@ -192,6 +201,96 @@ class TestLinearSegmentReanchor:
         assert len(window_nodes(pred.delay.phi(1.1), 1.1, H)) - 1 == 500
         assert len(calls) == 4
         np.testing.assert_allclose(sum(calls), 0.5, rtol=1e-12)
+
+
+class TestSegmentMemo:
+    """Every linear step reads ``(E, Phi B u)`` from one memo, with the bits of the
+    unmemoized steps (``tests/reference_predictors.py``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(DELAYS)),
+        start=st.integers(200, 1000),
+        offset=st.floats(0.0, 0.999),
+        length=st.integers(1, 500),
+        interior=st.sets(st.integers(1, 499), max_size=8),
+        slide=st.integers(1, 60),
+    )
+    def test_integrate_matches_the_unmemoized_reference(self, kind, start, offset, length,
+                                                        interior, slide):
+        # windows sliding over the same events: their inner segments hit the memo
+        pred = segment_predictor(kind, [start + k for k in sorted(interior)])
+        p0 = np.array([0.3, 1.0])
+        for j in range(4):
+            s_from, s_to = (start + offset + j * slide) * H, (start + length + j * slide) * H
+            got = pred._integrate(p0, s_from, s_to)
+            assert got.tobytes() == integrate_per_segment(pred, p0, s_from, s_to).tobytes()
+
+    def test_a_repeated_window_is_all_hits(self):
+        pred = segment_predictor("sinusoidal", [650, 700, 701, 950])
+        p0 = np.array([1.0, -0.5])
+        first = pred._integrate(p0, 600.4 * H, 1100 * H)
+        calls = []
+        step_mats = pred._step_mats
+        pred._step_mats = lambda dsig: calls.append(dsig) or step_mats(dsig)
+        assert pred._integrate(p0, 600.4 * H, 1100 * H).tobytes() == first.tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", sorted(DELAYS))
+    def test_advance_and_block_match_the_unmemoized_reference(self, kind):
+        stamps = [300, 650, 700, 701, 950]
+        memo, ref = segment_predictor(kind, stamps), segment_predictor(kind, stamps)
+        ref._affine = functools.partial(affine_unmemoized, ref)
+        out = {}
+        for name, pred in (("memo", memo), ("ref", ref)):
+            pred.p, rows = np.array([1.0, -0.5]), []
+            # from phi(0) through the pre-history and past the events; block keeps p
+            for k in range(pred.grid.lo, 1200):
+                pred.advance(k)
+                rows.append(pred.p)
+                if k >= 0 and k % 37 == 0:
+                    rows.extend(pred.block(k + 1, 200))
+            out[name] = np.array(rows)
+        # a smoothly varying delay changes the advance key at every slot: no block rows
+        blocks = len(out["memo"]) - (1200 - memo.grid.lo)
+        assert blocks == 0 if kind == "sinusoidal" else blocks > 1000
+        assert out["memo"].tobytes() == out["ref"].tobytes()
+
+    def test_signed_zero_controls_do_not_share_an_entry(self):
+        pred = segment_predictor("constant", [])
+        for u in (0.0, -0.0, 0.0, -0.0):
+            c = pred._affine(1e-3, u)[1]
+            assert c.tobytes() == affine_unmemoized(pred, 1e-3, u)[1].tobytes()
+        assert len(pred._memo) == 2
+
+    def test_past_the_cache_cap_keeps_the_bits(self, monkeypatch):
+        # a time-varying delay gives nearly every advance its own key: 4,692 matrix
+        # exponentials, so the 4,096-key cache fills and later keys are not memoized
+        cfg = dataclasses.replace(presets.linear2d(), T=4.0, monitor=None,
+                                  delay=ActuationDelay.sinusoidal(0.5, 0.2))
+        made, expms = [], []
+        make, real_expm = etpf_engine.make_predictor, etpf_predictor.expm
+        monkeypatch.setattr(etpf_engine, "make_predictor",
+                            lambda *a, **k: made.append(make(*a, **k)) or made[-1])
+        monkeypatch.setattr(etpf_predictor, "expm", lambda M: expms.append(1) or real_expm(M))
+        tr = run(cfg)
+        pred = made[0]
+        assert len(pred._cache) == 4096 and len(expms) > 4096
+        # memo entries only for cached keys: each holds the E of its key's cache entry
+        cached = {id(E) for E, _Phi in pred._cache.values()}
+        assert pred._memo and all(id(E) in cached for E, _c in pred._memo.values())
+
+        def digest(tr):
+            h = hashlib.sha256()
+            for a in (tr.x, tr.p, tr.u, np.array(tr.events.event_times)):
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        # the bits of the steps before the memo, recorded then
+        assert digest(tr) == "760ed10e6359d8ac7d72d2f34f691d10f36091dd8607cd2d3976b1d75b56a62a"
+        monkeypatch.setattr(LinearPredictor, "_affine", affine_unmemoized)
+        monkeypatch.setattr(LinearPredictor, "_integrate", integrate_per_segment)
+        assert digest(run(cfg)) == digest(tr)
 
 
 class TestOpenLoop:
