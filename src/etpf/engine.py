@@ -283,6 +283,10 @@ def run(cfg: SimConfig) -> SimTrace:
         lam = (tq - (k - 1) * h) / h
         return (1.0 - lam) * X[k - 1] + lam * X[k]
 
+    # the closed-loop replay from a row of X, under the plant's own delay, holds the
+    # plant's next rows (README, "One Euler chain"); the pre-history anchors at X[0]
+    own = shared = cfg.predictor_method == "closed-loop" and true_delay is ctrl_delay
+    replayed = predictor.replayed if shared else None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     x, f, advance, bound = X[0], model.f, predictor.advance, cfg.divergence_threshold
@@ -340,6 +344,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     if best[1] >= anchor_tau:
                         anchor_tau = best[1]
                         predictor.reanchor(anchor_tau, state_at(anchor_tau), t)
+                        own = shared and node_of(anchor_tau, h)[1]
 
                 p_now = predictor.p
                 P[step] = p_now
@@ -369,9 +374,12 @@ def run(cfg: SimConfig) -> SimTrace:
                 if blk is not None and (r := blk(step, x)) > step:
                     step, x = r, X[r]
                     continue
-                # plant Euler step with the delayed control u(phi(t))
-                j = rows_true[step]
-                x = x + h * f(x, U[j] if j >= 0 else u_pre)
+                # plant Euler step with the delayed control u(phi(t)), or the replay's row
+                if own and (xr := replayed(step + 1)) is not None:
+                    x = xr
+                else:
+                    j = rows_true[step]
+                    x = x + h * f(x, U[j] if j >= 0 else u_pre)
                 if not math.sqrt(x.dot(x)) <= bound:  # NaN too
                     raise PredictorError("plant state crossed the divergence threshold")
                 X[step + 1] = x
@@ -421,16 +429,15 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> N
     """Fill V and L at the stride: one ``compute_L`` per window node count, one ``compute_V``."""
     mon, t0, h = cfg.monitor, trace.t0, trace.h
 
-    # disturbance history: nonzero only before t0
-    w_hist = TimedSignal()
-    k0 = node_of(t0, h)[0]
+    # disturbance history: nonzero only before t0, where u is u_pre on the pre-history
+    # nodes (all before t = 0) and row k at node k h
+    k0, K = node_of(t0, h)[0], cfg.model.K
     w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
-    w_p = np.concatenate([trace.pre_p, trace.p[:k0]])
-    for s, p in zip(w_times, w_p):
-        w_hist.append(float(s), compute_w(grid.u_at(float(s)), p, cfg.model.K))
-    if w_hist.last_time < t0:  # pre_times holds phi(0) at least
-        w_hist.append(t0, 0.0)
-    w_hist.append(float(trace.times[-1]) + 1.0, 0.0)
+    w_u = [grid.u_pre] * len(trace.pre_times) + grid.U[:k0].tolist()
+    w = [compute_w(u, p, K) for u, p in zip(w_u, np.concatenate([trace.pre_p, trace.p[:k0]]))]
+    tail = [t0] if w_times[-1] < t0 else []  # pre_times holds phi(0) at least
+    tail.append(float(trace.times[-1]) + 1.0)
+    w_hist = TimedSignal(np.concatenate([w_times, tail]), w + [0.0] * len(tail))
 
     # L is 0 from sigma(t0) on
     steps = np.arange(0, len(trace.times), mon.stride)

@@ -218,6 +218,12 @@ class ClosedLoopPredictor(_Predictor):
         self._c0 = k
         self._extend(sig, kt, on_t, 0)
 
+    def replayed(self, k: int) -> Optional[np.ndarray]:
+        """The chain's state at node k, None where it holds none; chain arrays are never
+        written to, so a caller may keep the one returned."""
+        c = k - self._c0
+        return self._chain[c] if 0 <= c < len(self._chain) else None
+
     def advance(self, k: int) -> None:
         """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
         # rows below 0 hold u_pre, final throughout the pre-history

@@ -20,9 +20,15 @@ __all__ = ["TimedSignal"]
 class TimedSignal:
     """Strictly increasing time stamps with vector values."""
 
-    def __init__(self):
-        self._times: list[float] = []
-        self._values: list[np.ndarray] = []
+    def __init__(self, times=(), values=()):
+        """``append(times[i], values[i])`` for every i, with the order checked once."""
+        times = np.asarray(times, dtype=float)
+        if (bad := np.flatnonzero(times[1:] <= times[:-1])).size:
+            t, prev = times[bad[0] + 1], times[bad[0]]
+            raise DomainError(f"time stamps must be strictly increasing: {t} after {prev}")
+        self._times: list[float] = times.tolist()
+        # one row per stamp: scalar values become rows of one
+        self._values: list[np.ndarray] = list(np.atleast_2d(np.asarray(values, dtype=float).T).T)
         self._stacked = (np.empty(0), np.empty(0))  # arrays of the stamps and values
 
     def __len__(self) -> int:

@@ -32,6 +32,24 @@ def per_step(cfg):
     return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, f=lambda x, u: f(x, u)))
 
 
+def own_step(cfg):
+    """``cfg`` with a controller delay equal to the plant's but not the same object: the
+    plant then takes its own Euler steps instead of reading the closed-loop replay."""
+    return dataclasses.replace(cfg, ctrl_delay=dataclasses.replace(cfg.delay))
+
+
+TRACE_COLUMNS = ("x", "u", "p", "e_norm", "threshold", "event_flags", "delivery_flags")
+
+
+def assert_same_run(tr, oracle):
+    """Byte-identical columns, event times and final step."""
+    for name in TRACE_COLUMNS:
+        np.testing.assert_array_equal(getattr(tr, name), getattr(oracle, name), err_msg=name)
+    assert tr.events.event_times == oracle.events.event_times
+    assert tr.diagnostics["final_step"] == oracle.diagnostics["final_step"]
+    assert tr.diverged == oracle.diverged
+
+
 @pytest.fixture(scope="session")
 def ex1_trace():
     return run(presets.example1())

@@ -11,7 +11,7 @@ from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.trigger import TriggerConfig
 
-from conftest import per_step, prediction_error
+from conftest import assert_same_run, own_step, per_step, prediction_error
 
 _MAIN_PID = os.getpid()
 
@@ -284,6 +284,82 @@ class TestPhi0JustAboveNode:
             assert np.isfinite(tr.V[:: cfg.monitor.stride]).all()
         if method in ("closed-loop", "open-loop"):
             assert prediction_error(tr, delay) <= 1e-9
+
+
+def _counting(cfg):
+    """``cfg`` with its plant f counting its calls into the returned list."""
+    calls, f = [0], cfg.model.f
+
+    def counted(x, u):
+        calls[0] += 1
+        return f(x, u)
+
+    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, f=counted)), calls
+
+
+class TestOneEulerChain:
+    """The plant reads the closed-loop replay's states where the replay started from a row
+    of the run's own trajectory under the plant's delay; the oracle is the same run with an
+    equal but distinct controller delay, which keeps the plant's own Euler step."""
+
+    ex1 = presets.example1()
+    CASES = {
+        "example1": (ex1, True),
+        "on-node delta_tau": (dataclasses.replace(
+            ex1, T=6.0, sensing=SensingConfig(mode="periodic", delta_tau=2.0, d_psi=0.57)), True),
+        "off-node delta_tau": (dataclasses.replace(
+            ex1, T=6.0, sensing=SensingConfig(mode="periodic", delta_tau=9 / 7, d_psi=0.57)),
+            True),
+        "perfect sensing": (dataclasses.replace(
+            ex1, T=4.0, sensing=SensingConfig(mode="perfect"), u_prehistory=0.3), True),
+        # sigma(t) stays below the next node: the replay never holds the plant's next row
+        "delay below h": (dataclasses.replace(
+            ex1, T=3.0, delay=ActuationDelay.constant(0.5 * ex1.h)), False),
+        "diverging example2": (dataclasses.replace(
+            presets.example2(), ctrl_delay=None, x0=np.array([1.5, 1.5])), True),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_replay_read_equals_own_step(self, name):
+        cfg, reads = self.CASES[name]
+        shared, shared_calls = _counting(cfg)
+        own, own_calls = _counting(own_step(cfg))
+        tr, oracle = run(shared), run(own)
+        assert_same_run(tr, oracle)
+        np.testing.assert_array_equal(tr.V, oracle.V)
+        np.testing.assert_array_equal(tr.L, oracle.L)
+        # the plant's reads of the replay save f calls wherever they happen
+        assert (shared_calls[0] < own_calls[0]) == reads
+        if name == "diverging example2":
+            assert tr.diverged
+
+    def test_on_node_anchors_do_not_depend_on_delta_tau(self):
+        # with the nominal model, a re-anchor on a node lands on the replay's own
+        # state: the trace is that of the pre-history's one chain, whatever the
+        # period, and only off-node anchors (9/7) move it
+        base = dataclasses.replace(self.ex1, T=6.0, x0=np.array([0.3, -1.2]), monitor=None)
+
+        def at(delta_tau):
+            return run(dataclasses.replace(base, sensing=SensingConfig(
+                mode="periodic", delta_tau=delta_tau, d_psi=0.57)))
+
+        ref = at(2.0)
+        for dt in (0.5, 6.0):
+            tr = at(dt)
+            for name in ("x", "u", "p", "e_norm", "threshold", "event_flags"):
+                np.testing.assert_array_equal(getattr(tr, name), getattr(ref, name))
+            assert tr.events.event_times == ref.events.event_times
+        off = at(9 / 7)
+        assert not np.array_equal(off.x, ref.x)
+
+    def test_heatmap_rows_on_the_grid_agree(self, heatmap_result):
+        # of heatmap-ex1's delta_tau rows, only 0.5 and 6.0 transmit on nodes: they
+        # are equal cell for cell, and the axis measures the off-node anchor error
+        spec, mat, _elapsed = heatmap_result
+        on = [i for i, dt in enumerate(spec.delta_tau_grid)
+              if all(node_of(k * dt, self.ex1.h)[1] for k in range(int(self.ex1.T / dt) + 1))]
+        assert [spec.delta_tau_grid[i] for i in on] == [0.5, 6.0]
+        np.testing.assert_array_equal(mat[on[0]], mat[on[1]])
 
 
 class TestMonitorAttachment:

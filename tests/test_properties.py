@@ -6,6 +6,10 @@ sensing, which re-anchors the prediction at every step, or a periodic one (a
 period on or off the grid of step h, a constant or a seeded Gaussian sensing
 delay, which reorders deliveries).
 
+The plant's reads of the closed-loop replay are checked against the same
+configuration with an equal but distinct controller delay, under which the
+plant takes its own Euler steps.
+
 ``linear2d`` runs, which step between breakpoints in blocks, are checked
 against the same configuration stepped one node at a time: a plant ``f``
 that is not the linear system's own keeps the engine on its per-step path.
@@ -21,7 +25,7 @@ from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
 from etpf.engine import SensingConfig
 
-from conftest import per_step, prediction_error
+from conftest import assert_same_run, own_step, per_step, prediction_error
 
 H = presets.example1().h
 T = 3.0
@@ -101,10 +105,17 @@ def test_run_invariants(delay, sensing):
         assert prediction_error(tr, delay) <= 1e-9
 
     # deterministic to the bit
-    again = run(cfg)
-    for name in ("x", "u", "p", "e_norm", "threshold", "event_flags", "delivery_flags"):
-        np.testing.assert_array_equal(getattr(again, name), getattr(tr, name))
-    assert again.events.event_times == tr.events.event_times
+    assert_same_run(run(cfg), tr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delay=delays(), sensing=sensings(), u_pre=st.sampled_from([0.0, 0.3]))
+def test_replay_read_equals_own_step(delay, sensing, u_pre):
+    # the plant reads the closed-loop replay's rows under its own delay, and takes
+    # its own Euler steps under an equal but distinct one: the same bits either way
+    cfg = dataclasses.replace(presets.example1(), T=T, delay=delay, sensing=sensing,
+                              u_prehistory=u_pre, monitor=None)
+    assert_same_run(run(cfg), run(own_step(cfg)))
 
 
 @st.composite
@@ -149,6 +160,4 @@ def test_linear_blocks_match_per_step(cfg):
     lambda da: ActuationDelay.sinusoidal(da[0], da[1] * da[0])), T=1.0, mismatch=False))
 def test_linear_sinusoidal_forms_no_block(cfg):
     # the advance key changes at every node, so every step is the per-step one
-    tr, oracle = run(cfg), run(per_step(cfg))
-    for name in ("x", "u", "p", "e_norm", "threshold", "event_flags", "delivery_flags"):
-        np.testing.assert_array_equal(getattr(tr, name), getattr(oracle, name))
+    assert_same_run(run(cfg), run(per_step(cfg)))

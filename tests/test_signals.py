@@ -57,6 +57,35 @@ class TestAppend:
             sig.integrate(0.8, 0.2)
 
 
+class TestBulkConstructor:
+    PAIRS = [(-0.3, 0.25), (0.0, -3.5), (0.01, 7.0), (2.5, 0.0)]
+
+    def test_equals_appends(self):
+        times, values = zip(*self.PAIRS)
+        bulk, appended = TimedSignal(times, values), make(self.PAIRS)
+        assert len(bulk) == len(appended) and bulk.last_time == appended.last_time
+        for t in (-0.3, -0.1, 0.005, 1.0, 2.5):
+            np.testing.assert_array_equal(bulk.sample(t), appended.sample(t))
+        np.testing.assert_array_equal(bulk.sample_array([-0.2, 0.0, 2.0]),
+                                      appended.sample_array([-0.2, 0.0, 2.0]))
+        bulk.append(3.0, 1.0)
+        with pytest.raises(DomainError):
+            bulk.append(3.0, 1.0)
+
+    def test_vector_values(self):
+        sig = TimedSignal([0.0, 2.0], [[0.0, 2.0], [4.0, 0.0]])
+        np.testing.assert_allclose(sig.sample(1.0), [2.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_non_increasing_stamp_rejected(self, times):
+        with pytest.raises(DomainError, match="1.0 after"):
+            TimedSignal(times, [0.0, 0.0, 0.0])
+
+    def test_empty(self):
+        with pytest.raises(CoverageError):
+            TimedSignal([], []).sample(0.0)
+
+
 class TestIntegrate:
     def test_constant_rectangle(self):
         sig = make([(0.0, 3.0), (2.0, 3.0)])

@@ -42,8 +42,25 @@ def test_install_and_remove():
     # step starts from the same node with a final control row, the
     # pre-history control included (without that reuse: 862 calls), and a
     # re-anchor onto a node whose replayed state has the anchor state's bits
-    # replays nothing (without that: 613 calls)
-    assert tracer.calls("model.f") == 458
+    # replays nothing (without that: 613 calls); the 200 plant steps read their
+    # states from that replay and call f not at all (without that: 458 calls)
+    assert tracer.calls("model.f") == 258
+
+
+def test_full_example1_run_calls_f_about_once_per_step():
+    # one Euler chain: the plant reads the closed-loop replay, so f runs once per
+    # replayed node and a few times more for the partial steps onto sigma(t)
+    tracing = load_tracer()
+    mods = {name: importlib.import_module(f"etpf.{name}") for name in LAYERS}
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer, mods)
+    try:
+        tr = mods["engine"].run(dataclasses.replace(presets.example1(), monitor=None))
+    finally:
+        patches.remove()
+    steps = tr.diagnostics["final_step"]
+    assert steps == 2500 and not tr.diverged
+    assert tracer.calls("model.f") <= 1.05 * steps
 
 
 def test_lazy_expm_is_traced():
