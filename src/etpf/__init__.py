@@ -7,95 +7,33 @@ with its dwell-time bound, Lyapunov-Krasovskii monitoring, and the linear
 communication-convergence trade-off.
 """
 
-from .channel import (
-    ActuationDelay,
-    SensingSchedule,
-    verify_delay_bounds,
-)
+from .channel import ActuationDelay, SensingSchedule, verify_delay_bounds
 from .engine import SensingConfig, SimConfig, SimTrace, heatmap, run
-from .exceptions import (
-    ChannelModelError,
-    ConfigurationError,
-    CoverageError,
-    DomainError,
-    ETPFError,
-    MonitorError,
-    NumericalError,
-    PredictorError,
-)
-from .model import (
-    ISSCertificate,
-    LinearSystem,
-    SystemModel,
-    linear_certificate,
-    solve_lyapunov,
-    verify_certificate,
-)
+from .exceptions import (ChannelModelError, ConfigurationError, CoverageError, DomainError,
+                         ETPFError, MonitorError, NumericalError, PredictorError)
+from .model import (ISSCertificate, LinearSystem, SystemModel, linear_certificate,
+                    solve_lyapunov, verify_certificate)
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w, decay_report
 from .predictor import PREDICTOR_METHODS, make_predictor
 from .presets import PRESETS, get_preset
 from .signals import TimedSignal
-from .tradeoff import (
-    TradeoffConstants,
-    aggregate_J,
-    delta_of_nu,
-    mu_of_nu,
-    optimize_nu,
-    sweep,
-)
-from .trigger import (
-    EventLog,
-    TriggerConfig,
-    min_dwell,
-    min_dwell_numeric,
-    threshold,
-)
+from .tradeoff import TradeoffConstants, aggregate_J, delta_of_nu, mu_of_nu, optimize_nu, sweep
+from .trigger import EventLog, TriggerConfig, min_dwell, min_dwell_numeric, threshold
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActuationDelay",
-    "SensingSchedule",
-    "verify_delay_bounds",
-    "SensingConfig",
-    "SimConfig",
-    "SimTrace",
-    "heatmap",
-    "run",
-    "ChannelModelError",
-    "ConfigurationError",
-    "CoverageError",
-    "DomainError",
-    "ETPFError",
-    "MonitorError",
-    "NumericalError",
-    "PredictorError",
-    "ISSCertificate",
-    "LinearSystem",
-    "SystemModel",
-    "linear_certificate",
-    "solve_lyapunov",
+    "ActuationDelay", "SensingSchedule", "verify_delay_bounds",
+    "SensingConfig", "SimConfig", "SimTrace", "heatmap", "run",
+    "ChannelModelError", "ConfigurationError", "CoverageError", "DomainError", "ETPFError",
+    "MonitorError", "NumericalError", "PredictorError",
+    "ISSCertificate", "LinearSystem", "SystemModel", "linear_certificate", "solve_lyapunov",
     "verify_certificate",
-    "MonitorConfig",
-    "compute_L",
-    "compute_V",
-    "compute_w",
-    "decay_report",
-    "PREDICTOR_METHODS",
-    "make_predictor",
-    "PRESETS",
-    "get_preset",
+    "MonitorConfig", "compute_L", "compute_V", "compute_w", "decay_report",
+    "PREDICTOR_METHODS", "make_predictor",
+    "PRESETS", "get_preset",
     "TimedSignal",
-    "TradeoffConstants",
-    "aggregate_J",
-    "delta_of_nu",
-    "mu_of_nu",
-    "optimize_nu",
-    "sweep",
-    "EventLog",
-    "TriggerConfig",
-    "min_dwell",
-    "min_dwell_numeric",
-    "threshold",
+    "TradeoffConstants", "aggregate_J", "delta_of_nu", "mu_of_nu", "optimize_nu", "sweep",
+    "EventLog", "TriggerConfig", "min_dwell", "min_dwell_numeric", "threshold",
     "__version__",
 ]

@@ -10,7 +10,8 @@ The sensing channel delivers the state sampled at transmission time
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,15 +22,10 @@ from .exceptions import ChannelModelError, ConfigurationError
 # both end on the same double
 _XTOL, _RTOL = 1e-14, 1e-15
 SNAP = 1e-9  # in steps: the band of node_of
+TABLES_MAX = 16  # entries of the process-wide cache of grid tables
 
-__all__ = [
-    "ActuationDelay",
-    "SensingSchedule",
-    "verify_delay_bounds",
-    "DelayBoundsReport",
-    "node_of",
-    "nodes_of",
-]
+__all__ = ["ActuationDelay", "GridTables", "SensingSchedule", "verify_delay_bounds",
+           "DelayBoundsReport", "node_of", "nodes_of"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +35,9 @@ class ActuationDelay:
     ``M0`` bounds the delay ``t - phi(t)``; ``m2 <= dphi/dt <= M1``, so
     ``M2 = 1 / m2`` bounds the slope of sigma.  ``phi`` takes a float or an
     ndarray, with the same bits per element: tables and monitor use arrays.
+    Delays compare and hash by value; the built-in shapes' ``phi`` are
+    frozen dataclasses or a module-level function, so equal shapes are equal
+    and pickle, while any other callable compares by identity.
     """
 
     phi: Callable
@@ -46,8 +45,6 @@ class ActuationDelay:
     M1: float
     m2: float
     name: str = "custom"
-    # grid tables per (h, m_lo, N); plain arrays only, see grid_tables
-    _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M0 <= 0 or self.M1 <= 0 or self.m2 <= 0:
@@ -65,21 +62,13 @@ class ActuationDelay:
     def constant(D: float) -> "ActuationDelay":
         if D <= 0:
             raise ConfigurationError("constant delay must be positive")
-        return ActuationDelay(phi=lambda t: t - D, M0=D, M1=1.0, m2=1.0,
-                              name="constant")
+        return ActuationDelay(phi=_ConstantPhi(D), M0=D, M1=1.0, m2=1.0, name="constant")
 
     @staticmethod
     def example1() -> "ActuationDelay":
         """Bump-shaped delay peaking at t = 5: delay = ((t-5)^2+2)/(2(t-5)^2+2)."""
-
-        def phi(t):
-            # libm pow, as Python's float ** is: numpy's ** 2 squares, which
-            # rounds differently on some inputs
-            s2 = np.float_power(t - 5.0, 2.0)
-            return t - (s2 + 2.0) / (2.0 * s2 + 2.0)
-
         wig = 3.0 * math.sqrt(3.0) / 16.0
-        return ActuationDelay(phi=phi, M0=1.0, M1=1.0 + wig, m2=1.0 - wig,
+        return ActuationDelay(phi=_example1_phi, M0=1.0, M1=1.0 + wig, m2=1.0 - wig,
                               name="example1")
 
     @staticmethod
@@ -87,13 +76,8 @@ class ActuationDelay:
         """Delay D + a*sin(t); requires a < min(D, 1)."""
         if not 0 <= a < min(D, 1.0):
             raise ConfigurationError("need 0 <= a < min(D, 1) for a valid channel")
-        return ActuationDelay(
-            phi=lambda t: t - D - a * np.sin(t),
-            M0=D + a,
-            M1=1.0 + a,
-            m2=1.0 - a,
-            name="sinusoidal",
-        )
+        return ActuationDelay(phi=_SinusoidalPhi(D, a), M0=D + a, M1=1.0 + a, m2=1.0 - a,
+                              name="sinusoidal")
 
     @staticmethod
     def from_table(times: Sequence[float], delays: Sequence[float]) -> "ActuationDelay":
@@ -111,13 +95,8 @@ class ActuationDelay:
         m2 = float(1.0 - slopes.max())
         if m2 <= 0:
             raise ConfigurationError("delay table implies non-increasing phi")
-        return ActuationDelay(
-            phi=lambda s: s - np.interp(s, t, d),
-            M0=float(d.max()),
-            M1=M1,
-            m2=m2,
-            name="custom-table",
-        )
+        return ActuationDelay(phi=_TablePhi(tuple(t.tolist()), tuple(d.tolist())),
+                              M0=float(d.max()), M1=M1, m2=m2, name="custom-table")
 
     # -- inverse map ------------------------------------------------------
 
@@ -164,8 +143,9 @@ class ActuationDelay:
             return (self.sigma(t + h) - self.sigma(t)) / h
         return (self.sigma(t + h) - self.sigma(lo)) / (2.0 * h)
 
-    def grid_tables(self, h: float, m_lo: int, N: int):
-        """``(sig, sdot, phi_k, j_k)`` on the grid of step h, built once per key.
+    @lru_cache(maxsize=TABLES_MAX)
+    def grid_tables(self, h: float, m_lo: int, N: int) -> "GridTables":
+        """``(sig, sdot, phi_k, j_k)`` on the grid of step h, one solve per key.
 
         ``sig`` and ``sdot`` hold sigma and its centered difference (one-sided
         at m_lo) at the nodes m h, m in [m_lo, N + 1]; ``sdot`` has none at
@@ -177,26 +157,102 @@ class ActuationDelay:
         a stale control value.  ``j_k[k]`` is the index of the last node of
         ``0, h, ..., N h`` at or before ``phi_k[k]``, -1 in the pre-history:
         a control that only changes at nodes takes its value at phi(k h)
-        from node ``j_k[k]``.  The arrays stay on this instance, so runs that
-        share it share the tables.
+        from node ``j_k[k]``.  The key is the delay's value (its ``M0`` fixes
+        the brackets) with ``(h, m_lo, N)``: one process-wide cache of
+        ``TABLES_MAX`` entries serves every run on an equal delay.
         """
-        key = (h, m_lo, N)
-        if key not in self._grid:
-            phi0 = self.phi(0.0)
-            # one solve for phi(0), every node from m_lo on and phi(0) + h
-            solved = self.sigma(np.concatenate([[phi0], np.arange(m_lo, N + 2) * h, [phi0 + h]]))
-            sig = solved[:-1]
-            sdot = np.full(len(sig), math.nan)
-            # sigma_dot(phi0, h) is one-sided: the same expression
-            sdot[0] = (solved[-1] - sig[0]) / h
-            sdot[1] = (sig[2] - sig[1]) / h
-            sdot[2:-1] = (sig[3:] - sig[1:-2]) / (2.0 * h)
-            phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
-            node, on = nodes_of(phi_k, h)
-            phi_k = np.where(on, node * h, phi_k)
-            j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
-            self._grid[key] = (sig, sdot, phi_k, j_k)
-        return self._grid[key]
+        phi0 = self.phi(0.0)
+        # one solve for phi(0), every node from m_lo on and phi(0) + h
+        solved = self.sigma(np.concatenate([[phi0], np.arange(m_lo, N + 2) * h, [phi0 + h]]))
+        sig = solved[:-1]
+        sdot = np.full(len(sig), math.nan)
+        # sigma_dot(phi0, h) is one-sided: the same expression
+        sdot[0] = (solved[-1] - sig[0]) / h
+        sdot[1] = (sig[2] - sig[1]) / h
+        sdot[2:-1] = (sig[3:] - sig[1:-2]) / (2.0 * h)
+        phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
+        node, on = nodes_of(phi_k, h)
+        phi_k = np.where(on, node * h, phi_k)
+        j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
+        return GridTables(h, (sig, sdot, phi_k, j_k))
+
+
+# -- the built-in delay shapes: data, so that delays compare by value and pickle
+
+
+@dataclass(frozen=True)
+class _ConstantPhi:
+    D: float
+
+    def __call__(self, t):
+        return t - self.D
+
+
+def _example1_phi(t):
+    # libm pow, as Python's float ** is: numpy's ** 2 squares, which
+    # rounds differently on some inputs
+    s2 = np.float_power(t - 5.0, 2.0)
+    return t - (s2 + 2.0) / (2.0 * s2 + 2.0)
+
+
+@dataclass(frozen=True)
+class _SinusoidalPhi:
+    D: float
+    a: float
+
+    def __call__(self, t):
+        return t - self.D - self.a * np.sin(t)
+
+
+@dataclass(frozen=True)
+class _TablePhi:
+    times: tuple
+    delays: tuple
+
+    def __post_init__(self):  # np.interp would convert the tuples on every call
+        object.__setattr__(self, "_xp", (np.asarray(self.times), np.asarray(self.delays)))
+
+    def __call__(self, s):
+        return s - np.interp(s, *self._xp)
+
+
+class GridTables(tuple):
+    """``(sig, sdot, phi_k, j_k)`` of ``ActuationDelay.grid_tables`` on the grid of
+    step ``h``, shared by every run on the key: the arrays are read-only, and the
+    tuples that runs read element by element are built from them on first use."""
+
+    def __new__(cls, h: float, arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        self = super().__new__(cls, arrays)
+        self.h = h
+        return self
+
+    @cached_property
+    def rows(self) -> tuple:
+        """``j_k`` as ints: ``NodeGrid.rows``."""
+        return tuple(self[3].tolist())
+
+    @cached_property
+    def sigs(self) -> tuple:
+        """``sig`` as floats."""
+        return tuple(self[0].tolist())
+
+    @cached_property
+    def targets(self) -> tuple:
+        """``(sig, k, on)`` per slot, ``(k, on)`` the ``node_of`` of sig."""
+        kt, on = nodes_of(self[0], self.h)
+        return tuple(zip(self.sigs, kt.tolist(), on.tolist()))
+
+    @cached_property
+    def runs(self) -> tuple:
+        """The slots where ``round(dsig, 14)`` changes, dsig the step of ``sig`` out of
+        each slot, then the end of ``sig``: ``LinearPredictor``'s step key."""
+        d = np.diff(self[0])
+        u = np.unique(d)  # keys are nondecreasing in dsig: group by the values that raise them
+        keys = [round(v, 14) for v in u.tolist()]
+        grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
+        return tuple(np.append(np.flatnonzero(grp[1:] != grp[:-1]) + 1, len(d)).tolist())
 
 
 def node_of(t: float, h: float) -> tuple[int, bool]:

@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    hm, factory = {}, None
+    hm = {}
     if args.config:
         data = apply_overrides(load_config(args.config), args.override)
         hm = data.pop("heatmap", {}) or {}
@@ -115,7 +115,6 @@ def _cmd_heatmap(args) -> int:
         if not isinstance(spec, presets_mod.HeatmapSpec):
             raise ConfigurationError(f"{args.preset!r} is not a heatmap preset")
         base = spec.base_factory()
-        factory = spec.base_factory
     dt_grid = hm.get("delta_tau_grid") or list(spec.delta_tau_grid)
     dp_grid = hm.get("d_psi_grid") or list(spec.d_psi_grid)
     n_ic = int(hm.get("n_ic", spec.n_ic))
@@ -126,7 +125,7 @@ def _cmd_heatmap(args) -> int:
         seed = args.seed
 
     os.makedirs(args.out, exist_ok=True)
-    mat = heatmap(base, dt_grid, dp_grid, n_ic, seed, config_factory=factory)
+    mat = heatmap(base, dt_grid, dp_grid, n_ic, seed)
     cells = [(dt, dp, mat[i, j]) for i, dt in enumerate(dt_grid) for j, dp in enumerate(dp_grid)]
     write_csv(os.path.join(args.out, "heatmap.csv"), ["delta_tau", "d_psi", "avg_xT"], cells)
     _write(os.path.join(args.out, "plot.gp"), _HEATMAP_GP)

@@ -176,7 +176,8 @@ def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,
     time that ``node_of`` places on a node from m_lo on, or of phi(0) (slot
     0), and solve any other query directly.
     """
-    sig, sdot, _phi_k, j_k = delay.grid_tables(h, m_lo, N)
+    tables = delay.grid_tables(h, m_lo, N)
+    sig, sdot = tables[:2]
     phi0 = delay.phi(0.0)
 
     def lookup(table, last, solve):
@@ -190,7 +191,7 @@ def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,
 
     sigma_fn = lookup(sig, N + 1, delay.sigma)
     sigma_dot_fn = lookup(sdot, N, lambda s: delay.sigma_dot(s, h))
-    return NodeGrid(h=h, lo=m_lo - 1, sig=sig, sdot=sdot, rows=j_k.tolist(), U=U,
+    return NodeGrid(h=h, lo=m_lo - 1, tables=tables, sig=sig, sdot=sdot, rows=tables.rows, U=U,
                     u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn, events=events)
 
 
@@ -283,8 +284,9 @@ def run(cfg: SimConfig) -> SimTrace:
         lam = (tq - (k - 1) * h) / h
         return (1.0 - lam) * X[k - 1] + lam * X[k]
 
-    # the closed-loop replay from a row of X, under the plant's own delay, holds the
-    # plant's next rows (README, "One Euler chain"); the pre-history anchors at X[0]
+    # the closed-loop replay from a row of X, under the plant's own delay object (`is`, not
+    # ==, on purpose), holds the plant's next rows (README, "One Euler chain"); the
+    # pre-history anchors at X[0]
     own = shared = cfg.predictor_method == "closed-loop" and true_delay is ctrl_delay
     replayed = predictor.replayed if shared else None
     step = 0
@@ -468,9 +470,10 @@ def heatmap(
 
     With ``workers > 1`` the cells run in a process pool, which needs what is
     sent to the workers to pickle: ``config_factory`` when one is given, else
-    ``base_cfg``.  A config holding a closure, such as the ``phi`` of
-    ``ActuationDelay.example1()``, does not; the sweep then runs serially in
-    this process.  An error raised in a worker propagates.
+    ``base_cfg``.  Every preset config does, and so does a YAML-built one;
+    one that does not, such as a config whose delay ``phi`` is a lambda,
+    raises ``ConfigurationError`` naming the field before any cell runs.
+    An error raised in a worker propagates.
     """
     if n_ic < 1:
         raise ConfigurationError("n_ic must be at least 1")
@@ -490,7 +493,12 @@ def heatmap(
     result = np.empty((len(delta_tau_grid), len(d_psi_grid)))
 
     cell_cfg = base_cfg if config_factory is None else None
-    if workers > 1 and _picklable((cell_cfg, config_factory)):
+    if workers > 1:
+        bad = (_unpicklable("base_cfg", base_cfg) if config_factory is None
+               else _unpicklable("config_factory", config_factory))
+        if bad is not None:
+            raise ConfigurationError(f"heatmap on {workers} workers: {bad} does not pickle; "
+                                     "use workers=1 or a module-level callable")
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -507,12 +515,16 @@ def heatmap(
     return result
 
 
-def _picklable(obj) -> bool:
+def _unpicklable(name: str, obj) -> Optional[str]:
+    """None if ``obj`` pickles, else the dotted name of its innermost dataclass field that
+    does not, ``name`` itself if no field is to blame."""
     try:
         pickle.dumps(obj)
     except (pickle.PicklingError, AttributeError, TypeError):
-        return False
-    return True
+        fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+        bad = (_unpicklable(f"{name}.{f.name}", getattr(obj, f.name)) for f in fields)
+        return next((b for b in bad if b is not None), name)
+    return None
 
 
 def _heatmap_cell(base_cfg, config_factory, delta_tau, d_psi, ics) -> float:

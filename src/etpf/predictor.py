@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import node_of, nodes_of
+from .channel import GridTables, node_of
 from .exceptions import PredictorError
 from .model import LinearSystem, lift
 from .signals import TimedSignal
@@ -81,7 +81,7 @@ class NodeGrid:
 
     ``sig[k - lo]`` and ``sdot[k - lo]`` are sigma and its difference
     quotient at node k h for k > lo, and at phi(0) for k = lo (slot 0 of
-    ``ActuationDelay.grid_tables``).  ``U[j]`` is the control, a float, in
+    ``tables``, the shared ``ActuationDelay.grid_tables``).  ``U[j]`` is the control, a float, in
     force at node j h for j >= 0: the engine writes a row at an event and
     otherwise copies the row before it when a step ends, so a read of the
     next row before its event sees the held value.  ``u_pre`` is the
@@ -93,9 +93,10 @@ class NodeGrid:
 
     h: float
     lo: int
+    tables: GridTables
     sig: np.ndarray
     sdot: np.ndarray
-    rows: list
+    rows: tuple
     U: np.ndarray
     u_pre: float
     sigma: Callable[[float], float]
@@ -165,8 +166,7 @@ class ClosedLoopPredictor(_Predictor):
         # the replayed states at nodes _c0, _c0 + 1, ...: the last one is the head
         self._chain, self._c0 = [], 0
         self._f_k: Optional[np.ndarray] = None  # f(head, u(phi(k h))), if kept
-        kt, on = nodes_of(grid.sig, self.h)  # per table slot: advance's target, its node_of
-        self._targets = list(zip(grid.sig.tolist(), kt.tolist(), on.tolist()))
+        self._targets = grid.tables.targets  # per table slot: advance's target, its node_of
 
     def _extend(self, sig_target: float, kt: int, on: bool, final_rows: int) -> None:
         """Replay up to ``sig_target`` at node_of (kt, on); U rows below ``final_rows`` are final."""
@@ -328,8 +328,7 @@ class LinearPredictor(_Predictor):
         self.sys = sys
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # see _affine
-        self._sig = grid.sig.tolist()
-        self._runs: Optional[list] = None
+        self._sig = grid.tables.sigs
         self._lifts: dict[float, np.ndarray] = {}  # lift(E, LIFT) per advance key
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
@@ -386,13 +385,8 @@ class LinearPredictor(_Predictor):
         ``self.p`` stays.  Fewer rows where the advance key changes, past ``LIFT``
         and from the first row past the divergence cap; none instead of one."""
         g, i, n = self.grid, k - self.grid.lo, len(self.p)
-        if self._runs is None:  # slots where the advance key changes, then the table's end
-            d = np.diff(g.sig)
-            u = np.unique(d)  # keys are nondecreasing in dsig: group by the values that raise them
-            keys = [round(v, 14) for v in u.tolist()]
-            grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
-            self._runs = np.append(np.flatnonzero(grp[1:] != grp[:-1]) + 1, len(d)).tolist()
-        L = min(L, LIFT, self._runs[bisect_right(self._runs, i)] - i)
+        runs = g.tables.runs  # slots where the advance key changes, then the table's end
+        L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
         if L < 2:  # one row is advance's own step
             return np.empty((0, n))
         E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], g.U[k])

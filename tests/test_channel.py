@@ -207,6 +207,68 @@ class TestGridTables:
         assert d.grid_tables(h, m_lo, N)[0] is sig
 
 
+class TestTableCache:
+    """The grid tables are keyed by the delay's value with (h, m_lo, N), in one bounded
+    process-wide cache, and are read-only: every run on an equal key shares them."""
+
+    def test_shapes_compare_and_hash_by_value(self):
+        for make in (ActuationDelay.example1, lambda: ActuationDelay.constant(0.5),
+                     lambda: ActuationDelay.sinusoidal(0.5, 0.2),
+                     lambda: ActuationDelay.from_table(TABLE_T, TABLE_D)):
+            a, b = make(), make()
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert ActuationDelay.constant(0.5) != ActuationDelay.constant(0.6)
+        # a user callable compares by identity
+        phi, twin = (lambda t: t - 0.5), (lambda t: t - 0.5)
+        assert ActuationDelay(phi, 0.5, 1.0, 1.0) == ActuationDelay(phi, 0.5, 1.0, 1.0)
+        assert ActuationDelay(phi, 0.5, 1.0, 1.0) != ActuationDelay(twin, 0.5, 1.0, 1.0)
+
+    def test_equal_delays_share_one_entry(self):
+        h, N = 1e-2, 300
+        a, b = ActuationDelay.sinusoidal(0.5, 0.2), ActuationDelay.sinusoidal(0.5, 0.2)
+        m_lo = node_of(a.phi(0.0), h)[0]
+        assert a.grid_tables(h, m_lo, N) is b.grid_tables(h, m_lo, N)
+        # M0 fixes the brackets of the solve, so it is part of the key
+        wide = ActuationDelay(a.phi, 1.0, a.M1, a.m2, a.name)
+        assert wide.grid_tables(h, m_lo, N) is not a.grid_tables(h, m_lo, N)
+
+    def test_tables_are_read_only(self):
+        h, N = 1e-2, 300
+        d = ActuationDelay.example1()
+        tables = d.grid_tables(h, node_of(d.phi(0.0), h)[0], N)
+        for a in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        for derived in (tables.rows, tables.sigs, tables.targets, tables.runs):
+            assert isinstance(derived, tuple)
+        assert tables.rows is tables.rows  # built once
+
+    def test_two_preset_runs_solve_sigma_once(self, monkeypatch):
+        from etpf import run
+        from etpf.config import build_sim_config
+
+        ActuationDelay.grid_tables.cache_clear()
+        solves, real = [], ActuationDelay.sigma
+
+        def counted(self, t):
+            if np.ndim(t):
+                solves.append(len(t))
+            return real(self, t)
+
+        monkeypatch.setattr(ActuationDelay, "sigma", counted)
+        for _ in range(2):
+            run(build_sim_config({"preset": "example1"}))
+        assert len(solves) == 1
+
+    def test_cache_stays_within_its_bound(self):
+        from etpf.channel import TABLES_MAX
+
+        for i in range(TABLES_MAX + 5):
+            ActuationDelay.constant(0.5 + 0.01 * i).grid_tables(1e-2, -50 - i, 20)
+            assert ActuationDelay.grid_tables.cache_info().currsize <= TABLES_MAX
+        assert ActuationDelay.grid_tables.cache_info().maxsize == TABLES_MAX
+
+
 class Hold:
     """The control history as a right-closed hold over stamps, by bisect.
 

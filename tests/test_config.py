@@ -1,7 +1,12 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from etpf import presets, run
 from etpf.config import apply_overrides, build_sim_config, load_config
+from etpf.engine import SimConfig
 from etpf.exceptions import ConfigurationError
 
 
@@ -127,3 +132,41 @@ class TestBuildSimConfig:
     def test_monitor_disable(self):
         cfg = build_sim_config({"preset": "linear2d", "monitor": {"enabled": False}})
         assert cfg.monitor is None
+
+
+# one YAML config per delay.kind, and one with a nominal controller delay
+PICKLE_YAML = {
+    "constant": "preset: example1\ndelay: {kind: constant, D: 0.7}\n",
+    "example1": "preset: linear2d\ndelay: {kind: example1}\n",
+    "sinusoidal": "preset: example1\ndelay: {kind: sinusoidal, D: 0.4, a: 0.1}\n",
+    "nominal_D": "preset: linear2d\ndelay: {kind: sinusoidal, D: 0.5, a: 0.05, nominal_D: 0.5}\n",
+}
+SIM_PRESETS = sorted(n for n, f in presets.PRESETS.items() if isinstance(f(), SimConfig))
+
+
+class TestPickle:
+    """Every preset config and every YAML-built delay pickles: the copy's delays equal the
+    original's, and a run of the copy writes the same bytes."""
+
+    @staticmethod
+    def check(cfg, tmp_path):
+        cfg = dataclasses.replace(cfg, T=2.0)
+        copy = pickle.loads(pickle.dumps(cfg))
+        for attr in ("delay", "ctrl_delay"):
+            a, b = getattr(cfg, attr), getattr(copy, attr)
+            assert a == b and hash(a) == hash(b)
+        for tag, c in (("orig", cfg), ("copy", copy)):
+            run(c).write_trace_csv(tmp_path / f"{tag}.csv")
+        assert (tmp_path / "orig.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", SIM_PRESETS)
+    def test_preset_roundtrip(self, name, tmp_path):
+        self.check(presets.get_preset(name), tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(PICKLE_YAML))
+    def test_yaml_roundtrip(self, name, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(PICKLE_YAML[name])
+        cfg = build_sim_config(load_config(path))
+        assert (cfg.ctrl_delay is not None) == (name == "nominal_D")
+        self.check(cfg, tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 
 from etpf import presets, run
 from etpf.channel import ActuationDelay, SensingSchedule, node_of
+from etpf.config import build_sim_config, load_config
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.trigger import TriggerConfig
@@ -240,14 +242,17 @@ class TestChannelTables:
             assert first.events.event_times == second.events.event_times
 
     def test_heatmap_cell_shares_one_table_build(self, monkeypatch):
+        # the tables are keyed by the delay's value: a fresh config of the same
+        # preset, as every cell and every pool worker builds, solves no sigma again
+        ActuationDelay.grid_tables.cache_clear()
         calls = self.count_sigma(monkeypatch)
-        base = dataclasses.replace(presets.example1(), T=5.0)
-        heatmap(base, [2.0], [1.0], n_ic=1, seed=0, workers=1)
-        one_run = len(calls)
+        heatmap(dataclasses.replace(presets.example1(), T=5.0), [2.0], [1.0], n_ic=1, seed=0,
+                workers=1)
+        assert len(calls) == 1 and np.ndim(calls[0]) == 1  # the one array solve
         calls.clear()
-        base = dataclasses.replace(presets.example1(), T=5.0)
-        heatmap(base, [2.0], [1.0], n_ic=4, seed=0, workers=1)
-        assert one_run > 0 and len(calls) == one_run
+        heatmap(dataclasses.replace(presets.example1(), T=5.0), [2.0, 3.0], [1.0], n_ic=4,
+                seed=0, workers=1)
+        assert calls == []
 
 
 class TestPhi0JustAboveNode:
@@ -333,6 +338,26 @@ class TestOneEulerChain:
         if name == "diverging example2":
             assert tr.diverged
 
+    def test_equal_ctrl_delay_keeps_the_plants_own_step(self, tmp_path):
+        # delays compare by value and share their tables, but the plant reads the
+        # replay only when the controller's delay is the plant's own object
+        cfg = dataclasses.replace(self.ex1, T=5.0)
+        twin = dataclasses.replace(cfg, ctrl_delay=ActuationDelay.example1())
+        assert twin.ctrl_delay == cfg.delay and twin.ctrl_delay is not cfg.delay
+        shared, shared_calls = _counting(cfg)
+        own, own_calls = _counting(twin)
+        tr, oracle = run(shared), run(own)
+        assert_same_run(tr, oracle)
+        assert (shared_calls[0], own_calls[0]) == (582, 1082)
+        oracle.write_trace_csv(tmp_path / "trace.csv")
+        oracle.write_events_csv(tmp_path / "events.csv")
+        digests = [hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
+                   for n in ("trace.csv", "events.csv")]
+        assert digests == [
+            "7d9f2339c66b3b4704fe689e32b36aa89c688926300a50ba5946b863cdc2eea3",
+            "a3f1e731d146c79ace1b4e9dbdc7aed630c62bf2da85ed5987ef4d9164342b6b",
+        ]
+
     def test_on_node_anchors_do_not_depend_on_delta_tau(self):
         # with the nominal model, a re-anchor on a node lands on the replay's own
         # state: the trace is that of the pre-history's one chain, whatever the
@@ -394,11 +419,36 @@ class TestHeatmap:
                          config_factory=presets.example1)
         pooled = heatmap(presets.example1(), *args, n_ic=2, seed=3, workers=2,
                          config_factory=presets.example1)
-        # the example1 delay map is a closure: this config cannot be
-        # pickled, so the sweep runs serially
-        unpicklable = heatmap(presets.example1(), *args, n_ic=2, seed=3, workers=2)
+        # the preset config itself pickles: the pool gets it without a factory
+        pooled_cfg = heatmap(presets.example1(), *args, n_ic=2, seed=3, workers=2)
         np.testing.assert_array_equal(pooled, serial)
-        np.testing.assert_array_equal(unpicklable, serial)
+        np.testing.assert_array_equal(pooled_cfg, serial)
+
+    def test_yaml_config_runs_in_the_pool(self, tmp_path):
+        # a YAML-built config has no factory; it pickles, so the pool runs it
+        path = tmp_path / "cfg.yaml"
+        path.write_text("preset: example1\ndelay: {kind: sinusoidal, D: 0.4, a: 0.1}\n"
+                        "sim: {T: 4.0}\n")
+        base = build_sim_config(load_config(path))
+        args = ([1.0, 2.0], [0.5])
+        serial = heatmap(base, *args, n_ic=2, seed=5, workers=1)
+        pooled = heatmap(base, *args, n_ic=2, seed=5, workers=2)
+        assert serial.tobytes() == pooled.tobytes()
+
+    def test_unpicklable_config_raises_before_any_cell(self, monkeypatch):
+        import etpf.engine as engine
+        ran = []
+        monkeypatch.setattr(engine, "run", lambda cfg: ran.append(cfg) or run(cfg))
+        delay = ActuationDelay(phi=lambda t: t - 1.0, M0=1.0, M1=1.0, m2=1.0)
+        base = dataclasses.replace(presets.example1(), delay=delay, T=2.0)
+        with pytest.raises(ConfigurationError, match=r"base_cfg\.delay\.phi does not pickle"):
+            heatmap(base, [2.0], [1.0], n_ic=1, seed=1, workers=2)
+        with pytest.raises(ConfigurationError, match="config_factory does not pickle"):
+            heatmap(base, [2.0], [1.0], n_ic=1, seed=1, workers=2, config_factory=lambda: base)
+        assert ran == []
+        # one worker needs no pickling
+        heatmap(base, [2.0], [1.0], n_ic=1, seed=1, workers=1)
+        assert len(ran) == 1
 
     def test_worker_error_propagates(self):
         with pytest.raises(ConfigurationError, match="in a worker"):
