@@ -466,7 +466,8 @@ def heatmap(
     The same initial-condition draws are reused in every cell for paired
     comparison.  Diverged runs contribute the saturation value, the config's
     ``divergence_threshold``, which also caps |x(T)|; every other error, such
-    as an unknown predictor method, propagates.
+    as an unknown predictor method, propagates.  A negative ``d_psi`` raises
+    ``ConfigurationError`` before any cell runs, as ``SensingSchedule`` would.
 
     With ``workers > 1`` the cells run in a process pool, which needs what is
     sent to the workers to pickle: ``config_factory`` when one is given, else
@@ -479,6 +480,8 @@ def heatmap(
         raise ConfigurationError("n_ic must be at least 1")
     delta_tau_grid = [float(v) for v in delta_tau_grid]
     d_psi_grid = [float(v) for v in d_psi_grid]
+    if not all(v >= 0 for v in d_psi_grid):  # NaN too
+        raise ConfigurationError(f"sensing delays d_psi must be nonnegative: {d_psi_grid}")
     rng = np.random.default_rng(seed)
     ics = rng.standard_normal((n_ic, base_cfg.model.state_dim))
 
@@ -532,7 +535,7 @@ def _heatmap_cell(base_cfg, config_factory, delta_tau, d_psi, ics) -> float:
         base_cfg = config_factory()
     sensing = dataclasses.replace(
         base_cfg.sensing, mode="periodic", delta_tau=delta_tau,
-        d_psi=d_psi if d_psi > 0 else 0.0, mu_psi=None, sigma_psi=None,
+        d_psi=d_psi if d_psi > 0 else 0.0, mu_psi=None, sigma_psi=None,  # -0.0 -> 0.0
     )
     total = 0.0
     for x0 in ics:

@@ -28,7 +28,7 @@ import numpy as np
 from .channel import GridTables, node_of
 from .exceptions import PredictorError
 from .model import LinearSystem, lift
-from .signals import TimedSignal
+from .signals import interpolate
 
 __all__ = [
     "ClosedLoopPredictor",
@@ -252,18 +252,35 @@ class OpenLoopPredictor(_Predictor):
                                  self.model.f(self.p, g.u_row(k)))
 
 
+def window_integral(times: np.ndarray, values: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Integral over [a, b] of the piecewise-linear signal, with times[0] <= a <= b <= times[-1].
+
+    The trapezoid rule on ``a``, the stamps strictly inside ``(a, b)`` and ``b``,
+    exact for the signal; the segments are summed left to right.
+    """
+    if a == b:
+        return np.zeros(values.shape[1])
+    inner = times[np.searchsorted(times, a, "right"):np.searchsorted(times, b, "left")]
+    nodes = np.concatenate(([a], inner, [b]))
+    v = interpolate(times, values, nodes)
+    # np.cumsum adds left to right, so its last row has the bits of a loop; np.sum promises no order
+    return np.cumsum((0.5 * np.diff(nodes))[:, None] * (v[:-1] + v[1:]), axis=0)[-1]
+
+
 class SemiClosedPredictor(_Predictor):
     """Prediction integral accumulated by trapezoid over the stored history.
 
     Keeps a history of the integrand g(s) = sigmadot(s) f(p(s), u(s)); each
     step closes the new segment with a Heun-style predictor/corrector so the
     quadrature stays trapezoidal.  As in the open-loop flow, the first anchor
-    starts the history at phi(anchor_time) with p = the anchor state.
+    starts the history at phi(anchor_time) with p = the anchor state.  The
+    history is two arrays, stamps and rows of g: phi(anchor_time), then one
+    node per advance, with room for every node of the grid's tables.
     """
 
     def __init__(self, model, delay, grid: NodeGrid):
         super().__init__(model, delay, grid)
-        self.g_history = TimedSignal()
+        self._n, self._times, self._g = 0, None, None  # stamps stored, stamps, rows of g
         self._anchor_state: Optional[np.ndarray] = None
         self._t: Optional[float] = None
         self._integral: Optional[np.ndarray] = None
@@ -272,37 +289,38 @@ class SemiClosedPredictor(_Predictor):
         self.anchor_time = float(anchor_time)
         self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
         s0 = self.delay.phi(self.anchor_time)
-        if len(self.g_history) == 0:
+        if self._n == 0:
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
-            g0 = self.grid.sigma_dot(s0) * self.model.f(self.p, self.grid.u_at(s0))
-            self.g_history.append(s0, g0)
-            self._t = s0
+            size = len(self.grid.sig)  # phi(0), then one node per advance at most
+            self._times, self._g = np.empty(size), np.empty((size, len(self.p)))
+            self._times[0] = self._t = s0
+            self._g[0] = self.grid.sigma_dot(s0) * self.model.f(self.p, self.grid.u_at(s0))
+            self._n = 1
             return
-        if s0 < self.g_history.first_time - 1e-12:
+        times, g = self._times[: self._n], self._g[: self._n]
+        if s0 < times[0]:
             raise PredictorError("g-history does not reach the new anchor window")
-        self._integral = self.g_history.integrate(s0, min(t_now, self.g_history.last_time))
+        self._integral = window_integral(times, g, s0, min(t_now, times[-1]))
         self.p = self._anchor_state + self._integral
         self._t = t_now
 
-    def _step_to(self, s_next: float, sdot: float, u) -> None:
-        """Close the segment to ``s_next``, where sigmadot is ``sdot`` and u is ``u``."""
-        dt = s_next - self._t
-        # _t may drift one ulp past the last stored stamp after a reanchor
-        g_left = self.g_history.sample(min(self._t, self.g_history.last_time))
+    def advance(self, k: int) -> None:
+        """Close the segment to node k + 1 and store g there."""
+        grid, n = self.grid, self._n
+        s_next, sdot, u = k * self.h + self.h, float(grid.sdot[k + 1 - grid.lo]), grid.u_row(k + 1)
+        dt, g_left = s_next - self._t, self._g[n - 1]
+        if self._t < self._times[n - 1]:  # a re-anchor's t_now may sit one ulp below it
+            g_left = interpolate(self._times[:n], self._g[:n], np.array([self._t]))[0]
         p_pred = self.p + dt * g_left  # Euler predictor
         g_right = sdot * self.model.f(p_pred, u)
         self._integral = self._integral + 0.5 * dt * (g_left + g_right)
         self.p = self._anchor_state + self._integral
         # store the corrected integrand value
-        self.g_history.append(s_next, sdot * self.model.f(self.p, u))
+        self._times[n], self._g[n], self._n = s_next, sdot * self.model.f(self.p, u), n + 1
         self._t = s_next
         if not _capped(self.p):
             raise PredictorError("prediction diverged")
-
-    def advance(self, k: int) -> None:
-        g = self.grid
-        self._step_to(k * self.h + self.h, float(g.sdot[k + 1 - g.lo]), g.u_row(k + 1))
 
 
 def expm(M: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ check those forms against hand integrals.
 ``affine_unmemoized`` and ``integrate_per_segment`` are ``LinearPredictor``'s
 exact steps without the segment memo: ``Phi @ (B u)`` formed at every step,
 and sigma and u read at every control break by the float lookups.
+
+``ReferenceSemiClosed`` is ``SemiClosedPredictor`` with its integrand history
+in a ``ListSignal``: one scalar ``sample`` per stamp, and a window integral
+that adds its trapezoids one at a time, left to right.
 """
 
 import math
@@ -19,9 +23,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from etpf.channel import ActuationDelay
-from etpf.exceptions import PredictorError
+from etpf.exceptions import CoverageError, DomainError, PredictorError
 from etpf.model import LinearSystem, SystemModel
-from etpf.predictor import NodeGrid, _open_loop_step
+from etpf.predictor import NodeGrid, _capped, _open_loop_step, _Predictor
 
 
 def window_nodes(s0: float, t: float, h: float) -> list[float]:
@@ -114,3 +118,88 @@ def integrate_per_segment(pred, p, s_from: float, s_to: float) -> np.ndarray:
         E, c = affine_unmemoized(pred, sig[i + 1] - sig[i], g.u_at(nodes[i]))
         p = E @ p + c
     return p
+
+
+class ListSignal:
+    """Strictly increasing stamps with vector values in lists, linear between stamps."""
+
+    def __init__(self):
+        self.times: list[float] = []
+        self.values: list[np.ndarray] = []
+
+    def append(self, t: float, value) -> None:
+        t = float(t)
+        if self.times and t <= self.times[-1]:
+            raise DomainError(f"time stamps must be increasing: {t} after {self.times[-1]}")
+        self.times.append(t)
+        self.values.append(np.atleast_1d(np.asarray(value, dtype=float)).copy())
+
+    def sample(self, t: float) -> np.ndarray:
+        t = float(t)
+        if not self.times or t < self.times[0] or t > self.times[-1]:
+            raise CoverageError(f"query at t={t} outside the stamps")
+        idx = bisect_right(self.times, t) - 1
+        if idx == len(self.times) - 1:
+            return self.values[idx]
+        t0, t1 = self.times[idx], self.times[idx + 1]
+        lam = (t - t0) / (t1 - t0)
+        return (1.0 - lam) * self.values[idx] + lam * self.values[idx + 1]
+
+    def integrate(self, a: float, b: float) -> np.ndarray:
+        """Trapezoids on a, the stamps strictly inside (a, b) and b, added left to right."""
+        if a > b:
+            raise DomainError("integration bounds out of order")
+        if not self.times or a < self.times[0] or b > self.times[-1]:
+            raise CoverageError("integration window not covered by the signal")
+        if a == b:
+            return np.zeros_like(self.values[0])
+        nodes = [a]
+        i = bisect_right(self.times, a)
+        while i < len(self.times) and self.times[i] < b:
+            nodes.append(self.times[i])
+            i += 1
+        nodes.append(b)
+        total = None
+        for left, right in zip(nodes[:-1], nodes[1:]):
+            seg = 0.5 * (right - left) * (self.sample(left) + self.sample(right))
+            total = seg if total is None else total + seg
+        return total
+
+
+class ReferenceSemiClosed(_Predictor):
+    """``SemiClosedPredictor`` on a ``ListSignal`` history."""
+
+    def __init__(self, model, delay, grid: NodeGrid):
+        super().__init__(model, delay, grid)
+        self.g_history = ListSignal()
+
+    def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
+        self.anchor_time = float(anchor_time)
+        self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
+        s0 = self.delay.phi(self.anchor_time)
+        hist = self.g_history
+        if not hist.times:
+            self.p = self._anchor_state.copy()
+            self._integral = np.zeros_like(self.p)
+            hist.append(s0, self.grid.sigma_dot(s0) * self.model.f(self.p, self.grid.u_at(s0)))
+            self._t = s0
+            return
+        if s0 < hist.times[0]:
+            raise PredictorError("g-history does not reach the new anchor window")
+        self._integral = hist.integrate(s0, min(t_now, hist.times[-1]))
+        self.p = self._anchor_state + self._integral
+        self._t = t_now
+
+    def advance(self, k: int) -> None:
+        g, hist = self.grid, self.g_history
+        s_next, sdot, u = k * self.h + self.h, float(g.sdot[k + 1 - g.lo]), g.u_row(k + 1)
+        dt = s_next - self._t
+        g_left = hist.sample(min(self._t, hist.times[-1]))
+        p_pred = self.p + dt * g_left
+        g_right = sdot * self.model.f(p_pred, u)
+        self._integral = self._integral + 0.5 * dt * (g_left + g_right)
+        self.p = self._anchor_state + self._integral
+        hist.append(s_next, sdot * self.model.f(self.p, u))
+        self._t = s_next
+        if not _capped(self.p):
+            raise PredictorError("prediction diverged")

@@ -479,3 +479,19 @@ class TestHeatmap:
     def test_bad_n_ic(self):
         with pytest.raises(ConfigurationError):
             heatmap(presets.example1(), [2.0], [1.0], n_ic=0, seed=1)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan")])
+    def test_negative_sensing_delay_raises_before_any_cell(self, monkeypatch, bad):
+        # a negative d_psi used to run as d_psi = 0, while heatmap.csv kept its label
+        import etpf.engine as engine
+        ran = []
+        monkeypatch.setattr(engine, "run", lambda cfg: ran.append(cfg) or run(cfg))
+        base = dataclasses.replace(presets.example1(), T=3.0)
+        with pytest.raises(ConfigurationError, match="d_psi must be nonnegative"):
+            heatmap(base, [2.0], [0.0, bad], n_ic=1, seed=1, workers=1)
+        assert ran == []
+
+    def test_negative_zero_sensing_delay_is_zero(self):
+        base = dataclasses.replace(presets.example1(), T=3.0)
+        mat = heatmap(base, [2.0], [-0.0, 0.0], n_ic=2, seed=1, workers=1)
+        assert mat[0, 0].tobytes() == mat[0, 1].tobytes()

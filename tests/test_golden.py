@@ -1,12 +1,12 @@
 """Golden outputs: the C10 byte-identity promise checked across commits.
 
 The digests are the sha256 of ``trace.csv`` and ``events.csv`` of each
-simulation preset at its full horizon, of six short variants that reach the
-code paths the presets do not (the semi-closed-loop and open-loop
-predictors, perfect sensing with a nonzero pre-history control, a
-mismatched controller delay with out-of-order deliveries, and a time-varying
-delay under the linear predictor), and of the raw ``float64`` bytes of the
-``heatmap-ex1`` matrix.  A change that moves any of these bytes must
+simulation preset at its full horizon, of seven short variants that reach the
+code paths the presets do not (the semi-closed-loop predictor on a nonlinear
+and on a linear plant, the open-loop predictor, perfect sensing with a
+nonzero pre-history control, a mismatched controller delay with out-of-order
+deliveries, and a time-varying delay under the linear predictor), and of the
+raw ``float64`` bytes of the ``heatmap-ex1`` matrix.  A change that moves any of these bytes must
 say which bytes changed and why, and re-record the digest here.
 """
 
@@ -61,6 +61,11 @@ GOLDEN_VARIANT_CSV = {
         "dbc6dc7cac476a0f00a9bd98fd95d75b660767235d614722f6e52173b67589d8",
         "81231367a1a3248c507815b92ae93305ecc1f01c29617a01de78a980c7b6923f",
     ),
+    # recorded before the semi-closed-loop history became arrays
+    "linear2d-semi-closed": (
+        "6c56efea6059b6408e9e48c29c7f245432f49d1a5edb3933e8c464807790d87d",
+        "3025615f2b6126d72a827a00b206f8be21098531b682a2ed4048aaac2b37384e",
+    ),
     "linear2d-sinusoidal": (
         "9d106ed7f19869252e2cd5dab7b731327f367ffa8894d91a4e4450cf33f21cfc",
         "6c724e8ef469e26f73bda626ca5e7e86cc61dccaf06fab32cbd483da94f055e9",
@@ -101,6 +106,9 @@ def variant_config(name):
         sensing = SensingConfig(mode="periodic", mu_psi=1.0, sigma_psi=1.5, seed=0)
         return dataclasses.replace(ex1, T=10.0, ctrl_delay=ActuationDelay.constant(0.8),
                                    sensing=sensing)
+    if name == "linear2d-semi-closed":
+        # every delivery re-anchors over a 500-node window of the integrand history
+        return dataclasses.replace(presets.linear2d(), T=2.0, predictor_method="semi-closed-loop")
     assert name == "linear2d-sinusoidal"
     return dataclasses.replace(presets.linear2d(), T=2.0,
                                delay=ActuationDelay.sinusoidal(0.5, 0.2))

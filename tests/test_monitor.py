@@ -21,6 +21,8 @@ from etpf.monitor import (
 from etpf.presets import linear2d_system
 from etpf.signals import TimedSignal
 
+from reference_predictors import ListSignal
+
 
 def const_signal(value, start=-10.0):
     sig = TimedSignal()
@@ -66,7 +68,8 @@ class TestComputeL:
 
 
 def compute_L_loop(cfg, w_history, t, sigma_t, phi, n_nodes):
-    """compute_L as it was before the window became arrays: one tau at a time."""
+    """compute_L as it was before the window became arrays: one tau at a time, one scalar
+    ``sample`` each (of a ``ListSignal``, the per-stamp formula)."""
     if sigma_t == t:
         return 0.0
     taus = np.linspace(t, sigma_t, n_nodes)
@@ -91,11 +94,14 @@ class TestComputeLArrays:
 
     @staticmethod
     def random_history(rng, start, end, h, n_inputs=1):
-        """A linear w history on the grid of step h, random values."""
-        w = TimedSignal()
+        """A linear w history on the grid of step h, random values: the ``TimedSignal``
+        and, for ``compute_L_loop``, a ``ListSignal`` with the same stamps and values."""
+        w, ref = [], ListSignal()
         for k in range(int(math.floor(start / h)), int(math.ceil(end / h)) + 1):
-            w.append(k * h, rng.standard_normal(n_inputs) * rng.choice([1e-6, 1.0, 1e3], n_inputs))
-        return w
+            value = rng.standard_normal(n_inputs) * rng.choice([1e-6, 1.0, 1e3], n_inputs)
+            w.append((k * h, value))
+            ref.append(k * h, value)
+        return TimedSignal(*zip(*w)), ref
 
     @pytest.mark.parametrize("n_inputs", [1])
     @pytest.mark.parametrize("form", ["sup", "integral"])
@@ -106,12 +112,12 @@ class TestComputeLArrays:
         for seed in range(6):
             rng = np.random.default_rng(seed)
             h = float(rng.choice([1e-2, 2e-3, 0.013]))
-            w = self.random_history(rng, d.phi(0.0), 12.0, h, n_inputs)
+            w, ref = self.random_history(rng, d.phi(0.0), 12.0, h, n_inputs)
             for t in rng.uniform(0.0, 10.0, 8):
                 sig_t = d.sigma(float(t))
                 for n_nodes in (2, max(2, int(round((sig_t - t) / h)) + 1), 777):
                     got = compute_L(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
-                    want = compute_L_loop(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
+                    want = compute_L_loop(cfg, ref, float(t), sig_t, d.phi, n_nodes=n_nodes)
                     assert type(got) is float
                     assert got.hex() == want.hex(), (seed, t, n_nodes)
 
@@ -122,15 +128,17 @@ class TestComputeLArrays:
         d, cfg = ActuationDelay.constant(0.5), MonitorConfig(b=3.0, form=form)
         rng = np.random.default_rng(5)
         for t in (0.5, 2.25, 4.0):
-            w = self.random_history(rng, -0.5, t, 0.125)
-            assert w.last_time == t
+            w, ref = self.random_history(rng, -0.5, t, 0.125)
+            w.sample(t)  # the last stamp is t
+            with pytest.raises(CoverageError):
+                w.sample(np.nextafter(t, np.inf))
             for n_nodes in (2, 51):
                 got = compute_L(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
-                want = compute_L_loop(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
+                want = compute_L_loop(cfg, ref, t, t + 0.5, d.phi, n_nodes=n_nodes)
                 assert got.hex() == want.hex()
             # one step further reaches past the history on both paths
             with pytest.raises(CoverageError):
-                compute_L_loop(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
+                compute_L_loop(cfg, ref, t + 0.125, t + 0.625, d.phi, n_nodes=3)
             with pytest.raises(CoverageError):
                 compute_L(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
 
@@ -184,26 +192,28 @@ class TestArrayMonitor:
     def test_L_windows_are_the_per_window_values(self, kind, form, seed, ts, n_nodes, zero_width):
         d, rng = self.DELAYS[kind](), np.random.default_rng(seed)
         cfg = MonitorConfig(b=float(rng.uniform(0.5, 20.0)), form=form)
-        w = TestComputeLArrays.random_history(rng, d.phi(0.0), 12.0, float(rng.choice([1e-2, 2e-3])))
+        h = float(rng.choice([1e-2, 2e-3]))
+        w, ref = TestComputeLArrays.random_history(rng, d.phi(0.0), 12.0, h)
         t = np.array(ts)
         sig = d.sigma(t)
         if zero_width:  # a window of no width is 0
             sig[::2] = t[::2]
         got = compute_L(cfg, w, t, sig, d.phi, n_nodes)
-        want = [compute_L_loop(cfg, w, a, s, d.phi, n_nodes) for a, s in zip(t.tolist(), sig.tolist())]
+        windows = list(zip(t.tolist(), sig.tolist()))
+        want = [compute_L_loop(cfg, ref, a, s, d.phi, n_nodes) for a, s in windows]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-        per_window = [compute_L(cfg, w, a, s, d.phi, n_nodes) for a, s in zip(t.tolist(), sig.tolist())]
+        per_window = [compute_L(cfg, w, a, s, d.phi, n_nodes) for a, s in windows]
         assert [v.hex() for v in per_window] == [v.hex() for v in want]
 
     def test_rows_past_the_chunk(self):
         # 2,048 window nodes at a time: 30 windows of 700 nodes take 15 chunks
         d, rng = ActuationDelay.constant(0.5), np.random.default_rng(8)
-        w = TestComputeLArrays.random_history(rng, -0.5, 12.0, 1e-2)
+        w, ref = TestComputeLArrays.random_history(rng, -0.5, 12.0, 1e-2)
         t = np.linspace(0.0, 9.0, 30)
         for form in ("sup", "integral"):
             cfg = MonitorConfig(b=10.0, form=form)
             got = compute_L(cfg, w, t, t + 0.5, d.phi, 700)
-            want = [compute_L_loop(cfg, w, a, a + 0.5, d.phi, 700) for a in t.tolist()]
+            want = [compute_L_loop(cfg, ref, a, a + 0.5, d.phi, 700) for a in t.tolist()]
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 

@@ -10,22 +10,29 @@ The plant's reads of the closed-loop replay are checked against the same
 configuration with an equal but distinct controller delay, under which the
 plant takes its own Euler steps.
 
+Semi-closed-loop runs, whose predictor integrates its history window as
+arrays, are checked bit for bit against the same run with the per-stamp
+reference predictor of ``reference_predictors``.
+
 ``linear2d`` runs, which step between breakpoints in blocks, are checked
 against the same configuration stepped one node at a time: a plant ``f``
 that is not the linear system's own keeps the engine on its per-step path.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
 from etpf.engine import SensingConfig
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
+from reference_predictors import ReferenceSemiClosed
 
 H = presets.example1().h
 T = 3.0
@@ -116,6 +123,17 @@ def test_replay_read_equals_own_step(delay, sensing, u_pre):
     cfg = dataclasses.replace(presets.example1(), T=T, delay=delay, sensing=sensing,
                               u_prehistory=u_pre, monitor=None)
     assert_same_run(run(cfg), run(own_step(cfg)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(delay=delays(), sensing=sensings())
+def test_semi_closed_equals_per_stamp_reference(delay, sensing):
+    cfg = dataclasses.replace(presets.example1(), T=T, delay=delay, sensing=sensing,
+                              predictor_method="semi-closed-loop", monitor=None)
+    tr = run(cfg)
+    event(f"sensing: {sensing.mode}")
+    with mock.patch.object(etpf_predictor, "SemiClosedPredictor", ReferenceSemiClosed):
+        assert_same_run(tr, run(cfg))
 
 
 @st.composite
