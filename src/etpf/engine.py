@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import ActuationDelay, SensingSchedule, node_of
-from .exceptions import ConfigurationError, PredictorError
+from .exceptions import ConfigurationError
 from .model import ISSCertificate, LinearSystem, SystemModel, lift
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
 from .predictor import LIFT, NodeGrid, make_predictor
@@ -119,7 +119,7 @@ class SimTrace:
 
     @property
     def diverged(self) -> bool:
-        return bool(self.diagnostics.get("diverged", False))
+        return self.diagnostics.get("divergence") is not None
 
     @property
     def final_state_norm(self) -> float:
@@ -154,11 +154,13 @@ class SimTrace:
         write_csv(path, header, cols)
 
     def summary(self) -> str:
+        d = self.diagnostics.get("divergence")
+        cause = " ({bound} bound, {phase}, step {step}, t = {t:.6g})".format(**d) if d else ""
         lines = [
             f"final |x(T)| = {self.final_state_norm:.6g}",
             f"events: {self.events.count}, min dwell = {self.events.min_dwell_observed:.6g}",
             f"t0 = {self.t0:.6g}",
-            f"diverged: {self.diverged}",
+            f"diverged: {self.diverged}{cause}",
             f"max |w| after t0: {self.diagnostics.get('w_max_after_t0', float('nan')):.3e}",
         ]
         rep = self.diagnostics.get("decay_report")
@@ -195,6 +197,33 @@ def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,
                     u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn, events=events)
 
 
+class _Diverged(Exception):
+    """The engine's divergence stop, with the bound that fired and the phase it fired in."""
+
+
+def _adoptions(sensing: SensingConfig, T: float, h: float, N: int):
+    """``(deliveries, nodes, adopt)``: the deliveries ``(ell, tau, delivery_time, grid_time)``
+    up to node N, the sorted delivery nodes and the adoption table: ``adopt[k]`` is the
+    freshest transmit time delivered at node k, kept iff it is at least as fresh as the last
+    one kept.  Perfect sensing delivers at every node and adopts k h from node 1 on."""
+    sched = sensing.schedule(T)
+    if sched is None:
+        return [], list(range(N + 1)), {k: k * h for k in range(1, N + 1)}
+    deliveries, freshest = [], {}  # transmit times are nondecreasing: the last at k is freshest
+    for ell, (tau, dv) in enumerate(zip(sched.transmit_times.tolist(),
+                                        sched.delivery_times.tolist())):
+        if (k := node_of(dv, h)[0]) <= N:
+            deliveries.append((ell, tau, dv, k * h))
+            freshest[k] = tau
+    if not deliveries:
+        raise ConfigurationError("no sensing delivery inside the horizon")
+    adopt, last, nodes = {}, 0.0, sorted(freshest)
+    for k in nodes:
+        if freshest[k] >= last:
+            adopt[k] = last = freshest[k]
+    return deliveries, nodes, adopt
+
+
 def run(cfg: SimConfig) -> SimTrace:
     """Simulate one run and return the full trace."""
     model = cfg.model
@@ -211,27 +240,8 @@ def run(cfg: SimConfig) -> SimTrace:
     if first >= 0:
         raise ConfigurationError("the channel must have positive delay at t = 0")
 
-    # -- sensing schedule -------------------------------------------------
-    sched = cfg.sensing.schedule(cfg.T)
-    deliveries = []  # (ell, tau, delivery_time, grid_index)
-    if sched is None:
-        t0_idx = 0
-        t0 = 0.0
-    else:
-        for ell, (tau, dv) in enumerate(
-            zip(sched.transmit_times, sched.delivery_times)
-        ):
-            idx = node_of(dv, h)[0]
-            if idx > N:
-                continue
-            deliveries.append((ell, float(tau), float(dv), idx))
-        if not deliveries:
-            raise ConfigurationError("no sensing delivery inside the horizon")
-        t0_idx = min(d[3] for d in deliveries)
-        t0 = t0_idx * h
-    by_index: dict[int, list] = {}
-    for d in deliveries:
-        by_index.setdefault(d[3], []).append(d)
+    deliveries, dv_nodes, adopt = _adoptions(cfg.sensing, cfg.T, h, N)
+    t0 = (t0_idx := dv_nodes[0]) * h
 
     # -- control history: U[k] is the control in force at node k h and
     # u_pre the one before t = 0; the rows change only at the log's events
@@ -271,18 +281,8 @@ def run(cfg: SimConfig) -> SimTrace:
     event_p_norms: list[float] = []
     event_e_pre: list[float] = []
     p_last_event: Optional[np.ndarray] = None
-    anchor_tau = 0.0
     w_max_after_t0 = 0.0
-    diverged = False
-
-    def state_at(tq: float) -> np.ndarray:
-        # snapped to the grid, so a 1-ulp overshoot cannot reach X rows the
-        # loop has not written yet
-        k, on = node_of(tq, h)
-        if on:
-            return X[k].copy()
-        lam = (tq - (k - 1) * h) / h
-        return (1.0 - lam) * X[k - 1] + lam * X[k]
+    divergence = None
 
     # the closed-loop replay from a row of X, under the plant's own delay object (`is`, not
     # ==, on purpose), holds the plant's next rows (README, "One Euler chain"); the
@@ -291,30 +291,35 @@ def run(cfg: SimConfig) -> SimTrace:
     replayed = predictor.replayed if shared else None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
-    x, f, advance, bound = X[0], model.f, predictor.advance, cfg.divergence_threshold
+    x, f, advance = X[0], model.f, predictor.advance
+    # the divergence rule (README, "Divergence"): |x| and |p| bounded, NaN failing both;
+    # hypot of the floats is a fraction of the cost of a numpy dot for short vectors
+    bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
 
     # a linear plant, the closed-form predictor and the threshold rho_bar |p|: once
     # events have started, the steps between breakpoints run as blocks
     lifted = blk = None
     if (cfg.predictor_method == "linear-closed-form" and model._linear is cfg.linear
-            and cfg.trigger.mode != "nonlinear" and sched is not None):
-        dv_steps, hb = sorted(by_index) + [N], h * cfg.linear.B[:, 0]
+            and cfg.trigger.mode != "nonlinear"):
+        dv_steps, hb = dv_nodes + [N], h * cfg.linear.B[:, 0]
         Gx = lift(np.eye(n) + h * cfg.linear.A, LIFT)  # x_i = M^i x + S_i h B u
 
         def lifted(s: int, x) -> int:
             """Commit the rows after s up to a breakpoint (README, "Block stepping of linear
-            runs") or a trigger crossing; return the row handed back, with x, p and U set."""
-            Pr = predictor.block(s, N - s)
-            if len(Pr) < 2:  # one row: the loop's own step
-                return s
+            runs"), a trigger crossing or a bound; return the row handed back, with x, p and
+            U set."""
             ev, j = log.event_times, rows_true[s]
             i = bisect_right(ev, j * h)
             limit = 0 if j < 0 else min(round(ev[i] / h), s + 1) if i < len(ev) else s + 1
             end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
+            if end - s < 2:  # one row: the loop's own step
+                return s
+            Pr = predictor.block(s, N - s)
             L = min(len(Pr), end - s)
             u = hb * (U[j] if j >= 0 else u_pre)
             Xr = (Gx[: L * n] @ np.concatenate((x, u))).reshape(L, n)
             ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
+            ok &= np.sqrt((Pr[:L] * Pr[:L]).sum(axis=1)) <= p_bound
             L = L if ok.all() else int(ok.argmin())
             if L < 2:
                 return s
@@ -329,24 +334,23 @@ def run(cfg: SimConfig) -> SimTrace:
         # the pre-history: p at each of pre_times, then one advance onto t = 0
         predictor.reanchor(0.0, cfg.x0, phi0)
         for i, k in enumerate(range(first, 0)):
-            pre_p[i] = predictor.p
+            if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+                raise _Diverged("prediction", "pre-history")
+            pre_p[i] = p
             predictor.advance(k)
+        if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+            raise _Diverged("prediction", "pre-history")
 
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 t = step * h
-                # deliveries due now: adopt the freshest transmitted state
-                if sched is None:
-                    if step > 0:
-                        predictor.reanchor(t, x, t)
-                    dv_flags[step] = 1.0
-                elif step in by_index:
-                    dv_flags[step] = 1.0
-                    best = max(by_index[step], key=lambda d: d[1])
-                    if best[1] >= anchor_tau:
-                        anchor_tau = best[1]
-                        predictor.reanchor(anchor_tau, state_at(anchor_tau), t)
-                        own = shared and node_of(anchor_tau, h)[1]
+                if (tau := adopt.get(step)) is not None:  # the adoption table
+                    k, on = node_of(tau, h)  # snapped: a 1-ulp overshoot reads no unwritten row
+                    lam = (tau - (k - 1) * h) / h
+                    predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], t)
+                    own = shared and on
+                    if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+                        raise _Diverged("prediction", "re-anchor")
 
                 p_now = predictor.p
                 P[step] = p_now
@@ -382,19 +386,23 @@ def run(cfg: SimConfig) -> SimTrace:
                 else:
                     j = rows_true[step]
                     x = x + h * f(x, U[j] if j >= 0 else u_pre)
-                if not math.sqrt(x.dot(x)) <= bound:  # NaN too
-                    raise PredictorError("plant state crossed the divergence threshold")
+                if not math.hypot(*x.tolist()) <= bound:
+                    raise _Diverged("plant", "plant step")
                 X[step + 1] = x
                 U[step + 1] = U[step]
                 advance(step)
+                if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+                    raise _Diverged("prediction", "advance")
                 step += 1
-    except PredictorError:
-        # the one divergence exit, for the plant bound and for a failed
-        # re-anchor or advance, pre-history included: keep the trace up to
-        # this step and hold the last state
-        diverged = True
+    except _Diverged as stop:
+        # the one divergence exit: keep the trace up to this step and hold the last state
+        divergence = dict(zip(("bound", "phase"), stop.args), step=step, t=step * h)
         X[step + 1 :] = X[step]
         U[done:] = 0.0
+
+    # delivery flags on the rows the loop reached
+    reached = -1 if divergence is not None and divergence["phase"] == "pre-history" else step
+    dv_flags[dv_nodes[: bisect_right(dv_nodes, reached)]] = 1.0
 
     trace = SimTrace(
         times=times,
@@ -408,13 +416,13 @@ def run(cfg: SimConfig) -> SimTrace:
         event_flags=ev_flags,
         delivery_flags=dv_flags,
         events=log,
-        deliveries=[(d[0], d[1], d[2], d[3] * h) for d in deliveries],
+        deliveries=deliveries,
         t0=t0,
         h=h,
         pre_times=pre_times,
         pre_p=pre_p,
         diagnostics={
-            "diverged": diverged,
+            "divergence": divergence,
             "final_step": step,
             "w_max_after_t0": w_max_after_t0,
             "event_p_norms": event_p_norms,
@@ -422,7 +430,7 @@ def run(cfg: SimConfig) -> SimTrace:
         },
     )
 
-    if cfg.monitor is not None and cfg.cert is not None and not diverged:
+    if cfg.monitor is not None and cfg.cert is not None and divergence is None:
         _attach_monitor(trace, cfg, true_grid, true_delay)
     return trace
 

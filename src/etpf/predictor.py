@@ -42,27 +42,7 @@ __all__ = [
 
 PREDICTOR_METHODS = ("closed-loop", "semi-closed-loop", "open-loop", "linear-closed-form")
 
-_DIVERGENCE_CAP = 1e12
 LIFT = 128  # rows of the power tables, the longest block of LinearPredictor.block
-
-
-def _capped(x: np.ndarray) -> bool:
-    """max |x_i| <= the divergence cap; False for NaN and inf.
-
-    Checked on Python floats: for the short state vectors here this is a
-    fraction of the cost of ``np.abs(x).max()``, with the same outcome.
-    """
-    for v in x.tolist():
-        if not abs(v) <= _DIVERGENCE_CAP:
-            return False
-    return True
-
-
-def _open_loop_step(p, h_sdot, fx) -> np.ndarray:
-    p_next = p + h_sdot * fx
-    if not _capped(p_next):
-        raise PredictorError("open-loop prediction diverged")
-    return p_next
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +51,8 @@ def _open_loop_step(p, h_sdot, fx) -> np.ndarray:
 # All four share the interface: reanchor(anchor_time, anchor_state, t_now),
 # advance(k) stepping the target time from node k h to (k + 1) h, and the
 # current value in .p.  advance reads sigma and u at grid nodes from a
-# NodeGrid; reanchor takes float times and may start off the grid.
+# NodeGrid; reanchor takes float times and may start off the grid.  The
+# predictors only compute: the engine decides whether p has diverged.
 # ---------------------------------------------------------------------------
 
 
@@ -181,9 +162,6 @@ class ClosedLoopPredictor(_Predictor):
             xhat = xhat + h * f_k
             f_k = None
             k += 1
-            if not _capped(xhat):
-                self._f_k = None  # the head may have moved
-                raise PredictorError("prediction diverged")
             chain.append(xhat)
         if not on and k < kt:
             fx = f_k
@@ -248,8 +226,7 @@ class OpenLoopPredictor(_Predictor):
         g, h = self.grid, self.h
         # slot 0 is phi(0) off the grid: the first step is the partial one to node k + 1
         dt = h if k > g.lo else (k + 1) * h - self.delay.phi(0.0)
-        self.p = _open_loop_step(self.p, dt * float(g.sdot[k - g.lo]),
-                                 self.model.f(self.p, g.u_row(k)))
+        self.p = self.p + dt * float(g.sdot[k - g.lo]) * self.model.f(self.p, g.u_row(k))
 
 
 def window_integral(times: np.ndarray, values: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -319,8 +296,6 @@ class SemiClosedPredictor(_Predictor):
         # store the corrected integrand value
         self._times[n], self._g[n], self._n = s_next, sdot * self.model.f(self.p, u), n + 1
         self._t = s_next
-        if not _capped(self.p):
-            raise PredictorError("prediction diverged")
 
 
 def expm(M: np.ndarray) -> np.ndarray:
@@ -395,13 +370,11 @@ class LinearPredictor(_Predictor):
         g, sig, i = self.grid, self._sig, k - self.grid.lo
         E, c = self._affine(sig[i + 1] - sig[i], g.u_row(k))
         self.p = E @ self.p + c
-        if not _capped(self.p):
-            raise PredictorError("prediction diverged")
 
     def block(self, k: int, L: int) -> np.ndarray:
         """``advance(k)``, ..., ``advance(k + L - 1)`` with row k's control, as rows of p;
-        ``self.p`` stays.  Fewer rows where the advance key changes, past ``LIFT``
-        and from the first row past the divergence cap; none instead of one."""
+        ``self.p`` stays.  Fewer rows where the advance key changes and past ``LIFT``;
+        none instead of one."""
         g, i, n = self.grid, k - self.grid.lo, len(self.p)
         runs = g.tables.runs  # slots where the advance key changes, then the table's end
         L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
@@ -412,10 +385,7 @@ class LinearPredictor(_Predictor):
             G = lift(E, LIFT)
             if len(self._lifts) < 256:
                 self._lifts[key] = G
-        rows = (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
-        if np.abs(rows).max() <= _DIVERGENCE_CAP:  # false for NaN too
-            return rows
-        return rows[: (np.abs(rows) <= _DIVERGENCE_CAP).all(axis=1).argmin()]
+        return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
 
 
 def make_predictor(method, model, delay, grid: NodeGrid, linear=None):

@@ -13,6 +13,11 @@ and sigma and u read at every control break by the float lookups.
 ``ReferenceSemiClosed`` is ``SemiClosedPredictor`` with its integrand history
 in a ``ListSignal``: one scalar ``sample`` per stamp, and a window integral
 that adds its trapezoids one at a time, left to right.
+
+``_capped`` and ``_open_loop_step`` are the per-predictor divergence check the
+predictors once made themselves (max |p_i| <= 1e12, raising
+``PredictorError``); the engine now decides divergence, and the tests keep
+this check as an oracle for the reference functions.
 """
 
 import math
@@ -25,7 +30,24 @@ from scipy.linalg import expm
 from etpf.channel import ActuationDelay
 from etpf.exceptions import CoverageError, DomainError, PredictorError
 from etpf.model import LinearSystem, SystemModel
-from etpf.predictor import NodeGrid, _capped, _open_loop_step, _Predictor
+from etpf.predictor import NodeGrid, _Predictor
+
+_DIVERGENCE_CAP = 1e12
+
+
+def _capped(x: np.ndarray) -> bool:
+    """max |x_i| <= the divergence cap; False for NaN and inf."""
+    for v in x.tolist():
+        if not abs(v) <= _DIVERGENCE_CAP:
+            return False
+    return True
+
+
+def _open_loop_step(p, h_sdot, fx) -> np.ndarray:
+    p_next = p + h_sdot * fx
+    if not _capped(p_next):
+        raise PredictorError("open-loop prediction diverged")
+    return p_next
 
 
 def window_nodes(s0: float, t: float, h: float) -> list[float]:
@@ -201,5 +223,3 @@ class ReferenceSemiClosed(_Predictor):
         self.p = self._anchor_state + self._integral
         hist.append(s_next, sdot * self.model.f(self.p, u))
         self._t = s_next
-        if not _capped(self.p):
-            raise PredictorError("prediction diverged")

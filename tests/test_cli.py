@@ -68,6 +68,12 @@ class TestSimulate:
         assert "equilibrium" not in summary
         assert "V-decay: not evaluated (no finite V after t0)" in summary
 
+    def test_diverged_summary_names_the_bound(self, tmp_path):
+        out = tmp_path / "e2"
+        assert main(["simulate", "--preset", "example2", "--out", str(out)]) == 2
+        assert ("diverged: True (prediction bound, advance, step 144, t = 1.44)\n"
+                in (out / "summary.txt").read_text())
+
     def test_divergence_in_prehistory_exit_code(self, tmp_path):
         # the prediction over [phi(0), 0] blows up before the step loop
         out = tmp_path / "e2"

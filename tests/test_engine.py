@@ -217,6 +217,104 @@ class TestRunBasics:
             assert grid_t - dv <= tr.h + 1e-12
 
 
+def _diverging(name):
+    """Configs whose runs stop at each phase of the divergence rule."""
+    ex2 = presets.example2()
+    if name == "pre-history":
+        return dataclasses.replace(ex2, x0=np.array([1e4, 1e4]))
+    if name == "re-anchor":  # out-of-order Gaussian sensing
+        sensing = dataclasses.replace(ex2.sensing, delta_tau=0.3, d_psi=None, mu_psi=0.8,
+                                      sigma_psi=0.5, seed=8)
+        return dataclasses.replace(ex2, T=6.0, sensing=sensing)
+    if name == "advance":
+        return ex2
+    return dataclasses.replace(presets.linear2d(), T=3.0, monitor=None, divergence_threshold=1.5)
+
+
+class TestDivergenceRule:
+    """The engine decides divergence: |x| <= divergence_threshold after each plant step and
+    |p| <= 1e3 divergence_threshold after each re-anchor and advance, the pre-history's too."""
+
+    @pytest.mark.parametrize("phase, bound, step", [
+        ("pre-history", "prediction", 0),
+        ("re-anchor", "prediction", 368),
+        ("advance", "prediction", 144),
+        ("plant step", "plant", 118),
+    ])
+    def test_divergence_names_its_bound_and_phase(self, phase, bound, step):
+        cfg = _diverging(phase)
+        tr = run(cfg)
+        assert tr.diverged and tr.diagnostics["final_step"] == step
+        assert tr.diagnostics["divergence"] == {"bound": bound, "phase": phase, "step": step,
+                                                "t": step * cfg.h}
+        assert f"diverged: True ({bound} bound, {phase}, step {step}, " in tr.summary()
+
+    def test_delivery_flags_only_on_reached_rows(self):
+        # a re-anchor that diverges at step s still flags its delivery; a pre-history
+        # divergence reaches no row, though perfect sensing delivers at node 0
+        tr = run(_diverging("re-anchor"))
+        s = tr.diagnostics["final_step"]
+        assert tr.delivery_flags[s] == 1.0 and not tr.delivery_flags[s + 1 :].any()
+        assert tr.delivery_flags[:s].any()
+        tr = run(dataclasses.replace(_diverging("pre-history"),
+                                     sensing=SensingConfig(mode="perfect")))
+        assert tr.diagnostics["divergence"]["phase"] == "pre-history"
+        assert not tr.delivery_flags.any()
+
+    def test_converged_run_has_no_divergence(self, linear_trace):
+        assert linear_trace.diagnostics["divergence"] is None and not linear_trace.diverged
+
+    def test_other_predictor_errors_propagate(self, monkeypatch):
+        # only the engine's own bounds end a run as diverged
+        from etpf.predictor import ClosedLoopPredictor
+
+        advance = ClosedLoopPredictor.advance
+
+        def failing(self, k):
+            if k == 50:
+                raise PredictorError("history does not cover the window")
+            advance(self, k)
+
+        monkeypatch.setattr(ClosedLoopPredictor, "advance", failing)
+        with pytest.raises(PredictorError, match="does not cover"):
+            run(dataclasses.replace(presets.example1(), T=2.0, monitor=None))
+
+
+# Which predictor method stabilizes which preset (README, "Divergence"): the outcome,
+# the step a diverging run stops at, the bound that fired and the event count
+PRESET_OUTCOMES = [
+    ("example1", "closed-loop", None, 1189),
+    ("example1", "semi-closed-loop", (2153, "plant"), 1006),
+    ("example1", "open-loop", (1990, "plant"), 936),
+    ("example1", "linear-closed-form", PredictorError, 0),
+    ("example2", "closed-loop", (144, "prediction"), 15),
+    ("example2", "semi-closed-loop", (248, "plant"), 19),
+    ("example2", "open-loop", (153, "plant"), 10),
+    ("example2", "linear-closed-form", PredictorError, 0),
+    ("linear2d", "closed-loop", None, 112),
+    ("linear2d", "semi-closed-loop", None, 112),
+    ("linear2d", "open-loop", None, 112),
+    ("linear2d", "linear-closed-form", None, 112),
+]
+
+
+@pytest.mark.parametrize("preset, method, stop, events", PRESET_OUTCOMES,
+                         ids=[f"{p}-{m}" for p, m, _s, _e in PRESET_OUTCOMES])
+def test_preset_outcome_per_method(preset, method, stop, events):
+    cfg = dataclasses.replace(presets.get_preset(preset), predictor_method=method, monitor=None)
+    if stop is PredictorError:  # a nonlinear preset has no LinearSystem to predict with
+        with pytest.raises(PredictorError, match="needs a LinearSystem"):
+            run(cfg)
+        return
+    tr = run(cfg)
+    assert tr.events.count == events
+    if stop is None:
+        assert not tr.diverged and tr.diagnostics["final_step"] == len(tr.times) - 1
+    else:
+        assert tr.diverged and tr.diagnostics["final_step"] == stop[0]
+        assert tr.diagnostics["divergence"]["bound"] == stop[1]
+
+
 class TestChannelTables:
     @staticmethod
     def count_sigma(monkeypatch):

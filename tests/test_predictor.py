@@ -13,11 +13,12 @@ from etpf import engine as etpf_engine
 from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
-from etpf.engine import _node_grid
+from etpf.engine import SensingConfig, _node_grid
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
 from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, make_predictor
 from etpf.presets import linear2d_system
+from etpf.trigger import TriggerConfig
 
 from conftest import per_step, prediction_error
 from reference_predictors import (
@@ -501,18 +502,47 @@ class TestLinearBlock:
         assert len(pred.block(1000, 50)) == 0
         assert len(self.predictor(ActuationDelay.constant(0.5), [1.0, -0.5]).block(1000, 1)) == 0
 
-    def test_rows_stop_before_the_divergence_cap(self):
-        # p_1 grows by p_2 h = 1e8 per step and passes the 1e12 cap at the sixth
+    def test_rows_are_not_truncated(self):
+        # p_1 grows by p_2 h = 1e8 per step past 1e12: the block only computes, the
+        # engine decides divergence
         pred = self.predictor(ActuationDelay.constant(0.5), [1e12 - 5.5e8, 1e11])
-        assert len(pred.block(1000, 50)) == 5
-        for k in range(1000, 1005):
-            pred.advance(k)
-        with pytest.raises(PredictorError):
-            pred.advance(1005)
+        rows = pred.block(1000, 50)
+        assert len(rows) == 50 and rows[-1, 0] > 1e12
+
+    def test_run_stops_where_the_per_step_path_does(self, monkeypatch):
+        # xdot = u, one event at t = 0 with the gain -1e5 and no other event
+        # (ratio 1e6): p = 1 - 1e5 t ramps past the prediction bound 1e3 * 2 at
+        # t = 0.02, while x = x0 = 1 until the control arrives at t = D = 0.5.
+        # The crossing lies inside the block that starts at the event: its rows
+        # stop before it, and the loop's own advance stops the run there
+        sys = LinearSystem(A=[[0.0]], B=[[1.0]], K_gain=[[-1e5]], Q=[[1.0]])
+        cfg = dataclasses.replace(
+            presets.linear2d(), model=sys.to_model(), linear=sys, cert=None, monitor=None,
+            x0=np.array([1.0]), T=1.0, divergence_threshold=2.0,
+            trigger=TriggerConfig.fixed_ratio(1e6),
+            sensing=SensingConfig(mode="periodic", delta_tau=1.0, d_psi=0.0),
+        )
+        blocks = []
+        block = LinearPredictor.block
+
+        def recorded(self, k, L):
+            rows = block(self, k, L)
+            blocks.append((k, len(rows)))
+            return rows
+
+        monkeypatch.setattr(LinearPredictor, "block", recorded)
+        tr = run(cfg)
+        oracle = run(per_step(cfg))
+        s = tr.diagnostics["final_step"]
+        assert tr.diagnostics["divergence"] == oracle.diagnostics["divergence"] == {
+            "bound": "prediction", "phase": "advance", "step": s, "t": s * cfg.h}
+        assert 15 <= s <= 25 and np.all(tr.x[: s + 1] == 1.0)
+        assert blocks[0][0] == 0 and blocks[0][1] > s
+        np.testing.assert_allclose(tr.p, oracle.p, rtol=1e-12, equal_nan=True)
 
 
 class TestDivergenceCheck:
-    """One comparison per check catches NaN, inf and values above the cap."""
+    """One comparison per check catches NaN, inf and values above the bound."""
 
     @staticmethod
     def rate_model(rate):
@@ -529,11 +559,22 @@ class TestDivergenceCheck:
     ]
 
     @pytest.mark.parametrize("rate", RATES)
-    def test_incremental_closed_loop(self, rate):
-        delay = ActuationDelay.constant(0.5)
-        pred = ClosedLoopPredictor(self.rate_model(rate), delay, control_grid(delay, 1.0))
-        with pytest.raises(PredictorError):
-            pred.reanchor(1.0, [0.0], 1.0)
+    def test_run_stops_on_the_prediction(self, rate):
+        # u = K(p) = 1 from the first event, at t0 = 0.3, on: the closed-loop
+        # replay's first step under it, the advance of step 30 onto sigma(0.31) =
+        # 0.81, ends at 1 + 0.01 rate, NaN, inf or 1e13, past the 1e12 bound.  The
+        # plant still reads u_pre = 0 there, so only the prediction bound fires
+        model = dataclasses.replace(self.rate_model(rate), K=lambda x: 1.0 if x.any() else 0.0)
+        cfg = dataclasses.replace(
+            presets.example1(), model=model, delay=ActuationDelay.constant(0.5),
+            sensing=SensingConfig(mode="periodic", delta_tau=1.0, d_psi=0.3),
+            trigger=TriggerConfig.fixed_ratio(0.5), x0=np.array([1.0]), T=2.0,
+            cert=None, monitor=None,
+        )
+        tr = run(cfg)
+        assert tr.diagnostics["divergence"] == {
+            "bound": "prediction", "phase": "advance", "step": 30, "t": 30 * cfg.h}
+        assert tr.events.event_times == [0.3] and np.all(tr.x == 1.0)
 
     @pytest.mark.parametrize("rate", RATES)
     def test_reference_functions(self, rate):

@@ -17,19 +17,24 @@ reference predictor of ``reference_predictors``.
 ``linear2d`` runs, which step between breakpoints in blocks, are checked
 against the same configuration stepped one node at a time: a plant ``f``
 that is not the linear system's own keeps the engine on its per-step path.
+
+The engine's adoption table, built before the step loop, is checked against
+the per-step adoption loop it replaced, kept here as ``adoptions_per_step``.
 """
 
 import dataclasses
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
-from etpf.engine import SensingConfig
+from etpf.exceptions import ConfigurationError
+from etpf.engine import SensingConfig, _adoptions
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
 from reference_predictors import ReferenceSemiClosed
@@ -179,3 +184,45 @@ def test_linear_blocks_match_per_step(cfg):
 def test_linear_sinusoidal_forms_no_block(cfg):
     # the advance key changes at every node, so every step is the per-step one
     assert_same_run(run(cfg), run(per_step(cfg)))
+
+
+def adoptions_per_step(sensing, T, h, N):
+    """``(deliveries, delivery nodes, adoptions)`` as the step loop found them one node at a
+    time: at a node with deliveries, the freshest one, adopted iff at least as fresh as
+    the last adoption.  Perfect sensing adopts the state at every node from node 1 on."""
+    sched = sensing.schedule(T)
+    if sched is None:
+        return [], list(range(N + 1)), {k: k * h for k in range(1, N + 1)}
+    deliveries, by_index = [], {}
+    for ell, (tau, dv) in enumerate(zip(sched.transmit_times, sched.delivery_times)):
+        idx = node_of(dv, h)[0]
+        if idx > N:
+            continue
+        deliveries.append((ell, float(tau), float(dv), idx))
+        by_index.setdefault(idx, []).append(deliveries[-1])
+    nodes, adopted, anchor_tau = [], {}, 0.0
+    for step in range(N + 1):
+        if step in by_index:
+            nodes.append(step)
+            best = max(by_index[step], key=lambda d: d[1])
+            if best[1] >= anchor_tau:
+                anchor_tau = adopted[step] = best[1]
+    return [(d[0], d[1], d[2], d[3] * h) for d in deliveries], nodes, adopted
+
+
+@settings(max_examples=300, deadline=None)
+@given(sensing=sensings(), T=st.sampled_from([1.0, 3.0, 12.0]))
+def test_adoption_table_equals_the_per_step_loop(sensing, T):
+    N = int(round(T / H))
+    oracle = adoptions_per_step(sensing, T, H, N)
+    if not oracle[1]:  # no delivery inside the horizon
+        with pytest.raises(ConfigurationError, match="no sensing delivery"):
+            _adoptions(sensing, T, H, N)
+        return
+    deliveries, nodes, adopt = _adoptions(sensing, T, H, N)
+    event(f"sensing: {sensing.mode}")
+    if sensing.mode == "periodic" and len(adopt) < len(nodes):
+        event("a stale delivery dropped")
+    assert deliveries == oracle[0]
+    assert nodes == oracle[1]
+    assert adopt == oracle[2]
