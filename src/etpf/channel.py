@@ -244,16 +244,6 @@ class GridTables(tuple):
         kt, on = nodes_of(self[0], self.h)
         return tuple(zip(self.sigs, kt.tolist(), on.tolist()))
 
-    @cached_property
-    def runs(self) -> tuple:
-        """The slots where ``round(dsig, 14)`` changes, dsig the step of ``sig`` out of
-        each slot, then the end of ``sig``: ``LinearPredictor``'s step key."""
-        d = np.diff(self[0])
-        u = np.unique(d)  # keys are nondecreasing in dsig: group by the values that raise them
-        keys = [round(v, 14) for v in u.tolist()]
-        grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
-        return tuple(np.append(np.flatnonzero(grp[1:] != grp[:-1]) + 1, len(d)).tolist())
-
 
 def node_of(t: float, h: float) -> tuple[int, bool]:
     """``(k, on)`` for a float time t on the grid of step h: ``on`` when t lies within
@@ -415,7 +405,8 @@ class SensingSchedule:
         """
         if delta_tau <= 0:
             raise ConfigurationError("delta_tau must be positive")
-        n = int(math.floor(horizon / delta_tau)) + 1
+        k, on = node_of(horizon, delta_tau)  # snapped: a quotient 1 ulp short keeps t = T
+        n = k + on
         tx = np.arange(n) * delta_tau
         if d_psi is not None:
             dly = np.full(n, float(d_psi))

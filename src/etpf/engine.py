@@ -143,14 +143,9 @@ class SimTrace:
         from .csvout import write_csv
         header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset", "u_1"]
         t_k = np.array(self.events.event_times, dtype=float)
-        cols = np.full((len(t_k), 6), math.nan)
-        cols[:, 0] = np.arange(len(t_k))
-        cols[:, 1] = t_k
-        cols[:, 2] = np.diff(t_k, prepend=math.nan)
-        for c, key in ((3, "event_p_norms"), (4, "event_e_pre")):
-            vals = self.diagnostics.get(key, [])[: len(t_k)]
-            cols[: len(vals), c] = vals
-        cols[:, 5] = self.events.event_controls
+        p_norm = [math.sqrt(p.dot(p)) for p in self.p[self.event_flags == 1]]
+        cols = np.column_stack([np.arange(len(t_k)), t_k, np.diff(t_k, prepend=math.nan), p_norm,
+                                self.events.e_pre_reset, self.events.event_controls])
         write_csv(path, header, cols)
 
     def summary(self) -> str:
@@ -278,10 +273,7 @@ def run(cfg: SimConfig) -> SimTrace:
     dv_flags = np.zeros(N + 1)
 
     X[0] = cfg.x0
-    event_p_norms: list[float] = []
-    event_e_pre: list[float] = []
     p_last_event: Optional[np.ndarray] = None
-    w_max_after_t0 = 0.0
     divergence = None
 
     # the closed-loop replay from a row of X, under the plant's own delay object (`is`, not
@@ -314,8 +306,8 @@ def run(cfg: SimConfig) -> SimTrace:
             end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
             if end - s < 2:  # one row: the loop's own step
                 return s
-            Pr = predictor.block(s, N - s)
-            L = min(len(Pr), end - s)
+            Pr = predictor.block(s, end - s)
+            L = len(Pr)
             u = hb * (U[j] if j >= 0 else u_pre)
             Xr = (Gx[: L * n] @ np.concatenate((x, u))).reshape(L, n)
             ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
@@ -361,16 +353,10 @@ def run(cfg: SimConfig) -> SimTrace:
                     fired, e_n = check_and_fire(p_last_event, p_now, thr)
                     if fired:
                         control = model.K(p_now)
-                        log.record(t, control)
-                        event_p_norms.append(math.sqrt(p_now.dot(p_now)))
-                        event_e_pre.append(e_n)
+                        log.record(t, control, e_n)
                         U[step] = control
                         p_last_event, blk = p_now.copy(), lifted
                         ev_flags[step] = 1.0
-                        # w-identity diagnostic: w vanishes once events have
-                        # started; U and p_last_event change only at events
-                        w = compute_w(U[step], p_last_event, model.K)
-                        w_max_after_t0 = max(w_max_after_t0, abs(w))
                     else:
                         E[step] = e_n
                 done = step + 1
@@ -403,6 +389,10 @@ def run(cfg: SimConfig) -> SimTrace:
     # delivery flags on the rows the loop reached
     reached = -1 if divergence is not None and divergence["phase"] == "pre-history" else step
     dv_flags[dv_nodes[: bisect_right(dv_nodes, reached)]] = 1.0
+    # the w identity: w vanishes once events have started, since U and the held p
+    # change only at events, where U[k] = K(P[k])
+    w_max_after_t0 = max([0.0] + [abs(compute_w(U[k], P[k], model.K))
+                                  for k in np.flatnonzero(ev_flags).tolist()])
 
     trace = SimTrace(
         times=times,
@@ -425,8 +415,6 @@ def run(cfg: SimConfig) -> SimTrace:
             "divergence": divergence,
             "final_step": step,
             "w_max_after_t0": w_max_after_t0,
-            "event_p_norms": event_p_norms,
-            "event_e_pre": event_e_pre,
         },
     )
 

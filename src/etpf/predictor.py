@@ -311,39 +311,47 @@ class LinearPredictor(_Predictor):
     dsig = sigma(b) - sigma(a) solves the prediction ODE exactly wherever u
     is constant on [a, b).  ``advance`` takes one such step per engine step;
     a re-anchor takes one per control segment of its window.  Matrix
-    exponentials are cached per distinct dsig, and each step reads
-    ``(E, Phi B u)`` from a memo per bits of (dsig, u).  ``block`` takes a
-    run of advances with one step matrix and one control at once.
+    exponentials are kept per key ``round(dsig, 14)``, all advance keys from
+    one stacked ``expm`` at construction; each step reads ``(E, Phi B u)``
+    from a memo per bits of (dsig, u).  ``block`` takes a run of advances
+    with one step key and one control at once.
     """
 
     def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
         super().__init__(sys, delay, grid)
         self.sys = sys
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # see _affine
         self._sig = grid.tables.sigs
         self._lifts: dict[float, np.ndarray] = {}  # lift(E, LIFT) per advance key
+        # group the advance steps by key, nondecreasing in dsig: by the values that raise it;
+        # _runs holds the slots where the key changes, then the end
+        d = np.diff(grid.sig)
+        u = np.unique(d)
+        keys = [round(v, 14) for v in u.tolist()]
+        grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
+        self._runs = np.append(np.flatnonzero(np.diff(grp)) + 1, len(d)).tolist()
+        dsigs = d[np.unique(grp, return_index=True)[1]].tolist()  # each key's first slot
+        self._mats = dict(zip((round(v, 14) for v in dsigs), self._exp_steps(dsigs)))
+
+    def _exp_steps(self, dsigs: list) -> list:
+        """``(E, Phi)`` over each dsig, from one stacked ``expm``."""
+        n, ds = self.sys.n, np.array(dsigs)[:, None, None]
+        M = np.zeros((len(dsigs), 2 * n, 2 * n))
+        M[:, :n, :n], M[:, :n, n:] = self.sys.A * ds, np.eye(n) * ds
+        return [(E[:n, :n], E[:n, n:]) for E in expm(M)]
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
-        if (mats := self._cache.get(key := round(dsig, 14))) is None:
-            n = self.sys.n
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n], M[:n, n:] = self.sys.A * dsig, np.eye(n) * dsig
-            E = expm(M)
-            mats = (E[:n, :n], E[:n, n:])
-            if len(self._cache) < 4096:
-                self._cache[key] = mats
+        if (mats := self._mats.get(key := round(dsig, 14))) is None:
+            mats = self._mats[key] = self._exp_steps([dsig])[0]  # a re-anchor segment's key
         return mats
 
     def _affine(self, dsig: float, u: float) -> tuple[np.ndarray, np.ndarray]:
         """``(E, Phi @ (B u))`` of the step over dsig: p -> E p + c.  Memoized per bits
-        of dsig and u (zeros of either sign in c give E p + c zeros of either sign)
-        where ``_step_mats`` caches E, so every entry holds the E of its advance key."""
+        of dsig and u (zeros of either sign in c give E p + c zeros of either sign);
+        E is the one of its step key."""
         if (mats := self._memo.get(bits := struct.pack("dd", dsig, u))) is None:
             E, Phi = self._step_mats(dsig)
-            mats = (E, Phi @ (self.sys.B[:, 0] * u))
-            if round(dsig, 14) in self._cache:
-                self._memo[bits] = mats
+            mats = self._memo[bits] = (E, Phi @ (self.sys.B[:, 0] * u))
         return mats
 
     def _integrate(self, p, s_from: float, s_to: float) -> np.ndarray:
@@ -375,16 +383,13 @@ class LinearPredictor(_Predictor):
         """``advance(k)``, ..., ``advance(k + L - 1)`` with row k's control, as rows of p;
         ``self.p`` stays.  Fewer rows where the advance key changes and past ``LIFT``;
         none instead of one."""
-        g, i, n = self.grid, k - self.grid.lo, len(self.p)
-        runs = g.tables.runs  # slots where the advance key changes, then the table's end
+        g, i, n, runs = self.grid, k - self.grid.lo, len(self.p), self._runs
         L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
         if L < 2:  # one row is advance's own step
             return np.empty((0, n))
         E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], g.U[k])
         if (G := self._lifts.get(key := round(dsig, 14))) is None:
-            G = lift(E, LIFT)
-            if len(self._lifts) < 256:
-                self._lifts[key] = G
+            G = self._lifts[key] = lift(E, LIFT)
         return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
 
 

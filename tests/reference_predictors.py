@@ -14,6 +14,11 @@ and sigma and u read at every control break by the float lookups.
 in a ``ListSignal``: one scalar ``sample`` per stamp, and a window integral
 that adds its trapezoids one at a time, left to right.
 
+``ReferenceLinear`` is ``LinearPredictor`` with the step-matrix cache it once
+kept: filled lazily in call order, each key ``round(dsig, 14)`` holding the
+matrix exponential of the first dsig seen for it, up to 4,096 keys (later keys
+are recomputed at every step and not memoized), and at most 256 block lifts.
+
 ``_capped`` and ``_open_loop_step`` are the per-predictor divergence check the
 predictors once made themselves (max |p_i| <= 1e12, raising
 ``PredictorError``); the engine now decides divergence, and the tests keep
@@ -21,6 +26,7 @@ this check as an oracle for the reference functions.
 """
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
@@ -29,8 +35,8 @@ from scipy.linalg import expm
 
 from etpf.channel import ActuationDelay
 from etpf.exceptions import CoverageError, DomainError, PredictorError
-from etpf.model import LinearSystem, SystemModel
-from etpf.predictor import NodeGrid, _Predictor
+from etpf.model import LinearSystem, SystemModel, lift
+from etpf.predictor import LIFT, LinearPredictor, NodeGrid, _Predictor
 
 _DIVERGENCE_CAP = 1e12
 
@@ -223,3 +229,48 @@ class ReferenceSemiClosed(_Predictor):
         self.p = self._anchor_state + self._integral
         hist.append(s_next, sdot * self.model.f(self.p, u))
         self._t = s_next
+
+
+class ReferenceLinear(LinearPredictor):
+    """``LinearPredictor`` with a lazily filled, call-order, capped step-matrix cache."""
+
+    def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
+        _Predictor.__init__(self, sys, delay, grid)
+        self.sys = sys
+        self._cache, self._memo, self._lifts = {}, {}, {}
+        self._sig = grid.tables.sigs
+        # the slots where the advance key changes, then the table's end
+        d = np.diff(grid.sig)
+        keys = [round(v, 14) for v in d.tolist()]
+        self._runs = [i for i in range(1, len(d)) if keys[i] != keys[i - 1]] + [len(d)]
+
+    def _step_mats(self, dsig: float):
+        if (mats := self._cache.get(key := round(dsig, 14))) is None:
+            n = self.sys.n
+            M = np.zeros((2 * n, 2 * n))
+            M[:n, :n], M[:n, n:] = self.sys.A * dsig, np.eye(n) * dsig
+            E = expm(M)
+            mats = (E[:n, :n], E[:n, n:])
+            if len(self._cache) < 4096:
+                self._cache[key] = mats
+        return mats
+
+    def _affine(self, dsig: float, u: float):
+        if (mats := self._memo.get(bits := struct.pack("dd", dsig, u))) is None:
+            E, Phi = self._step_mats(dsig)
+            mats = (E, Phi @ (self.sys.B[:, 0] * u))
+            if round(dsig, 14) in self._cache:
+                self._memo[bits] = mats
+        return mats
+
+    def block(self, k: int, L: int) -> np.ndarray:
+        i, n, runs = k - self.grid.lo, len(self.p), self._runs
+        L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
+        if L < 2:
+            return np.empty((0, n))
+        E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], self.grid.U[k])
+        if (G := self._lifts.get(key := round(dsig, 14))) is None:
+            G = lift(E, LIFT)
+            if len(self._lifts) < 256:
+                self._lifts[key] = G
+        return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)

@@ -239,7 +239,7 @@ class TestTableCache:
         for a in tables:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-        for derived in (tables.rows, tables.sigs, tables.targets, tables.runs):
+        for derived in (tables.rows, tables.sigs, tables.targets):
             assert isinstance(derived, tuple)
         assert tables.rows is tables.rows  # built once
 
@@ -451,6 +451,14 @@ class TestSensingSchedule:
             0.5, 50.0, mu_psi=0.0, sigma_psi=1.0, seed=0
         )
         assert np.all(sched.delivery_times >= sched.transmit_times)
+
+    @pytest.mark.parametrize("T, delta_tau", [(0.3, 0.1), (0.6, 0.2), (0.7, 0.1), (1.4, 0.05),
+                                              (2.3, 0.01)])
+    def test_a_quotient_one_ulp_short_keeps_the_transmission_at_T(self, T, delta_tau):
+        assert T / delta_tau < round(T / delta_tau)
+        sched = SensingSchedule.periodic(delta_tau, T, d_psi=0.0)
+        assert len(sched.transmit_times) == round(T / delta_tau) + 1
+        assert sched.transmit_times[-1] == pytest.approx(T)
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ConfigurationError):

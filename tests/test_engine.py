@@ -208,6 +208,23 @@ class TestRunBasics:
         np.testing.assert_array_equal(a.p, b.p)
         assert a.events.event_times == b.events.event_times
 
+    @pytest.mark.parametrize("T, delta_tau", [(0.3, 0.1), (0.6, 0.2), (0.7, 0.1), (2.3, 0.05)])
+    def test_the_transmission_at_T_is_adopted_at_node_N(self, T, delta_tau):
+        # T / delta_tau falls one ulp short of an integer: the transmission at T still
+        # counts, and with no sensing delay it is adopted at the last node
+        assert T / delta_tau < round(T / delta_tau)
+        cfg = dataclasses.replace(presets.example1(), T=T, monitor=None,
+                                  sensing=SensingConfig(delta_tau=delta_tau, d_psi=0.0))
+        tr = run(cfg)
+        assert len(tr.deliveries) == round(T / delta_tau) + 1
+        assert tr.deliveries[-1][3] == pytest.approx(T) and tr.delivery_flags[-1] == 1.0
+
+    def test_diverged_events_csv_has_every_event(self, ex2_trace, tmp_path):
+        ex2_trace.write_events_csv(tmp_path / "events.csv")
+        rows = np.loadtxt(tmp_path / "events.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert ex2_trace.diverged and len(rows) == ex2_trace.events.count > 0
+        assert not np.isnan(rows[:, 3:5]).any()  # p_norm and e_pre_reset
+
     def test_deliveries_snapped_to_grid(self):
         tr = run(dataclasses.replace(presets.example2(), T=5.0))
         for _ell, tau, dv, grid_t in tr.deliveries:

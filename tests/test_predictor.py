@@ -264,22 +264,25 @@ class TestSegmentMemo:
             assert c.tobytes() == affine_unmemoized(pred, 1e-3, u)[1].tobytes()
         assert len(pred._memo) == 2
 
-    def test_past_the_cache_cap_keeps_the_bits(self, monkeypatch):
-        # a time-varying delay gives nearly every advance its own key: 4,692 matrix
-        # exponentials, so the 4,096-key cache fills and later keys are not memoized
+    def test_one_stacked_expm_for_the_advance_keys(self, monkeypatch):
+        # a time-varying delay gives nearly every advance its own key: one stacked
+        # expm at construction covers them all, then one call per new segment key
         cfg = dataclasses.replace(presets.linear2d(), T=4.0, monitor=None,
                                   delay=ActuationDelay.sinusoidal(0.5, 0.2))
         made, expms = [], []
         make, real_expm = etpf_engine.make_predictor, etpf_predictor.expm
         monkeypatch.setattr(etpf_engine, "make_predictor",
                             lambda *a, **k: made.append(make(*a, **k)) or made[-1])
-        monkeypatch.setattr(etpf_predictor, "expm", lambda M: expms.append(1) or real_expm(M))
+        monkeypatch.setattr(etpf_predictor, "expm",
+                            lambda M: expms.append(M.shape[0]) or real_expm(M))
         tr = run(cfg)
         pred = made[0]
-        assert len(pred._cache) == 4096 and len(expms) > 4096
-        # memo entries only for cached keys: each holds the E of its key's cache entry
-        cached = {id(E) for E, _Phi in pred._cache.values()}
-        assert pred._memo and all(id(E) in cached for E, _c in pred._memo.values())
+        advance_keys = len({round(d, 14) for d in np.diff(pred.grid.sig).tolist()})
+        assert advance_keys > 4096 and expms[0] == advance_keys
+        assert expms[1:] == [1] * (len(pred._mats) - advance_keys) and len(expms) > 1
+        # every memo entry holds the E of its step key
+        keyed = {id(E) for E, _Phi in pred._mats.values()}
+        assert pred._memo and all(id(E) in keyed for E, _c in pred._memo.values())
 
         def digest(tr):
             h = hashlib.sha256()

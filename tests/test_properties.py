@@ -17,6 +17,8 @@ reference predictor of ``reference_predictors``.
 ``linear2d`` runs, which step between breakpoints in blocks, are checked
 against the same configuration stepped one node at a time: a plant ``f``
 that is not the linear system's own keeps the engine on its per-step path.
+Their step matrices, built per advance key when the predictor is made, are
+checked bit for bit against the lazily filled cache of ``ReferenceLinear``.
 
 The engine's adoption table, built before the step loop, is checked against
 the per-step adoption loop it replaced, kept here as ``adoptions_per_step``.
@@ -37,7 +39,7 @@ from etpf.exceptions import ConfigurationError
 from etpf.engine import SensingConfig, _adoptions
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
-from reference_predictors import ReferenceSemiClosed
+from reference_predictors import ReferenceLinear, ReferenceSemiClosed
 
 H = presets.example1().h
 T = 3.0
@@ -142,10 +144,12 @@ def test_semi_closed_equals_per_stamp_reference(delay, sensing):
 
 
 @st.composite
-def linear_runs(draw, delay, T=T, mismatch=True):
+def linear_runs(draw, delay, T=T, mismatch=True, off_grid=False):
     h = presets.linear2d().h
     x0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
     delta_tau = draw(st.integers(10, 80)) * h
+    if off_grid and draw(st.booleans()):
+        delta_tau += draw(st.floats(0.01, 0.99)) * h
     if draw(st.booleans()):
         sensing = SensingConfig(mode="periodic", delta_tau=delta_tau,
                                 d_psi=draw(st.floats(0.0, 1.0)))
@@ -184,6 +188,19 @@ def test_linear_blocks_match_per_step(cfg):
 def test_linear_sinusoidal_forms_no_block(cfg):
     # the advance key changes at every node, so every step is the per-step one
     assert_same_run(run(cfg), run(per_step(cfg)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=linear_runs(delays(), off_grid=True))
+def test_linear_step_table_equals_the_lazy_cache(cfg):
+    # the step matrices built at construction, one per advance key at its first slot,
+    # give the bits of the cache filled in call order as the steps ask for them
+    tr = run(cfg)
+    with mock.patch.object(etpf_predictor, "LinearPredictor", ReferenceLinear):
+        oracle = run(cfg)
+    assert_same_run(tr, oracle)
+    for name in ("x", "u", "p"):
+        assert getattr(tr, name).tobytes() == getattr(oracle, name).tobytes(), name
 
 
 def adoptions_per_step(sensing, T, h, N):
