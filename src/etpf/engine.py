@@ -238,9 +238,9 @@ def run(cfg: SimConfig) -> SimTrace:
     deliveries, dv_nodes, adopt = _adoptions(cfg.sensing, cfg.T, h, N)
     t0 = (t0_idx := dv_nodes[0]) * h
 
-    # -- control history: U[k] is the control in force at node k h and
+    # -- control history: U[k], a float, is the control in force at node k h and
     # u_pre the one before t = 0; the rows change only at the log's events
-    U = np.zeros(N + 1)  # u = 0 from t = 0 until the first state arrives
+    U = [0.0] * (N + 1)  # u = 0 from t = 0 until the first state arrives
     u_pre = float(cfg.u_prehistory)
     if t0_idx == 0:
         U[0] = u_pre  # the pre-history control holds until the event at t = 0
@@ -283,7 +283,8 @@ def run(cfg: SimConfig) -> SimTrace:
     replayed = predictor.replayed if shared else None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
-    x, f, advance = X[0], model.f, predictor.advance
+    x, f, K, advance, record = X[0], model.f, model.K, predictor.advance, log.record
+    trig, cert, hv = cfg.trigger, cfg.cert, np.full(n, h)  # a vector h: no scalar promotion
     # the divergence rule (README, "Divergence"): |x| and |p| bounded, NaN failing both;
     # hypot of the floats is a fraction of the cost of a numpy dot for short vectors
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
@@ -307,17 +308,18 @@ def run(cfg: SimConfig) -> SimTrace:
             if end - s < 2:  # one row: the loop's own step
                 return s
             Pr = predictor.block(s, end - s)
-            L = len(Pr)
+            if (L := len(Pr)) < 2:  # no block: the loop's own step, before any plant row
+                return s
             u = hb * (U[j] if j >= 0 else u_pre)
             Xr = (Gx[: L * n] @ np.concatenate((x, u))).reshape(L, n)
             ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
-            ok &= np.sqrt((Pr[:L] * Pr[:L]).sum(axis=1)) <= p_bound
+            ok &= np.sqrt((Pr * Pr).sum(axis=1)) <= p_bound
             L = L if ok.all() else int(ok.argmin())
             if L < 2:
                 return s
-            c, e_n, thr = first_crossing(p_last_event, Pr[: L - 1], cfg.trigger.rho_bar)
+            c, e_n, thr = first_crossing(p_last_event, Pr[: L - 1], trig.rho_bar)
             r = s + 1 + c
-            X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], U[s]
+            X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], [U[s]] * (r - s)
             P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]
             predictor.p = Pr[c]
             return r
@@ -348,14 +350,12 @@ def run(cfg: SimConfig) -> SimTrace:
                 P[step] = p_now
 
                 if step >= t0_idx:
-                    thr = threshold(cfg.trigger, p_now, cfg.cert)
-                    TH[step] = thr
+                    TH[step] = thr = threshold(trig, p_now, cert)
                     fired, e_n = check_and_fire(p_last_event, p_now, thr)
                     if fired:
-                        control = model.K(p_now)
-                        log.record(t, control, e_n)
-                        U[step] = control
-                        p_last_event, blk = p_now.copy(), lifted
+                        U[step] = control = K(p_now)
+                        record(t, control, e_n)
+                        p_last_event, blk = p_now, lifted  # predictors rebind p, never write it
                         ev_flags[step] = 1.0
                     else:
                         E[step] = e_n
@@ -371,7 +371,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     x = xr
                 else:
                     j = rows_true[step]
-                    x = x + h * f(x, U[j] if j >= 0 else u_pre)
+                    x = x + hv * f(x, U[j] if j >= 0 else u_pre)
                 if not math.hypot(*x.tolist()) <= bound:
                     raise _Diverged("plant", "plant step")
                 X[step + 1] = x
@@ -384,7 +384,7 @@ def run(cfg: SimConfig) -> SimTrace:
         # the one divergence exit: keep the trace up to this step and hold the last state
         divergence = dict(zip(("bound", "phase"), stop.args), step=step, t=step * h)
         X[step + 1 :] = X[step]
-        U[done:] = 0.0
+        U[done:] = [0.0] * (N + 1 - done)
 
     # delivery flags on the rows the loop reached
     reached = -1 if divergence is not None and divergence["phase"] == "pre-history" else step
@@ -397,7 +397,7 @@ def run(cfg: SimConfig) -> SimTrace:
     trace = SimTrace(
         times=times,
         x=X,
-        u=U,
+        u=np.array(U),
         p=P,
         e_norm=E,
         threshold=TH,
@@ -431,7 +431,7 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> N
     # nodes (all before t = 0) and row k at node k h
     k0, K = node_of(t0, h)[0], cfg.model.K
     w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
-    w_u = [grid.u_pre] * len(trace.pre_times) + grid.U[:k0].tolist()
+    w_u = [grid.u_pre] * len(trace.pre_times) + grid.U[:k0]
     w = [compute_w(u, p, K) for u, p in zip(w_u, np.concatenate([trace.pre_p, trace.p[:k0]]))]
     tail = [t0] if w_times[-1] < t0 else []  # pre_times holds phi(0) at least
     tail.append(float(trace.times[-1]) + 1.0)

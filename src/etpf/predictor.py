@@ -62,14 +62,15 @@ class NodeGrid:
 
     ``sig[k - lo]`` and ``sdot[k - lo]`` are sigma and its difference
     quotient at node k h for k > lo, and at phi(0) for k = lo (slot 0 of
-    ``tables``, the shared ``ActuationDelay.grid_tables``).  ``U[j]`` is the control, a float, in
-    force at node j h for j >= 0: the engine writes a row at an event and
-    otherwise copies the row before it when a step ends, so a read of the
-    next row before its event sees the held value.  ``u_pre`` is the
-    control before t = 0.  ``rows[k]`` is the row holding u(phi(k h)), -1
-    for ``u_pre``.  ``events`` is the run's list of event times, shared
-    with its ``EventLog``; with the rows it is the whole control history.
-    ``sigma`` and ``sigma_dot`` answer float queries, off the grid too.
+    ``tables``, the shared ``ActuationDelay.grid_tables``).  ``U`` is a list
+    of floats: ``U[j]`` is the control in force at node j h for j >= 0.  The
+    engine writes a row at an event and otherwise copies the row before it
+    when a step ends, so a read of the next row before its event sees the
+    held value.  ``u_pre`` is the control before t = 0.  ``rows[k]`` is the
+    row holding u(phi(k h)), -1 for ``u_pre``.  ``events`` is the run's list
+    of event times, shared with its ``EventLog``; with the rows it is the
+    whole control history.  ``sigma`` and ``sigma_dot`` answer float
+    queries, off the grid too.
     """
 
     h: float
@@ -78,7 +79,7 @@ class NodeGrid:
     sig: np.ndarray
     sdot: np.ndarray
     rows: tuple
-    U: np.ndarray
+    U: list
     u_pre: float
     sigma: Callable[[float], float]
     sigma_dot: Callable[[float], float]
@@ -113,7 +114,8 @@ class NodeGrid:
 
 
 class _Predictor:
-    """The state every predictor keeps: its inputs and the current ``p``."""
+    """The state every predictor keeps: its inputs and the current ``p``, which every
+    predictor rebinds and never writes into, so a caller may keep it without a copy."""
 
     def __init__(self, model, delay, grid: NodeGrid):
         self.model = model
@@ -148,18 +150,21 @@ class ClosedLoopPredictor(_Predictor):
         self._chain, self._c0 = [], 0
         self._f_k: Optional[np.ndarray] = None  # f(head, u(phi(k h))), if kept
         self._targets = grid.tables.targets  # per table slot: advance's target, its node_of
+        # the grid's reads, bound once; a vector h costs no scalar promotion, same bits
+        self._U, self._rows, self._u_pre, self._lo = grid.U, grid.rows, grid.u_pre, grid.lo
+        self._hv = np.full(model.state_dim, grid.h)
 
     def _extend(self, sig_target: float, kt: int, on: bool, final_rows: int) -> None:
         """Replay up to ``sig_target`` at node_of (kt, on); U rows below ``final_rows`` are final."""
-        h, f, chain = self.h, self.model.f, self._chain
-        U, rows, u_pre = self.grid.U, self.grid.rows, self.grid.u_pre
+        h, hv, f, chain = self.h, self._hv, self.model.f, self._chain
+        U, rows, u_pre = self._U, self._rows, self._u_pre
         k, xhat, f_k = self._c0 + len(chain) - 1, chain[-1], self._f_k
         # replay to the target's node, or to the node below it and a partial step
         while k < kt - (not on):
             if f_k is None:
                 j = rows[k]
                 f_k = f(xhat, U[j] if j >= 0 else u_pre)
-            xhat = xhat + h * f_k
+            xhat = xhat + hv * f_k
             f_k = None
             k += 1
             chain.append(xhat)
@@ -172,7 +177,7 @@ class ClosedLoopPredictor(_Predictor):
                 f_k = fx if j < final_rows else None
             self.p = xhat + (sig_target - k * h) * fx
         else:
-            self.p = xhat.copy()
+            self.p = xhat  # chain arrays are never written to
         self._f_k = f_k
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
@@ -205,7 +210,8 @@ class ClosedLoopPredictor(_Predictor):
     def advance(self, k: int) -> None:
         """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
         # rows below 0 hold u_pre, final throughout the pre-history
-        self._extend(*self._targets[k + 1 - self.grid.lo], max(k + 1, 0))
+        sig_target, kt, on = self._targets[k + 1 - self._lo]
+        self._extend(sig_target, kt, on, k + 1 if k >= 0 else 0)
 
 
 class OpenLoopPredictor(_Predictor):

@@ -39,7 +39,7 @@ __all__ = [
 def _ex1_f(x, u):
     # Python floats: the same IEEE operations as numpy scalars, without their overhead
     x0, x1 = x.tolist()
-    return np.array([x0 + x1, math.tanh(x0) + x1 + u])
+    return np.array((x0 + x1, math.tanh(x0) + x1 + u))  # a tuple builds faster than a list
 
 
 def _ex1_K(x):

@@ -99,7 +99,8 @@ class EventLog:
 def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
     """Trigger threshold as a function of the current prediction."""
     # sqrt(p . p): numpy's own norm body for a real vector, without its dispatch
-    p = np.asarray(p, dtype=float)
+    if type(p) is not np.ndarray:
+        p = np.asarray(p, dtype=float)
     p_norm = math.sqrt(p.dot(p))
     if cfg.mode != "nonlinear":
         return cfg.rho_bar * p_norm
@@ -119,7 +120,8 @@ def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
     """
     if p_at_last_event is None:
         return True, 0.0
-    e = np.subtract(p_at_last_event, p_now)  # an ndarray for lists too
+    nd = type(p_now) is np.ndarray  # the operator is cheaper; np.subtract takes lists too
+    e = p_at_last_event - p_now if nd else np.subtract(p_at_last_event, p_now)
     e_norm = math.sqrt(e.dot(e))
     return e_norm > 0.0 and e_norm >= thr, e_norm
 

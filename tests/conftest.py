@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from etpf import presets, run
-from etpf.engine import heatmap
+from etpf.engine import SensingConfig, heatmap
 
 
 def prediction_error(trace, delay):
@@ -36,6 +36,17 @@ def own_step(cfg):
     """``cfg`` with a controller delay equal to the plant's but not the same object: the
     plant then takes its own Euler steps instead of reading the closed-loop replay."""
     return dataclasses.replace(cfg, ctrl_delay=dataclasses.replace(cfg.delay))
+
+
+def offgrid_config():
+    """``example1`` at the first cell of sweep-ex1: ``heatmap-ex1``'s second ``delta_tau``
+    (9/7 up to an ulp) and second ``d_psi`` (4/7).  Only the transmissions at 0, 9 and 18
+    lie on the grid, so the plant alternates between its own Euler step (after an off-grid
+    anchor) and the closed-loop replay's rows (after an on-grid one)."""
+    spec = presets.heatmap_ex1()
+    sensing = SensingConfig(mode="periodic", delta_tau=float(spec.delta_tau_grid[1]),
+                            d_psi=float(spec.d_psi_grid[1]))
+    return dataclasses.replace(presets.example1(), sensing=sensing)
 
 
 TRACE_COLUMNS = ("x", "u", "p", "e_norm", "threshold", "event_flags", "delivery_flags")

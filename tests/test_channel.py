@@ -329,7 +329,7 @@ class TestRowTable:
         u_pre = 0.3
         hold = Hold()
         hold.append(phi0, u_pre)
-        U = np.zeros(N + 1)
+        U = [0.0] * (N + 1)  # the engine's rows
         event_times = []
         grid = _node_grid(d, h, m_lo, N, U, u_pre, event_times)
         if 0 in events:

@@ -1,11 +1,12 @@
 """Golden outputs: the C10 byte-identity promise checked across commits.
 
 The digests are the sha256 of ``trace.csv`` and ``events.csv`` of each
-simulation preset at its full horizon, of seven short variants that reach the
+simulation preset at its full horizon, of eight variants that reach the
 code paths the presets do not (the semi-closed-loop predictor on a nonlinear
 and on a linear plant, the open-loop predictor, perfect sensing with a
 nonzero pre-history control, a mismatched controller delay with out-of-order
-deliveries, and a time-varying delay under the linear predictor), and of the
+deliveries, a time-varying delay under the linear predictor, and a sensing
+period off the grid), and of the
 raw ``float64`` bytes of the ``heatmap-ex1`` matrix.  A change that moves any of these bytes must
 say which bytes changed and why, and re-record the digest here.
 """
@@ -19,6 +20,8 @@ import pytest
 from etpf import presets, run
 from etpf.channel import ActuationDelay
 from etpf.engine import SensingConfig
+
+from conftest import offgrid_config
 
 GOLDEN_CSV = {
     "example1": (
@@ -70,6 +73,10 @@ GOLDEN_VARIANT_CSV = {
         "9d106ed7f19869252e2cd5dab7b731327f367ffa8894d91a4e4450cf33f21cfc",
         "6c724e8ef469e26f73bda626ca5e7e86cc61dccaf06fab32cbd483da94f055e9",
     ),
+    "example1-offgrid": (
+        "182165377663467428481a207f68c98bc9c4fc22e6b496da406270f391e31424",
+        "2fcd33e37f430ba85548e47d900e150e178974a7ab1ccead4845b98107270925",
+    ),
 }
 GOLDEN_HEATMAP = "b01b4b88e31930da40762ae71c8ff5eb1450212b33189cbd0343be76b076b61a"
 
@@ -109,6 +116,8 @@ def variant_config(name):
     if name == "linear2d-semi-closed":
         # every delivery re-anchors over a 500-node window of the integrand history
         return dataclasses.replace(presets.linear2d(), T=2.0, predictor_method="semi-closed-loop")
+    if name == "example1-offgrid":
+        return offgrid_config()
     assert name == "linear2d-sinusoidal"
     return dataclasses.replace(presets.linear2d(), T=2.0,
                                delay=ActuationDelay.sinusoidal(0.5, 0.2))

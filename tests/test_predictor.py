@@ -55,7 +55,7 @@ def control_grid(delay, u0, h=1e-2, N=400, events=()):
     U = np.full(N + 1, float(u0))
     for k, value in events:
         U[k:] = value
-    return _node_grid(delay, h, m_lo, N, U, float(u0), [k * h for k, _ in events])
+    return _node_grid(delay, h, m_lo, N, U.tolist(), float(u0), [k * h for k, _ in events])
 
 
 def closed_loop(model, grid, delay, anchor_time, anchor_state, t):

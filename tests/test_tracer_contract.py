@@ -13,6 +13,8 @@ from pathlib import Path
 from etpf import presets
 from etpf.channel import node_of
 
+from conftest import offgrid_config
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LAYERS = ("config", "channel", "predictor", "model", "trigger", "signals", "monitor", "engine")
 
@@ -84,3 +86,22 @@ def test_lazy_expm_is_traced():
     pre = -node_of(cfg.delay.phi(0.0), cfg.h)[0]
     assert steps == 500 and pre == 500
     assert tracer.calls("predictor.advance") - pre < steps / 10
+
+
+def test_offgrid_sweep_cell_calls():
+    # sweep-ex1's first cell (tests/test_golden.py, example1-offgrid): the plant takes its
+    # own Euler step after each off-grid anchor and reads the replay after an on-grid one.
+    # The f and K counts are those the per-step loop made before it kept U as floats and h
+    # as a vector; each event records once and calls K twice (its control and the w check)
+    tracing = load_tracer()
+    mods = {name: importlib.import_module(f"etpf.{name}") for name in LAYERS}
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer, mods)
+    try:  # the model is built while tracing, so that its f and K are wrapped
+        tr = mods["engine"].run(dataclasses.replace(offgrid_config(), monitor=None))
+    finally:
+        patches.remove()
+    assert tr.events.count == 1199 and not tr.diverged
+    assert tracer.calls("trigger.record") == tr.events.count
+    assert tracer.calls("model.f") == 6796
+    assert tracer.calls("model.K") == 2398
