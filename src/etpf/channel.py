@@ -44,7 +44,6 @@ class ActuationDelay:
     M0: float
     M1: float
     m2: float
-    name: str = "custom"
 
     def __post_init__(self):
         if self.M0 <= 0 or self.M1 <= 0 or self.m2 <= 0:
@@ -62,22 +61,20 @@ class ActuationDelay:
     def constant(D: float) -> "ActuationDelay":
         if D <= 0:
             raise ConfigurationError("constant delay must be positive")
-        return ActuationDelay(phi=_ConstantPhi(D), M0=D, M1=1.0, m2=1.0, name="constant")
+        return ActuationDelay(phi=_ConstantPhi(D), M0=D, M1=1.0, m2=1.0)
 
     @staticmethod
     def example1() -> "ActuationDelay":
         """Bump-shaped delay peaking at t = 5: delay = ((t-5)^2+2)/(2(t-5)^2+2)."""
         wig = 3.0 * math.sqrt(3.0) / 16.0
-        return ActuationDelay(phi=_example1_phi, M0=1.0, M1=1.0 + wig, m2=1.0 - wig,
-                              name="example1")
+        return ActuationDelay(phi=_example1_phi, M0=1.0, M1=1.0 + wig, m2=1.0 - wig)
 
     @staticmethod
     def sinusoidal(D: float, a: float) -> "ActuationDelay":
         """Delay D + a*sin(t); requires a < min(D, 1)."""
         if not 0 <= a < min(D, 1.0):
             raise ConfigurationError("need 0 <= a < min(D, 1) for a valid channel")
-        return ActuationDelay(phi=_SinusoidalPhi(D, a), M0=D + a, M1=1.0 + a, m2=1.0 - a,
-                              name="sinusoidal")
+        return ActuationDelay(phi=_SinusoidalPhi(D, a), M0=D + a, M1=1.0 + a, m2=1.0 - a)
 
     @staticmethod
     def from_table(times: Sequence[float], delays: Sequence[float]) -> "ActuationDelay":
@@ -96,7 +93,7 @@ class ActuationDelay:
         if m2 <= 0:
             raise ConfigurationError("delay table implies non-increasing phi")
         return ActuationDelay(phi=_TablePhi(tuple(t.tolist()), tuple(d.tolist())),
-                              M0=float(d.max()), M1=M1, m2=m2, name="custom-table")
+                              M0=float(d.max()), M1=M1, m2=m2)
 
     # -- inverse map ------------------------------------------------------
 
@@ -341,15 +338,15 @@ class DelayBoundsReport:
         )
 
 
-def verify_delay_bounds(delay: ActuationDelay, grid, rtol: float = 1e-6) -> DelayBoundsReport:
-    """Finite-difference check of the declared (M0, M1, m2) on a time grid."""
+def verify_delay_bounds(delay: ActuationDelay, grid) -> DelayBoundsReport:
+    """Finite-difference check, to 1e-6 relative, of the declared (M0, M1, m2) on a time grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigurationError("grid must be increasing with at least 2 points")
     phi_vals = delay.phi(grid)
     delays = grid - phi_vals
     phidot = np.gradient(phi_vals, grid)
-    tol = rtol * (1.0 + delay.M0 + delay.M1)
+    tol = 1e-6 * (1.0 + delay.M0 + delay.M1)
     worst_delay = float(np.max(delays - delay.M0))
     worst_low = float(np.max(delay.m2 - phidot))
     worst_high = float(np.max(phidot - delay.M1))
@@ -415,6 +412,4 @@ class SensingSchedule:
             dly = np.maximum(rng.normal(mu_psi, sigma_psi, size=n), 0.0)
         else:
             raise ConfigurationError("either d_psi or (mu_psi, sigma_psi) required")
-        if np.any(dly < 0):
-            raise ConfigurationError("negative sensing delay")
-        return SensingSchedule(tx, tx + dly)
+        return SensingSchedule(tx, tx + dly)  # whose checks reject a negative delay

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 import pickle
 from bisect import bisect_left, bisect_right
@@ -31,7 +32,8 @@ __all__ = ["SensingConfig", "SimConfig", "SimTrace", "run", "heatmap"]
 
 @dataclass(frozen=True)
 class SensingConfig:
-    """Sensing channel: periodic transmissions or idealized continuous feedback."""
+    """Sensing channel: periodic transmissions or idealized continuous feedback.  Its
+    ``__post_init__`` is the one check of the sensing parameters; NaN fails it."""
 
     mode: str = "periodic"  # "periodic" | "perfect"
     delta_tau: float = 1.0
@@ -43,13 +45,20 @@ class SensingConfig:
     def __post_init__(self):
         if self.mode not in ("periodic", "perfect"):
             raise ConfigurationError(f"unknown sensing mode {self.mode!r}")
-        if self.mode == "periodic":
-            if self.delta_tau <= 0:
-                raise ConfigurationError("delta_tau must be positive")
-            if self.d_psi is None and (self.mu_psi is None or self.sigma_psi is None):
-                raise ConfigurationError(
-                    "periodic sensing needs d_psi or (mu_psi, sigma_psi)"
-                )
+        if self.mode == "perfect":
+            return
+        if not 0 < self.delta_tau < math.inf:
+            raise ConfigurationError(f"delta_tau must be positive and finite, got {self.delta_tau}")
+        if self.d_psi is not None:
+            if not 0 <= self.d_psi < math.inf:
+                raise ConfigurationError(f"sensing delay d_psi must be nonnegative and finite, "
+                                         f"got {self.d_psi}")
+        elif self.mu_psi is None or self.sigma_psi is None:
+            raise ConfigurationError("periodic sensing needs d_psi or (mu_psi, sigma_psi)")
+        elif not (abs(self.mu_psi) < math.inf and 0 <= self.sigma_psi < math.inf):
+            raise ConfigurationError("mu_psi must be finite, sigma_psi nonnegative and finite")
+        if not (self.seed is None or isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def schedule(self, horizon: float) -> Optional[SensingSchedule]:
         if self.mode == "perfect":
@@ -80,16 +89,22 @@ class SimConfig:
     u_prehistory: float = 0.0  # constant control on [phi(0), 0]
     monitor: Optional[MonitorConfig] = None
     divergence_threshold: float = 1e9
-    label: str = ""
 
     def __post_init__(self):
-        if self.h <= 0 or self.T <= self.h:
-            raise ConfigurationError("need 0 < h < T")
+        # comparisons that NaN fails
+        if not 0 < self.h < self.T < math.inf:
+            raise ConfigurationError(f"need 0 < h < T < inf, got h = {self.h}, T = {self.T}")
+        if not 0 < self.divergence_threshold < math.inf:
+            raise ConfigurationError("divergence_threshold must be positive and finite")
+        if not abs(self.u_prehistory) < math.inf:
+            raise ConfigurationError("u_prehistory must be finite")
         object.__setattr__(
             self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)).copy()
         )
         if self.x0.shape != (self.model.state_dim,):
             raise ConfigurationError("x0 dimension does not match the model")
+        if not np.isfinite(self.x0).all():
+            raise ConfigurationError("x0 must be finite")
 
     @property
     def controller_delay(self) -> ActuationDelay:
@@ -276,11 +291,11 @@ def run(cfg: SimConfig) -> SimTrace:
     p_last_event: Optional[np.ndarray] = None
     divergence = None
 
-    # the closed-loop replay from a row of X, under the plant's own delay object (`is`, not
-    # ==, on purpose), holds the plant's next rows (README, "One Euler chain"); the
-    # pre-history anchors at X[0]
-    own = shared = cfg.predictor_method == "closed-loop" and true_delay is ctrl_delay
-    replayed = predictor.replayed if shared else None
+    # a replay from a row of X, under the plant's own delay object (`is`, not ==, on
+    # purpose), holds the plant's next rows (README, "One Euler chain"); the pre-history
+    # anchors at X[0]
+    replayed = predictor.replayed if true_delay is ctrl_delay else None
+    own = replayed is not None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     x, f, K, advance, record = X[0], model.f, model.K, predictor.advance, log.record
@@ -289,11 +304,10 @@ def run(cfg: SimConfig) -> SimTrace:
     # hypot of the floats is a fraction of the cost of a numpy dot for short vectors
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
 
-    # a linear plant, the closed-form predictor and the threshold rho_bar |p|: once
-    # events have started, the steps between breakpoints run as blocks
+    # a predictor with blocks, the plant its linear system built and the threshold
+    # rho_bar |p|: once events have started, the steps between breakpoints run as blocks
     lifted = blk = None
-    if (cfg.predictor_method == "linear-closed-form" and model._linear is cfg.linear
-            and cfg.trigger.mode != "nonlinear"):
+    if predictor.block is not None and model._linear is cfg.linear and trig.mode != "nonlinear":
         dv_steps, hb = dv_nodes + [N], h * cfg.linear.B[:, 0]
         Gx = lift(np.eye(n) + h * cfg.linear.A, LIFT)  # x_i = M^i x + S_i h B u
 
@@ -342,7 +356,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     k, on = node_of(tau, h)  # snapped: a 1-ulp overshoot reads no unwritten row
                     lam = (tau - (k - 1) * h) / h
                     predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], t)
-                    own = shared and on
+                    own = on and replayed is not None
                     if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
                         raise _Diverged("prediction", "re-anchor")
 
@@ -462,8 +476,9 @@ def heatmap(
     The same initial-condition draws are reused in every cell for paired
     comparison.  Diverged runs contribute the saturation value, the config's
     ``divergence_threshold``, which also caps |x(T)|; every other error, such
-    as an unknown predictor method, propagates.  A negative ``d_psi`` raises
-    ``ConfigurationError`` before any cell runs, as ``SensingSchedule`` would.
+    as an unknown predictor method, propagates.  Every cell's ``SensingConfig``
+    is built before any cell runs, so a negative ``d_psi`` or a ``delta_tau``
+    that is not positive raises ``ConfigurationError`` first.
 
     With ``workers > 1`` the cells run in a process pool, which needs what is
     sent to the workers to pickle: ``config_factory`` when one is given, else
@@ -474,10 +489,8 @@ def heatmap(
     """
     if n_ic < 1:
         raise ConfigurationError("n_ic must be at least 1")
-    delta_tau_grid = [float(v) for v in delta_tau_grid]
-    d_psi_grid = [float(v) for v in d_psi_grid]
-    if not all(v >= 0 for v in d_psi_grid):  # NaN too
-        raise ConfigurationError(f"sensing delays d_psi must be nonnegative: {d_psi_grid}")
+    cells = [(i, j, SensingConfig(delta_tau=float(dt), d_psi=float(dp)))
+             for i, dt in enumerate(delta_tau_grid) for j, dp in enumerate(d_psi_grid)]
     rng = np.random.default_rng(seed)
     ics = rng.standard_normal((n_ic, base_cfg.model.state_dim))
 
@@ -487,8 +500,6 @@ def heatmap(
             raise ConfigurationError(f"ETPF_THREADS must be a nonnegative integer, not {raw!r}")
         workers = int(raw) or os.cpu_count() or 1
 
-    cells = [(i, j, dt, dp) for i, dt in enumerate(delta_tau_grid)
-             for j, dp in enumerate(d_psi_grid)]
     result = np.empty((len(delta_tau_grid), len(d_psi_grid)))
 
     cell_cfg = base_cfg if config_factory is None else None
@@ -502,15 +513,15 @@ def heatmap(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = {
-                pool.submit(_heatmap_cell, cell_cfg, config_factory, dt, dp, ics): (i, j)
-                for i, j, dt, dp in cells
+                pool.submit(_heatmap_cell, cell_cfg, config_factory, sensing, ics): (i, j)
+                for i, j, sensing in cells
             }
             for fut, (i, j) in futs.items():
                 result[i, j] = fut.result()
         return result
 
-    for i, j, dt, dp in cells:
-        result[i, j] = _heatmap_cell(cell_cfg, config_factory, dt, dp, ics)
+    for i, j, sensing in cells:
+        result[i, j] = _heatmap_cell(cell_cfg, config_factory, sensing, ics)
     return result
 
 
@@ -526,13 +537,9 @@ def _unpicklable(name: str, obj) -> Optional[str]:
     return None
 
 
-def _heatmap_cell(base_cfg, config_factory, delta_tau, d_psi, ics) -> float:
+def _heatmap_cell(base_cfg, config_factory, sensing, ics) -> float:
     if base_cfg is None:
         base_cfg = config_factory()
-    sensing = dataclasses.replace(
-        base_cfg.sensing, mode="periodic", delta_tau=delta_tau,
-        d_psi=d_psi if d_psi > 0 else 0.0, mu_psi=None, sigma_psi=None,  # -0.0 -> 0.0
-    )
     total = 0.0
     for x0 in ics:
         cfg = dataclasses.replace(base_cfg, sensing=sensing, x0=x0, monitor=None)

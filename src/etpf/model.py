@@ -275,14 +275,13 @@ def verify_certificate(
     cert: ISSCertificate,
     sample_states,
     sample_disturbances,
-    tol: float = 1e-9,
 ) -> CertificateReport:
     """Sampled check of the certificate inequalities.
 
     Verifies ``alpha1(|x|) <= S(x) <= alpha2(|x|)`` and
     ``grad_S(x) . f(x, K(x)+w) <= -gamma(|x|) + rho(|w|)`` on the given
-    samples, whose disturbances ``w`` are floats.  Report-only: never
-    raises on violations.
+    samples, whose disturbances ``w`` are floats, to an absolute tolerance of
+    1e-9.  Report-only: never raises on violations.
     """
     states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_states]
     dists = [float(w) for w in sample_disturbances]
@@ -302,5 +301,5 @@ def verify_certificate(
             lie = float(np.asarray(cert.grad_S(x)) @ g)
             max_decay = max(max_decay, lie + cert.gamma(r) - cert.rho(abs(w)))
             count += 1
-    passed = max(max_bound, max_decay) <= tol
+    passed = max(max_bound, max_decay) <= 1e-9
     return CertificateReport(passed, max_bound, max_decay, count, warnings)

@@ -115,7 +115,10 @@ class NodeGrid:
 
 class _Predictor:
     """The state every predictor keeps: its inputs and the current ``p``, which every
-    predictor rebinds and never writes into, so a caller may keep it without a copy."""
+    predictor rebinds and never writes into, so a caller may keep it without a copy.
+    ``replayed`` and ``block`` are the engine's fast paths, None where a predictor has none."""
+
+    replayed = block = None
 
     def __init__(self, model, delay, grid: NodeGrid):
         self.model = model

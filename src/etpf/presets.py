@@ -9,8 +9,8 @@ picklable for parallel sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -79,7 +79,6 @@ def example1() -> SimConfig:
         predictor_method="closed-loop",
         cert=linear_certificate(_ex1_linearization()),
         monitor=MonitorConfig(b=10.0, form="sup", stride=10),
-        label="example1",
     )
 
 
@@ -120,7 +119,6 @@ def _example2_base(D: float, a: float) -> SimConfig:
         # the controller assumes the nominal constant delay D
         ctrl_delay=ActuationDelay.constant(D),
         monitor=MonitorConfig(b=10.0, form="sup", stride=10),
-        label="example2",
     )
 
 
@@ -129,7 +127,7 @@ def example2() -> SimConfig:
 
 
 def example2_body() -> SimConfig:
-    return replace(_example2_base(D=0.5, a=0.05), label="example2-body")
+    return _example2_base(D=0.5, a=0.05)
 
 
 # -- Linear double integrator ------------------------------------------------
@@ -158,7 +156,6 @@ def linear2d() -> SimConfig:
         cert=linear_certificate(sys),
         linear=sys,
         monitor=MonitorConfig(b=10.0, form="integral", stride=10),
-        label="linear2d",
     )
 
 
@@ -172,7 +169,6 @@ class HeatmapSpec:
     d_psi_grid: tuple
     n_ic: int
     seed: int
-    label: str = ""
 
 
 def heatmap_ex1() -> HeatmapSpec:
@@ -182,7 +178,6 @@ def heatmap_ex1() -> HeatmapSpec:
         d_psi_grid=tuple(np.linspace(0.0, 4.0, 8)),
         n_ic=10,
         seed=42,
-        label="heatmap-ex1",
     )
 
 
@@ -192,7 +187,6 @@ class TradeoffSpec:
     M2: float
     nu_grid: tuple
     lambda_grid: tuple
-    label: str = ""
 
     def constants(self) -> TradeoffConstants:
         return TradeoffConstants.from_linear_system(self.system_factory(), M2=self.M2)
@@ -205,7 +199,6 @@ def tradeoff() -> TradeoffSpec:
         M2=1.0,
         nu_grid=tuple(np.linspace(0.01, nu_max - 0.01, 100)),
         lambda_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.05), 10)),
-        label="tradeoff",
     )
 
 

@@ -51,10 +51,12 @@ class TriggerConfig:
             raise ConfigurationError(f"unknown trigger mode {self.mode!r}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigurationError("theta must lie in (0, 1)")
-        if self.mode != "nonlinear" and (self.rho_bar is None or self.rho_bar <= 0):
-            raise ConfigurationError(f"{self.mode} mode needs rho_bar > 0")
-        if self.mode == "nonlinear" and (self.L_K is None or self.L_K <= 0):
-            raise ConfigurationError("nonlinear mode needs L_K > 0")
+        # comparisons that NaN fails
+        if self.mode == "nonlinear":
+            if not (self.L_K is not None and 0 < self.L_K < math.inf):
+                raise ConfigurationError("nonlinear mode needs a finite L_K > 0")
+        elif not (self.rho_bar is not None and 0 < self.rho_bar < math.inf):
+            raise ConfigurationError(f"{self.mode} mode needs a finite rho_bar > 0")
 
     @staticmethod
     def nonlinear(theta: float, L_K: float) -> "TriggerConfig":
@@ -154,7 +156,7 @@ def min_dwell(a: float, c: float, R: float) -> float:
     return math.log((c + R * a) / (c + R * c)) / (a - c)
 
 
-def min_dwell_numeric(a: float, c: float, R: float, rtol: float = 1e-10) -> float:
+def min_dwell_numeric(a: float, c: float, R: float) -> float:
     """Integrate ``rdot = (1 + r)(c + a r)`` from 0 until r = R."""
     _check_dwell_args(a, c, R)
     t_cap = 10.0 * min_dwell(a, c, R) + 1.0
@@ -169,7 +171,7 @@ def min_dwell_numeric(a: float, c: float, R: float, rtol: float = 1e-10) -> floa
     reached.direction = 1.0
     from scipy.integrate import solve_ivp
     sol = solve_ivp(rdot, (0.0, t_cap), [0.0], events=reached,
-                    rtol=rtol, atol=1e-14, dense_output=False)
+                    rtol=1e-10, atol=1e-14, dense_output=False)
     if not sol.t_events[0].size:
         raise DomainError("threshold ratio R not reached; inconsistent constants")
     return float(sol.t_events[0][0])

@@ -229,7 +229,7 @@ class TestTableCache:
         m_lo = node_of(a.phi(0.0), h)[0]
         assert a.grid_tables(h, m_lo, N) is b.grid_tables(h, m_lo, N)
         # M0 fixes the brackets of the solve, so it is part of the key
-        wide = ActuationDelay(a.phi, 1.0, a.M1, a.m2, a.name)
+        wide = ActuationDelay(a.phi, 1.0, a.M1, a.m2)
         assert wide.grid_tables(h, m_lo, N) is not a.grid_tables(h, m_lo, N)
 
     def test_tables_are_read_only(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from etpf import presets, run
+from etpf.channel import ActuationDelay
 from etpf.config import apply_overrides, build_sim_config, load_config
 from etpf.engine import SimConfig
 from etpf.exceptions import ConfigurationError
@@ -58,7 +59,7 @@ class TestBuildSimConfig:
             {"preset": "example1", "trigger": {"mode": "fixed-ratio", "rho_bar": 0.5}}
         )
         assert cfg.trigger.rho_bar == 0.5
-        assert cfg.label == "example1"
+        assert cfg.delay == ActuationDelay.example1()
 
     def test_sim_section(self):
         cfg = build_sim_config(
@@ -104,7 +105,7 @@ class TestBuildSimConfig:
                           "nominal_D": 0.2},
             }
         )
-        assert cfg.delay.name == "sinusoidal"
+        assert cfg.delay == ActuationDelay.sinusoidal(0.2, 0.005)
         assert cfg.controller_delay.M0 == pytest.approx(0.2)
 
     def test_unknown_section_rejected(self):

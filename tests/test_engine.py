@@ -11,6 +11,7 @@ from etpf.channel import ActuationDelay, SensingSchedule, node_of
 from etpf.config import build_sim_config, load_config
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
+from etpf.monitor import MonitorConfig
 from etpf.trigger import TriggerConfig
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
@@ -169,6 +170,27 @@ class TestRunBasics:
             SensingConfig(mode="telepathic")
         with pytest.raises(ConfigurationError):
             SensingConfig(mode="periodic", delta_tau=1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SensingConfig(mu_psi=0.1, sigma_psi=-0.02),
+        lambda: SensingConfig(delta_tau=np.nan, d_psi=1.0),
+        lambda: dataclasses.replace(presets.example1(), h=np.nan),
+        lambda: dataclasses.replace(presets.example1(), T=np.nan),
+        lambda: dataclasses.replace(presets.example1(), T=np.inf),
+        lambda: MonitorConfig(stride=2.5),
+        lambda: TriggerConfig.nonlinear(0.5, L_K=np.nan),
+        lambda: TriggerConfig.fixed_ratio(np.nan),
+        lambda: MonitorConfig(b=np.nan),
+        lambda: dataclasses.replace(presets.example1(), divergence_threshold=np.nan),
+        lambda: dataclasses.replace(presets.example1(), divergence_threshold=-1.0),
+        lambda: dataclasses.replace(presets.example1(), u_prehistory=np.nan),
+    ], ids=["sigma_psi<0", "delta_tau=nan", "h=nan", "T=nan", "T=inf", "stride=2.5",
+            "L_K=nan", "rho_bar=nan", "b=nan", "divergence_threshold=nan",
+            "divergence_threshold=-1", "u_prehistory=nan"])
+    def test_invalid_config_raises_at_construction(self, build):
+        # each once escaped run as a numpy or Python error, or ran wrong without one
+        with pytest.raises(ConfigurationError):
+            build()
 
     def test_determinism_bitwise(self):
         cfg = dataclasses.replace(presets.example2(), T=3.0)

@@ -5,8 +5,9 @@ simulation preset at its full horizon, of eight variants that reach the
 code paths the presets do not (the semi-closed-loop predictor on a nonlinear
 and on a linear plant, the open-loop predictor, perfect sensing with a
 nonzero pre-history control, a mismatched controller delay with out-of-order
-deliveries, a time-varying delay under the linear predictor, and a sensing
-period off the grid), and of the
+deliveries, a time-varying delay under the linear predictor, a sensing
+period off the grid, and the nonlinear trigger on a nonlinear and on a
+linear plant), and of the
 raw ``float64`` bytes of the ``heatmap-ex1`` matrix.  A change that moves any of these bytes must
 say which bytes changed and why, and re-record the digest here.
 """
@@ -20,6 +21,7 @@ import pytest
 from etpf import presets, run
 from etpf.channel import ActuationDelay
 from etpf.engine import SensingConfig
+from etpf.trigger import TriggerConfig
 
 from conftest import offgrid_config
 
@@ -77,6 +79,16 @@ GOLDEN_VARIANT_CSV = {
         "182165377663467428481a207f68c98bc9c4fc22e6b496da406270f391e31424",
         "2fcd33e37f430ba85548e47d900e150e178974a7ab1ccead4845b98107270925",
     ),
+    # the threshold of the nonlinear trigger is no ratio of |p|: the closed-loop replay
+    # still serves the plant, while the linear run stays on the per-step path
+    "example1-nonlinear-trigger": (
+        "d2331647ab8b19fcdfa5703c0a02d4ed21831cc85e284cf0a90a7052620457c9",
+        "d7effab6ce8db13983ce216389e242be18495b0a7f59b734baad981aefbbf7a3",
+    ),
+    "linear2d-nonlinear-trigger": (
+        "79ee696b7f940b6f085e3c2006cd36fcbb37ed8481129c633d997739a7ea734b",
+        "aad7d936259fd4a101206d5af89a2205e646883b84a4d41c4172f61c796c7652",
+    ),
 }
 GOLDEN_HEATMAP = "b01b4b88e31930da40762ae71c8ff5eb1450212b33189cbd0343be76b076b61a"
 
@@ -118,6 +130,11 @@ def variant_config(name):
         return dataclasses.replace(presets.linear2d(), T=2.0, predictor_method="semi-closed-loop")
     if name == "example1-offgrid":
         return offgrid_config()
+    if name == "example1-nonlinear-trigger":
+        return dataclasses.replace(ex1, T=5.0, trigger=TriggerConfig.nonlinear(0.5, ex1.model.L_K))
+    if name == "linear2d-nonlinear-trigger":
+        lin = presets.linear2d()
+        return dataclasses.replace(lin, T=2.0, trigger=TriggerConfig.nonlinear(0.5, lin.model.L_K))
     assert name == "linear2d-sinusoidal"
     return dataclasses.replace(presets.linear2d(), T=2.0,
                                delay=ActuationDelay.sinusoidal(0.5, 0.2))

@@ -22,6 +22,10 @@ checked bit for bit against the lazily filled cache of ``ReferenceLinear``.
 
 The engine's adoption table, built before the step loop, is checked against
 the per-step adoption loop it replaced, kept here as ``adoptions_per_step``.
+
+Configs whose scalar fields are drawn from valid values and from NaN, +-inf,
+0 and negatives either run or raise an ``ETPFError``: no other exception
+leaves building or running one.
 """
 
 import dataclasses
@@ -35,8 +39,10 @@ from hypothesis import strategies as st
 from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
-from etpf.exceptions import ConfigurationError
-from etpf.engine import SensingConfig, _adoptions
+from etpf.exceptions import ConfigurationError, ETPFError
+from etpf.engine import SensingConfig, SimConfig, SimTrace, _adoptions
+from etpf.monitor import MonitorConfig
+from etpf.trigger import TriggerConfig
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
 from reference_predictors import ReferenceLinear, ReferenceSemiClosed
@@ -243,3 +249,40 @@ def test_adoption_table_equals_the_per_step_loop(sensing, T):
     assert deliveries == oracle[0]
     assert nodes == oracle[1]
     assert adopt == oracle[2]
+
+
+# valid values of each scalar config field: h >= 5e-3 and T <= 2 keep a run at 400 steps
+VALID = {
+    "h": [1e-2, 5e-3], "T": [1.0, 2.0], "u_prehistory": [0.0, 0.3],
+    "divergence_threshold": [1e9, 2.0], "delta_tau": [0.5, 0.77], "d_psi": [0.0, 0.4],
+    "mu_psi": [0.3], "sigma_psi": [0.0, 0.2], "seed": [0, 7], "theta": [0.5, 0.9],
+    "rho_bar": [0.015, 0.5], "L_K": [1.0, 10.0], "b": [10.0, 1.0], "stride": [1, 10],
+}
+INVALID = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), base=st.sampled_from([presets.example1, presets.linear2d]),
+       bad=st.sets(st.sampled_from(sorted(VALID)), max_size=2),
+       nonlinear=st.booleans(), gaussian=st.booleans())
+def test_only_documented_exceptions(data, base, bad, nonlinear, gaussian):
+    v = {name: data.draw(st.sampled_from(INVALID + [2.5] * (name == "stride") if name in bad
+                                         else VALID[name]), label=name) for name in VALID}
+    try:
+        sensing = (SensingConfig(delta_tau=v["delta_tau"], mu_psi=v["mu_psi"],
+                                 sigma_psi=v["sigma_psi"], seed=v["seed"]) if gaussian
+                   else SensingConfig(delta_tau=v["delta_tau"], d_psi=v["d_psi"]))
+        trigger = TriggerConfig("nonlinear" if nonlinear else "fixed-ratio", v["theta"],
+                                rho_bar=v["rho_bar"], L_K=v["L_K"])
+        monitor = MonitorConfig(b=v["b"], form=base().monitor.form, stride=v["stride"])
+        cfg = dataclasses.replace(base(), sensing=sensing, trigger=trigger, monitor=monitor,
+                                  **{k: v[k] for k in ("h", "T", "u_prehistory",
+                                                       "divergence_threshold")})
+        assert isinstance(cfg, SimConfig)
+        tr = run(cfg)
+    except ETPFError as exc:
+        event(type(exc).__name__)
+        assert bad, f"valid config raised {exc!r}"
+        return
+    event("ran")
+    assert isinstance(tr, SimTrace)
