@@ -46,8 +46,8 @@ class ActuationDelay:
     m2: float
 
     def __post_init__(self):
-        if self.M0 <= 0 or self.M1 <= 0 or self.m2 <= 0:
-            raise ConfigurationError("delay bounds must be positive")
+        if not (0 < self.M0 < math.inf and 0 < self.M1 < math.inf and self.m2 > 0):  # NaN too
+            raise ConfigurationError("delay bounds must be positive and finite")
         if self.m2 > self.M1:
             raise ConfigurationError("m2 must not exceed M1")
 

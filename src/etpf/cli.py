@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import presets as presets_mod
-from .config import apply_overrides, build_sim_config, load_config
+from .config import apply_overrides, build_sim_config, load_config, read_section
 from .csvout import render, write_csv
 from .engine import SimConfig, heatmap, run
 from .exceptions import ConfigurationError, ETPFError
@@ -73,15 +73,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_sim_config(args) -> SimConfig:
-    data = {}
-    if args.config:
-        data = load_config(args.config)
+    data = load_config(args.config) if args.config else {}
     if args.preset:
         data = {"preset": args.preset, **data}
     if not data:
         raise ConfigurationError("pass --preset and/or --config")
-    data = apply_overrides(data, args.override)
-    return build_sim_config(data)
+    return build_sim_config(apply_overrides(data, args.override))
 
 
 def _cmd_simulate(args) -> int:
@@ -104,32 +101,29 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    hm = {}
+    if args.config and args.preset or args.override and not args.config:
+        raise ConfigurationError("heatmap takes --preset, or --config with any --override")
     if args.config:
         data = apply_overrides(load_config(args.config), args.override)
-        hm = data.pop("heatmap", {}) or {}
+        # heatmap-ex1's cells, unless the config's heatmap section replaces them
+        spec = dataclasses.replace(presets_mod.heatmap_ex1(),
+                                   **read_section("heatmap", data.pop("heatmap", None)))
         base = build_sim_config(data)
-        spec = presets_mod.heatmap_ex1()  # the cells of a config without a heatmap section
     else:
         spec = presets_mod.get_preset(args.preset or "heatmap-ex1")
         if not isinstance(spec, presets_mod.HeatmapSpec):
             raise ConfigurationError(f"{args.preset!r} is not a heatmap preset")
         base = spec.base_factory()
-    dt_grid = hm.get("delta_tau_grid") or list(spec.delta_tau_grid)
-    dp_grid = hm.get("d_psi_grid") or list(spec.d_psi_grid)
-    n_ic = int(hm.get("n_ic", spec.n_ic))
-    seed = int(hm.get("seed", spec.seed))
-    if args.n_ic is not None:
-        n_ic = args.n_ic
-    if args.seed is not None:
-        seed = args.seed
+    n_ic = spec.n_ic if args.n_ic is None else args.n_ic
+    seed = spec.seed if args.seed is None else args.seed
 
     os.makedirs(args.out, exist_ok=True)
-    mat = heatmap(base, dt_grid, dp_grid, n_ic, seed)
-    cells = [(dt, dp, mat[i, j]) for i, dt in enumerate(dt_grid) for j, dp in enumerate(dp_grid)]
+    mat = heatmap(base, spec.delta_tau_grid, spec.d_psi_grid, n_ic, seed)
+    cells = [(dt, dp, mat[i, j]) for i, dt in enumerate(spec.delta_tau_grid)
+             for j, dp in enumerate(spec.d_psi_grid)]
     write_csv(os.path.join(args.out, "heatmap.csv"), ["delta_tau", "d_psi", "avg_xT"], cells)
     _write(os.path.join(args.out, "plot.gp"), _HEATMAP_GP)
-    print(f"wrote {len(dt_grid) * len(dp_grid)} cells to {args.out}/heatmap.csv")
+    print(f"wrote {len(cells)} cells to {args.out}/heatmap.csv")
     return 0
 
 

@@ -1,29 +1,98 @@
 """YAML configuration loading, override application, and SimConfig assembly.
 
-A config file either names a ``preset`` to start from or describes the system
-from scratch (``system.kind`` in {example1, example2, linear}).  Any field can
-then be overridden section by section, including from the command line via
-``--override section.key=value``.
+A config names a ``preset`` or describes the system from scratch (``system.kind``);
+its sections, and ``--override section.key=value`` on the command line, refine it.
+``SCHEMA`` declares every section's keys and types; a key that the section's
+``kind`` or ``mode`` does not read is an error.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import numbers
 
 import numpy as np
 
+from . import presets
 from .channel import ActuationDelay
-from .engine import SensingConfig, SimConfig
+from .engine import SimConfig
 from .exceptions import ConfigurationError
 from .model import LinearSystem, linear_certificate
 from .monitor import MonitorConfig
 from .predictor import PREDICTOR_METHODS
 from .trigger import TriggerConfig
 
-__all__ = ["load_config", "apply_overrides", "build_sim_config"]
+__all__ = ["SCHEMA", "load_config", "apply_overrides", "read_section", "build_sim_config"]
 
-_SECTIONS = ("system", "delay", "sensing", "trigger", "predictor", "monitor", "sim")
+SCHEMA = {
+    "system": {"kind": "str", "A": "matrix", "B": "matrix", "K": "matrix", "Q": "matrix"},
+    "delay": {"kind": "str", "D": "float", "a": "float", "nominal_D": "float"},
+    "sensing": {"mode": "str", "delta_tau": "float", "d_psi": "float", "mu_psi": "float",
+                "sigma_psi": "float", "seed": "int"},
+    "trigger": {"mode": "str", "theta": "float", "rho_bar": "float", "L_K": "float"},
+    "predictor": {"method": "str"},
+    "monitor": {"enabled": "bool", "b": "float", "form": "str", "stride": "int"},
+    "sim": {"x0": "matrix", "h": "float", "T": "float", "u_prehistory": "float",
+            "divergence_threshold": "float"},
+    # read by `etpf heatmap` only
+    "heatmap": {"delta_tau_grid": "matrix", "d_psi_grid": "matrix", "n_ic": "int", "seed": "int"},
+}
+
+
+def _float(v) -> float:
+    if isinstance(v, bool):
+        raise TypeError(v)
+    return float(v)  # a numeric string too: PyYAML reads 1e-3 as one
+
+
+def _int(v) -> int:
+    x = _float(v) if isinstance(v, bool) or not isinstance(v, numbers.Integral) else v
+    if x != int(x):  # 2.5; int() raises on NaN and inf
+        raise ValueError(v)
+    return int(x)
+
+
+def _is(kind):
+    def read(v):
+        if isinstance(v, kind):
+            return v
+        raise TypeError(v)
+    return read
+
+
+def _matrix(v) -> np.ndarray:
+    def leaves(x):
+        return [leaves(y) for y in x] if isinstance(x, (list, tuple, np.ndarray)) else _float(x)
+    return np.array(leaves(v), dtype=float)  # a ragged list raises ValueError
+
+
+_TYPES = {"float": _float, "int": _int, "bool": _is(bool), "str": _is(str), "matrix": _matrix}
+
+
+def read_section(name: str, section) -> dict:
+    """Config section ``name`` typed by ``SCHEMA``; an empty one (YAML ``name:``) is ``{}``.
+    A non-mapping, an unknown key or a mistyped value raises ``ConfigurationError`` naming
+    ``name.key``.  Ranges are left to the config dataclasses."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {name} must be a mapping, got {section!r}")
+    keys, out = SCHEMA[name], {}
+    for key, value in section.items():
+        if key not in keys:
+            raise ConfigurationError(f"unknown key {name}.{key} (known: {', '.join(keys)})")
+        try:
+            out[key] = _TYPES[keys[key]](value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"{name}.{key} must be of type {keys[key]}, got {value!r}") from None
+    return out
+
+
+def _unread(name: str, keys, when: str) -> None:
+    """Raise on the first of ``keys``, keys of section ``name`` that its builder did not read."""
+    if keys:
+        raise ConfigurationError(f"{name}.{sorted(keys)[0]} is not read when {when}")
 
 
 def load_config(path) -> dict:
@@ -37,204 +106,140 @@ def load_config(path) -> dict:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigurationError(f"malformed YAML in {path}{where}: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if not isinstance(data, (dict, type(None))):
         raise ConfigurationError(f"config root in {path} must be a mapping")
-    return data
+    return data or {}
 
 
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply ``section.key=value`` strings; values parse as YAML scalars."""
+    import yaml
     data = dict(data)
     for item in overrides or []:
-        if "=" not in item:
+        path, eq, raw = item.partition("=")
+        section, dot, key = path.strip().partition(".")
+        if not (eq and dot and section and key):
             raise ConfigurationError(f"override {item!r} must look like section.key=value")
-        path, raw = item.split("=", 1)
-        keys = path.strip().split(".")
-        if len(keys) < 2 or not all(keys):
-            raise ConfigurationError(f"override key {path!r} must be section.key")
-        import yaml
         try:
             value = yaml.safe_load(raw)
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"cannot parse override value {raw!r}: {exc}") from exc
-        node = data
-        for k in keys[:-1]:
-            nxt = node.get(k)
-            if nxt is None:
-                nxt = {}
-                node[k] = nxt
-            elif not isinstance(nxt, dict):
-                raise ConfigurationError(f"override path {path!r} crosses a scalar field {k!r}")
-            else:
-                nxt = dict(nxt)
-                node[k] = nxt
-            node = nxt
-        node[keys[-1]] = value
+        node = data.get(section)
+        if not isinstance(node, (dict, type(None))):
+            raise ConfigurationError(f"override {item!r}: section {section} is not a mapping")
+        data[section] = {**(node or {}), key: value}
     return data
 
 
-def _matrix(section: dict, key: str, what: str) -> np.ndarray:
-    if key not in section:
-        raise ConfigurationError(f"linear system section is missing field {key!r} ({what})")
-    try:
-        return np.asarray(section[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"field {key!r} is not a numeric matrix: {exc}") from exc
-
-
-def _build_system(cfg: SimConfig, section: dict) -> SimConfig:
-    from . import presets
-
-    kind = section.get("kind")
+def _build_system(cfg: SimConfig, vals: dict) -> SimConfig:
+    kind = vals.pop("kind", None)
     if kind == "example1":
         ref = presets.example1()
-        return dataclasses.replace(
-            cfg, model=ref.model, linear=None, cert=ref.cert
-        )
-    if kind == "example2":
-        return dataclasses.replace(
-            cfg, model=presets.example2_model(), linear=None, cert=None
-        )
-    if kind == "linear":
-        A = _matrix(section, "A", "state matrix")
-        B = _matrix(section, "B", "input matrix")
-        K = _matrix(section, "K", "feedback gain")
-        Q = _matrix(section, "Q", "Lyapunov right-hand side") if "Q" in section \
-            else np.eye(A.shape[0])
-        sys = LinearSystem(A=A, B=B, K_gain=K, Q=Q)
-        return dataclasses.replace(
-            cfg, model=sys.to_model(), linear=sys, cert=linear_certificate(sys)
-        )
-    raise ConfigurationError(
-        f"system.kind must be one of example1, example2, linear (got {kind!r})"
-    )
+        cfg = dataclasses.replace(cfg, model=ref.model, linear=None, cert=ref.cert)
+    elif kind == "example2":
+        cfg = dataclasses.replace(cfg, model=presets.example2_model(), linear=None, cert=None)
+    elif kind == "linear":
+        if not vals.keys() >= {"A", "B", "K"}:
+            raise ConfigurationError("system.kind linear needs system.A, system.B and system.K")
+        A = vals.pop("A")
+        Q = vals.pop("Q") if "Q" in vals else np.eye(np.atleast_2d(A).shape[0])
+        sys = LinearSystem(A=A, B=vals.pop("B"), K_gain=vals.pop("K"), Q=Q)
+        cfg = dataclasses.replace(cfg, model=sys.to_model(), linear=sys,
+                                  cert=linear_certificate(sys))
+    else:
+        raise ConfigurationError(f"system.kind must be example1, example2 or linear: {kind!r}")
+    _unread("system", vals, f"system.kind is {kind}")
+    return cfg
 
 
-def _build_delay(cfg: SimConfig, section: dict) -> SimConfig:
-    kind = section.get("kind", "constant")
+def _build_delay(cfg: SimConfig, vals: dict) -> SimConfig:
+    kind = vals.pop("kind", "constant")
     if kind == "constant":
-        delay = ActuationDelay.constant(float(section.get("D", 0.5)))
+        delay = ActuationDelay.constant(vals.pop("D", 0.5))
     elif kind == "example1":
         delay = ActuationDelay.example1()
     elif kind == "sinusoidal":
-        delay = ActuationDelay.sinusoidal(
-            float(section.get("D", 0.2)), float(section.get("a", 0.01))
-        )
+        delay = ActuationDelay.sinusoidal(vals.pop("D", 0.2), vals.pop("a", 0.01))
     else:
         raise ConfigurationError(f"unknown delay.kind {kind!r}")
     ctrl = cfg.ctrl_delay
-    if "nominal_D" in section:
-        ctrl = ActuationDelay.constant(float(section["nominal_D"]))
+    if "nominal_D" in vals:
+        ctrl = ActuationDelay.constant(vals.pop("nominal_D"))
+    _unread("delay", vals, f"delay.kind is {kind}")
     return dataclasses.replace(cfg, delay=delay, ctrl_delay=ctrl)
 
 
-def _build_sensing(cfg: SimConfig, section: dict) -> SimConfig:
-    def opt(key):
-        v = section.get(key, getattr(cfg.sensing, key, None))
-        return None if v is None else (int(v) if key == "seed" else float(v))
-
-    mode = section.get("mode", cfg.sensing.mode)
-    if "mu_psi" in section or "sigma_psi" in section:
-        d_psi = None
-    else:
-        d_psi = opt("d_psi")
-    sensing = SensingConfig(
-        mode=mode,
-        delta_tau=float(section.get("delta_tau", cfg.sensing.delta_tau)),
-        d_psi=d_psi,
-        mu_psi=opt("mu_psi") if d_psi is None else None,
-        sigma_psi=opt("sigma_psi") if d_psi is None else None,
-        seed=opt("seed"),
-    )
-    return dataclasses.replace(cfg, sensing=sensing)
+def _build_sensing(cfg: SimConfig, vals: dict) -> SimConfig:
+    if vals.get("mode", cfg.sensing.mode) == "perfect":
+        _unread("sensing", vals.keys() - {"mode"}, "sensing.mode is perfect")
+    if "mu_psi" in vals or "sigma_psi" in vals:
+        _unread("sensing", vals.keys() & {"d_psi"}, "sensing.mu_psi or sigma_psi is given")
+        vals["d_psi"] = None
+    elif vals.get("d_psi", cfg.sensing.d_psi) is not None:
+        vals.update(mu_psi=None, sigma_psi=None)
+    return dataclasses.replace(cfg, sensing=dataclasses.replace(cfg.sensing, **vals))
 
 
-def _build_trigger(cfg: SimConfig, section: dict) -> SimConfig:
-    mode = section.get("mode", cfg.trigger.mode)
-    theta = float(section.get("theta", cfg.trigger.theta))
+def _build_trigger(cfg: SimConfig, vals: dict) -> SimConfig:
+    mode = vals.pop("mode", cfg.trigger.mode)
+    theta = vals.pop("theta", cfg.trigger.theta)
     if mode == "fixed-ratio":
         # a ratio carried over from a fixed-ratio trigger only, not a derived one
         base = cfg.trigger.rho_bar if cfg.trigger.mode == "fixed-ratio" else 0.5
-        rho_bar = float(section.get("rho_bar", base))
-        trig = TriggerConfig.fixed_ratio(rho_bar, theta=theta)
+        trig = TriggerConfig.fixed_ratio(vals.pop("rho_bar", base), theta=theta)
     elif mode == "linear":
         if cfg.linear is None:
             raise ConfigurationError("trigger.mode linear needs a linear system")
         trig = TriggerConfig.linear(cfg.linear, theta=theta)
     elif mode == "nonlinear":
-        L_K = float(section.get("L_K", cfg.model.L_K))
-        trig = TriggerConfig.nonlinear(theta=theta, L_K=L_K)
+        trig = TriggerConfig.nonlinear(theta=theta, L_K=vals.pop("L_K", cfg.model.L_K))
     else:
         raise ConfigurationError(f"unknown trigger.mode {mode!r}")
+    _unread("trigger", vals, f"trigger.mode is {mode}")
     return dataclasses.replace(cfg, trigger=trig)
 
 
-def _build_monitor(cfg: SimConfig, section: dict) -> SimConfig:
-    if section.get("enabled", True) is False:
+def _build_predictor(cfg: SimConfig, vals: dict) -> SimConfig:
+    method = vals.get("method", cfg.predictor_method)
+    if method not in PREDICTOR_METHODS:
+        raise ConfigurationError(f"predictor.method must be one of {', '.join(PREDICTOR_METHODS)}")
+    if method == "linear-closed-form" and cfg.linear is None:
+        raise ConfigurationError("linear-closed-form predictor needs a linear system")
+    return dataclasses.replace(cfg, predictor_method=method)
+
+
+def _build_monitor(cfg: SimConfig, vals: dict) -> SimConfig:
+    if not vals.pop("enabled", True):
+        _unread("monitor", vals, "monitor.enabled is false")
         return dataclasses.replace(cfg, monitor=None)
-    base = cfg.monitor or MonitorConfig()
-    mon = MonitorConfig(
-        b=float(section.get("b", base.b)),
-        form=section.get("form", base.form),
-        stride=int(section.get("stride", base.stride)),
-    )
+    mon = dataclasses.replace(cfg.monitor or MonitorConfig(), **vals)
     return dataclasses.replace(cfg, monitor=mon)
 
 
-def _build_sim(cfg: SimConfig, section: dict) -> SimConfig:
-    kwargs = {}
-    if "x0" in section:
-        kwargs["x0"] = np.asarray(section["x0"], dtype=float)
-    for key in ("h", "T", "u_prehistory", "divergence_threshold"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
+# in the order they refine the config
+_BUILDERS = {
+    "system": _build_system, "delay": _build_delay, "sensing": _build_sensing,
+    "trigger": _build_trigger, "predictor": _build_predictor, "monitor": _build_monitor,
+    "sim": lambda cfg, vals: dataclasses.replace(cfg, **vals),
+}
 
 
-def build_sim_config(data: dict, base: Optional[SimConfig] = None) -> SimConfig:
-    """Assemble a SimConfig from parsed config data.
-
-    Starts from ``data['preset']`` (or ``base``) when given, else requires a
-    ``system`` section; later sections refine the result in a fixed order.
-    """
-    from . import presets
-
-    cfg = base
-    if "preset" in data:
-        cfg = presets.get_preset(str(data["preset"]))
-        if not isinstance(cfg, SimConfig):
-            raise ConfigurationError(
-                f"preset {data['preset']!r} is not a simulation preset"
-            )
+def build_sim_config(data: dict) -> SimConfig:
+    """Assemble a SimConfig from parsed config data: from ``data['preset']`` when given,
+    else from a ``system`` section; the other sections refine it in a fixed order."""
     for key in data:
-        if key not in _SECTIONS and key != "preset":
+        if key not in _BUILDERS and key != "preset":
             raise ConfigurationError(f"unknown config section {key!r}")
-    if cfg is None:
-        if "system" not in data:
-            raise ConfigurationError("config needs a preset or a system section")
-        # neutral scaffold; the sections below replace every relevant field
-        cfg = presets.linear2d()
-    if "system" in data:
-        cfg = _build_system(cfg, data["system"] or {})
-    if "delay" in data:
-        cfg = _build_delay(cfg, data["delay"] or {})
-    if "sensing" in data:
-        cfg = _build_sensing(cfg, data["sensing"] or {})
-    if "trigger" in data:
-        cfg = _build_trigger(cfg, data["trigger"] or {})
-    if "predictor" in data:
-        method = (data["predictor"] or {}).get("method", cfg.predictor_method)
-        if method not in PREDICTOR_METHODS:
-            raise ConfigurationError(
-                f"predictor.method must be one of {', '.join(PREDICTOR_METHODS)}"
-            )
-        if method == "linear-closed-form" and cfg.linear is None:
-            raise ConfigurationError("linear-closed-form predictor needs a linear system")
-        cfg = dataclasses.replace(cfg, predictor_method=method)
-    if "monitor" in data:
-        cfg = _build_monitor(cfg, data["monitor"] or {})
-    if "sim" in data:
-        cfg = _build_sim(cfg, data["sim"] or {})
+    sections = {name: read_section(name, data[name]) for name in _BUILDERS if name in data}
+    if "preset" in data:
+        name = data["preset"]
+        cfg = presets.get_preset(name) if isinstance(name, str) else None
+        if not isinstance(cfg, SimConfig):
+            raise ConfigurationError(f"preset {name!r} is not a simulation preset")
+    elif "system" in data:
+        cfg = presets.linear2d()  # neutral scaffold; the sections replace every relevant field
+    else:
+        raise ConfigurationError("config needs a preset or a system section")
+    for name, vals in sections.items():
+        cfg = _BUILDERS[name](cfg, vals)
     return cfg

@@ -478,7 +478,9 @@ def heatmap(
     ``divergence_threshold``, which also caps |x(T)|; every other error, such
     as an unknown predictor method, propagates.  Every cell's ``SensingConfig``
     is built before any cell runs, so a negative ``d_psi`` or a ``delta_tau``
-    that is not positive raises ``ConfigurationError`` first.
+    that is not positive raises ``ConfigurationError`` first, as do an empty
+    or nested grid, an ``n_ic`` that is not an integer >= 1 and a ``seed``
+    that is not a nonnegative integer.
 
     With ``workers > 1`` the cells run in a process pool, which needs what is
     sent to the workers to pickle: ``config_factory`` when one is given, else
@@ -487,8 +489,13 @@ def heatmap(
     raises ``ConfigurationError`` naming the field before any cell runs.
     An error raised in a worker propagates.
     """
-    if n_ic < 1:
-        raise ConfigurationError("n_ic must be at least 1")
+    if isinstance(n_ic, bool) or not isinstance(n_ic, numbers.Integral) or n_ic < 1:
+        raise ConfigurationError(f"n_ic must be an integer >= 1, got {n_ic!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    for name, grid in (("delta_tau_grid", delta_tau_grid), ("d_psi_grid", d_psi_grid)):
+        if np.ndim(grid) != 1 or len(grid) == 0:
+            raise ConfigurationError(f"{name} must be a nonempty list of numbers")
     cells = [(i, j, SensingConfig(delta_tau=float(dt), d_psi=float(dp)))
              for i, dt in enumerate(delta_tau_grid) for j, dp in enumerate(d_psi_grid)]
     rng = np.random.default_rng(seed)

@@ -125,9 +125,14 @@ class LinearSystem:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "K_gain", K)
         object.__setattr__(self, "Q", Q)
-        P = solve_lyapunov(A + B @ K, Q)
-        object.__setattr__(self, "P", P)
+        if A.shape != (n, n) or not all(np.isfinite(M).all() for M in (A, B, K, Q)):
+            raise ConfigurationError("A must be square, and A, B, K and Q finite")
         A_cl = A + B @ K
+        try:
+            P = solve_lyapunov(A_cl, Q)
+        except NumericalError as exc:
+            raise ConfigurationError(f"K does not stabilize the plant: {exc}") from None
+        object.__setattr__(self, "P", P)
         resid = A_cl.T @ P + P @ A_cl + Q
         if np.max(np.abs(resid)) > 1e-9 * (1.0 + spectral_norm(Q)):
             raise NumericalError("Lyapunov residual exceeds tolerance")

@@ -64,7 +64,10 @@ class TriggerConfig:
 
     @staticmethod
     def linear(sys: LinearSystem, theta: float) -> "TriggerConfig":
-        rho_bar = sys.lam_min_Q * math.sqrt(theta) / (4.0 * sys.PB_norm * sys.K_norm)
+        if not 0.0 < theta < 1.0:
+            raise ConfigurationError("theta must lie in (0, 1)")
+        gain = 4.0 * sys.PB_norm * sys.K_norm  # 0 for B = 0 or K = 0: no finite ratio
+        rho_bar = sys.lam_min_Q * math.sqrt(theta) / gain if gain else math.inf
         return TriggerConfig(mode="linear", theta=theta, rho_bar=rho_bar)
 
     @staticmethod

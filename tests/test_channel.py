@@ -42,6 +42,13 @@ class TestSigma:
         with pytest.raises(ConfigurationError):
             ActuationDelay.sinusoidal(0.2, 0.5)  # needs a < D
 
+    def test_non_finite_delay_rejected(self):
+        for D in (float("nan"), float("inf")):  # once accepted as a delay of NaN or inf
+            with pytest.raises(ConfigurationError, match="finite"):
+                ActuationDelay.constant(D)
+            with pytest.raises(ConfigurationError):
+                ActuationDelay.sinusoidal(D, 0.1)
+
 
 TABLE_T, TABLE_D = [0.0, 1.0, 2.0], [0.4, 0.6, 0.5]
 

@@ -112,6 +112,20 @@ class TestSimulate:
     def test_no_source_exit_code(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("override, key", [
+        ("sim.t=5", "sim.t"),  # unknown key: the preset's T = 25 used to run
+        ("monitor.stride=2.5", "monitor.stride"),  # int() used to truncate it to 2
+        ("sim.T=abc", "sim.T"),  # float() used to raise a ValueError traceback
+    ])
+    def test_config_error_exits_1_naming_the_key(self, tmp_path, capsys, override, key):
+        out = tmp_path / "out"
+        code = main(["simulate", "--preset", "example1", "--override", override,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
+        assert not out.exists()  # nothing runs
+
 
 class TestHeatmap:
     def test_single_cell_config(self, tmp_path):
@@ -144,6 +158,18 @@ class TestHeatmap:
         assert main(["heatmap", "--config", str(cfgfile), "--out", str(tmp_path / "c")]) == 0
         assert main(["heatmap", "--preset", "heatmap-ex1", "--out", str(tmp_path / "p")]) == 0
         assert len(seen) == 2 and seen[0] == seen[1]
+
+    @pytest.mark.parametrize("section, key", [
+        ("  delta_tau_grid: []\n  d_psi_grid: [1.0]\n", "delta_tau_grid"),
+        ("  delta_tau_grid: [2.0]\n  d_psi_grid: []\n", "d_psi_grid"),
+        ("  n_ic: 2.5\n", "heatmap.n_ic"),
+    ])
+    def test_bad_heatmap_section_exits_1(self, tmp_path, capsys, section, key):
+        # an empty grid used to sweep heatmap-ex1's eight values, and n_ic 2.5 ran as 2
+        cfgfile = tmp_path / "hm.yaml"
+        cfgfile.write_text("preset: example1\nheatmap:\n" + section)
+        assert main(["heatmap", "--config", str(cfgfile), "--out", str(tmp_path / "hm")]) == 1
+        assert key in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         cfgfile = tmp_path / "hm.yaml"

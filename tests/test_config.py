@@ -1,12 +1,13 @@
 import dataclasses
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from etpf import presets, run
 from etpf.channel import ActuationDelay
-from etpf.config import apply_overrides, build_sim_config, load_config
+from etpf.config import SCHEMA, apply_overrides, build_sim_config, load_config, read_section
 from etpf.engine import SimConfig
 from etpf.exceptions import ConfigurationError
 
@@ -133,6 +134,66 @@ class TestBuildSimConfig:
     def test_monitor_disable(self):
         cfg = build_sim_config({"preset": "linear2d", "monitor": {"enabled": False}})
         assert cfg.monitor is None
+
+
+class TestSchema:
+    """Every key is typed by ``SCHEMA``; a key that is unknown, mistyped or not read by the
+    chosen kind or mode raises ``ConfigurationError`` naming it, as from the CLI."""
+
+    @pytest.mark.parametrize("overrides, name", [
+        (["sim.t=5"], "sim.t"),
+        (["sensing.delta_taux=3"], "sensing.delta_taux"),
+        (["trigger.mode=nonlinear", "trigger.rho_bar=0.3"], "trigger.rho_bar"),
+        (["delay.kind=constant", "delay.a=0.1"], "delay.a"),
+        (["monitor.stride=2.5"], "monitor.stride"),
+        (["monitor.stride=.nan"], "monitor.stride"),
+        (["sim.T=abc"], "sim.T"),
+        (["sensing.seed=1.7"], "sensing.seed"),
+        (["sensing.seed=true"], "sensing.seed"),
+        (["sim.x0=[a, b]"], "sim.x0"),
+        (["monitor.enabled=1"], "monitor.enabled"),
+        (["predictor.method=7"], "predictor.method"),
+        (["sensing.mode=perfect", "sensing.delta_tau=2.0"], "sensing.delta_tau"),
+        (["sensing.mu_psi=0.1", "sensing.sigma_psi=0.02", "sensing.d_psi=0.3"], "sensing.d_psi"),
+        (["monitor.enabled=false", "monitor.b=3"], "monitor.b"),
+        (["delay.kind=example1", "delay.D=0.3"], "delay.D"),
+    ])
+    def test_rejected_key_is_named(self, overrides, name):
+        data = apply_overrides({"preset": "example1"}, overrides)
+        with pytest.raises(ConfigurationError, match=name.replace(".", r"\.")):
+            build_sim_config(data)
+
+    @pytest.mark.parametrize("data, name", [
+        ({"sim": 5}, "sim"), ({"trigger": "nonlinear"}, "trigger"),
+        ({"preset": "example1", "monitor": [1, 2]}, "monitor"),
+        ({"system": {"kind": "linear", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]],
+                     "K": [[-1.0, -2.0]], "D": 0.3}}, "system.D"),
+    ])
+    def test_non_mapping_section_or_unknown_key_is_named(self, data, name):
+        with pytest.raises(ConfigurationError, match=name):
+            build_sim_config(data)
+
+    def test_numeric_strings_and_whole_floats_are_read(self):
+        # PyYAML reads 1e-3 as the string '1e-3'
+        data = apply_overrides({"preset": "example1"},
+                               ["sim.h=1e-3", "monitor.stride=7.0", "sensing.seed=3"])
+        assert data["sim"]["h"] == "1e-3"
+        cfg = build_sim_config(data)
+        assert cfg.h == 0.001
+        assert cfg.monitor.stride == 7 and type(cfg.monitor.stride) is int
+        assert cfg.sensing.seed == 3
+
+    def test_read_section_types_each_value(self):
+        vals = read_section("sim", {"x0": [1, "2.5"], "T": 4, "h": "0.01"})
+        np.testing.assert_array_equal(vals["x0"], [1.0, 2.5])
+        assert (vals["T"], vals["h"]) == (4.0, 0.01)
+        assert read_section("sim", None) == {}
+
+    def test_every_schema_key_is_in_the_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        missing = [f"{name}.{key}" for name, keys in SCHEMA.items() for key, kind in keys.items()
+                   if f"| `{name}.{key}` | {kind} |" not in readme]
+        assert missing == []
 
 
 # one YAML config per delay.kind, and one with a nominal controller delay

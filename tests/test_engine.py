@@ -617,6 +617,19 @@ class TestHeatmap:
         with pytest.raises(ConfigurationError):
             heatmap(presets.example1(), [2.0], [1.0], n_ic=0, seed=1)
 
+    @pytest.mark.parametrize("n_ic, seed, what", [
+        (2.5, 1, "n_ic"), (True, 1, "n_ic"), (1, -1, "seed"), (1, 1.5, "seed"),
+    ])
+    def test_mistyped_n_ic_or_seed_raises(self, n_ic, seed, what):
+        # numpy used to raise TypeError (n_ic 2.5 or True, seed 1.5) or ValueError (seed -1)
+        with pytest.raises(ConfigurationError, match=what):
+            heatmap(presets.example1(), [2.0], [1.0], n_ic=n_ic, seed=seed, workers=1)
+
+    @pytest.mark.parametrize("dt_grid, dp_grid", [([], [1.0]), ([2.0], []), ([[2.0]], [1.0])])
+    def test_empty_or_nested_grid_raises(self, dt_grid, dp_grid):
+        with pytest.raises(ConfigurationError, match="grid must be a nonempty list"):
+            heatmap(presets.example1(), dt_grid, dp_grid, n_ic=1, seed=1, workers=1)
+
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan")])
     def test_negative_sensing_delay_raises_before_any_cell(self, monkeypatch, bad):
         # a negative d_psi used to run as d_psi = 0, while heatmap.csv kept its label

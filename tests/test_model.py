@@ -98,6 +98,15 @@ class TestLinearModel:
         with pytest.raises(ConfigurationError, match="single-input"):
             LinearSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=B, K_gain=K, Q=np.eye(2))
 
+    @pytest.mark.parametrize("A, K, match", [
+        ([[0.0, 1.0], [0.0, 0.0]], [[1.0, -2.0]], "does not stabilize"),  # A + B K unstable
+        ([[0.0, 1.0]], [[-1.0]], "square"),
+        ([[float("nan"), 1.0], [0.0, 0.0]], [[-1.0, -2.0]], "finite"),
+    ])
+    def test_invalid_system_is_a_configuration_error(self, A, K, match):
+        with pytest.raises(ConfigurationError, match=match):
+            LinearSystem(A=A, B=[[0.0], [1.0]][:len(A)], K_gain=K, Q=np.eye(len(A)))
+
     def test_linear_marker(self):
         sys = linear2d_system()
         model = sys.to_model()

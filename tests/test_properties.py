@@ -25,7 +25,9 @@ the per-step adoption loop it replaced, kept here as ``adoptions_per_step``.
 
 Configs whose scalar fields are drawn from valid values and from NaN, +-inf,
 0 and negatives either run or raise an ``ETPFError``: no other exception
-leaves building or running one.
+leaves building or running one.  Config dicts, as YAML and ``--override`` give
+them, drawn with mistyped sections, unknown keys and mistyped values, either
+build a ``SimConfig`` or raise ``ConfigurationError``.
 """
 
 import dataclasses
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
+from etpf.config import SCHEMA, build_sim_config
 from etpf.exceptions import ConfigurationError, ETPFError
 from etpf.engine import SensingConfig, SimConfig, SimTrace, _adoptions
 from etpf.monitor import MonitorConfig
@@ -286,3 +289,48 @@ def test_only_documented_exceptions(data, base, bad, nonlinear, gaussian):
         return
     event("ran")
     assert isinstance(tr, SimTrace)
+
+
+# what YAML gives: numbers, NaN, numeric and other strings, booleans, lists, and the names
+# that select a kind, mode or method
+NAMES = st.sampled_from(["abc", "1e-3", "example1", "example2", "linear", "constant",
+                         "sinusoidal", "periodic", "perfect", "fixed-ratio", "nonlinear",
+                         "closed-loop", "linear-closed-form", "sup", "integral"])
+NUMBERS = st.one_of(st.floats(-3.0, 10.0), st.sampled_from([float("nan"), float("inf"), 2.5]))
+CONFIG_SCALARS = st.one_of(NUMBERS, st.integers(-2, 12), NAMES, st.booleans(), st.none())
+ROWS = st.lists(NUMBERS, min_size=2, max_size=2)
+# a value of the declared type, though not always in range
+TYPED = {"float": NUMBERS, "int": st.integers(-2, 12), "bool": st.booleans(), "str": NAMES,
+         "matrix": st.one_of(NUMBERS, ROWS, st.lists(ROWS, min_size=2, max_size=2))}
+
+
+@st.composite
+def config_dicts(draw):
+    """A preset or none, then sections that are mostly mappings of mostly known keys with
+    mostly values of their declared types."""
+    data = {}
+    preset = draw(st.sampled_from([None, "example1", "example2", "linear2d", "heatmap-ex1"]))
+    if preset is not None:
+        data["preset"] = preset
+    for name in draw(st.lists(st.sampled_from(sorted(SCHEMA) * 3 + ["quantum"]), max_size=4)):
+        schema = SCHEMA.get(name, {})
+        if draw(st.integers(0, 4)) == 0:  # not a mapping
+            data[name] = draw(st.one_of(CONFIG_SCALARS, st.lists(CONFIG_SCALARS, max_size=2)))
+            continue
+        keys = draw(st.lists(st.sampled_from(sorted(schema) * 4 + ["bogus"]), max_size=4))
+        data[name] = {key: draw(TYPED[schema[key]] if key in schema and draw(st.booleans())
+                                else st.one_of(CONFIG_SCALARS, st.lists(CONFIG_SCALARS)))
+                      for key in keys}
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=config_dicts())
+def test_config_dicts_build_or_raise_configuration_error(data):
+    try:
+        cfg = build_sim_config(data)
+    except ConfigurationError as exc:
+        event(str(exc).split(" ")[0])
+        return
+    event("built")
+    assert isinstance(cfg, SimConfig)

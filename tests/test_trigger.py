@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from etpf.exceptions import ConfigurationError, DomainError
-from etpf.model import linear_certificate
+from etpf.model import LinearSystem, linear_certificate
 from etpf.presets import _ex1_linearization, linear2d_system
 from etpf.trigger import (
     EventLog,
@@ -75,6 +75,14 @@ class TestThreshold:
         # a linear trigger without its ratio fails when it is built
         with pytest.raises(ConfigurationError):
             TriggerConfig(mode="linear", theta=0.5)
+
+    def test_linear_factory_raises_configuration_errors(self):
+        # math.sqrt(-1) used to raise ValueError, and B = 0 or K = 0 ZeroDivisionError
+        with pytest.raises(ConfigurationError, match="theta"):
+            TriggerConfig.linear(linear2d_system(), theta=-1.0)
+        stable = LinearSystem(A=-np.eye(2), B=[[0.0], [1.0]], K_gain=[[0.0, 0.0]], Q=np.eye(2))
+        with pytest.raises(ConfigurationError, match="rho_bar"):
+            TriggerConfig.linear(stable, theta=0.5)
 
 
 class TestCheckAndFire:
