@@ -75,6 +75,9 @@ def _write(path: str, text: str) -> None:
 def _load_sim_config(args) -> SimConfig:
     data = load_config(args.config) if args.config else {}
     if args.preset:
+        if data.get("preset", args.preset) != args.preset:
+            raise ConfigurationError(f"--preset {args.preset} and the config's preset "
+                                     f"{data['preset']!r} differ")
         data = {"preset": args.preset, **data}
     if not data:
         raise ConfigurationError("pass --preset and/or --config")

@@ -153,6 +153,8 @@ def _build_system(cfg: SimConfig, vals: dict) -> SimConfig:
 
 
 def _build_delay(cfg: SimConfig, vals: dict) -> SimConfig:
+    if vals.keys() == {"nominal_D"}:  # the controller's model alone: the plant's delay stays
+        return dataclasses.replace(cfg, ctrl_delay=ActuationDelay.constant(vals["nominal_D"]))
     kind = vals.pop("kind", "constant")
     if kind == "constant":
         delay = ActuationDelay.constant(vals.pop("D", 0.5))
@@ -236,8 +238,9 @@ def build_sim_config(data: dict) -> SimConfig:
         cfg = presets.get_preset(name) if isinstance(name, str) else None
         if not isinstance(cfg, SimConfig):
             raise ConfigurationError(f"preset {name!r} is not a simulation preset")
-    elif "system" in data:
-        cfg = presets.linear2d()  # neutral scaffold; the sections replace every relevant field
+    elif "system" in data:  # the preset of the system's kind; _build_system checks the kind
+        kind = sections["system"].get("kind")
+        cfg = presets.get_preset(kind if kind in ("example1", "example2") else "linear2d")
     else:
         raise ConfigurationError("config needs a preset or a system section")
     for name, vals in sections.items():

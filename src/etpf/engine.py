@@ -262,7 +262,7 @@ def run(cfg: SimConfig) -> SimTrace:
     log = EventLog()
 
     grid = _node_grid(ctrl_delay, h, m_lo, N, U, u_pre, log.event_times)
-    if true_delay is ctrl_delay:
+    if true_delay == ctrl_delay:
         true_grid = grid
     elif true_delay.phi(0.0) < phi0:
         raise ConfigurationError(
@@ -291,10 +291,9 @@ def run(cfg: SimConfig) -> SimTrace:
     p_last_event: Optional[np.ndarray] = None
     divergence = None
 
-    # a replay from a row of X, under the plant's own delay object (`is`, not ==, on
-    # purpose), holds the plant's next rows (README, "One Euler chain"); the pre-history
-    # anchors at X[0]
-    replayed = predictor.replayed if true_delay is ctrl_delay else None
+    # a replay from a row of X under the plant's delay holds the plant's next rows (README,
+    # "One Euler chain"); the pre-history anchors at X[0]
+    replayed = predictor.replayed if true_grid is grid else None
     own = replayed is not None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
@@ -403,15 +402,16 @@ def run(cfg: SimConfig) -> SimTrace:
     # delivery flags on the rows the loop reached
     reached = -1 if divergence is not None and divergence["phase"] == "pre-history" else step
     dv_flags[dv_nodes[: bisect_right(dv_nodes, reached)]] = 1.0
-    # the w identity: w vanishes once events have started, since U and the held p
-    # change only at events, where U[k] = K(P[k])
-    w_max_after_t0 = max([0.0] + [abs(compute_w(U[k], P[k], model.K))
-                                  for k in np.flatnonzero(ev_flags).tolist()])
+    # w = u - K(p(t_k)) on the rows from t0 up to `done`, where K(p(t_k)) is the row of the
+    # last event at or before: 0 while the held rows keep the event's control
+    u, ev = np.array(U), np.flatnonzero(ev_flags[:done])
+    held = ev[np.searchsorted(ev, np.arange(t0_idx, done), "right") - 1]
+    w_max_after_t0 = float(np.abs(u[t0_idx:done] - u[held]).max(initial=0.0))
 
     trace = SimTrace(
         times=times,
         x=X,
-        u=np.array(U),
+        u=u,
         p=P,
         e_norm=E,
         threshold=TH,

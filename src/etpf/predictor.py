@@ -339,7 +339,10 @@ class LinearPredictor(_Predictor):
         keys = [round(v, 14) for v in u.tolist()]
         grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
         self._runs = np.append(np.flatnonzero(np.diff(grp)) + 1, len(d)).tolist()
-        dsigs = d[np.unique(grp, return_index=True)[1]].tolist()  # each key's first slot
+        # each key's first slot; key 0 comes only from slot 0 where node_of snaps phi(0) onto
+        # the next node, a step no advance takes: its exact (I, 0) serves a re-anchor's dsig 0
+        dsigs = d[np.unique(grp, return_index=True)[1]].tolist()
+        dsigs = [v if round(v, 14) else 0.0 for v in dsigs]
         self._mats = dict(zip((round(v, 14) for v in dsigs), self._exp_steps(dsigs)))
 
     def _exp_steps(self, dsigs: list) -> list:

@@ -1,13 +1,16 @@
 """Shared fixtures: expensive preset runs are executed once per session."""
 
+import contextlib
 import dataclasses
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from etpf import presets, run
 from etpf.engine import SensingConfig, heatmap
+from etpf.predictor import ClosedLoopPredictor
 
 
 def prediction_error(trace, delay):
@@ -32,10 +35,12 @@ def per_step(cfg):
     return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, f=lambda x, u: f(x, u)))
 
 
-def own_step(cfg):
-    """``cfg`` with a controller delay equal to the plant's but not the same object: the
-    plant then takes its own Euler steps instead of reading the closed-loop replay."""
-    return dataclasses.replace(cfg, ctrl_delay=dataclasses.replace(cfg.delay))
+@contextlib.contextmanager
+def own_step():
+    """Runs inside take the plant's own Euler steps: with the closed-loop predictor's fast
+    path switched off, the plant never reads the replay's rows."""
+    with mock.patch.object(ClosedLoopPredictor, "replayed", None):
+        yield
 
 
 def offgrid_config():

@@ -126,6 +126,28 @@ class TestSimulate:
         assert err.startswith("configuration error: ") and key in err
         assert not out.exists()  # nothing runs
 
+    def test_preset_and_config_naming_another_preset_exit_1(self, tmp_path, capsys):
+        # the config file's preset used to win without a word
+        cfgfile = tmp_path / "lin.yaml"
+        cfgfile.write_text("preset: linear2d\nsim: {T: 1.0}\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--preset", "example1", "--config", str(cfgfile),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "example1" in err and "linear2d" in err
+        assert not out.exists()
+        # the same preset in both is no conflict
+        assert main(["simulate", "--preset", "linear2d", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+
+    def test_system_kind_config_without_preset_runs(self, tmp_path):
+        cfgfile = tmp_path / "ex1.yaml"
+        cfgfile.write_text("system: {kind: example1}\nsim: {T: 1.0}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert "diverged: False" in (out / "summary.txt").read_text()
+
 
 class TestHeatmap:
     def test_single_cell_config(self, tmp_path):

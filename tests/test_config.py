@@ -109,6 +109,32 @@ class TestBuildSimConfig:
         assert cfg.delay == ActuationDelay.sinusoidal(0.2, 0.005)
         assert cfg.controller_delay.M0 == pytest.approx(0.2)
 
+    def test_nominal_D_alone_keeps_the_plants_delay(self):
+        # a delay section with only nominal_D models the controller's channel; it used to
+        # swap example1's bump-shaped delay for the default constant 0.5 as well
+        cfg = build_sim_config({"preset": "example1", "delay": {"nominal_D": 0.3}})
+        assert cfg.delay == ActuationDelay.example1()
+        assert cfg.ctrl_delay == ActuationDelay.constant(0.3)
+        # D without kind keeps the documented default kind, constant
+        cfg = build_sim_config({"preset": "example1", "delay": {"D": 0.3}})
+        assert cfg.delay == ActuationDelay.constant(0.3) and cfg.ctrl_delay is None
+
+    @pytest.mark.parametrize("kind", ["example1", "example2"])
+    def test_system_kind_without_preset_starts_from_its_preset(self, kind):
+        # the linear2d scaffold used to keep its linear predictor and trigger, which
+        # raised PredictorError for a nonlinear system
+        cfg = build_sim_config({"system": {"kind": kind}, "sim": {"T": 1.0}})
+        ref = presets.get_preset(kind)
+        for name in ("delay", "ctrl_delay", "sensing", "trigger", "predictor_method", "h"):
+            assert getattr(cfg, name) == getattr(ref, name), name
+        assert cfg.linear is None and cfg.T == 1.0
+        tr = run(cfg)
+        assert tr.events.count > 0 and not tr.diverged
+
+    def test_predictor_section_sets_the_method(self):
+        cfg = build_sim_config({"preset": "linear2d", "predictor": {"method": "semi-closed-loop"}})
+        assert cfg.predictor_method == "semi-closed-loop"
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigurationError):
             build_sim_config({"preset": "linear2d", "quantum": {}})

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from etpf.config import build_sim_config, load_config
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
 from etpf.monitor import MonitorConfig
+from etpf.predictor import ClosedLoopPredictor
 from etpf.trigger import TriggerConfig
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
@@ -441,8 +443,8 @@ def _counting(cfg):
 
 class TestOneEulerChain:
     """The plant reads the closed-loop replay's states where the replay started from a row
-    of the run's own trajectory under the plant's delay; the oracle is the same run with an
-    equal but distinct controller delay, which keeps the plant's own Euler step."""
+    of the run's own trajectory under the plant's delay; the oracle is the same run with the
+    replay read switched off (``own_step``), which keeps the plant's own Euler step."""
 
     ex1 = presets.example1()
     CASES = {
@@ -465,8 +467,10 @@ class TestOneEulerChain:
     def test_replay_read_equals_own_step(self, name):
         cfg, reads = self.CASES[name]
         shared, shared_calls = _counting(cfg)
-        own, own_calls = _counting(own_step(cfg))
-        tr, oracle = run(shared), run(own)
+        own, own_calls = _counting(cfg)
+        tr = run(shared)
+        with own_step():
+            oracle = run(own)
         assert_same_run(tr, oracle)
         np.testing.assert_array_equal(tr.V, oracle.V)
         np.testing.assert_array_equal(tr.L, oracle.L)
@@ -475,19 +479,19 @@ class TestOneEulerChain:
         if name == "diverging example2":
             assert tr.diverged
 
-    def test_equal_ctrl_delay_keeps_the_plants_own_step(self, tmp_path):
-        # delays compare by value and share their tables, but the plant reads the
-        # replay only when the controller's delay is the plant's own object
+    def test_equal_ctrl_delay_reads_the_replay(self, tmp_path):
+        # delays compare by value: a controller delay equal to the plant's, though another
+        # object, shares its tables and lets the plant read the replay
         cfg = dataclasses.replace(self.ex1, T=5.0)
         twin = dataclasses.replace(cfg, ctrl_delay=ActuationDelay.example1())
         assert twin.ctrl_delay == cfg.delay and twin.ctrl_delay is not cfg.delay
         shared, shared_calls = _counting(cfg)
-        own, own_calls = _counting(twin)
-        tr, oracle = run(shared), run(own)
-        assert_same_run(tr, oracle)
-        assert (shared_calls[0], own_calls[0]) == (582, 1082)
-        oracle.write_trace_csv(tmp_path / "trace.csv")
-        oracle.write_events_csv(tmp_path / "events.csv")
+        equal, equal_calls = _counting(twin)
+        tr, twin_tr = run(shared), run(equal)
+        assert_same_run(tr, twin_tr)
+        assert (shared_calls[0], equal_calls[0]) == (582, 582)
+        twin_tr.write_trace_csv(tmp_path / "trace.csv")
+        twin_tr.write_events_csv(tmp_path / "events.csv")
         digests = [hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
                    for n in ("trace.csv", "events.csv")]
         assert digests == [
@@ -522,6 +526,35 @@ class TestOneEulerChain:
               if all(node_of(k * dt, self.ex1.h)[1] for k in range(int(self.ex1.T / dt) + 1))]
         assert [spec.delta_tau_grid[i] for i in on] == [0.5, 6.0]
         np.testing.assert_array_equal(mat[on[0]], mat[on[1]])
+
+
+class TestActuationError:
+    """``w_max_after_t0`` is the largest |w| = |u - K(p(t_k))| over the control rows from t0
+    on, the held rows between events included."""
+
+    def test_every_preset_reads_zero(self, all_preset_traces):
+        for name, tr in all_preset_traces.items():
+            assert tr.diagnostics["w_max_after_t0"] == 0.0, name
+
+    def test_a_perturbed_held_row_is_reported(self):
+        cfg = dataclasses.replace(presets.example1(), T=5.0, monitor=None)
+        ref = run(cfg)
+        ev, k0 = ref.event_flags, node_of(ref.t0, cfg.h)[0]
+        # a held row two steps before the next event: its event control K(p(t_k)) is the row
+        # before it, and the step copies it to the row after
+        k = next(k for k in range(k0 + 1, len(ev) - 2) if ev[k - 1] and not ev[k : k + 2].any())
+        advance, delta = ClosedLoopPredictor.advance, 1e-3
+
+        def perturbing(self, j):
+            if j == k - 1:  # the step has just copied row k - 1 into row k
+                self.grid.U[k] += delta
+            advance(self, j)
+
+        with mock.patch.object(ClosedLoopPredictor, "advance", perturbing):
+            tr = run(cfg)
+        assert not tr.event_flags[k] and tr.u[k] != tr.u[k - 1]
+        assert ref.diagnostics["w_max_after_t0"] == 0.0
+        assert tr.diagnostics["w_max_after_t0"] == pytest.approx(delta, rel=1e-9)
 
 
 class TestMonitorAttachment:

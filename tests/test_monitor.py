@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -244,6 +245,25 @@ class TestComputeV:
         got = compute_V(MonitorConfig(b=b, form="sup"), [0.0], L, cert)
         integral, _ = quad(lambda r: c_rho * r, 0.0, 2.0 * L)
         assert got == pytest.approx((2.0 / b) * integral, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [0.0, 1.3, [0.0, 0.2, 1.3]])
+    def test_quadrature_matches_the_closed_form(self, L):
+        # a quadratic rho given without rho_quad_coeff takes the general sup branch,
+        # integral 0..2L of rho(r)/r dr by quadrature
+        c_rho, cfg = 0.37, MonitorConfig(b=10.0, form="sup")
+        closed = self._quad_cert(c_rho)
+        general = dataclasses.replace(closed, rho_quad_coeff=None)
+        x = np.zeros((len(L), 1)) if isinstance(L, list) else [0.0]
+        want = compute_V(cfg, x, L, closed)
+        np.testing.assert_allclose(compute_V(cfg, x, L, general), want, rtol=1e-12, atol=0.0)
+
+    def test_non_integrable_rho_rejected(self):
+        cert = dataclasses.replace(self._quad_cert(1.0), rho_quad_coeff=None,
+                                   integrable_flag=False)
+        cfg = MonitorConfig(form="sup")
+        with pytest.raises(MonitorError, match="not integrable"):
+            compute_V(cfg, [0.0], 0.5, cert)
+        assert compute_V(cfg, [0.0], 0.0, cert) == 0.0  # L = 0 needs no integral
 
     def test_linear_integral_form(self):
         # S(x) = 1 with c_rho = 1 (|PB| = 1, lam_min(Q) = 2): V = 1 + 2 L

@@ -91,8 +91,9 @@ def test_lazy_expm_is_traced():
 def test_offgrid_sweep_cell_calls():
     # sweep-ex1's first cell (tests/test_golden.py, example1-offgrid): the plant takes its
     # own Euler step after each off-grid anchor and reads the replay after an on-grid one.
-    # The f and K counts are those the per-step loop made before it kept U as floats and h
-    # as a vector; each event records once and calls K twice (its control and the w check)
+    # The f count is the one the per-step loop made before it kept U as floats and h as a
+    # vector; each event records once and calls K once, for its control (the w check reads
+    # the control rows)
     tracing = load_tracer()
     mods = {name: importlib.import_module(f"etpf.{name}") for name in LAYERS}
     tracer = tracing.Tracer()
@@ -104,4 +105,4 @@ def test_offgrid_sweep_cell_calls():
     assert tr.events.count == 1199 and not tr.diverged
     assert tracer.calls("trigger.record") == tr.events.count
     assert tracer.calls("model.f") == 6796
-    assert tracer.calls("model.K") == 2398
+    assert tracer.calls("model.K") == 1199
