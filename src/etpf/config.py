@@ -205,8 +205,6 @@ def _build_predictor(cfg: SimConfig, vals: dict) -> SimConfig:
     method = vals.get("method", cfg.predictor_method)
     if method not in PREDICTOR_METHODS:
         raise ConfigurationError(f"predictor.method must be one of {', '.join(PREDICTOR_METHODS)}")
-    if method == "linear-closed-form" and cfg.linear is None:
-        raise ConfigurationError("linear-closed-form predictor needs a linear system")
     return dataclasses.replace(cfg, predictor_method=method)
 
 
@@ -245,4 +243,8 @@ def build_sim_config(data: dict) -> SimConfig:
         raise ConfigurationError("config needs a preset or a system section")
     for name, vals in sections.items():
         cfg = _BUILDERS[name](cfg, vals)
+    if cfg.trigger.mode == "linear":  # from the final system, also when carried over from a preset
+        cfg = _build_trigger(cfg, {"theta": cfg.trigger.theta})
+    if cfg.predictor_method == "linear-closed-form" and cfg.linear is None:
+        raise ConfigurationError("predictor.method linear-closed-form needs a linear system")
     return cfg

@@ -150,18 +150,16 @@ class SimTrace:
             + [f"p_{i+1}" for i in range(n)]
             + ["e_norm", "threshold", "V", "L", "event_flag", "delivery_flag"]
         )
-        cols = np.column_stack([self.times, self.x, self.u, self.p, self.e_norm, self.threshold,
-                                self.V, self.L, self.event_flags, self.delivery_flags])
-        write_csv(path, header, cols)
+        write_csv(path, header, self.times, self.x, self.u, self.p, self.e_norm, self.threshold,
+                  self.V, self.L, self.event_flags, self.delivery_flags)
 
     def write_events_csv(self, path) -> None:
         from .csvout import write_csv
         header = ["k", "t_k", "dwell", "p_norm", "e_pre_reset", "u_1"]
         t_k = np.array(self.events.event_times, dtype=float)
-        p_norm = [math.sqrt(p.dot(p)) for p in self.p[self.event_flags == 1]]
-        cols = np.column_stack([np.arange(len(t_k)), t_k, np.diff(t_k, prepend=math.nan), p_norm,
-                                self.events.e_pre_reset, self.events.event_controls])
-        write_csv(path, header, cols)
+        P = self.p[self.event_flags == 1]
+        write_csv(path, header, np.arange(len(t_k)), t_k, np.diff(t_k, prepend=math.nan),
+                  np.sqrt(np.vecdot(P, P)), self.events.e_pre_reset, self.events.event_controls)
 
     def summary(self) -> str:
         d = self.diagnostics.get("divergence")

@@ -10,6 +10,7 @@ from etpf.channel import ActuationDelay
 from etpf.config import SCHEMA, apply_overrides, build_sim_config, load_config, read_section
 from etpf.engine import SimConfig
 from etpf.exceptions import ConfigurationError
+from etpf.trigger import TriggerConfig
 
 
 class TestLoadConfig:
@@ -156,6 +157,24 @@ class TestBuildSimConfig:
             build_sim_config(
                 {"preset": "example1", "predictor": {"method": "linear-closed-form"}}
             )
+
+    @pytest.mark.parametrize("extra, name", [
+        pytest.param({}, "trigger.mode", id="linear-trigger-and-predictor"),
+        pytest.param({"predictor": {"method": "closed-loop"}}, "trigger.mode", id="linear-trigger"),
+        pytest.param({"trigger": {"mode": "fixed-ratio"}}, "predictor.method", id="linear-predictor"),
+    ])
+    def test_carried_over_linear_parts_need_a_linear_system(self, extra, name):
+        # linear2d's linear trigger and predictor, carried over onto example1's system,
+        # used to build a config that run rejected, or ran linear2d's ratio with cfg.linear None
+        with pytest.raises(ConfigurationError, match=name):
+            build_sim_config({"preset": "linear2d", "system": {"kind": "example1"}, **extra})
+
+    def test_carried_over_linear_trigger_takes_the_new_systems_ratio(self):
+        system = {"kind": "linear", "A": [[0, 1], [-2, 0]], "B": [[0], [1]], "K": [[-3, -4]]}
+        cfg = build_sim_config({"system": system})
+        assert cfg.trigger == TriggerConfig.linear(cfg.linear, theta=0.5)
+        assert cfg.trigger.rho_bar == pytest.approx(0.19611613513818402)  # not linear2d's 0.1118
+        assert build_sim_config({"preset": "linear2d"}).trigger == presets.linear2d().trigger
 
     def test_monitor_disable(self):
         cfg = build_sim_config({"preset": "linear2d", "monitor": {"enabled": False}})
