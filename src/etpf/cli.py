@@ -89,8 +89,8 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace = run(cfg)
 
-    mu = None
-    if cfg.linear is not None:
+    mu = None  # a guaranteed rate: only the linear trigger has one
+    if cfg.linear is not None and cfg.trigger.mode == "linear":
         mu = mu_of_theta(cfg.trigger.theta, cfg.linear.lam_min_Q, cfg.linear.lam_max_P)
     rep = decay_report(trace.times, trace.V, trace.t0, mu=mu)
     trace.diagnostics["decay_report"] = rep

@@ -94,6 +94,10 @@ class SimConfig:
         # comparisons that NaN fails
         if not 0 < self.h < self.T < math.inf:
             raise ConfigurationError(f"need 0 < h < T < inf, got h = {self.h}, T = {self.T}")
+        # the run ends on node T / h, so node_of must place T on one (T / h may overflow)
+        if not (self.T / self.h < math.inf and node_of(self.T, self.h)[1]):
+            raise ConfigurationError(f"T = {self.T} is not a whole number of steps "
+                                     f"h = {self.h}")
         if not 0 < self.divergence_threshold < math.inf:
             raise ConfigurationError("divergence_threshold must be positive and finite")
         if not abs(self.u_prehistory) < math.inf:
@@ -177,34 +181,6 @@ class SimTrace:
         return "\n".join(lines)
 
 
-def _node_grid(delay: ActuationDelay, h: float, m_lo: int, N: int, U, u_pre,
-               events: list) -> NodeGrid:
-    """The delay's grid tables (``ActuationDelay.grid_tables``) for one run over ``U``,
-    ``u_pre`` and the event times ``events``.
-
-    The float lookups ``sigma`` and ``sigma_dot`` read the table entry of a
-    time that ``node_of`` places on a node from m_lo on, or of phi(0) (slot
-    0), and solve any other query directly.
-    """
-    tables = delay.grid_tables(h, m_lo, N)
-    sig, sdot = tables[:2]
-    phi0 = delay.phi(0.0)
-
-    def lookup(table, last, solve):
-        def fn(s: float) -> float:
-            k, on = node_of(s, h)
-            if on and m_lo <= k <= last:
-                return float(table[k - (m_lo - 1)])
-            return float(table[0]) if s == phi0 else solve(s)
-
-        return fn
-
-    sigma_fn = lookup(sig, N + 1, delay.sigma)
-    sigma_dot_fn = lookup(sdot, N, lambda s: delay.sigma_dot(s, h))
-    return NodeGrid(h=h, lo=m_lo - 1, tables=tables, sig=sig, sdot=sdot, rows=tables.rows, U=U,
-                    u_pre=u_pre, sigma=sigma_fn, sigma_dot=sigma_dot_fn, events=events)
-
-
 class _Diverged(Exception):
     """The engine's divergence stop, with the bound that fired and the phase it fired in."""
 
@@ -236,7 +212,7 @@ def run(cfg: SimConfig) -> SimTrace:
     """Simulate one run and return the full trace."""
     model = cfg.model
     h = cfg.h
-    N = int(round(cfg.T / h))
+    N = node_of(cfg.T, h)[0]  # on its node: SimConfig checks it
     times = np.arange(N + 1) * h
     n = model.state_dim
 
@@ -259,19 +235,20 @@ def run(cfg: SimConfig) -> SimTrace:
         U[0] = u_pre  # the pre-history control holds until the event at t = 0
     log = EventLog()
 
-    grid = _node_grid(ctrl_delay, h, m_lo, N, U, u_pre, log.event_times)
+    grid = NodeGrid(ctrl_delay, h, U, u_pre, log.event_times)
+    # the plant reads the true delay's tables, on the controller's slots
     if true_delay == ctrl_delay:
-        true_grid = grid
+        tables = grid.tables
     elif true_delay.phi(0.0) < phi0:
         raise ConfigurationError(
             "the plant's delay at t = 0 exceeds the controller's: u is undefined there"
         )
     else:
-        true_grid = _node_grid(true_delay, h, m_lo, N, U, u_pre, log.event_times)
-    rows_true = true_grid.rows
+        tables = true_delay.grid_tables(h, m_lo, N)
+    rows_true = tables.rows
 
     # -- predictor and the pre-history grid [phi(0), 0) -------------------
-    predictor = make_predictor(cfg.predictor_method, model, ctrl_delay, grid, linear=cfg.linear)
+    predictor = make_predictor(cfg.predictor_method, model, grid, linear=cfg.linear)
     pre_times = np.array([phi0] + [k * h for k in range(first + 1, 0)])
     pre_p = np.full((len(pre_times), n), np.nan)
 
@@ -291,7 +268,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     # a replay from a row of X under the plant's delay holds the plant's next rows (README,
     # "One Euler chain"); the pre-history anchors at X[0]
-    replayed = predictor.replayed if true_grid is grid else None
+    replayed = predictor.replayed if true_delay == ctrl_delay else None
     own = replayed is not None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
@@ -314,7 +291,7 @@ def run(cfg: SimConfig) -> SimTrace:
             U set."""
             ev, j = log.event_times, rows_true[s]
             i = bisect_right(ev, j * h)
-            limit = 0 if j < 0 else min(round(ev[i] / h), s + 1) if i < len(ev) else s + 1
+            limit = 0 if j < 0 else min(node_of(ev[i], h)[0], s + 1) if i < len(ev) else s + 1
             end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
             if end - s < 2:  # one row: the loop's own step
                 return s
@@ -431,12 +408,13 @@ def run(cfg: SimConfig) -> SimTrace:
     )
 
     if cfg.monitor is not None and cfg.cert is not None and divergence is None:
-        _attach_monitor(trace, cfg, true_grid, true_delay)
+        _attach_monitor(trace, cfg, grid, tables[0])
     return trace
 
 
-def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> None:
-    """Fill V and L at the stride: one ``compute_L`` per window node count, one ``compute_V``."""
+def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, sig: np.ndarray) -> None:
+    """Fill V and L at the stride: one ``compute_L`` per window node count, one ``compute_V``.
+    ``sig`` is sigma of the plant's delay on the slots of the controller's ``grid``."""
     mon, t0, h = cfg.monitor, trace.t0, trace.h
 
     # disturbance history: nonzero only before t0, where u is u_pre on the pre-history
@@ -451,12 +429,12 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, delay) -> N
 
     # L is 0 from sigma(t0) on
     steps = np.arange(0, len(trace.times), mon.stride)
-    t, sig = trace.times[steps], grid.sig[steps - grid.lo]
-    n_nodes = np.maximum(2, np.rint((sig - t) / h).astype(int) + 1)
-    live, L = t < grid.sig[k0 - grid.lo], np.zeros(len(steps))
+    t, sig_t = trace.times[steps], sig[steps - grid.lo]
+    n_nodes = np.maximum(2, np.rint((sig_t - t) / h).astype(int) + 1)
+    live, L = t < sig[k0 - grid.lo], np.zeros(len(steps))
     for n in sorted(set(n_nodes[live].tolist())):  # not np.unique, which imports numpy.ma
         m = live & (n_nodes == n)
-        L[m] = compute_L(mon, w_hist, t[m], sig[m], delay.phi, n_nodes=n)
+        L[m] = compute_L(mon, w_hist, t[m], sig_t[m], cfg.delay.phi, n_nodes=n)
     trace.L[steps], trace.V[steps] = L, compute_V(mon, trace.x[steps], L, cfg.cert)
 
 

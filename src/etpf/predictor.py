@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .channel import GridTables, node_of
+from .channel import ActuationDelay, node_of
 from .exceptions import PredictorError
 from .model import LinearSystem, lift
 from .signals import interpolate
@@ -56,50 +55,48 @@ LIFT = 128  # rows of the power tables, the longest block of LinearPredictor.blo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class NodeGrid:
-    """The channel and the control of one run on the grid of step ``h``.
+    """The controller's channel and the control of one run on the grid of step ``h``.
 
-    ``sig[k - lo]`` and ``sdot[k - lo]`` are sigma and its difference
-    quotient at node k h for k > lo, and at phi(0) for k = lo (slot 0 of
-    ``tables``, the shared ``ActuationDelay.grid_tables``).  ``U`` is a list
-    of floats: ``U[j]`` is the control in force at node j h for j >= 0.  The
+    ``delay`` is the controller's delay model and ``tables`` its shared
+    ``ActuationDelay.grid_tables`` over the nodes of ``U``: slot ``k - lo``
+    of sigma (``tables[0]``) and of its difference quotient (``tables[1]``)
+    belongs to node k h for k > lo, slot 0 to phi(0), and ``tables.rows[k]``
+    is the row holding u(phi(k h)), -1 for ``u_pre``.  ``U`` is a list of
+    floats: ``U[j]`` is the control in force at node j h for j >= 0.  The
     engine writes a row at an event and otherwise copies the row before it
     when a step ends, so a read of the next row before its event sees the
-    held value.  ``u_pre`` is the control before t = 0.  ``rows[k]`` is the
-    row holding u(phi(k h)), -1 for ``u_pre``.  ``events`` is the run's list
-    of event times, shared with its ``EventLog``; with the rows it is the
-    whole control history.  ``sigma`` and ``sigma_dot`` answer float
-    queries, off the grid too.
+    held value.  ``u_pre`` is the control before t = 0.  ``events`` is the
+    run's list of event times, shared with its ``EventLog``; with the rows it
+    is the whole control history.
     """
 
-    h: float
-    lo: int
-    tables: GridTables
-    sig: np.ndarray
-    sdot: np.ndarray
-    rows: tuple
-    U: list
-    u_pre: float
-    sigma: Callable[[float], float]
-    sigma_dot: Callable[[float], float]
-    events: list
+    def __init__(self, delay: ActuationDelay, h: float, U: list, u_pre: float, events: list):
+        self.delay, self.h, self.U, self.u_pre, self.events = delay, h, U, u_pre, events
+        self.phi0 = delay.phi(0.0)
+        m_lo = node_of(self.phi0, h)[0]
+        self.lo, self.tables = m_lo - 1, delay.grid_tables(h, m_lo, len(U) - 1)
+
+    def sigma(self, s: float, dot: bool = False) -> float:
+        """sigma(s), or with ``dot`` its difference quotient ``ActuationDelay.sigma_dot``:
+        the table entry of the node ``node_of`` places s on, slot 0 at phi(0), and
+        otherwise the delay's own solve."""
+        table, (k, on) = self.tables[dot], node_of(s, self.h)
+        if on and 0 < k - self.lo < len(table) - dot:  # sigma_dot has no entry at N + 1
+            return float(table[k - self.lo])
+        if s == self.phi0:
+            return float(table[0])
+        return self.delay.sigma_dot(s, self.h) if dot else self.delay.sigma(s)
 
     def u_row(self, j: int) -> float:
         return self.U[j] if j >= 0 else self.u_pre
 
     def u_at(self, s: float) -> float:
-        """u(s): ``u_pre`` for s < 0, else the row of the last node k with k h <= s."""
-        if s < 0.0:
-            return self.u_pre
-        h, N = self.h, len(self.U) - 1
-        k = min(int(s / h), N)
-        # int(s / h) may land one node off either way
-        if k * h > s:
-            k -= 1
-        elif k < N and (k + 1) * h <= s:
-            k += 1
-        return self.U[k]
+        """u(s): the row of the last node k with k h <= s, where a node that ``node_of``
+        places s on counts as at or below it; ``u_pre`` below node 0."""
+        k, on = node_of(s, self.h)
+        k -= not on
+        return self.U[min(k, len(self.U) - 1)] if k >= 0 else self.u_pre
 
     def u_breaks(self, a: float, b: float) -> list:
         """``a``, then 0 and the event times strictly inside ``(a, b)``, then ``b``.
@@ -120,9 +117,9 @@ class _Predictor:
 
     replayed = block = None
 
-    def __init__(self, model, delay, grid: NodeGrid):
+    def __init__(self, model, grid: NodeGrid):
         self.model = model
-        self.delay = delay
+        self.delay = grid.delay
         self.grid = grid
         self.h = grid.h
         self.p: Optional[np.ndarray] = None
@@ -147,14 +144,15 @@ class ClosedLoopPredictor(_Predictor):
     node whose stored state has the anchor state's bits replays nothing.
     """
 
-    def __init__(self, model, delay, grid: NodeGrid):
-        super().__init__(model, delay, grid)
+    def __init__(self, model, grid: NodeGrid):
+        super().__init__(model, grid)
         # the replayed states at nodes _c0, _c0 + 1, ...: the last one is the head
         self._chain, self._c0 = [], 0
         self._f_k: Optional[np.ndarray] = None  # f(head, u(phi(k h))), if kept
         self._targets = grid.tables.targets  # per table slot: advance's target, its node_of
         # the grid's reads, bound once; a vector h costs no scalar promotion, same bits
-        self._U, self._rows, self._u_pre, self._lo = grid.U, grid.rows, grid.u_pre, grid.lo
+        self._U, self._u_pre, self._lo = grid.U, grid.u_pre, grid.lo
+        self._rows = grid.tables.rows
         self._hv = np.full(model.state_dim, grid.h)
 
     def _extend(self, sig_target: float, kt: int, on: bool, final_rows: int) -> None:
@@ -234,8 +232,8 @@ class OpenLoopPredictor(_Predictor):
     def advance(self, k: int) -> None:
         g, h = self.grid, self.h
         # slot 0 is phi(0) off the grid: the first step is the partial one to node k + 1
-        dt = h if k > g.lo else (k + 1) * h - self.delay.phi(0.0)
-        self.p = self.p + dt * float(g.sdot[k - g.lo]) * self.model.f(self.p, g.u_row(k))
+        dt = h if k > g.lo else (k + 1) * h - g.phi0
+        self.p = self.p + dt * float(g.tables[1][k - g.lo]) * self.model.f(self.p, g.u_row(k))
 
 
 def window_integral(times: np.ndarray, values: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -264,8 +262,8 @@ class SemiClosedPredictor(_Predictor):
     node per advance, with room for every node of the grid's tables.
     """
 
-    def __init__(self, model, delay, grid: NodeGrid):
-        super().__init__(model, delay, grid)
+    def __init__(self, model, grid: NodeGrid):
+        super().__init__(model, grid)
         self._n, self._times, self._g = 0, None, None  # stamps stored, stamps, rows of g
         self._anchor_state: Optional[np.ndarray] = None
         self._t: Optional[float] = None
@@ -278,10 +276,10 @@ class SemiClosedPredictor(_Predictor):
         if self._n == 0:
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
-            size = len(self.grid.sig)  # phi(0), then one node per advance at most
+            size = len(self.grid.tables[0])  # phi(0), then one node per advance at most
             self._times, self._g = np.empty(size), np.empty((size, len(self.p)))
             self._times[0] = self._t = s0
-            self._g[0] = self.grid.sigma_dot(s0) * self.model.f(self.p, self.grid.u_at(s0))
+            self._g[0] = self.grid.sigma(s0, dot=True) * self.model.f(self.p, self.grid.u_at(s0))
             self._n = 1
             return
         times, g = self._times[: self._n], self._g[: self._n]
@@ -293,8 +291,8 @@ class SemiClosedPredictor(_Predictor):
 
     def advance(self, k: int) -> None:
         """Close the segment to node k + 1 and store g there."""
-        grid, n = self.grid, self._n
-        s_next, sdot, u = k * self.h + self.h, float(grid.sdot[k + 1 - grid.lo]), grid.u_row(k + 1)
+        grid, n, i = self.grid, self._n, k + 1 - self.grid.lo
+        s_next, sdot, u = k * self.h + self.h, float(grid.tables[1][i]), grid.u_row(k + 1)
         dt, g_left = s_next - self._t, self._g[n - 1]
         if self._t < self._times[n - 1]:  # a re-anchor's t_now may sit one ulp below it
             g_left = interpolate(self._times[:n], self._g[:n], np.array([self._t]))[0]
@@ -326,15 +324,15 @@ class LinearPredictor(_Predictor):
     with one step key and one control at once.
     """
 
-    def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
-        super().__init__(sys, delay, grid)
+    def __init__(self, sys: LinearSystem, grid: NodeGrid):
+        super().__init__(sys, grid)
         self.sys = sys
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # see _affine
         self._sig = grid.tables.sigs
         self._lifts: dict[float, np.ndarray] = {}  # lift(E, LIFT) per advance key
         # group the advance steps by key, nondecreasing in dsig: by the values that raise it;
         # _runs holds the slots where the key changes, then the end
-        d = np.diff(grid.sig)
+        d = np.diff(grid.tables[0])
         u = np.unique(d)
         keys = [round(v, 14) for v in u.tolist()]
         grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
@@ -370,7 +368,7 @@ class LinearPredictor(_Predictor):
         # u is constant between consecutive breaks, so one exact step per
         # control segment is the composition of the per-node steps
         g, (a, *inner, b) = self.grid, self.grid.u_breaks(s_from, s_to)
-        ks = [round(s / self.h) for s in inner]  # 0 and event times lie on nodes
+        ks = [node_of(s, self.h)[0] for s in inner]  # 0 and event times lie on nodes
         sig = [g.sigma(a), *[self._sig[k - g.lo] for k in ks], g.sigma(b)]
         u = [g.u_at(a), *[g.U[k] for k in ks]]
         for i in range(len(u)):
@@ -405,15 +403,15 @@ class LinearPredictor(_Predictor):
         return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
 
 
-def make_predictor(method, model, delay, grid: NodeGrid, linear=None):
+def make_predictor(method, model, grid: NodeGrid, linear=None):
     if method == "closed-loop":
-        return ClosedLoopPredictor(model, delay, grid)
+        return ClosedLoopPredictor(model, grid)
     if method == "open-loop":
-        return OpenLoopPredictor(model, delay, grid)
+        return OpenLoopPredictor(model, grid)
     if method == "semi-closed-loop":
-        return SemiClosedPredictor(model, delay, grid)
+        return SemiClosedPredictor(model, grid)
     if method == "linear-closed-form":
         if linear is None:
             raise PredictorError("linear-closed-form needs a LinearSystem")
-        return LinearPredictor(linear, delay, grid)
+        return LinearPredictor(linear, grid)
     raise PredictorError(f"unknown predictor method {method!r}")

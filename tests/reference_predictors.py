@@ -197,8 +197,8 @@ class ListSignal:
 class ReferenceSemiClosed(_Predictor):
     """``SemiClosedPredictor`` on a ``ListSignal`` history."""
 
-    def __init__(self, model, delay, grid: NodeGrid):
-        super().__init__(model, delay, grid)
+    def __init__(self, model, grid: NodeGrid):
+        super().__init__(model, grid)
         self.g_history = ListSignal()
 
     def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
@@ -209,7 +209,7 @@ class ReferenceSemiClosed(_Predictor):
         if not hist.times:
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
-            hist.append(s0, self.grid.sigma_dot(s0) * self.model.f(self.p, self.grid.u_at(s0)))
+            hist.append(s0, self.grid.sigma(s0, dot=True) * self.model.f(self.p, self.grid.u_at(s0)))
             self._t = s0
             return
         if s0 < hist.times[0]:
@@ -220,7 +220,7 @@ class ReferenceSemiClosed(_Predictor):
 
     def advance(self, k: int) -> None:
         g, hist = self.grid, self.g_history
-        s_next, sdot, u = k * self.h + self.h, float(g.sdot[k + 1 - g.lo]), g.u_row(k + 1)
+        s_next, sdot, u = k * self.h + self.h, float(g.tables[1][k + 1 - g.lo]), g.u_row(k + 1)
         dt = s_next - self._t
         g_left = hist.sample(min(self._t, hist.times[-1]))
         p_pred = self.p + dt * g_left
@@ -234,13 +234,13 @@ class ReferenceSemiClosed(_Predictor):
 class ReferenceLinear(LinearPredictor):
     """``LinearPredictor`` with a lazily filled, call-order, capped step-matrix cache."""
 
-    def __init__(self, sys: LinearSystem, delay, grid: NodeGrid):
-        _Predictor.__init__(self, sys, delay, grid)
+    def __init__(self, sys: LinearSystem, grid: NodeGrid):
+        _Predictor.__init__(self, sys, grid)
         self.sys = sys
         self._cache, self._memo, self._lifts = {}, {}, {}
         self._sig = grid.tables.sigs
         # the slots where the advance key changes, then the table's end
-        d = np.diff(grid.sig)
+        d = np.diff(grid.tables[0])
         keys = [round(v, 14) for v in d.tolist()]
         self._runs = [i for i in range(1, len(d)) if keys[i] != keys[i - 1]] + [len(d)]
 

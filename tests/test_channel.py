@@ -6,8 +6,8 @@ import pytest
 
 from etpf.channel import (ActuationDelay, SensingSchedule, node_of, nodes_of,
                           verify_delay_bounds)
-from etpf.engine import _node_grid
 from etpf.exceptions import ChannelModelError, ConfigurationError
+from etpf.predictor import NodeGrid
 
 
 class TestSigma:
@@ -326,7 +326,6 @@ class TestRowTable:
         """Run the engine's row protocol with random events, calling
         ``on_step(k, grid, hold)`` before and after the event at each node k."""
         phi0 = d.phi(0.0)
-        m_lo = node_of(phi0, h)[0]
         rng = np.random.default_rng(seed)
         events = set(rng.choice(N + 1, size=int(rng.integers(1, 120)), replace=False).tolist())
         if seed % 2:
@@ -338,7 +337,7 @@ class TestRowTable:
         hold.append(phi0, u_pre)
         U = [0.0] * (N + 1)  # the engine's rows
         event_times = []
-        grid = _node_grid(d, h, m_lo, N, U, u_pre, event_times)
+        grid = NodeGrid(d, h, U, u_pre, event_times)
         if 0 in events:
             U[0] = u_pre
         else:
@@ -386,17 +385,23 @@ class TestRowTable:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("make, h", DELAYS)
     def test_u_at_and_u_breaks_equal_the_hold(self, make, h, seed):
+        """``u_at`` is the hold at the time ``node_of`` places s at: a node within its
+        snap stands for s, as in the row table."""
         d, N = make(), 600
         phi0 = d.phi(0.0)
 
         def queries(s):
             return [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
 
+        def snapped(s):
+            k, on = node_of(s, h)
+            return k * h if on and k >= 0 else s  # before t = 0 the hold is u_pre throughout
+
         def on_step(k, grid, hold):
             # up to the current node, before and after its event
             for s in queries(k * h):
                 if phi0 <= s <= k * h:
-                    assert float(grid.u_at(s)).hex() == hold.sample(s).hex(), (k, s)
+                    assert float(grid.u_at(s)).hex() == hold.sample(snapped(s)).hex(), (k, s)
 
         grid, hold, rng = self.protocol(d, h, N, seed, on_step)
         T = N * h
@@ -405,7 +410,7 @@ class TestRowTable:
         points += rng.uniform(phi0, T, 500).tolist()
         points = [s for s in points if s >= phi0]
         for s in points + [T + 1.0]:
-            assert float(grid.u_at(s)).hex() == hold.sample(s).hex(), s
+            assert float(grid.u_at(s)).hex() == hold.sample(snapped(s)).hex(), s
         # below phi(0) the control is the pre-history's, where the hold has none
         for s in (math.nextafter(phi0, -math.inf), phi0 - h, phi0 - 1.0):
             assert grid.u_at(s) is grid.u_pre

@@ -54,6 +54,18 @@ class TestSimulate:
         ):
             assert compute_V(mon, [x1, x2], L, cert) == pytest.approx(V, abs=1e-9)
 
+    def test_decay_line_gives_a_rate_only_for_the_linear_trigger(self, tmp_path):
+        # a fixed ratio has no guaranteed rate: this run used to print
+        # "guaranteed rate -mu = -0.2197 (VIOLATED)"
+        fixed, linear = tmp_path / "fixed", tmp_path / "linear"
+        assert main(["simulate", "--preset", "linear2d", "--override", "trigger.mode=fixed-ratio",
+                     "--override", "trigger.rho_bar=2.0", "--out", str(fixed)]) == 0
+        summary = (fixed / "summary.txt").read_text()
+        assert "log-V least-squares slope" in summary and "guaranteed rate" not in summary
+        assert main(["simulate", "--preset", "linear2d", "--override", "sim.T=3.0",
+                     "--out", str(linear)]) == 0
+        assert "guaranteed rate -mu = -0.2197 (ok)" in (linear / "summary.txt").read_text()
+
     def test_divergence_exit_code(self, tmp_path):
         code = main([
             "simulate", "--preset", "example2", "--out", str(tmp_path / "e2"),
@@ -116,6 +128,7 @@ class TestSimulate:
         ("sim.t=5", "sim.t"),  # unknown key: the preset's T = 25 used to run
         ("monitor.stride=2.5", "monitor.stride"),  # int() used to truncate it to 2
         ("sim.T=abc", "sim.T"),  # float() used to raise a ValueError traceback
+        ("sim.h=0.03", "T = 25.0 is not a whole number of steps h = 0.03"),  # ran to 24.99
     ])
     def test_config_error_exits_1_naming_the_key(self, tmp_path, capsys, override, key):
         out = tmp_path / "out"

@@ -173,6 +173,17 @@ class TestRunBasics:
         with pytest.raises(ConfigurationError):
             SensingConfig(mode="periodic", delta_tau=1.0)
 
+    @pytest.mark.parametrize("preset, T, h", [(presets.example1, 25.0, 0.03),
+                                              (presets.linear2d, 2.5, 0.0075)])
+    def test_horizon_off_the_grid_rejected(self, preset, T, h):
+        # the run used to end on the nearest node without a word: at 24.99 and 2.4975
+        with pytest.raises(ConfigurationError, match=rf"T = {T} .* steps h = {h}"):
+            dataclasses.replace(preset(), T=T, h=h)
+        # a horizon on the grid ends on its own node
+        tr = run(dataclasses.replace(preset(), T=3.0, h=h, monitor=None))
+        assert len(tr.times) == round(3.0 / h) + 1
+        assert tr.times[-1] == pytest.approx(3.0, abs=1e-12)
+
     @pytest.mark.parametrize("build", [
         lambda: SensingConfig(mu_psi=0.1, sigma_psi=-0.02),
         lambda: SensingConfig(delta_tau=np.nan, d_psi=1.0),

@@ -12,11 +12,11 @@ from scipy.linalg import expm
 from etpf import engine as etpf_engine
 from etpf import predictor as etpf_predictor
 from etpf import presets, run
-from etpf.channel import ActuationDelay, node_of
-from etpf.engine import SensingConfig, _node_grid
+from etpf.channel import SNAP, ActuationDelay, node_of
+from etpf.engine import SensingConfig
 from etpf.exceptions import PredictorError
 from etpf.model import LinearSystem, SystemModel
-from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, make_predictor
+from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, NodeGrid, make_predictor
 from etpf.presets import linear2d_system
 from etpf.trigger import TriggerConfig
 
@@ -51,16 +51,15 @@ def control_grid(delay, u0, h=1e-2, N=400, events=()):
     u is ``u0`` before the first event, and ``value`` from each event
     ``(k, value)`` at node k h on, as the engine's rows and event times hold it.
     """
-    m_lo = node_of(delay.phi(0.0), h)[0]
     U = np.full(N + 1, float(u0))
     for k, value in events:
         U[k:] = value
-    return _node_grid(delay, h, m_lo, N, U.tolist(), float(u0), [k * h for k, _ in events])
+    return NodeGrid(delay, h, U.tolist(), float(u0), [k * h for k, _ in events])
 
 
-def closed_loop(model, grid, delay, anchor_time, anchor_state, t):
+def closed_loop(model, grid, anchor_time, anchor_state, t):
     """ClosedLoopPredictor's prediction of x(sigma(t)) from one anchor."""
-    pred = ClosedLoopPredictor(model, delay, grid)
+    pred = ClosedLoopPredictor(model, grid)
     pred.reanchor(anchor_time, anchor_state, t)
     return pred.p
 
@@ -70,7 +69,7 @@ class TestClosedLoopReference:
 
     def test_zero_dynamics_constant(self):
         delay = ActuationDelay.constant(0.5)
-        p = closed_loop(zero_model(), control_grid(delay, 1.0), delay, 1.0, [2.5], 3.0)
+        p = closed_loop(zero_model(), control_grid(delay, 1.0), 1.0, [2.5], 3.0)
         assert p[0] == pytest.approx(2.5)
 
     def test_scalar_integrator_hand_integral(self):
@@ -78,8 +77,57 @@ class TestClosedLoopReference:
         delay = ActuationDelay.constant(0.5)
         c, tau, t = 2.0, 1.0, 2.3
         grid = control_grid(delay, c, h=1e-3, N=3000)
-        p = closed_loop(integrator_model(), grid, delay, tau, [1.0], t)
+        p = closed_loop(integrator_model(), grid, tau, [1.0], t)
         assert p[0] == pytest.approx(1.0 + c * (t - (tau - 0.5)), rel=1e-9)
+
+
+class TestTimeBase:
+    """``NodeGrid`` places a float time on the grid by ``node_of``'s rule alone."""
+
+    DELAYS = {
+        "example1": ActuationDelay.example1,  # phi(0) off the grid
+        "sinusoidal": lambda: ActuationDelay.sinusoidal(0.5, 0.2),  # phi(0) on node -50
+        "from_table": lambda: ActuationDelay.from_table([0.0, 1.5, 3.0], [0.4537, 0.9, 0.6]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DELAYS))
+    def test_sigma_reads_the_tables_and_solves_only_off_the_grid(self, kind, monkeypatch):
+        delay, h, N = self.DELAYS[kind](), 1e-2, 300
+        grid = control_grid(delay, 0.0, h=h, N=N)
+        sig, sdot = grid.tables[:2]
+        calls, solve = [], ActuationDelay.sigma
+        monkeypatch.setattr(ActuationDelay, "sigma",
+                            lambda self, t: calls.append(t) or solve(self, t))
+        # every table node, and the times within the snap either side of it
+        for k in range(grid.lo + 1, N + 2):
+            for s in (k * h, k * h - 0.5 * SNAP * h, k * h + 0.5 * SNAP * h):
+                assert grid.sigma(s) == sig[k - grid.lo], (k, s)
+                if k <= N:  # sigma_dot has no entry at N + 1
+                    assert grid.sigma(s, dot=True) == sdot[k - grid.lo], (k, s)
+        # phi(0): slot 0, unless node_of places it on a node
+        phi0 = delay.phi(0.0)
+        k0, on0 = node_of(phi0, h)
+        assert on0 == (kind == "sinusoidal")
+        slot = k0 - grid.lo if on0 else 0
+        assert grid.sigma(phi0) == sig[slot] and grid.sigma(phi0, dot=True) == sdot[slot]
+        assert calls == []
+        # off the grid: the delay's own solve, once for sigma and twice for sigma_dot
+        for s in (0.505, 1.2345, 2.0 * N * h / 3.0 + 0.3 * h):
+            assert grid.sigma(s) == solve(delay, s) and calls == [s]
+            assert grid.sigma(s, dot=True) == delay.sigma_dot(s, h) and len(calls) == 5
+            calls.clear()
+
+    def test_u_at_within_the_snap_below_an_event_node_reads_its_row(self):
+        # events at nodes 0 and 150: a time 1 ulp or half the snap below either stands for
+        # the node and reads the event's row; the row table reads phi(k h) the same way
+        delay, h = ActuationDelay.constant(0.5), 1e-2
+        grid = control_grid(delay, 0.4, h=h, events=[(0, 0.7), (150, -1.1)])
+        for k, before, row in ((0, 0.4, 0.7), (150, 0.7, -1.1)):
+            t = k * h
+            for s in (t, math.nextafter(t, -math.inf), t - 0.5 * SNAP * h):
+                assert grid.u_at(s) == row, (k, s)
+            for s in (t - 2.0 * SNAP * h, t - 0.5 * h):  # past the snap: the control before
+                assert grid.u_at(s) == before, (k, s)
 
 
 class TestLinearClosedForm:
@@ -106,7 +154,7 @@ class TestLinearClosedForm:
         delay = ActuationDelay.constant(0.5)
         grid = control_grid(delay, 0.3, h=1e-3, N=3000, events=[(700, -1.1), (1400, 0.6)])
         p_lin = predict_linear(2.0, 1.0, [1.0, -1.0], grid, delay, sys, 1e-3)
-        p_cl = closed_loop(model, grid, delay, 1.0, [1.0, -1.0], 2.0)
+        p_cl = closed_loop(model, grid, 1.0, [1.0, -1.0], 2.0)
         np.testing.assert_allclose(p_lin, p_cl, atol=1e-3)
 
 
@@ -135,7 +183,7 @@ def segment_predictor(kind, stamps):
     # oscillating and unstable open loop, so exp(A r) is not a polynomial
     sys = LinearSystem(A=[[0.2, 1.0], [-1.0, 0.1]], B=[[0.0], [1.0]],
                        K_gain=[[-1.0, -2.0]], Q=np.eye(2))
-    return LinearPredictor(sys, delay, grid)
+    return LinearPredictor(sys, grid)
 
 
 def per_node_reference(pred, p, s_from, s_to):
@@ -277,7 +325,7 @@ class TestSegmentMemo:
                             lambda M: expms.append(M.shape[0]) or real_expm(M))
         tr = run(cfg)
         pred = made[0]
-        advance_keys = len({round(d, 14) for d in np.diff(pred.grid.sig).tolist()})
+        advance_keys = len({round(d, 14) for d in np.diff(pred.grid.tables[0]).tolist()})
         assert advance_keys > 4096 and expms[0] == advance_keys
         assert expms[1:] == [1] * (len(pred._mats) - advance_keys) and len(expms) > 1
         # every memo entry holds the E of its step key
@@ -358,7 +406,7 @@ class TestIncrementalClosedLoop:
     def test_anchor_monotonicity_enforced(self):
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
-        pred = ClosedLoopPredictor(model, delay, control_grid(delay, 0.0))
+        pred = ClosedLoopPredictor(model, control_grid(delay, 0.0))
         pred.reanchor(1.0, [0.0], 1.0)
         with pytest.raises(PredictorError):
             pred.reanchor(0.5, [0.0], 1.0)
@@ -367,9 +415,9 @@ class TestIncrementalClosedLoop:
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
         with pytest.raises(PredictorError):
-            make_predictor("magic", model, delay, control_grid(delay, 0.0))
+            make_predictor("magic", model, control_grid(delay, 0.0))
         with pytest.raises(PredictorError):
-            make_predictor("linear-closed-form", model, delay, control_grid(delay, 0.0),
+            make_predictor("linear-closed-form", model, control_grid(delay, 0.0),
                            linear=None)
 
 
@@ -391,7 +439,7 @@ class TestReplayMemo:
         # step's f once its control row is final
         delay = ActuationDelay.example1()
         grid = control_grid(delay, 0.5, h=self.H, N=600, events=[(50, -1.0), (120, 0.3)])
-        pred = ClosedLoopPredictor(self.counting_model(calls), delay, grid)
+        pred = ClosedLoopPredictor(self.counting_model(calls), grid)
         pred.reanchor(1.0, [1.0, 0.5], 2.0)
         for k in range(200, 230):
             pred.advance(k)
@@ -411,7 +459,7 @@ class TestReplayMemo:
         # only the nodes from the anchor on are kept
         assert pred._c0 == node
         # the same bits as a replay from scratch
-        fresh = ClosedLoopPredictor(self.counting_model([]), delay, grid)
+        fresh = ClosedLoopPredictor(self.counting_model([]), grid)
         fresh.reanchor(node * self.H, state, 2.3)
         assert fresh.p.tobytes() == p.tobytes()
 
@@ -426,7 +474,7 @@ class TestReplayMemo:
         pred.reanchor(node * self.H, state, 2.3)
         assert calls  # replayed
         assert pred.p.tobytes() != hit.tobytes()
-        fresh = ClosedLoopPredictor(self.counting_model([]), delay, grid)
+        fresh = ClosedLoopPredictor(self.counting_model([]), grid)
         fresh.reanchor(node * self.H, state, 2.3)
         assert fresh.p.tobytes() == pred.p.tobytes()
 
@@ -438,7 +486,7 @@ class TestReplayMemo:
         node = 130
         state = pred._chain[node - pred._c0].copy()
         pred.reanchor(node * self.H, state, 2.0)
-        fresh = ClosedLoopPredictor(self.counting_model([]), delay, grid)
+        fresh = ClosedLoopPredictor(self.counting_model([]), grid)
         fresh.reanchor(node * self.H, state, 2.0)
         assert fresh.p.tobytes() == pred.p.tobytes()
 
@@ -447,7 +495,7 @@ class TestReplayMemo:
         model = SystemModel(state_dim=1, f=lambda x, u: x.copy(), K=lambda x: 0.0,
                             L_f=1.0, L_K=0.0)
         delay = ActuationDelay.constant(0.5)
-        pred = ClosedLoopPredictor(model, delay, control_grid(delay, 0.0))
+        pred = ClosedLoopPredictor(model, control_grid(delay, 0.0))
         pred.reanchor(1.0, [0.0], 1.0)
         pred.reanchor(1.2, [-0.0], 1.5)
         assert math.copysign(1.0, pred.p[0]) == -1.0
@@ -468,8 +516,8 @@ class TestHeldLinearTerm:
         seen = []
 
         def checked(self, k):
-            g = self.grid
-            E, Phi = self._step_mats(float(g.sig[k + 1 - g.lo] - g.sig[k - g.lo]))
+            g, sig = self.grid, self.grid.tables[0]
+            E, Phi = self._step_mats(float(sig[k + 1 - g.lo] - sig[k - g.lo]))
             expected = E @ self.p + Phi @ (self.sys.B[:, 0] * g.u_row(k))
             original(self, k)
             assert self.p.tobytes() == expected.tobytes(), k
@@ -486,7 +534,7 @@ class TestLinearBlock:
 
     def predictor(self, delay, p):
         grid = control_grid(delay, 0.4, h=1e-3, N=3000)
-        pred = LinearPredictor(linear2d_system(), delay, grid)
+        pred = LinearPredictor(linear2d_system(), grid)
         pred.reanchor(0.0, np.zeros(2), 1.0)
         pred.p = np.array(p)
         return pred
@@ -589,8 +637,7 @@ class TestDivergenceCheck:
     def test_finite_below_cap_passes(self):
         delay = ActuationDelay.constant(0.5)
         # 50 steps of 0.01 at rate 1e12 end at 5e11, under the cap
-        p = closed_loop(self.rate_model(1e12), control_grid(delay, 1.0), delay,
-                        1.0, [0.0], 1.0)
+        p = closed_loop(self.rate_model(1e12), control_grid(delay, 1.0), 1.0, [0.0], 1.0)
         assert p[0] == pytest.approx(5e11, rel=1e-6)
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from etpf.channel import ActuationDelay, node_of
-from etpf.engine import _node_grid
+from etpf.channel import ActuationDelay
 from etpf.exceptions import CoverageError, DomainError, PredictorError
 from etpf.model import SystemModel
-from etpf.predictor import SemiClosedPredictor, window_integral
+from etpf.predictor import NodeGrid, SemiClosedPredictor, window_integral
 from etpf.signals import TimedSignal
 
 from reference_predictors import ListSignal
@@ -162,10 +161,10 @@ class TestIntegrate:
         # the predictor's window ends at the last stamp or before; one that starts
         # before the first is a PredictorError
         delay, h, N = ActuationDelay.constant(0.5), 1e-2, 200
-        grid = _node_grid(delay, h, node_of(delay.phi(0.0), h)[0], N, np.ones(N + 1), 1.0, [])
+        grid = NodeGrid(delay, h, [1.0] * (N + 1), 1.0, [])
         model = SystemModel(state_dim=1, f=lambda x, u: np.array([u]), K=lambda x: 0.0,
                             L_f=1.0, L_K=0.0)
-        pred = SemiClosedPredictor(model, delay, grid)
+        pred = SemiClosedPredictor(model, grid)
         pred.reanchor(1.0, [0.0], 1.0)  # the history starts at phi(1) = 0.5
         for k in range(50, 60):
             pred.advance(k)
