@@ -21,9 +21,9 @@ import numpy as np
 
 from .channel import ActuationDelay, SensingSchedule, node_of
 from .exceptions import ConfigurationError
-from .model import ISSCertificate, LinearSystem, SystemModel, lift
+from .model import ISSCertificate, LinearSystem, SystemModel
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
-from .predictor import LIFT, NodeGrid, make_predictor
+from .predictor import NodeGrid, lift_table, make_predictor
 from .signals import TimedSignal
 from .trigger import EventLog, TriggerConfig, check_and_fire, first_crossing, threshold
 
@@ -235,7 +235,7 @@ def run(cfg: SimConfig) -> SimTrace:
         U[0] = u_pre  # the pre-history control holds until the event at t = 0
     log = EventLog()
 
-    grid = NodeGrid(ctrl_delay, h, U, u_pre, log.event_times)
+    grid = NodeGrid(ctrl_delay, h, U, u_pre, log.event_times, log.event_nodes)
     # the plant reads the true delay's tables, on the controller's slots
     if true_delay == ctrl_delay:
         tables = grid.tables
@@ -283,15 +283,15 @@ def run(cfg: SimConfig) -> SimTrace:
     lifted = blk = None
     if predictor.block is not None and model._linear is cfg.linear and trig.mode != "nonlinear":
         dv_steps, hb = dv_nodes + [N], h * cfg.linear.B[:, 0]
-        Gx = lift(np.eye(n) + h * cfg.linear.A, LIFT)  # x_i = M^i x + S_i h B u
+        Gx = lift_table((np.eye(n) + h * cfg.linear.A).tobytes())  # x_i = M^i x + S_i h B u
 
         def lifted(s: int, x) -> int:
             """Commit the rows after s up to a breakpoint (README, "Block stepping of linear
             runs"), a trigger crossing or a bound; return the row handed back, with x, p and
             U set."""
-            ev, j = log.event_times, rows_true[s]
-            i = bisect_right(ev, j * h)
-            limit = 0 if j < 0 else min(node_of(ev[i], h)[0], s + 1) if i < len(ev) else s + 1
+            nodes, j = log.event_nodes, rows_true[s]
+            i = bisect_right(nodes, j)
+            limit = 0 if j < 0 else min(nodes[i], s + 1) if i < len(nodes) else s + 1
             end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
             if end - s < 2:  # one row: the loop's own step
                 return s
@@ -342,7 +342,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     fired, e_n = check_and_fire(p_last_event, p_now, thr)
                     if fired:
                         U[step] = control = K(p_now)
-                        record(t, control, e_n)
+                        record(t, control, e_n, step)
                         p_last_event, blk = p_now, lifted  # predictors rebind p, never write it
                         ev_flags[step] = 1.0
                     else:

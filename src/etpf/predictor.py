@@ -18,8 +18,11 @@ and read sigma and the control from its ``NodeGrid``.
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -42,6 +45,16 @@ __all__ = [
 PREDICTOR_METHODS = ("closed-loop", "semi-closed-loop", "open-loop", "linear-closed-form")
 
 LIFT = 128  # rows of the power tables, the longest block of LinearPredictor.block
+STEPS_MAX = 20_000  # entries of the process-wide step memo (README, "The linear path shares")
+_steps: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # bits of A and dsig -> (E, Phi)
+
+
+@lru_cache(maxsize=STEPS_MAX // LIFT)
+def lift_table(bits: bytes) -> np.ndarray:
+    """``lift(M, LIFT)``, read-only, of the square M with these bytes, shared process-wide."""
+    M = np.frombuffer(bits)
+    (G := lift(M.reshape(n := math.isqrt(len(M)), n), LIFT)).flags.writeable = False
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +79,15 @@ class NodeGrid:
     floats: ``U[j]`` is the control in force at node j h for j >= 0.  The
     engine writes a row at an event and otherwise copies the row before it
     when a step ends, so a read of the next row before its event sees the
-    held value.  ``u_pre`` is the control before t = 0.  ``events`` is the
-    run's list of event times, shared with its ``EventLog``; with the rows it
-    is the whole control history.
+    held value.  ``u_pre`` is the control before t = 0.  ``events`` and
+    ``nodes`` are the run's lists of event times and of their nodes, shared
+    with its ``EventLog``; with the rows they are the whole control history.
     """
 
-    def __init__(self, delay: ActuationDelay, h: float, U: list, u_pre: float, events: list):
-        self.delay, self.h, self.U, self.u_pre, self.events = delay, h, U, u_pre, events
+    def __init__(self, delay: ActuationDelay, h: float, U: list, u_pre: float, events: list,
+                 nodes: list):
+        self.delay, self.h, self.U, self.u_pre = delay, h, U, u_pre
+        self.events, self.nodes = events, nodes
         self.phi0 = delay.phi(0.0)
         m_lo = node_of(self.phi0, h)[0]
         self.lo, self.tables = m_lo - 1, delay.grid_tables(h, m_lo, len(U) - 1)
@@ -99,15 +114,13 @@ class NodeGrid:
         return self.U[min(k, len(self.U) - 1)] if k >= 0 else self.u_pre
 
     def u_breaks(self, a: float, b: float) -> list:
-        """``a``, then 0 and the event times strictly inside ``(a, b)``, then ``b``.
-
-        u is constant between consecutive breaks.
-        """
+        """The nodes of 0 and of the events strictly inside ``(a, b)``: u is constant from
+        ``a`` to the first, between consecutive ones and from the last to ``b``."""
         ev = self.events
-        inner = ev[bisect_right(ev, a):bisect_left(ev, b)]
-        if a < 0.0 < b and inner[:1] != [0.0]:
-            inner.insert(0, 0.0)
-        return [a, *inner, b]
+        inner = self.nodes[bisect_right(ev, a):bisect_left(ev, b)]
+        if a < 0.0 < b and inner[:1] != [0]:
+            inner.insert(0, 0)
+        return inner
 
 
 class _Predictor:
@@ -321,15 +334,15 @@ class LinearPredictor(_Predictor):
     exponentials are kept per key ``round(dsig, 14)``, all advance keys from
     one stacked ``expm`` at construction; each step reads ``(E, Phi B u)``
     from a memo per bits of (dsig, u).  ``block`` takes a run of advances
-    with one step key and one control at once.
+    with one step key and one control at once.  The ``expm`` of each dsig and
+    the lift of each E come from process-wide memos keyed by exact bits.
     """
 
     def __init__(self, sys: LinearSystem, grid: NodeGrid):
         super().__init__(sys, grid)
         self.sys = sys
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # see _affine
-        self._sig = grid.tables.sigs
-        self._lifts: dict[float, np.ndarray] = {}  # lift(E, LIFT) per advance key
+        self._sig, self._A_bits = grid.tables.sigs, sys.A.tobytes()
         # group the advance steps by key, nondecreasing in dsig: by the values that raise it;
         # _runs holds the slots where the key changes, then the end
         d = np.diff(grid.tables[0])
@@ -344,11 +357,18 @@ class LinearPredictor(_Predictor):
         self._mats = dict(zip((round(v, 14) for v in dsigs), self._exp_steps(dsigs)))
 
     def _exp_steps(self, dsigs: list) -> list:
-        """``(E, Phi)`` over each dsig, from one stacked ``expm``."""
-        n, ds = self.sys.n, np.array(dsigs)[:, None, None]
-        M = np.zeros((len(dsigs), 2 * n, 2 * n))
-        M[:, :n, :n], M[:, :n, n:] = self.sys.A * ds, np.eye(n) * ds
-        return [(E[:n, :n], E[:n, n:]) for E in expm(M)]
+        """``(E, Phi)`` over each dsig from the process-wide memo, the misses from one ``expm``."""
+        keys = [self._A_bits + struct.pack("d", v) for v in dsigs]
+        if miss := {k: v for k, v in zip(keys, dsigs) if k not in _steps}:
+            n, ds = self.sys.n, np.array(list(miss.values()))[:, None, None]
+            M = np.zeros((len(ds), 2 * n, 2 * n))
+            M[:, :n, :n], M[:, :n, n:] = self.sys.A * ds, np.eye(n) * ds
+            (R := expm(M)).flags.writeable = False
+            _steps.update(zip(miss, ((E[:n, :n], E[:n, n:]) for E in R)))
+        mats = [_steps[k] for k in keys]
+        for k in list(islice(_steps, max(len(_steps) - STEPS_MAX, 0))):
+            del _steps[k]  # the oldest: its exact key recomputes the same bits
+        return mats
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
         if (mats := self._mats.get(key := round(dsig, 14))) is None:
@@ -367,10 +387,9 @@ class LinearPredictor(_Predictor):
     def _integrate(self, p, s_from: float, s_to: float) -> np.ndarray:
         # u is constant between consecutive breaks, so one exact step per
         # control segment is the composition of the per-node steps
-        g, (a, *inner, b) = self.grid, self.grid.u_breaks(s_from, s_to)
-        ks = [node_of(s, self.h)[0] for s in inner]  # 0 and event times lie on nodes
-        sig = [g.sigma(a), *[self._sig[k - g.lo] for k in ks], g.sigma(b)]
-        u = [g.u_at(a), *[g.U[k] for k in ks]]
+        g, ks = self.grid, self.grid.u_breaks(s_from, s_to)
+        sig = [g.sigma(s_from), *[self._sig[k - g.lo] for k in ks], g.sigma(s_to)]
+        u = [g.u_at(s_from), *[g.U[k] for k in ks]]
         for i in range(len(u)):
             E, c = self._affine(sig[i + 1] - sig[i], u[i])
             p = E @ p + c
@@ -397,10 +416,8 @@ class LinearPredictor(_Predictor):
         L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
         if L < 2:  # one row is advance's own step
             return np.empty((0, n))
-        E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], g.U[k])
-        if (G := self._lifts.get(key := round(dsig, 14))) is None:
-            G = self._lifts[key] = lift(E, LIFT)
-        return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
+        E, c = self._affine(self._sig[i + 1] - self._sig[i], g.U[k])
+        return (lift_table(E.tobytes())[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
 
 
 def make_predictor(method, model, grid: NodeGrid, linear=None):

@@ -77,18 +77,20 @@ class TriggerConfig:
 
 @dataclass
 class EventLog:
-    """Strictly increasing event times, with the control and |e| before the reset at each."""
+    """Strictly increasing event times, with the control, |e| before the reset and node at each."""
 
     event_times: list = field(default_factory=list)
     event_controls: list = field(default_factory=list)
     e_pre_reset: list = field(default_factory=list)
+    event_nodes: list = field(default_factory=list)
 
-    def record(self, t: float, control, e_pre: float) -> None:
+    def record(self, t: float, control, e_pre: float, node: int) -> None:
         if self.event_times and t <= self.event_times[-1]:
             raise DomainError("event times must be strictly increasing")
         self.event_times.append(float(t))
         self.event_controls.append(float(control))
         self.e_pre_reset.append(e_pre)
+        self.event_nodes.append(node)
 
     @property
     def count(self) -> int:

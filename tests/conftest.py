@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.engine import SensingConfig, heatmap
 from etpf.predictor import ClosedLoopPredictor
@@ -17,15 +18,25 @@ def prediction_error(trace, delay):
     """sup over t >= t0 of |p(t) - x(sigma(t))|, with x linearly interpolated.
 
     Restricted to times whose prediction target sigma(t) lies inside the
-    recorded trajectory.
+    recorded trajectory; a ValueError if there is none.
     """
     sig = delay.sigma(trace.times)
     mask = (trace.times >= trace.t0) & (sig <= trace.times[-1])
+    if not mask.any():
+        raise ValueError(f"no prediction target inside the horizon: t0 = {trace.t0}, "
+                         f"sigma(t0) = {float(delay.sigma(trace.t0))}, T = {trace.times[-1]}")
     s = sig[mask]
     xi = np.column_stack(
         [np.interp(s, trace.times, trace.x[:, j]) for j in range(trace.x.shape[1])]
     )
     return float(np.max(np.linalg.norm(trace.p[mask] - xi, axis=1)))
+
+
+def cold_linear_memos():
+    """Empty the process-wide memos of the linear path: the next linear run computes every
+    ``expm`` and lift table it reads, as the first run of a process does."""
+    etpf_predictor._steps.clear()
+    etpf_predictor.lift_table.cache_clear()
 
 
 def per_step(cfg):

@@ -309,7 +309,7 @@ class TestRowTable:
     k h, and otherwise starts as a copy of row k - 1 when step k - 1 ends, so
     reads of row k + 1 before its event see the held control.  ``u_at`` and
     ``u_breaks`` of the run's ``NodeGrid``, which read the rows and the event
-    times, match the hold and its stamps as well.
+    times and nodes, match the hold and its stamps as well.
     """
 
     DELAYS = [
@@ -336,8 +336,8 @@ class TestRowTable:
         hold = Hold()
         hold.append(phi0, u_pre)
         U = [0.0] * (N + 1)  # the engine's rows
-        event_times = []
-        grid = NodeGrid(d, h, U, u_pre, event_times)
+        event_times, event_nodes = [], []
+        grid = NodeGrid(d, h, U, u_pre, event_times, event_nodes)
         if 0 in events:
             U[0] = u_pre
         else:
@@ -348,6 +348,7 @@ class TestRowTable:
                 u = float(rng.standard_normal())
                 hold.append(k * h, u)
                 event_times.append(k * h)
+                event_nodes.append(k)
                 U[k] = u
                 on_step(k, grid, hold)
             if k < N:
@@ -420,7 +421,7 @@ class TestRowTable:
         ends += [[phi0, T], [phi0, 0.0], [0.0, T], [phi0, phi0]]
         for a, b in ends:
             a, b = min(a, b), max(a, b)
-            assert grid.u_breaks(a, b) == hold.breakpoints(a, b), (a, b)
+            assert [a, *(k * h for k in grid.u_breaks(a, b)), b] == hold.breakpoints(a, b), (a, b)
 
 
 class TestFromTable:

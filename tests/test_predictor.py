@@ -20,7 +20,7 @@ from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, NodeGrid,
 from etpf.presets import linear2d_system
 from etpf.trigger import TriggerConfig
 
-from conftest import per_step, prediction_error
+from conftest import assert_same_run, cold_linear_memos, per_step, prediction_error
 from reference_predictors import (
     affine_unmemoized,
     integrate_per_segment,
@@ -54,7 +54,8 @@ def control_grid(delay, u0, h=1e-2, N=400, events=()):
     U = np.full(N + 1, float(u0))
     for k, value in events:
         U[k:] = value
-    return NodeGrid(delay, h, U.tolist(), float(u0), [k * h for k, _ in events])
+    return NodeGrid(delay, h, U.tolist(), float(u0), [k * h for k, _ in events],
+                    [k for k, _ in events])
 
 
 def closed_loop(model, grid, anchor_time, anchor_state, t):
@@ -314,7 +315,9 @@ class TestSegmentMemo:
 
     def test_one_stacked_expm_for_the_advance_keys(self, monkeypatch):
         # a time-varying delay gives nearly every advance its own key: one stacked
-        # expm at construction covers them all, then one call per new segment key
+        # expm at construction covers them all, then one call per new segment key; the
+        # process-wide memo starts empty, as in a fresh process
+        cold_linear_memos()
         cfg = dataclasses.replace(presets.linear2d(), T=4.0, monitor=None,
                                   delay=ActuationDelay.sinusoidal(0.5, 0.2))
         made, expms = [], []
@@ -343,6 +346,57 @@ class TestSegmentMemo:
         monkeypatch.setattr(LinearPredictor, "_affine", affine_unmemoized)
         monkeypatch.setattr(LinearPredictor, "_integrate", integrate_per_segment)
         assert digest(run(cfg)) == digest(tr)
+
+
+class TestProcessMemo:
+    """The process-wide memos of the linear path, ``(E, Phi)`` per dsig and the lift tables,
+    are keyed by exact bits: a run's bytes do not depend on what ran before it."""
+
+    @staticmethod
+    def configs():
+        base = dataclasses.replace(presets.linear2d(), monitor=None)
+        return {
+            "linear2d": base,
+            "sinusoidal": dataclasses.replace(base, delay=ActuationDelay.sinusoidal(0.5, 0.2)),
+            "constant-1.3": dataclasses.replace(base, delay=ActuationDelay.constant(1.3)),
+            "mismatched": dataclasses.replace(base, ctrl_delay=ActuationDelay.constant(0.55)),
+        }
+
+    def test_bytes_do_not_depend_on_process_history(self, monkeypatch):
+        cfgs, cold = self.configs(), {}
+        for name, cfg in cfgs.items():
+            cold_linear_memos()
+            cold[name] = run(cfg)
+        # warm: after the other linear runs, in two orders
+        expms = []
+        real_expm = etpf_predictor.expm
+        monkeypatch.setattr(etpf_predictor, "expm", lambda M: expms.append(len(M)) or real_expm(M))
+        for order in (list(cfgs), list(cfgs)[::-1]):
+            expms.clear()
+            for name in order:
+                assert_same_run(run(cfgs[name]), cold[name])
+        assert expms == []  # the second pass found every step in the memo
+
+    def test_a_rounded_key_is_not_shared(self, monkeypatch):
+        # two dsig values with one round(dsig, 14) key and different bits: each predictor's
+        # table keeps the first dsig it meets for a key, the process-wide memo must not
+        d1, d2 = 0.3, 0.3 + 4e-15
+        assert round(d1, 14) == round(d2, 14) and d1 != d2
+        sys, delay = linear2d_system(), ActuationDelay.constant(0.5)
+        cold_linear_memos()
+        first, second = (LinearPredictor(sys, control_grid(delay, 0.0)) for _ in range(2))
+        expms = []
+        real_expm = etpf_predictor.expm
+        monkeypatch.setattr(etpf_predictor, "expm",
+                            lambda M: expms.append(M[:, 0, 2].tolist()) or real_expm(M))
+        E1, _ = first._step_mats(d1)
+        E2, Phi2 = second._step_mats(d2)
+        assert expms == [[d1], [d2]]
+        M = np.zeros((1, 4, 4))
+        M[0, :2, :2], M[0, :2, 2:] = sys.A * d2, np.eye(2) * d2
+        want = expm(M)[0]
+        assert E2.tobytes() == want[:2, :2].tobytes() and Phi2.tobytes() == want[:2, 2:].tobytes()
+        assert E1.tobytes() != E2.tobytes()  # the test can tell the two keys apart
 
 
 class TestOpenLoop:
@@ -377,6 +431,13 @@ class TestOpenLoop:
         delay = ActuationDelay.constant(0.5)
         with pytest.raises(PredictorError):
             predict_open_loop_step([1.0], 0.0, control_grid(delay, 0.0), delay, model, 1.0)
+
+
+def test_prediction_error_names_an_empty_horizon():
+    # the delay is 0.5: every target sigma(t) from t0 = 0 on lies past T = 0.4
+    cfg = dataclasses.replace(presets.linear2d(), T=0.4, monitor=None)
+    with pytest.raises(ValueError, match=r"t0 = 0\.0, sigma\(t0\) = 0\.5, T = 0\.4"):
+        prediction_error(run(cfg), cfg.delay)
 
 
 class TestIncrementalClosedLoop:

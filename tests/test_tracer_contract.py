@@ -13,7 +13,7 @@ from pathlib import Path
 from etpf import presets
 from etpf.channel import node_of
 
-from conftest import offgrid_config
+from conftest import cold_linear_memos, offgrid_config
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LAYERS = ("config", "channel", "predictor", "model", "trigger", "signals", "monitor", "engine")
@@ -67,7 +67,9 @@ def test_full_example1_run_calls_f_about_once_per_step():
 
 def test_lazy_expm_is_traced():
     # LinearPredictor looks the module-level expm up at call time, so the
-    # tracer's wrapper sees every matrix exponential
+    # tracer's wrapper sees every matrix exponential that the process-wide memo misses;
+    # emptied, the memo misses them all
+    cold_linear_memos()
     tracing = load_tracer()
     mods = {name: importlib.import_module(f"etpf.{name}") for name in LAYERS}
     tracer = tracing.Tracer()

@@ -111,15 +111,15 @@ class TestCheckAndFire:
 
     def test_event_log_ordering(self):
         log = EventLog()
-        log.record(1.0, 0.0, 0.0)
+        log.record(1.0, 0.0, 0.0, 100)
         with pytest.raises(DomainError):
-            log.record(1.0, 0.0, 0.0)
+            log.record(1.0, 0.0, 0.0, 100)
         assert log.min_dwell_observed == math.inf
-        log.record(1.5, -0.3, 0.25)
+        log.record(1.5, -0.3, 0.25, 150)
         assert log.min_dwell_observed == pytest.approx(0.5)
         # a rejected event leaves every column as it was
-        assert (log.event_times, log.event_controls, log.e_pre_reset) == (
-            [1.0, 1.5], [0.0, -0.3], [0.0, 0.25])
+        assert (log.event_times, log.event_controls, log.e_pre_reset, log.event_nodes) == (
+            [1.0, 1.5], [0.0, -0.3], [0.0, 0.25], [100, 150])
 
 
 class TestFirstCrossing:
