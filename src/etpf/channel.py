@@ -142,21 +142,21 @@ class ActuationDelay:
 
     @lru_cache(maxsize=TABLES_MAX)
     def grid_tables(self, h: float, m_lo: int, N: int) -> "GridTables":
-        """``(sig, sdot, phi_k, j_k)`` on the grid of step h, one solve per key.
+        """``(sig, sdot, j_k)`` on the grid of step h, one solve per key.
 
         ``sig`` and ``sdot`` hold sigma and its centered difference (one-sided
         at m_lo) at the nodes m h, m in [m_lo, N + 1]; ``sdot`` has none at
         N + 1.  Slot 0, node m_lo - 1, holds sigma(phi(0)) and the one-sided
         difference there instead: the pre-history starts at phi(0), which lies
         in (node m_lo - 1, node m_lo] unless ``node_of`` snaps it onto node
-        m_lo.  ``phi_k[k]`` is phi(k h) for k from 0 past the last sigma
-        node, snapped by ``node_of``'s rule, so a 1-ulp offset cannot pick up
-        a stale control value.  ``j_k[k]`` is the index of the last node of
-        ``0, h, ..., N h`` at or before ``phi_k[k]``, -1 in the pre-history:
-        a control that only changes at nodes takes its value at phi(k h)
-        from node ``j_k[k]``.  The key is the delay's value (its ``M0`` fixes
-        the brackets) with ``(h, m_lo, N)``: one process-wide cache of
-        ``TABLES_MAX`` entries serves every run on an equal delay.
+        m_lo.  ``j_k[k]``, for k from 0 past the last sigma node, is the index
+        of the last node of ``0, h, ..., N h`` at or before phi(k h), snapped
+        by ``node_of``'s rule so a 1-ulp offset cannot pick up a stale control
+        value, and -1 in the pre-history: a control that only changes at nodes
+        takes its value at phi(k h) from node ``j_k[k]``.  The key is the
+        delay's value (its ``M0`` fixes the brackets) with ``(h, m_lo, N)``:
+        one process-wide cache of ``TABLES_MAX`` entries serves every run on an
+        equal delay.
         """
         phi0 = self.phi(0.0)
         # one solve for phi(0), every node from m_lo on and phi(0) + h
@@ -167,11 +167,10 @@ class ActuationDelay:
         sdot[0] = (solved[-1] - sig[0]) / h
         sdot[1] = (sig[2] - sig[1]) / h
         sdot[2:-1] = (sig[3:] - sig[1:-2]) / (2.0 * h)
-        phi_k = self.phi(np.arange(int(sig[-1] / h) + 2) * h)
-        node, on = nodes_of(phi_k, h)
-        phi_k = np.where(on, node * h, phi_k)
-        j_k = np.searchsorted(np.arange(N + 1) * h, phi_k, "right") - 1
-        return GridTables(h, (sig, sdot, phi_k, j_k))
+        # the node phi(k h) is placed on, or the one below the first node above it
+        node, on = nodes_of(self.phi(np.arange(int(sig[-1] / h) + 2) * h), h)
+        j_k = np.clip(node - ~on, -1, N)
+        return GridTables(h, (sig, sdot, j_k))
 
 
 # -- the built-in delay shapes: data, so that delays compare by value and pickle
@@ -214,7 +213,7 @@ class _TablePhi:
 
 
 class GridTables(tuple):
-    """``(sig, sdot, phi_k, j_k)`` of ``ActuationDelay.grid_tables`` on the grid of
+    """``(sig, sdot, j_k)`` of ``ActuationDelay.grid_tables`` on the grid of
     step ``h``, shared by every run on the key: the arrays are read-only, and the
     tuples that runs read element by element are built from them on first use."""
 
@@ -228,7 +227,7 @@ class GridTables(tuple):
     @cached_property
     def rows(self) -> tuple:
         """``j_k`` as ints: ``NodeGrid.rows``."""
-        return tuple(self[3].tolist())
+        return tuple(self[2].tolist())
 
     @cached_property
     def sigs(self) -> tuple:

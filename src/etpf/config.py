@@ -137,7 +137,9 @@ def _build_system(cfg: SimConfig, vals: dict) -> SimConfig:
         ref = presets.example1()
         cfg = dataclasses.replace(cfg, model=ref.model, linear=None, cert=ref.cert)
     elif kind == "example2":
-        cfg = dataclasses.replace(cfg, model=presets.example2_model(), linear=None, cert=None)
+        # no certificate, so nothing that reads one: no monitor
+        cfg = dataclasses.replace(cfg, model=presets.example2_model(), linear=None, cert=None,
+                                  monitor=None)
     elif kind == "linear":
         if not vals.keys() >= {"A", "B", "K"}:
             raise ConfigurationError("system.kind linear needs system.A, system.B and system.K")

@@ -109,6 +109,13 @@ class SimConfig:
             raise ConfigurationError("x0 dimension does not match the model")
         if not np.isfinite(self.x0).all():
             raise ConfigurationError("x0 must be finite")
+        # the certificate rules: the nonlinear trigger and the monitor read cert
+        mon, nonlinear = self.monitor, self.trigger.mode == "nonlinear"
+        if self.cert is None and (nonlinear or mon is not None):
+            who = "the nonlinear trigger" if nonlinear else "the monitor"
+            raise ConfigurationError(f"{who} needs an ISS certificate (cert)")
+        if mon is not None and mon.form == "integral" and self.cert.rho_quad_coeff is None:
+            raise ConfigurationError("an integral-form monitor needs cert.rho_quad_coeff")
 
     @property
     def controller_delay(self) -> ActuationDelay:
@@ -210,41 +217,36 @@ def _adoptions(sensing: SensingConfig, T: float, h: float, N: int):
 
 def run(cfg: SimConfig) -> SimTrace:
     """Simulate one run and return the full trace."""
-    model = cfg.model
-    h = cfg.h
+    model, h = cfg.model, cfg.h
     N = node_of(cfg.T, h)[0]  # on its node: SimConfig checks it
     times = np.arange(N + 1) * h
     n = model.state_dim
 
     true_delay = cfg.delay
-    ctrl_delay = cfg.controller_delay
-    phi0 = float(ctrl_delay.phi(0.0))
-    m_lo, on = node_of(phi0, h)
-    first = m_lo - (not on)  # the pre-history's first advance, from phi(0)
-    if first >= 0:
-        raise ConfigurationError("the channel must have positive delay at t = 0")
-
-    deliveries, dv_nodes, adopt = _adoptions(cfg.sensing, cfg.T, h, N)
-    t0 = (t0_idx := dv_nodes[0]) * h
 
     # -- control history: U[k], a float, is the control in force at node k h and
     # u_pre the one before t = 0; the rows change only at the log's events
     U = [0.0] * (N + 1)  # u = 0 from t = 0 until the first state arrives
     u_pre = float(cfg.u_prehistory)
+    log = EventLog()
+    # the grid places phi(0): the pre-history runs from node `first`, phi(0)'s slot
+    grid = NodeGrid(cfg.controller_delay, h, U, u_pre, log.event_times, log.event_nodes)
+    phi0, first = grid.phi0, grid.first
+
+    deliveries, dv_nodes, adopt = _adoptions(cfg.sensing, cfg.T, h, N)
+    t0 = (t0_idx := dv_nodes[0]) * h
     if t0_idx == 0:
         U[0] = u_pre  # the pre-history control holds until the event at t = 0
-    log = EventLog()
 
-    grid = NodeGrid(ctrl_delay, h, U, u_pre, log.event_times, log.event_nodes)
     # the plant reads the true delay's tables, on the controller's slots
-    if true_delay == ctrl_delay:
+    if true_delay == grid.delay:
         tables = grid.tables
     elif true_delay.phi(0.0) < phi0:
         raise ConfigurationError(
             "the plant's delay at t = 0 exceeds the controller's: u is undefined there"
         )
     else:
-        tables = true_delay.grid_tables(h, m_lo, N)
+        tables = true_delay.grid_tables(h, grid.lo + 1, N)
     rows_true = tables.rows
 
     # -- predictor and the pre-history grid [phi(0), 0) -------------------
@@ -268,7 +270,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     # a replay from a row of X under the plant's delay holds the plant's next rows (README,
     # "One Euler chain"); the pre-history anchors at X[0]
-    replayed = predictor.replayed if true_delay == ctrl_delay else None
+    replayed = predictor.replayed if true_delay == grid.delay else None
     own = replayed is not None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
@@ -314,7 +316,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     try:
         # the pre-history: p at each of pre_times, then one advance onto t = 0
-        predictor.reanchor(0.0, cfg.x0, phi0)
+        predictor.reanchor(0.0, cfg.x0, first)
         for i, k in enumerate(range(first, 0)):
             if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
                 raise _Diverged("prediction", "pre-history")
@@ -329,7 +331,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 if (tau := adopt.get(step)) is not None:  # the adoption table
                     k, on = node_of(tau, h)  # snapped: a 1-ulp overshoot reads no unwritten row
                     lam = (tau - (k - 1) * h) / h
-                    predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], t)
+                    predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], step)
                     own = on and replayed is not None
                     if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
                         raise _Diverged("prediction", "re-anchor")
@@ -407,7 +409,7 @@ def run(cfg: SimConfig) -> SimTrace:
         },
     )
 
-    if cfg.monitor is not None and cfg.cert is not None and divergence is None:
+    if cfg.monitor is not None and divergence is None:
         _attach_monitor(trace, cfg, grid, tables[0])
     return trace
 

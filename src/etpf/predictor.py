@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import ActuationDelay, node_of
-from .exceptions import PredictorError
+from .exceptions import ConfigurationError, PredictorError
 from .model import LinearSystem, lift
 from .signals import interpolate
 
@@ -60,10 +60,10 @@ def lift_table(bits: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Incremental predictors for the simulation engine.
 #
-# All four share the interface: reanchor(anchor_time, anchor_state, t_now),
-# advance(k) stepping the target time from node k h to (k + 1) h, and the
-# current value in .p.  advance reads sigma and u at grid nodes from a
-# NodeGrid; reanchor takes float times and may start off the grid.  The
+# All four share the interface: reanchor(anchor_time, anchor_state, now) at
+# node now, advance(k) stepping the target time from node k h to (k + 1) h,
+# and the current value in .p.  Both read sigma and u at nodes from a NodeGrid;
+# only an anchor's time and its window start may lie off the grid.  The
 # predictors only compute: the engine decides whether p has diverged.
 # ---------------------------------------------------------------------------
 
@@ -75,7 +75,9 @@ class NodeGrid:
     ``ActuationDelay.grid_tables`` over the nodes of ``U``: slot ``k - lo``
     of sigma (``tables[0]``) and of its difference quotient (``tables[1]``)
     belongs to node k h for k > lo, slot 0 to phi(0), and ``tables.rows[k]``
-    is the row holding u(phi(k h)), -1 for ``u_pre``.  ``U`` is a list of
+    is the row holding u(phi(k h)), -1 for ``u_pre``.  ``first`` is the node
+    of phi(0)'s slot: lo, or lo + 1 where ``node_of`` places phi(0) on that
+    node; the pre-history's first advance is from it.  ``U`` is a list of
     floats: ``U[j]`` is the control in force at node j h for j >= 0.  The
     engine writes a row at an event and otherwise copies the row before it
     when a step ends, so a read of the next row before its event sees the
@@ -89,13 +91,16 @@ class NodeGrid:
         self.delay, self.h, self.U, self.u_pre = delay, h, U, u_pre
         self.events, self.nodes = events, nodes
         self.phi0 = delay.phi(0.0)
-        m_lo = node_of(self.phi0, h)[0]
-        self.lo, self.tables = m_lo - 1, delay.grid_tables(h, m_lo, len(U) - 1)
+        m_lo, on = node_of(self.phi0, h)
+        self.lo, self.first = m_lo - 1, m_lo - (not on)
+        if self.first >= 0:
+            raise ConfigurationError("the channel must have positive delay at t = 0")
+        self.tables = delay.grid_tables(h, m_lo, len(U) - 1)
 
     def sigma(self, s: float, dot: bool = False) -> float:
-        """sigma(s), or with ``dot`` its difference quotient ``ActuationDelay.sigma_dot``:
-        the table entry of the node ``node_of`` places s on, slot 0 at phi(0), and
-        otherwise the delay's own solve."""
+        """sigma(s), or with ``dot`` its difference quotient, at an anchor's window start
+        s = phi(tau): the table entry of the node ``node_of`` places s on, slot 0 at phi(0),
+        and otherwise the delay's own solve."""
         table, (k, on) = self.tables[dot], node_of(s, self.h)
         if on and 0 < k - self.lo < len(table) - dot:  # sigma_dot has no entry at N + 1
             return float(table[k - self.lo])
@@ -113,12 +118,12 @@ class NodeGrid:
         k -= not on
         return self.U[min(k, len(self.U) - 1)] if k >= 0 else self.u_pre
 
-    def u_breaks(self, a: float, b: float) -> list:
-        """The nodes of 0 and of the events strictly inside ``(a, b)``: u is constant from
-        ``a`` to the first, between consecutive ones and from the last to ``b``."""
-        ev = self.events
-        inner = self.nodes[bisect_right(ev, a):bisect_left(ev, b)]
-        if a < 0.0 < b and inner[:1] != [0]:
+    def u_breaks(self, a: float, now: int) -> list:
+        """The nodes of 0 and of the events strictly between time ``a`` and node ``now``:
+        u is constant from ``a`` to the first, between consecutive ones and on to ``now``."""
+        nodes = self.nodes
+        inner = nodes[bisect_right(self.events, a):bisect_left(nodes, now)]
+        if a < 0.0 and now > 0 and inner[:1] != [0]:
             inner.insert(0, 0)
         return inner
 
@@ -131,10 +136,7 @@ class _Predictor:
     replayed = block = None
 
     def __init__(self, model, grid: NodeGrid):
-        self.model = model
-        self.delay = grid.delay
-        self.grid = grid
-        self.h = grid.h
+        self.model, self.delay, self.grid, self.h = model, grid.delay, grid, grid.h
         self.p: Optional[np.ndarray] = None
         self.anchor_time: Optional[float] = None
 
@@ -194,13 +196,12 @@ class ClosedLoopPredictor(_Predictor):
             self.p = xhat  # chain arrays are never written to
         self._f_k = f_k
 
-    def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
+    def reanchor(self, anchor_time: float, anchor_state, now: int) -> None:
         if self.anchor_time is not None and anchor_time < self.anchor_time:
             raise PredictorError("anchor time must be nondecreasing")
         self.anchor_time = float(anchor_time)
         x = np.array(anchor_state, dtype=float, ndmin=1)
-        sig = self.grid.sigma(float(t_now))
-        kt, on_t = node_of(sig, self.h)
+        sig, kt, on_t = self._targets[now - self._lo]
         k, on = node_of(anchor_time, self.h)
         chain, c, head = self._chain, k - self._c0, self._c0 + len(self._chain) - 1
         # a hit: node k is on the chain, with x's bits, and the head is not past the target
@@ -236,7 +237,7 @@ class OpenLoopPredictor(_Predictor):
     starts at phi(0), where the window is empty.
     """
 
-    def reanchor(self, anchor_time, anchor_state, t_now):
+    def reanchor(self, anchor_time, anchor_state, now):
         if self.anchor_time is not None:
             return  # later deliveries are deliberately ignored
         self.anchor_time = float(anchor_time)
@@ -272,17 +273,17 @@ class SemiClosedPredictor(_Predictor):
     quadrature stays trapezoidal.  As in the open-loop flow, the first anchor
     starts the history at phi(anchor_time) with p = the anchor state.  The
     history is two arrays, stamps and rows of g: phi(anchor_time), then one
-    node per advance, with room for every node of the grid's tables.
+    node k h per advance, with room for every node of the grid's tables.  A
+    later anchor integrates its window up to the last stamp, node ``now``.
     """
 
     def __init__(self, model, grid: NodeGrid):
         super().__init__(model, grid)
         self._n, self._times, self._g = 0, None, None  # stamps stored, stamps, rows of g
         self._anchor_state: Optional[np.ndarray] = None
-        self._t: Optional[float] = None
         self._integral: Optional[np.ndarray] = None
 
-    def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
+    def reanchor(self, anchor_time: float, anchor_state, now: int) -> None:
         self.anchor_time = float(anchor_time)
         self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
         s0 = self.delay.phi(self.anchor_time)
@@ -291,31 +292,27 @@ class SemiClosedPredictor(_Predictor):
             self._integral = np.zeros_like(self.p)
             size = len(self.grid.tables[0])  # phi(0), then one node per advance at most
             self._times, self._g = np.empty(size), np.empty((size, len(self.p)))
-            self._times[0] = self._t = s0
+            self._times[0] = s0
             self._g[0] = self.grid.sigma(s0, dot=True) * self.model.f(self.p, self.grid.u_at(s0))
             self._n = 1
             return
         times, g = self._times[: self._n], self._g[: self._n]
         if s0 < times[0]:
             raise PredictorError("g-history does not reach the new anchor window")
-        self._integral = window_integral(times, g, s0, min(t_now, times[-1]))
+        self._integral = window_integral(times, g, s0, times[-1])
         self.p = self._anchor_state + self._integral
-        self._t = t_now
 
     def advance(self, k: int) -> None:
         """Close the segment to node k + 1 and store g there."""
         grid, n, i = self.grid, self._n, k + 1 - self.grid.lo
-        s_next, sdot, u = k * self.h + self.h, float(grid.tables[1][i]), grid.u_row(k + 1)
-        dt, g_left = s_next - self._t, self._g[n - 1]
-        if self._t < self._times[n - 1]:  # a re-anchor's t_now may sit one ulp below it
-            g_left = interpolate(self._times[:n], self._g[:n], np.array([self._t]))[0]
+        s_next, sdot, u = (k + 1) * self.h, float(grid.tables[1][i]), grid.u_row(k + 1)
+        dt, g_left = s_next - self._times[n - 1], self._g[n - 1]
         p_pred = self.p + dt * g_left  # Euler predictor
         g_right = sdot * self.model.f(p_pred, u)
         self._integral = self._integral + 0.5 * dt * (g_left + g_right)
         self.p = self._anchor_state + self._integral
         # store the corrected integrand value
         self._times[n], self._g[n], self._n = s_next, sdot * self.model.f(self.p, u), n + 1
-        self._t = s_next
 
 
 def expm(M: np.ndarray) -> np.ndarray:
@@ -384,23 +381,23 @@ class LinearPredictor(_Predictor):
             mats = self._memo[bits] = (E, Phi @ (self.sys.B[:, 0] * u))
         return mats
 
-    def _integrate(self, p, s_from: float, s_to: float) -> np.ndarray:
+    def _integrate(self, p, s_from: float, now: int) -> np.ndarray:
         # u is constant between consecutive breaks, so one exact step per
-        # control segment is the composition of the per-node steps
-        g, ks = self.grid, self.grid.u_breaks(s_from, s_to)
-        sig = [g.sigma(s_from), *[self._sig[k - g.lo] for k in ks], g.sigma(s_to)]
+        # control segment from s_from to node now is the composition of the per-node steps
+        g, sig, ks = self.grid, self._sig, self.grid.u_breaks(s_from, now)
+        sig = [g.sigma(s_from), *[sig[k - g.lo] for k in ks], sig[now - g.lo]]
         u = [g.u_at(s_from), *[g.U[k] for k in ks]]
         for i in range(len(u)):
             E, c = self._affine(sig[i + 1] - sig[i], u[i])
             p = E @ p + c
         return p
 
-    def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
+    def reanchor(self, anchor_time: float, anchor_state, now: int) -> None:
         self.anchor_time = float(anchor_time)
         p = np.asarray(anchor_state, dtype=float).copy()
         s0 = self.delay.phi(self.anchor_time)
-        if t_now > s0:
-            p = self._integrate(p, s0, t_now)
+        if now * self.h > s0:
+            p = self._integrate(p, s0, now)
         self.p = p
 
     def advance(self, k: int) -> None:

@@ -118,7 +118,6 @@ def _example2_base(D: float, a: float) -> SimConfig:
         predictor_method="closed-loop",
         # the controller assumes the nominal constant delay D
         ctrl_delay=ActuationDelay.constant(D),
-        monitor=MonitorConfig(b=10.0, form="sup", stride=10),
     )
 
 

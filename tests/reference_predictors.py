@@ -132,11 +132,12 @@ def affine_unmemoized(pred, dsig: float, u: float):
     return E, Phi @ (pred.sys.B[:, 0] * u)
 
 
-def integrate_per_segment(pred, p, s_from: float, s_to: float) -> np.ndarray:
-    """``LinearPredictor._integrate`` without the memo: one step per control segment,
-    with sigma and u at each break from ``NodeGrid.sigma`` and ``NodeGrid.u_at``."""
+def integrate_per_segment(pred, p, s_from: float, now: int) -> np.ndarray:
+    """``LinearPredictor._integrate`` without the memo: one step per control segment from
+    ``s_from`` to node ``now``, with sigma and u at each break from ``NodeGrid.sigma`` and
+    ``NodeGrid.u_at``."""
     g = pred.grid
-    ev = g.events
+    ev, s_to = g.events, now * g.h
     inner = ev[bisect_right(ev, s_from):bisect_left(ev, s_to)]
     if s_from < 0.0 < s_to and inner[:1] != [0.0]:
         inner.insert(0, 0.0)
@@ -201,7 +202,7 @@ class ReferenceSemiClosed(_Predictor):
         super().__init__(model, grid)
         self.g_history = ListSignal()
 
-    def reanchor(self, anchor_time: float, anchor_state, t_now: float) -> None:
+    def reanchor(self, anchor_time: float, anchor_state, now: int) -> None:
         self.anchor_time = float(anchor_time)
         self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
         s0 = self.delay.phi(self.anchor_time)
@@ -210,25 +211,22 @@ class ReferenceSemiClosed(_Predictor):
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
             hist.append(s0, self.grid.sigma(s0, dot=True) * self.model.f(self.p, self.grid.u_at(s0)))
-            self._t = s0
             return
         if s0 < hist.times[0]:
             raise PredictorError("g-history does not reach the new anchor window")
-        self._integral = hist.integrate(s0, min(t_now, hist.times[-1]))
+        self._integral = hist.integrate(s0, hist.times[-1])
         self.p = self._anchor_state + self._integral
-        self._t = t_now
 
     def advance(self, k: int) -> None:
         g, hist = self.grid, self.g_history
-        s_next, sdot, u = k * self.h + self.h, float(g.tables[1][k + 1 - g.lo]), g.u_row(k + 1)
-        dt = s_next - self._t
-        g_left = hist.sample(min(self._t, hist.times[-1]))
+        s_next, sdot, u = (k + 1) * self.h, float(g.tables[1][k + 1 - g.lo]), g.u_row(k + 1)
+        dt = s_next - hist.times[-1]
+        g_left = hist.values[-1]
         p_pred = self.p + dt * g_left
         g_right = sdot * self.model.f(p_pred, u)
         self._integral = self._integral + 0.5 * dt * (g_left + g_right)
         self.p = self._anchor_state + self._integral
         hist.append(s_next, sdot * self.model.f(self.p, u))
-        self._t = s_next
 
 
 class ReferenceLinear(LinearPredictor):

@@ -194,7 +194,7 @@ class TestGridTables:
         d, h, N = make(), 1e-2, 600
         phi0 = d.phi(0.0)
         m_lo = node_of(phi0, h)[0]
-        sig, sdot, phi_k, j_k = d.grid_tables(h, m_lo, N)
+        sig, sdot, j_k = d.grid_tables(h, m_lo, N)
         # slot 0 is phi(0), the others the nodes from m_lo on
         want = [d.sigma(phi0)] + [d.sigma(m * h) for m in range(m_lo, N + 2)]
         np.testing.assert_array_equal(sig, want)
@@ -204,9 +204,10 @@ class TestGridTables:
         for i in range(2, len(sig) - 1):
             want_sdot.append((sig[i + 1] - sig[i - 1]) / (2.0 * h))
         np.testing.assert_array_equal(sdot, want_sdot + [math.nan])
-        assert len(phi_k) * h > sig[-1]
-        np.testing.assert_array_equal(phi_k, [snapped_phi(d, k * h, h) for k in range(len(phi_k))])
-        # the row table: last node of 0, h, ..., N h at or before phi_k, -1 before 0
+        assert len(j_k) * h > sig[-1]
+        # the row table: last node of 0, h, ..., N h at or before the snapped phi(k h),
+        # -1 before 0
+        phi_k = [snapped_phi(d, k * h, h) for k in range(len(j_k))]
         nodes = [k * h for k in range(N + 1)]
         np.testing.assert_array_equal(j_k, [bisect_right(nodes, v) - 1 for v in phi_k])
         assert j_k.dtype.kind == "i"
@@ -303,7 +304,7 @@ class Hold:
 
 
 class TestRowTable:
-    """A read of row ``j_k[k]`` is the hold of the control history at ``phi_k[k]``.
+    """A read of row ``j_k[k]`` is the hold of the control history at phi(k h), snapped.
 
     The rows follow the engine's protocol: row k is written by an event at
     k h, and otherwise starts as a copy of row k - 1 when step k - 1 ends, so
@@ -360,8 +361,9 @@ class TestRowTable:
     def test_row_read_equals_sample(self, make, h, seed):
         d, N = make(), 600
         m_lo = node_of(d.phi(0.0), h)[0]
-        _sig, _sdot, phi_k, j_k = d.grid_tables(h, m_lo, N)
-        assert d.grid_tables(h, m_lo, N)[3] is j_k  # cached with the other tables
+        _sig, _sdot, j_k = d.grid_tables(h, m_lo, N)
+        assert d.grid_tables(h, m_lo, N)[2] is j_k  # cached with the other tables
+        phi_k = [snapped_phi(d, k * h, h) for k in range(len(j_k))]
         by_row = {}
         for i, j in enumerate(j_k.tolist()):
             by_row.setdefault(j, []).append(i)
@@ -415,13 +417,14 @@ class TestRowTable:
         # below phi(0) the control is the pre-history's, where the hold has none
         for s in (math.nextafter(phi0, -math.inf), phi0 - h, phi0 - 1.0):
             assert grid.u_at(s) is grid.u_pre
-        # random windows, with ends on stamps and nodes too
-        ends = rng.uniform(phi0, T, (300, 2)).tolist()
-        ends += [[rng.choice(hold.times[1:]), rng.uniform(phi0, T)] for _ in range(100)]
-        ends += [[phi0, T], [phi0, 0.0], [0.0, T], [phi0, phi0]]
-        for a, b in ends:
-            a, b = min(a, b), max(a, b)
-            assert [a, *(k * h for k in grid.u_breaks(a, b)), b] == hold.breakpoints(a, b), (a, b)
+        # random windows from a time to a node, with starts on stamps and nodes too
+        starts = rng.uniform(phi0, T, 300).tolist()
+        starts += [rng.choice(hold.times[1:]) for _ in range(100)] + [phi0, phi0, 0.0]
+        ends = rng.integers(0, N + 1, len(starts) - 3).tolist() + [N, 0, N]
+        for a, now in zip(starts, ends):
+            b = now * h
+            if a <= b:
+                assert [a, *(k * h for k in grid.u_breaks(a, now)), b] == hold.breakpoints(a, b), (a, b)
 
 
 class TestFromTable:

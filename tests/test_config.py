@@ -10,6 +10,7 @@ from etpf.channel import ActuationDelay
 from etpf.config import SCHEMA, apply_overrides, build_sim_config, load_config, read_section
 from etpf.engine import SimConfig
 from etpf.exceptions import ConfigurationError
+from etpf.monitor import MonitorConfig
 from etpf.trigger import TriggerConfig
 
 
@@ -179,6 +180,37 @@ class TestBuildSimConfig:
     def test_monitor_disable(self):
         cfg = build_sim_config({"preset": "linear2d", "monitor": {"enabled": False}})
         assert cfg.monitor is None
+
+
+class TestCertificateRules:
+    """What reads the certificate needs one: checked when the config is built, before any
+    run or heatmap worker starts."""
+
+    def test_nonlinear_trigger_needs_a_certificate(self):
+        ex1 = presets.example1()
+        with pytest.raises(ConfigurationError, match="nonlinear trigger needs an ISS certificate"):
+            dataclasses.replace(ex1, cert=None, monitor=None,
+                                trigger=TriggerConfig.nonlinear(0.5, ex1.model.L_K))
+        # example2 has no certificate
+        with pytest.raises(ConfigurationError, match="nonlinear trigger"):
+            build_sim_config({"preset": "example2", "trigger": {"mode": "nonlinear"}})
+
+    def test_monitor_needs_a_certificate(self):
+        with pytest.raises(ConfigurationError, match="the monitor needs an ISS certificate"):
+            dataclasses.replace(presets.example1(), cert=None)
+        with pytest.raises(ConfigurationError, match="the monitor needs"):
+            build_sim_config({"preset": "example2", "monitor": {"enabled": True}})
+        # example2 declares none, and a system of kind example2 drops a carried-over one
+        assert presets.example2().monitor is None and presets.example2_body().monitor is None
+        cfg = build_sim_config({"preset": "example1", "system": {"kind": "example2"}})
+        assert cfg.cert is None and cfg.monitor is None
+
+    def test_integral_monitor_needs_a_quadratic_rho(self):
+        ex1 = presets.example1()
+        cert = dataclasses.replace(ex1.cert, rho_quad_coeff=None)
+        with pytest.raises(ConfigurationError, match="rho_quad_coeff"):
+            dataclasses.replace(ex1, cert=cert, monitor=MonitorConfig(form="integral"))
+        assert dataclasses.replace(ex1, cert=cert).monitor.form == "sup"  # integrates rho itself
 
 
 class TestSchema:

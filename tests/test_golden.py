@@ -1,7 +1,7 @@
 """Golden outputs: the C10 byte-identity promise checked across commits.
 
 The digests are the sha256 of ``trace.csv`` and ``events.csv`` of each
-simulation preset at its full horizon, of eight variants that reach the
+simulation preset at its full horizon, of ten variants that reach the
 code paths the presets do not (the semi-closed-loop predictor on a nonlinear
 and on a linear plant, the open-loop predictor, perfect sensing with a
 nonzero pre-history control, a mismatched controller delay with out-of-order
@@ -21,6 +21,8 @@ import pytest
 from etpf import presets, run
 from etpf.channel import ActuationDelay
 from etpf.engine import SensingConfig
+from etpf.predictor import (ClosedLoopPredictor, LinearPredictor, NodeGrid, OpenLoopPredictor,
+                            SemiClosedPredictor)
 from etpf.trigger import TriggerConfig
 
 from conftest import offgrid_config
@@ -46,9 +48,12 @@ GOLDEN_CSV = {
     ),
 }
 GOLDEN_VARIANT_CSV = {
+    # the three semi-closed-loop digests were re-recorded when the integrand history took
+    # the engine's node times (k + 1) h in place of k h + h: x, u, p, e_norm, threshold, V
+    # and L move at the rounding level (at most 1.1e-12 relative), event times do not
     "example1-semi-closed": (
-        "2ca309242b14ef6b9af1e72a18a0efec17f88a3194509caa56566801b4d07bff",
-        "a5619123e3ead1f5169a5b6787f71630af10a13ba32ec00fb42261f340e3a40c",
+        "f459b6cbb8541fd538c0ab16706d2cbb2883fea6ed5990413bb49cd55b04fd24",
+        "edbf86b0ad2f6ac05e6327c2db025019572b859ffa526e8779164f6d2212be27",
     ),
     "example1-open-loop": (
         "c1377acf26d78b3b0cf7703a8c45040564bee0be3b964061efcdf0b61c2c4047",
@@ -59,17 +64,16 @@ GOLDEN_VARIANT_CSV = {
         "12431b317a7d90866501c08556781888987e736793971ba44325c1f528202623",
     ),
     "example1-semi-closed-perfect-prehistory": (
-        "4d80d2248f36b69cdfd3f0a228bcf58d078ad2f2ae10fbe85c01d8eafdb6c323",
-        "69374c676f6fbd327cc7b0a1daced2bb324938c2d00f3a0a366f9863ff35503e",
+        "531ff4a290058776d5d78cac50945ff607bc7fbe36a79ba079669ce4ab58d32e",
+        "52811db35eaacaa2786f3ac26d70a8f5df8ade584222717c52c1faf9f382f79d",
     ),
     "example1-mismatch-gaussian": (
         "dbc6dc7cac476a0f00a9bd98fd95d75b660767235d614722f6e52173b67589d8",
         "81231367a1a3248c507815b92ae93305ecc1f01c29617a01de78a980c7b6923f",
     ),
-    # recorded before the semi-closed-loop history became arrays
     "linear2d-semi-closed": (
-        "6c56efea6059b6408e9e48c29c7f245432f49d1a5edb3933e8c464807790d87d",
-        "3025615f2b6126d72a827a00b206f8be21098531b682a2ed4048aaac2b37384e",
+        "b117380eef281e780f96845e9f3f99cb792f9ee665fe2c1c19a83c54baee1846",
+        "67bb6c126b89d08194f60f2796b769e7afce88c1cc33b1aa2efd1e7c2f169cc8",
     ),
     "linear2d-sinusoidal": (
         "9d106ed7f19869252e2cd5dab7b731327f367ffa8894d91a4e4450cf33f21cfc",
@@ -147,6 +151,41 @@ def test_variant_csvs(name, tmp_path):
     tr.write_trace_csv(trace)
     tr.write_events_csv(events)
     assert (sha256(trace.read_bytes()), sha256(events.read_bytes())) == GOLDEN_VARIANT_CSV[name]
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN_CSV), *sorted(GOLDEN_VARIANT_CSV)])
+def test_sigma_lookups_are_anchor_window_starts(name, monkeypatch):
+    """The float lookup ``NodeGrid.sigma`` serves only an anchor's window start: every call
+    comes from a re-anchor, with that anchor's phi(tau), and never asks for the node time of
+    now, whose sigma the predictors read from the tables."""
+    cfg = presets.get_preset(name) if name in GOLDEN_CSV else variant_config(name)
+    calls, anchors, sigma = [], [], NodeGrid.sigma
+
+    def spy(grid, s, dot=False):
+        calls.append((s, anchors[-1] if anchors else None))
+        return sigma(grid, s, dot)
+
+    def spied(reanchor):
+        def wrapped(pred, anchor_time, anchor_state, now):
+            anchors.append((pred.delay.phi(anchor_time), now))
+            try:
+                return reanchor(pred, anchor_time, anchor_state, now)
+            finally:
+                anchors.pop()
+        return wrapped
+
+    for cls in (ClosedLoopPredictor, OpenLoopPredictor, SemiClosedPredictor, LinearPredictor):
+        monkeypatch.setattr(cls, "reanchor", spied(cls.reanchor))
+    monkeypatch.setattr(NodeGrid, "sigma", spy)
+    run(dataclasses.replace(cfg, monitor=None))
+    # the semi-closed history starts at phi(0), a linear re-anchor integrates from phi(tau)
+    assert calls or cfg.predictor_method in ("closed-loop", "open-loop")
+    for s, anchor in calls:
+        assert anchor is not None, s  # inside a re-anchor
+        phi_tau, now = anchor
+        assert s == phi_tau, (s, anchor)
+        # the step loop's anchors; the pre-history's window starts at phi(0), its own slot
+        assert now < 0 or s != now * cfg.h, (s, anchor)
 
 
 def test_heatmap_matrix(heatmap_result):

@@ -58,10 +58,10 @@ def control_grid(delay, u0, h=1e-2, N=400, events=()):
                     [k for k, _ in events])
 
 
-def closed_loop(model, grid, anchor_time, anchor_state, t):
-    """ClosedLoopPredictor's prediction of x(sigma(t)) from one anchor."""
+def closed_loop(model, grid, anchor_time, anchor_state, now):
+    """ClosedLoopPredictor's prediction of x(sigma(now h)) from one anchor."""
     pred = ClosedLoopPredictor(model, grid)
-    pred.reanchor(anchor_time, anchor_state, t)
+    pred.reanchor(anchor_time, anchor_state, now)
     return pred.p
 
 
@@ -70,15 +70,16 @@ class TestClosedLoopReference:
 
     def test_zero_dynamics_constant(self):
         delay = ActuationDelay.constant(0.5)
-        p = closed_loop(zero_model(), control_grid(delay, 1.0), 1.0, [2.5], 3.0)
+        p = closed_loop(zero_model(), control_grid(delay, 1.0), 1.0, [2.5], 300)
         assert p[0] == pytest.approx(2.5)
 
     def test_scalar_integrator_hand_integral(self):
         # xdot = u with constant u = c: p(t) = x(tau) + c (t - phi(tau))
         delay = ActuationDelay.constant(0.5)
-        c, tau, t = 2.0, 1.0, 2.3
+        c, tau, now = 2.0, 1.0, 2300
         grid = control_grid(delay, c, h=1e-3, N=3000)
-        p = closed_loop(integrator_model(), grid, tau, [1.0], t)
+        p = closed_loop(integrator_model(), grid, tau, [1.0], now)
+        t = now * 1e-3
         assert p[0] == pytest.approx(1.0 + c * (t - (tau - 0.5)), rel=1e-9)
 
 
@@ -155,7 +156,7 @@ class TestLinearClosedForm:
         delay = ActuationDelay.constant(0.5)
         grid = control_grid(delay, 0.3, h=1e-3, N=3000, events=[(700, -1.1), (1400, 0.6)])
         p_lin = predict_linear(2.0, 1.0, [1.0, -1.0], grid, delay, sys, 1e-3)
-        p_cl = closed_loop(model, grid, 1.0, [1.0, -1.0], 2.0)
+        p_cl = closed_loop(model, grid, 1.0, [1.0, -1.0], 2000)
         np.testing.assert_allclose(p_lin, p_cl, atol=1e-3)
 
 
@@ -199,7 +200,7 @@ def per_node_reference(pred, p, s_from, s_to):
 class TestLinearSegmentReanchor:
     """One exact step per control segment equals the per-node composition."""
 
-    S_TO = 1100 * H
+    NOW = 1100
     ANCHORS = {"on-grid": 600 * H, "off-grid": 600 * H + 0.000437}
 
     # node indices of the events; "at-ends" puts them on the nodes of the
@@ -215,11 +216,11 @@ class TestLinearSegmentReanchor:
     @pytest.mark.parametrize("anchor", ["on-grid", "off-grid"])
     @pytest.mark.parametrize("kind", sorted(DELAYS))
     def test_matches_per_node_steps(self, kind, anchor, stamps):
-        s_from, s_to = self.ANCHORS[anchor], self.S_TO
+        s_from = self.ANCHORS[anchor]
         pred = segment_predictor(kind, self.STAMPS[stamps])
         p0 = np.array([1.0, -0.5])
-        got = pred._integrate(p0, s_from, s_to)
-        want = per_node_reference(pred, p0, s_from, s_to)
+        got = pred._integrate(p0, s_from, self.NOW)
+        want = per_node_reference(pred, p0, s_from, self.NOW * H)
         assert np.abs(want).max() < 10.0  # O(1) states
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -232,13 +233,12 @@ class TestLinearSegmentReanchor:
         interior=st.sets(st.integers(1, 499), max_size=8),
     )
     def test_random_windows(self, kind, start, offset, length, interior):
-        s_from = (start + offset) * H
-        s_to = (start + length) * H
+        s_from, now = (start + offset) * H, start + length
         stamps = [start + k for k in sorted(interior) if k < length]
         pred = segment_predictor(kind, stamps)
         p0 = np.array([0.3, 1.0])
-        np.testing.assert_allclose(pred._integrate(p0, s_from, s_to),
-                                   per_node_reference(pred, p0, s_from, s_to),
+        np.testing.assert_allclose(pred._integrate(p0, s_from, now),
+                                   per_node_reference(pred, p0, s_from, now * H),
                                    rtol=0.0, atol=1e-12)
 
     def test_one_step_per_segment(self):
@@ -247,7 +247,7 @@ class TestLinearSegmentReanchor:
         calls = []
         step_mats = pred._step_mats
         pred._step_mats = lambda dsig: calls.append(dsig) or step_mats(dsig)
-        pred.reanchor(1.1, [1.0, 0.0], 1.1)
+        pred.reanchor(1.1, [1.0, 0.0], 1100)
         assert len(window_nodes(pred.delay.phi(1.1), 1.1, H)) - 1 == 500
         assert len(calls) == 4
         np.testing.assert_allclose(sum(calls), 0.5, rtol=1e-12)
@@ -272,18 +272,18 @@ class TestSegmentMemo:
         pred = segment_predictor(kind, [start + k for k in sorted(interior)])
         p0 = np.array([0.3, 1.0])
         for j in range(4):
-            s_from, s_to = (start + offset + j * slide) * H, (start + length + j * slide) * H
-            got = pred._integrate(p0, s_from, s_to)
-            assert got.tobytes() == integrate_per_segment(pred, p0, s_from, s_to).tobytes()
+            s_from, now = (start + offset + j * slide) * H, start + length + j * slide
+            got = pred._integrate(p0, s_from, now)
+            assert got.tobytes() == integrate_per_segment(pred, p0, s_from, now).tobytes()
 
     def test_a_repeated_window_is_all_hits(self):
         pred = segment_predictor("sinusoidal", [650, 700, 701, 950])
         p0 = np.array([1.0, -0.5])
-        first = pred._integrate(p0, 600.4 * H, 1100 * H)
+        first = pred._integrate(p0, 600.4 * H, 1100)
         calls = []
         step_mats = pred._step_mats
         pred._step_mats = lambda dsig: calls.append(dsig) or step_mats(dsig)
-        assert pred._integrate(p0, 600.4 * H, 1100 * H).tobytes() == first.tobytes()
+        assert pred._integrate(p0, 600.4 * H, 1100).tobytes() == first.tobytes()
         assert calls == []
 
     @pytest.mark.parametrize("kind", sorted(DELAYS))
@@ -468,9 +468,9 @@ class TestIncrementalClosedLoop:
         model = integrator_model()
         delay = ActuationDelay.constant(0.5)
         pred = ClosedLoopPredictor(model, control_grid(delay, 0.0))
-        pred.reanchor(1.0, [0.0], 1.0)
+        pred.reanchor(1.0, [0.0], 100)
         with pytest.raises(PredictorError):
-            pred.reanchor(0.5, [0.0], 1.0)
+            pred.reanchor(0.5, [0.0], 100)
 
     def test_make_predictor_validation(self):
         model = integrator_model()
@@ -501,7 +501,7 @@ class TestReplayMemo:
         delay = ActuationDelay.example1()
         grid = control_grid(delay, 0.5, h=self.H, N=600, events=[(50, -1.0), (120, 0.3)])
         pred = ClosedLoopPredictor(self.counting_model(calls), grid)
-        pred.reanchor(1.0, [1.0, 0.5], 2.0)
+        pred.reanchor(1.0, [1.0, 0.5], 200)
         for k in range(200, 230):
             pred.advance(k)
         return pred, delay, grid
@@ -513,7 +513,7 @@ class TestReplayMemo:
         state = pred._chain[node - pred._c0].copy()
         p, head, head_node = pred.p.copy(), pred._chain[-1], pred._c0 + len(pred._chain) - 1
         calls.clear()
-        pred.reanchor(node * self.H, state, 2.3)
+        pred.reanchor(node * self.H, state, 230)
         assert calls == []
         assert pred.p.tobytes() == p.tobytes()
         assert pred._chain[-1] is head and pred._c0 + len(pred._chain) - 1 == head_node
@@ -521,7 +521,7 @@ class TestReplayMemo:
         assert pred._c0 == node
         # the same bits as a replay from scratch
         fresh = ClosedLoopPredictor(self.counting_model([]), grid)
-        fresh.reanchor(node * self.H, state, 2.3)
+        fresh.reanchor(node * self.H, state, 230)
         assert fresh.p.tobytes() == p.tobytes()
 
     def test_one_ulp_off_replays(self):
@@ -532,11 +532,11 @@ class TestReplayMemo:
         hit = pred.p.copy()
         state[0] = np.nextafter(state[0], math.inf)
         calls.clear()
-        pred.reanchor(node * self.H, state, 2.3)
+        pred.reanchor(node * self.H, state, 230)
         assert calls  # replayed
         assert pred.p.tobytes() != hit.tobytes()
         fresh = ClosedLoopPredictor(self.counting_model([]), grid)
-        fresh.reanchor(node * self.H, state, 2.3)
+        fresh.reanchor(node * self.H, state, 230)
         assert fresh.p.tobytes() == pred.p.tobytes()
 
 
@@ -546,9 +546,9 @@ class TestReplayMemo:
         pred, delay, grid = self.setup_predictor(calls)
         node = 130
         state = pred._chain[node - pred._c0].copy()
-        pred.reanchor(node * self.H, state, 2.0)
+        pred.reanchor(node * self.H, state, 200)
         fresh = ClosedLoopPredictor(self.counting_model([]), grid)
-        fresh.reanchor(node * self.H, state, 2.0)
+        fresh.reanchor(node * self.H, state, 200)
         assert fresh.p.tobytes() == pred.p.tobytes()
 
     def test_signed_zero_is_not_a_hit(self):
@@ -557,8 +557,8 @@ class TestReplayMemo:
                             L_f=1.0, L_K=0.0)
         delay = ActuationDelay.constant(0.5)
         pred = ClosedLoopPredictor(model, control_grid(delay, 0.0))
-        pred.reanchor(1.0, [0.0], 1.0)
-        pred.reanchor(1.2, [-0.0], 1.5)
+        pred.reanchor(1.0, [0.0], 100)
+        pred.reanchor(1.2, [-0.0], 150)
         assert math.copysign(1.0, pred.p[0]) == -1.0
 
 
@@ -596,7 +596,7 @@ class TestLinearBlock:
     def predictor(self, delay, p):
         grid = control_grid(delay, 0.4, h=1e-3, N=3000)
         pred = LinearPredictor(linear2d_system(), grid)
-        pred.reanchor(0.0, np.zeros(2), 1.0)
+        pred.reanchor(0.0, np.zeros(2), 1000)
         pred.p = np.array(p)
         return pred
 
@@ -698,7 +698,7 @@ class TestDivergenceCheck:
     def test_finite_below_cap_passes(self):
         delay = ActuationDelay.constant(0.5)
         # 50 steps of 0.01 at rate 1e12 end at 5e11, under the cap
-        p = closed_loop(self.rate_model(1e12), control_grid(delay, 1.0), 1.0, [0.0], 1.0)
+        p = closed_loop(self.rate_model(1e12), control_grid(delay, 1.0), 1.0, [0.0], 100)
         assert p[0] == pytest.approx(5e11, rel=1e-6)
 
 

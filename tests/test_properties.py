@@ -12,7 +12,8 @@ plant takes its own Euler steps.
 
 Semi-closed-loop runs, whose predictor integrates its history window as
 arrays, are checked bit for bit against the same run with the per-stamp
-reference predictor of ``reference_predictors``.
+reference predictor of ``reference_predictors``, and their history stamps
+against the engine's node times ``k * h``.
 
 ``linear2d`` runs, which step between breakpoints in blocks, are checked
 against the same configuration stepped one node at a time: a plant ``f``
@@ -38,6 +39,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from etpf import engine as etpf_engine
 from etpf import predictor as etpf_predictor
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
@@ -160,6 +162,25 @@ def test_semi_closed_equals_per_stamp_reference(delay, sensing):
     event(f"sensing: {sensing.mode}")
     with mock.patch.object(etpf_predictor, "SemiClosedPredictor", ReferenceSemiClosed):
         assert_same_run(tr, run(cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(delay=st.one_of(delays(), st.floats(1.0, 2.5).map(ActuationDelay.constant)),
+       sensing=sensings())
+def test_semi_closed_history_stands_on_node_times(delay, sensing):
+    # the integrand history stamps phi(0), then node k at k h, the engine's time of node k
+    cfg = dataclasses.replace(presets.example1(), T=2 * T if delay.M0 > 1.0 else T,
+                              delay=delay, sensing=sensing,
+                              predictor_method="semi-closed-loop", monitor=None)
+    made, make = [], etpf_engine.make_predictor
+    with mock.patch.object(etpf_engine, "make_predictor",
+                           lambda *a, **k: made.append(make(*a, **k)) or made[-1]):
+        run(cfg)
+    pred, (k0, on) = made[0], node_of(delay.phi(0.0), H)
+    first, n = k0 - (not on), pred._n  # phi(0)'s slot, the node the history advances from
+    assert n > 1 and pred._times[0] == delay.phi(0.0)
+    want = np.array([k * H for k in range(first + 1, first + n)])
+    assert pred._times[1:n].tobytes() == want.tobytes()
 
 
 @st.composite

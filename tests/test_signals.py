@@ -165,8 +165,8 @@ class TestIntegrate:
         model = SystemModel(state_dim=1, f=lambda x, u: np.array([u]), K=lambda x: 0.0,
                             L_f=1.0, L_K=0.0)
         pred = SemiClosedPredictor(model, grid)
-        pred.reanchor(1.0, [0.0], 1.0)  # the history starts at phi(1) = 0.5
+        pred.reanchor(1.0, [0.0], 100)  # the history starts at phi(1) = 0.5
         for k in range(50, 60):
             pred.advance(k)
         with pytest.raises(PredictorError, match="does not reach"):
-            pred.reanchor(0.9, [0.0], 0.6)
+            pred.reanchor(0.9, [0.0], 60)
