@@ -7,12 +7,11 @@ with its dwell-time bound, Lyapunov-Krasovskii monitoring, and the linear
 communication-convergence trade-off.
 """
 
-from .channel import ActuationDelay, SensingSchedule, verify_delay_bounds
+from .channel import ActuationDelay, SensingSchedule
 from .engine import SensingConfig, SimConfig, SimTrace, heatmap, run
 from .exceptions import (ChannelModelError, ConfigurationError, CoverageError, DomainError,
                          ETPFError, MonitorError, NumericalError, PredictorError)
-from .model import (ISSCertificate, LinearSystem, SystemModel, linear_certificate,
-                    solve_lyapunov, verify_certificate)
+from .model import ISSCertificate, LinearSystem, SystemModel, linear_certificate, solve_lyapunov
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w, decay_report
 from .predictor import PREDICTOR_METHODS, make_predictor
 from .presets import PRESETS, get_preset
@@ -23,12 +22,11 @@ from .trigger import EventLog, TriggerConfig, min_dwell, min_dwell_numeric, thre
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActuationDelay", "SensingSchedule", "verify_delay_bounds",
+    "ActuationDelay", "SensingSchedule",
     "SensingConfig", "SimConfig", "SimTrace", "heatmap", "run",
     "ChannelModelError", "ConfigurationError", "CoverageError", "DomainError", "ETPFError",
     "MonitorError", "NumericalError", "PredictorError",
     "ISSCertificate", "LinearSystem", "SystemModel", "linear_certificate", "solve_lyapunov",
-    "verify_certificate",
     "MonitorConfig", "compute_L", "compute_V", "compute_w", "decay_report",
     "PREDICTOR_METHODS", "make_predictor",
     "PRESETS", "get_preset",

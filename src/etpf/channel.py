@@ -24,8 +24,7 @@ _XTOL, _RTOL = 1e-14, 1e-15
 SNAP = 1e-9  # in steps: the band of node_of
 TABLES_MAX = 16  # entries of the process-wide cache of grid tables
 
-__all__ = ["ActuationDelay", "GridTables", "SensingSchedule", "verify_delay_bounds",
-           "DelayBoundsReport", "node_of", "nodes_of"]
+__all__ = ["ActuationDelay", "GridTables", "SensingSchedule", "node_of", "nodes_of"]
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,8 @@ class ActuationDelay:
             raise ConfigurationError("table times must be strictly increasing")
         if np.any(d <= 0):
             raise ConfigurationError("table delays must be positive")
-        slopes = np.diff(d) / np.diff(t)
+        # np.interp holds the delay flat outside the table: phi has slope 1 there too
+        slopes = np.append(np.diff(d) / np.diff(t), 0.0)
         M1 = float(1.0 - slopes.min())
         m2 = float(1.0 - slopes.max())
         if m2 <= 0:
@@ -318,45 +318,6 @@ def _brentq_array(phi, t, lo, hi, flo, fhi):
         if len(act):
             raise ChannelModelError(f"sigma({tc[0]}) did not converge in {maxiter} iterations")
     return out
-
-
-@dataclass
-class DelayBoundsReport:
-    passed: bool
-    worst_delay_excess: float
-    worst_phidot_low: float
-    worst_phidot_high: float
-    min_delay: float
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"delay bounds {status}: delay excess {self.worst_delay_excess:.3e}, "
-            f"phidot margin low {self.worst_phidot_low:.3e} / "
-            f"high {self.worst_phidot_high:.3e}, min delay {self.min_delay:.3e}"
-        )
-
-
-def verify_delay_bounds(delay: ActuationDelay, grid) -> DelayBoundsReport:
-    """Finite-difference check, to 1e-6 relative, of the declared (M0, M1, m2) on a time grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ConfigurationError("grid must be increasing with at least 2 points")
-    phi_vals = delay.phi(grid)
-    delays = grid - phi_vals
-    phidot = np.gradient(phi_vals, grid)
-    tol = 1e-6 * (1.0 + delay.M0 + delay.M1)
-    worst_delay = float(np.max(delays - delay.M0))
-    worst_low = float(np.max(delay.m2 - phidot))
-    worst_high = float(np.max(phidot - delay.M1))
-    min_delay = float(np.min(delays))
-    passed = (
-        worst_delay <= tol
-        and worst_low <= tol
-        and worst_high <= tol
-        and min_delay > 0.0
-    )
-    return DelayBoundsReport(passed, worst_delay, worst_low, worst_high, min_delay)
 
 
 @dataclass(frozen=True)

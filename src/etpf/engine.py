@@ -174,7 +174,8 @@ class SimTrace:
 
     def summary(self) -> str:
         d = self.diagnostics.get("divergence")
-        cause = " ({bound} bound, {phase}, step {step}, t = {t:.6g})".format(**d) if d else ""
+        cause = (" ({bound} bound, {phase}, step {step}, t = {t:.6g})\nstopped before any "
+                 "control reached the plant: {before_control}".format(**d) if d else "")
         lines = [
             f"final |x(T)| = {self.final_state_norm:.6g}",
             f"events: {self.events.count}, min dwell = {self.events.min_dwell_observed:.6g}",
@@ -372,7 +373,9 @@ def run(cfg: SimConfig) -> SimTrace:
                 step += 1
     except _Diverged as stop:
         # the one divergence exit: keep the trace up to this step and hold the last state
-        divergence = dict(zip(("bound", "phase"), stop.args), step=step, t=step * h)
+        # before_control: the stop came before sigma(t0), where the first control reaches the plant
+        divergence = dict(zip(("bound", "phase"), stop.args), step=step, t=step * h,
+                          before_control=step * h < float(tables[0][t0_idx - grid.lo]))
         X[step + 1 :] = X[step]
         U[done:] = [0.0] * (N + 1 - done)
 

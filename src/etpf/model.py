@@ -8,7 +8,6 @@ Lyapunov-equation solve.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,11 +22,8 @@ __all__ = [
     "ISSCertificate",
     "LinearSystem",
     "lift",
-    "eval_f",
     "solve_lyapunov",
     "linear_certificate",
-    "verify_certificate",
-    "CertificateReport",
     "spectral_norm",
 ]
 
@@ -69,31 +65,19 @@ class SystemModel:
             raise ConfigurationError("K(0) must vanish")
 
 
-def eval_f(model: SystemModel, x, u: float) -> np.ndarray:
-    """Evaluate the plant vector field with a dimension check on the state."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.state_dim,):
-        raise ConfigurationError(
-            f"state has shape {x.shape}, expected ({model.state_dim},)"
-        )
-    return np.atleast_1d(np.asarray(model.f(x, float(u)), dtype=float))
-
-
 @dataclass(frozen=True)
 class ISSCertificate:
-    """ISS-Lyapunov data (S, alpha1, alpha2, gamma, rho) with inverses.
+    """The part of an ISS-Lyapunov certificate (S, gamma, rho) that a run reads.
 
-    ``rho_quad_coeff`` is set when ``rho(r) = c * r**2`` so downstream code can
-    use the closed form of ``integral rho(r)/r dr``.
+    The ``nonlinear`` trigger reads ``gamma`` and ``rho_inv``; the monitor
+    reads ``S``, ``rho`` and ``integrable_flag``.  ``rho_quad_coeff`` is set
+    when ``rho(r) = c * r**2`` so the monitor can use the closed form of
+    ``integral rho(r)/r dr``.  Nothing checks the certificate's inequalities.
     """
 
     S: Callable[[np.ndarray], float]
-    grad_S: Callable[[np.ndarray], np.ndarray]
-    alpha1: Callable[[float], float]
-    alpha2: Callable[[float], float]
     gamma: Callable[[float], float]
     rho: Callable[[float], float]
-    gamma_inv: Callable[[float], float]
     rho_inv: Callable[[float], float]
     integrable_flag: bool = True
     rho_quad_coeff: Optional[float] = None
@@ -158,10 +142,6 @@ class LinearSystem:
         return float(np.linalg.eigvalsh(self.Q)[0])
 
     @property
-    def lam_min_P(self) -> float:
-        return float(np.linalg.eigvalsh(self.P)[0])
-
-    @property
     def lam_max_P(self) -> float:
         return float(np.linalg.eigvalsh(self.P)[-1])
 
@@ -179,9 +159,6 @@ class LinearSystem:
     def S(self, x):
         """x^T P x, for one state or each row of an array of states, with the same bits."""
         return np.vecdot(x @ self.P, x)
-
-    def grad_S(self, x) -> np.ndarray:
-        return 2.0 * (self.P @ np.asarray(x))
 
     def to_model(self) -> SystemModel:
         model = SystemModel(state_dim=self.n, f=self.f, K=self.K, L_f=self.L_f, L_K=self.K_norm)
@@ -236,75 +213,22 @@ def _quad_inv(coeff: float, y: float) -> float:
     return math.sqrt(max(y, 0.0) / coeff)
 
 
-def _quad_pair(coeff: float):
-    """(r -> coeff*r^2, inverse) with a guarded inverse for coeff > 0; picklable."""
-    return partial(_quad, coeff), partial(_quad_inv, coeff)
-
-
 def linear_certificate(sys: LinearSystem) -> ISSCertificate:
     """Quadratic ISS certificate from the Lyapunov solve; it pickles with ``sys``.
 
-    S(x) = x^T P x (``LinearSystem.S``), alpha_i from the extreme eigenvalues
-    of P, gamma(r) = lam_min(Q)/2 r^2, rho(r) = 2|PB|^2/lam_min(Q) r^2.
+    S(x) = x^T P x (``LinearSystem.S``), gamma(r) = lam_min(Q)/2 r^2 and
+    rho(r) = 2|PB|^2/lam_min(Q) r^2.
     """
     lam_min_q = sys.lam_min_Q
     pb = sys.PB_norm
-    gamma, gamma_inv = _quad_pair(0.5 * lam_min_q)
     c_rho = 2.0 * pb * pb / lam_min_q
-    rho, rho_inv = _quad_pair(c_rho)
+    # partials of module-level functions pickle; the inverse is guarded for c_rho > 0
     return ISSCertificate(
         S=sys.S,
-        grad_S=sys.grad_S,
-        alpha1=_quad_pair(sys.lam_min_P)[0],
-        alpha2=_quad_pair(sys.lam_max_P)[0],
-        gamma=gamma,
-        rho=rho,
-        gamma_inv=gamma_inv,
-        rho_inv=rho_inv,
+        gamma=partial(_quad, 0.5 * lam_min_q),
+        rho=partial(_quad, c_rho),
+        rho_inv=partial(_quad_inv, c_rho),
         integrable_flag=True,
         rho_quad_coeff=c_rho,
     )
 
-
-@dataclass
-class CertificateReport:
-    passed: bool
-    max_bound_violation: float
-    max_decay_violation: float
-    n_samples: int
-    warnings: list = dataclasses.field(default_factory=list)
-
-
-def verify_certificate(
-    model: SystemModel,
-    cert: ISSCertificate,
-    sample_states,
-    sample_disturbances,
-) -> CertificateReport:
-    """Sampled check of the certificate inequalities.
-
-    Verifies ``alpha1(|x|) <= S(x) <= alpha2(|x|)`` and
-    ``grad_S(x) . f(x, K(x)+w) <= -gamma(|x|) + rho(|w|)`` on the given
-    samples, whose disturbances ``w`` are floats, to an absolute tolerance of
-    1e-9.  Report-only: never raises on violations.
-    """
-    states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_states]
-    dists = [float(w) for w in sample_disturbances]
-    warnings = []
-    if not states or not dists:
-        warnings.append("empty sample set: vacuous pass")
-        return CertificateReport(True, 0.0, 0.0, 0, warnings)
-    max_bound = 0.0
-    max_decay = 0.0
-    count = 0
-    for x in states:
-        r = float(np.linalg.norm(x))
-        s = float(cert.S(x))
-        max_bound = max(max_bound, cert.alpha1(r) - s, s - cert.alpha2(r))
-        for w in dists:
-            g = eval_f(model, x, model.K(x) + w)
-            lie = float(np.asarray(cert.grad_S(x)) @ g)
-            max_decay = max(max_decay, lie + cert.gamma(r) - cert.rho(abs(w)))
-            count += 1
-    passed = max(max_bound, max_decay) <= 1e-9
-    return CertificateReport(passed, max_bound, max_decay, count, warnings)

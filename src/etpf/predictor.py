@@ -97,16 +97,17 @@ class NodeGrid:
             raise ConfigurationError("the channel must have positive delay at t = 0")
         self.tables = delay.grid_tables(h, m_lo, len(U) - 1)
 
-    def sigma(self, s: float, dot: bool = False) -> float:
-        """sigma(s), or with ``dot`` its difference quotient, at an anchor's window start
-        s = phi(tau): the table entry of the node ``node_of`` places s on, slot 0 at phi(0),
-        and otherwise the delay's own solve."""
+    def window_start(self, s: float, dot: bool = False) -> tuple[float, float]:
+        """``(sigma(s), u_at(s))`` at an anchor's window start s = phi(tau), s placed on the
+        grid once; ``dot`` gives sigma's difference quotient in place of sigma.  Either is
+        the table entry of the node ``node_of`` places s on, slot 0 at phi(0), else solved."""
         table, (k, on) = self.tables[dot], node_of(s, self.h)
+        u = self._u(k - (not on))
         if on and 0 < k - self.lo < len(table) - dot:  # sigma_dot has no entry at N + 1
-            return float(table[k - self.lo])
+            return float(table[k - self.lo]), u
         if s == self.phi0:
-            return float(table[0])
-        return self.delay.sigma_dot(s, self.h) if dot else self.delay.sigma(s)
+            return float(table[0]), u
+        return (self.delay.sigma_dot(s, self.h) if dot else self.delay.sigma(s)), u
 
     def u_row(self, j: int) -> float:
         return self.U[j] if j >= 0 else self.u_pre
@@ -115,7 +116,9 @@ class NodeGrid:
         """u(s): the row of the last node k with k h <= s, where a node that ``node_of``
         places s on counts as at or below it; ``u_pre`` below node 0."""
         k, on = node_of(s, self.h)
-        k -= not on
+        return self._u(k - (not on))
+
+    def _u(self, k: int) -> float:
         return self.U[min(k, len(self.U) - 1)] if k >= 0 else self.u_pre
 
     def u_breaks(self, a: float, now: int) -> list:
@@ -293,7 +296,8 @@ class SemiClosedPredictor(_Predictor):
             size = len(self.grid.tables[0])  # phi(0), then one node per advance at most
             self._times, self._g = np.empty(size), np.empty((size, len(self.p)))
             self._times[0] = s0
-            self._g[0] = self.grid.sigma(s0, dot=True) * self.model.f(self.p, self.grid.u_at(s0))
+            sdot, u = self.grid.window_start(s0, dot=True)
+            self._g[0] = sdot * self.model.f(self.p, u)
             self._n = 1
             return
         times, g = self._times[: self._n], self._g[: self._n]
@@ -385,8 +389,9 @@ class LinearPredictor(_Predictor):
         # u is constant between consecutive breaks, so one exact step per
         # control segment from s_from to node now is the composition of the per-node steps
         g, sig, ks = self.grid, self._sig, self.grid.u_breaks(s_from, now)
-        sig = [g.sigma(s_from), *[sig[k - g.lo] for k in ks], sig[now - g.lo]]
-        u = [g.u_at(s_from), *[g.U[k] for k in ks]]
+        sig0, u0 = g.window_start(s_from)
+        sig = [sig0, *[sig[k - g.lo] for k in ks], sig[now - g.lo]]
+        u = [u0, *[g.U[k] for k in ks]]
         for i in range(len(u)):
             E, c = self._affine(sig[i + 1] - sig[i], u[i])
             p = E @ p + c

@@ -134,15 +134,15 @@ def affine_unmemoized(pred, dsig: float, u: float):
 
 def integrate_per_segment(pred, p, s_from: float, now: int) -> np.ndarray:
     """``LinearPredictor._integrate`` without the memo: one step per control segment from
-    ``s_from`` to node ``now``, with sigma and u at each break from ``NodeGrid.sigma`` and
-    ``NodeGrid.u_at``."""
+    ``s_from`` to node ``now``, with sigma at each break from ``NodeGrid.window_start`` and u
+    from ``NodeGrid.u_at``."""
     g = pred.grid
     ev, s_to = g.events, now * g.h
     inner = ev[bisect_right(ev, s_from):bisect_left(ev, s_to)]
     if s_from < 0.0 < s_to and inner[:1] != [0.0]:
         inner.insert(0, 0.0)
     nodes = [s_from, *inner, s_to]
-    sig = [g.sigma(s) for s in nodes]
+    sig = [g.window_start(s)[0] for s in nodes]
     for i in range(len(nodes) - 1):
         E, c = affine_unmemoized(pred, sig[i + 1] - sig[i], g.u_at(nodes[i]))
         p = E @ p + c
@@ -210,7 +210,8 @@ class ReferenceSemiClosed(_Predictor):
         if not hist.times:
             self.p = self._anchor_state.copy()
             self._integral = np.zeros_like(self.p)
-            hist.append(s0, self.grid.sigma(s0, dot=True) * self.model.f(self.p, self.grid.u_at(s0)))
+            sdot, u = self.grid.window_start(s0, dot=True)
+            hist.append(s0, sdot * self.model.f(self.p, u))
             return
         if s0 < hist.times[0]:
             raise PredictorError("g-history does not reach the new anchor window")

@@ -4,8 +4,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from etpf.channel import (ActuationDelay, SensingSchedule, node_of, nodes_of,
-                          verify_delay_bounds)
+from etpf.channel import ActuationDelay, SensingSchedule, node_of, nodes_of
 from etpf.exceptions import ChannelModelError, ConfigurationError
 from etpf.predictor import NodeGrid
 
@@ -127,12 +126,6 @@ class TestArrayPaths:
         way_off = ActuationDelay(phi=lambda t: t - 3.0, M0=1.0, M1=1.0, m2=1.0)
         with pytest.raises(ChannelModelError, match="bracket"):
             way_off.sigma(np.array([0.0, 1.0]))
-
-    def test_verify_delay_bounds_matches_pointwise_phi(self):
-        d, grid = ActuationDelay.example1(), np.linspace(0, 25, 2501)
-        rep = verify_delay_bounds(d, grid)
-        phi_vals = np.array([d.phi(float(t)) for t in grid])
-        assert rep.min_delay == float(np.min(grid - phi_vals))
 
 
 class TestNodeOf:
@@ -440,20 +433,42 @@ class TestFromTable:
             ActuationDelay.from_table([1.0, 0.0], [1.0, 1.0])
 
 
+def bound_excess(d: ActuationDelay) -> float:
+    """The most by which the delay ``t - phi(t)`` passes ``M0``, or a difference quotient
+    of phi leaves ``[m2, M1]``, on 2,501 points of [0, 25]; at most 0 up to rounding when
+    the declared bounds hold.  A quotient is phi' somewhere between its two points."""
+    t = np.linspace(0.0, 25.0, 2501)
+    phi = d.phi(t)
+    slope = np.diff(phi) / np.diff(t)
+    assert (t - phi).min() > 0.0
+    return max((t - phi).max() - d.M0, d.m2 - slope.min(), slope.max() - d.M1)
+
+
 class TestVerifyDelayBounds:
+    """Each built-in delay shape meets the ``(M0, M1, m2)`` it declares: ``sigma``'s
+    bracket ``[t, t + 2 M0]`` rests on ``M0``, and ``M2 = 1 / m2`` is the dwell constant."""
+
     def test_example1_bounds_pass(self):
-        rep = verify_delay_bounds(ActuationDelay.example1(), np.linspace(0, 25, 2501))
-        assert rep.passed
+        assert bound_excess(ActuationDelay.example1()) <= 1e-9
 
     def test_constant_bounds_pass(self):
-        rep = verify_delay_bounds(ActuationDelay.constant(0.5), np.linspace(0, 10, 101))
-        assert rep.passed
+        assert bound_excess(ActuationDelay.constant(0.5)) <= 1e-9
+
+    def test_sinusoidal_bounds_pass(self):
+        assert bound_excess(ActuationDelay.sinusoidal(0.5, 0.2)) <= 1e-9
+
+    @pytest.mark.parametrize("times, delays", [
+        # rising only: phi' = 1 past t = 10, where np.interp holds the delay
+        pytest.param([0.0, 10.0], [0.5, 1.0], id="rising"),
+        pytest.param([0.0, 10.0], [1.5, 0.5], id="falling"),
+        pytest.param(TABLE_T, TABLE_D, id="mixed"),
+    ])
+    def test_table_bounds_pass(self, times, delays):
+        assert bound_excess(ActuationDelay.from_table(times, delays)) <= 1e-9
 
     def test_understated_m0_fails(self):
         bad = ActuationDelay(phi=lambda t: t - 2.0, M0=1.0, M1=1.0, m2=1.0)
-        rep = verify_delay_bounds(bad, np.linspace(0, 10, 101))
-        assert not rep.passed
-        assert rep.worst_delay_excess > 0
+        assert bound_excess(bad) == pytest.approx(1.0)
 
 
 class TestSensingSchedule:

@@ -84,6 +84,7 @@ class TestSimulate:
         out = tmp_path / "e2"
         assert main(["simulate", "--preset", "example2", "--out", str(out)]) == 2
         assert ("diverged: True (prediction bound, advance, step 144, t = 1.44)\n"
+                "stopped before any control reached the plant: False\n"
                 in (out / "summary.txt").read_text())
 
     def test_divergence_in_prehistory_exit_code(self, tmp_path):

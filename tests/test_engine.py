@@ -287,19 +287,36 @@ class TestDivergenceRule:
     """The engine decides divergence: |x| <= divergence_threshold after each plant step and
     |p| <= 1e3 divergence_threshold after each re-anchor and advance, the pre-history's too."""
 
-    @pytest.mark.parametrize("phase, bound, step", [
-        ("pre-history", "prediction", 0),
-        ("re-anchor", "prediction", 368),
-        ("advance", "prediction", 144),
-        ("plant step", "plant", 118),
+    @pytest.mark.parametrize("phase, bound, step, before", [
+        ("pre-history", "prediction", 0, True),
+        ("re-anchor", "prediction", 368, False),
+        ("advance", "prediction", 144, False),
+        ("plant step", "plant", 118, True),
     ])
-    def test_divergence_names_its_bound_and_phase(self, phase, bound, step):
+    def test_divergence_names_its_bound_and_phase(self, phase, bound, step, before):
         cfg = _diverging(phase)
         tr = run(cfg)
         assert tr.diverged and tr.diagnostics["final_step"] == step
         assert tr.diagnostics["divergence"] == {"bound": bound, "phase": phase, "step": step,
-                                                "t": step * cfg.h}
+                                                "t": step * cfg.h, "before_control": before}
         assert f"diverged: True ({bound} bound, {phase}, step {step}, " in tr.summary()
+
+    @pytest.mark.parametrize("make, t, sigma_t0, before", [
+        # a 20 s delay: the unstable plant leaves the bound under u = 0 at t = 17.29, before
+        # the first control, made at t0 = 1, reaches it at sigma(t0) = 21
+        pytest.param(lambda: dataclasses.replace(presets.example1(), monitor=None, T=60.0,
+                                                 delay=ActuationDelay.constant(20.0)),
+                     17.29, 21.0, True, id="example1-delay-20"),
+        # the prediction fails at t = 1.44, after the control of t0 = 0.11 has arrived
+        pytest.param(presets.example2, 1.44, 0.313, False, id="example2"),
+    ])
+    def test_stop_before_any_control_reached_the_plant(self, make, t, sigma_t0, before):
+        cfg = make()
+        tr = run(cfg)
+        d = tr.diagnostics["divergence"]
+        assert d["t"] == pytest.approx(t) and d["before_control"] is before
+        assert cfg.delay.sigma(tr.t0) == pytest.approx(sigma_t0, abs=1e-3)
+        assert f"\nstopped before any control reached the plant: {before}\n" in tr.summary()
 
     def test_delivery_flags_only_on_reached_rows(self):
         # a re-anchor that diverges at step s still flags its delivery; a pre-history

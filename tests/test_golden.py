@@ -155,15 +155,15 @@ def test_variant_csvs(name, tmp_path):
 
 @pytest.mark.parametrize("name", [*sorted(GOLDEN_CSV), *sorted(GOLDEN_VARIANT_CSV)])
 def test_sigma_lookups_are_anchor_window_starts(name, monkeypatch):
-    """The float lookup ``NodeGrid.sigma`` serves only an anchor's window start: every call
-    comes from a re-anchor, with that anchor's phi(tau), and never asks for the node time of
-    now, whose sigma the predictors read from the tables."""
+    """The float lookup ``NodeGrid.window_start`` (sigma and u at one float time) serves only
+    an anchor's window start: every call comes from a re-anchor, with that anchor's phi(tau),
+    and never asks for the node time of now, whose sigma the predictors read from the tables."""
     cfg = presets.get_preset(name) if name in GOLDEN_CSV else variant_config(name)
-    calls, anchors, sigma = [], [], NodeGrid.sigma
+    calls, anchors, window_start = [], [], NodeGrid.window_start
 
     def spy(grid, s, dot=False):
         calls.append((s, anchors[-1] if anchors else None))
-        return sigma(grid, s, dot)
+        return window_start(grid, s, dot)
 
     def spied(reanchor):
         def wrapped(pred, anchor_time, anchor_state, now):
@@ -176,7 +176,7 @@ def test_sigma_lookups_are_anchor_window_starts(name, monkeypatch):
 
     for cls in (ClosedLoopPredictor, OpenLoopPredictor, SemiClosedPredictor, LinearPredictor):
         monkeypatch.setattr(cls, "reanchor", spied(cls.reanchor))
-    monkeypatch.setattr(NodeGrid, "sigma", spy)
+    monkeypatch.setattr(NodeGrid, "window_start", spy)
     run(dataclasses.replace(cfg, monitor=None))
     # the semi-closed history starts at phi(0), a linear re-anchor integrates from phi(tau)
     assert calls or cfg.predictor_method in ("closed-loop", "open-loop")

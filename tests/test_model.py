@@ -7,16 +7,7 @@ import pytest
 
 from etpf import presets
 from etpf.exceptions import ConfigurationError, NumericalError
-from etpf.model import (
-    ISSCertificate,
-    LinearSystem,
-    eval_f,
-    lift,
-    linear_certificate,
-    solve_lyapunov,
-    spectral_norm,
-    verify_certificate,
-)
+from etpf.model import LinearSystem, lift, linear_certificate, solve_lyapunov, spectral_norm
 from etpf.presets import example1_model, linear2d_system
 
 MULTI_INPUT = [
@@ -27,8 +18,8 @@ MULTI_INPUT = [
 
 
 def assert_class_k(cert, grid=np.logspace(-6, 3, 40)):
-    """alpha1, alpha2, gamma and rho vanish at 0 and increase strictly on ``grid``."""
-    for name in ("alpha1", "alpha2", "gamma", "rho"):
+    """gamma and rho vanish at 0 and increase strictly on ``grid``."""
+    for name in ("gamma", "rho"):
         fn = getattr(cert, name)
         assert abs(fn(0.0)) <= 1e-12, f"{name}(0) must be 0"
         vals = [fn(float(r)) for r in grid]
@@ -36,27 +27,24 @@ def assert_class_k(cert, grid=np.logspace(-6, 3, 40)):
 
 
 class TestEvalF:
+    """The plant vector field ``f``, evaluated by hand."""
+
     def test_example1_vector_field(self):
         model = example1_model()
-        out = eval_f(model, (1.0, 1.0), 0.0)
+        out = model.f(np.array([1.0, 1.0]), 0.0)
         np.testing.assert_allclose(out, [2.0, math.tanh(1.0) + 1.0], atol=1e-12)
 
     def test_equilibrium(self):
         model = example1_model()
-        np.testing.assert_allclose(eval_f(model, (0.0, 0.0), 0.0), [0.0, 0.0])
+        np.testing.assert_allclose(model.f(np.zeros(2), 0.0), [0.0, 0.0])
 
     def test_linear_hand_evaluation(self):
         sys = LinearSystem(
             A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
             K_gain=[[-1.0, -2.0]], Q=np.eye(2),
         )
-        out = eval_f(sys.to_model(), (1.0, 0.0), 2.0)
+        out = sys.to_model().f(np.array([1.0, 0.0]), 2.0)
         np.testing.assert_allclose(out, [0.0, 2.0])
-
-    def test_dimension_mismatch(self):
-        model = example1_model()
-        with pytest.raises(ConfigurationError):
-            eval_f(model, (1.0, 1.0, 1.0), 0.0)
 
     def test_nonvanishing_equilibrium_rejected(self):
         from etpf.model import SystemModel
@@ -198,21 +186,23 @@ class TestLinearCertificate:
         assert cert.rho_inv(cert.rho(3.0)) == pytest.approx(3.0, abs=1e-12)
         for r in np.logspace(-6, 6, 25):
             assert cert.rho_inv(cert.rho(r)) == pytest.approx(r, rel=1e-10)
-            assert cert.gamma_inv(cert.gamma(r)) == pytest.approx(r, rel=1e-10)
 
     def test_sandwich_and_decay_property(self):
+        # lam_min(P) |x|^2 <= S(x) <= lam_max(P) |x|^2 and
+        # grad S(x) . (A_cl x + B w) <= -gamma(|x|) + rho(|w|), grad S(x) = 2 P x
         sys = linear2d_system()
         cert = linear_certificate(sys)
-        A_cl, B = sys.A_cl, sys.B
+        A_cl, B, P = sys.A_cl, sys.B, sys.P
+        lam_min, lam_max = np.linalg.eigvalsh(P)[[0, -1]]
         rng = np.random.default_rng(1)
         for _ in range(1000):
             x = rng.uniform(-10, 10, size=2)
             w = rng.uniform(-10, 10, size=1)
             s = cert.S(x)
             r = np.linalg.norm(x)
-            assert cert.alpha1(r) <= s + 1e-9
-            assert s <= cert.alpha2(r) + 1e-9
-            lie = cert.grad_S(x) @ (A_cl @ x + B @ w)
+            assert lam_min * r * r <= s + 1e-9
+            assert s <= lam_max * r * r + 1e-9
+            lie = 2.0 * (P @ x) @ (A_cl @ x + B @ w)
             assert lie <= -cert.gamma(r) + cert.rho(np.linalg.norm(w)) + 1e-9
 
 
@@ -229,8 +219,7 @@ class TestLinearCertificate:
         assert back.S(X).tobytes() == cert.S(X).tobytes()
         for x in X[:20]:
             assert float(back.S(x)).hex() == float(cert.S(x)).hex()
-            assert back.grad_S(x).tobytes() == cert.grad_S(x).tobytes()
-        for name in ("alpha1", "alpha2", "gamma", "rho", "gamma_inv", "rho_inv"):
+        for name in ("gamma", "rho", "rho_inv"):
             assert getattr(back, name)(2.5).hex() == getattr(cert, name)(2.5).hex(), name
         assert back.rho_quad_coeff.hex() == cert.rho_quad_coeff.hex()
 
@@ -243,36 +232,3 @@ class TestLinearCertificate:
         assert [float(v).hex() for v in sys.S(X)] == want
         assert [float(sys.S(x)).hex() for x in X] == want
 
-
-class TestVerifyCertificate:
-    def test_self_consistency(self):
-        sys = linear2d_system()
-        cert = linear_certificate(sys)
-        model = sys.to_model()
-        rng = np.random.default_rng(2)
-        rep = verify_certificate(
-            model, cert, rng.standard_normal((100, 2)), rng.standard_normal(10)
-        )
-        assert rep.passed
-
-    def test_corrupted_certificate_fails(self):
-        sys = linear2d_system()
-        good = linear_certificate(sys)
-        bad = ISSCertificate(
-            S=good.S, grad_S=good.grad_S, alpha1=good.alpha1, alpha2=good.alpha2,
-            gamma=lambda r: 50.0 * good.gamma(r), rho=good.rho,
-            gamma_inv=good.gamma_inv, rho_inv=good.rho_inv,
-        )
-        rng = np.random.default_rng(3)
-        rep = verify_certificate(
-            sys.to_model(), bad, rng.standard_normal((50, 2)),
-            rng.standard_normal(5),
-        )
-        assert not rep.passed
-        assert rep.max_decay_violation > 0
-
-    def test_empty_samples_vacuous_pass(self):
-        sys = linear2d_system()
-        rep = verify_certificate(sys.to_model(), linear_certificate(sys), [], [])
-        assert rep.passed
-        assert rep.warnings

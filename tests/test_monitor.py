@@ -221,10 +221,7 @@ class TestArrayMonitor:
 class TestComputeV:
     def _quad_cert(self, c_rho):
         return ISSCertificate(
-            S=lambda x: 0.0, grad_S=lambda x: np.zeros(1),
-            alpha1=lambda r: r * r, alpha2=lambda r: r * r,
-            gamma=lambda r: r * r, rho=lambda r: c_rho * r * r,
-            gamma_inv=lambda y: math.sqrt(max(y, 0.0)),
+            S=lambda x: 0.0, gamma=lambda r: r * r, rho=lambda r: c_rho * r * r,
             rho_inv=lambda y: math.sqrt(max(y, 0.0) / c_rho),
             rho_quad_coeff=c_rho,
         )
@@ -269,10 +266,7 @@ class TestComputeV:
         # S(x) = 1 with c_rho = 1 (|PB| = 1, lam_min(Q) = 2): V = 1 + 2 L
         c_rho = 1.0
         cert = ISSCertificate(
-            S=lambda x: float(np.dot(x, x)), grad_S=lambda x: 2.0 * np.asarray(x),
-            alpha1=lambda r: r * r, alpha2=lambda r: r * r,
-            gamma=lambda r: r * r, rho=lambda r: c_rho * r * r,
-            gamma_inv=lambda y: math.sqrt(max(y, 0.0)),
+            S=lambda x: float(np.dot(x, x)), gamma=lambda r: r * r, rho=lambda r: c_rho * r * r,
             rho_inv=lambda y: math.sqrt(max(y, 0.0)),
             rho_quad_coeff=c_rho,
         )

@@ -97,26 +97,30 @@ class TestTimeBase:
         delay, h, N = self.DELAYS[kind](), 1e-2, 300
         grid = control_grid(delay, 0.0, h=h, N=N)
         sig, sdot = grid.tables[:2]
+
+        def sigma(s, dot=False):
+            return grid.window_start(s, dot)[0]
+
         calls, solve = [], ActuationDelay.sigma
         monkeypatch.setattr(ActuationDelay, "sigma",
                             lambda self, t: calls.append(t) or solve(self, t))
         # every table node, and the times within the snap either side of it
         for k in range(grid.lo + 1, N + 2):
             for s in (k * h, k * h - 0.5 * SNAP * h, k * h + 0.5 * SNAP * h):
-                assert grid.sigma(s) == sig[k - grid.lo], (k, s)
+                assert sigma(s) == sig[k - grid.lo], (k, s)
                 if k <= N:  # sigma_dot has no entry at N + 1
-                    assert grid.sigma(s, dot=True) == sdot[k - grid.lo], (k, s)
+                    assert sigma(s, dot=True) == sdot[k - grid.lo], (k, s)
         # phi(0): slot 0, unless node_of places it on a node
         phi0 = delay.phi(0.0)
         k0, on0 = node_of(phi0, h)
         assert on0 == (kind == "sinusoidal")
         slot = k0 - grid.lo if on0 else 0
-        assert grid.sigma(phi0) == sig[slot] and grid.sigma(phi0, dot=True) == sdot[slot]
+        assert sigma(phi0) == sig[slot] and sigma(phi0, dot=True) == sdot[slot]
         assert calls == []
         # off the grid: the delay's own solve, once for sigma and twice for sigma_dot
         for s in (0.505, 1.2345, 2.0 * N * h / 3.0 + 0.3 * h):
-            assert grid.sigma(s) == solve(delay, s) and calls == [s]
-            assert grid.sigma(s, dot=True) == delay.sigma_dot(s, h) and len(calls) == 5
+            assert sigma(s) == solve(delay, s) and calls == [s]
+            assert sigma(s, dot=True) == delay.sigma_dot(s, h) and len(calls) == 5
             calls.clear()
 
     def test_u_at_within_the_snap_below_an_event_node_reads_its_row(self):
@@ -192,7 +196,7 @@ def per_node_reference(pred, p, s_from, s_to):
     """The re-anchor as one exact step per grid node of the window."""
     nodes = window_nodes(s_from, s_to, pred.h)
     for left, right in zip(nodes[:-1], nodes[1:]):
-        E, Phi = pred._step_mats(pred.grid.sigma(right) - pred.grid.sigma(left))
+        E, Phi = pred._step_mats(pred.grid.window_start(right)[0] - pred.grid.window_start(left)[0])
         p = E @ p + Phi @ (pred.sys.B[:, 0] * pred.grid.u_at(left))
     return p
 
@@ -251,6 +255,23 @@ class TestLinearSegmentReanchor:
         assert len(window_nodes(pred.delay.phi(1.1), 1.1, H)) - 1 == 500
         assert len(calls) == 4
         np.testing.assert_allclose(sum(calls), 0.5, rtol=1e-12)
+
+    def test_window_start_placed_once(self, monkeypatch):
+        # a re-anchor reads sigma and u at its window start phi(tau) through one node_of:
+        # 301 calls over linear2d's re-anchors, 602 when each read placed it again
+        calls, per_reanchor = [], []
+        node_of_, reanchor = etpf_predictor.node_of, LinearPredictor.reanchor
+        monkeypatch.setattr(etpf_predictor, "node_of",
+                            lambda t, h: calls.append(t) or node_of_(t, h))
+
+        def counted(self, *args):
+            n = len(calls)
+            reanchor(self, *args)
+            per_reanchor.append(len(calls) - n)
+
+        monkeypatch.setattr(LinearPredictor, "reanchor", counted)
+        run(dataclasses.replace(presets.linear2d(), x0=np.array([1.1, 0.9])))
+        assert sum(per_reanchor) == 301 and max(per_reanchor) == 1
 
 
 class TestSegmentMemo:
@@ -647,7 +668,8 @@ class TestLinearBlock:
         oracle = run(per_step(cfg))
         s = tr.diagnostics["final_step"]
         assert tr.diagnostics["divergence"] == oracle.diagnostics["divergence"] == {
-            "bound": "prediction", "phase": "advance", "step": s, "t": s * cfg.h}
+            "bound": "prediction", "phase": "advance", "step": s, "t": s * cfg.h,
+            "before_control": True}
         assert 15 <= s <= 25 and np.all(tr.x[: s + 1] == 1.0)
         assert blocks[0][0] == 0 and blocks[0][1] > s
         np.testing.assert_allclose(tr.p, oracle.p, rtol=1e-12, equal_nan=True)
@@ -685,7 +707,8 @@ class TestDivergenceCheck:
         )
         tr = run(cfg)
         assert tr.diagnostics["divergence"] == {
-            "bound": "prediction", "phase": "advance", "step": 30, "t": 30 * cfg.h}
+            "bound": "prediction", "phase": "advance", "step": 30, "t": 30 * cfg.h,
+            "before_control": True}
         assert tr.events.event_times == [0.3] and np.all(tr.x == 1.0)
 
     @pytest.mark.parametrize("rate", RATES)
