@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
     lin = presets_mod.get_preset("linear2d")
     lin = dataclasses.replace(lin, T=5.0)
     trl = run(lin)
-    lin_consts = TradeoffConstants.from_linear_system(lin.linear)
+    lin_consts = TradeoffConstants.from_linear_system(lin.linear, M2=lin.delay.M2)
     a, c = lin_consts.a, lin_consts.c
     R = lin.trigger.rho_bar
     delta = min_dwell(a, c, R)

@@ -186,17 +186,16 @@ def _build_sensing(cfg: SimConfig, vals: dict) -> SimConfig:
 
 def _build_trigger(cfg: SimConfig, vals: dict) -> SimConfig:
     mode = vals.pop("mode", cfg.trigger.mode)
-    theta = vals.pop("theta", cfg.trigger.theta)
     if mode == "fixed-ratio":
         # a ratio carried over from a fixed-ratio trigger only, not a derived one
         base = cfg.trigger.rho_bar if cfg.trigger.mode == "fixed-ratio" else 0.5
-        trig = TriggerConfig.fixed_ratio(vals.pop("rho_bar", base), theta=theta)
+        trig = TriggerConfig.fixed_ratio(vals.pop("rho_bar", base))
     elif mode == "linear":
         if cfg.linear is None:
             raise ConfigurationError("trigger.mode linear needs a linear system")
-        trig = TriggerConfig.linear(cfg.linear, theta=theta)
+        trig = TriggerConfig.linear(cfg.linear, theta=vals.pop("theta", cfg.trigger.theta))
     elif mode == "nonlinear":
-        trig = TriggerConfig.nonlinear(theta=theta, L_K=vals.pop("L_K", cfg.model.L_K))
+        trig = TriggerConfig.nonlinear(vals.pop("theta", cfg.trigger.theta), vals.pop("L_K", cfg.model.L_K))
     else:
         raise ConfigurationError(f"unknown trigger.mode {mode!r}")
     _unread("trigger", vals, f"trigger.mode is {mode}")

@@ -24,7 +24,6 @@ from .exceptions import ConfigurationError
 from .model import ISSCertificate, LinearSystem, SystemModel
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
 from .predictor import NodeGrid, lift_table, make_predictor
-from .signals import TimedSignal
 from .trigger import EventLog, TriggerConfig, check_and_fire, first_crossing, threshold
 
 __all__ = ["SensingConfig", "SimConfig", "SimTrace", "run", "heatmap"]
@@ -418,28 +417,19 @@ def run(cfg: SimConfig) -> SimTrace:
 
 
 def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, sig: np.ndarray) -> None:
-    """Fill V and L at the stride: one ``compute_L`` per window node count, one ``compute_V``.
+    """Fill V and L at the stride: one ``compute_L`` over the w history, one ``compute_V``.
     ``sig`` is sigma of the plant's delay on the slots of the controller's ``grid``."""
-    mon, t0, h = cfg.monitor, trace.t0, trace.h
-
-    # disturbance history: nonzero only before t0, where u is u_pre on the pre-history
-    # nodes (all before t = 0) and row k at node k h
-    k0, K = node_of(t0, h)[0], cfg.model.K
-    w_times = np.concatenate([trace.pre_times, trace.times[:k0]])
-    w_u = [grid.u_pre] * len(trace.pre_times) + grid.U[:k0]
+    mon, lo = cfg.monitor, grid.lo
+    # w: u_pre at phi(0) and the pre-history nodes, row k at node k h, 0 from t0 on; the
+    # stamps' images from the plant's table after sigma(phi(0)), which is 0, or at most 0
+    # under a mismatched delay (a root solve may round it above)
+    k0, K = node_of(trace.t0, trace.h)[0], cfg.model.K
+    w_u = [grid.u_pre] * len(trace.pre_p) + grid.U[:k0]
     w = [compute_w(u, p, K) for u, p in zip(w_u, np.concatenate([trace.pre_p, trace.p[:k0]]))]
-    tail = [t0] if w_times[-1] < t0 else []  # pre_times holds phi(0) at least
-    tail.append(float(trace.times[-1]) + 1.0)
-    w_hist = TimedSignal(np.concatenate([w_times, tail]), w + [0.0] * len(tail))
-
-    # L is 0 from sigma(t0) on
-    steps = np.arange(0, len(trace.times), mon.stride)
-    t, sig_t = trace.times[steps], sig[steps - grid.lo]
-    n_nodes = np.maximum(2, np.rint((sig_t - t) / h).astype(int) + 1)
-    live, L = t < sig[k0 - grid.lo], np.zeros(len(steps))
-    for n in sorted(set(n_nodes[live].tolist())):  # not np.unique, which imports numpy.ma
-        m = live & (n_nodes == n)
-        L[m] = compute_L(mon, w_hist, t[m], sig_t[m], cfg.delay.phi, n_nodes=n)
+    tau0 = 0.0 if cfg.delay == grid.delay else min(cfg.delay.sigma(grid.phi0), 0.0)
+    taus = np.concatenate([[tau0], sig[grid.first + 1 - lo : k0 + 1 - lo]])
+    steps = np.arange(0, len(trace.times), mon.stride)  # L is 0 from sigma(t0) on
+    L = compute_L(mon, taus, w + [0.0], trace.times[steps], sig[steps - lo])
     trace.L[steps], trace.V[steps] = L, compute_V(mon, trace.x[steps], L, cfg.cert)
 
 

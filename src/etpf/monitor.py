@@ -17,7 +17,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError, MonitorError
 from .model import ISSCertificate
-from .signals import TimedSignal
 
 __all__ = [
     "MonitorConfig",
@@ -57,33 +56,45 @@ def compute_w(u: float, p_held, K) -> float:
     return u - K(p_held)
 
 
-def compute_L(cfg: MonitorConfig, w_history: TimedSignal, t, sigma_t, phi, n_nodes: int):
-    """Window functional over ``n_nodes`` equally spaced tau in [t, sigma(t)].
+def _segments(ta, ea, wa, tb, eb, wb):
+    """Exact integral on [ta, tb] of a linear weight ea..eb times (a linear w wa..wb)^2."""
+    return (tb - ta) / 12.0 * (ea * (3.0 * wa * wa + 2.0 * wa * wb + wb * wb)
+                               + eb * (wa * wa + 2.0 * wa * wb + 3.0 * wb * wb))
 
-    sup form:      max  exp(b (tau - t)) |w(phi(tau))|
-    integral form: trapz exp(b (tau - t)) w(phi(tau))^2
 
-    A float for float ``t`` and ``sigma_t``; for arrays, one value per window,
-    with the bits of the per-window call.
+def compute_L(cfg: MonitorConfig, taus, w, t, sigma_t) -> np.ndarray:
+    """L at each window [t_i, sigma_t_i] of plant time, in one pass over the w history: ``w``
+    at the stamps' strictly increasing plant-time images ``taus`` = sigma(s_j), linear in tau
+    between them, a window counting its part up to ``taus[-1]``.
+
+    sup form:      max of exp(b (tau - t)) |w(phi(tau))| over the window's ends and images
+    integral form: integral of exp(b (tau - t)) w(phi(tau))^2, exact per segment for a
+                   weight linear between its ends
+
+    Weights are relative to the last image of their block of images (under 300 / b long, so
+    one block in most runs), so none exceeds 1 or underflows: L is inf only past the float range.
     """
-    t1, sig1 = np.atleast_1d(t).astype(float), np.atleast_1d(sigma_t).astype(float)
-    if (sig1 < t1).any():
-        raise MonitorError("sigma(t) precedes t")
-    L, live = np.zeros(len(t1)), np.flatnonzero(sig1 != t1)
-    for i in range(0, len(live), rows := max(1, 2048 // n_nodes)):  # bounds the temporaries
-        r = live[i : i + rows]
-        # C order: a sum over the rows of an F-ordered array adds in another order
-        taus = np.ascontiguousarray(np.linspace(t1[r], sig1[r], n_nodes, axis=1))
-        w = w_history.sample_array(phi(taus.ravel()))[:, 0].reshape(taus.shape)
-        w_norm = np.sqrt(w * w)  # not abs(w): where w * w underflows the two differ
-        # math.exp, not np.exp: the two differ in the last bit on some inputs
-        arg = (cfg.b * (taus - t1[r, None])).ravel().tolist()
-        weight = np.fromiter(map(math.exp, arg), float, len(arg)).reshape(taus.shape)
-        if cfg.form == "sup":
-            L[r] = (weight * w_norm).max(axis=1)
-        else:
-            L[r] = np.trapezoid(weight * w_norm * w_norm, taus, axis=1)
-    return float(L[0]) if np.ndim(t) == np.ndim(sigma_t) == 0 else L
+    taus, w, t, sigma_t = (np.asarray(a, dtype=float) for a in (taus, w, t, sigma_t))
+    if (sigma_t < t).any() or (t < taus[0]).any():
+        raise MonitorError(f"a window is reversed or starts before the first image {taus[0]}")
+    b, L = cfg.b, np.zeros(len(t))
+    cut = np.flatnonzero(np.diff(np.floor((taus - taus[0]) * (b / 300.0))))
+    for p, q in zip(np.r_[0, cut].tolist(), np.r_[cut, len(taus) - 1].tolist()):  # q starts the next
+        tb, wb, end = taus[p : q + 1], w[p : q + 1], taus[q]
+        x = np.clip(np.stack([t, sigma_t]), tb[0], end)  # the window ends, inside the block
+        j = np.searchsorted(tb, x, "right") - 1  # the last image at or before each end
+        e, ex, wx = np.exp(b * (tb - end)), np.exp(b * (x - end)), np.interp(x, tb, wb)
+        if cfg.form == "sup":  # images j[0] + 1 .. j[1]; reduceat gives a[i] for an empty range
+            inner = np.maximum.reduceat(np.append(e * np.abs(wb), 0.0), (j.T + 1).ravel())[::2]
+            S = np.maximum((ex * np.abs(wx)).max(axis=0), np.where(j[1] > j[0], inner, 0.0))
+            S[(t > end) | (sigma_t < tb[0])] = 0.0  # a window off the block
+        else:  # the integral from tb[0] to each end: a prefix sum and the partial segment
+            P = np.r_[0.0, np.cumsum(_segments(tb[:-1], e[:-1], wb[:-1], tb[1:], e[1:], wb[1:]))]
+            F = P[j] + _segments(tb[j], e[j], wb[j], x, ex, wx)
+            S = np.maximum(F[1] - F[0], 0.0)
+        with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf: 0 there
+            L = (np.maximum if cfg.form == "sup" else np.add)(L, np.exp(b * (end - t) + np.log(S)))
+    return L
 
 
 def compute_V(cfg: MonitorConfig, x, L, cert: ISSCertificate):

@@ -72,7 +72,7 @@ def example1() -> SimConfig:
         model=example1_model(),
         delay=ActuationDelay.example1(),
         sensing=SensingConfig(mode="periodic", delta_tau=2.0, d_psi=1.0),
-        trigger=TriggerConfig.fixed_ratio(0.015, theta=0.5),
+        trigger=TriggerConfig.fixed_ratio(0.015),
         x0=np.array([1.0, 1.0]),
         h=1e-2,
         T=25.0,
@@ -111,7 +111,7 @@ def _example2_base(D: float, a: float) -> SimConfig:
         sensing=SensingConfig(
             mode="periodic", delta_tau=1.0, mu_psi=0.1, sigma_psi=0.02, seed=7
         ),
-        trigger=TriggerConfig.fixed_ratio(0.5, theta=0.5),
+        trigger=TriggerConfig.fixed_ratio(0.5),
         x0=np.array([1.0, 1.0]),
         h=1e-2,
         T=25.0,
@@ -182,20 +182,19 @@ def heatmap_ex1() -> HeatmapSpec:
 
 @dataclass(frozen=True)
 class TradeoffSpec:
-    system_factory: Callable[[], LinearSystem]
-    M2: float
+    config_factory: Callable[[], SimConfig]
     nu_grid: tuple
     lambda_grid: tuple
 
     def constants(self) -> TradeoffConstants:
-        return TradeoffConstants.from_linear_system(self.system_factory(), M2=self.M2)
+        cfg = self.config_factory()
+        return TradeoffConstants.from_linear_system(cfg.linear, M2=cfg.delay.M2)
 
 
 def tradeoff() -> TradeoffSpec:
     nu_max = math.sqrt(2.0)
     return TradeoffSpec(
-        system_factory=linear2d_system,
-        M2=1.0,
+        config_factory=linear2d,
         nu_grid=tuple(np.linspace(0.01, nu_max - 0.01, 100)),
         lambda_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.05), 10)),
     )

@@ -1,10 +1,10 @@
 """Timestamped histories, piecewise-linear between stamps, as two arrays.
 
-``interpolate`` is the one interpolation formula: the monitor's disturbance
-history w reads it through ``TimedSignal``, and the semi-closed-loop
-predictor reads its integrand history, which it keeps in arrays of its own,
-through it directly.  The control history u is not one of them: it lives in
-the engine's control rows and event times (``NodeGrid``).
+``interpolate`` is the one interpolation formula: ``TimedSignal`` reads it,
+and the semi-closed-loop predictor reads its integrand history, kept in arrays
+of its own, through it directly.  The control history u lives in the engine's
+control rows and event times (``NodeGrid``), the monitor's w in an array of
+values at plant-time images (``monitor.compute_L``).
 """
 
 from __future__ import annotations

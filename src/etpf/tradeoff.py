@@ -55,7 +55,7 @@ class TradeoffConstants:
             raise DomainError("c must exceed a (c - a = M2*L_f > 0)")
 
     @staticmethod
-    def from_linear_system(sys: LinearSystem, M2: float = 1.0) -> "TradeoffConstants":
+    def from_linear_system(sys: LinearSystem, M2: float) -> "TradeoffConstants":
         L_f = sys.L_f
         L_K = sys.K_norm
         P1 = solve_lyapunov(sys.A_cl, np.eye(sys.n))

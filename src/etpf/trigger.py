@@ -37,8 +37,8 @@ class TriggerConfig:
     * ``linear``: threshold ``rho_bar * |p|`` with the ratio
       ``rho_bar = lam_min(Q) sqrt(theta) / (4 |PB| |K|)`` derived from the
       linear system by ``TriggerConfig.linear``.
-    * ``fixed-ratio``: threshold ``rho_bar * |p|`` (for presets that fix
-      the ratio directly instead of deriving it from a certificate).
+    * ``fixed-ratio``: threshold ``rho_bar * |p|``, the ratio given directly;
+      it reads no ``theta`` (``TriggerConfig.fixed_ratio`` sets 0.5).
     """
 
     mode: str
@@ -71,8 +71,8 @@ class TriggerConfig:
         return TriggerConfig(mode="linear", theta=theta, rho_bar=rho_bar)
 
     @staticmethod
-    def fixed_ratio(rho_bar: float, theta: float = 0.5) -> "TriggerConfig":
-        return TriggerConfig(mode="fixed-ratio", theta=theta, rho_bar=rho_bar)
+    def fixed_ratio(rho_bar: float) -> "TriggerConfig":
+        return TriggerConfig(mode="fixed-ratio", theta=0.5, rho_bar=rho_bar)
 
 
 @dataclass

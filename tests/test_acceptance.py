@@ -31,11 +31,11 @@ class TestC2Example1RobustnessMargin:
     def test_rho_margin_brackets(self):
         base = presets.example1()
         stable = run(dataclasses.replace(
-            base, trigger=TriggerConfig.fixed_ratio(0.5, theta=0.5), monitor=None
+            base, trigger=TriggerConfig.fixed_ratio(0.5), monitor=None
         ))
         assert stable.final_state_norm <= 0.5
         unstable = run(dataclasses.replace(
-            base, trigger=TriggerConfig.fixed_ratio(1.0, theta=0.5), monitor=None
+            base, trigger=TriggerConfig.fixed_ratio(1.0), monitor=None
         ))
         assert unstable.diverged or unstable.final_state_norm > 10.0
 

@@ -234,10 +234,21 @@ class TestSchema:
         (["sensing.mu_psi=0.1", "sensing.sigma_psi=0.02", "sensing.d_psi=0.3"], "sensing.d_psi"),
         (["monitor.enabled=false", "monitor.b=3"], "monitor.b"),
         (["delay.kind=example1", "delay.D=0.3"], "delay.D"),
+        (["trigger.theta=0.9"], "trigger.theta"),  # example1's trigger is fixed-ratio
     ])
     def test_rejected_key_is_named(self, overrides, name):
         data = apply_overrides({"preset": "example1"}, overrides)
         with pytest.raises(ConfigurationError, match=name.replace(".", r"\.")):
+            build_sim_config(data)
+
+    def test_only_a_fixed_ratio_trigger_reads_no_theta(self):
+        # a theta under fixed-ratio used to build a trigger that ran as if it were 0.5
+        linear = build_sim_config(apply_overrides({"preset": "linear2d"}, ["trigger.theta=0.3"]))
+        assert linear.trigger.theta == 0.3
+        data = apply_overrides({"preset": "linear2d"},
+                               ["trigger.mode=fixed-ratio", "trigger.theta=0.3"])
+        with pytest.raises(ConfigurationError, match=r"trigger\.theta is not read when "
+                                                     "trigger.mode is fixed-ratio"):
             build_sim_config(data)
 
     @pytest.mark.parametrize("data, name", [

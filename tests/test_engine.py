@@ -523,7 +523,7 @@ class TestOneEulerChain:
         digests = [hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
                    for n in ("trace.csv", "events.csv")]
         assert digests == [
-            "7d9f2339c66b3b4704fe689e32b36aa89c688926300a50ba5946b863cdc2eea3",
+            "47326ba6521c2c1ed1c47b59b9cf09ea95ae07f2738afe7eb33a5e53a8d7c03d",
             "a3f1e731d146c79ace1b4e9dbdc7aed630c62bf2da85ed5987ef4d9164342b6b",
         ]
 
@@ -598,6 +598,16 @@ class TestMonitorAttachment:
         stride = presets.linear2d().monitor.stride
         vals = linear_trace.V[::stride]
         assert vals[-1] < 1e-6 * vals[0]
+
+    def test_a_delay_of_75_overflows_to_inf(self):
+        # exp(b D) = exp(750) is past the float range: L and V read inf while the window
+        # holds the pre-t0 disturbance at full weight, with no OverflowError and no NaN
+        cfg = dataclasses.replace(presets.linear2d(), h=0.01, T=2.0,
+                                  delay=ActuationDelay.constant(75.0))
+        tr = run(cfg)
+        L, V = tr.L[:: cfg.monitor.stride], tr.V[:: cfg.monitor.stride]
+        assert not np.isnan(L).any() and not np.isnan(V).any()
+        assert (L[0], V[0]) == (np.inf, np.inf)
 
 
 class TestHeatmap:

@@ -1,15 +1,19 @@
 """Golden outputs: the C10 byte-identity promise checked across commits.
 
 The digests are the sha256 of ``trace.csv`` and ``events.csv`` of each
-simulation preset at its full horizon, of ten variants that reach the
+simulation preset at its full horizon, of eleven variants that reach the
 code paths the presets do not (the semi-closed-loop predictor on a nonlinear
 and on a linear plant, the open-loop predictor, perfect sensing with a
 nonzero pre-history control, a mismatched controller delay with out-of-order
 deliveries, a time-varying delay under the linear predictor, a sensing
-period off the grid, and the nonlinear trigger on a nonlinear and on a
-linear plant), and of the
+period off the grid, the nonlinear trigger on a nonlinear and on a
+linear plant, and a constant delay of 10 under the monitor), and of the
 raw ``float64`` bytes of the ``heatmap-ex1`` matrix.  A change that moves any of these bytes must
 say which bytes changed and why, and re-record the digest here.
+
+Every ``trace.csv`` digest of a monitored run was re-recorded when the monitor
+took one pass over the w history in place of resampling each window: only the
+V and L columns moved, every other column and every ``events.csv`` kept its bytes.
 """
 
 import dataclasses
@@ -29,7 +33,7 @@ from conftest import offgrid_config
 
 GOLDEN_CSV = {
     "example1": (
-        "5c048e8e54db9d7ae21caeca85d861601b3addba78859e6cd187df344e4744dd",
+        "468449330b14a110bc150b2c96adc996cadfd2e7eeff002d30283f9564e457d0",
         "608f784384632d5a1ba255e6abdb6f2db3180892302342b23d98f257cd860350",
     ),
     "example2": (
@@ -43,7 +47,7 @@ GOLDEN_CSV = {
     # re-recorded when linear runs began to step in blocks: x, u, p, e_norm,
     # threshold and V move at the rounding level, event times do not
     "linear2d": (
-        "6c63698930dc9161c4b62db31aa93e6836d83f3f4720505ac8b469ba7e19cb3e",
+        "165c4cd778e518ad7f4d7c03dc42b187750142a5d9a37e45dbd7281d78dbf238",
         "b3e00e4060ca72ff6892f6e03d96ffb616e0988f0d99cd5891b2a926aa05ed7e",
     ),
 }
@@ -52,45 +56,50 @@ GOLDEN_VARIANT_CSV = {
     # the engine's node times (k + 1) h in place of k h + h: x, u, p, e_norm, threshold, V
     # and L move at the rounding level (at most 1.1e-12 relative), event times do not
     "example1-semi-closed": (
-        "f459b6cbb8541fd538c0ab16706d2cbb2883fea6ed5990413bb49cd55b04fd24",
+        "829f20916b487a84f94343eebba0b2e99411d681fefdef74ebd28e224e2628e0",
         "edbf86b0ad2f6ac05e6327c2db025019572b859ffa526e8779164f6d2212be27",
     ),
     "example1-open-loop": (
-        "c1377acf26d78b3b0cf7703a8c45040564bee0be3b964061efcdf0b61c2c4047",
+        "e845b1d51cb59a7089dde5d7a7c0db045129b8467c9d84ffa099ff0e5592e1e7",
         "9b99dad919a40d0448b3cdf524dbf59360e06399de8898cebe177a864a929081",
     ),
     "example1-perfect-prehistory": (
-        "8ca584bae6e1fc396a36b08518c6f6433e582e35eca2aa0046fe2ecac212adb1",
+        "444edf8c92db0ece8daa08e740dc92bf9b6831404e55ab84d0beef2a01c726b2",
         "12431b317a7d90866501c08556781888987e736793971ba44325c1f528202623",
     ),
     "example1-semi-closed-perfect-prehistory": (
-        "531ff4a290058776d5d78cac50945ff607bc7fbe36a79ba079669ce4ab58d32e",
+        "a2a8089015d48959ee0459ed3740442e5ed47cf3ed15e1a18de8be5ec29d125d",
         "52811db35eaacaa2786f3ac26d70a8f5df8ade584222717c52c1faf9f382f79d",
     ),
     "example1-mismatch-gaussian": (
-        "dbc6dc7cac476a0f00a9bd98fd95d75b660767235d614722f6e52173b67589d8",
+        "9c907b6f84d5f5b95f3f7dcf5893dccfdcf142a5a34706417fb227ef2131701b",
         "81231367a1a3248c507815b92ae93305ecc1f01c29617a01de78a980c7b6923f",
     ),
     "linear2d-semi-closed": (
-        "b117380eef281e780f96845e9f3f99cb792f9ee665fe2c1c19a83c54baee1846",
+        "fe8ed4c5eeac20f7be0b4436a3da00aed959efaa481b93d85a711b26f9fde016",
         "67bb6c126b89d08194f60f2796b769e7afce88c1cc33b1aa2efd1e7c2f169cc8",
     ),
     "linear2d-sinusoidal": (
-        "9d106ed7f19869252e2cd5dab7b731327f367ffa8894d91a4e4450cf33f21cfc",
+        "52542e097ca82a28040a43b5ca9bf044ce97b6270579f5431ac0d21952ddb345",
         "6c724e8ef469e26f73bda626ca5e7e86cc61dccaf06fab32cbd483da94f055e9",
     ),
     "example1-offgrid": (
-        "182165377663467428481a207f68c98bc9c4fc22e6b496da406270f391e31424",
+        "422af42a2adc0147a62f6829ff3633eb8be95119f0a7053250e3df289415f53a",
         "2fcd33e37f430ba85548e47d900e150e178974a7ab1ccead4845b98107270925",
     ),
     # the threshold of the nonlinear trigger is no ratio of |p|: the closed-loop replay
     # still serves the plant, while the linear run stays on the per-step path
     "example1-nonlinear-trigger": (
-        "d2331647ab8b19fcdfa5703c0a02d4ed21831cc85e284cf0a90a7052620457c9",
+        "7138b1355e24efb7fb08f972d6f7d82502afbb6508f435eaeca936b512274f15",
         "d7effab6ce8db13983ce216389e242be18495b0a7f59b734baad981aefbbf7a3",
     ),
+    # a constant delay of 10 with the monitor on: windows of 10,000 nodes
+    "linear2d-D10": (
+        "973da484c70b2c2e844db011610883197bcfe2ceacf09e32eacca49c6219170f",
+        "a2282cacb578ab15f9756217b9f56ce7ed9c46e191996f5f6557687539061e1f",
+    ),
     "linear2d-nonlinear-trigger": (
-        "79ee696b7f940b6f085e3c2006cd36fcbb37ed8481129c633d997739a7ea734b",
+        "978856a1c69adbd27d63f211abb8022f0c7387eb4e749848d7b571ff1d51d4db",
         "aad7d936259fd4a101206d5af89a2205e646883b84a4d41c4172f61c796c7652",
     ),
 }
@@ -139,6 +148,8 @@ def variant_config(name):
     if name == "linear2d-nonlinear-trigger":
         lin = presets.linear2d()
         return dataclasses.replace(lin, T=2.0, trigger=TriggerConfig.nonlinear(0.5, lin.model.L_K))
+    if name == "linear2d-D10":
+        return dataclasses.replace(presets.linear2d(), T=12.0, delay=ActuationDelay.constant(10.0))
     assert name == "linear2d-sinusoidal"
     return dataclasses.replace(presets.linear2d(), T=2.0,
                                delay=ActuationDelay.sinusoidal(0.5, 0.2))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from etpf import presets
-from etpf.channel import ActuationDelay
-from etpf.exceptions import ConfigurationError, CoverageError, MonitorError
+from etpf import presets, run
+from etpf.channel import ActuationDelay, node_of
+from etpf.exceptions import ConfigurationError, MonitorError
 from etpf.model import ISSCertificate, linear_certificate
 from etpf.monitor import (
     MonitorConfig,
@@ -20,16 +20,11 @@ from etpf.monitor import (
     decay_report,
 )
 from etpf.presets import linear2d_system
-from etpf.signals import TimedSignal
-
-from reference_predictors import ListSignal
 
 
-def const_signal(value, start=-10.0):
-    sig = TimedSignal()
-    sig.append(start, value)
-    sig.append(100.0, value)
-    return sig
+def const_history(value, start=-10.0, end=100.0):
+    """A constant w on [start, end], as compute_L takes it: images and values."""
+    return np.array([start, end]), np.array([value, value])
 
 
 class TestComputeW:
@@ -42,50 +37,40 @@ class TestComputeW:
 
 class TestComputeL:
     def test_zero_disturbance(self):
-        w = const_signal([0.0])
-        phi = lambda t: t - 0.5
         for form in ("sup", "integral"):
             cfg = MonitorConfig(b=10.0, form=form)
-            assert compute_L(cfg, w, 0.0, 0.5, phi, n_nodes=51) == 0.0
+            assert compute_L(cfg, *const_history(0.0), [0.0], [0.5]).tolist() == [0.0]
 
     def test_sup_endpoint(self):
         c, b, M0 = 2.0, 3.0, 0.7
-        w = const_signal([c])
         cfg = MonitorConfig(b=b, form="sup")
-        got = compute_L(cfg, w, 0.0, M0, lambda t: t - 0.5, n_nodes=701)
-        assert got == pytest.approx(c * math.exp(b * M0), rel=1e-9)
+        got = compute_L(cfg, *const_history(c), [0.0], [M0])
+        assert got == pytest.approx([c * math.exp(b * M0)], rel=1e-9)
 
     def test_integral_flat(self):
         c = 2.0
-        w = const_signal([c])
         cfg = MonitorConfig(b=1e-12, form="integral")
-        got = compute_L(cfg, w, 0.0, 0.5, lambda t: t - 0.5, n_nodes=501)
-        assert got == pytest.approx(c * c * 0.5, rel=1e-6)
+        got = compute_L(cfg, *const_history(c), [0.0], [0.5])
+        assert got == pytest.approx([c * c * 0.5], rel=1e-6)
 
     def test_bad_window(self):
         cfg = MonitorConfig()
         with pytest.raises(MonitorError):
-            compute_L(cfg, const_signal([0.0]), 1.0, 0.5, lambda t: t, n_nodes=2)
+            compute_L(cfg, *const_history(0.0), [1.0], [0.5])
 
 
-def compute_L_loop(cfg, w_history, t, sigma_t, phi, n_nodes):
-    """compute_L as it was before the window became arrays: one tau at a time, one scalar
-    ``sample`` each (of a ``ListSignal``, the per-stamp formula)."""
-    if sigma_t == t:
-        return 0.0
-    taus = np.linspace(t, sigma_t, n_nodes)
-    vals = []
-    for tau in taus:
-        w = w_history.sample(phi(float(tau)))
-        vals.append((float(tau), float(np.linalg.norm(w))))
-    if cfg.form == "sup":
-        return max(math.exp(cfg.b * (tau - t)) * w for tau, w in vals)
-    integrand = np.array([math.exp(cfg.b * (tau - t)) * w * w for tau, w in vals])
-    return float(np.trapezoid(integrand, taus))
+def dense_L(cfg, s, w, phi, taus, t, sigma_t, n=100_001):
+    """The window functional on ``n`` points of [t, sigma_t] and on the images ``taus``
+    inside it, w linear between the stamps ``s`` and 0 past the last: the reference for
+    ``compute_L``."""
+    tau = np.union1d(np.linspace(t, sigma_t, n), taus[(taus > t) & (taus < sigma_t)])
+    wt = np.interp(phi(tau), s, w, right=0.0)
+    f = np.exp(cfg.b * (tau - t))
+    return float((f * np.abs(wt)).max() if cfg.form == "sup" else np.trapezoid(f * wt * wt, tau))
 
 
 class TestComputeLArrays:
-    """The array window gives the bits of the per-tau loop it replaced."""
+    """One ``compute_L`` over many windows against a dense reference on random histories."""
 
     DELAYS = [
         pytest.param(ActuationDelay.example1, id="example1"),
@@ -94,54 +79,115 @@ class TestComputeLArrays:
     ]
 
     @staticmethod
-    def random_history(rng, start, end, h, n_inputs=1):
-        """A linear w history on the grid of step h, random values: the ``TimedSignal``
-        and, for ``compute_L_loop``, a ``ListSignal`` with the same stamps and values."""
-        w, ref = [], ListSignal()
-        for k in range(int(math.floor(start / h)), int(math.ceil(end / h)) + 1):
-            value = rng.standard_normal(n_inputs) * rng.choice([1e-6, 1.0, 1e3], n_inputs)
-            w.append((k * h, value))
-            ref.append(k * h, value)
-        return TimedSignal(*zip(*w)), ref
+    def random_history(rng, d, end, h):
+        """A w history on phi(0) and the nodes of step h from it to ``end``, where w is 0,
+        as compute_L takes it: the images sigma(s) of the stamps and random values."""
+        s = np.r_[d.phi(0.0), np.arange(math.floor(d.phi(0.0) / h) + 1, round(end / h) + 1) * h]
+        w = rng.standard_normal(len(s)) * rng.choice([1e-3, 1.0, 1e3], len(s))
+        w[-1] = 0.0
+        return d.sigma(s), w
 
-    @pytest.mark.parametrize("n_inputs", [1])
     @pytest.mark.parametrize("form", ["sup", "integral"])
     @pytest.mark.parametrize("make", DELAYS)
-    def test_bit_equal_to_loop(self, make, form, n_inputs):
-        d = make()
-        cfg = MonitorConfig(b=float(np.random.default_rng(0).uniform(0.5, 20.0)), form=form)
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            h = float(rng.choice([1e-2, 2e-3, 0.013]))
-            w, ref = self.random_history(rng, d.phi(0.0), 12.0, h, n_inputs)
-            for t in rng.uniform(0.0, 10.0, 8):
-                sig_t = d.sigma(float(t))
-                for n_nodes in (2, max(2, int(round((sig_t - t) / h)) + 1), 777):
-                    got = compute_L(cfg, w, float(t), sig_t, d.phi, n_nodes=n_nodes)
-                    want = compute_L_loop(cfg, ref, float(t), sig_t, d.phi, n_nodes=n_nodes)
-                    assert type(got) is float
-                    assert got.hex() == want.hex(), (seed, t, n_nodes)
+    def test_matches_the_dense_reference(self, make, form):
+        # the sup form takes the maximum over the window's ends and images, the integral
+        # form weights each segment linearly: both within (b dtau)^2 / 8 of the functional;
+        # 1e-4 more for w linear in tau where the reference has it linear in s = phi(tau)
+        d, rng = make(), np.random.default_rng(3)
+        for b in (1.0, 10.0, 20.0):
+            cfg = MonitorConfig(b=b, form=form)
+            taus, w = self.random_history(rng, d, 2.0, 1e-2)
+            t = np.r_[rng.uniform(0.0, taus[-1], 6), taus[-1], taus[-1] + 1.0]
+            got = compute_L(cfg, taus, w, t, d.sigma(t))
+            want = [dense_L(cfg, d.phi(taus), w, d.phi, taus, a, z)
+                    for a, z in zip(t.tolist(), d.sigma(t).tolist())]
+            bound = (b * np.diff(taus).max()) ** 2 / 8.0 + 1e-4
+            np.testing.assert_allclose(got, want, rtol=bound, atol=0.0)
+            if form == "sup" and d.m2 == d.M1:  # a constant delay: no point above the ends
+                # and images, where w is linear in tau as in the reference
+                assert (got <= np.array(want) * (1.0 + 1e-12)).all()
+            assert got[-2:].tolist() == [0.0, 0.0]  # from the last image on, w is 0
 
     @pytest.mark.parametrize("form", ["sup", "integral"])
     def test_window_reaching_the_last_stamp(self, form):
-        # phi(sigma(t)) = t exactly for dyadic t and D = 0.5: the window's
-        # last point is the history's last stamp
+        # a window that runs past the last image counts its part up to it; one that
+        # starts before the first image is outside the history
         d, cfg = ActuationDelay.constant(0.5), MonitorConfig(b=3.0, form=form)
         rng = np.random.default_rng(5)
-        for t in (0.5, 2.25, 4.0):
-            w, ref = self.random_history(rng, -0.5, t, 0.125)
-            w.sample(t)  # the last stamp is t
-            with pytest.raises(CoverageError):
-                w.sample(np.nextafter(t, np.inf))
-            for n_nodes in (2, 51):
-                got = compute_L(cfg, w, t, t + 0.5, d.phi, n_nodes=n_nodes)
-                want = compute_L_loop(cfg, ref, t, t + 0.5, d.phi, n_nodes=n_nodes)
-                assert got.hex() == want.hex()
-            # one step further reaches past the history on both paths
-            with pytest.raises(CoverageError):
-                compute_L_loop(cfg, ref, t + 0.125, t + 0.625, d.phi, n_nodes=3)
-            with pytest.raises(CoverageError):
-                compute_L(cfg, w, t + 0.125, t + 0.625, d.phi, n_nodes=3)
+        for end in (0.5, 2.25, 4.0):
+            taus, w = self.random_history(rng, d, end, 0.125)
+            t = np.array([end - 0.25, end - 0.5])
+            inside = compute_L(cfg, taus, w, t, np.minimum(t + 0.5, taus[-1]))
+            assert compute_L(cfg, taus, w, t, t + 0.5).tolist() == inside.tolist()
+            assert (inside > 0.0).all()
+            with pytest.raises(MonitorError, match="before the first image"):
+                compute_L(cfg, taus, w, [np.nextafter(taus[0], -np.inf)], [taus[0] + 0.5])
+
+    @pytest.mark.parametrize("form", ["sup", "integral"])
+    def test_a_history_of_several_blocks(self, form):
+        # a history 100 long at b = 10 falls in blocks of 30 with weights relative to each
+        # block's last image; windows inside one block and across two match the reference
+        d, cfg = ActuationDelay.constant(0.5), MonitorConfig(b=10.0, form=form)
+        taus, w = self.random_history(np.random.default_rng(7), d, 100.0, 1e-2)
+        edges = taus[0] + 30.0 * np.arange(1, 4)
+        t = np.r_[taus[0], edges - 0.25, edges, edges - 0.5, 50.0, 99.5]
+        got = compute_L(cfg, taus, w, t, t + 0.5)
+        want = [dense_L(cfg, d.phi(taus), w, d.phi, taus, a, a + 0.5) for a in t.tolist()]
+        bound = (cfg.b * 1e-2) ** 2 / 8.0 + 1e-4
+        np.testing.assert_allclose(got, want, rtol=bound, atol=0.0)
+
+    def test_no_overflow_past_the_float_range(self):
+        # L = exp(b (tau - t)) w^2 past 1e308 is inf, L of a window of w = 0 stays 0, and
+        # a window near the last image stays finite however long the history is
+        d, cfg = ActuationDelay.constant(75.0), MonitorConfig(b=10.0, form="integral")
+        taus, w = self.random_history(np.random.default_rng(1), d, 0.0, 1e-2)
+        t = np.array([0.0, 70.0, 74.9])
+        with np.errstate(over="raise", invalid="raise"):  # no inf * 0 on the way
+            got = compute_L(cfg, taus, w, t, t + 75.0)
+        assert math.isinf(got[0]) and np.isfinite(got[1:]).all() and (got[1:] > 0).all()
+        assert compute_L(cfg, taus, 0.0 * w, t, t + 75.0).tolist() == [0.0] * 3
+
+
+class TestRunAccuracy:
+    """A run's L against the dense reference on the run's own w history, linear between
+    its stamps: phi(0), the pre-history nodes, the nodes before t0 and t0, where w is 0."""
+
+    @staticmethod
+    def check(cfg, tr, rtol, every=1):
+        """L at every ``every``-th nonzero stride sample against the dense reference."""
+        d, K, k0 = cfg.delay, cfg.model.K, node_of(tr.t0, tr.h)[0]
+        s = np.r_[tr.pre_times, tr.times[:k0], tr.t0]
+        w = [cfg.u_prehistory - K(p) for p in tr.pre_p] + [
+            u - K(p) for u, p in zip(tr.u[:k0].tolist(), tr.p[:k0])] + [0.0]
+        steps = np.arange(0, len(tr.times), cfg.monitor.stride)
+        live = steps[tr.times[steps] < d.sigma(tr.t0)]
+        assert (tr.L[live] > 0.0).all() and (tr.L[steps[len(live):]] == 0.0).all()
+        want = [dense_L(cfg.monitor, s, w, d.phi, d.sigma(s), t, d.sigma(t))
+                for t in tr.times[live[::every]].tolist()]
+        np.testing.assert_allclose(tr.L[live[::every]], want, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["example1", "linear2d", "linear2d-sinusoidal"])
+    def test_L_within_1e_4_of_the_dense_reference(self, name, request):
+        if name == "example1":  # the sup form
+            cfg, tr = presets.example1(), request.getfixturevalue("ex1_trace")
+        elif name == "linear2d":  # the integral form
+            cfg, tr = presets.linear2d(), request.getfixturevalue("linear_trace")
+        else:
+            cfg = dataclasses.replace(presets.linear2d(), T=2.0,
+                                      delay=ActuationDelay.sinusoidal(0.5, 0.2))
+            tr = run(cfg)
+        self.check(cfg, tr, 1e-4)
+
+    def test_a_late_first_delivery(self):
+        # t0 = 80: the first windows lie 805 / b before sigma(t0), where a weight taken
+        # relative to sigma(t0) underflows and L would read 0; the bound is the integral
+        # form's (b h)^2 / 8 at h = 0.01
+        base = presets.linear2d()
+        cfg = dataclasses.replace(base, h=0.01, T=81.0, sensing=dataclasses.replace(
+            base.sensing, delta_tau=1.0, d_psi=80.0))
+        tr = run(cfg)
+        assert tr.t0 == 80.0
+        self.check(cfg, tr, (cfg.monitor.b * cfg.h) ** 2 / 8.0, every=40)
 
 
 def compute_V_point(cfg, x, L, cert):
@@ -155,15 +201,9 @@ def compute_V_point(cfg, x, L, cert):
 
 
 class TestArrayMonitor:
-    """One ``compute_L`` over many windows and one ``compute_V`` over many rows give the
-    bits of the per-point calls, on whatever BLAS and libm this host has."""
+    """One ``compute_V`` over many rows gives the bits of the per-point calls, on whatever
+    BLAS and libm this host has."""
 
-    DELAYS = {
-        "constant": lambda: ActuationDelay.constant(0.5),
-        "sinusoidal": lambda: ActuationDelay.sinusoidal(0.5, 0.2),
-        "table": lambda: ActuationDelay.from_table([0.0, 4.0, 8.0, 12.0], [0.5, 0.7, 0.4, 0.6]),
-        "example1": ActuationDelay.example1,
-    }
     CERTS = {
         "linear2d": lambda: presets.linear2d().cert,
         "example1": lambda: presets.example1().cert,
@@ -184,38 +224,6 @@ class TestArrayMonitor:
         per_point = [compute_V(cfg, x, v, cert) for x, v in zip(X, L.tolist())]
         assert all(type(v) is float for v in per_point)
         assert hexes(per_point) == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(sorted(DELAYS)), form=st.sampled_from(["sup", "integral"]),
-           seed=st.integers(0, 2**32 - 1),
-           ts=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
-           n_nodes=st.integers(2, 700), zero_width=st.booleans())
-    def test_L_windows_are_the_per_window_values(self, kind, form, seed, ts, n_nodes, zero_width):
-        d, rng = self.DELAYS[kind](), np.random.default_rng(seed)
-        cfg = MonitorConfig(b=float(rng.uniform(0.5, 20.0)), form=form)
-        h = float(rng.choice([1e-2, 2e-3]))
-        w, ref = TestComputeLArrays.random_history(rng, d.phi(0.0), 12.0, h)
-        t = np.array(ts)
-        sig = d.sigma(t)
-        if zero_width:  # a window of no width is 0
-            sig[::2] = t[::2]
-        got = compute_L(cfg, w, t, sig, d.phi, n_nodes)
-        windows = list(zip(t.tolist(), sig.tolist()))
-        want = [compute_L_loop(cfg, ref, a, s, d.phi, n_nodes) for a, s in windows]
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-        per_window = [compute_L(cfg, w, a, s, d.phi, n_nodes) for a, s in windows]
-        assert [v.hex() for v in per_window] == [v.hex() for v in want]
-
-    def test_rows_past_the_chunk(self):
-        # 2,048 window nodes at a time: 30 windows of 700 nodes take 15 chunks
-        d, rng = ActuationDelay.constant(0.5), np.random.default_rng(8)
-        w, ref = TestComputeLArrays.random_history(rng, -0.5, 12.0, 1e-2)
-        t = np.linspace(0.0, 9.0, 30)
-        for form in ("sup", "integral"):
-            cfg = MonitorConfig(b=10.0, form=form)
-            got = compute_L(cfg, w, t, t + 0.5, d.phi, 700)
-            want = [compute_L_loop(cfg, ref, a, a + 0.5, d.phi, 700) for a in t.tolist()]
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 class TestComputeV:

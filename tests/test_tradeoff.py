@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from etpf import presets
+from etpf.channel import ActuationDelay
 from etpf.exceptions import DomainError
 from etpf.presets import tradeoff as tradeoff_preset
 from etpf.tradeoff import (
@@ -120,3 +123,17 @@ class TestSweep:
     def test_single_point_grids(self):
         nu_rows, lam_rows = sweep(SIMPLE, [1.0], [0.5])
         assert len(nu_rows) == 1 and len(lam_rows) == 1
+
+
+class TestPresetConstants:
+    def test_the_delays_M2_scales_a_and_c(self):
+        # the constants come from the config's system and its delay's M2 = 1 / m2: 1 for
+        # linear2d's constant delay, 1 / 0.8 for a sinusoidal one of amplitude 0.2
+        spec = tradeoff_preset()
+        sinusoidal = dataclasses.replace(spec, config_factory=lambda: dataclasses.replace(
+            presets.linear2d(), delay=ActuationDelay.sinusoidal(0.5, 0.2)))
+        base, scaled = spec.constants(), sinusoidal.constants()
+        assert base == TradeoffConstants.from_linear_system(presets.linear2d_system(), M2=1.0)
+        assert (scaled.a, scaled.c) == pytest.approx((base.a / 0.8, base.c / 0.8), rel=1e-15)
+        assert (scaled.lam_max_P1, scaled.PB1, scaled.K_norm) == (
+            base.lam_max_P1, base.PB1, base.K_norm)

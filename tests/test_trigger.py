@@ -67,7 +67,7 @@ class TestThreshold:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            TriggerConfig.fixed_ratio(0.5, theta=1.5)
+            TriggerConfig(mode="fixed-ratio", theta=1.5, rho_bar=0.5)
         with pytest.raises(ConfigurationError):
             TriggerConfig.fixed_ratio(-1.0)
         with pytest.raises(ConfigurationError):
