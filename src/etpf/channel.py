@@ -10,6 +10,7 @@ The sensing channel delivers the state sampled at transmission time
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -24,7 +25,8 @@ _XTOL, _RTOL = 1e-14, 1e-15
 SNAP = 1e-9  # in steps: the band of node_of
 TABLES_MAX = 16  # entries of the process-wide cache of grid tables
 
-__all__ = ["ActuationDelay", "GridTables", "SensingSchedule", "node_of", "nodes_of"]
+__all__ = ["ActuationDelay", "GridTables", "SensingConfig", "SensingSchedule", "node_of",
+           "nodes_of"]
 
 
 @dataclass(frozen=True)
@@ -373,3 +375,68 @@ class SensingSchedule:
         else:
             raise ConfigurationError("either d_psi or (mu_psi, sigma_psi) required")
         return SensingSchedule(tx, tx + dly)  # whose checks reject a negative delay
+
+
+@dataclass(frozen=True)
+class SensingConfig:
+    """Sensing channel: periodic transmissions or idealized continuous feedback.  Its
+    ``__post_init__`` is the one check of the sensing parameters; NaN fails it."""
+
+    mode: str = "periodic"  # "periodic" | "perfect"
+    delta_tau: float = 1.0
+    d_psi: Optional[float] = None
+    mu_psi: Optional[float] = None
+    sigma_psi: Optional[float] = None
+    seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.mode not in ("periodic", "perfect"):
+            raise ConfigurationError(f"unknown sensing mode {self.mode!r}")
+        if self.mode == "perfect":
+            return
+        if not 0 < self.delta_tau < math.inf:
+            raise ConfigurationError(f"delta_tau must be positive and finite, got {self.delta_tau}")
+        if self.d_psi is not None:
+            if not 0 <= self.d_psi < math.inf:
+                raise ConfigurationError(f"sensing delay d_psi must be nonnegative and finite, "
+                                         f"got {self.d_psi}")
+        elif self.mu_psi is None or self.sigma_psi is None:
+            raise ConfigurationError("periodic sensing needs d_psi or (mu_psi, sigma_psi)")
+        elif not (abs(self.mu_psi) < math.inf and 0 <= self.sigma_psi < math.inf):
+            raise ConfigurationError("mu_psi must be finite, sigma_psi nonnegative and finite")
+        if not (self.seed is None or isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+
+    def schedule(self, horizon: float) -> Optional[SensingSchedule]:
+        if self.mode == "perfect":
+            return None
+        return SensingSchedule.periodic(
+            self.delta_tau,
+            horizon,
+            d_psi=self.d_psi,
+            mu_psi=self.mu_psi,
+            sigma_psi=self.sigma_psi,
+            seed=self.seed,
+        )
+
+    def adoptions(self, T: float, h: float, N: int):
+        """``(deliveries, nodes, adopt)``: the deliveries ``(ell, tau, delivery_time, grid_time)``
+        to node N, the sorted delivery nodes and ``adopt[k]``, the freshest transmit time
+        delivered at node k, kept iff at least as fresh as the last one kept.  Perfect
+        sensing delivers at every node and adopts k h from node 1 on."""
+        sched = self.schedule(T)
+        if sched is None:
+            return [], list(range(N + 1)), {k: k * h for k in range(1, N + 1)}
+        deliveries, freshest = [], {}  # transmit times are nondecreasing: the last at k is freshest
+        for ell, (tau, dv) in enumerate(zip(sched.transmit_times.tolist(),
+                                            sched.delivery_times.tolist())):
+            if (k := node_of(dv, h)[0]) <= N:
+                deliveries.append((ell, tau, dv, k * h))
+                freshest[k] = tau
+        if not deliveries:
+            raise ConfigurationError("no sensing delivery inside the horizon")
+        adopt, last, nodes = {}, 0.0, sorted(freshest)
+        for k in nodes:
+            if freshest[k] >= last:
+                adopt[k] = last = freshest[k]
+        return deliveries, nodes, adopt

@@ -19,57 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ActuationDelay, SensingSchedule, node_of
+from .channel import ActuationDelay, SensingConfig, node_of
 from .exceptions import ConfigurationError
-from .model import ISSCertificate, LinearSystem, SystemModel
+from .model import ISSCertificate, LinearSystem, SystemModel, euler
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
 from .predictor import NodeGrid, lift_table, make_predictor
-from .trigger import EventLog, TriggerConfig, check_and_fire, first_crossing, threshold
+from .trigger import (EventLog, TriggerConfig, check_and_fire, decide, fill_norms, first_crossing,
+                      threshold)
 
 __all__ = ["SensingConfig", "SimConfig", "SimTrace", "run", "heatmap"]
-
-
-@dataclass(frozen=True)
-class SensingConfig:
-    """Sensing channel: periodic transmissions or idealized continuous feedback.  Its
-    ``__post_init__`` is the one check of the sensing parameters; NaN fails it."""
-
-    mode: str = "periodic"  # "periodic" | "perfect"
-    delta_tau: float = 1.0
-    d_psi: Optional[float] = None
-    mu_psi: Optional[float] = None
-    sigma_psi: Optional[float] = None
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in ("periodic", "perfect"):
-            raise ConfigurationError(f"unknown sensing mode {self.mode!r}")
-        if self.mode == "perfect":
-            return
-        if not 0 < self.delta_tau < math.inf:
-            raise ConfigurationError(f"delta_tau must be positive and finite, got {self.delta_tau}")
-        if self.d_psi is not None:
-            if not 0 <= self.d_psi < math.inf:
-                raise ConfigurationError(f"sensing delay d_psi must be nonnegative and finite, "
-                                         f"got {self.d_psi}")
-        elif self.mu_psi is None or self.sigma_psi is None:
-            raise ConfigurationError("periodic sensing needs d_psi or (mu_psi, sigma_psi)")
-        elif not (abs(self.mu_psi) < math.inf and 0 <= self.sigma_psi < math.inf):
-            raise ConfigurationError("mu_psi must be finite, sigma_psi nonnegative and finite")
-        if not (self.seed is None or isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-
-    def schedule(self, horizon: float) -> Optional[SensingSchedule]:
-        if self.mode == "perfect":
-            return None
-        return SensingSchedule.periodic(
-            self.delta_tau,
-            horizon,
-            d_psi=self.d_psi,
-            mu_psi=self.mu_psi,
-            sigma_psi=self.sigma_psi,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -178,6 +136,7 @@ class SimTrace:
         lines = [
             f"final |x(T)| = {self.final_state_norm:.6g}",
             f"events: {self.events.count}, min dwell = {self.events.min_dwell_observed:.6g}",
+            f"exact trigger checks: {self.diagnostics.get('exact_trigger_checks', 0)}",
             f"t0 = {self.t0:.6g}",
             f"diverged: {self.diverged}{cause}",
             f"max |w| after t0: {self.diagnostics.get('w_max_after_t0', float('nan')):.3e}",
@@ -190,29 +149,6 @@ class SimTrace:
 
 class _Diverged(Exception):
     """The engine's divergence stop, with the bound that fired and the phase it fired in."""
-
-
-def _adoptions(sensing: SensingConfig, T: float, h: float, N: int):
-    """``(deliveries, nodes, adopt)``: the deliveries ``(ell, tau, delivery_time, grid_time)``
-    up to node N, the sorted delivery nodes and the adoption table: ``adopt[k]`` is the
-    freshest transmit time delivered at node k, kept iff it is at least as fresh as the last
-    one kept.  Perfect sensing delivers at every node and adopts k h from node 1 on."""
-    sched = sensing.schedule(T)
-    if sched is None:
-        return [], list(range(N + 1)), {k: k * h for k in range(1, N + 1)}
-    deliveries, freshest = [], {}  # transmit times are nondecreasing: the last at k is freshest
-    for ell, (tau, dv) in enumerate(zip(sched.transmit_times.tolist(),
-                                        sched.delivery_times.tolist())):
-        if (k := node_of(dv, h)[0]) <= N:
-            deliveries.append((ell, tau, dv, k * h))
-            freshest[k] = tau
-    if not deliveries:
-        raise ConfigurationError("no sensing delivery inside the horizon")
-    adopt, last, nodes = {}, 0.0, sorted(freshest)
-    for k in nodes:
-        if freshest[k] >= last:
-            adopt[k] = last = freshest[k]
-    return deliveries, nodes, adopt
 
 
 def run(cfg: SimConfig) -> SimTrace:
@@ -233,7 +169,7 @@ def run(cfg: SimConfig) -> SimTrace:
     grid = NodeGrid(cfg.controller_delay, h, U, u_pre, log.event_times, log.event_nodes)
     phi0, first = grid.phi0, grid.first
 
-    deliveries, dv_nodes, adopt = _adoptions(cfg.sensing, cfg.T, h, N)
+    deliveries, dv_nodes, adopt = cfg.sensing.adoptions(cfg.T, h, N)
     t0 = (t0_idx := dv_nodes[0]) * h
     if t0_idx == 0:
         U[0] = u_pre  # the pre-history control holds until the event at t = 0
@@ -264,8 +200,8 @@ def run(cfg: SimConfig) -> SimTrace:
     ev_flags = np.zeros(N + 1)
     dv_flags = np.zeros(N + 1)
 
-    X[0] = cfg.x0
-    p_last_event: Optional[np.ndarray] = None
+    X[0], x = cfg.x0, tuple(cfg.x0.tolist())  # the state, a tuple of floats
+    p_last_event = None  # p(t_k), a tuple
     divergence = None
 
     # a replay from a row of X under the plant's delay holds the plant's next rows (README,
@@ -274,8 +210,10 @@ def run(cfg: SimConfig) -> SimTrace:
     own = replayed is not None
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
-    x, f, K, advance, record = X[0], model.f, model.K, predictor.advance, log.record
-    trig, cert, hv = cfg.trigger, cfg.cert, np.full(n, h)  # a vector h: no scalar promotion
+    f, K, advance, record = model.f, model.K, predictor.advance, log.record
+    trig, cert, nan, exact = cfg.trigger, cfg.cert, math.nan, 0  # exact: rows decide() left
+    # decide() settles rho_bar |p| on most rows; a NaN ratio leaves every nonlinear row exact
+    rho = nan if trig.mode == "nonlinear" else trig.rho_bar
     # the divergence rule (README, "Divergence"): |x| and |p| bounded, NaN failing both;
     # hypot of the floats is a fraction of the cost of a numpy dot for short vectors
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
@@ -287,9 +225,9 @@ def run(cfg: SimConfig) -> SimTrace:
         dv_steps, hb = dv_nodes + [N], h * cfg.linear.B[:, 0]
         Gx = lift_table((np.eye(n) + h * cfg.linear.A).tobytes())  # x_i = M^i x + S_i h B u
 
-        def lifted(s: int, x) -> int:
+        def lifted(s: int) -> int:
             """Commit the rows after s up to a breakpoint (README, "Block stepping of linear
-            runs"), a trigger crossing or a bound; return the row handed back, with x, p and
+            runs"), a trigger crossing or a bound; return the row handed back, with X, p and
             U set."""
             nodes, j = log.event_nodes, rows_true[s]
             i = bisect_right(nodes, j)
@@ -301,7 +239,7 @@ def run(cfg: SimConfig) -> SimTrace:
             if (L := len(Pr)) < 2:  # no block: the loop's own step, before any plant row
                 return s
             u = hb * (U[j] if j >= 0 else u_pre)
-            Xr = (Gx[: L * n] @ np.concatenate((x, u))).reshape(L, n)
+            Xr = (Gx[: L * n] @ np.concatenate((X[s], u))).reshape(L, n)
             ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
             ok &= np.sqrt((Pr * Pr).sum(axis=1)) <= p_bound
             L = L if ok.all() else int(ok.argmin())
@@ -311,63 +249,64 @@ def run(cfg: SimConfig) -> SimTrace:
             r = s + 1 + c
             X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], [U[s]] * (r - s)
             P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]
-            predictor.p = Pr[c]
+            predictor.set_p(Pr[c])
             return r
 
     try:
         # the pre-history: p at each of pre_times, then one advance onto t = 0
         predictor.reanchor(0.0, cfg.x0, first)
         for i, k in enumerate(range(first, 0)):
-            if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+            if not math.hypot(*(p := predictor.p)) <= p_bound:
                 raise _Diverged("prediction", "pre-history")
             pre_p[i] = p
             predictor.advance(k)
-        if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+        if not math.hypot(*predictor.p) <= p_bound:
             raise _Diverged("prediction", "pre-history")
 
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                t = step * h
                 if (tau := adopt.get(step)) is not None:  # the adoption table
                     k, on = node_of(tau, h)  # snapped: a 1-ulp overshoot reads no unwritten row
                     lam = (tau - (k - 1) * h) / h
                     predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], step)
                     own = on and replayed is not None
-                    if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+                    if not math.hypot(*predictor.p) <= p_bound:
                         raise _Diverged("prediction", "re-anchor")
 
                 p_now = predictor.p
                 P[step] = p_now
 
                 if step >= t0_idx:
-                    TH[step] = thr = threshold(trig, p_now, cert)
-                    fired, e_n = check_and_fire(p_last_event, p_now, thr)
+                    e_n = nan  # the norms of a row decide() settles come after the loop
+                    if (fired := p_last_event and decide(p_last_event, p_now, rho)) is None:
+                        exact += 1  # the first check, a near tie or an extreme norm
+                        TH[step] = thr = threshold(trig, p_now, cert)
+                        fired, e_n = check_and_fire(p_last_event, p_now, thr)
+                        E[step] = 0.0 if fired else e_n
                     if fired:
                         U[step] = control = K(p_now)
-                        record(t, control, e_n, step)
-                        p_last_event, blk = p_now, lifted  # predictors rebind p, never write it
+                        record(step * h, control, e_n, step)
+                        p_last_event, blk = p_now, lifted
                         ev_flags[step] = 1.0
-                    else:
-                        E[step] = e_n
                 done = step + 1
 
                 if step == N:
                     break
-                if blk is not None and (r := blk(step, x)) > step:
-                    step, x = r, X[r]
+                if blk is not None and (r := blk(step)) > step:
+                    step, x = r, tuple(X[r].tolist())
                     continue
                 # plant Euler step with the delayed control u(phi(t)), or the replay's row
                 if own and (xr := replayed(step + 1)) is not None:
                     x = xr
                 else:
                     j = rows_true[step]
-                    x = x + hv * f(x, U[j] if j >= 0 else u_pre)
-                if not math.hypot(*x.tolist()) <= bound:
+                    x = euler(x, h, f(x, U[j] if j >= 0 else u_pre))
+                if not math.hypot(*x) <= bound:
                     raise _Diverged("plant", "plant step")
                 X[step + 1] = x
                 U[step + 1] = U[step]
                 advance(step)
-                if not math.hypot(*(p := predictor.p).tolist()) <= p_bound:
+                if not math.hypot(*predictor.p) <= p_bound:
                     raise _Diverged("prediction", "advance")
                 step += 1
     except _Diverged as stop:
@@ -381,9 +320,11 @@ def run(cfg: SimConfig) -> SimTrace:
     # delivery flags on the rows the loop reached
     reached = -1 if divergence is not None and divergence["phase"] == "pre-history" else step
     dv_flags[dv_nodes[: bisect_right(dv_nodes, reached)]] = 1.0
+    ev = np.flatnonzero(ev_flags[:done])
+    fill_norms(P, E, TH, ev, t0_idx, done, rho, log.e_pre_reset)  # of the rows decide() settled
     # w = u - K(p(t_k)) on the rows from t0 up to `done`, where K(p(t_k)) is the row of the
     # last event at or before: 0 while the held rows keep the event's control
-    u, ev = np.array(U), np.flatnonzero(ev_flags[:done])
+    u = np.array(U)
     held = ev[np.searchsorted(ev, np.arange(t0_idx, done), "right") - 1]
     w_max_after_t0 = float(np.abs(u[t0_idx:done] - u[held]).max(initial=0.0))
 
@@ -408,6 +349,7 @@ def run(cfg: SimConfig) -> SimTrace:
             "divergence": divergence,
             "final_step": step,
             "w_max_after_t0": w_max_after_t0,
+            "exact_trigger_checks": exact,
         },
     )
 
@@ -425,7 +367,8 @@ def _attach_monitor(trace: SimTrace, cfg: SimConfig, grid: NodeGrid, sig: np.nda
     # under a mismatched delay (a root solve may round it above)
     k0, K = node_of(trace.t0, trace.h)[0], cfg.model.K
     w_u = [grid.u_pre] * len(trace.pre_p) + grid.U[:k0]
-    w = [compute_w(u, p, K) for u, p in zip(w_u, np.concatenate([trace.pre_p, trace.p[:k0]]))]
+    p_held = map(tuple, np.concatenate([trace.pre_p, trace.p[:k0]]).tolist())
+    w = [compute_w(u, p, K) for u, p in zip(w_u, p_held)]
     tau0 = 0.0 if cfg.delay == grid.delay else min(cfg.delay.sigma(grid.phi0), 0.0)
     taus = np.concatenate([[tau0], sig[grid.first + 1 - lo : k0 + 1 - lo]])
     steps = np.arange(0, len(trace.times), mon.stride)  # L is 0 from sigma(t0) on
@@ -524,4 +467,5 @@ def _heatmap_cell(base_cfg, config_factory, sensing, ics) -> float:
         tr = run(cfg)
         cap = cfg.divergence_threshold
         total += min(tr.final_state_norm, cap) if not tr.diverged else cap
+        del tr  # else the next run's peak holds this trace too
     return total / len(ics)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ActuationDelay, node_of
 from .exceptions import ConfigurationError, PredictorError
-from .model import LinearSystem, lift
+from .model import LinearSystem, euler, lift
 from .signals import interpolate
 
 __all__ = [
@@ -61,9 +61,9 @@ def lift_table(bits: bytes) -> np.ndarray:
 # Incremental predictors for the simulation engine.
 #
 # All four share the interface: reanchor(anchor_time, anchor_state, now) at
-# node now, advance(k) stepping the target time from node k h to (k + 1) h,
-# and the current value in .p.  Both read sigma and u at nodes from a NodeGrid;
-# only an anchor's time and its window start may lie off the grid.  The
+# node now, advance(k) stepping the target time from node k h to (k + 1) h, and the
+# current value in .p, a tuple of floats.  Both read sigma and u at nodes from a
+# NodeGrid; only an anchor's time and its window start may lie off the grid.  The
 # predictors only compute: the engine decides whether p has diverged.
 # ---------------------------------------------------------------------------
 
@@ -132,15 +132,15 @@ class NodeGrid:
 
 
 class _Predictor:
-    """The state every predictor keeps: its inputs and the current ``p``, which every
-    predictor rebinds and never writes into, so a caller may keep it without a copy.
-    ``replayed`` and ``block`` are the engine's fast paths, None where a predictor has none."""
+    """The state every predictor keeps: its inputs and the current ``p``, a tuple, so a
+    caller may keep it without a copy.  ``replayed`` and ``block`` are the engine's fast
+    paths, None where a predictor has none."""
 
     replayed = block = None
 
     def __init__(self, model, grid: NodeGrid):
         self.model, self.delay, self.grid, self.h = model, grid.delay, grid, grid.h
-        self.p: Optional[np.ndarray] = None
+        self.p: Optional[tuple] = None
         self.anchor_time: Optional[float] = None
 
 
@@ -166,16 +166,15 @@ class ClosedLoopPredictor(_Predictor):
         super().__init__(model, grid)
         # the replayed states at nodes _c0, _c0 + 1, ...: the last one is the head
         self._chain, self._c0 = [], 0
-        self._f_k: Optional[np.ndarray] = None  # f(head, u(phi(k h))), if kept
+        self._f_k: Optional[tuple] = None  # f(head, u(phi(k h))), if kept
         self._targets = grid.tables.targets  # per table slot: advance's target, its node_of
-        # the grid's reads, bound once; a vector h costs no scalar promotion, same bits
+        # the grid's reads, bound once
         self._U, self._u_pre, self._lo = grid.U, grid.u_pre, grid.lo
         self._rows = grid.tables.rows
-        self._hv = np.full(model.state_dim, grid.h)
 
     def _extend(self, sig_target: float, kt: int, on: bool, final_rows: int) -> None:
         """Replay up to ``sig_target`` at node_of (kt, on); U rows below ``final_rows`` are final."""
-        h, hv, f, chain = self.h, self._hv, self.model.f, self._chain
+        h, f, chain = self.h, self.model.f, self._chain
         U, rows, u_pre = self._U, self._rows, self._u_pre
         k, xhat, f_k = self._c0 + len(chain) - 1, chain[-1], self._f_k
         # replay to the target's node, or to the node below it and a partial step
@@ -183,7 +182,7 @@ class ClosedLoopPredictor(_Predictor):
             if f_k is None:
                 j = rows[k]
                 f_k = f(xhat, U[j] if j >= 0 else u_pre)
-            xhat = xhat + hv * f_k
+            xhat = euler(xhat, h, f_k)
             f_k = None
             k += 1
             chain.append(xhat)
@@ -194,9 +193,9 @@ class ClosedLoopPredictor(_Predictor):
                 fx = f(xhat, U[j] if j >= 0 else u_pre)
                 # keep it unless an event may still overwrite row j
                 f_k = fx if j < final_rows else None
-            self.p = xhat + (sig_target - k * h) * fx
+            self.p = euler(xhat, sig_target - k * h, fx)
         else:
-            self.p = xhat  # chain arrays are never written to
+            self.p = xhat
         self._f_k = f_k
 
     def reanchor(self, anchor_time: float, anchor_state, now: int) -> None:
@@ -208,20 +207,21 @@ class ClosedLoopPredictor(_Predictor):
         k, on = node_of(anchor_time, self.h)
         chain, c, head = self._chain, k - self._c0, self._c0 + len(self._chain) - 1
         # a hit: node k is on the chain, with x's bits, and the head is not past the target
-        if on and 0 <= c and k <= head <= kt - (not on_t) and x.tobytes() == chain[c].tobytes():
+        if (on and 0 <= c and k <= head <= kt - (not on_t)
+                and x.tobytes() == np.array(chain[c]).tobytes()):
             del chain[:c]  # anchors never move back
         else:
+            x = tuple(x.tolist())
             if not on:
                 # off-grid anchor: partial step onto the next node
                 u = self.grid.u_at(self.delay.phi(anchor_time))
-                x = x + (k * self.h - anchor_time) * self.model.f(x, u)
+                x = euler(x, k * self.h - anchor_time, self.model.f(x, u))
             self._chain, self._f_k = [x], None
         self._c0 = k
         self._extend(sig, kt, on_t, 0)
 
-    def replayed(self, k: int) -> Optional[np.ndarray]:
-        """The chain's state at node k, None where it holds none; chain arrays are never
-        written to, so a caller may keep the one returned."""
+    def replayed(self, k: int) -> Optional[tuple]:
+        """The chain's state at node k, None where it holds none."""
         c = k - self._c0
         return self._chain[c] if 0 <= c < len(self._chain) else None
 
@@ -244,13 +244,13 @@ class OpenLoopPredictor(_Predictor):
         if self.anchor_time is not None:
             return  # later deliveries are deliberately ignored
         self.anchor_time = float(anchor_time)
-        self.p = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
+        self.p = tuple(np.atleast_1d(np.asarray(anchor_state, dtype=float)).tolist())
 
     def advance(self, k: int) -> None:
         g, h = self.grid, self.h
         # slot 0 is phi(0) off the grid: the first step is the partial one to node k + 1
         dt = h if k > g.lo else (k + 1) * h - g.phi0
-        self.p = self.p + dt * float(g.tables[1][k - g.lo]) * self.model.f(self.p, g.u_row(k))
+        self.p = euler(self.p, dt * float(g.tables[1][k - g.lo]), self.model.f(self.p, g.u_row(k)))
 
 
 def window_integral(times: np.ndarray, values: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -291,32 +291,32 @@ class SemiClosedPredictor(_Predictor):
         self._anchor_state = np.atleast_1d(np.asarray(anchor_state, dtype=float)).copy()
         s0 = self.delay.phi(self.anchor_time)
         if self._n == 0:
-            self.p = self._anchor_state.copy()
-            self._integral = np.zeros_like(self.p)
+            self.p = tuple(self._anchor_state.tolist())
+            self._integral = np.zeros_like(self._anchor_state)
             size = len(self.grid.tables[0])  # phi(0), then one node per advance at most
             self._times, self._g = np.empty(size), np.empty((size, len(self.p)))
             self._times[0] = s0
             sdot, u = self.grid.window_start(s0, dot=True)
-            self._g[0] = sdot * self.model.f(self.p, u)
+            self._g[0] = np.multiply(sdot, self.model.f(self.p, u))
             self._n = 1
             return
         times, g = self._times[: self._n], self._g[: self._n]
         if s0 < times[0]:
             raise PredictorError("g-history does not reach the new anchor window")
         self._integral = window_integral(times, g, s0, times[-1])
-        self.p = self._anchor_state + self._integral
+        self.p = tuple((self._anchor_state + self._integral).tolist())
 
     def advance(self, k: int) -> None:
         """Close the segment to node k + 1 and store g there."""
-        grid, n, i = self.grid, self._n, k + 1 - self.grid.lo
+        grid, n, i, f = self.grid, self._n, k + 1 - self.grid.lo, self.model.f
         s_next, sdot, u = (k + 1) * self.h, float(grid.tables[1][i]), grid.u_row(k + 1)
-        dt, g_left = s_next - self._times[n - 1], self._g[n - 1]
-        p_pred = self.p + dt * g_left  # Euler predictor
-        g_right = sdot * self.model.f(p_pred, u)
+        dt, g_left = s_next - float(self._times[n - 1]), self._g[n - 1]
+        p_pred = euler(self.p, dt, g_left.tolist())  # Euler predictor
+        g_right = np.multiply(sdot, f(p_pred, u))
         self._integral = self._integral + 0.5 * dt * (g_left + g_right)
-        self.p = self._anchor_state + self._integral
+        self.p = tuple((self._anchor_state + self._integral).tolist())
         # store the corrected integrand value
-        self._times[n], self._g[n], self._n = s_next, sdot * self.model.f(self.p, u), n + 1
+        self._times[n], self._g[n], self._n = s_next, np.multiply(sdot, f(self.p, u)), n + 1
 
 
 def expm(M: np.ndarray) -> np.ndarray:
@@ -403,23 +403,27 @@ class LinearPredictor(_Predictor):
         s0 = self.delay.phi(self.anchor_time)
         if now * self.h > s0:
             p = self._integrate(p, s0, now)
-        self.p = p
+        self.set_p(p)
+
+    def set_p(self, p: np.ndarray) -> None:
+        """Take the array ``p`` as the prediction: the steps read it, ``p`` is its tuple."""
+        self._p, self.p = p, tuple(p.tolist())
 
     def advance(self, k: int) -> None:
         g, sig, i = self.grid, self._sig, k - self.grid.lo
         E, c = self._affine(sig[i + 1] - sig[i], g.u_row(k))
-        self.p = E @ self.p + c
+        self.set_p(E @ self._p + c)
 
     def block(self, k: int, L: int) -> np.ndarray:
         """``advance(k)``, ..., ``advance(k + L - 1)`` with row k's control, as rows of p;
         ``self.p`` stays.  Fewer rows where the advance key changes and past ``LIFT``;
         none instead of one."""
-        g, i, n, runs = self.grid, k - self.grid.lo, len(self.p), self._runs
+        g, i, n, runs = self.grid, k - self.grid.lo, len(self._p), self._runs
         L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
         if L < 2:  # one row is advance's own step
             return np.empty((0, n))
         E, c = self._affine(self._sig[i + 1] - self._sig[i], g.U[k])
-        return (lift_table(E.tobytes())[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
+        return (lift_table(E.tobytes())[: L * n] @ np.concatenate((self._p, c))).reshape(L, n)
 
 
 def make_predictor(method, model, grid: NodeGrid, linear=None):

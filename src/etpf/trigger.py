@@ -22,6 +22,8 @@ __all__ = [
     "EventLog",
     "threshold",
     "check_and_fire",
+    "decide",
+    "fill_norms",
     "first_crossing",
     "min_dwell",
     "min_dwell_numeric",
@@ -105,9 +107,7 @@ class EventLog:
 
 def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
     """Trigger threshold as a function of the current prediction."""
-    # sqrt(p . p): numpy's own norm body for a real vector, without its dispatch
-    if type(p) is not np.ndarray:
-        p = np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)  # sqrt(p . p): numpy's norm body, without its dispatch
     p_norm = math.sqrt(p.dot(p))
     if cfg.mode != "nonlinear":
         return cfg.rho_bar * p_norm
@@ -127,10 +127,36 @@ def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
     """
     if p_at_last_event is None:
         return True, 0.0
-    nd = type(p_now) is np.ndarray  # the operator is cheaper; np.subtract takes lists too
-    e = p_at_last_event - p_now if nd else np.subtract(p_at_last_event, p_now)
+    e = np.subtract(p_at_last_event, p_now)
     e_norm = math.sqrt(e.dot(e))
     return e_norm > 0.0 and e_norm >= thr, e_norm
+
+
+BAND = 1e-12  # relative: wider than the gap between the float norms and the exact ones
+
+
+def decide(p_at_last_event: tuple, p_now: tuple, rho_bar: float) -> Optional[bool]:
+    """``check_and_fire`` under ``rho_bar |p|`` from float norms, a few ulps from ``sqrt(v . v)``;
+    None, for the exact norms, within ``BAND``, for |e| or |p| outside (1e-150, 1e150), where
+    ``v . v`` underflows or overflows (``e = 0`` too), and for a NaN ``rho_bar``."""
+    e_n, p_n = math.dist(p_at_last_event, p_now), math.hypot(*p_now)
+    thr = rho_bar * p_n
+    if 1e-150 < e_n < 1e150 and 1e-150 < p_n < 1e150 and abs(e_n - thr) > BAND * thr:
+        return e_n > thr
+    return None
+
+
+def fill_norms(P, E, TH, ev, lo: int, hi: int, rho_bar: float, e_pre: list) -> None:
+    """The norms of rows ``lo`` to ``hi`` of ``P`` that ``decide`` settled (NaN in ``TH``) into
+    ``TH``, ``E`` and the NaN entries of ``e_pre``; ``ev`` holds the event rows.  ``vecdot``
+    rounds as the ``dot`` of ``threshold`` and ``check_and_fire``."""
+    for a in range(lo, hi, 1024):
+        r = a + np.flatnonzero(np.isnan(TH[a : min(a + 1024, hi)]))
+        p, e = P[r], P[ev[np.searchsorted(ev, r) - 1]] - P[r]  # from the event before
+        TH[r], E[r] = rho_bar * np.sqrt(np.vecdot(p, p)), np.sqrt(np.vecdot(e, e))
+    late = np.flatnonzero(np.isnan(pre := np.array(e_pre)))
+    pre[late], E[ev] = E[ev[late]], 0.0
+    e_pre[:] = pre.tolist()
 
 
 def first_crossing(p_at_last_event, P: np.ndarray, rho_bar: float):

@@ -19,6 +19,9 @@ kept: filled lazily in call order, each key ``round(dsig, 14)`` holding the
 matrix exponential of the first dsig seen for it, up to 4,096 keys (later keys
 are recomputed at every step and not memoized), and at most 256 block lifts.
 
+``trigger_per_step`` is the engine's trigger as it ran before the float norms
+decided most rows: ``threshold`` and ``check_and_fire`` at every checked row.
+
 ``_capped`` and ``_open_loop_step`` are the per-predictor divergence check the
 predictors once made themselves (max |p_i| <= 1e12, raising
 ``PredictorError``); the engine now decides divergence, and the tests keep
@@ -37,6 +40,7 @@ from etpf.channel import ActuationDelay
 from etpf.exceptions import CoverageError, DomainError, PredictorError
 from etpf.model import LinearSystem, SystemModel, lift
 from etpf.predictor import LIFT, LinearPredictor, NodeGrid, _Predictor
+from etpf.trigger import check_and_fire, threshold
 
 _DIVERGENCE_CAP = 1e12
 
@@ -88,7 +92,7 @@ def predict_open_loop_step(
     if sigma_dot is None:
         sigma_dot = lambda v: delay.sigma_dot(v, h)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return _open_loop_step(p, h * sigma_dot(s), model.f(p, grid.u_at(s)))
+    return _open_loop_step(p, h * sigma_dot(s), np.array(model.f(tuple(p.tolist()), grid.u_at(s))))
 
 
 def predict_linear(
@@ -208,26 +212,26 @@ class ReferenceSemiClosed(_Predictor):
         s0 = self.delay.phi(self.anchor_time)
         hist = self.g_history
         if not hist.times:
-            self.p = self._anchor_state.copy()
-            self._integral = np.zeros_like(self.p)
+            self.p = tuple(self._anchor_state.tolist())
+            self._integral = np.zeros_like(self._anchor_state)
             sdot, u = self.grid.window_start(s0, dot=True)
-            hist.append(s0, sdot * self.model.f(self.p, u))
+            hist.append(s0, sdot * np.array(self.model.f(self.p, u)))
             return
         if s0 < hist.times[0]:
             raise PredictorError("g-history does not reach the new anchor window")
         self._integral = hist.integrate(s0, hist.times[-1])
-        self.p = self._anchor_state + self._integral
+        self.p = tuple((self._anchor_state + self._integral).tolist())
 
     def advance(self, k: int) -> None:
         g, hist = self.grid, self.g_history
         s_next, sdot, u = (k + 1) * self.h, float(g.tables[1][k + 1 - g.lo]), g.u_row(k + 1)
         dt = s_next - hist.times[-1]
         g_left = hist.values[-1]
-        p_pred = self.p + dt * g_left
-        g_right = sdot * self.model.f(p_pred, u)
+        p_pred = np.array(self.p) + dt * g_left
+        g_right = sdot * np.array(self.model.f(tuple(p_pred.tolist()), u))
         self._integral = self._integral + 0.5 * dt * (g_left + g_right)
-        self.p = self._anchor_state + self._integral
-        hist.append(s_next, sdot * self.model.f(self.p, u))
+        self.p = tuple((self._anchor_state + self._integral).tolist())
+        hist.append(s_next, sdot * np.array(self.model.f(self.p, u)))
 
 
 class ReferenceLinear(LinearPredictor):
@@ -273,3 +277,23 @@ class ReferenceLinear(LinearPredictor):
             if len(self._lifts) < 256:
                 self._lifts[key] = G
         return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
+
+
+def trigger_per_step(trace, trig, cert):
+    """``(E, TH, event_flags, e_pre_reset)`` of the trigger checked row by row over the
+    prediction rows of ``trace``: the rows from ``t0`` on that the run reached, those with
+    a prediction (a run with blocks checks fewer)."""
+    n = len(trace.times)
+    E, TH, ev, pre = np.zeros(n), np.full(n, np.nan), np.zeros(n), []
+    p_last = None
+    for k in range(round(trace.t0 / trace.h), n):
+        if np.isnan(p := trace.p[k]).any():
+            break
+        TH[k] = thr = threshold(trig, p, cert)
+        fired, e_n = check_and_fire(p_last, p, thr)
+        if fired:
+            ev[k], p_last = 1.0, p
+            pre.append(e_n)
+        else:
+            E[k] = e_n
+    return E, TH, ev, pre

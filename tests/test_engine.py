@@ -140,7 +140,7 @@ class TestRunBasics:
         # f(0, 0) = 0 as SystemModel requires
         sys = presets.linear2d_system()
         model = dataclasses.replace(
-            sys.to_model(), f=lambda x, u: np.array([bad if x.any() else 0.0, 0.0])
+            sys.to_model(), f=lambda x, u: (bad if any(x) else 0.0, 0.0)
         )
         cfg = dataclasses.replace(presets.linear2d(), model=model, T=1.0, monitor=None)
         tr = run(cfg)

@@ -31,37 +31,45 @@ class TestEvalF:
 
     def test_example1_vector_field(self):
         model = example1_model()
-        out = model.f(np.array([1.0, 1.0]), 0.0)
+        out = model.f((1.0, 1.0), 0.0)
         np.testing.assert_allclose(out, [2.0, math.tanh(1.0) + 1.0], atol=1e-12)
 
     def test_equilibrium(self):
         model = example1_model()
-        np.testing.assert_allclose(model.f(np.zeros(2), 0.0), [0.0, 0.0])
+        assert model.f((0.0, 0.0), 0.0) == (0.0, 0.0)
 
     def test_linear_hand_evaluation(self):
         sys = LinearSystem(
             A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
             K_gain=[[-1.0, -2.0]], Q=np.eye(2),
         )
-        out = sys.to_model().f(np.array([1.0, 0.0]), 2.0)
-        np.testing.assert_allclose(out, [0.0, 2.0])
+        out = sys.to_model().f((1.0, 0.0), 2.0)
+        assert out == (0.0, 2.0)
 
     def test_nonvanishing_equilibrium_rejected(self):
         from etpf.model import SystemModel
 
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="must vanish"):
             SystemModel(
-                state_dim=1, f=lambda x, u: np.array([1.0 + x[0]]),
+                state_dim=1, f=lambda x, u: (1.0 + x[0],),
                 K=lambda x: 0.0, L_f=1.0, L_K=1.0,
             )
+
+    @pytest.mark.parametrize("f", [lambda x, u: np.zeros(2), lambda x, u: [0.0, 0.0],
+                                   lambda x, u: (0.0,)], ids=["array", "list", "short"])
+    def test_f_returns_a_tuple_of_the_state_dimension(self, f):
+        from etpf.model import SystemModel
+
+        with pytest.raises(ConfigurationError, match="tuple of 2 floats"):
+            SystemModel(state_dim=2, f=f, K=lambda x: 0.0, L_f=1.0, L_K=1.0)
 
 
 class TestLinearModel:
     def test_model_pickles(self):
         model = linear2d_system().to_model()
         back = pickle.loads(pickle.dumps(model))
-        x, u = np.array([0.3, -1.2]), 0.7
-        assert back.f(x, u).tobytes() == model.f(x, u).tobytes()
+        x, u = (0.3, -1.2), 0.7
+        assert np.array(back.f(x, u)).tobytes() == np.array(model.f(x, u)).tobytes()
         assert back.K(x).hex() == model.K(x).hex()
         assert (back.state_dim, back.L_f, back.L_K) == (
             model.state_dim, model.L_f, model.L_K)
@@ -77,9 +85,10 @@ class TestLinearModel:
         for _ in range(200):
             x = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 8)
             u = rng.standard_normal(1)
-            # the scalar-input methods against the one-column matrix forms
-            assert model.f(x, float(u[0])).tobytes() == old_f(x, u).tobytes()
-            assert model.K(x).hex() == old_K(x)[0].hex()
+            # the scalar-input methods on a tuple against the one-column matrix forms
+            xt = tuple(x.tolist())
+            assert np.array(model.f(xt, float(u[0]))).tobytes() == old_f(x, u).tobytes()
+            assert model.K(xt).hex() == old_K(x)[0].hex()
 
     @pytest.mark.parametrize("B, K", MULTI_INPUT)
     def test_multi_input_rejected(self, B, K):
@@ -105,15 +114,32 @@ class TestLinearModel:
         assert example1_model()._linear is None
 
 
+# each preset's maps as they were on ndarray states: example2's cube is np.float64's power
+_LIN = linear2d_system()
+NDARRAY_MAPS = {
+    "example1": (lambda x, u: np.array([x[0] + x[1], math.tanh(x[0]) + x[1] + u]),
+                 lambda x: -6.0 * x[0] - 5.0 * x[1] - math.tanh(x[0])),
+    "example2": (lambda x, u: np.array([x[0] + x[1], x[0] ** 3 + x[1] + u]),
+                 lambda x: -6.0 * x[0] - 5.0 * x[1] - x[0] ** 3),
+    "linear2d": (lambda x, u: _LIN.A @ x + _LIN.B[:, 0] * u, lambda x: (_LIN.K_gain @ x)[0]),
+}
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example2-body", "linear2d"])
 def test_preset_control_is_a_float(name):
+    # f and K take a tuple of floats; f returns one and K a float, with the bits of the
+    # ndarray formulas
     model = presets.get_preset(name).model
-    x = np.array([0.3, -1.2])
-    u = model.K(x)
-    assert isinstance(u, float)
-    for uu in (u, 0.7):
-        fx = model.f(x, uu)
-        assert fx.shape == (2,) and fx.dtype == np.float64
+    old_f, old_K = NDARRAY_MAPS[name.removesuffix("-body")]
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        x = rng.standard_normal(2) * 10.0 ** rng.integers(-6, 4, size=2)
+        xt, u = tuple(x.tolist()), float(rng.standard_normal())
+        fx, ux = model.f(xt, u), model.K(xt)
+        assert type(fx) is tuple and [type(v) for v in fx] == [float, float]
+        assert type(ux) is float
+        assert np.array(fx).tobytes() == old_f(x, u).tobytes()
+        assert ux.hex() == float(old_K(x)).hex()
 
 
 class TestLift:

@@ -45,12 +45,12 @@ from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
 from etpf.config import SCHEMA, build_sim_config
 from etpf.exceptions import ConfigurationError, ETPFError
-from etpf.engine import SensingConfig, SimConfig, SimTrace, _adoptions
+from etpf.engine import SensingConfig, SimConfig, SimTrace
 from etpf.monitor import MonitorConfig
 from etpf.trigger import TriggerConfig
 
 from conftest import assert_same_run, own_step, per_step, prediction_error
-from reference_predictors import ReferenceLinear, ReferenceSemiClosed
+from reference_predictors import ReferenceLinear, ReferenceSemiClosed, trigger_per_step
 
 H = presets.example1().h
 T = 3.0
@@ -183,6 +183,34 @@ def test_semi_closed_history_stands_on_node_times(delay, sensing):
     assert pred._times[1:n].tobytes() == want.tobytes()
 
 
+def assert_trigger_per_step(tr, cfg):
+    E, TH, ev, pre = trigger_per_step(tr, cfg.trigger, cfg.cert)
+    assert tr.e_norm.tobytes() == E.tobytes()
+    assert tr.threshold.tobytes() == TH.tobytes()
+    assert tr.event_flags.tobytes() == ev.tobytes()
+    assert np.array(tr.events.e_pre_reset).tobytes() == np.array(pre).tobytes()
+    # each exact check calls threshold once: the first check, and every row of the nonlinear mode
+    checked = int(np.count_nonzero(~np.isnan(TH)))
+    exact = tr.diagnostics["exact_trigger_checks"]
+    assert exact == checked if cfg.trigger.mode == "nonlinear" else 1 <= exact <= checked
+    event(f"{cfg.trigger.mode}: rows left to the exact norms beyond the first: {exact > 1}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(delay=delays(), sensing=sensings(), rho_bar=st.floats(0.005, 0.1),
+       nonlinear=st.booleans())
+def test_float_trigger_equals_the_per_step_trigger(delay, sensing, rho_bar, nonlinear):
+    # E, the threshold, the event rows and |e| before each reset, bit for bit, with the
+    # float decision and the norms filled after the loop as with the exact rule at every row
+    trig = (TriggerConfig.nonlinear(0.5, presets.example1().model.L_K) if nonlinear
+            else TriggerConfig.fixed_ratio(rho_bar))
+    cfg = dataclasses.replace(presets.example1(), T=T, delay=delay, sensing=sensing,
+                              trigger=trig, monitor=None)
+    tr = run(cfg)
+    event(f"diverged: {tr.diverged}")
+    assert_trigger_per_step(tr, cfg)
+
+
 @st.composite
 def linear_runs(draw, delay, T=T, mismatch=True, off_grid=False):
     h = presets.linear2d().h
@@ -220,6 +248,15 @@ def test_linear_blocks_match_per_step(cfg):
     assert np.max(np.abs(tr.x - oracle.x)) <= scale
     np.testing.assert_array_equal(np.isnan(tr.p), np.isnan(oracle.p))
     assert np.nanmax(np.abs(tr.p - oracle.p), initial=0.0) <= scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=linear_runs(st.floats(0.05, 1.0).map(ActuationDelay.constant)))
+def test_linear_float_trigger_equals_the_per_step_trigger(cfg):
+    # the linear trigger rho_bar |p| on the per-step path, every row checked by the loop
+    cfg = per_step(cfg)
+    assert cfg.trigger.mode == "linear"
+    assert_trigger_per_step(run(cfg), cfg)
 
 
 @settings(max_examples=8, deadline=None)
@@ -280,9 +317,9 @@ def test_adoption_table_equals_the_per_step_loop(sensing, T):
     oracle = adoptions_per_step(sensing, T, H, N)
     if not oracle[1]:  # no delivery inside the horizon
         with pytest.raises(ConfigurationError, match="no sensing delivery"):
-            _adoptions(sensing, T, H, N)
+            sensing.adoptions(T, H, N)
         return
-    deliveries, nodes, adopt = _adoptions(sensing, T, H, N)
+    deliveries, nodes, adopt = sensing.adoptions(T, H, N)
     event(f"sensing: {sensing.mode}")
     if sensing.mode == "periodic" and len(adopt) < len(nodes):
         event("a stale delivery dropped")

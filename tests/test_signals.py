@@ -162,7 +162,7 @@ class TestIntegrate:
         # before the first is a PredictorError
         delay, h, N = ActuationDelay.constant(0.5), 1e-2, 200
         grid = NodeGrid(delay, h, [1.0] * (N + 1), 1.0, [], [])
-        model = SystemModel(state_dim=1, f=lambda x, u: np.array([u]), K=lambda x: 0.0,
+        model = SystemModel(state_dim=1, f=lambda x, u: (u,), K=lambda x: 0.0,
                             L_f=1.0, L_K=0.0)
         pred = SemiClosedPredictor(model, grid)
         pred.reanchor(1.0, [0.0], 100)  # the history starts at phi(1) = 0.5

@@ -33,13 +33,14 @@ def test_install_and_remove():
     patches = tracing.install(tracer, mods)
     try:
         cfg = dataclasses.replace(presets.example1(), T=2.0, monitor=None)
-        mods["engine"].run(cfg)
+        tr = mods["engine"].run(cfg)
     finally:
         patches.remove()
     assert patches.all_removed()
-    # the engine looks the trigger threshold up by name once per step from t0
+    # the engine looks the exact threshold up by name on each row that the float norms
+    # leave to it (trigger.decide), the first check from t0 among them
     assert tracer.calls("engine.run") == 1
-    assert tracer.calls("trigger.threshold") == 101
+    assert tracer.calls("trigger.threshold") == tr.diagnostics["exact_trigger_checks"] >= 1
     # the closed-loop replay reuses the f of its partial step when the next
     # step starts from the same node with a final control row, the
     # pre-history control included (without that reuse: 862 calls), and a
@@ -106,5 +107,6 @@ def test_offgrid_sweep_cell_calls():
         patches.remove()
     assert tr.events.count == 1199 and not tr.diverged
     assert tracer.calls("trigger.record") == tr.events.count
+    assert tracer.calls("trigger.threshold") == tr.diagnostics["exact_trigger_checks"]
     assert tracer.calls("model.f") == 6796
     assert tracer.calls("model.K") == 1199

@@ -10,11 +10,23 @@ from etpf.trigger import (
     EventLog,
     TriggerConfig,
     check_and_fire,
+    decide,
     first_crossing,
     min_dwell,
     min_dwell_numeric,
     threshold,
 )
+
+
+def exact(p_last, p, rho):
+    """``check_and_fire`` under ``threshold``: the per-row rule the float decision stands for."""
+    return check_and_fire(np.array(p_last), np.array(p), threshold(TriggerConfig.fixed_ratio(rho), p))[0]
+
+
+def agrees(p_last, p, rho) -> bool:
+    """``decide`` leaves the row to the exact norms or decides it as they do."""
+    got = decide(tuple(p_last), tuple(p), rho)
+    return got is None or got == exact(p_last, p, rho)
 
 
 class TestTriggeringError:
@@ -120,6 +132,77 @@ class TestCheckAndFire:
         # a rejected event leaves every column as it was
         assert (log.event_times, log.event_controls, log.e_pre_reset, log.event_nodes) == (
             [1.0, 1.5], [0.0, -0.3], [0.0, 0.25], [100, 150])
+
+
+class TestFloatDecision:
+    """``decide`` against the exact rule; where they could disagree it returns None."""
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(30)
+        decided = 0
+        for n in range(1, 5):
+            P = rng.standard_normal((25_000, n)) * 10.0 ** rng.uniform(-6, 6, (25_000, 1))
+            # |e| around rho |p|: fires and holds both
+            rho = 10.0 ** rng.uniform(-3, 0.5, 25_000)
+            E = rng.standard_normal((25_000, n))
+            E *= (rho * np.linalg.norm(P, axis=1) * rng.uniform(0.5, 1.5, 25_000)
+                  / np.linalg.norm(E, axis=1))[:, None]
+            for p_last, p, r in zip((P + E).tolist(), P.tolist(), rho.tolist()):
+                got = decide(tuple(p_last), tuple(p), r)
+                assert got is None or got == exact(p_last, p, r), (p_last, p, r)
+                decided += got is not None
+        assert decided > 0.999 * 100_000
+
+    @staticmethod
+    def ties(n, count, seed):
+        """(p_last, p, rho) with |e| within a few ulps of the exact threshold, both sides."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            p, rho = rng.standard_normal(n), float(10.0 ** rng.uniform(-2, 0.3))
+            thr = threshold(TriggerConfig.fixed_ratio(rho), p)
+            v = rng.standard_normal(n)
+            base = p + v * (thr / np.linalg.norm(v))
+            for k in range(-4, 5):
+                p_last = base.copy()
+                p_last[0] = base[0] + k * np.spacing(base[0])
+                yield p_last.tolist(), p.tolist(), rho
+
+    def test_ties(self):
+        cases = [c for n in (1, 2, 3, 4) for c in self.ties(n, 1500, seed=n)]
+        assert all(agrees(*c) for c in cases)
+        fires = [exact(*c) for c in cases]
+        assert 0.2 < sum(fires) / len(cases) < 0.8  # both sides
+        # the float norms alone order |e| and the threshold the other way round on some
+        # of them: the band is what keeps those from the float decision
+        flipped = sum(math.dist(a, b) != r * math.hypot(*b) and
+                      (math.dist(a, b) > r * math.hypot(*b)) != fire
+                      for (a, b, r), fire in zip(cases, fires))
+        assert flipped > 100
+
+    @pytest.mark.parametrize("p_last, p", [
+        ([1e-160, 0.0], [0.0, 1e-160]),  # |e| and |p| below 1e-150: e . e underflows
+        ([2e-151, 1.0], [1e-151, 1.0]),  # |e| alone
+        ([1.0, 1.0], [1e-152, 0.0]),  # |p| alone
+        ([0.5, -0.25], [0.5, -0.25]),  # e = 0
+        ([0.0, 0.0], [0.0, 0.0]),  # at rest
+        ([3e154, 0.0], [-3e154, 1.0]),  # e . e overflows
+    ])
+    @pytest.mark.parametrize("rho", [1e-3, 0.5, 40.0])
+    def test_extreme_norms_are_left_to_the_exact_rule(self, p_last, p, rho):
+        assert decide(tuple(p_last), tuple(p), rho) is None
+        assert agrees(p_last, p, rho)
+
+    def test_nan_ratio_decides_nothing(self):
+        assert decide((1.0, 0.0), (0.0, 1.0), math.nan) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vecdot_rows_round_as_dot(self, n):
+        # the norms after the loop (trigger.fill_norms) take vecdot for the per-row dot of
+        # threshold and check_and_fire: on this host, bit for bit
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((20_000, n)) * 10.0 ** rng.uniform(-8, 8, (20_000, 1))
+        rows = np.array([a.dot(a) for a in A])
+        assert np.vecdot(A, A).tobytes() == rows.tobytes()
 
 
 class TestFirstCrossing:
