@@ -2,7 +2,7 @@
 
 Simulation library and CLI for predictor-based event-triggered stabilization
 of single-input plants with actuation and sensing delays: plant models with
-ISS certificates, delay channels, predictor strategies, the event trigger
+quadratic certificates, delay channels, predictor strategies, the event trigger
 with its dwell-time bound, Lyapunov-Krasovskii monitoring, and the linear
 communication-convergence trade-off.
 """
@@ -11,7 +11,7 @@ from .channel import ActuationDelay, SensingSchedule
 from .engine import SensingConfig, SimConfig, SimTrace, heatmap, run
 from .exceptions import (ChannelModelError, ConfigurationError, CoverageError, DomainError,
                          ETPFError, MonitorError, NumericalError, PredictorError)
-from .model import ISSCertificate, LinearSystem, SystemModel, linear_certificate, solve_lyapunov
+from .model import LinearSystem, SystemModel, solve_lyapunov
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w, decay_report
 from .predictor import PREDICTOR_METHODS, make_predictor
 from .presets import PRESETS, get_preset
@@ -26,7 +26,7 @@ __all__ = [
     "SensingConfig", "SimConfig", "SimTrace", "heatmap", "run",
     "ChannelModelError", "ConfigurationError", "CoverageError", "DomainError", "ETPFError",
     "MonitorError", "NumericalError", "PredictorError",
-    "ISSCertificate", "LinearSystem", "SystemModel", "linear_certificate", "solve_lyapunov",
+    "LinearSystem", "SystemModel", "solve_lyapunov",
     "MonitorConfig", "compute_L", "compute_V", "compute_w", "decay_report",
     "PREDICTOR_METHODS", "make_predictor",
     "PRESETS", "get_preset",

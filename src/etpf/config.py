@@ -17,7 +17,7 @@ from . import presets
 from .channel import ActuationDelay
 from .engine import SimConfig
 from .exceptions import ConfigurationError
-from .model import LinearSystem, linear_certificate
+from .model import LinearSystem
 from .monitor import MonitorConfig
 from .predictor import PREDICTOR_METHODS
 from .trigger import TriggerConfig
@@ -146,8 +146,7 @@ def _build_system(cfg: SimConfig, vals: dict) -> SimConfig:
         A = vals.pop("A")
         Q = vals.pop("Q") if "Q" in vals else np.eye(np.atleast_2d(A).shape[0])
         sys = LinearSystem(A=A, B=vals.pop("B"), K_gain=vals.pop("K"), Q=Q)
-        cfg = dataclasses.replace(cfg, model=sys.to_model(), linear=sys,
-                                  cert=linear_certificate(sys))
+        cfg = dataclasses.replace(cfg, model=sys.to_model(), linear=sys, cert=sys)
     else:
         raise ConfigurationError(f"system.kind must be example1, example2 or linear: {kind!r}")
     _unread("system", vals, f"system.kind is {kind}")
@@ -195,7 +194,8 @@ def _build_trigger(cfg: SimConfig, vals: dict) -> SimConfig:
             raise ConfigurationError("trigger.mode linear needs a linear system")
         trig = TriggerConfig.linear(cfg.linear, theta=vals.pop("theta", cfg.trigger.theta))
     elif mode == "nonlinear":
-        trig = TriggerConfig.nonlinear(vals.pop("theta", cfg.trigger.theta), vals.pop("L_K", cfg.model.L_K))
+        trig = TriggerConfig.nonlinear(cfg.cert, vals.pop("theta", cfg.trigger.theta),
+                                       vals.pop("L_K", cfg.model.L_K))
     else:
         raise ConfigurationError(f"unknown trigger.mode {mode!r}")
     _unread("trigger", vals, f"trigger.mode is {mode}")

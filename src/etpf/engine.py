@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ActuationDelay, SensingConfig, node_of
 from .exceptions import ConfigurationError
-from .model import ISSCertificate, LinearSystem, SystemModel, euler
+from .model import LinearSystem, SystemModel, euler
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
 from .predictor import NodeGrid, lift_table, make_predictor
 from .trigger import (EventLog, TriggerConfig, check_and_fire, decide, fill_norms, first_crossing,
@@ -40,7 +40,7 @@ class SimConfig:
     h: float = 1e-2
     T: float = 25.0
     predictor_method: str = "closed-loop"
-    cert: Optional[ISSCertificate] = None
+    cert: Optional[LinearSystem] = None  # the system whose P certifies the loop
     linear: Optional[LinearSystem] = None
     ctrl_delay: Optional[ActuationDelay] = None  # nominal channel model, if mismatched
     u_prehistory: float = 0.0  # constant control on [phi(0), 0]
@@ -66,13 +66,8 @@ class SimConfig:
             raise ConfigurationError("x0 dimension does not match the model")
         if not np.isfinite(self.x0).all():
             raise ConfigurationError("x0 must be finite")
-        # the certificate rules: the nonlinear trigger and the monitor read cert
-        mon, nonlinear = self.monitor, self.trigger.mode == "nonlinear"
-        if self.cert is None and (nonlinear or mon is not None):
-            who = "the nonlinear trigger" if nonlinear else "the monitor"
-            raise ConfigurationError(f"{who} needs an ISS certificate (cert)")
-        if mon is not None and mon.form == "integral" and self.cert.rho_quad_coeff is None:
-            raise ConfigurationError("an integral-form monitor needs cert.rho_quad_coeff")
+        if self.cert is None and self.monitor is not None:
+            raise ConfigurationError("the monitor needs an ISS certificate (cert)")
 
     @property
     def controller_delay(self) -> ActuationDelay:
@@ -211,17 +206,16 @@ def run(cfg: SimConfig) -> SimTrace:
     step = 0
     done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     f, K, advance, record = model.f, model.K, predictor.advance, log.record
-    trig, cert, nan, exact = cfg.trigger, cfg.cert, math.nan, 0  # exact: rows decide() left
-    # decide() settles rho_bar |p| on most rows; a NaN ratio leaves every nonlinear row exact
-    rho = nan if trig.mode == "nonlinear" else trig.rho_bar
+    trig, nan, exact = cfg.trigger, math.nan, 0  # exact: rows decide() left
+    rho = trig.rho_bar  # every mode's threshold is rho_bar |p|
     # the divergence rule (README, "Divergence"): |x| and |p| bounded, NaN failing both;
     # hypot of the floats is a fraction of the cost of a numpy dot for short vectors
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
 
-    # a predictor with blocks, the plant its linear system built and the threshold
-    # rho_bar |p|: once events have started, the steps between breakpoints run as blocks
+    # a predictor with blocks and the plant its linear system built: once events have
+    # started, the steps between breakpoints run as blocks
     lifted = blk = None
-    if predictor.block is not None and model._linear is cfg.linear and trig.mode != "nonlinear":
+    if predictor.block is not None and model._linear is cfg.linear:
         dv_steps, hb = dv_nodes + [N], h * cfg.linear.B[:, 0]
         Gx = lift_table((np.eye(n) + h * cfg.linear.A).tobytes())  # x_i = M^i x + S_i h B u
 
@@ -245,7 +239,7 @@ def run(cfg: SimConfig) -> SimTrace:
             L = L if ok.all() else int(ok.argmin())
             if L < 2:
                 return s
-            c, e_n, thr = first_crossing(p_last_event, Pr[: L - 1], trig.rho_bar)
+            c, e_n, thr = first_crossing(p_last_event, Pr[: L - 1], rho)
             r = s + 1 + c
             X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], [U[s]] * (r - s)
             P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]
@@ -280,7 +274,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     e_n = nan  # the norms of a row decide() settles come after the loop
                     if (fired := p_last_event and decide(p_last_event, p_now, rho)) is None:
                         exact += 1  # the first check, a near tie or an extreme norm
-                        TH[step] = thr = threshold(trig, p_now, cert)
+                        TH[step] = thr = threshold(trig, p_now)
                         fired, e_n = check_and_fire(p_last_event, p_now, thr)
                         E[step] = 0.0 if fired else e_n
                     if fired:

@@ -1,17 +1,16 @@
-"""Plant models, feedback laws, and ISS certificates.
+"""Plant models, feedback laws, and the quadratic certificate.
 
 A :class:`SystemModel` couples a vector field ``f(x, u)`` with a stabilizing
-feedback ``K(x)`` and the Lipschitz data the trigger analysis needs.  For
-linear plants, :class:`LinearSystem` derives the quadratic certificate from a
-Lyapunov-equation solve.
+feedback ``K(x)`` and the Lipschitz data the trigger analysis needs.  A
+:class:`LinearSystem` derives the quadratic ISS-Lyapunov certificate
+``S(x) = x^T P x`` from a Lyapunov-equation solve; a run reads it as its ``cert``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,11 +19,9 @@ from .exceptions import ConfigurationError, NumericalError
 __all__ = [
     "SystemModel",
     "euler",
-    "ISSCertificate",
     "LinearSystem",
     "lift",
     "solve_lyapunov",
-    "linear_certificate",
     "spectral_norm",
 ]
 
@@ -76,29 +73,13 @@ def euler(x: tuple, dt: float, fx) -> tuple:
 
 
 @dataclass(frozen=True)
-class ISSCertificate:
-    """The part of an ISS-Lyapunov certificate (S, gamma, rho) that a run reads.
-
-    The ``nonlinear`` trigger reads ``gamma`` and ``rho_inv``; the monitor
-    reads ``S``, ``rho`` and ``integrable_flag``.  ``rho_quad_coeff`` is set
-    when ``rho(r) = c * r**2`` so the monitor can use the closed form of
-    ``integral rho(r)/r dr``.  Nothing checks the certificate's inequalities.
-    """
-
-    S: Callable[[np.ndarray], float]
-    gamma: Callable[[float], float]
-    rho: Callable[[float], float]
-    rho_inv: Callable[[float], float]
-    integrable_flag: bool = True
-    rho_quad_coeff: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class LinearSystem:
     """Linear single-input plant ``xdot = A x + B u`` with gain ``K_gain`` and certificate P.
 
     ``B`` is one column and ``K_gain`` one row.  ``P`` solves
-    ``(A + B K)^T P + P (A + B K) = -Q`` and is derived at construction.
+    ``(A + B K)^T P + P (A + B K) = -Q`` and is derived at construction.  As a run's
+    certificate it gives ``S(x) = x^T P x`` with ``gamma(r) = lam_min(Q)/2 r^2`` and
+    ``rho(r) = 2|PB|^2/lam_min(Q) r^2``: the trigger and the monitor read these constants.
     """
 
     A: np.ndarray
@@ -213,32 +194,4 @@ def solve_lyapunov(A_cl, Q) -> np.ndarray:
         raise NumericalError("singular Lyapunov system") from exc
     P = vec_p.reshape(n, n)
     return 0.5 * (P + P.T)
-
-
-def _quad(coeff: float, r: float) -> float:
-    return coeff * r * r
-
-
-def _quad_inv(coeff: float, y: float) -> float:
-    return math.sqrt(max(y, 0.0) / coeff)
-
-
-def linear_certificate(sys: LinearSystem) -> ISSCertificate:
-    """Quadratic ISS certificate from the Lyapunov solve; it pickles with ``sys``.
-
-    S(x) = x^T P x (``LinearSystem.S``), gamma(r) = lam_min(Q)/2 r^2 and
-    rho(r) = 2|PB|^2/lam_min(Q) r^2.
-    """
-    lam_min_q = sys.lam_min_Q
-    pb = sys.PB_norm
-    c_rho = 2.0 * pb * pb / lam_min_q
-    # partials of module-level functions pickle; the inverse is guarded for c_rho > 0
-    return ISSCertificate(
-        S=sys.S,
-        gamma=partial(_quad, 0.5 * lam_min_q),
-        rho=partial(_quad, c_rho),
-        rho_inv=partial(_quad_inv, c_rho),
-        integrable_flag=True,
-        rho_quad_coeff=c_rho,
-    )
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigurationError, MonitorError
-from .model import ISSCertificate
+from .model import LinearSystem
 
 __all__ = [
     "MonitorConfig",
@@ -97,33 +97,24 @@ def compute_L(cfg: MonitorConfig, taus, w, t, sigma_t) -> np.ndarray:
     return L
 
 
-def compute_V(cfg: MonitorConfig, x, L, cert: ISSCertificate):
-    """Lyapunov-Krasovskii value at one time stamp, or at each row of ``x`` for an array ``L``.
+def compute_V(cfg: MonitorConfig, x, L, cert: LinearSystem):
+    """Lyapunov-Krasovskii value at one time stamp, or at each row of ``x`` for an array ``L``,
+    under the quadratic certificate of ``cert``: S(x) = x^T P x, rho(r) = c_rho r^2 with
+    c_rho = 2|PB|^2/lam_min(Q).
 
-    sup form:      S(x) + (2/b) * integral 0..2L of rho(r)/r dr
-                   (closed form when rho is quadratic)
+    sup form:      S(x) + (2/b) * integral 0..2L of rho(r)/r dr = S(x) + (2/b) c_rho (2L)^2 / 2
     integral form: S(x) + 2 * c_rho * L, the linear-case functional
-                   (c_rho = 2|PB|^2/lam_min(Q), so the L coefficient is
-                   4|PB|^2/lam_min(Q))
+                   (the L coefficient is 4|PB|^2/lam_min(Q))
     """
     L = np.asarray(L, dtype=float)
     if (L < 0).any():
         raise MonitorError("L must be nonnegative")
-    s_val, c = cert.S(np.atleast_1d(np.asarray(x, dtype=float))), cert.rho_quad_coeff
+    s_val, pb = cert.S(np.atleast_1d(np.asarray(x, dtype=float))), cert.PB_norm
+    c = 2.0 * pb * pb / cert.lam_min_Q
     if cfg.form == "integral":
-        if c is None:
-            raise ConfigurationError("integral form needs a quadratic-rho certificate")
         V = s_val + 2.0 * c * L
-    elif c is not None:
-        # integral 0..2L of c*r dr = c*(2L)^2/2; float_power is libm's pow, as float ** is
+    else:  # float_power is libm's pow, as float ** is
         V = np.where(L == 0.0, s_val, s_val + (2.0 / cfg.b) * c * np.float_power(2.0 * L, 2) / 2.0)
-    elif L.any() and not cert.integrable_flag:
-        raise MonitorError("rho(r)/r is not integrable near 0")
-    else:
-        from scipy.integrate import quad
-        q = [quad(lambda r: cert.rho(r) / r, 0.0, 2.0 * v, limit=200)[0] if v else 0.0
-             for v in L.ravel().tolist()]
-        V = np.where(L == 0.0, s_val, s_val + (2.0 / cfg.b) * np.reshape(q, L.shape))
     return float(V) if V.ndim == 0 else V
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ActuationDelay
 from .engine import SensingConfig, SimConfig
 from .exceptions import ConfigurationError
-from .model import LinearSystem, SystemModel, linear_certificate
+from .model import LinearSystem, SystemModel
 from .monitor import MonitorConfig
 from .tradeoff import TradeoffConstants
 from .trigger import TriggerConfig
@@ -57,7 +57,7 @@ def example1_model() -> SystemModel:
 
 
 def _ex1_linearization() -> LinearSystem:
-    """Linearization at the origin; supplies the monitor's quadratic certificate."""
+    """Linearization at the origin: the certificate of the trigger and the monitor."""
     return LinearSystem(
         A=np.array([[1.0, 1.0], [1.0, 1.0]]),
         B=np.array([[0.0], [1.0]]),
@@ -76,7 +76,7 @@ def example1() -> SimConfig:
         h=1e-2,
         T=25.0,
         predictor_method="closed-loop",
-        cert=linear_certificate(_ex1_linearization()),
+        cert=_ex1_linearization(),
         monitor=MonitorConfig(b=10.0, form="sup", stride=10),
     )
 
@@ -153,7 +153,7 @@ def linear2d() -> SimConfig:
         h=1e-3,
         T=15.0,
         predictor_method="linear-closed-form",
-        cert=linear_certificate(sys),
+        cert=sys,
         linear=sys,
         monitor=MonitorConfig(b=10.0, form="integral", stride=10),
     )

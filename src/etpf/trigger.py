@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigurationError, DomainError
-from .model import ISSCertificate, LinearSystem
+from .model import LinearSystem
 
 __all__ = [
     "TriggerConfig",
@@ -30,47 +30,49 @@ __all__ = [
 ]
 
 
+def _rho_bar(sys: LinearSystem, theta: float, L_K: float) -> float:
+    """``lam_min(Q) sqrt(theta) / (4 |PB| L_K)``: the paper's threshold, rho's inverse at
+    ``theta gamma(|p|)`` over ``2 L_K``, is this ratio times |p| under the quadratic
+    certificate ``sys`` (gamma and rho as in ``LinearSystem``)."""
+    if not 0.0 < theta < 1.0:
+        raise ConfigurationError("theta must lie in (0, 1)")
+    gain = 4.0 * sys.PB_norm * L_K  # 0 for B = 0 or L_K = 0: no finite ratio
+    return sys.lam_min_Q * math.sqrt(theta) / gain if gain else math.inf
+
+
 @dataclass(frozen=True)
 class TriggerConfig:
-    """Trigger mode and its parameters.
+    """Trigger mode and its ratio: every mode fires on the threshold ``rho_bar * |p|``.
 
-    * ``nonlinear``: threshold ``rho_inv(theta * gamma(|p|)) / (2 L_K)``,
-      needs a certificate and the Lipschitz constant of K.
-    * ``linear``: threshold ``rho_bar * |p|`` with the ratio
-      ``rho_bar = lam_min(Q) sqrt(theta) / (4 |PB| |K|)`` derived from the
-      linear system by ``TriggerConfig.linear``.
-    * ``fixed-ratio``: threshold ``rho_bar * |p|``, the ratio given directly;
-      it reads no ``theta`` (``TriggerConfig.fixed_ratio`` sets 0.5).
+    * ``nonlinear``: ``rho_bar = lam_min(Q) sqrt(theta) / (4 |PB| L_K)`` from a
+      certificate and the Lipschitz constant of K, by ``TriggerConfig.nonlinear``.
+    * ``linear``: the same ratio with ``L_K = |K|``, by ``TriggerConfig.linear``.
+    * ``fixed-ratio``: the ratio given directly; it reads no ``theta``
+      (``TriggerConfig.fixed_ratio`` sets 0.5).
     """
 
     mode: str
     theta: float
     rho_bar: Optional[float] = None
-    L_K: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in ("nonlinear", "linear", "fixed-ratio"):
             raise ConfigurationError(f"unknown trigger mode {self.mode!r}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigurationError("theta must lie in (0, 1)")
-        # comparisons that NaN fails
-        if self.mode == "nonlinear":
-            if not (self.L_K is not None and 0 < self.L_K < math.inf):
-                raise ConfigurationError("nonlinear mode needs a finite L_K > 0")
-        elif not (self.rho_bar is not None and 0 < self.rho_bar < math.inf):
+        # a comparison that NaN fails
+        if not (self.rho_bar is not None and 0 < self.rho_bar < math.inf):
             raise ConfigurationError(f"{self.mode} mode needs a finite rho_bar > 0")
 
     @staticmethod
-    def nonlinear(theta: float, L_K: float) -> "TriggerConfig":
-        return TriggerConfig(mode="nonlinear", theta=theta, L_K=L_K)
+    def nonlinear(cert: Optional[LinearSystem], theta: float, L_K: float) -> "TriggerConfig":
+        if cert is None:
+            raise ConfigurationError("the nonlinear trigger needs a certificate (cert)")
+        return TriggerConfig(mode="nonlinear", theta=theta, rho_bar=_rho_bar(cert, theta, L_K))
 
     @staticmethod
     def linear(sys: LinearSystem, theta: float) -> "TriggerConfig":
-        if not 0.0 < theta < 1.0:
-            raise ConfigurationError("theta must lie in (0, 1)")
-        gain = 4.0 * sys.PB_norm * sys.K_norm  # 0 for B = 0 or K = 0: no finite ratio
-        rho_bar = sys.lam_min_Q * math.sqrt(theta) / gain if gain else math.inf
-        return TriggerConfig(mode="linear", theta=theta, rho_bar=rho_bar)
+        return TriggerConfig(mode="linear", theta=theta, rho_bar=_rho_bar(sys, theta, sys.K_norm))
 
     @staticmethod
     def fixed_ratio(rho_bar: float) -> "TriggerConfig":
@@ -105,15 +107,10 @@ class EventLog:
         return float(np.min(np.diff(self.event_times)))
 
 
-def threshold(cfg: TriggerConfig, p, cert: Optional[ISSCertificate] = None) -> float:
-    """Trigger threshold as a function of the current prediction."""
+def threshold(cfg: TriggerConfig, p) -> float:
+    """Trigger threshold ``rho_bar * |p|`` at the current prediction."""
     p = np.asarray(p, dtype=float)  # sqrt(p . p): numpy's norm body, without its dispatch
-    p_norm = math.sqrt(p.dot(p))
-    if cfg.mode != "nonlinear":
-        return cfg.rho_bar * p_norm
-    if cert is None:
-        raise ConfigurationError("nonlinear trigger needs an ISS certificate")
-    return cert.rho_inv(cfg.theta * cert.gamma(p_norm)) / (2.0 * cfg.L_K)
+    return cfg.rho_bar * math.sqrt(p.dot(p))
 
 
 def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
@@ -137,8 +134,8 @@ BAND = 1e-12  # relative: wider than the gap between the float norms and the exa
 
 def decide(p_at_last_event: tuple, p_now: tuple, rho_bar: float) -> Optional[bool]:
     """``check_and_fire`` under ``rho_bar |p|`` from float norms, a few ulps from ``sqrt(v . v)``;
-    None, for the exact norms, within ``BAND``, for |e| or |p| outside (1e-150, 1e150), where
-    ``v . v`` underflows or overflows (``e = 0`` too), and for a NaN ``rho_bar``."""
+    None, for the exact norms, within ``BAND`` and for |e| or |p| outside (1e-150, 1e150),
+    where ``v . v`` underflows or overflows (``e = 0`` too)."""
     e_n, p_n = math.dist(p_at_last_event, p_now), math.hypot(*p_now)
     thr = rho_bar * p_n
     if 1e-150 < e_n < 1e150 and 1e-150 < p_n < 1e150 and abs(e_n - thr) > BAND * thr:

@@ -279,7 +279,7 @@ class ReferenceLinear(LinearPredictor):
         return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
 
 
-def trigger_per_step(trace, trig, cert):
+def trigger_per_step(trace, trig):
     """``(E, TH, event_flags, e_pre_reset)`` of the trigger checked row by row over the
     prediction rows of ``trace``: the rows from ``t0`` on that the run reached, those with
     a prediction (a run with blocks checks fewer)."""
@@ -289,7 +289,7 @@ def trigger_per_step(trace, trig, cert):
     for k in range(round(trace.t0 / trace.h), n):
         if np.isnan(p := trace.p[k]).any():
             break
-        TH[k] = thr = threshold(trig, p, cert)
+        TH[k] = thr = threshold(trig, p)
         fired, e_n = check_and_fire(p_last, p, thr)
         if fired:
             ev[k], p_last = 1.0, p

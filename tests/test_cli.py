@@ -3,7 +3,6 @@ import pytest
 
 from etpf import presets
 from etpf.cli import main
-from etpf.model import linear_certificate
 from etpf.monitor import MonitorConfig, compute_V
 from etpf.presets import linear2d_system
 from etpf.tradeoff import sweep
@@ -46,7 +45,7 @@ class TestSimulate:
         header, rows = read_csv(out / "trace.csv")
         data = np.array([[float(v) for v in row] for row in rows])
         cols = {name: data[:, i] for i, name in enumerate(header)}
-        cert = linear_certificate(linear2d_system())
+        cert = linear2d_system()
         mon = MonitorConfig(form="integral")
         mask = np.isfinite(cols["V"])
         for x1, x2, L, V in zip(

@@ -10,7 +10,6 @@ from etpf.channel import ActuationDelay
 from etpf.config import SCHEMA, apply_overrides, build_sim_config, load_config, read_section
 from etpf.engine import SimConfig
 from etpf.exceptions import ConfigurationError
-from etpf.monitor import MonitorConfig
 from etpf.trigger import TriggerConfig
 
 
@@ -188,9 +187,8 @@ class TestCertificateRules:
 
     def test_nonlinear_trigger_needs_a_certificate(self):
         ex1 = presets.example1()
-        with pytest.raises(ConfigurationError, match="nonlinear trigger needs an ISS certificate"):
-            dataclasses.replace(ex1, cert=None, monitor=None,
-                                trigger=TriggerConfig.nonlinear(0.5, ex1.model.L_K))
+        with pytest.raises(ConfigurationError, match="nonlinear trigger needs a certificate"):
+            TriggerConfig.nonlinear(None, 0.5, ex1.model.L_K)
         # example2 has no certificate
         with pytest.raises(ConfigurationError, match="nonlinear trigger"):
             build_sim_config({"preset": "example2", "trigger": {"mode": "nonlinear"}})
@@ -204,13 +202,6 @@ class TestCertificateRules:
         assert presets.example2().monitor is None and presets.example2_body().monitor is None
         cfg = build_sim_config({"preset": "example1", "system": {"kind": "example2"}})
         assert cfg.cert is None and cfg.monitor is None
-
-    def test_integral_monitor_needs_a_quadratic_rho(self):
-        ex1 = presets.example1()
-        cert = dataclasses.replace(ex1.cert, rho_quad_coeff=None)
-        with pytest.raises(ConfigurationError, match="rho_quad_coeff"):
-            dataclasses.replace(ex1, cert=cert, monitor=MonitorConfig(form="integral"))
-        assert dataclasses.replace(ex1, cert=cert).monitor.form == "sup"  # integrates rho itself
 
 
 class TestSchema:

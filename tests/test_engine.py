@@ -191,7 +191,7 @@ class TestRunBasics:
         lambda: dataclasses.replace(presets.example1(), T=np.nan),
         lambda: dataclasses.replace(presets.example1(), T=np.inf),
         lambda: MonitorConfig(stride=2.5),
-        lambda: TriggerConfig.nonlinear(0.5, L_K=np.nan),
+        lambda: TriggerConfig.nonlinear(presets.example1().cert, 0.5, L_K=np.nan),
         lambda: TriggerConfig.fixed_ratio(np.nan),
         lambda: MonitorConfig(b=np.nan),
         lambda: dataclasses.replace(presets.example1(), divergence_threshold=np.nan),

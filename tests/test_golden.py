@@ -14,6 +14,11 @@ say which bytes changed and why, and re-record the digest here.
 Every ``trace.csv`` digest of a monitored run was re-recorded when the monitor
 took one pass over the w history in place of resampling each window: only the
 V and L columns moved, every other column and every ``events.csv`` kept its bytes.
+
+The two nonlinear-trigger digests were re-recorded when that trigger became
+``rho_bar |p|`` with a ratio computed once: ``example1`` moved only its threshold column,
+by at most 3.3e-16 relative; ``linear2d``, now on the block path, moved x, p, u, e_norm,
+threshold and V by at most 1.6e-11 relative.  Both kept every event time.
 """
 
 import dataclasses
@@ -87,10 +92,10 @@ GOLDEN_VARIANT_CSV = {
         "422af42a2adc0147a62f6829ff3633eb8be95119f0a7053250e3df289415f53a",
         "2fcd33e37f430ba85548e47d900e150e178974a7ab1ccead4845b98107270925",
     ),
-    # the threshold of the nonlinear trigger is no ratio of |p|: the closed-loop replay
-    # still serves the plant, while the linear run stays on the per-step path
+    # the nonlinear trigger's threshold is rho_bar |p| with its own ratio: the float decision
+    # settles its rows, and the linear run takes the block path
     "example1-nonlinear-trigger": (
-        "7138b1355e24efb7fb08f972d6f7d82502afbb6508f435eaeca936b512274f15",
+        "2a2b3f104c0219735fe14c8e179bf890852cd4b8c5473779fc70caf75534c079",
         "d7effab6ce8db13983ce216389e242be18495b0a7f59b734baad981aefbbf7a3",
     ),
     # a constant delay of 10 with the monitor on: windows of 10,000 nodes
@@ -99,8 +104,8 @@ GOLDEN_VARIANT_CSV = {
         "a2282cacb578ab15f9756217b9f56ce7ed9c46e191996f5f6557687539061e1f",
     ),
     "linear2d-nonlinear-trigger": (
-        "978856a1c69adbd27d63f211abb8022f0c7387eb4e749848d7b571ff1d51d4db",
-        "aad7d936259fd4a101206d5af89a2205e646883b84a4d41c4172f61c796c7652",
+        "3008c32e6b641adb95ae9e79f61e9b8ae21fbb712b580f48018a808fecdef46c",
+        "db81d781dfea1682ca5a2369bc6daf675f5eb8aba905b8a2b15e5f1a9fb5aa67",
     ),
 }
 GOLDEN_HEATMAP = "b01b4b88e31930da40762ae71c8ff5eb1450212b33189cbd0343be76b076b61a"
@@ -144,10 +149,12 @@ def variant_config(name):
     if name == "example1-offgrid":
         return offgrid_config()
     if name == "example1-nonlinear-trigger":
-        return dataclasses.replace(ex1, T=5.0, trigger=TriggerConfig.nonlinear(0.5, ex1.model.L_K))
+        return dataclasses.replace(ex1, T=5.0,
+                                   trigger=TriggerConfig.nonlinear(ex1.cert, 0.5, ex1.model.L_K))
     if name == "linear2d-nonlinear-trigger":
         lin = presets.linear2d()
-        return dataclasses.replace(lin, T=2.0, trigger=TriggerConfig.nonlinear(0.5, lin.model.L_K))
+        return dataclasses.replace(lin, T=2.0,
+                                   trigger=TriggerConfig.nonlinear(lin.cert, 0.5, lin.model.L_K))
     if name == "linear2d-D10":
         return dataclasses.replace(presets.linear2d(), T=12.0, delay=ActuationDelay.constant(10.0))
     assert name == "linear2d-sinusoidal"

@@ -7,7 +7,7 @@ import pytest
 
 from etpf import presets
 from etpf.exceptions import ConfigurationError, NumericalError
-from etpf.model import LinearSystem, lift, linear_certificate, solve_lyapunov, spectral_norm
+from etpf.model import LinearSystem, lift, solve_lyapunov, spectral_norm
 from etpf.presets import example1_model, linear2d_system
 
 MULTI_INPUT = [
@@ -15,15 +15,6 @@ MULTI_INPUT = [
     pytest.param([[0.0], [1.0]], [[-1.0, -2.0], [0.0, -1.0]], id="two-rows-of-K"),
     pytest.param([[0.0, 1.0, 2.0]], [[-1.0, -2.0]], id="three-entries-of-B"),
 ]
-
-
-def assert_class_k(cert, grid=np.logspace(-6, 3, 40)):
-    """gamma and rho vanish at 0 and increase strictly on ``grid``."""
-    for name in ("gamma", "rho"):
-        fn = getattr(cert, name)
-        assert abs(fn(0.0)) <= 1e-12, f"{name}(0) must be 0"
-        vals = [fn(float(r)) for r in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:])), f"{name} must be strictly increasing"
 
 
 class TestEvalF:
@@ -188,6 +179,9 @@ class TestSolveLyapunov:
 
 
 class TestLinearCertificate:
+    """The quadratic certificate of a ``LinearSystem``: S(x) = x^T P x,
+    gamma(r) = (lam_min(Q)/2) r^2 and rho(r) = c_rho r^2 with c_rho = 2|PB|^2/lam_min(Q)."""
+
     def _simple(self):
         # A_cl = -I with B = [0, 1]^T and Q = 2I gives P = I
         return LinearSystem(
@@ -195,45 +189,31 @@ class TestLinearCertificate:
         )
 
     def test_simple_forms(self):
-        cert = linear_certificate(self._simple())
-        # gamma(r) = (lam_min(Q)/2) r^2 = r^2; rho(r) = (2|PB|^2/lam_min(Q)) r^2 = r^2
-        assert cert.gamma(3.0) == pytest.approx(9.0)
-        assert cert.rho(3.0) == pytest.approx(9.0)
-        assert cert.S(np.array([1.0, 2.0])) == pytest.approx(5.0)
-
-    def test_class_k_at_zero(self):
-        cert = linear_certificate(linear2d_system())
-        assert cert.gamma(0.0) == 0.0
-        assert cert.rho(0.0) == 0.0
-        assert_class_k(cert)
-
-    def test_inverse_roundtrip(self):
-        cert = linear_certificate(linear2d_system())
-        assert cert.rho_inv(cert.rho(3.0)) == pytest.approx(3.0, abs=1e-12)
-        for r in np.logspace(-6, 6, 25):
-            assert cert.rho_inv(cert.rho(r)) == pytest.approx(r, rel=1e-10)
+        sys = self._simple()
+        # lam_min(Q)/2 = 1 and c_rho = 2|PB|^2/lam_min(Q) = 1
+        assert sys.lam_min_Q / 2.0 == pytest.approx(1.0)
+        assert 2.0 * sys.PB_norm ** 2 / sys.lam_min_Q == pytest.approx(1.0)
+        assert sys.S(np.array([1.0, 2.0])) == pytest.approx(5.0)
 
     def test_sandwich_and_decay_property(self):
         # lam_min(P) |x|^2 <= S(x) <= lam_max(P) |x|^2 and
-        # grad S(x) . (A_cl x + B w) <= -gamma(|x|) + rho(|w|), grad S(x) = 2 P x
+        # grad S(x) . (A_cl x + B w) <= -(lam_min(Q)/2) |x|^2 + c_rho |w|^2, grad S(x) = 2 P x
         sys = linear2d_system()
-        cert = linear_certificate(sys)
         A_cl, B, P = sys.A_cl, sys.B, sys.P
+        half_q, c_rho = sys.lam_min_Q / 2.0, 2.0 * sys.PB_norm ** 2 / sys.lam_min_Q
         lam_min, lam_max = np.linalg.eigvalsh(P)[[0, -1]]
         rng = np.random.default_rng(1)
         for _ in range(1000):
             x = rng.uniform(-10, 10, size=2)
             w = rng.uniform(-10, 10, size=1)
-            s = cert.S(x)
+            s = sys.S(x)
             r = np.linalg.norm(x)
             assert lam_min * r * r <= s + 1e-9
             assert s <= lam_max * r * r + 1e-9
             lie = 2.0 * (P @ x) @ (A_cl @ x + B @ w)
-            assert lie <= -cert.gamma(r) + cert.rho(np.linalg.norm(w)) + 1e-9
-
+            assert lie <= -half_q * r * r + c_rho * float(w @ w) + 1e-9
 
     @pytest.mark.parametrize("make", [
-        pytest.param(lambda: linear_certificate(linear2d_system()), id="linear_certificate"),
         pytest.param(lambda: presets.linear2d().cert, id="linear2d"),
         pytest.param(lambda: presets.example1().cert, id="example1"),
     ])
@@ -245,9 +225,8 @@ class TestLinearCertificate:
         assert back.S(X).tobytes() == cert.S(X).tobytes()
         for x in X[:20]:
             assert float(back.S(x)).hex() == float(cert.S(x)).hex()
-        for name in ("gamma", "rho", "rho_inv"):
-            assert getattr(back, name)(2.5).hex() == getattr(cert, name)(2.5).hex(), name
-        assert back.rho_quad_coeff.hex() == cert.rho_quad_coeff.hex()
+        for name in ("lam_min_Q", "PB_norm", "lam_max_P"):
+            assert getattr(back, name).hex() == getattr(cert, name).hex(), name
 
     def test_S_rows_are_the_per_row_values(self):
         # rows in, one value per row, with the bits of the one-state call

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from etpf import presets, run
 from etpf.channel import ActuationDelay, node_of
 from etpf.exceptions import ConfigurationError, MonitorError
-from etpf.model import ISSCertificate, linear_certificate
+from etpf.model import LinearSystem
 from etpf.monitor import (
     MonitorConfig,
     compute_L,
@@ -190,14 +190,20 @@ class TestRunAccuracy:
         self.check(cfg, tr, (cfg.monitor.b * cfg.h) ** 2 / 8.0, every=40)
 
 
+def c_rho(cert):
+    """The coefficient of rho(r) = c_rho r^2 in the certificate of ``cert``."""
+    pb = cert.PB_norm
+    return 2.0 * pb * pb / cert.lam_min_Q
+
+
 def compute_V_point(cfg, x, L, cert):
     """compute_V as it was before it took arrays: one state and one L, quadratic rho."""
     s_val = float(cert.S(np.atleast_1d(x)))
     if cfg.form == "integral":
-        return s_val + 2.0 * cert.rho_quad_coeff * L
+        return s_val + 2.0 * c_rho(cert) * L
     if L == 0.0:
         return s_val
-    return s_val + (2.0 / cfg.b) * cert.rho_quad_coeff * (2.0 * L) ** 2 / 2.0
+    return s_val + (2.0 / cfg.b) * c_rho(cert) * (2.0 * L) ** 2 / 2.0
 
 
 class TestArrayMonitor:
@@ -227,64 +233,38 @@ class TestArrayMonitor:
 
 
 class TestComputeV:
-    def _quad_cert(self, c_rho):
-        return ISSCertificate(
-            S=lambda x: 0.0, gamma=lambda r: r * r, rho=lambda r: c_rho * r * r,
-            rho_inv=lambda y: math.sqrt(max(y, 0.0) / c_rho),
-            rho_quad_coeff=c_rho,
-        )
+    # A_cl = -1 and Q = 2 give P = 1 and |PB| = 1: S(x) = x^2 and c_rho = 2 * 1 / 2 = 1
+    UNIT = LinearSystem(A=[[-1.0]], B=[[1.0]], K_gain=[[0.0]], Q=[[2.0]])
 
     def test_origin(self):
-        cert = linear_certificate(linear2d_system())
-        assert compute_V(MonitorConfig(), [0.0, 0.0], 0.0, cert) == 0.0
+        assert compute_V(MonitorConfig(), [0.0, 0.0], 0.0, linear2d_system()) == 0.0
 
     def test_quadratic_closed_form(self):
         # c_rho = 1, b = 2, L = 1, S = 0 -> (2/b) * (2L)^2 / 2 = 2
-        cert = self._quad_cert(1.0)
-        got = compute_V(MonitorConfig(b=2.0, form="sup"), [0.0], 1.0, cert)
+        assert c_rho(self.UNIT) == 1.0
+        got = compute_V(MonitorConfig(b=2.0, form="sup"), [0.0], 1.0, self.UNIT)
         assert got == pytest.approx(2.0)
-
-    def test_closed_form_matches_quadrature(self):
-        c_rho, b, L = 0.37, 10.0, 1.3
-        cert = self._quad_cert(c_rho)
-        got = compute_V(MonitorConfig(b=b, form="sup"), [0.0], L, cert)
-        integral, _ = quad(lambda r: c_rho * r, 0.0, 2.0 * L)
-        assert got == pytest.approx((2.0 / b) * integral, abs=1e-12)
 
     @pytest.mark.parametrize("L", [0.0, 1.3, [0.0, 0.2, 1.3]])
     def test_quadrature_matches_the_closed_form(self, L):
-        # a quadratic rho given without rho_quad_coeff takes the general sup branch,
-        # integral 0..2L of rho(r)/r dr by quadrature
-        c_rho, cfg = 0.37, MonitorConfig(b=10.0, form="sup")
-        closed = self._quad_cert(c_rho)
-        general = dataclasses.replace(closed, rho_quad_coeff=None)
-        x = np.zeros((len(L), 1)) if isinstance(L, list) else [0.0]
-        want = compute_V(cfg, x, L, closed)
-        np.testing.assert_allclose(compute_V(cfg, x, L, general), want, rtol=1e-12, atol=0.0)
-
-    def test_non_integrable_rho_rejected(self):
-        cert = dataclasses.replace(self._quad_cert(1.0), rho_quad_coeff=None,
-                                   integrable_flag=False)
-        cfg = MonitorConfig(form="sup")
-        with pytest.raises(MonitorError, match="not integrable"):
-            compute_V(cfg, [0.0], 0.5, cert)
-        assert compute_V(cfg, [0.0], 0.0, cert) == 0.0  # L = 0 needs no integral
+        # the sup form's (2/b) integral 0..2L of rho(r)/r dr, by quadrature here
+        cfg = MonitorConfig(b=10.0, form="sup")
+        for cert in (linear2d_system(), presets.example1().cert):
+            x = np.zeros((len(L), 2)) if isinstance(L, list) else [0.0, 0.0]
+            c = c_rho(cert)
+            want = [(2.0 / cfg.b) * quad(lambda r: c * r, 0.0, 2.0 * v)[0]
+                    for v in np.atleast_1d(L).tolist()]
+            got = np.atleast_1d(compute_V(cfg, x, L, cert))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_linear_integral_form(self):
-        # S(x) = 1 with c_rho = 1 (|PB| = 1, lam_min(Q) = 2): V = 1 + 2 L
-        c_rho = 1.0
-        cert = ISSCertificate(
-            S=lambda x: float(np.dot(x, x)), gamma=lambda r: r * r, rho=lambda r: c_rho * r * r,
-            rho_inv=lambda y: math.sqrt(max(y, 0.0)),
-            rho_quad_coeff=c_rho,
-        )
-        got = compute_V(MonitorConfig(form="integral"), [1.0, 0.0], 0.5, cert)
+        # S(x) = 1 with c_rho = 1: V = 1 + 2 L
+        got = compute_V(MonitorConfig(form="integral"), [1.0], 0.5, self.UNIT)
         assert got == pytest.approx(2.0)
 
     def test_negative_L_rejected(self):
-        cert = linear_certificate(linear2d_system())
         with pytest.raises(MonitorError):
-            compute_V(MonitorConfig(), [0.0, 0.0], -1.0, cert)
+            compute_V(MonitorConfig(), [0.0, 0.0], -1.0, linear2d_system())
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

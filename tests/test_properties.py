@@ -184,15 +184,15 @@ def test_semi_closed_history_stands_on_node_times(delay, sensing):
 
 
 def assert_trigger_per_step(tr, cfg):
-    E, TH, ev, pre = trigger_per_step(tr, cfg.trigger, cfg.cert)
+    E, TH, ev, pre = trigger_per_step(tr, cfg.trigger)
     assert tr.e_norm.tobytes() == E.tobytes()
     assert tr.threshold.tobytes() == TH.tobytes()
     assert tr.event_flags.tobytes() == ev.tobytes()
     assert np.array(tr.events.e_pre_reset).tobytes() == np.array(pre).tobytes()
-    # each exact check calls threshold once: the first check, and every row of the nonlinear mode
+    # each exact check calls threshold once: the first check, and the rows decide() left
     checked = int(np.count_nonzero(~np.isnan(TH)))
     exact = tr.diagnostics["exact_trigger_checks"]
-    assert exact == checked if cfg.trigger.mode == "nonlinear" else 1 <= exact <= checked
+    assert 1 <= exact <= checked
     event(f"{cfg.trigger.mode}: rows left to the exact norms beyond the first: {exact > 1}")
 
 
@@ -202,10 +202,10 @@ def assert_trigger_per_step(tr, cfg):
 def test_float_trigger_equals_the_per_step_trigger(delay, sensing, rho_bar, nonlinear):
     # E, the threshold, the event rows and |e| before each reset, bit for bit, with the
     # float decision and the norms filled after the loop as with the exact rule at every row
-    trig = (TriggerConfig.nonlinear(0.5, presets.example1().model.L_K) if nonlinear
+    ex1 = presets.example1()
+    trig = (TriggerConfig.nonlinear(ex1.cert, 0.5, ex1.model.L_K) if nonlinear
             else TriggerConfig.fixed_ratio(rho_bar))
-    cfg = dataclasses.replace(presets.example1(), T=T, delay=delay, sensing=sensing,
-                              trigger=trig, monitor=None)
+    cfg = dataclasses.replace(ex1, T=T, delay=delay, sensing=sensing, trigger=trig, monitor=None)
     tr = run(cfg)
     event(f"diverged: {tr.diverged}")
     assert_trigger_per_step(tr, cfg)
@@ -349,8 +349,8 @@ def test_only_documented_exceptions(data, base, bad, nonlinear, gaussian):
         sensing = (SensingConfig(delta_tau=v["delta_tau"], mu_psi=v["mu_psi"],
                                  sigma_psi=v["sigma_psi"], seed=v["seed"]) if gaussian
                    else SensingConfig(delta_tau=v["delta_tau"], d_psi=v["d_psi"]))
-        trigger = TriggerConfig("nonlinear" if nonlinear else "fixed-ratio", v["theta"],
-                                rho_bar=v["rho_bar"], L_K=v["L_K"])
+        trigger = (TriggerConfig.nonlinear(base().cert, v["theta"], v["L_K"]) if nonlinear
+                   else TriggerConfig("fixed-ratio", v["theta"], rho_bar=v["rho_bar"]))
         monitor = MonitorConfig(b=v["b"], form=base().monitor.form, stride=v["stride"])
         cfg = dataclasses.replace(base(), sensing=sensing, trigger=trigger, monitor=monitor,
                                   **{k: v[k] for k in ("h", "T", "u_prehistory",

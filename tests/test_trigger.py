@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from etpf import presets
+from etpf.config import build_sim_config
+from etpf.engine import run
 from etpf.exceptions import ConfigurationError, DomainError
-from etpf.model import LinearSystem, linear_certificate
+from etpf.model import LinearSystem
 from etpf.presets import _ex1_linearization, linear2d_system
 from etpf.trigger import (
     EventLog,
@@ -16,6 +20,8 @@ from etpf.trigger import (
     min_dwell_numeric,
     threshold,
 )
+
+from test_golden import GOLDEN_CSV, sha256
 
 
 def exact(p_last, p, rho):
@@ -56,26 +62,26 @@ class TestThreshold:
 
     def test_nonlinear_example1_coefficient(self):
         # Q = I certificate of the benchmark linearization: the quadratic forms
-        # collapse the threshold to a fixed ratio of about 0.0199
+        # collapse the threshold rho_inv(theta gamma(|p|)) / (2 L_K) to a fixed ratio
+        # of about 0.0199
         sys = _ex1_linearization()
-        cert = linear_certificate(sys)
         L_K = 7.0 * math.sqrt(2.0)
-        cfg = TriggerConfig.nonlinear(theta=0.5, L_K=L_K)
-        ratio = threshold(cfg, [1.0, 0.0], cert)
-        expected = sys.lam_min_Q * math.sqrt(0.5) / (4.0 * sys.PB_norm * L_K)
-        assert ratio == pytest.approx(expected, rel=1e-12)
+        cfg = TriggerConfig.nonlinear(sys, theta=0.5, L_K=L_K)
+        ratio = threshold(cfg, [1.0, 0.0])
+        gamma = sys.lam_min_Q / 2.0 * 1.0 ** 2  # gamma(|p|) at |p| = 1
+        c_rho = 2.0 * sys.PB_norm ** 2 / sys.lam_min_Q  # rho(r) = c_rho r^2
+        assert ratio == pytest.approx(math.sqrt(0.5 * gamma / c_rho) / (2.0 * L_K), rel=1e-12)
         assert ratio == pytest.approx(0.0199, abs=2e-4)
         # threshold is homogeneous in |p|
-        assert threshold(cfg, [2.0, 0.0], cert) == pytest.approx(2.0 * ratio)
+        assert threshold(cfg, [2.0, 0.0]) == pytest.approx(2.0 * ratio)
 
     def test_zero_state(self):
         cfg = TriggerConfig.fixed_ratio(0.5)
         assert threshold(cfg, [0.0, 0.0]) == 0.0
 
     def test_missing_certificate(self):
-        cfg = TriggerConfig.nonlinear(theta=0.5, L_K=1.0)
-        with pytest.raises(ConfigurationError):
-            threshold(cfg, [1.0])
+        with pytest.raises(ConfigurationError, match="certificate"):
+            TriggerConfig.nonlinear(None, theta=0.5, L_K=1.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -95,6 +101,49 @@ class TestThreshold:
         stable = LinearSystem(A=-np.eye(2), B=[[0.0], [1.0]], K_gain=[[0.0, 0.0]], Q=np.eye(2))
         with pytest.raises(ConfigurationError, match="rho_bar"):
             TriggerConfig.linear(stable, theta=0.5)
+
+
+class TestOneRatio:
+    """The nonlinear and the linear trigger are one formula: with ``L_K = |K|`` they give the
+    same ratio, and a run under either has the same bits."""
+
+    @staticmethod
+    def stabilized(seed):
+        """A random controllable pair with K from pole placement at two random stable poles."""
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-2.0, 2.0, (2, 2))
+        B = rng.uniform(-2.0, 2.0, (2, 1))
+        C = np.hstack([B, A @ B])  # controllability matrix
+        poles = -rng.uniform(0.5, 3.0, 2)
+        # Ackermann: K = -[0 1] C^-1 phi(A), phi the desired characteristic polynomial
+        phi = A @ A - poles.sum() * A + poles.prod() * np.eye(2)
+        K = -np.linalg.solve(C.T, [0.0, 1.0]) @ phi
+        return LinearSystem(A=A, B=B, K_gain=K.reshape(1, 2), Q=np.diag(rng.uniform(0.5, 2.0, 2)))
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    def test_nonlinear_ratio_is_the_linear_ratio(self, seed):
+        sys = linear2d_system() if seed is None else self.stabilized(seed)
+        for theta in (0.1, 0.5, 0.9):
+            want = TriggerConfig.linear(sys, theta).rho_bar.hex()
+            assert TriggerConfig.nonlinear(sys, theta, sys.K_norm).rho_bar.hex() == want
+
+    def test_nonlinear_linear2d_is_the_linear2d_run(self, tmp_path):
+        cfg = build_sim_config({"preset": "linear2d", "trigger": {"mode": "nonlinear"}})
+        assert cfg.trigger.mode == "nonlinear"
+        tr = run(cfg)
+        trace, events = tmp_path / "trace.csv", tmp_path / "events.csv"
+        tr.write_trace_csv(trace)
+        tr.write_events_csv(events)
+        assert (sha256(trace.read_bytes()), sha256(events.read_bytes())) == GOLDEN_CSV["linear2d"]
+
+    def test_nonlinear_example1_checks_one_row_exactly(self):
+        # the first check; the float decision settles every later row
+        ex1 = presets.example1()
+        cfg = dataclasses.replace(ex1, monitor=None,
+                                  trigger=TriggerConfig.nonlinear(ex1.cert, 0.5, ex1.model.L_K))
+        tr = run(cfg)
+        assert tr.events.count > 100
+        assert tr.diagnostics["exact_trigger_checks"] == 1
 
 
 class TestCheckAndFire:
