@@ -245,6 +245,15 @@ class TestComputeV:
         got = compute_V(MonitorConfig(b=2.0, form="sup"), [0.0], 1.0, self.UNIT)
         assert got == pytest.approx(2.0)
 
+    def test_closed_form_matches_quadrature(self):
+        # A_cl = -1 and Q = 0.74 give P = 0.37 and |PB| = 0.37: c_rho = 2 * 0.37^2 / 0.74 = 0.37
+        cert = LinearSystem(A=[[-1.0]], B=[[1.0]], K_gain=[[0.0]], Q=[[0.74]])
+        b, L = 10.0, 1.3
+        assert c_rho(cert) == pytest.approx(0.37, rel=1e-12)
+        got = compute_V(MonitorConfig(b=b, form="sup"), [0.0], L, cert)
+        integral, _ = quad(lambda r: 0.37 * r, 0.0, 2.0 * L)
+        assert got == pytest.approx((2.0 / b) * integral, abs=1e-12)
+
     @pytest.mark.parametrize("L", [0.0, 1.3, [0.0, 0.2, 1.3]])
     def test_quadrature_matches_the_closed_form(self, L):
         # the sup form's (2/b) integral 0..2L of rho(r)/r dr, by quadrature here
