@@ -196,6 +196,8 @@ def run(cfg: SimConfig) -> SimTrace:
     dv_flags = np.zeros(N + 1)
 
     X[0], x = cfg.x0, tuple(cfg.x0.tolist())  # the state, a tuple of floats
+    # flat views of X and P: two float stores cost a quarter of a numpy row write from a tuple
+    two, Xm, Pm = n == 2, memoryview(X).cast("B").cast("d"), memoryview(P).cast("B").cast("d")
     p_last_event = None  # p(t_k), a tuple
     divergence = None
 
@@ -254,7 +256,8 @@ def run(cfg: SimConfig) -> SimTrace:
                 raise _Diverged("prediction", "pre-history")
             pre_p[i] = p
             predictor.advance(k)
-        if not math.hypot(*predictor.p) <= p_bound:
+        # p_n: |p| of the current prediction, for the bound and the trigger
+        if not (p_n := math.hypot(*predictor.p)) <= p_bound:
             raise _Diverged("prediction", "pre-history")
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -264,15 +267,18 @@ def run(cfg: SimConfig) -> SimTrace:
                     lam = (tau - (k - 1) * h) / h
                     predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], step)
                     own = on and replayed is not None
-                    if not math.hypot(*predictor.p) <= p_bound:
+                    if not (p_n := math.hypot(*predictor.p)) <= p_bound:
                         raise _Diverged("prediction", "re-anchor")
 
                 p_now = predictor.p
-                P[step] = p_now
+                if two:
+                    Pm[2 * step], Pm[2 * step + 1] = p_now
+                else:
+                    P[step] = p_now
 
                 if step >= t0_idx:
                     e_n = nan  # the norms of a row decide() settles come after the loop
-                    if (fired := p_last_event and decide(p_last_event, p_now, rho)) is None:
+                    if (fired := p_last_event and decide(p_last_event, p_now, rho, p_n)) is None:
                         exact += 1  # the first check, a near tie or an extreme norm
                         TH[step] = thr = threshold(trig, p_now)
                         fired, e_n = check_and_fire(p_last_event, p_now, thr)
@@ -281,13 +287,12 @@ def run(cfg: SimConfig) -> SimTrace:
                         U[step] = control = K(p_now)
                         record(step * h, control, e_n, step)
                         p_last_event, blk = p_now, lifted
-                        ev_flags[step] = 1.0
                 done = step + 1
 
                 if step == N:
                     break
                 if blk is not None and (r := blk(step)) > step:
-                    step, x = r, tuple(X[r].tolist())
+                    step, x, p_n = r, tuple(X[r].tolist()), math.hypot(*predictor.p)
                     continue
                 # plant Euler step with the delayed control u(phi(t)), or the replay's row
                 if own and (xr := replayed(step + 1)) is not None:
@@ -297,10 +302,13 @@ def run(cfg: SimConfig) -> SimTrace:
                     x = euler(x, h, f(x, U[j] if j >= 0 else u_pre))
                 if not math.hypot(*x) <= bound:
                     raise _Diverged("plant", "plant step")
-                X[step + 1] = x
+                if two:
+                    Xm[2 * step + 2], Xm[2 * step + 3] = x
+                else:
+                    X[step + 1] = x
                 U[step + 1] = U[step]
                 advance(step)
-                if not math.hypot(*predictor.p) <= p_bound:
+                if not (p_n := math.hypot(*predictor.p)) <= p_bound:
                     raise _Diverged("prediction", "advance")
                 step += 1
     except _Diverged as stop:
@@ -314,7 +322,7 @@ def run(cfg: SimConfig) -> SimTrace:
     # delivery flags on the rows the loop reached
     reached = -1 if divergence is not None and divergence["phase"] == "pre-history" else step
     dv_flags[dv_nodes[: bisect_right(dv_nodes, reached)]] = 1.0
-    ev = np.flatnonzero(ev_flags[:done])
+    ev_flags[ev := np.array(log.event_nodes, dtype=np.intp)] = 1.0
     fill_norms(P, E, TH, ev, t0_idx, done, rho, log.e_pre_reset)  # of the rows decide() settled
     # w = u - K(p(t_k)) on the rows from t0 up to `done`, where K(p(t_k)) is the row of the
     # last event at or before: 0 while the held rows keep the event's control

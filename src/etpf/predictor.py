@@ -229,7 +229,17 @@ class ClosedLoopPredictor(_Predictor):
         """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
         # rows below 0 hold u_pre, final throughout the pre-history
         sig_target, kt, on = self._targets[k + 1 - self._lo]
-        self._extend(sig_target, kt, on, k + 1 if k >= 0 else 0)
+        chain, f_k = self._chain, self._f_k
+        if on or f_k is None or k < 0 or kt != self._c0 + len(chain) + 1:
+            return self._extend(sig_target, kt, on, k + 1 if k >= 0 else 0)
+        # the common case, _extend's steps for one node: the kept f_k onto node kt - 1, then
+        # the partial step onto the target
+        h, k_t = self.h, kt - 1
+        chain.append(xhat := euler(chain[-1], h, f_k))
+        j = self._rows[k_t]
+        fx = self.model.f(xhat, self._U[j] if j >= 0 else self._u_pre)
+        self._f_k = fx if j <= k else None
+        self.p = euler(xhat, sig_target - k_t * h, fx)
 
 
 class OpenLoopPredictor(_Predictor):

@@ -132,11 +132,12 @@ def check_and_fire(p_at_last_event, p_now, thr: float) -> tuple[bool, float]:
 BAND = 1e-12  # relative: wider than the gap between the float norms and the exact ones
 
 
-def decide(p_at_last_event: tuple, p_now: tuple, rho_bar: float) -> Optional[bool]:
+def decide(p_at_last_event: tuple, p_now: tuple, rho_bar: float, p_n: float) -> Optional[bool]:
     """``check_and_fire`` under ``rho_bar |p|`` from float norms, a few ulps from ``sqrt(v . v)``;
-    None, for the exact norms, within ``BAND`` and for |e| or |p| outside (1e-150, 1e150),
-    where ``v . v`` underflows or overflows (``e = 0`` too)."""
-    e_n, p_n = math.dist(p_at_last_event, p_now), math.hypot(*p_now)
+    ``p_n`` is ``math.hypot(*p_now)``, which the caller has at hand.  None, for the exact
+    norms, within ``BAND`` and for |e| or |p| outside (1e-150, 1e150), where ``v . v``
+    underflows or overflows (``e = 0`` too)."""
+    e_n = math.dist(p_at_last_event, p_now)
     thr = rho_bar * p_n
     if 1e-150 < e_n < 1e150 and 1e-150 < p_n < 1e150 and abs(e_n - thr) > BAND * thr:
         return e_n > thr

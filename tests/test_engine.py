@@ -12,6 +12,7 @@ from etpf.channel import ActuationDelay, SensingSchedule, node_of
 from etpf.config import build_sim_config, load_config
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
+from etpf.model import SystemModel
 from etpf.monitor import MonitorConfig
 from etpf.predictor import ClosedLoopPredictor
 from etpf.trigger import TriggerConfig
@@ -554,6 +555,49 @@ class TestOneEulerChain:
               if all(node_of(k * dt, self.ex1.h)[1] for k in range(int(self.ex1.T / dt) + 1))]
         assert [spec.delta_tau_grid[i] for i in on] == [0.5, 6.0]
         np.testing.assert_array_equal(mat[on[0]], mat[on[1]])
+
+
+def _scalar_f(x, u):
+    return (0.8 * x[0] + u,)
+
+
+def _chain3_f(x, u):
+    return (x[1], x[2], 0.5 * x[0] - x[1] + 0.2 * x[2] + u)
+
+
+class TestStateDimensions:
+    """The presets are all 2-state, whose rows the loop stores through flat views; a 1-state
+    and a 3-state plant take the numpy row writes.  Under a constant on-grid delay with
+    on-grid deliveries, the closed-loop prediction is the plant's own chain."""
+
+    D, h = 0.3, 0.01
+    MODELS = {
+        1: SystemModel(state_dim=1, f=_scalar_f, K=lambda x: -2.0 * x[0], L_f=1.0, L_K=2.0),
+        3: SystemModel(state_dim=3, f=_chain3_f, K=lambda x: -0.5 * x[0] - 1.5 * x[1] - 1.2 * x[2],
+                       L_f=2.0, L_K=2.0),
+    }
+
+    @pytest.mark.parametrize("n", MODELS)
+    def test_rows_are_the_euler_recursion(self, n):
+        h, delay = self.h, ActuationDelay.constant(self.D)
+        cfg = SimConfig(model=self.MODELS[n], delay=delay,
+                        sensing=SensingConfig(delta_tau=0.5, d_psi=0.2),
+                        trigger=TriggerConfig.fixed_ratio(0.05), x0=np.linspace(1.0, -0.5, n),
+                        h=h, T=4.0, u_prehistory=0.1)
+        tr = run(cfg)
+        N, m = len(tr.times) - 1, node_of(self.D, h)[0]
+        assert not tr.diverged and tr.events.count > 10
+        # x: the Euler recursion under u(phi(k h)), read through the delay's row table
+        rows = delay.grid_tables(h, node_of(delay.phi(0.0), h)[0], N).rows
+        x, X = tuple(cfg.x0.tolist()), [cfg.x0]
+        for k in range(N):
+            u = tr.u[rows[k]] if rows[k] >= 0 else cfg.u_prehistory
+            x = tuple(a + h * b for a, b in zip(x, cfg.model.f(x, float(u))))
+            X.append(x)
+        assert np.array(X).tobytes() == tr.x.tobytes()
+        # p(t) = x(sigma(t)), bit for bit, wherever that row exists: from t = 0, where the
+        # prediction from x0 is the plant's chain too, through t0 and on
+        assert tr.t0 > 0.0 and tr.p[: N + 1 - m].tobytes() == tr.x[m:].tobytes()
 
 
 class TestActuationError:

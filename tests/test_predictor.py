@@ -589,6 +589,67 @@ class TestReplayMemo:
         assert math.copysign(1.0, pred.p[0]) == -1.0
 
 
+class TestOneNodeAdvance:
+    """``advance`` takes the common step, one replayed node and a partial step with the
+    kept f, itself; every step it takes must have the bits and ``f`` calls of ``_extend``."""
+
+    H = 1e-2
+    DELAYS = {
+        "example1": ActuationDelay.example1(),
+        "sinusoidal": ActuationDelay.sinusoidal(0.7, 0.3),
+        "from_table": ActuationDelay.from_table([0.0, 1.5, 3.0, 5.0], [0.6, 1.1, 0.45, 0.9]),
+        "constant-off-grid": ActuationDelay.constant(0.5037),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", DELAYS)
+    def test_advance_matches_extend(self, kind, seed):
+        rng, N, h = np.random.default_rng(seed), 400, self.H
+        U, times, nodes = [0.0] * (N + 1), [], []
+        grid = NodeGrid(self.DELAYS[kind], h, U, 0.2, times, nodes)
+        calls = ([], [])
+        fast, twin = (ClosedLoopPredictor(TestReplayMemo.counting_model(c), grid) for c in calls)
+        extended = []  # the advances of `fast` that went to _extend
+        orig = fast._extend
+        fast._extend = lambda *args: (extended.append(1), orig(*args))
+
+        def twin_advance(k):
+            sig, kt, on = twin._targets[k + 1 - twin._lo]
+            twin._extend(sig, kt, on, k + 1 if k >= 0 else 0)
+
+        def same():
+            assert bits(fast.p) == bits(twin.p) and len(calls[0]) == len(calls[1])
+
+        x0 = rng.uniform(-1.0, 1.0, 2).tolist()
+        for pred in (fast, twin):
+            pred.reanchor(0.0, x0, grid.first)
+        same()
+        last, taken = 0.0, 0  # taken: the advances of `fast` that did not go to _extend
+        for k in range(grid.first, N):
+            if k > 0 and rng.random() < 0.05:  # a re-anchor, on or off the grid, or a hit
+                node = int(rng.integers(math.ceil(last / h), k + 1))
+                tau = max(last, (node - rng.uniform(0.1, 0.9)) * h) if rng.random() < 0.4 \
+                    else node * h
+                state = fast.replayed(node) if tau == node * h else None
+                if state is None or rng.random() < 0.3:
+                    state = rng.uniform(-1.0, 1.0, 2).tolist()
+                for pred in (fast, twin):
+                    pred.reanchor(tau, state, k)
+                last = tau
+                same()
+            if k >= 0 and rng.random() < 0.3:  # an event at node k
+                U[k] = float(rng.uniform(-1.0, 1.0))
+                times.append(k * h), nodes.append(k)
+            if k >= 0:
+                U[k + 1] = U[k]
+            extended.clear()
+            fast.advance(k)
+            twin_advance(k)
+            same()
+            taken += not extended
+        assert taken > 0.3 * (N - grid.first)  # and the pre-history goes to _extend
+
+
 class TestHeldLinearTerm:
     def test_advance_matches_the_full_step(self, monkeypatch):
         # u_prehistory = 0.3 before t = 0, then U rows 0 until the first event

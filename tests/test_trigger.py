@@ -31,7 +31,7 @@ def exact(p_last, p, rho):
 
 def agrees(p_last, p, rho) -> bool:
     """``decide`` leaves the row to the exact norms or decides it as they do."""
-    got = decide(tuple(p_last), tuple(p), rho)
+    got = decide(tuple(p_last), tuple(p), rho, math.hypot(*p))
     return got is None or got == exact(p_last, p, rho)
 
 
@@ -197,7 +197,7 @@ class TestFloatDecision:
             E *= (rho * np.linalg.norm(P, axis=1) * rng.uniform(0.5, 1.5, 25_000)
                   / np.linalg.norm(E, axis=1))[:, None]
             for p_last, p, r in zip((P + E).tolist(), P.tolist(), rho.tolist()):
-                got = decide(tuple(p_last), tuple(p), r)
+                got = decide(tuple(p_last), tuple(p), r, math.hypot(*p))
                 assert got is None or got == exact(p_last, p, r), (p_last, p, r)
                 decided += got is not None
         assert decided > 0.999 * 100_000
@@ -238,11 +238,11 @@ class TestFloatDecision:
     ])
     @pytest.mark.parametrize("rho", [1e-3, 0.5, 40.0])
     def test_extreme_norms_are_left_to_the_exact_rule(self, p_last, p, rho):
-        assert decide(tuple(p_last), tuple(p), rho) is None
+        assert decide(tuple(p_last), tuple(p), rho, math.hypot(*p)) is None
         assert agrees(p_last, p, rho)
 
     def test_nan_ratio_decides_nothing(self):
-        assert decide((1.0, 0.0), (0.0, 1.0), math.nan) is None
+        assert decide((1.0, 0.0), (0.0, 1.0), math.nan, 1.0) is None
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_vecdot_rows_round_as_dot(self, n):
