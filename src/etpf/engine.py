@@ -237,11 +237,11 @@ def run(cfg: SimConfig) -> SimTrace:
             u = hb * (U[j] if j >= 0 else u_pre)
             Xr = (Gx[: L * n] @ np.concatenate((X[s], u))).reshape(L, n)
             ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
-            ok &= np.sqrt((Pr * Pr).sum(axis=1)) <= p_bound
+            ok &= (Pn := np.sqrt(np.vecdot(Pr, Pr))) <= p_bound  # the rows' |p|, as in fill_norms
             L = L if ok.all() else int(ok.argmin())
             if L < 2:
                 return s
-            c, e_n, thr = first_crossing(p_last_event, Pr[: L - 1], rho)
+            c, e_n = first_crossing(p_last_event, Pr[: L - 1], thr := rho * Pn[: L - 1])
             r = s + 1 + c
             X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], [U[s]] * (r - s)
             P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]

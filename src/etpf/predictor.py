@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ActuationDelay, node_of
 from .exceptions import ConfigurationError, PredictorError
-from .model import LinearSystem, euler, lift
+from .model import LinearSystem, euler, expm, lift  # perfbench's tracer wraps expm here
 from .signals import interpolate
 
 __all__ = [
@@ -327,12 +327,6 @@ class SemiClosedPredictor(_Predictor):
         self.p = tuple((self._anchor_state + self._integral).tolist())
         # store the corrected integrand value
         self._times[n], self._g[n], self._n = s_next, np.multiply(sdot, f(self.p, u)), n + 1
-
-
-def expm(M: np.ndarray) -> np.ndarray:
-    """scipy's matrix exponential, imported on first call (perfbench's tracer wraps this name)."""
-    from scipy import linalg
-    return linalg.expm(M)
 
 
 class LinearPredictor(_Predictor):

@@ -157,14 +157,13 @@ def fill_norms(P, E, TH, ev, lo: int, hi: int, rho_bar: float, e_pre: list) -> N
     e_pre[:] = pre.tolist()
 
 
-def first_crossing(p_at_last_event, P: np.ndarray, rho_bar: float):
-    """``check_and_fire`` down the rows of ``P`` with the threshold ``rho_bar |p|``: the
-    first row that fires (``len(P)`` if none), and |e| and the threshold of every row."""
+def first_crossing(p_at_last_event, P: np.ndarray, thr: np.ndarray):
+    """``check_and_fire`` down the rows of ``P`` with the thresholds ``thr``: the first row
+    that fires (``len(P)`` if none), and |e| of every row, by ``vecdot`` as in ``fill_norms``."""
     e = p_at_last_event - P
-    e_norm = np.sqrt((e * e).sum(axis=1))
-    thr = rho_bar * np.sqrt((P * P).sum(axis=1))
+    e_norm = np.sqrt(np.vecdot(e, e))
     fire = np.flatnonzero((e_norm > 0.0) & (e_norm >= thr))
-    return int(fire[0]) if len(fire) else len(P), e_norm, thr
+    return int(fire[0]) if len(fire) else len(P), e_norm
 
 
 def _check_dwell_args(a: float, c: float, R: float) -> None:

@@ -18,6 +18,8 @@ that adds its trapezoids one at a time, left to right.
 kept: filled lazily in call order, each key ``round(dsig, 14)`` holding the
 matrix exponential of the first dsig seen for it, up to 4,096 keys (later keys
 are recomputed at every step and not memoized), and at most 256 block lifts.
+Its exponentials come from the package's own kernel, ``etpf.predictor.expm``,
+one slice at a time: it checks the tables and memos, not the kernel.
 
 ``trigger_per_step`` is the engine's trigger as it ran before the float norms
 decided most rows: ``threshold`` and ``check_and_fire`` at every checked row.
@@ -36,6 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import expm
 
+from etpf import predictor as etpf_predictor
 from etpf.channel import ActuationDelay
 from etpf.exceptions import CoverageError, DomainError, PredictorError
 from etpf.model import LinearSystem, SystemModel, lift
@@ -252,7 +255,7 @@ class ReferenceLinear(LinearPredictor):
             n = self.sys.n
             M = np.zeros((2 * n, 2 * n))
             M[:n, :n], M[:n, n:] = self.sys.A * dsig, np.eye(n) * dsig
-            E = expm(M)
+            E = etpf_predictor.expm(M[None])[0]
             mats = (E[:n, :n], E[:n, n:])
             if len(self._cache) < 4096:
                 self._cache[key] = mats

@@ -1,7 +1,7 @@
 """Which paths load scipy and PyYAML.
 
 The package imports scipy and yaml inside the few functions that call them,
-so the nonlinear presets and their heatmap run on numpy alone.  Each check
+so every preset and the heatmap run on numpy alone.  Each check
 runs in a fresh interpreter, because this test session has imported scipy
 already.
 """
@@ -60,18 +60,20 @@ def test_nonlinear_presets_and_heatmap_load_no_scipy_or_yaml(tmp_path):
     assert offenders == []
 
 
-def test_linear_predictor_loads_only_scipy_linalg(tmp_path):
+def test_linear_path_loads_no_scipy(tmp_path):
+    # the linear-closed-form predictor takes its exponentials from the package's own kernel
     loaded = loaded_after(
         """
-        import dataclasses
         import etpf
         from etpf import presets
 
-        etpf.run(dataclasses.replace(presets.linear2d(), T=0.5))
+        cfg = presets.linear2d()
+        assert cfg.predictor_method == "linear-closed-form"
+        trace = etpf.run(cfg)
+        trace.write_trace_csv("trace.csv")
+        trace.write_events_csv("events.csv")
         """,
         tmp_path,
     )
-    offenders = [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "yaml"))]
-    print("loaded:", offenders)
-    assert "scipy.linalg" in loaded
-    assert offenders == []
+    print("loaded:", loaded)
+    assert loaded == []

@@ -4,10 +4,11 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etpf import presets
 from etpf.exceptions import ConfigurationError, NumericalError
-from etpf.model import LinearSystem, lift, solve_lyapunov, spectral_norm
+from etpf.model import THETAS, LinearSystem, expm, lift, solve_lyapunov, spectral_norm
 from etpf.presets import example1_model, linear2d_system
 
 MULTI_INPUT = [
@@ -144,6 +145,62 @@ class TestLift:
         for i in range(50):
             y = M @ y + c
             np.testing.assert_allclose(rows[i], y, rtol=1e-13, atol=0)
+
+
+def normwise(R, W):
+    """``|R - W|_1 / |W|_1`` of each slice."""
+    return np.abs(R - W).sum(axis=1).max(axis=1) / np.abs(W).sum(axis=1).max(axis=1)
+
+
+def slices(rng, m, norms):
+    """Random m x m slices, one per entry of ``norms``, each scaled to that 1-norm."""
+    M = rng.standard_normal((len(norms), m, m))
+    return M * (np.asarray(norms) / np.abs(M).sum(axis=1).max(axis=1))[:, None, None]
+
+
+class TestExpm:
+    """The batched scaling-and-squaring Padé kernel (Higham 2005)."""
+
+    @pytest.mark.parametrize("hi, tol", [(2.1, 1e-14), (100.0, 5e-11)],
+                             ids=["unscaled", "scaled"])
+    def test_matches_scipy(self, hi, tol):
+        # up to theta_9 (2.098) and a little past it every slice is unscaled; past theta_13
+        # (5.37) the slices are scaled by 2^-s and squared s times
+        rng = np.random.default_rng(1)
+        for m in range(1, 6):
+            norms = np.concatenate([10.0 ** rng.uniform(-6, np.log10(hi), 400),
+                                    [t for t in THETAS if t <= hi], [hi]])
+            M = slices(rng, m, norms)
+            assert normwise(expm(M), scipy.linalg.expm(M)).max() <= tol
+
+    def test_nilpotent_linear_steps_are_the_cubic(self):
+        # linear2d's augmented step matrices [[A d, I d], [0, 0]] are nilpotent: exp is the cubic
+        sys = linear2d_system()
+        d = np.concatenate([np.linspace(0.0, 10.0, 1001), 10.0 ** np.linspace(-8, 1, 200)])
+        M = np.zeros((len(d), 4, 4))
+        M[:, :2, :2], M[:, :2, 2:] = sys.A * d[:, None, None], np.eye(2) * d[:, None, None]
+        cubic = np.eye(4) + M + M @ M / 2 + M @ M @ M / 6
+        assert normwise(expm(M), cubic).max() <= 2e-15
+
+    def test_zero_is_the_identity(self):
+        # LinearPredictor's exact (I, 0) for the step key 0
+        rng = np.random.default_rng(2)
+        for m in range(1, 6):
+            M = slices(rng, m, [0.0, 1.0, 0.0, 50.0])
+            M[[0, 2]] = 0.0
+            R = expm(M)
+            assert R[[0, 2]].tobytes() == np.array([np.eye(m)] * 2).tobytes()
+
+    def test_slice_bits_do_not_depend_on_the_stack(self):
+        # the process-wide step memo keys a slice's result by its own bits alone
+        rng = np.random.default_rng(3)
+        norms = np.concatenate([[0.0], 10.0 ** rng.uniform(-4, 2.5, 300), THETAS])
+        M = slices(rng, 4, norms)
+        R = expm(M)
+        for j in range(len(M)):
+            assert R[j].tobytes() == expm(M[j : j + 1])[0].tobytes()
+        perm = rng.permutation(len(M))
+        assert expm(M[perm]).tobytes() == R[perm].tobytes()
 
 
 class TestSolveLyapunov:

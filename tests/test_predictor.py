@@ -368,8 +368,10 @@ class TestSegmentMemo:
                 h.update(np.ascontiguousarray(a).tobytes())
             return h.hexdigest()
 
-        # the bits of the steps before the memo, recorded then
-        assert digest(tr) == "760ed10e6359d8ac7d72d2f34f691d10f36091dd8607cd2d3976b1d75b56a62a"
+        # the bits of the steps before the memo, recorded then; re-recorded when the steps came
+        # from the package's Padé kernel in place of scipy's expm: x, p and u moved by at most
+        # 1.4e-13 relative, the event times did not
+        assert digest(tr) == "224969d12a5b92cdb75bfb7b86d79a43a39bede0f8ce15d4270fbe648b547ca7"
         monkeypatch.setattr(LinearPredictor, "_affine", affine_unmemoized)
         monkeypatch.setattr(LinearPredictor, "_integrate", integrate_per_segment)
         assert digest(run(cfg)) == digest(tr)
@@ -421,7 +423,7 @@ class TestProcessMemo:
         assert expms == [[d1], [d2]]
         M = np.zeros((1, 4, 4))
         M[0, :2, :2], M[0, :2, 2:] = sys.A * d2, np.eye(2) * d2
-        want = expm(M)[0]
+        want = real_expm(M)[0]
         assert E2.tobytes() == want[:2, :2].tobytes() and Phi2.tobytes() == want[:2, 2:].tobytes()
         assert E1.tobytes() != E2.tobytes()  # the test can tell the two keys apart
 

@@ -253,10 +253,11 @@ def test_linear_blocks_match_per_step(cfg):
 @settings(max_examples=30, deadline=None)
 @given(cfg=linear_runs(st.floats(0.05, 1.0).map(ActuationDelay.constant)))
 def test_linear_float_trigger_equals_the_per_step_trigger(cfg):
-    # the linear trigger rho_bar |p| on the per-step path, every row checked by the loop
-    cfg = per_step(cfg)
+    # the linear trigger rho_bar |p| on the per-step path, every row checked by the loop, and
+    # on the block path, whose rows first_crossing checks with the same vecdot norms
     assert cfg.trigger.mode == "linear"
-    assert_trigger_per_step(run(cfg), cfg)
+    for c in (per_step(cfg), cfg):
+        assert_trigger_per_step(run(c), c)
 
 
 @settings(max_examples=8, deadline=None)

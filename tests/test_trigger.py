@@ -262,16 +262,17 @@ class TestFirstCrossing:
             p_ev = rng.standard_normal(2)
             P = p_ev + 0.3 * rng.standard_normal((40, 2)) * np.linspace(0, 1, 40)[:, None]
             P[0] = p_ev  # e = 0 never fires
-            first, e_n, thr = first_crossing(p_ev, P, rho)
-            fired = [check_and_fire(p_ev, p, rho * np.linalg.norm(p))[0] for p in P]
+            first, e_n = first_crossing(p_ev, P, thr := rho * np.linalg.norm(P, axis=1))
+            rows = [check_and_fire(p_ev, p, t) for p, t in zip(P, thr)]
+            fired = [f for f, _e in rows]
             assert first == (fired.index(True) if True in fired else len(P))
-            np.testing.assert_allclose(e_n, np.linalg.norm(p_ev - P, axis=1), rtol=1e-15)
-            np.testing.assert_allclose(thr, rho * np.linalg.norm(P, axis=1), rtol=1e-15)
+            # |e| by vecdot, bit for bit the per-row dot of check_and_fire
+            assert e_n.tobytes() == np.array([e for _f, e in rows]).tobytes()
 
     def test_no_rows_and_rest(self):
-        assert first_crossing(np.zeros(2), np.zeros((0, 2)), 0.5)[0] == 0
+        assert first_crossing(np.zeros(2), np.zeros((0, 2)), np.zeros(0))[0] == 0
         # at rest (p = 0, e = 0) nothing fires
-        assert first_crossing(np.zeros(2), np.zeros((3, 2)), 0.5)[0] == 3
+        assert first_crossing(np.zeros(2), np.zeros((3, 2)), np.zeros(3))[0] == 3
 
 
 class TestMinDwell:
