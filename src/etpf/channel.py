@@ -237,6 +237,18 @@ class GridTables(tuple):
         return tuple(self[0].tolist())
 
     @cached_property
+    def step_keys(self) -> tuple[list, list]:
+        """``LinearPredictor``'s advance keys ``round(dsig, 14)`` of ``dsig = sig[i + 1] - sig[i]``,
+        nondecreasing in dsig: the slots where the key changes, then the end, and each key's
+        first dsig, 0.0 for key 0 (slot 0 snapped onto node m_lo, which no advance takes)."""
+        u = np.unique(d := np.diff(self[0]))
+        keys = [round(v, 14) for v in u.tolist()]
+        grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
+        runs = np.append(np.flatnonzero(np.diff(grp)) + 1, len(d)).tolist()
+        dsigs = d[np.unique(grp, return_index=True)[1]].tolist()
+        return runs, [v if round(v, 14) else 0.0 for v in dsigs]
+
+    @cached_property
     def targets(self) -> tuple:
         """``(sig, k, on)`` per slot, ``(k, on)`` the ``node_of`` of sig."""
         kt, on = nodes_of(self[0], self.h)

@@ -23,7 +23,7 @@ from .channel import ActuationDelay, SensingConfig, node_of
 from .exceptions import ConfigurationError
 from .model import LinearSystem, SystemModel, euler
 from .monitor import MonitorConfig, compute_L, compute_V, compute_w
-from .predictor import NodeGrid, lift_table, make_predictor
+from .predictor import NodeGrid, anchor_state, lift_table, make_predictor
 from .trigger import (EventLog, TriggerConfig, check_and_fire, decide, fill_norms, first_crossing,
                       threshold)
 
@@ -215,57 +215,68 @@ def run(cfg: SimConfig) -> SimTrace:
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
 
     # a predictor with blocks and the plant its linear system built: once events have
-    # started, the steps between breakpoints run as blocks
+    # started, the steps between deliveries and crossings run as blocks
     lifted = blk = None
     if predictor.block is not None and model._linear is cfg.linear:
-        dv_steps, hb = dv_nodes + [N], h * cfg.linear.B[:, 0]
+        dv_steps, hb = [*adopt, N, N], h * cfg.linear.B[:, 0]  # the adoptions, then the end
         Gx = lift_table((np.eye(n) + h * cfg.linear.A).tobytes())  # x_i = M^i x + S_i h B u
 
         def lifted(s: int) -> int:
-            """Commit the rows after s up to a breakpoint (README, "Block stepping of linear
-            runs"), a trigger crossing or a bound; return the row handed back, with X, p and
-            U set."""
-            nodes, j = log.event_nodes, rows_true[s]
-            i = bisect_right(nodes, j)
-            limit = 0 if j < 0 else min(nodes[i], s + 1) if i < len(nodes) else s + 1
-            end = min(bisect_left(rows_true, limit, s), dv_steps[bisect_right(dv_steps, s)])
-            if end - s < 2:  # one row: the loop's own step
-                return s
-            Pr = predictor.block(s, end - s)
-            if (L := len(Pr)) < 2:  # no block: the loop's own step, before any plant row
-                return s
-            u = hb * (U[j] if j >= 0 else u_pre)
-            Xr = (Gx[: L * n] @ np.concatenate((X[s], u))).reshape(L, n)
-            ok = np.sqrt((Xr * Xr).sum(axis=1)) <= bound  # NaN too
+            """Commit the rows after s through the next adopted delivery up to a crossing, the
+            next delivery or a bound (README, "Block stepping of linear runs"): the row back."""
+            d, d2 = dv_steps[(q := bisect_right(dv_steps, s))], dv_steps[q + 1]
+            if (L := predictor.span(s, d2 - s)) < 3:
+                return s  # a row and the one handed back: the loop's own steps
+            # the rows ahead hold U[s]; the plant's are lifts of one control each, a new one
+            # where its control row passes node 0 or an event node
+            U[s + 1 : s + L + 1], k, nodes = [U[s]] * L, s, log.event_nodes
+            j0, j1 = rows_true[s], rows_true[s + L - 1]
+            for e in [0, *nodes[bisect_right(nodes, j0) : bisect_right(nodes, j1)], N + 1]:
+                if (m := min(bisect_left(rows_true, e, k), s + L)) > k:
+                    xu = np.concatenate((X[k], hb * (U[j] if (j := rows_true[k]) >= 0 else u_pre)))
+                    X[k + 1 : m + 1] = (Gx[: (m - k) * n] @ xu).reshape(m - k, n)
+                    k = m
+            if inside := d < s + L:  # re-anchored on the rows ahead, with the events up to s
+                p_d = predictor.anchored(tau := adopt[d], anchor_state(X, tau, h)[0], d)
+            Pr = predictor.block(s, L, d, p_d) if inside else predictor.block(s, L)
+            ok = np.sqrt(np.vecdot(Xr := X[s + 1 : s + L + 1], Xr)) <= bound  # NaN too
             ok &= (Pn := np.sqrt(np.vecdot(Pr, Pr))) <= p_bound  # the rows' |p|, as in fill_norms
             L = L if ok.all() else int(ok.argmin())
             if L < 2:
                 return s
             c, e_n = first_crossing(p_last_event, Pr[: L - 1], thr := rho * Pn[: L - 1])
             r = s + 1 + c
-            X[s + 1 : r + 1], U[s + 1 : r + 1] = Xr[: c + 1], [U[s]] * (r - s)
             P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]
             predictor.set_p(Pr[c])
+            if inside and r >= d:
+                del adopt[d]  # the rows hold its re-anchor
             return r
 
     try:
-        # the pre-history: p at each of pre_times, then one advance onto t = 0
-        predictor.reanchor(0.0, cfg.x0, first)
-        for i, k in enumerate(range(first, 0)):
-            if not math.hypot(*(p := predictor.p)) <= p_bound:
-                raise _Diverged("prediction", "pre-history")
-            pre_p[i] = p
-            predictor.advance(k)
-        # p_n: |p| of the current prediction, for the bound and the trigger
-        if not (p_n := math.hypot(*predictor.p)) <= p_bound:
-            raise _Diverged("prediction", "pre-history")
-
         with np.errstate(over="ignore", invalid="ignore"):
+            # the pre-history: p at each of pre_times, then the advances onto t = 0
+            predictor.reanchor(0.0, cfg.x0, first)
+            if lifted:  # as block rows of u_pre
+                pre = np.vstack((predictor.p, predictor.rows(first, 0)))  # nodes first .. 0
+                ok = np.sqrt(np.vecdot(pre, pre)) <= p_bound
+                m = len(pre_p) if ok.all() else int(ok.argmin())  # the rows within the bound
+                pre_p[:m] = pre[:m]
+                if m < len(pre_p):
+                    raise _Diverged("prediction", "pre-history")
+            else:
+                for i, k in enumerate(range(first, 0)):
+                    if not math.hypot(*(p := predictor.p)) <= p_bound:
+                        raise _Diverged("prediction", "pre-history")
+                    pre_p[i] = p
+                    predictor.advance(k)
+            # p_n: |p| of the current prediction, for the bound and the trigger
+            if not (p_n := math.hypot(*predictor.p)) <= p_bound:
+                raise _Diverged("prediction", "pre-history")
+
             while True:
                 if (tau := adopt.get(step)) is not None:  # the adoption table
-                    k, on = node_of(tau, h)  # snapped: a 1-ulp overshoot reads no unwritten row
-                    lam = (tau - (k - 1) * h) / h
-                    predictor.reanchor(tau, X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k], step)
+                    x_a, on = anchor_state(X, tau, h)
+                    predictor.reanchor(tau, x_a, step)
                     own = on and replayed is not None
                     if not (p_n := math.hypot(*predictor.p)) <= p_bound:
                         raise _Diverged("prediction", "re-anchor")

@@ -201,20 +201,25 @@ def _pade(X: np.ndarray, b: list) -> np.ndarray:
 def expm(M: np.ndarray) -> np.ndarray:
     """The matrix exponential of each slice of the stack ``M`` (k, m, m), by scaling and
     squaring (Higham 2005).  A slice takes the lowest Padé order whose theta bounds its
-    1-norm, else order 13 on the slice over 2^s, squared s times.  The slices of one (order,
-    s) go through one stacked evaluation whose every operation treats each slice alone, so a
-    slice's bits do not depend on the rest of the stack."""
+    1-norm, else order 13 on the slice over 2^s, squared s times (the finite series if strictly
+    upper triangular).  The slices of one (order, s), or series, go through one stacked evaluation
+    whose every operation treats each slice alone: a slice's bits do not depend on the stack."""
     M = np.asarray(M, dtype=float)
-    groups = {}  # (order index, s): the slices
+    groups, nil = {}, (~np.tril(M).any(axis=(1, 2))).tolist()  # (order index, s) or None: slices
     for j, norm in enumerate(np.abs(M).sum(axis=1).max(axis=1).tolist()):
         mant, e = math.frexp(norm / THETAS[-1])  # s = ceil(log2(norm / theta_13)), 0 at least
-        key = min(bisect_left(THETAS, norm), 4), max(e - (mant == 0.5), 0)
+        key = None if nil[j] else (min(bisect_left(THETAS, norm), 4), max(e - (mant == 0.5), 0))
         groups.setdefault(key, []).append(j)
     R = np.empty_like(M)
-    for (order, s), i in groups.items():
-        E = _pade(M[i] * 0.5**s, PADE[order])
-        for _ in range(s):
-            E = E @ E
+    for key, i in groups.items():
+        if key is None:  # the sum of M^r / r!, r = 0 .. m - 1
+            E = term = np.broadcast_to(np.eye(m := M.shape[-1]), (len(i), m, m))
+            for r in range(1, m):
+                E = E + (term := term @ M[i] / r)
+        else:
+            E = _pade(M[i] * 0.5 ** key[1], PADE[key[0]])
+            for _ in range(key[1]):
+                E = E @ E
         R[i] = E
     return R
 

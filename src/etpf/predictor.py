@@ -57,6 +57,14 @@ def lift_table(bits: bytes) -> np.ndarray:
     return G
 
 
+def anchor_state(X, tau: float, h: float):
+    """``(x(tau), on)`` from the plant's rows ``X`` at the nodes: the row of the node ``node_of``
+    places tau on (``on``), else the line between the rows around tau."""
+    k, on = node_of(tau, h)  # snapped: a 1-ulp overshoot reads no row past tau's node
+    lam = (tau - (k - 1) * h) / h
+    return (X[k] if on else (1.0 - lam) * X[k - 1] + lam * X[k]), on
+
+
 # ---------------------------------------------------------------------------
 # Incremental predictors for the simulation engine.
 #
@@ -348,17 +356,8 @@ class LinearPredictor(_Predictor):
         self.sys = sys
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # see _affine
         self._sig, self._A_bits = grid.tables.sigs, sys.A.tobytes()
-        # group the advance steps by key, nondecreasing in dsig: by the values that raise it;
-        # _runs holds the slots where the key changes, then the end
-        d = np.diff(grid.tables[0])
-        u = np.unique(d)
-        keys = [round(v, 14) for v in u.tolist()]
-        grp = np.searchsorted(u[1:][np.diff(keys) != 0], d, "right")
-        self._runs = np.append(np.flatnonzero(np.diff(grp)) + 1, len(d)).tolist()
-        # each key's first slot; key 0 comes only from slot 0 where node_of snaps phi(0) onto
-        # the next node, a step no advance takes: its exact (I, 0) serves a re-anchor's dsig 0
-        dsigs = d[np.unique(grp, return_index=True)[1]].tolist()
-        dsigs = [v if round(v, 14) else 0.0 for v in dsigs]
+        # the advance keys' runs of slots and first dsigs, shared by every run on the tables
+        self._runs, dsigs = grid.tables.step_keys
         self._mats = dict(zip((round(v, 14) for v in dsigs), self._exp_steps(dsigs)))
 
     def _exp_steps(self, dsigs: list) -> list:
@@ -376,8 +375,9 @@ class LinearPredictor(_Predictor):
         return mats
 
     def _step_mats(self, dsig: float) -> tuple[np.ndarray, np.ndarray]:
-        if (mats := self._mats.get(key := round(dsig, 14))) is None:
-            mats = self._mats[key] = self._exp_steps([dsig])[0]  # a re-anchor segment's key
+        if (mats := self._mats.get(key := round(dsig, 14))) is None:  # straight to _steps
+            mats = _steps.get(self._A_bits + struct.pack("d", dsig)) or self._exp_steps([dsig])[0]
+            self._mats[key] = mats
         return mats
 
     def _affine(self, dsig: float, u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -401,33 +401,55 @@ class LinearPredictor(_Predictor):
             p = E @ p + c
         return p
 
+    def anchored(self, anchor_time: float, anchor_state, now: int) -> np.ndarray:
+        """The prediction at node ``now`` of a re-anchor on ``anchor_state`` at ``anchor_time``,
+        from the grid's control history as it stands; ``self`` does not change."""
+        p = np.array(anchor_state, dtype=float)
+        s0 = self.delay.phi(float(anchor_time))
+        return self._integrate(p, s0, now) if now * self.h > s0 else p
+
     def reanchor(self, anchor_time: float, anchor_state, now: int) -> None:
         self.anchor_time = float(anchor_time)
-        p = np.asarray(anchor_state, dtype=float).copy()
-        s0 = self.delay.phi(self.anchor_time)
-        if now * self.h > s0:
-            p = self._integrate(p, s0, now)
-        self.set_p(p)
+        self.set_p(self.anchored(anchor_time, anchor_state, now))
 
     def set_p(self, p: np.ndarray) -> None:
         """Take the array ``p`` as the prediction: the steps read it, ``p`` is its tuple."""
         self._p, self.p = p, tuple(p.tolist())
 
     def advance(self, k: int) -> None:
-        g, sig, i = self.grid, self._sig, k - self.grid.lo
-        E, c = self._affine(sig[i + 1] - sig[i], g.u_row(k))
-        self.set_p(E @ self._p + c)
+        self.set_p(self._lifted(k, 1, 0, None)[0])
 
-    def block(self, k: int, L: int) -> np.ndarray:
-        """``advance(k)``, ..., ``advance(k + L - 1)`` with row k's control, as rows of p;
-        ``self.p`` stays.  Fewer rows where the advance key changes and past ``LIFT``;
-        none instead of one."""
-        g, i, n, runs = self.grid, k - self.grid.lo, len(self._p), self._runs
-        L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
-        if L < 2:  # one row is advance's own step
-            return np.empty((0, n))
-        E, c = self._affine(self._sig[i + 1] - self._sig[i], g.U[k])
-        return (lift_table(E.tobytes())[: L * n] @ np.concatenate((self._p, c))).reshape(L, n)
+    def span(self, k: int, L: int) -> int:
+        """How many of L advances from node k a block takes: one step key, ``LIFT`` at most."""
+        return min(L, LIFT, self._runs[bisect_right(self._runs, i := k - self.grid.lo)] - i)
+
+    def block(self, k: int, L: int, d: int = 0, p_d=None) -> np.ndarray:
+        """``advance(k)``, ..., ``advance(k + L - 1)`` with row k's control, as ``span(k, L)``
+        rows of p, none instead of one; ``self.p`` stays.  With ``p_d``, k < d < k + span(k, L),
+        row d is p_d, the rows after it advance from it in one stacked product with the rest."""
+        L = self.span(k, L)
+        return self._lifted(k, L, d, p_d) if L > 1 else np.empty((0, len(self._p)))
+
+    def _lifted(self, k: int, L: int, d: int, p_d) -> np.ndarray:
+        i, n = k - self.grid.lo, len(self._p)
+        E, c = self._affine(self._sig[i + 1] - self._sig[i], self.grid.u_row(k))
+        if L < 2:  # one step: advance's
+            return (E @ self._p + c)[None]
+        G = lift_table(E.tobytes())
+        if p_d is None:
+            return (G[: L * n] @ np.concatenate((self._p, c))).reshape(L, n)
+        Z = np.concatenate((self._p, c, p_d, c)).reshape(2, -1).T
+        R = (G[: max(d - k - 1, k + L - d) * n] @ Z).reshape(-1, n, 2)
+        return np.concatenate((R[: d - k - 1, :, 0], p_d[None], R[: k + L - d, :, 1]))
+
+    def rows(self, k: int, end: int) -> np.ndarray:
+        """The rows of p at nodes k + 1 .. end, u held, as block rows; ``self.p`` moves on."""
+        out = []
+        while k < end:
+            out.append(R := self._lifted(k, L := self.span(k, end - k), 0, None))
+            self.set_p(R[-1])
+            k += L
+        return np.concatenate(out)
 
 
 def make_predictor(method, model, grid: NodeGrid, linear=None):

@@ -162,8 +162,8 @@ def first_crossing(p_at_last_event, P: np.ndarray, thr: np.ndarray):
     that fires (``len(P)`` if none), and |e| of every row, by ``vecdot`` as in ``fill_norms``."""
     e = p_at_last_event - P
     e_norm = np.sqrt(np.vecdot(e, e))
-    fire = np.flatnonzero((e_norm > 0.0) & (e_norm >= thr))
-    return int(fire[0]) if len(fire) else len(P), e_norm
+    fire = (e_norm > 0.0) & (e_norm >= thr)
+    return int(fire.argmax()) if fire.any() else len(P), e_norm
 
 
 def _check_dwell_args(a: float, c: float, R: float) -> None:

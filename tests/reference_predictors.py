@@ -269,17 +269,23 @@ class ReferenceLinear(LinearPredictor):
                 self._memo[bits] = mats
         return mats
 
-    def block(self, k: int, L: int) -> np.ndarray:
+    def _lifted(self, k: int, L: int, d: int, p_d) -> np.ndarray:
         i, n, runs = k - self.grid.lo, len(self.p), self._runs
-        L = min(L, LIFT, runs[bisect_right(runs, i)] - i)
-        if L < 2:
-            return np.empty((0, n))
-        E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], self.grid.U[k])
+        assert 1 <= L <= min(LIFT, runs[bisect_right(runs, i)] - i)
+        E, c = self._affine(dsig := self._sig[i + 1] - self._sig[i], self.grid.u_row(k))
+        if L == 1:
+            return (E @ np.array(self.p) + c)[None]
         if (G := self._lifts.get(key := round(dsig, 14))) is None:
             G = lift(E, LIFT)
             if len(self._lifts) < 256:
                 self._lifts[key] = G
-        return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
+        if p_d is None:
+            return (G[: L * n] @ np.concatenate((self.p, c))).reshape(L, n)
+        # the rows on both sides of the re-anchored row d, by LinearPredictor's stacked product
+        m = d - k
+        Z = np.stack((np.concatenate((self.p, c)), np.concatenate((p_d, c))), axis=1)
+        R = (G[: max(m - 1, L - m) * n] @ Z).reshape(-1, n, 2)
+        return np.concatenate((R[: m - 1, :, 0], p_d[None], R[: L - m, :, 1]))
 
 
 def trigger_per_step(trace, trig):

@@ -27,6 +27,12 @@ scipy's ``expm`` and the block rows took their norms by ``vecdot``.  In ``trace.
 p, e_norm, threshold and V moved, in ``events.csv`` p_norm, e_pre_reset and u, by at most
 2.8e-13 relative, except in ``linear2d-D10`` (u 7.6e-12, e_norm 8.6e-11, e_pre_reset
 2.1e-11).  t, L, the flag columns, k, t_k and dwell kept their bytes: no event time moved.
+
+The same four were re-recorded when linear blocks began to run through the next delivery, the
+pre-history became block rows and ``expm`` took the finite series of nilpotent slices: x, u,
+p, e_norm, threshold, V and L (``linear2d`` and ``linear2d-nonlinear-trigger``), and p_norm,
+e_pre_reset and u, moved by at most 4.4e-13 relative, except in ``linear2d-D10`` (u 1.4e-11,
+p 3.4e-12, e_norm 1.6e-10, e_pre_reset 1.4e-11).  No event time moved.
 """
 
 import dataclasses
@@ -60,8 +66,8 @@ GOLDEN_CSV = {
     # re-recorded when linear runs began to step in blocks: x, u, p, e_norm,
     # threshold and V move at the rounding level, event times do not
     "linear2d": (
-        "c62cd5220e7cd53d1a2abad80de0f802d251efe7198b1ff8497d32b7c05173ee",
-        "74cad5b2fc8877c74c1ac52edfc9e0dfa77ff38783de3e547a74eb64b3d8a453",
+        "e05a0a74e4948a73d493c1fb3961f7f9b0942bdad601b61ac840d1aa5a561c57",
+        "18bd747eb1c5b547d64ed56f301caa5acf8fd97e385a909b43fc472ead3e1e4f",
     ),
 }
 GOLDEN_VARIANT_CSV = {
@@ -93,8 +99,8 @@ GOLDEN_VARIANT_CSV = {
         "67bb6c126b89d08194f60f2796b769e7afce88c1cc33b1aa2efd1e7c2f169cc8",
     ),
     "linear2d-sinusoidal": (
-        "c4fb9c97f05e704f36014936c15edaa5dc39ee8ef737b9a662624547c1d66397",
-        "2f05611dd436c0a98a6b86ed97473373b845b3ae0d823080af352e7a973e479b",
+        "8a05cc521b4729df97b07f8b3753f056465fbb4d5e89eba35d9073436e411a80",
+        "3c03a5815b7a4c29996d3978a0dbae8b4510a3c50d9083bd3152c85177c4d0e6",
     ),
     "example1-offgrid": (
         "422af42a2adc0147a62f6829ff3633eb8be95119f0a7053250e3df289415f53a",
@@ -108,12 +114,12 @@ GOLDEN_VARIANT_CSV = {
     ),
     # a constant delay of 10 with the monitor on: windows of 10,000 nodes
     "linear2d-D10": (
-        "4048d37b8718485e13572721dce34baf90f9a67e85d06bc41c455db6ce902d8b",
-        "031229d71c1bbef7397424bb196b19cd5762d1543d3298b315ed152777c8cfc9",
+        "a2b8ab3191d03132f3a6f574ec115e36a3611cc68497ec18bc05ad5b82128ec7",
+        "422e84ffec8548e969c6c1b38c604436009c951b931bc4b901dbe1116cf297ca",
     ),
     "linear2d-nonlinear-trigger": (
-        "4b1cb8f3235ec9d8bc3add479555c1255a2d71c4a40355582e546167af602038",
-        "f55f9d86bd2dda120d79fa4395a11eedac23df7328acc5f2c5edb540b757f01a",
+        "6715e225325d9cd995559a9971e06628718fee6b6f3f826a42e5ea113a3fc5ec",
+        "36b44413793881def853a00d49cd52c1032cc28c91af15b3fa0982b2c0d81472",
     ),
 }
 GOLDEN_HEATMAP = "b01b4b88e31930da40762ae71c8ff5eb1450212b33189cbd0343be76b076b61a"
@@ -182,8 +188,9 @@ def test_variant_csvs(name, tmp_path):
 @pytest.mark.parametrize("name", [*sorted(GOLDEN_CSV), *sorted(GOLDEN_VARIANT_CSV)])
 def test_sigma_lookups_are_anchor_window_starts(name, monkeypatch):
     """The float lookup ``NodeGrid.window_start`` (sigma and u at one float time) serves only
-    an anchor's window start: every call comes from a re-anchor, with that anchor's phi(tau),
-    and never asks for the node time of now, whose sigma the predictors read from the tables."""
+    an anchor's window start: every call comes from a re-anchor (or ``LinearPredictor.anchored``,
+    a block's re-anchor ahead), with that anchor's phi(tau), and never asks for the node time
+    of now, whose sigma the predictors read from the tables."""
     cfg = presets.get_preset(name) if name in GOLDEN_CSV else variant_config(name)
     calls, anchors, window_start = [], [], NodeGrid.window_start
 
@@ -202,6 +209,8 @@ def test_sigma_lookups_are_anchor_window_starts(name, monkeypatch):
 
     for cls in (ClosedLoopPredictor, OpenLoopPredictor, SemiClosedPredictor, LinearPredictor):
         monkeypatch.setattr(cls, "reanchor", spied(cls.reanchor))
+    # a linear run's blocks re-anchor ahead through the anchor method that reanchor calls
+    monkeypatch.setattr(LinearPredictor, "anchored", spied(LinearPredictor.anchored))
     monkeypatch.setattr(NodeGrid, "window_start", spy)
     run(dataclasses.replace(cfg, monitor=None))
     # the semi-closed history starts at phi(0), a linear re-anchor integrates from phi(tau)

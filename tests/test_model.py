@@ -182,6 +182,29 @@ class TestExpm:
         cubic = np.eye(4) + M + M @ M / 2 + M @ M @ M / 6
         assert normwise(expm(M), cubic).max() <= 2e-15
 
+    def test_the_delay_75_step_is_exact(self):
+        # linear2d's pre-history step under a constant delay of 75: the finite series of the
+        # nilpotent [[75 A, 75 I], [0, 0]] gives exp(75 A) and its integral without rounding
+        M = np.zeros((1, 4, 4))
+        M[0, :2, :2], M[0, :2, 2:] = linear2d_system().A * 75.0, np.eye(2) * 75.0
+        want = np.eye(4)
+        want[:2, :2], want[:2, 2:] = [[1.0, 75.0], [0.0, 1.0]], [[75.0, 2812.5], [0.0, 75.0]]
+        assert expm(M)[0].tobytes() == want.tobytes()
+
+    def test_a_nilpotent_slice_keeps_its_bits_in_a_mixed_stack(self):
+        rng = np.random.default_rng(4)
+        N = np.triu(rng.standard_normal((4, 4)), 1)
+        M = np.concatenate([slices(rng, 4, [0.01, 3.0]), N[None], slices(rng, 4, [40.0])])
+        R = expm(M)
+        for j in range(len(M)):
+            assert R[j].tobytes() == expm(M[j : j + 1])[0].tobytes()
+        # the finite series, term by term in the kernel's order
+        E = term = np.eye(4)
+        for r in (1, 2, 3):
+            E = E + (term := term @ N / r)
+        assert R[2].tobytes() == E.tobytes()
+        assert normwise(R, scipy.linalg.expm(M)).max() <= 5e-11  # the scaled tolerance above
+
     def test_zero_is_the_identity(self):
         # LinearPredictor's exact (I, 0) for the step key 0
         rng = np.random.default_rng(2)

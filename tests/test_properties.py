@@ -46,6 +46,7 @@ from etpf.channel import ActuationDelay, node_of
 from etpf.config import SCHEMA, build_sim_config
 from etpf.exceptions import ConfigurationError, ETPFError
 from etpf.engine import SensingConfig, SimConfig, SimTrace
+from etpf.model import LinearSystem
 from etpf.monitor import MonitorConfig
 from etpf.trigger import TriggerConfig
 
@@ -235,11 +236,40 @@ def linear_runs(draw, delay, T=T, mismatch=True, off_grid=False):
     return cfg
 
 
+def linear2d_run(x0, D, **sensing):
+    return dataclasses.replace(presets.linear2d(), T=T, x0=np.array(x0),
+                               delay=ActuationDelay.constant(D), monitor=None,
+                               sensing=SensingConfig(mode="periodic", **sensing))
+
+
+FAST = LinearSystem(A=[[5.0]], B=[[1.0]], K_gain=[[-15.0]], Q=[[1.0]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=linear_runs(st.floats(0.05, 1.0).map(ActuationDelay.constant)))
+# a block runs through the next adopted delivery, re-anchoring on its own rows ahead: a crossing
+# on the delivery row itself, with the window starting after the block's first row, so that
+# the anchor reads the rows ahead held at U[s]
+@example(cfg=linear2d_run([1.3, -0.6], 0.05, delta_tau=0.08, d_psi=0.0))
+# Gaussian sensing: an adopted delivery inside a block overtook a transmission that arrives,
+# stale, later in the same block
+@example(cfg=linear2d_run([-1.085, 1.781], 0.971, delta_tau=0.05, mu_psi=0.94, sigma_psi=0.41,
+                          seed=28390))
+# anchors off the grid, between two rows ahead, and the plant's control row passing an event
+# node before the delivery
+@example(cfg=linear2d_run([-1.46, 1.39], 0.799, delta_tau=0.0185, d_psi=0.65))
+# xdot = 5 x + u predicted 1.8 ahead while the plant's delay is 0.3: the re-anchor at t = 0.36
+# jumps past the prediction bound inside a block, and the run stops in the re-anchor phase
+@example(cfg=dataclasses.replace(
+    presets.linear2d(), model=FAST.to_model(), linear=FAST, cert=None, monitor=None,
+    x0=np.array([1.0]), T=1.0, divergence_threshold=6500.0, delay=ActuationDelay.constant(0.3),
+    ctrl_delay=ActuationDelay.constant(1.8), trigger=TriggerConfig.fixed_ratio(0.5),
+    sensing=SensingConfig(mode="periodic", delta_tau=0.05, d_psi=0.01)))
 def test_linear_blocks_match_per_step(cfg):
     tr, oracle = run(cfg), run(per_step(cfg))
     assert tr.diverged == oracle.diverged
+    # the bound, the phase and the step of a stop
+    assert tr.diagnostics["divergence"] == oracle.diagnostics["divergence"]
     assert tr.events.event_times == oracle.events.event_times
     np.testing.assert_array_equal(tr.delivery_flags, oracle.delivery_flags)
     # relative to the trajectory's size, down to the smallest normal double:
@@ -248,6 +278,20 @@ def test_linear_blocks_match_per_step(cfg):
     assert np.max(np.abs(tr.x - oracle.x)) <= scale
     np.testing.assert_array_equal(np.isnan(tr.p), np.isnan(oracle.p))
     assert np.nanmax(np.abs(tr.p - oracle.p), initial=0.0) <= scale
+
+
+def test_linear_prehistory_rows_stop_where_the_per_step_advances_do():
+    # xdot = 5 x + u predicted 1.8 ahead: the pre-history's block rows cross the prediction
+    # bound part of the way to t = 0, at the row where the per-step advances do
+    cfg = dataclasses.replace(
+        presets.linear2d(), model=FAST.to_model(), linear=FAST, cert=None, monitor=None,
+        x0=np.array([1.0]), T=1.0, divergence_threshold=1.0, delay=ActuationDelay.constant(1.8),
+        trigger=TriggerConfig.fixed_ratio(0.5))
+    tr, oracle = run(cfg), run(per_step(cfg))
+    assert tr.diagnostics["divergence"] == oracle.diagnostics["divergence"]
+    assert tr.diagnostics["divergence"]["phase"] == "pre-history"
+    assert 0 < np.isnan(tr.pre_p).all(axis=1).sum() < len(tr.pre_p)
+    np.testing.assert_allclose(tr.pre_p, oracle.pre_p, rtol=1e-12, equal_nan=True)
 
 
 @settings(max_examples=30, deadline=None)
