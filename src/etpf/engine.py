@@ -215,8 +215,9 @@ def run(cfg: SimConfig) -> SimTrace:
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
 
     # a predictor with blocks and the plant its linear system built: once events have
-    # started, the steps between deliveries and crossings run as blocks
-    lifted = blk = None
+    # started, the steps between deliveries and crossings run as blocks; a two-state
+    # closed-loop run steps its rows between deliveries in one block
+    lifted = chained = blk = None
     if predictor.block is not None and model._linear is cfg.linear:
         dv_steps, hb = [*adopt, N, N], h * cfg.linear.B[:, 0]  # the adoptions, then the end
         Gx = lift_table((np.eye(n) + h * cfg.linear.A).tobytes())  # x_i = M^i x + S_i h B u
@@ -251,6 +252,59 @@ def run(cfg: SimConfig) -> SimTrace:
             if inside and r >= d:
                 del adopt[d]  # the rows hold its re-anchor
             return r
+
+    elif two and predictor.fused:
+        dv_steps, targets, rows_c, lo = [*adopt, N], grid.tables.targets, grid.tables.rows, grid.lo
+
+        def chained(s: int) -> int:
+            """The loop's rows after s up to the next adoption or N, in local variables (README,
+            "Block stepping of closed-loop runs"): the row back, its P and trigger left."""
+            nonlocal step, done, exact, p_last_event
+            if (d := dv_steps[bisect_right(dv_steps, s)]) < s + 2:
+                return s
+            chain, c0, f_k, p, pe, ex = (predictor._chain, predictor._c0, predictor._f_k,
+                                         predictor.p, p_last_event, exact)
+            x, r = (Xm[2 * s], Xm[2 * s + 1]), s
+            while True:
+                if own and 0 <= (c := r + 1 - c0) < len(chain):
+                    x = chain[c]
+                else:
+                    fx = f(x, U[j] if (j := rows_true[r]) >= 0 else u_pre)
+                    x = (x[0] + h * fx[0], x[1] + h * fx[1])
+                if not math.hypot(*x) <= bound:
+                    step, done, exact = r, r + 1, ex
+                    raise _Diverged("plant", "plant step")
+                Xm[2 * r + 2], Xm[2 * r + 3] = x
+                U[r + 1] = U[r]
+                # advance(r)'s common case: the kept f_k onto node kt - 1, then the partial step
+                sig, kt, on = targets[r + 1 - lo]
+                if on or f_k is None or kt != c0 + len(chain) + 1:
+                    predictor._f_k = f_k
+                    advance(r)
+                    f_k, p = predictor._f_k, predictor.p
+                else:
+                    xk = chain[-1]
+                    chain.append(xk := (xk[0] + h * f_k[0], xk[1] + h * f_k[1]))
+                    fx = f(xk, U[j] if (j := rows_c[kt - 1]) >= 0 else u_pre)
+                    f_k, dt = fx if j <= r else None, sig - (kt - 1) * h
+                    p = (xk[0] + dt * fx[0], xk[1] + dt * fx[1])
+                if not (p_n := math.hypot(*p)) <= p_bound:
+                    step, done, exact = r, r + 1, ex
+                    raise _Diverged("prediction", "advance")
+                if (r := r + 1) == d:
+                    predictor._f_k, predictor.p, p_last_event, exact, done = f_k, p, pe, ex, r
+                    return r
+                Pm[2 * r], Pm[2 * r + 1] = p
+                e_n = nan
+                if (fired := decide(pe, p, rho, p_n)) is None:
+                    ex += 1
+                    TH[r] = thr = threshold(trig, p)
+                    fired, e_n = check_and_fire(pe, p, thr)
+                    E[r] = 0.0 if fired else e_n
+                if fired:
+                    U[r] = control = K(p)
+                    record(r * h, control, e_n, r)
+                    pe = p
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -297,7 +351,7 @@ def run(cfg: SimConfig) -> SimTrace:
                     if fired:
                         U[step] = control = K(p_now)
                         record(step * h, control, e_n, step)
-                        p_last_event, blk = p_now, lifted
+                        p_last_event, blk = p_now, lifted or chained
                 done = step + 1
 
                 if step == N:

@@ -142,9 +142,11 @@ class NodeGrid:
 class _Predictor:
     """The state every predictor keeps: its inputs and the current ``p``, a tuple, so a
     caller may keep it without a copy.  ``replayed`` and ``block`` are the engine's fast
-    paths, None where a predictor has none."""
+    paths, None where a predictor has none; ``fused``, where true, lets the engine step a
+    two-state chain itself between deliveries."""
 
     replayed = block = None
+    fused = False
 
     def __init__(self, model, grid: NodeGrid):
         self.model, self.delay, self.grid, self.h = model, grid.delay, grid, grid.h
@@ -168,13 +170,21 @@ class ClosedLoopPredictor(_Predictor):
     Full replay steps read only final control rows, so the chain of replayed
     states is a function of its start node and state alone: a re-anchor on a
     node whose stored state has the anchor state's bits replays nothing.
+
+    The chain is the list ``_chain`` of the replayed states at nodes ``_c0``,
+    ``_c0 + 1``, ..., its last one the head, and ``_f_k`` is f at the head
+    under its node's control row where a partial step kept it, else None.  A
+    re-anchor trims or replaces the list and moves ``_c0``; ``advance`` only
+    appends to it.  The engine's block (``fused``) reads all three and takes
+    ``advance``'s common case itself on two-state runs.
     """
+
+    fused = True
 
     def __init__(self, model, grid: NodeGrid):
         super().__init__(model, grid)
-        # the replayed states at nodes _c0, _c0 + 1, ...: the last one is the head
         self._chain, self._c0 = [], 0
-        self._f_k: Optional[tuple] = None  # f(head, u(phi(k h))), if kept
+        self._f_k: Optional[tuple] = None
         self._targets = grid.tables.targets  # per table slot: advance's target, its node_of
         # the grid's reads, bound once
         self._U, self._u_pre, self._lo = grid.U, grid.u_pre, grid.lo
@@ -185,12 +195,13 @@ class ClosedLoopPredictor(_Predictor):
         h, f, chain = self.h, self.model.f, self._chain
         U, rows, u_pre = self._U, self._rows, self._u_pre
         k, xhat, f_k = self._c0 + len(chain) - 1, chain[-1], self._f_k
+        two = len(xhat) == 2  # euler's two-state step, unrolled
         # replay to the target's node, or to the node below it and a partial step
         while k < kt - (not on):
             if f_k is None:
                 j = rows[k]
                 f_k = f(xhat, U[j] if j >= 0 else u_pre)
-            xhat = euler(xhat, h, f_k)
+            xhat = (xhat[0] + h * f_k[0], xhat[1] + h * f_k[1]) if two else euler(xhat, h, f_k)
             f_k = None
             k += 1
             chain.append(xhat)

@@ -54,6 +54,14 @@ def own_step():
         yield
 
 
+@contextlib.contextmanager
+def unfused():
+    """Runs inside take every closed-loop step in the engine's per-step loop: with the
+    predictor's ``fused`` switched off, no block steps its chain, the block's oracle."""
+    with mock.patch.object(ClosedLoopPredictor, "fused", False):
+        yield
+
+
 def offgrid_config():
     """``example1`` at the first cell of sweep-ex1: ``heatmap-ex1``'s second ``delta_tau``
     (9/7 up to an ulp) and second ``d_psi`` (4/7).  Only the transmissions at 0, 9 and 18

@@ -17,7 +17,7 @@ from etpf.monitor import MonitorConfig
 from etpf.predictor import ClosedLoopPredictor
 from etpf.trigger import TriggerConfig
 
-from conftest import assert_same_run, own_step, per_step, prediction_error
+from conftest import assert_same_run, own_step, per_step, prediction_error, unfused
 
 _MAIN_PID = os.getpid()
 
@@ -622,7 +622,8 @@ class TestActuationError:
                 self.grid.U[k] += delta
             advance(self, j)
 
-        with mock.patch.object(ClosedLoopPredictor, "advance", perturbing):
+        # the per-step loop calls advance on every step, the held row's included
+        with unfused(), mock.patch.object(ClosedLoopPredictor, "advance", perturbing):
             tr = run(cfg)
         assert not tr.event_flags[k] and tr.u[k] != tr.u[k - 1]
         assert ref.diagnostics["w_max_after_t0"] == 0.0

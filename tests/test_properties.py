@@ -8,7 +8,10 @@ delay, which reorders deliveries).
 
 The plant's reads of the closed-loop replay are checked against the same
 configuration with the replay read switched off (``own_step``), under which the
-plant takes its own Euler steps.
+plant takes its own Euler steps.  Two-state closed-loop runs, which step the
+rows between adoptions in one block, are checked against the same
+configuration with the block switched off (``unfused``), every row in the
+engine's per-step loop.
 
 Semi-closed-loop runs, whose predictor integrates its history window as
 arrays, are checked bit for bit against the same run with the per-stamp
@@ -36,7 +39,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from etpf import engine as etpf_engine
@@ -50,7 +53,7 @@ from etpf.model import LinearSystem
 from etpf.monitor import MonitorConfig
 from etpf.trigger import TriggerConfig
 
-from conftest import assert_same_run, own_step, per_step, prediction_error
+from conftest import assert_same_run, own_step, per_step, prediction_error, unfused
 from reference_predictors import ReferenceLinear, ReferenceSemiClosed, trigger_per_step
 
 H = presets.example1().h
@@ -154,6 +157,64 @@ def test_replay_read_equals_own_step(delay, sensing, u_pre):
         assert_same_run(tr, run(cfg))
 
 
+@st.composite
+def closed_loop_runs(draw):
+    """example1 under a drawn delay, sensing, pre-history control and trigger (the nonlinear
+    one or a fixed ratio), monitor on; or example2, whose controller assumes a constant
+    delay where the plant's is sinusoidal, under drawn sensing."""
+    sensing = draw(sensings())
+    if draw(st.integers(0, 4)) == 0:
+        return dataclasses.replace(presets.example2(), T=T, sensing=sensing)
+    ex1 = presets.example1()
+    trig = (TriggerConfig.nonlinear(ex1.cert, 0.5, ex1.model.L_K) if draw(st.booleans())
+            else TriggerConfig.fixed_ratio(draw(st.floats(0.005, 0.1))))
+    return dataclasses.replace(ex1, T=T, delay=draw(delays()), sensing=sensing, trigger=trig,
+                               u_prehistory=draw(st.sampled_from([0.0, 0.3])))
+
+
+def example1_run(**fields):
+    return dataclasses.replace(presets.example1(), T=T, **fields)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=closed_loop_runs())
+# the first event is at row 100 and the next adoption at N = 300: the plant bound stops the
+# run at step 172, the prediction bound (example2) in an advance at step 144, both in a block
+@example(cfg=example1_run(divergence_threshold=20.0))
+@example(cfg=dataclasses.replace(presets.example2(), T=T))
+# events at rows 39, 159, 189, ..., each with an adoption on the row after it
+@example(cfg=example1_run(sensing=SensingConfig(mode="periodic", delta_tau=0.3, d_psi=0.1)))
+# the last adoption is at row 257: the last block runs up to N
+@example(cfg=example1_run(sensing=SensingConfig(mode="periodic", delta_tau=0.5, d_psi=0.57)))
+# sigma(t) stays below the next node: the chain never holds the plant's next row
+@example(cfg=example1_run(delay=ActuationDelay.constant(0.5 * H)))
+# an adoption on every row: no block
+@example(cfg=example1_run(sensing=SensingConfig(mode="perfect"), u_prehistory=0.3))
+# the preset's largest |e| / |p| over the rows without an event as the ratio: row 157, inside
+# a block, is a near tie that decide() leaves to the exact check
+@example(cfg=example1_run(trigger=TriggerConfig.fixed_ratio(0.01481841052451107)))
+def test_closed_loop_block_equals_the_per_step_loop(cfg):
+    # a two-state closed-loop run steps its rows between adoptions in one block, or, with the
+    # predictor's fused switched off, every row in the engine's per-step loop: the same bits
+    try:
+        tr = run(cfg)
+    except OverflowError:  # example2's x0 ** 3 past the float range in a re-anchor's replay
+        event("OverflowError")
+        with unfused(), pytest.raises(OverflowError):
+            run(cfg)
+        return
+    with unfused():
+        oracle = run(cfg)
+    event(f"diverged: {tr.diverged}")
+    assert_same_run(tr, oracle)
+    for name in ("V", "L"):
+        assert getattr(tr, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert (np.array(tr.events.e_pre_reset).tobytes()
+            == np.array(oracle.events.e_pre_reset).tobytes())
+    for key in ("exact_trigger_checks", "divergence"):
+        assert tr.diagnostics[key] == oracle.diagnostics[key], key
+
+
 @settings(max_examples=60, deadline=None)
 @given(delay=delays(), sensing=sensings())
 def test_semi_closed_equals_per_stamp_reference(delay, sensing):
@@ -212,6 +273,23 @@ def test_float_trigger_equals_the_per_step_trigger(delay, sensing, rho_bar, nonl
     assert_trigger_per_step(tr, cfg)
 
 
+def delivers(sensing, T, h):
+    """Whether a delivery lands on a node at or before T's, by ``SensingConfig.adoptions``'s
+    rule: ``node_of`` of the delivery time."""
+    N = node_of(T, h)[0]
+    return any(node_of(dv, h)[0] <= N for dv in sensing.schedule(T).delivery_times.tolist())
+
+
+def test_linear_runs_reject_a_horizon_without_delivery():
+    # a draw of linear_runs at T = 1.0 that once failed test_linear_sinusoidal_forms_no_block:
+    # a Gaussian delay of mean 1.0 delivers the first state at t = 1.0067, past the horizon
+    h = presets.linear2d().h
+    sensing = SensingConfig(mode="periodic", delta_tau=0.049, mu_psi=1.0, sigma_psi=0.25, seed=0)
+    assert not delivers(sensing, 1.0, h) and delivers(sensing, 1.1, h)
+    with pytest.raises(ConfigurationError, match="no sensing delivery"):
+        sensing.adoptions(1.0, h, node_of(1.0, h)[0])
+
+
 @st.composite
 def linear_runs(draw, delay, T=T, mismatch=True, off_grid=False):
     h = presets.linear2d().h
@@ -227,6 +305,7 @@ def linear_runs(draw, delay, T=T, mismatch=True, off_grid=False):
                                 mu_psi=draw(st.floats(0.0, 1.0)),
                                 sigma_psi=draw(st.floats(0.05, 1.0)),
                                 seed=draw(st.integers(0, 2**16)))
+    assume(delivers(sensing, T, h))  # else run raises: no delivery inside the horizon
     cfg = dataclasses.replace(presets.linear2d(), T=T, x0=x0, delay=draw(delay),
                               sensing=sensing, monitor=None)
     if mismatch and draw(st.integers(0, 3)) == 0:
