@@ -198,33 +198,33 @@ def run(cfg: SimConfig) -> SimTrace:
     X[0], x = cfg.x0, tuple(cfg.x0.tolist())  # the state, a tuple of floats
     # flat views of X and P: two float stores cost a quarter of a numpy row write from a tuple
     two, Xm, Pm = n == 2, memoryview(X).cast("B").cast("d"), memoryview(P).cast("B").cast("d")
-    p_last_event = None  # p(t_k), a tuple
     divergence = None
 
-    # a replay from a row of X under the plant's delay holds the plant's next rows (README,
-    # "One Euler chain"); the pre-history anchors at X[0]
-    replayed = predictor.replayed if true_delay == grid.delay else None
-    own = replayed is not None
-    step = 0
-    done = 0  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
+    # a closed-loop predictor's replay chain (README, "One Euler chain"): the plant reads its
+    # rows after an anchor on a row of X under the plant's delay (`replayed`; the pre-history
+    # anchors at X[0]), and a two-state run takes advance's one-node step on it (`fused`)
+    own = replay = predictor.replayed and true_delay == grid.delay
+    inline = two and predictor.fused
+    targets, rows_c, lo = grid.tables.targets if inline else None, grid.tables.rows, grid.lo
+    d = next(adopted := iter([*adopt, N + 1]))  # the node of the next adopted delivery
+    step, done = 0, N + 1  # U rows [0, done) are the trace's u; the rest is zeroed on divergence
     f, K, advance, record = model.f, model.K, predictor.advance, log.record
-    trig, nan, exact = cfg.trigger, math.nan, 0  # exact: rows decide() left
-    rho = trig.rho_bar  # every mode's threshold is rho_bar |p|
+    trig, nan, exact, pe = cfg.trigger, math.nan, 0, None  # exact: rows decide() left
+    rho = trig.rho_bar  # every mode's threshold is rho_bar |p|; pe is p(t_k), a tuple
     # the divergence rule (README, "Divergence"): |x| and |p| bounded, NaN failing both;
     # hypot of the floats is a fraction of the cost of a numpy dot for short vectors
     bound, p_bound = cfg.divergence_threshold, 1e3 * cfg.divergence_threshold
 
     # a predictor with blocks and the plant its linear system built: once events have
-    # started, the steps between deliveries and crossings run as blocks; a two-state
-    # closed-loop run steps its rows between deliveries in one block
-    lifted = chained = blk = None
+    # started, the steps between deliveries and crossings run as blocks
+    lifted = None
     if predictor.block is not None and model._linear is cfg.linear:
         dv_steps, hb = [*adopt, N, N], h * cfg.linear.B[:, 0]  # the adoptions, then the end
         Gx = lift_table((np.eye(n) + h * cfg.linear.A).tobytes())  # x_i = M^i x + S_i h B u
 
-        def lifted(s: int) -> int:
-            """Commit the rows after s through the next adopted delivery up to a crossing, the
-            next delivery or a bound (README, "Block stepping of linear runs"): the row back."""
+        def lifted(s: int, pe: tuple) -> int:
+            """Commit rows after s through the next adopted delivery up to a crossing from ``pe``,
+            the next delivery or a bound; the row back (README, "Block stepping of linear runs")."""
             d, d2 = dv_steps[(q := bisect_right(dv_steps, s))], dv_steps[q + 1]
             if (L := predictor.span(s, d2 - s)) < 3:
                 return s  # a row and the one handed back: the loop's own steps
@@ -245,126 +245,95 @@ def run(cfg: SimConfig) -> SimTrace:
             L = L if ok.all() else int(ok.argmin())
             if L < 2:
                 return s
-            c, e_n = first_crossing(p_last_event, Pr[: L - 1], thr := rho * Pn[: L - 1])
+            c, e_n = first_crossing(pe, Pr[: L - 1], thr := rho * Pn[: L - 1])
             r = s + 1 + c
             P[s + 1 : r], E[s + 1 : r], TH[s + 1 : r] = Pr[:c], e_n[:c], thr[:c]
             predictor.set_p(Pr[c])
             if inside and r >= d:
-                del adopt[d]  # the rows hold its re-anchor
+                del adopt[d]  # the rows hold its re-anchor: the loop's next adoption is d2
             return r
-
-    elif two and predictor.fused:
-        dv_steps, targets, rows_c, lo = [*adopt, N], grid.tables.targets, grid.tables.rows, grid.lo
-
-        def chained(s: int) -> int:
-            """The loop's rows after s up to the next adoption or N, in local variables (README,
-            "Block stepping of closed-loop runs"): the row back, its P and trigger left."""
-            nonlocal step, done, exact, p_last_event
-            if (d := dv_steps[bisect_right(dv_steps, s)]) < s + 2:
-                return s
-            chain, c0, f_k, p, pe, ex = (predictor._chain, predictor._c0, predictor._f_k,
-                                         predictor.p, p_last_event, exact)
-            x, r = (Xm[2 * s], Xm[2 * s + 1]), s
-            while True:
-                if own and 0 <= (c := r + 1 - c0) < len(chain):
-                    x = chain[c]
-                else:
-                    fx = f(x, U[j] if (j := rows_true[r]) >= 0 else u_pre)
-                    x = (x[0] + h * fx[0], x[1] + h * fx[1])
-                if not math.hypot(*x) <= bound:
-                    step, done, exact = r, r + 1, ex
-                    raise _Diverged("plant", "plant step")
-                Xm[2 * r + 2], Xm[2 * r + 3] = x
-                U[r + 1] = U[r]
-                # advance(r)'s common case: the kept f_k onto node kt - 1, then the partial step
-                sig, kt, on = targets[r + 1 - lo]
-                if on or f_k is None or kt != c0 + len(chain) + 1:
-                    predictor._f_k = f_k
-                    advance(r)
-                    f_k, p = predictor._f_k, predictor.p
-                else:
-                    xk = chain[-1]
-                    chain.append(xk := (xk[0] + h * f_k[0], xk[1] + h * f_k[1]))
-                    fx = f(xk, U[j] if (j := rows_c[kt - 1]) >= 0 else u_pre)
-                    f_k, dt = fx if j <= r else None, sig - (kt - 1) * h
-                    p = (xk[0] + dt * fx[0], xk[1] + dt * fx[1])
-                if not (p_n := math.hypot(*p)) <= p_bound:
-                    step, done, exact = r, r + 1, ex
-                    raise _Diverged("prediction", "advance")
-                if (r := r + 1) == d:
-                    predictor._f_k, predictor.p, p_last_event, exact, done = f_k, p, pe, ex, r
-                    return r
-                Pm[2 * r], Pm[2 * r + 1] = p
-                e_n = nan
-                if (fired := decide(pe, p, rho, p_n)) is None:
-                    ex += 1
-                    TH[r] = thr = threshold(trig, p)
-                    fired, e_n = check_and_fire(pe, p, thr)
-                    E[r] = 0.0 if fired else e_n
-                if fired:
-                    U[r] = control = K(p)
-                    record(r * h, control, e_n, r)
-                    pe = p
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            # the pre-history: p at each of pre_times, then the advances onto t = 0
-            predictor.reanchor(0.0, cfg.x0, first)
-            if lifted:  # as block rows of u_pre
-                pre = np.vstack((predictor.p, predictor.rows(first, 0)))  # nodes first .. 0
-                ok = np.sqrt(np.vecdot(pre, pre)) <= p_bound
-                m = len(pre_p) if ok.all() else int(ok.argmin())  # the rows within the bound
-                pre_p[:m] = pre[:m]
-                if m < len(pre_p):
-                    raise _Diverged("prediction", "pre-history")
-            else:
-                for i, k in enumerate(range(first, 0)):
-                    if not math.hypot(*(p := predictor.p)) <= p_bound:
+            # the pre-history: p at each of pre_times, then the advances onto t = 0; an
+            # overflow (a float power past the range) is a divergence in its phase, as below
+            try:
+                predictor.reanchor(0.0, cfg.x0, first)
+                if lifted:  # as block rows of u_pre
+                    pre = np.vstack((predictor.p, predictor.rows(first, 0)))  # nodes first .. 0
+                    ok = np.sqrt(np.vecdot(pre, pre)) <= p_bound
+                    m = len(pre_p) if ok.all() else int(ok.argmin())  # the rows within the bound
+                    pre_p[:m] = pre[:m]
+                    if m < len(pre_p):
                         raise _Diverged("prediction", "pre-history")
-                    pre_p[i] = p
-                    predictor.advance(k)
-            # p_n: |p| of the current prediction, for the bound and the trigger
-            if not (p_n := math.hypot(*predictor.p)) <= p_bound:
+                else:
+                    for i, k in enumerate(range(first, 0)):
+                        if not math.hypot(*(p := predictor.p)) <= p_bound:
+                            raise _Diverged("prediction", "pre-history")
+                        pre_p[i] = p
+                        advance(k)
+            except OverflowError:
+                raise _Diverged("prediction", "pre-history") from None
+            # p and p_n: the current prediction and its |p|, for the bound and the trigger
+            if not (p_n := math.hypot(*(p := predictor.p))) <= p_bound:
                 raise _Diverged("prediction", "pre-history")
+            # the chain state (ClosedLoopPredictor), read again after each re-anchor
+            chain, c0, f_k = ((predictor._chain, predictor._c0, predictor._f_k) if replay or inline
+                              else ([], 0, None))
 
+            # one row loop: the re-anchor at an adopted delivery, the trigger, the plant step
+            # and the advance, or a linear block through the rows ahead
             while True:
-                if (tau := adopt.get(step)) is not None:  # the adoption table
+                if step == d:  # an adopted delivery
+                    tau, d = adopt[step], next(adopted)
                     x_a, on = anchor_state(X, tau, h)
-                    predictor.reanchor(tau, x_a, step)
-                    own = on and replayed is not None
-                    if not (p_n := math.hypot(*predictor.p)) <= p_bound:
+                    if inline:
+                        predictor._f_k = f_k
+                    try:
+                        predictor.reanchor(tau, x_a, step)
+                    except OverflowError:
+                        raise _Diverged("prediction", "re-anchor") from None
+                    if replay or inline:  # the chain the re-anchor left
+                        chain, c0, f_k = predictor._chain, predictor._c0, predictor._f_k
+                    own = on and replay
+                    if not (p_n := math.hypot(*(p := predictor.p))) <= p_bound:
                         raise _Diverged("prediction", "re-anchor")
 
-                p_now = predictor.p
                 if two:
-                    Pm[2 * step], Pm[2 * step + 1] = p_now
+                    Pm[2 * step], Pm[2 * step + 1] = p
                 else:
-                    P[step] = p_now
+                    P[step] = p
 
                 if step >= t0_idx:
                     e_n = nan  # the norms of a row decide() settles come after the loop
-                    if (fired := p_last_event and decide(p_last_event, p_now, rho, p_n)) is None:
+                    if (fired := pe and decide(pe, p, rho, p_n)) is None:
                         exact += 1  # the first check, a near tie or an extreme norm
-                        TH[step] = thr = threshold(trig, p_now)
-                        fired, e_n = check_and_fire(p_last_event, p_now, thr)
+                        TH[step] = thr = threshold(trig, p)
+                        fired, e_n = check_and_fire(pe, p, thr)
                         E[step] = 0.0 if fired else e_n
                     if fired:
-                        U[step] = control = K(p_now)
+                        try:
+                            U[step] = control = K(p)
+                        except OverflowError:  # |p| within its bound, K(p) past the float range
+                            raise _Diverged("prediction", "control") from None
                         record(step * h, control, e_n, step)
-                        p_last_event, blk = p_now, lifted or chained
-                done = step + 1
+                        pe = p
 
                 if step == N:
                     break
-                if blk is not None and (r := blk(step)) > step:
-                    step, x, p_n = r, tuple(X[r].tolist()), math.hypot(*predictor.p)
+                if lifted and pe and (r := lifted(step, pe)) > step:
+                    step, x, p = r, tuple(X[r].tolist()), predictor.p
+                    p_n, d = math.hypot(*p), next(adopted) if d <= r and d not in adopt else d
                     continue
-                # plant Euler step with the delayed control u(phi(t)), or the replay's row
-                if own and (xr := replayed(step + 1)) is not None:
-                    x = xr
+                # the plant step with the delayed control u(phi(t)), or the chain's row
+                if own and 0 <= (c := step + 1 - c0) < len(chain):
+                    x = chain[c]
                 else:
-                    j = rows_true[step]
-                    x = euler(x, h, f(x, U[j] if j >= 0 else u_pre))
+                    try:
+                        fx = f(x, U[j] if (j := rows_true[step]) >= 0 else u_pre)
+                    except OverflowError:
+                        raise _Diverged("plant", "plant step") from None
+                    x = (x[0] + h * fx[0], x[1] + h * fx[1]) if two else euler(x, h, fx)
                 if not math.hypot(*x) <= bound:
                     raise _Diverged("plant", "plant step")
                 if two:
@@ -372,8 +341,24 @@ def run(cfg: SimConfig) -> SimTrace:
                 else:
                     X[step + 1] = x
                 U[step + 1] = U[step]
-                advance(step)
-                if not (p_n := math.hypot(*predictor.p)) <= p_bound:
+                # advance(step), or on a two-state chain its one-node case here: the kept f_k
+                # onto node kt - 1, then the partial step onto sigma
+                try:
+                    if inline and not (t := targets[step + 1 - lo])[2] and f_k is not None \
+                            and (kt := t[1]) == c0 + len(chain) + 1:
+                        xk = chain[-1]
+                        chain.append(xk := (xk[0] + h * f_k[0], xk[1] + h * f_k[1]))
+                        fx = f(xk, U[j] if (j := rows_c[kt - 1]) >= 0 else u_pre)
+                        f_k, dt = fx if j <= step else None, t[0] - (kt - 1) * h
+                        p = (xk[0] + dt * fx[0], xk[1] + dt * fx[1])
+                    else:
+                        if inline:
+                            predictor._f_k = f_k
+                        advance(step)
+                        p, f_k = predictor.p, predictor._f_k if inline else None
+                except OverflowError:
+                    raise _Diverged("prediction", "advance") from None
+                if not (p_n := math.hypot(*p)) <= p_bound:
                     raise _Diverged("prediction", "advance")
                 step += 1
     except _Diverged as stop:
@@ -382,6 +367,7 @@ def run(cfg: SimConfig) -> SimTrace:
         divergence = dict(zip(("bound", "phase"), stop.args), step=step, t=step * h,
                           before_control=step * h < float(tables[0][t0_idx - grid.lo]))
         X[step + 1 :] = X[step]
+        done = step + (stop.args[1] in ("plant step", "advance"))  # after the row's trigger
         U[done:] = [0.0] * (N + 1 - done)
 
     # delivery flags on the rows the loop reached

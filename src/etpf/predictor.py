@@ -141,12 +141,12 @@ class NodeGrid:
 
 class _Predictor:
     """The state every predictor keeps: its inputs and the current ``p``, a tuple, so a
-    caller may keep it without a copy.  ``replayed`` and ``block`` are the engine's fast
-    paths, None where a predictor has none; ``fused``, where true, lets the engine step a
-    two-state chain itself between deliveries."""
+    caller may keep it without a copy.  ``block`` is the engine's linear fast path, None where
+    a predictor has none; ``replayed`` and ``fused``, true for a replay chain, let the plant
+    take its rows and a two-state run take ``advance``'s one-node step in the engine."""
 
-    replayed = block = None
-    fused = False
+    replayed = fused = False
+    block = None
 
     def __init__(self, model, grid: NodeGrid):
         self.model, self.delay, self.grid, self.h = model, grid.delay, grid, grid.h
@@ -175,11 +175,11 @@ class ClosedLoopPredictor(_Predictor):
     ``_c0 + 1``, ..., its last one the head, and ``_f_k`` is f at the head
     under its node's control row where a partial step kept it, else None.  A
     re-anchor trims or replaces the list and moves ``_c0``; ``advance`` only
-    appends to it.  The engine's block (``fused``) reads all three and takes
-    ``advance``'s common case itself on two-state runs.
+    appends to it, through ``_extend``.  The engine reads all three after each
+    re-anchor and takes ``advance``'s one-node case itself on two-state runs.
     """
 
-    fused = True
+    replayed = fused = True
 
     def __init__(self, model, grid: NodeGrid):
         super().__init__(model, grid)
@@ -239,26 +239,10 @@ class ClosedLoopPredictor(_Predictor):
         self._c0 = k
         self._extend(sig, kt, on_t, 0)
 
-    def replayed(self, k: int) -> Optional[tuple]:
-        """The chain's state at node k, None where it holds none."""
-        c = k - self._c0
-        return self._chain[c] if 0 <= c < len(self._chain) else None
-
     def advance(self, k: int) -> None:
         """Move the prediction target from sigma(k h) to sigma((k + 1) h)."""
         # rows below 0 hold u_pre, final throughout the pre-history
-        sig_target, kt, on = self._targets[k + 1 - self._lo]
-        chain, f_k = self._chain, self._f_k
-        if on or f_k is None or k < 0 or kt != self._c0 + len(chain) + 1:
-            return self._extend(sig_target, kt, on, k + 1 if k >= 0 else 0)
-        # the common case, _extend's steps for one node: the kept f_k onto node kt - 1, then
-        # the partial step onto the target
-        h, k_t = self.h, kt - 1
-        chain.append(xhat := euler(chain[-1], h, f_k))
-        j = self._rows[k_t]
-        fx = self.model.f(xhat, self._U[j] if j >= 0 else self._u_pre)
-        self._f_k = fx if j <= k else None
-        self.p = euler(xhat, sig_target - k_t * h, fx)
+        self._extend(*self._targets[k + 1 - self._lo], k + 1 if k >= 0 else 0)
 
 
 class OpenLoopPredictor(_Predictor):

@@ -48,16 +48,17 @@ def per_step(cfg):
 
 @contextlib.contextmanager
 def own_step():
-    """Runs inside take the plant's own Euler steps: with the closed-loop predictor's fast
-    path switched off, the plant never reads the replay's rows."""
-    with mock.patch.object(ClosedLoopPredictor, "replayed", None):
+    """Runs inside take the plant's own Euler steps: with the closed-loop predictor's
+    ``replayed`` switched off, the plant never reads the replay's rows."""
+    with mock.patch.object(ClosedLoopPredictor, "replayed", False):
         yield
 
 
 @contextlib.contextmanager
 def unfused():
-    """Runs inside take every closed-loop step in the engine's per-step loop: with the
-    predictor's ``fused`` switched off, no block steps its chain, the block's oracle."""
+    """Runs inside call ``advance`` on every closed-loop step: with the predictor's ``fused``
+    switched off, the engine takes no one-node step on the chain itself, and ``advance``'s
+    ``_extend`` is the oracle of the one it takes."""
     with mock.patch.object(ClosedLoopPredictor, "fused", False):
         yield
 

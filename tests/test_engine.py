@@ -12,7 +12,7 @@ from etpf.channel import ActuationDelay, SensingSchedule, node_of
 from etpf.config import build_sim_config, load_config
 from etpf.engine import SensingConfig, SimConfig, heatmap
 from etpf.exceptions import ConfigurationError, PredictorError
-from etpf.model import SystemModel
+from etpf.model import LinearSystem, SystemModel
 from etpf.monitor import MonitorConfig
 from etpf.predictor import ClosedLoopPredictor
 from etpf.trigger import TriggerConfig
@@ -284,9 +284,33 @@ def _diverging(name):
     return dataclasses.replace(presets.linear2d(), T=3.0, monitor=None, divergence_threshold=1.5)
 
 
+def _overflowing(name):
+    """A config whose run meets a float power past the range in the named phase."""
+    ex2 = presets.example2()
+    gaussian = dict(delta_tau=0.19, mu_psi=0.5, sigma_psi=0.5)
+    if name == "re-anchor":  # the replay of a re-anchor's window
+        return dataclasses.replace(ex2, T=3.0, sensing=SensingConfig(**gaussian, seed=128))
+    if name == "control":  # K(p) of an event, |p| within a bound of 1e203
+        return dataclasses.replace(ex2, T=3.0, sensing=SensingConfig(**gaussian, seed=2),
+                                   divergence_threshold=1e200)
+    # xdot = x^3, uncontrolled: the chain, 0.5 s ahead of the plant, blows up first (from
+    # x0 = 2 within the pre-history's window), and a linear prediction never does
+    cubic = SystemModel(state_dim=1, f=lambda x, u: (x[0] ** 3 + u,), K=lambda x: 0.0,
+                        L_f=1.0, L_K=1.0)
+    return SimConfig(model=cubic, delay=ActuationDelay.constant(0.5),
+                     sensing=SensingConfig(delta_tau=10.0, d_psi=0.0),
+                     trigger=TriggerConfig.fixed_ratio(0.1), T=4.0,
+                     x0=np.array([2.0 if name == "pre-history" else 0.5]),
+                     divergence_threshold=1e300,
+                     linear=LinearSystem(A=[[0.0]], B=[[1.0]], K_gain=[[-1.0]], Q=[[1.0]]),
+                     predictor_method="linear-closed-form" if name == "plant step"
+                     else "closed-loop")
+
+
 class TestDivergenceRule:
     """The engine decides divergence: |x| <= divergence_threshold after each plant step and
-    |p| <= 1e3 divergence_threshold after each re-anchor and advance, the pre-history's too."""
+    |p| <= 1e3 divergence_threshold after each re-anchor and advance, the pre-history's too;
+    an overflow stops a run in the phase it happens in."""
 
     @pytest.mark.parametrize("phase, bound, step, before", [
         ("pre-history", "prediction", 0, True),
@@ -334,20 +358,57 @@ class TestDivergenceRule:
     def test_converged_run_has_no_divergence(self, linear_trace):
         assert linear_trace.diagnostics["divergence"] is None and not linear_trace.diverged
 
-    def test_other_predictor_errors_propagate(self, monkeypatch):
-        # only the engine's own bounds end a run as diverged
-        from etpf.predictor import ClosedLoopPredictor
+    @pytest.mark.parametrize("phase, bound, step, before", [
+        ("pre-history", "prediction", 0, True),
+        ("re-anchor", "prediction", 131, False),
+        ("advance", "prediction", 160, False),
+        ("plant step", "plant", 210, False),
+        ("control", "prediction", 106, False),
+    ])
+    def test_an_overflow_is_a_divergence(self, phase, bound, step, before):
+        # Python's float power raises OverflowError where a product gives inf: the run ends
+        # on the one divergence exit, in the phase it was in
+        cfg, raised = _overflowing(phase), []
 
-        advance = ClosedLoopPredictor.advance
+        def watched(g):
+            def call(*args):
+                try:
+                    return g(*args)
+                except OverflowError:
+                    raised.append(g)
+                    raise
+            return call
 
-        def failing(self, k):
-            if k == 50:
-                raise PredictorError("history does not cover the window")
-            advance(self, k)
+        model = dataclasses.replace(cfg.model, f=watched(cfg.model.f), K=watched(cfg.model.K))
+        tr = run(dataclasses.replace(cfg, model=model))
+        assert raised == [cfg.model.K if phase == "control" else cfg.model.f]
+        assert tr.diagnostics["divergence"] == {"bound": bound, "phase": phase, "step": step,
+                                                "t": step * cfg.h, "before_control": before}
+        assert tr.diagnostics["final_step"] == step and np.isfinite(tr.x).all()
+        assert f"diverged: True ({bound} bound, {phase}, step {step}, " in tr.summary()
 
-        monkeypatch.setattr(ClosedLoopPredictor, "advance", failing)
-        with pytest.raises(PredictorError, match="does not cover"):
-            run(dataclasses.replace(presets.example1(), T=2.0, monitor=None))
+    def test_heatmap_saturates_a_run_that_overflows(self):
+        # the cell's one initial state (seed 3) overflows in a re-anchor's replay: a divergence,
+        # which the cell counts at the saturation value
+        base = dataclasses.replace(presets.example2(), T=3.0)
+        assert heatmap(base, [0.5], [0.3], n_ic=1, seed=3, workers=1).tolist() == [[1e9]]
+
+    def test_other_predictor_errors_propagate(self):
+        # only the engine's own bounds and an overflow end a run as diverged: an error from a
+        # re-anchor at the first delivery (node 100), or from an advance of the pre-history
+        # (after it the loop takes most of the chain's steps itself), propagates
+        cfg = dataclasses.replace(presets.example1(), T=2.0, monitor=None)
+        for method, node in (("reanchor", 100), ("advance", -20)):
+            original = getattr(ClosedLoopPredictor, method)
+
+            def failing(self, *args, original=original, node=node):
+                if args[-1] == node:
+                    raise PredictorError("history does not cover the window")
+                original(self, *args)
+
+            with mock.patch.object(ClosedLoopPredictor, method, failing):
+                with pytest.raises(PredictorError, match="does not cover"):
+                    run(cfg)
 
 
 # Which predictor method stabilizes which preset (README, "Divergence"): the outcome,
@@ -622,7 +683,7 @@ class TestActuationError:
                 self.grid.U[k] += delta
             advance(self, j)
 
-        # the per-step loop calls advance on every step, the held row's included
+        # with fused off the engine calls advance on every step, the held row's included
         with unfused(), mock.patch.object(ClosedLoopPredictor, "advance", perturbing):
             tr = run(cfg)
         assert not tr.event_flags[k] and tr.u[k] != tr.u[k - 1]

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from etpf.predictor import LIFT, ClosedLoopPredictor, LinearPredictor, NodeGrid,
 from etpf.presets import linear2d_system
 from etpf.trigger import TriggerConfig
 
-from conftest import assert_same_run, cold_linear_memos, per_step, prediction_error
+from conftest import assert_same_run, cold_linear_memos, per_step, prediction_error, unfused
 from reference_predictors import (
     affine_unmemoized,
     integrate_per_segment,
@@ -598,10 +600,11 @@ class TestReplayMemo:
 
 
 class TestOneNodeAdvance:
-    """``advance`` takes the common step, one replayed node and a partial step with the
-    kept f, itself; every step it takes must have the bits and ``f`` calls of ``_extend``."""
+    """The engine takes ``advance``'s one-node case, the kept f onto one replayed node and a
+    partial step, itself on two-state closed-loop runs; ``advance`` always replays through
+    ``_extend``.  Every step the engine takes must have the bits and ``f`` calls of the same
+    run under ``unfused``, which calls ``advance`` on every step."""
 
-    H = 1e-2
     DELAYS = {
         "example1": ActuationDelay.example1(),
         "sinusoidal": ActuationDelay.sinusoidal(0.7, 0.3),
@@ -612,50 +615,28 @@ class TestOneNodeAdvance:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", DELAYS)
     def test_advance_matches_extend(self, kind, seed):
-        rng, N, h = np.random.default_rng(seed), 400, self.H
-        U, times, nodes = [0.0] * (N + 1), [], []
-        grid = NodeGrid(self.DELAYS[kind], h, U, 0.2, times, nodes)
-        calls = ([], [])
-        fast, twin = (ClosedLoopPredictor(TestReplayMemo.counting_model(c), grid) for c in calls)
-        extended = []  # the advances of `fast` that went to _extend
-        orig = fast._extend
-        fast._extend = lambda *args: (extended.append(1), orig(*args))
+        # transmissions every delta_tau, on the grid (seed 0: re-anchors that hit the chain)
+        # or off it, with drawn sensing delays; events where the trigger fires
+        sensing = SensingConfig(delta_tau=[0.5, 0.3713, 0.7317][seed], mu_psi=0.3,
+                                sigma_psi=0.1, seed=seed)
+        advance, runs = ClosedLoopPredictor.advance, []
+        for context in (contextlib.nullcontext, unfused):
+            calls, advances = [], []
 
-        def twin_advance(k):
-            sig, kt, on = twin._targets[k + 1 - twin._lo]
-            twin._extend(sig, kt, on, k + 1 if k >= 0 else 0)
+            def counted(self, k):
+                advances.append(k)
+                advance(self, k)
 
-        def same():
-            assert bits(fast.p) == bits(twin.p) and len(calls[0]) == len(calls[1])
-
-        x0 = rng.uniform(-1.0, 1.0, 2).tolist()
-        for pred in (fast, twin):
-            pred.reanchor(0.0, x0, grid.first)
-        same()
-        last, taken = 0.0, 0  # taken: the advances of `fast` that did not go to _extend
-        for k in range(grid.first, N):
-            if k > 0 and rng.random() < 0.05:  # a re-anchor, on or off the grid, or a hit
-                node = int(rng.integers(math.ceil(last / h), k + 1))
-                tau = max(last, (node - rng.uniform(0.1, 0.9)) * h) if rng.random() < 0.4 \
-                    else node * h
-                state = fast.replayed(node) if tau == node * h else None
-                if state is None or rng.random() < 0.3:
-                    state = rng.uniform(-1.0, 1.0, 2).tolist()
-                for pred in (fast, twin):
-                    pred.reanchor(tau, state, k)
-                last = tau
-                same()
-            if k >= 0 and rng.random() < 0.3:  # an event at node k
-                U[k] = float(rng.uniform(-1.0, 1.0))
-                times.append(k * h), nodes.append(k)
-            if k >= 0:
-                U[k + 1] = U[k]
-            extended.clear()
-            fast.advance(k)
-            twin_advance(k)
-            same()
-            taken += not extended
-        assert taken > 0.3 * (N - grid.first)  # and the pre-history goes to _extend
+            cfg = dataclasses.replace(
+                presets.example1(), T=4.0, delay=self.DELAYS[kind], sensing=sensing,
+                u_prehistory=0.2, monitor=None, model=TestReplayMemo.counting_model(calls))
+            with context(), mock.patch.object(ClosedLoopPredictor, "advance", counted):
+                runs.append((run(cfg), len(calls), len(advances)))
+        (tr, f_calls, advanced), (oracle, f_oracle, every) = runs
+        assert_same_run(tr, oracle)
+        assert f_calls == f_oracle
+        steps = tr.diagnostics["final_step"]
+        assert steps == 400 and every - advanced > 0.3 * steps  # the engine's own steps
 
 
 class TestHeldLinearTerm:

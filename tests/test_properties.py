@@ -8,10 +8,10 @@ delay, which reorders deliveries).
 
 The plant's reads of the closed-loop replay are checked against the same
 configuration with the replay read switched off (``own_step``), under which the
-plant takes its own Euler steps.  Two-state closed-loop runs, which step the
-rows between adoptions in one block, are checked against the same
-configuration with the block switched off (``unfused``), every row in the
-engine's per-step loop.
+plant takes its own Euler steps.  Two-state closed-loop runs, on which the
+engine takes the predictor's one-node advance itself, are checked against the
+same configuration with that step switched off (``unfused``), every advance
+replayed by the predictor's ``_extend``.
 
 Semi-closed-loop runs, whose predictor integrates its history window as
 arrays, are checked bit for bit against the same run with the per-stamp
@@ -179,30 +179,28 @@ def example1_run(**fields):
 @settings(max_examples=100, deadline=None)
 @given(cfg=closed_loop_runs())
 # the first event is at row 100 and the next adoption at N = 300: the plant bound stops the
-# run at step 172, the prediction bound (example2) in an advance at step 144, both in a block
+# run at step 172, the prediction bound (example2) in an advance at step 144
 @example(cfg=example1_run(divergence_threshold=20.0))
 @example(cfg=dataclasses.replace(presets.example2(), T=T))
 # events at rows 39, 159, 189, ..., each with an adoption on the row after it
 @example(cfg=example1_run(sensing=SensingConfig(mode="periodic", delta_tau=0.3, d_psi=0.1)))
-# the last adoption is at row 257: the last block runs up to N
+# the last adoption is at row 257: the engine's own steps run up to N
 @example(cfg=example1_run(sensing=SensingConfig(mode="periodic", delta_tau=0.5, d_psi=0.57)))
 # sigma(t) stays below the next node: the chain never holds the plant's next row
 @example(cfg=example1_run(delay=ActuationDelay.constant(0.5 * H)))
-# an adoption on every row: no block
+# an adoption on every row
 @example(cfg=example1_run(sensing=SensingConfig(mode="perfect"), u_prehistory=0.3))
-# the preset's largest |e| / |p| over the rows without an event as the ratio: row 157, inside
-# a block, is a near tie that decide() leaves to the exact check
+# the preset's largest |e| / |p| over the rows without an event as the ratio: row 157,
+# between deliveries, is a near tie that decide() leaves to the exact check
 @example(cfg=example1_run(trigger=TriggerConfig.fixed_ratio(0.01481841052451107)))
-def test_closed_loop_block_equals_the_per_step_loop(cfg):
-    # a two-state closed-loop run steps its rows between adoptions in one block, or, with the
-    # predictor's fused switched off, every row in the engine's per-step loop: the same bits
-    try:
-        tr = run(cfg)
-    except OverflowError:  # example2's x0 ** 3 past the float range in a re-anchor's replay
-        event("OverflowError")
-        with unfused(), pytest.raises(OverflowError):
-            run(cfg)
-        return
+# example2's x0 ** 3 past the float range in a re-anchor's replay at step 131: a divergence
+@example(cfg=dataclasses.replace(presets.example2(), T=T, sensing=SensingConfig(
+    delta_tau=0.19, mu_psi=0.5, sigma_psi=0.5, seed=128)))
+def test_closed_loop_inline_step_equals_advance(cfg):
+    # on a two-state closed-loop run the engine takes advance's one-node step itself, or, with
+    # the predictor's fused switched off, calls advance, which replays through _extend: the
+    # same bits
+    tr = run(cfg)
     with unfused():
         oracle = run(cfg)
     event(f"diverged: {tr.diverged}")
@@ -463,19 +461,22 @@ INVALID = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), base=st.sampled_from([presets.example1, presets.linear2d]),
+@given(data=st.data(),
+       base=st.sampled_from([presets.example1, presets.linear2d, presets.example2]),
        bad=st.sets(st.sampled_from(sorted(VALID)), max_size=2),
        nonlinear=st.booleans(), gaussian=st.booleans())
 def test_only_documented_exceptions(data, base, bad, nonlinear, gaussian):
     v = {name: data.draw(st.sampled_from(INVALID + [2.5] * (name == "stride") if name in bad
                                          else VALID[name]), label=name) for name in VALID}
+    cert = base().cert  # example2 has none: its runs take no nonlinear trigger and no monitor
     try:
         sensing = (SensingConfig(delta_tau=v["delta_tau"], mu_psi=v["mu_psi"],
                                  sigma_psi=v["sigma_psi"], seed=v["seed"]) if gaussian
                    else SensingConfig(delta_tau=v["delta_tau"], d_psi=v["d_psi"]))
-        trigger = (TriggerConfig.nonlinear(base().cert, v["theta"], v["L_K"]) if nonlinear
+        trigger = (TriggerConfig.nonlinear(cert, v["theta"], v["L_K"]) if nonlinear and cert
                    else TriggerConfig("fixed-ratio", v["theta"], rho_bar=v["rho_bar"]))
-        monitor = MonitorConfig(b=v["b"], form=base().monitor.form, stride=v["stride"])
+        monitor = (MonitorConfig(b=v["b"], form=base().monitor.form, stride=v["stride"]) if cert
+                   else None)
         cfg = dataclasses.replace(base(), sensing=sensing, trigger=trigger, monitor=monitor,
                                   **{k: v[k] for k in ("h", "T", "u_prehistory",
                                                        "divergence_threshold")})

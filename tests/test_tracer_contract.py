@@ -110,9 +110,9 @@ def test_offgrid_sweep_cell_calls():
     assert tracer.calls("trigger.threshold") == tr.diagnostics["exact_trigger_checks"]
     assert tracer.calls("model.f") == 6796
     assert tracer.calls("model.K") == 1199
-    # one re-anchor per adopted delivery and the pre-history's; between deliveries the
-    # engine's block steps the chain itself and calls advance only where advance's common
-    # case does not hold (the per-step loop calls it 2552 times: the pre-history's 52 and
-    # one per step)
+    # one re-anchor per adopted delivery and the pre-history's; the engine takes advance's
+    # one-node case on the chain itself and calls advance for the pre-history's 52 steps and
+    # where that case does not hold (with fused off it calls advance 2552 times: the
+    # pre-history's and one per step)
     assert tracer.calls("predictor.reanchor") == 21
-    assert tracer.calls("predictor.advance") == 234
+    assert tracer.calls("predictor.advance") == 177
